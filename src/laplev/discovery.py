@@ -2,11 +2,14 @@
 
 The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and at what length scales
-the log-likelihood bends, then runs a stick/release cycle: batches of seeds
-ascend until they stick to a peak, duplicates collapse, freed slots reseed,
-and the survivors are shaken loose sideways and downhill so the next ascent
-can only end somewhere new. Everything is driven by one seeded generator and
-batched evaluator calls, so a (seed, config) pair fixes the run bit for bit.
+the log-likelihood bends. That survey costs two batched likelihood calls,
+one for every ray's coarse grid and one for every live ray's refill; reading
+scales and seeds off it costs none. Then it runs a stick/release cycle:
+batches of seeds ascend until they stick to a peak, duplicates collapse,
+freed slots reseed, and the survivors are shaken loose sideways and
+downhill so the next ascent can only end somewhere new. Everything is
+driven by one seeded generator and batched evaluator calls, so a (seed,
+config) pair fixes the run bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +51,16 @@ class Ray:
         return float(np.linalg.norm(self.end - self.start))
 
     def at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return self.start + t[:, None] * (self.end - self.start)
+        return _points_along(self.start, self.end, t)
+
+
+def _points_along(start, end, t) -> np.ndarray:
+    """``start + t (end - start)``, with a coordinate axis appended to ``t``.
+
+    The one formula for positions on rays, so the survey, the seed picks and
+    ``Ray.at`` agree bit for bit.
+    """
+    return start + np.asarray(t, dtype=np.float64)[..., None] * (end - start)
 
 
 @dataclass
@@ -121,6 +132,76 @@ def generate_rays(bounds: BoundsBox, rng) -> list[Ray]:
     return rays
 
 
+def _eval_rays(problem, rays, t) -> np.ndarray:
+    """Evaluate row k of ``t`` along ``rays[k]`` in one batched call."""
+    start = np.array([r.start for r in rays])[:, None, :]
+    end = np.array([r.end for r in rays])[:, None, :]
+    pts = _points_along(start, end, t)
+    return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
+
+
+def _refill_t(t0, v0, rng, active_drop):
+    """Mass-weighted refill positions for a stack of coarse passes.
+
+    ``v0`` holds one ray's coarse values per row. Rows with no finite value
+    are dead and draw nothing; every live row draws ``rng.random(n_coarse)``
+    in row order, which is the same stream as one draw per ray. Returns the
+    live-row mask and the refill t values, one row per live ray.
+    """
+    n_coarse = t0.size
+    finite = np.isfinite(v0)
+    live = finite.any(axis=1)
+    if not live.any():
+        return live, np.zeros((0, n_coarse))
+    v0, finite = v0[live], finite[live]
+    vmax = np.where(finite, v0, -np.inf).max(axis=1, keepdims=True)
+    active = finite & (v0 > vmax - active_drop)
+    edges = np.empty(n_coarse + 1)
+    edges[0], edges[-1] = 0.0, 1.0
+    edges[1:-1] = 0.5 * (t0[:-1] + t0[1:])
+    cell_w = np.diff(edges)
+    weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
+    cum = np.cumsum(weights, axis=1)
+    targets = rng.random(cum.shape) * cum[:, -1:]
+    # np.searchsorted has no row-wise form: one call per live ray.
+    cells = np.minimum(
+        [np.searchsorted(c, x, side="right") for c, x in zip(cum, targets)],
+        n_coarse - 1,
+    )
+    w = np.take_along_axis(weights, cells, axis=1)
+    lo = np.take_along_axis(cum, cells, axis=1) - w
+    frac = np.where(w > 0, (targets - lo) / w, 0.5)
+    return live, edges[cells] + frac * cell_w[cells]
+
+
+def _sample_rays(problem, rays, rng, n_coarse, active_drop) -> list[RaySamples]:
+    """Two-pass survey of ``rays`` in at most two batched likelihood calls.
+
+    One call evaluates every ray's coarse grid; a second evaluates every
+    live ray's refill and is skipped when all rays are dead.
+    """
+    t0 = np.linspace(0.0, 1.0, n_coarse)
+    v0 = _eval_rays(problem, rays, np.broadcast_to(t0, (len(rays), n_coarse)))
+    live, t1 = _refill_t(t0, v0, rng, active_drop)
+    live_idx = np.flatnonzero(live)
+    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(n_coarse, dtype=np.uint8), True)
+           for i, ray in enumerate(rays)]
+    if live_idx.size == 0:
+        return out
+    v1 = _eval_rays(problem, [rays[i] for i in live_idx], t1)
+
+    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
+    v_all = np.concatenate([v0[live], v1], axis=1)
+    tags = np.concatenate(
+        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
+    )
+    order = np.argsort(t_all, axis=1, kind="stable")
+    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
+    for k, i in enumerate(live_idx):
+        out[i] = RaySamples(rays[i], t_all[k], v_all[k], tags[k], False)
+    return out
+
+
 def two_pass_sample(problem, ray: Ray, rng, n_coarse: int = N_COARSE,
                     active_drop: float = ACTIVE_DROP) -> RaySamples:
     """Survey one ray: a uniform coarse pass, then a mass-weighted refill.
@@ -130,36 +211,11 @@ def two_pass_sample(problem, ray: Ray, rng, n_coarse: int = N_COARSE,
     region; a second pass of equal size draws t values from the normalized
     piecewise-constant profile over those cells by inverse transform. A ray
     whose coarse pass is entirely non-finite is marked dead and gets no
-    second pass.
+    second pass. This is ``survey`` for a single ray: one likelihood call
+    per pass, and the same samples ``survey`` stores for this ray when the
+    generator is in the same state.
     """
-    t0 = np.linspace(0.0, 1.0, n_coarse)
-    v0 = problem.logl(ray.at(t0))
-    finite = np.isfinite(v0)
-    if not finite.any():
-        return RaySamples(ray, t0, v0, np.zeros(n_coarse, dtype=np.uint8), True)
-
-    vmax = float(v0[finite].max())
-    active = finite & (v0 > vmax - active_drop)
-    edges = np.empty(n_coarse + 1)
-    edges[0], edges[-1] = 0.0, 1.0
-    edges[1:-1] = 0.5 * (t0[:-1] + t0[1:])
-    cell_w = np.diff(edges)
-    weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
-    cum = np.cumsum(weights)
-    targets = rng.random(n_coarse) * cum[-1]
-    cells = np.minimum(np.searchsorted(cum, targets, side="right"), n_coarse - 1)
-    lo = cum[cells] - weights[cells]
-    frac = np.where(weights[cells] > 0, (targets - lo) / weights[cells], 0.5)
-    t1 = edges[cells] + frac * cell_w[cells]
-    v1 = problem.logl(ray.at(t1))
-
-    t_all = np.concatenate([t0, t1])
-    v_all = np.concatenate([v0, v1])
-    tags = np.concatenate(
-        [np.zeros(n_coarse, dtype=np.uint8), np.ones(n_coarse, dtype=np.uint8)]
-    )
-    order = np.argsort(t_all, kind="stable")
-    return RaySamples(ray, t_all[order], v_all[order], tags[order], False)
+    return _sample_rays(problem, [ray], rng, n_coarse, active_drop)[0]
 
 
 @dataclass
@@ -253,10 +309,16 @@ class RayBank:
 
 def survey(problem, rng, n_coarse: int = N_COARSE,
            active_drop: float = ACTIVE_DROP) -> RayBank:
-    bank = RayBank()
-    for ray in generate_rays(problem.bounds, rng):
-        bank.add(two_pass_sample(problem, ray, rng, n_coarse, active_drop))
-    return bank
+    """Two-pass survey of the ``generate_rays`` family in two batched calls.
+
+    One likelihood call evaluates every ray's coarse grid, a second every
+    live ray's refill (skipped when every ray is dead). The bank equals,
+    bit for bit, a ``two_pass_sample`` loop over the same rays and
+    generator: the refill draws are the only generator use after the rays,
+    and they are taken in ray order.
+    """
+    return RayBank(_sample_rays(problem, generate_rays(problem.bounds, rng), rng,
+                                n_coarse, active_drop))
 
 
 @dataclass(frozen=True)
@@ -276,10 +338,41 @@ class ScaleEstimate:
 
 def _nearest_index(s: np.ndarray, targets: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(s, targets)
-    lo = np.clip(pos - 1, 0, s.size - 1)
-    hi = np.clip(pos, 0, s.size - 1)
+    lo = np.maximum(pos - 1, 0)
+    hi = np.minimum(pos, s.size - 1)
     pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
     return np.where(pick_hi, hi, lo)
+
+
+def _ray_kappa(s, v, hs, match_tol) -> np.ndarray:
+    """Spikiest matched second difference along one ray, for every h in ``hs``.
+
+    All h values that fit in half the ray's span are handled at once, on an
+    (h, sample) grid. NaN where h does not fit or no sample has both
+    neighbours within ``match_tol * h`` of distance h.
+    """
+    kappa = np.full(hs.size, np.nan)
+    fit = hs <= (s[-1] - s[0]) / 2.0
+    h = hs[fit, None]
+    tol = match_tol * h
+    ip = _nearest_index(s, s + h)
+    im = _nearest_index(s, s - h)
+    a = s[ip] - s  # actual forward offset
+    b = s - s[im]  # actual backward offset
+    ok = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
+    # Three-point second derivative with unequal arms; this form cancels
+    # the first-derivative term that a plain (v+ - 2v + v-)/h^2 leaks when
+    # the matched neighbors sit asymmetrically, which would otherwise fake
+    # a curvature rise at small h. Unmatched entries get unit arms so they
+    # stay finite; the mask drops them.
+    aa = np.where(ok, a, 1.0)
+    bb = np.where(ok, b, 1.0)
+    second = 2.0 * np.abs(
+        bb * v[ip] - (aa + bb) * v + aa * v[im]
+    ) / (aa * bb * (aa + bb))
+    peak = np.where(ok, second, -np.inf).max(axis=1)
+    kappa[fit] = np.where(ok.any(axis=1), peak, np.nan)
+    return kappa
 
 
 def estimate_scales(bank: RayBank, bounds: BoundsBox, n_h: int = 24,
@@ -325,54 +418,24 @@ def estimate_scales(bank: RayBank, bounds: BoundsBox, n_h: int = 24,
         h_lo = h_hi / 1e3
     hs = np.geomspace(h_lo, h_hi, n_h)
 
-    kappa = np.full(n_h, np.nan)
-    drops = []  # (slope, h at the drop), pooled over rays
-    for s, v in series:
-        span = s[-1] - s[0]
-        kappa_ray = np.full(n_h, np.nan)
-        for k, h in enumerate(hs):
-            if h > span / 2.0:
-                continue
-            ip = _nearest_index(s, s + h)
-            im = _nearest_index(s, s - h)
-            a = s[ip] - s  # actual forward offset
-            b = s - s[im]  # actual backward offset
-            ok = (
-                (np.abs(a - h) <= match_tol * h)
-                & (np.abs(b - h) <= match_tol * h)
-                & (a > 0)
-                & (b > 0)
-            )
-            if not ok.any():
-                continue
-            # Three-point second derivative with unequal arms; this form
-            # cancels the first-derivative term that a plain
-            # (v+ - 2v + v-)/h^2 leaks when the matched neighbors sit
-            # asymmetrically, which would otherwise fake a curvature rise
-            # at small h.
-            aa, bb = a[ok], b[ok]
-            second = 2.0 * np.abs(
-                bb * v[ip][ok] - (aa + bb) * v[ok] + aa * v[im][ok]
-            ) / (aa * bb * (aa + bb))
-            kappa_ray[k] = float(second.max())
-        live = np.flatnonzero(np.isfinite(kappa_ray) & (kappa_ray > 0))
-        if live.size >= 2:
-            # Slopes along one ray's own profile only: pooling first and
-            # differentiating after would fake transitions wherever the set
-            # of rays able to support a given h changes.
-            lh = np.log(hs[live])
-            lk = np.log(kappa_ray[live])
-            slopes = np.diff(lk) / np.diff(lh)
-            for j in np.flatnonzero(slopes < slope_threshold):
-                h_mid = float(np.sqrt(hs[live[j]] * hs[live[j + 1]]))
-                drops.append((float(slopes[j]), h_mid))
-        upd = np.isfinite(kappa_ray) & (np.isnan(kappa) | (kappa_ray > kappa))
-        kappa[upd] = kappa_ray[upd]
+    kappa_rays = np.array([_ray_kappa(s, v, hs, match_tol) for s, v in series])
+    # Slopes along one ray's own profile only: pooling first and
+    # differentiating after would fake transitions wherever the set of rays
+    # able to support a given h changes. Consecutive live entries of one
+    # row are adjacent in the row-major nonzero order.
+    rows, cols = np.nonzero(np.isfinite(kappa_rays) & (kappa_rays > 0))
+    pair = np.flatnonzero(rows[1:] == rows[:-1])
+    lk = np.log(kappa_rays[rows, cols])
+    lh = np.log(hs[cols])
+    slopes = (lk[pair + 1] - lk[pair]) / (lh[pair + 1] - lh[pair])
+    steep = slopes < slope_threshold
+    h_mid = np.sqrt(hs[cols[pair[steep]]] * hs[cols[pair[steep] + 1]])
+    # Three steepest drops, ties in (ray, h) order.
+    found = sorted(h_mid[np.argsort(slopes[steep], kind="stable")[:3]].tolist())
 
-    found = []
-    if drops:
-        drops.sort(key=lambda p: p[0])
-        found = sorted(h for _, h in drops[:3])
+    finite = np.isfinite(kappa_rays)
+    kappa = np.where(finite, kappa_rays, -np.inf).max(axis=0)
+    kappa[~finite.any(axis=0)] = np.nan
 
     if not found:
         if not np.isfinite(kappa).any() or np.nanmax(kappa) <= 0:
@@ -395,26 +458,31 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     compares across basins. The union is thinned at the finest scale.
     """
     q = max(32, 4 * rays_per_kind(dim))
-    pos, val = bank.positions_and_logl()
+    live = [r for r in bank.rays if not r.dead]
+    if not live:
+        return np.zeros((0, dim))
+    ray = np.repeat(np.arange(len(live)), [r.t.size for r in live])
+    t = np.concatenate([r.t for r in live])
+    val = np.concatenate([r.logl for r in live])
     finite = np.isfinite(val)
-    pos, val = pos[finite], val[finite]
-    if pos.shape[0] == 0:
+    ray, t, val = ray[finite], t[finite], val[finite]
+    if val.size == 0:
         return np.zeros((0, dim))
     order = np.lexsort((np.arange(val.size), -val))
     pick = np.zeros(val.size, dtype=bool)
     pick[order[:q]] = True
-    offset = 0
-    for r in bank.rays:
-        if r.dead:
-            continue
-        fin = np.flatnonzero(np.isfinite(np.asarray(r.logl)))
-        if fin.size:
-            pick[offset + int(np.argmax(np.asarray(r.logl)[fin]))] = True
-        offset += fin.size
+    # Champion per ray: the first of its samples in (ray, -value, index)
+    # order, which is the first maximum as argmax would pick it.
+    by_ray = np.lexsort((-val, ray))
+    pick[by_ray[np.r_[True, np.diff(ray[by_ray]) != 0]]] = True
     idx = np.flatnonzero(pick)
-    kept, _ = dedup_linf(pos[idx], val[idx], lam_fine)
-    kept = idx[np.asarray(kept)]
-    order = np.lexsort((kept, -val[kept]))
+    # Positions of the picked samples only.
+    start = np.array([r.ray.start for r in live])[ray[idx]]
+    end = np.array([r.ray.end for r in live])[ray[idx]]
+    pos = _points_along(start, end, t[idx])
+    kept, _ = dedup_linf(pos, val[idx], lam_fine)
+    kept = np.asarray(kept)
+    order = np.lexsort((idx[kept], -val[idx[kept]]))
     return pos[kept[order]]
 
 

@@ -74,14 +74,16 @@ class NoModesFoundError(LaplevError):
 class NoValidMaximaError(LaplevError):
     """Every refined candidate was filtered out.
 
-    ``reasons`` maps each filter name to the number of candidates it removed.
+    ``reasons`` maps each filter name to the number of candidates it removed;
+    ``n_candidates`` is the number of polished candidates the filters saw.
     """
 
     exit_code = 5
 
-    def __init__(self, reasons):
+    def __init__(self, reasons, n_candidates):
         self.reasons = dict(reasons)
-        super().__init__(f"all {len(self.reasons)} candidates rejected: {self.reasons}")
+        self.n_candidates = int(n_candidates)
+        super().__init__(f"all {self.n_candidates} candidates rejected: {self.reasons}")
 
 
 class HessianFailedError(LaplevError):

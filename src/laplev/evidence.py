@@ -32,10 +32,8 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-from .linalg import eig_symmetric, logsumexp
-from .refine import GRAD_FILTER_SCALE
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .linalg import LOG_2PI, eig_symmetric, logsumexp
+from .refine import GRAD_FILTER_SCALE, HESS_STEP_ABS, HESS_STEP_WIDTH
 
 # Mean whitened perpendicular fraction above which a mode is declared
 # rotated outright, and below which it is declared axis-aligned outright.
@@ -55,11 +53,6 @@ PROBE_REL_THRESHOLD = 0.05
 PROBE_EXTRA_DEFAULT = 3
 # A probe displaces the stiffest coordinate by this fraction of its width.
 PROBE_STEP_FRACTION = 1e-2
-
-# Hessian stencil step per coordinate, identical to the rule used for the
-# diagonal second differences during refinement.
-HESS_STEP_WIDTH = 1e-4
-HESS_STEP_ABS = 1e-6
 
 # Tail diagnostic: evaluate at +-TAIL_SIGMA whitened radii along the
 # whitened diagonal direction; a drop below TAIL_RATIO_WARN of the

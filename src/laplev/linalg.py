@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericInputError
 
+LOG_2PI = float(np.log(2.0 * np.pi))
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 

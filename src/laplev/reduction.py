@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SaddleDirectionError
-from .linalg import eig_symmetric
+from .linalg import LOG_2PI, eig_symmetric
 from .problem import BoundsBox
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Relative classification thresholds applied to lambda_max when no explicit
 # cutoffs are given: they make the split scale-free.

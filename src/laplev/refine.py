@@ -21,6 +21,9 @@ from .lbfgs import HISTORY, make_state, step_batch
 from .linalg import dedup_linf
 
 GRAD_FILTER_SCALE = 1e-6
+# Hessian stencil step per coordinate, shared with the full-Hessian stencil
+# in the evidence stage: the larger of a fraction of the width hint and an
+# absolute floor that grows with |position|.
 HESS_STEP_WIDTH = 1e-4
 HESS_STEP_ABS = 1e-6
 WIDTH_FLOOR_SCALE = 1e-12
@@ -110,7 +113,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     if dedup_radius is None:
         dedup_radius = 1e-3 * float(np.mean(bounds.widths))
     if not coarse_peaks:
-        raise NoValidMaximaError({"no_input_peaks": 0})
+        raise NoValidMaximaError({"no_input_peaks": 0}, 0)
 
     seed_rows, origins, hints = [], [], []
     for k, pk in enumerate(coarse_peaks):
@@ -189,7 +192,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         alive = alive[np.asarray(kept_local)]
 
     if alive.size == 0:
-        raise NoValidMaximaError(reasons)
+        raise NoValidMaximaError(reasons, state.logl.size)
 
     def final_survivor(row):
         seen = set()

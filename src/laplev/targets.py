@@ -22,6 +22,8 @@ from scipy.special import gammaln, log_ndtr
 from .errors import InvalidParameterError, UnsupportedDimensionError
 from .problem import BoundsBox, Problem
 
+# Kept separate from the pipeline's copy in linalg: the truths here must
+# not depend on any pipeline code.
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 

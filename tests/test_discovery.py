@@ -7,7 +7,9 @@ from laplev.discovery import (
     RAY_V2V,
     RAY_W2W,
     CoarsePeak,
+    Ray,
     RayBank,
+    RaySamples,
     ScaleEstimate,
     _momentum_descent,
     _reseed_from_unconverged,
@@ -23,6 +25,7 @@ from laplev.discovery import (
 )
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import fd_gradient
+from laplev.linalg import dedup_linf
 from laplev.problem import BoundsBox, Problem
 
 
@@ -139,6 +142,104 @@ def test_survey_batches_and_counter():
     assert p.eval_counter == bank.n_live * 128 + (44 - bank.n_live) * 64
 
 
+class CountingProblem(Problem):
+    """Problem that also counts batched likelihood calls."""
+
+    def __init__(self, fn, bounds):
+        super().__init__(fn, bounds)
+        self.calls = 0
+
+    def logl(self, points):
+        self.calls += 1
+        return super().logl(points)
+
+
+def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
+    """One ray, two likelihood calls: the survey as it was written per ray."""
+
+    def at(t):
+        return ray.start + t[:, None] * (ray.end - ray.start)
+
+    t0 = np.linspace(0.0, 1.0, n_coarse)
+    v0 = problem.logl(at(t0))
+    finite = np.isfinite(v0)
+    if not finite.any():
+        return RaySamples(ray, t0, v0, np.zeros(n_coarse, dtype=np.uint8), True)
+
+    vmax = float(v0[finite].max())
+    active = finite & (v0 > vmax - active_drop)
+    edges = np.empty(n_coarse + 1)
+    edges[0], edges[-1] = 0.0, 1.0
+    edges[1:-1] = 0.5 * (t0[:-1] + t0[1:])
+    cell_w = np.diff(edges)
+    weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
+    cum = np.cumsum(weights)
+    targets = rng.random(n_coarse) * cum[-1]
+    cells = np.minimum(np.searchsorted(cum, targets, side="right"), n_coarse - 1)
+    lo = cum[cells] - weights[cells]
+    frac = np.where(weights[cells] > 0, (targets - lo) / weights[cells], 0.5)
+    t1 = edges[cells] + frac * cell_w[cells]
+    v1 = problem.logl(at(t1))
+
+    t_all = np.concatenate([t0, t1])
+    v_all = np.concatenate([v0, v1])
+    tags = np.concatenate(
+        [np.zeros(n_coarse, dtype=np.uint8), np.ones(n_coarse, dtype=np.uint8)]
+    )
+    order = np.argsort(t_all, kind="stable")
+    return RaySamples(ray, t_all[order], v_all[order], tags[order], False)
+
+
+def _bank_bytes(rays):
+    return [(r.ray.kind, r.ray.start.tobytes(), r.ray.end.tobytes(), r.t.tobytes(),
+             r.logl.tobytes(), r.tags.tobytes(), r.dead) for r in rays]
+
+
+def _corner_only(x):
+    # Finite only in a slab at the low end of the first axis: rays that
+    # never enter it are dead.
+    return np.where(x[:, 0] < -4.0, -0.5 * np.sum(x * x, axis=1), -np.inf)
+
+
+@pytest.mark.parametrize("fn, d", [
+    (lambda x: -0.5 * np.sum(x * x, axis=1), 1),
+    (lambda x: -0.5 * np.sum(x * x, axis=1), 3),
+    (_corner_only, 1),
+    (_corner_only, 3),
+])
+def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
+    p = CountingProblem(fn, box(d))
+    bank = survey(p, np.random.default_rng(8))
+    assert p.calls == 2
+    n_dead = sum(r.dead for r in bank.rays)
+    if fn is _corner_only:
+        assert 0 < n_dead < len(bank.rays)
+    expected_counter = p.eval_counter
+
+    for single in (two_pass_sample, _two_pass_reference):
+        q = CountingProblem(fn, box(d))
+        rng = np.random.default_rng(8)
+        rays = [single(q, ray, rng) for ray in generate_rays(q.bounds, rng)]
+        assert _bank_bytes(rays) == _bank_bytes(bank.rays)
+        assert q.eval_counter == expected_counter
+        assert q.calls == 2 * len(rays) - n_dead
+
+
+def test_survey_all_rays_dead_makes_one_call():
+    p = CountingProblem(lambda x: np.full(x.shape[0], -np.inf), box(3))
+    rng = np.random.default_rng(0)
+    bank = survey(p, rng)
+    assert p.calls == 1
+    assert all(r.dead for r in bank.rays)
+    assert p.eval_counter == 64 * len(bank.rays)
+    rng_loop = np.random.default_rng(0)
+    q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
+    rays = [two_pass_sample(q, ray, rng_loop) for ray in generate_rays(q.bounds, rng_loop)]
+    assert _bank_bytes(rays) == _bank_bytes(bank.rays)
+    # dead rays draw nothing, so both generators are in the same state
+    assert rng.random() == rng_loop.random()
+
+
 # ---------------------------------------------------------------- ray bank
 
 
@@ -213,6 +314,139 @@ def test_scales_cigar_detects_stiff_axis():
     assert est.lam_fine < 0.05  # stiff sigma = 1e-3; must be well below 1
 
 
+def _nearest_index_reference(s, targets):
+    pos = np.searchsorted(s, targets)
+    lo = np.clip(pos - 1, 0, s.size - 1)
+    hi = np.clip(pos, 0, s.size - 1)
+    pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
+    return np.where(pick_hi, hi, lo)
+
+
+def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
+                               slope_threshold=-0.5):
+    """The per-(ray, h) loop ``estimate_scales`` must reproduce bit for bit."""
+    series = []
+    for r in bank.rays:
+        if r.dead:
+            continue
+        finite = np.isfinite(r.logl)
+        if int(finite.sum()) < 8:
+            continue
+        s = r.t[finite] * r.ray.length
+        v = r.logl[finite]
+        keep = np.concatenate([[True], np.diff(s) > 0])
+        series.append((s[keep], v[keep]))
+
+    mean_width = float(np.mean(bounds.widths))
+    if not series:
+        return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width, 1e-1 * mean_width,
+                             True, np.zeros(0), np.zeros(0))
+
+    spans = np.array([s[-1] - s[0] for s, _ in series])
+    gaps = [np.min(np.diff(s)) for s, _ in series if s.size > 1]
+    h_hi = float(spans.max()) / 2.0
+    h_lo = max(float(min(gaps)), 1e-9 * h_hi)
+    if h_lo >= h_hi:
+        h_lo = h_hi / 1e3
+    hs = np.geomspace(h_lo, h_hi, n_h)
+
+    kappa = np.full(n_h, np.nan)
+    drops = []
+    for s, v in series:
+        span = s[-1] - s[0]
+        kappa_ray = np.full(n_h, np.nan)
+        for k, h in enumerate(hs):
+            if h > span / 2.0:
+                continue
+            ip = _nearest_index_reference(s, s + h)
+            im = _nearest_index_reference(s, s - h)
+            a = s[ip] - s
+            b = s - s[im]
+            ok = (
+                (np.abs(a - h) <= match_tol * h)
+                & (np.abs(b - h) <= match_tol * h)
+                & (a > 0)
+                & (b > 0)
+            )
+            if not ok.any():
+                continue
+            aa, bb = a[ok], b[ok]
+            second = 2.0 * np.abs(
+                bb * v[ip][ok] - (aa + bb) * v[ok] + aa * v[im][ok]
+            ) / (aa * bb * (aa + bb))
+            kappa_ray[k] = float(second.max())
+        live = np.flatnonzero(np.isfinite(kappa_ray) & (kappa_ray > 0))
+        if live.size >= 2:
+            lh = np.log(hs[live])
+            lk = np.log(kappa_ray[live])
+            slopes = np.diff(lk) / np.diff(lh)
+            for j in np.flatnonzero(slopes < slope_threshold):
+                h_mid = float(np.sqrt(hs[live[j]] * hs[live[j + 1]]))
+                drops.append((float(slopes[j]), h_mid))
+        upd = np.isfinite(kappa_ray) & (np.isnan(kappa) | (kappa_ray > kappa))
+        kappa[upd] = kappa_ray[upd]
+
+    found = []
+    if drops:
+        drops.sort(key=lambda p: p[0])
+        found = sorted(h for _, h in drops[:3])
+
+    if not found:
+        if not np.isfinite(kappa).any() or np.nanmax(kappa) <= 0:
+            return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width,
+                                 1e-1 * mean_width, True, hs, kappa)
+        lam = 1.0 / float(np.sqrt(np.nanmax(kappa)))
+        found = [lam]
+    while len(found) < 3:
+        found.append(found[-1])
+    return ScaleEstimate(found[0], found[1], found[2], False, hs, kappa)
+
+
+def _ripple(x):
+    return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(2 * np.pi / 0.3 * x[:, 0])
+
+
+def _ragged_bank():
+    """Rays of very different lengths, with -inf / NaN samples and repeated t."""
+    rng = np.random.default_rng(31)
+    bank = RayBank()
+    for length, n in ((10.0, 128), (0.05, 40), (3.0, 9), (7.0, 128), (1e-4, 12)):
+        ray = Ray(RAY_W2W, np.array([-length / 2, 0.0]), np.array([length / 2, 0.0]))
+        t = np.sort(np.concatenate([rng.random(n - 4), [0.0, 1.0, 0.5, 0.5]]))
+        x = (t - 0.5) * length
+        v = -0.5 * x * x / 0.3**2
+        v[rng.random(n) < 0.1] = -np.inf
+        v[rng.random(n) < 0.05] = np.nan
+        bank.add(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
+    dead = Ray(RAY_V2V, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    bank.add(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
+                        np.zeros(8, dtype=np.uint8), True))
+    return bank
+
+
+def _scales_banks():
+    yield gaussian_problem(3, sig2=0.7**2).bounds, survey(
+        gaussian_problem(3, sig2=0.7**2), np.random.default_rng(9))
+    cigar = gaussian_problem(2, sig2=np.array([1.0, 1e-6]))
+    yield cigar.bounds, survey(cigar, np.random.default_rng(21))
+    ripple = Problem(_ripple, box(2, -10, 10))
+    yield ripple.bounds, survey(ripple, np.random.default_rng(13))
+    yield box(2), _ragged_bank()
+    half = Problem(_corner_only, box(3))
+    yield half.bounds, survey(half, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_estimate_scales_bitwise_equal_to_per_h_loop(case):
+    bounds, bank = list(_scales_banks())[case]
+    got = estimate_scales(bank, bounds)
+    ref = _estimate_scales_reference(bank, bounds)
+    assert np.array(got.as_tuple()).tobytes() == np.array(ref.as_tuple()).tobytes()
+    assert got.fallback == ref.fallback
+    assert got.h.tobytes() == ref.h.tobytes()
+    assert got.kappa.tobytes() == ref.kappa.tobytes()
+
+
 # ---------------------------------------------------------------- seeds
 
 
@@ -226,6 +460,40 @@ def test_select_seeds_quota_and_thinning():
     for i in range(seeds.shape[0]):
         for j in range(i + 1, seeds.shape[0]):
             assert np.max(np.abs(seeds[i] - seeds[j])) > 0.5
+
+
+def _select_seeds_reference(bank, lam_fine, dim):
+    """Seed selection with the per-ray champion walk."""
+    q = max(32, 4 * rays_per_kind(dim))
+    pos, val = bank.positions_and_logl()
+    finite = np.isfinite(val)
+    pos, val = pos[finite], val[finite]
+    if pos.shape[0] == 0:
+        return np.zeros((0, dim))
+    order = np.lexsort((np.arange(val.size), -val))
+    pick = np.zeros(val.size, dtype=bool)
+    pick[order[:q]] = True
+    offset = 0
+    for r in bank.rays:
+        if r.dead:
+            continue
+        fin = np.flatnonzero(np.isfinite(np.asarray(r.logl)))
+        if fin.size:
+            pick[offset + int(np.argmax(np.asarray(r.logl)[fin]))] = True
+        offset += fin.size
+    idx = np.flatnonzero(pick)
+    kept, _ = dedup_linf(pos[idx], val[idx], lam_fine)
+    kept = idx[np.asarray(kept)]
+    order = np.lexsort((kept, -val[kept]))
+    return pos[kept[order]]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_select_seeds_champions_match_per_ray_walk(case):
+    bounds, bank = list(_scales_banks())[case]
+    for lam in (1e-3, 0.2):
+        got = select_seeds(bank, lam, bounds.dim)
+        assert got.tobytes() == _select_seeds_reference(bank, lam, bounds.dim).tobytes()
 
 
 def test_smoothed_gradient_degenerates_to_fd():

@@ -162,6 +162,15 @@ def test_refine_all_fail_raises_with_reasons():
                      rng=np.random.default_rng(0))
     reasons = exc.value.reasons
     assert reasons.get("gradient", 0) > 0
+    # one +-axis pair per coordinate: four polished candidates
+    assert exc.value.n_candidates == 4
+    assert "all 4 candidates rejected" in str(exc.value)
+    # the fast scatter polishes 20 candidates, still through four filters
+    with pytest.raises(NoValidMaximaError) as exc:
+        refine_peaks(p, [coarse(np.zeros(2))], lam_fine=0.1,
+                     rng=np.random.default_rng(0), fast=True)
+    assert exc.value.n_candidates == 20
+    assert str(exc.value).startswith("all 20 candidates rejected")
 
 
 def test_refine_merges_duplicate_coarse_peaks():
@@ -226,5 +235,7 @@ def test_refine_postsearch_cost_is_one_hessian_batch():
 
 
 def test_refine_empty_input_raises():
-    with pytest.raises(NoValidMaximaError):
+    with pytest.raises(NoValidMaximaError) as exc:
         refine_peaks(gaussian(2), [], lam_fine=0.1, rng=np.random.default_rng(0))
+    assert exc.value.n_candidates == 0
+    assert str(exc.value).startswith("all 0 candidates rejected")
