@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoModesFoundError
+from .errors import NoModesFoundError
 from .lbfgs import fd_gradient, run_batch
 from .linalg import dedup_linf
 from .problem import BoundsBox
@@ -32,8 +32,6 @@ KIND_NAMES = {RAY_V2V: "v2v", RAY_V2E: "v2e", RAY_W2W: "w2w", RAY_SUN: "sunburst
 
 N_COARSE = 64
 ACTIVE_DROP = 20.0
-SIDECAR_MAGIC = b"RAYBANK\0"
-SIDECAR_VERSION = 1
 
 
 def rays_per_kind(dim: int) -> int:
@@ -220,7 +218,7 @@ def two_pass_sample(problem, ray: Ray, rng, n_coarse: int = N_COARSE,
 
 @dataclass
 class RayBank:
-    """All ray samples from one survey, plus binary persistence."""
+    """All ray samples from one survey."""
 
     rays: list = field(default_factory=list)
 
@@ -231,27 +229,6 @@ class RayBank:
     def n_live(self) -> int:
         return sum(not r.dead for r in self.rays)
 
-    def positions_and_logl(self):
-        """Concatenated sample positions and values over live rays."""
-        pos, val = [], []
-        for r in self.rays:
-            if r.dead:
-                continue
-            pos.append(r.ray.at(r.t))
-            val.append(r.logl)
-        if not pos:
-            d = self.rays[0].ray.start.shape[0] if self.rays else 0
-            return np.zeros((0, d)), np.zeros(0)
-        return np.vstack(pos), np.concatenate(val)
-
-    def best_sample(self):
-        pos, val = self.positions_and_logl()
-        finite = np.isfinite(val)
-        if not finite.any():
-            return None, -np.inf
-        i = int(np.argmax(np.where(finite, val, -np.inf)))
-        return pos[i], float(val[i])
-
     def summary(self) -> str:
         counts = {name: 0 for name in KIND_NAMES.values()}
         for r in self.rays:
@@ -259,52 +236,6 @@ class RayBank:
         dead = sum(r.dead for r in self.rays)
         parts = ", ".join(f"{k}={v}" for k, v in counts.items())
         return f"{len(self.rays)} rays ({parts}), {dead} dead"
-
-    def save(self, path) -> None:
-        """Little-endian binary sidecar; bit-exact round trip including NaN."""
-        chunks = [SIDECAR_MAGIC,
-                  np.array([SIDECAR_VERSION, len(self.rays)], dtype="<u4").tobytes()]
-        for r in self.rays:
-            d = r.ray.start.shape[0]
-            n = r.t.shape[0]
-            chunks.append(np.array([r.ray.kind, int(r.dead)], dtype="<u1").tobytes())
-            chunks.append(np.array([d, n], dtype="<u4").tobytes())
-            chunks.append(np.asarray(r.ray.start, dtype="<f8").tobytes())
-            chunks.append(np.asarray(r.ray.end, dtype="<f8").tobytes())
-            chunks.append(np.asarray(r.t, dtype="<f8").tobytes())
-            chunks.append(np.asarray(r.logl, dtype="<f8").tobytes())
-            chunks.append(np.asarray(r.tags, dtype="<u1").tobytes())
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
-
-    @staticmethod
-    def load(path) -> "RayBank":
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        if buf[:8] != SIDECAR_MAGIC:
-            raise InvalidParameterError("ray bank file: bad magic")
-        version, n_rays = np.frombuffer(buf, dtype="<u4", count=2, offset=8)
-        if version != SIDECAR_VERSION:
-            raise InvalidParameterError(f"ray bank file: unsupported version {version}")
-        off = 16
-        bank = RayBank()
-        for _ in range(int(n_rays)):
-            kind, dead = np.frombuffer(buf, dtype="<u1", count=2, offset=off)
-            off += 2
-            d, n = (int(x) for x in np.frombuffer(buf, dtype="<u4", count=2, offset=off))
-            off += 8
-            start = np.frombuffer(buf, dtype="<f8", count=d, offset=off).copy()
-            off += 8 * d
-            end = np.frombuffer(buf, dtype="<f8", count=d, offset=off).copy()
-            off += 8 * d
-            t = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-            off += 8 * n
-            logl = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-            off += 8 * n
-            tags = np.frombuffer(buf, dtype="<u1", count=n, offset=off).copy()
-            off += n
-            bank.add(RaySamples(Ray(int(kind), start, end), t, logl, tags, bool(dead)))
-        return bank
 
 
 def survey(problem, rng, n_coarse: int = N_COARSE,

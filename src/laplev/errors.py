@@ -49,10 +49,6 @@ class CenterEvaluationError(LaplevError):
     exit_code = 6
 
 
-class MissingCurvatureError(LaplevError):
-    """No curvature pair available where one is required."""
-
-
 class NoModesFoundError(LaplevError):
     """Mode search finished with zero stuck samples.
 
@@ -93,12 +89,3 @@ class HessianFailedError(LaplevError):
 class SaddleDirectionError(LaplevError):
     """Eigendecomposition of -H found a negative eigenvalue."""
 
-
-class PipelineStageError(LaplevError):
-    """Wrapper that tags an underlying error with the stage it occurred in."""
-
-    def __init__(self, stage, cause):
-        self.stage = stage
-        self.cause = cause
-        self.exit_code = getattr(cause, "exit_code", 3)
-        super().__init__(f"[{stage}] {cause}")

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import LOG_2PI, eig_symmetric, logsumexp
-from .refine import GRAD_FILTER_SCALE, HESS_STEP_ABS, HESS_STEP_WIDTH
+from .refine import GRAD_FILTER_SCALE, hess_steps
 
 # Mean whitened perpendicular fraction above which a mode is declared
 # rotated outright, and below which it is declared axis-aligned outright.
@@ -280,8 +280,7 @@ def full_hessian(problem, position, center_logl, hess_diag):
     if d < 2:
         raise UnsupportedDimensionError("full Hessian stencil needs d >= 2")
     widths = 1.0 / np.sqrt(-hess_diag)
-    eps = np.maximum(HESS_STEP_WIDTH * widths,
-                     HESS_STEP_ABS * (1.0 + np.abs(position)))
+    eps = hess_steps(position, widths)
 
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     rows = np.empty((4 * len(pairs), d))

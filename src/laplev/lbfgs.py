@@ -44,6 +44,22 @@ def fd_steps(theta, widths=None) -> np.ndarray:
     return eps
 
 
+def axis_values(problem, theta, eps) -> np.ndarray:
+    """Log-likelihood at ``theta +- eps_i e_i`` for every row and axis.
+
+    ``theta`` is (N, d) and ``eps`` broadcasts to it. All 2*N*d probes go
+    out as one batch; returns (N, 2d) values, the +eps probes in the first
+    d columns and the -eps probes in the last d.
+    """
+    n, d = theta.shape
+    probes = np.repeat(theta[:, None, :], 2 * d, axis=1)
+    idx = np.arange(d)
+    rows = np.arange(n)[:, None]
+    probes[rows, idx, idx] += eps
+    probes[rows, d + idx, idx] -= eps
+    return problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
+
+
 def fd_gradient(problem, theta, widths=None):
     """Central-difference gradient of the log-likelihood, one fused batch.
 
@@ -57,12 +73,7 @@ def fd_gradient(problem, theta, widths=None):
     if n == 0:
         return np.zeros((0, d)), np.zeros(0, dtype=bool)
     eps = fd_steps(th, widths)
-    probes = np.repeat(th[:, None, :], 2 * d, axis=1)
-    idx = np.arange(d)
-    rows = np.arange(n)[:, None]
-    probes[rows, idx, idx] += eps
-    probes[rows, d + idx, idx] -= eps
-    vals = problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
+    vals = axis_values(problem, th, eps)
     grad = (vals[:, :d] - vals[:, d:]) / (2.0 * eps)
     finite = np.isfinite(grad)
     bad = ~finite.all(axis=1)

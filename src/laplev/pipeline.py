@@ -5,8 +5,7 @@ mode search, quasi-Newton polish, per-mode Gaussian integral, optional
 dimensional reduction — each consuming the previous stage's output on the
 active-coordinate subproblem. Results are bitwise deterministic for a fixed
 (problem, config) pair: every random draw comes from streams spawned off the
-config seed, and evaluation batches are reduced in index order regardless of
-the worker-pool size.
+config seed, and each likelihood batch reaches the evaluator as one call.
 """
 
 from __future__ import annotations

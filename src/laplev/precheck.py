@@ -48,8 +48,8 @@ def _lower_median(values) -> float:
     return float(v[(v.size - 1) // 2])
 
 
-def precheck(problem: Problem, eps_flat: float = EPS_FLAT, eps_soft: float = EPS_SOFT,
-             half_width_flat: bool = False) -> PrecheckReport:
+def precheck(problem: Problem, eps_flat: float = EPS_FLAT,
+             eps_soft: float = EPS_SOFT) -> PrecheckReport:
     """Classify coordinates by axis sensitivity around the box center.
 
     Sensitivity of axis i is s_i = |l(c + D_i e_i) - l(c)| +
@@ -57,9 +57,9 @@ def precheck(problem: Problem, eps_flat: float = EPS_FLAT, eps_soft: float = EPS
     zero sensitivity or fall below eps_flat times the (lower) median; soft
     axes fall below eps_soft times the maximum without being flat.
 
-    Flat axes contribute their prior width log(b_i - a_i) to the marginal
-    (``half_width_flat`` switches to the half-width convention). Soft axes
-    get a Gaussian marginal with the probe-implied scale D_i / sqrt(s_i).
+    Flat axes contribute their prior width log(b_i - a_i) to the marginal.
+    Soft axes get a Gaussian marginal with the probe-implied scale
+    D_i / sqrt(s_i).
 
     All 2d+1 evaluations go out as a single batch.
     """
@@ -89,7 +89,7 @@ def precheck(problem: Problem, eps_flat: float = EPS_FLAT, eps_soft: float = EPS
     widths = problem.bounds.widths
     marginal = 0.0
     for i in flat:
-        marginal += np.log(0.5 * widths[i] if half_width_flat else widths[i])
+        marginal += np.log(widths[i])
     for i in soft:
         # Gaussian scale implied by the probe drop: s ~ (D/sigma)^2.
         sigma = half[i] / np.sqrt(s[i])

@@ -9,16 +9,12 @@ stateful calls, which is what makes runs bit-reproducible.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-WORKERS_ENV = "LAPLEV_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -68,15 +64,6 @@ class BoundsBox:
         return BoundsBox(np.full(dim, float(lower)), np.full(dim, float(upper)))
 
 
-def _pool_size() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 class Problem:
     """A log-likelihood bound to a box, with exact evaluation accounting.
 
@@ -114,21 +101,10 @@ class Problem:
                 f"expected (N, {self.dim}) positions, got shape {pts.shape}"
             )
         n = pts.shape[0]
-        workers = _pool_size()
-        if workers <= 1 or n < 2 * workers:
-            vals = np.asarray(self._fn(pts), dtype=np.float64).reshape(n)
-        else:
-            # Chunked dispatch; reassembly is in index order so the pool size
-            # can never change the result, only the wall time.
-            chunks = np.array_split(np.arange(n), workers)
-            out = [None] * len(chunks)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {pool.submit(self._fn, pts[idx]): k for k, idx in enumerate(chunks)}
-                for fut, k in futs.items():
-                    out[k] = np.asarray(fut.result(), dtype=np.float64)
-            vals = np.concatenate([np.reshape(v, -1) for v in out])
-            if vals.shape[0] != n:
-                raise InvalidParameterError("evaluator returned a wrong-sized batch")
+        vals = np.asarray(self._fn(pts), dtype=np.float64)
+        if vals.size != n:
+            raise InvalidParameterError("evaluator returned a wrong-sized batch")
+        vals = vals.reshape(n)
         with self._lock:
             self._count += n
             finite = vals[np.isfinite(vals)]

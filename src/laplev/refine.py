@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidMaximaError
-from .lbfgs import HISTORY, make_state, step_batch
+from .lbfgs import HISTORY, axis_values, make_state, step_batch
 from .linalg import dedup_linf
 
 GRAD_FILTER_SCALE = 1e-6
-# Hessian stencil step per coordinate, shared with the full-Hessian stencil
-# in the evidence stage: the larger of a fraction of the width hint and an
-# absolute floor that grows with |position|.
+# Hessian stencil step per coordinate (see ``hess_steps``).
 HESS_STEP_WIDTH = 1e-4
 HESS_STEP_ABS = 1e-6
 WIDTH_FLOOR_SCALE = 1e-12
@@ -54,13 +52,23 @@ def seed_peak(position, width, dim, rng, bounds, min_width, fast=False):
     return bounds.clip(seeds)
 
 
+def hess_steps(position, widths):
+    """Per-coordinate step of ``diag_hessian`` and the evidence stage's
+    full-Hessian stencil.
+
+    The larger of a fixed fraction of the width hint and an absolute floor
+    that grows with |position|, keeping the difference signal above the
+    subtraction noise that grows with |logl|. Broadcasts like its arguments.
+    """
+    return np.maximum(HESS_STEP_WIDTH * widths,
+                      HESS_STEP_ABS * (1.0 + np.abs(position)))
+
+
 def diag_hessian(problem, centers, center_logl, widths):
     """Per-axis second differences at given centers, one fused batch.
 
-    ``widths`` is one scalar length hint per row; the probe step per
-    coordinate is the larger of a fixed fraction of that hint and an
-    absolute floor, keeping the difference signal above the subtraction
-    noise that grows with |logl|. Center values are passed in, so the cost
+    ``widths`` is one scalar length hint per row, turned into a step per
+    coordinate by ``hess_steps``. Center values are passed in, so the cost
     is exactly 2*N*d evaluations. Returns (hess_diag, bad) where ``bad``
     flags rows with any non-finite entry.
     """
@@ -68,13 +76,8 @@ def diag_hessian(problem, centers, center_logl, widths):
     n, d = th.shape
     v0 = np.asarray(center_logl, dtype=np.float64).reshape(n)
     w = np.asarray(widths, dtype=np.float64).reshape(n, 1)
-    eps = np.maximum(HESS_STEP_WIDTH * w, HESS_STEP_ABS * (1.0 + np.abs(th)))
-    probes = np.repeat(th[:, None, :], 2 * d, axis=1)
-    idx = np.arange(d)
-    rows = np.arange(n)[:, None]
-    probes[rows, idx, idx] += eps
-    probes[rows, d + idx, idx] -= eps
-    vals = problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
+    eps = hess_steps(th, w)
+    vals = axis_values(problem, th, eps)
     hess = (vals[:, :d] - 2.0 * v0[:, None] + vals[:, d:]) / eps**2
     bad = ~np.isfinite(hess).all(axis=1)
     return hess, bad
@@ -97,7 +100,6 @@ class RefinedPeak:
     grad_inf: float
     origin: int
     steps: list
-    seed_ring: np.ndarray | None
     width_floored: bool
 
 
@@ -124,11 +126,9 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     seeds = np.vstack(seed_rows)
     origins = np.asarray(origins)
     hints = np.asarray(hints, dtype=np.float64)
-    per_peak = seeds.shape[0] // max(len(coarse_peaks), 1)
 
     state = make_state(problem, seeds, widths=hints[:, None], record=True,
                        memory=HISTORY if lbfgs_memory is None else lbfgs_memory)
-    intake_logl = state.logl.copy()
     iters = refine_iterations(d)
     for _ in range(iters):
         state.freeze(state.grad_inf() < grad_tol)
@@ -210,16 +210,6 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     peaks = []
     for r in alive:
         r = int(r)
-        ring = None
-        if not fast:
-            k = origins[r]
-            base = k * per_peak
-            delta = SEED_OFFSET * max(coarse_peaks[k].width, lam_fine)
-            plus = intake_logl[base:base + d]
-            minus = intake_logl[base + d:base + 2 * d]
-            center = coarse_peaks[k].logl
-            with np.errstate(invalid="ignore"):
-                ring = (plus - 2.0 * center + minus) / delta**2
         steps = []
         for row in members[r]:
             steps.extend(state.steps[row])
@@ -231,7 +221,6 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
             grad_inf=float(state.grad_inf()[r]),
             origin=int(origins[r]),
             steps=steps,
-            seed_ring=ring,
             width_floored=any_floored[r],
         ))
     peaks.sort(key=lambda p: -p.logl)

@@ -243,30 +243,9 @@ def test_survey_all_rays_dead_makes_one_call():
 # ---------------------------------------------------------------- ray bank
 
 
-def test_raybank_roundtrip_bitwise(tmp_path):
-    p = Problem(
-        lambda x: np.where(x[:, 0] > 4.9, -np.inf, -0.5 * np.sum(x * x, axis=1)),
-        box(3),
-    )
-    bank = survey(p, np.random.default_rng(2))
-    path = tmp_path / "bank.bin"
-    bank.save(path)
-    back = RayBank.load(path)
-    assert len(back.rays) == len(bank.rays)
-    for a, b in zip(bank.rays, back.rays):
-        assert a.ray.kind == b.ray.kind and a.dead == b.dead
-        assert a.ray.start.tobytes() == b.ray.start.tobytes()
-        assert a.ray.end.tobytes() == b.ray.end.tobytes()
-        assert a.t.tobytes() == b.t.tobytes()
-        assert a.logl.tobytes() == b.logl.tobytes()
-        assert a.tags.tobytes() == b.tags.tobytes()
-
-
-def test_raybank_best_sample_and_summary():
+def test_raybank_summary():
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(4))
-    pos, val = bank.best_sample()
-    assert val <= 0.0 and val > -1.0
     assert "44 rays" in bank.summary()
 
 
@@ -465,7 +444,11 @@ def test_select_seeds_quota_and_thinning():
 def _select_seeds_reference(bank, lam_fine, dim):
     """Seed selection with the per-ray champion walk."""
     q = max(32, 4 * rays_per_kind(dim))
-    pos, val = bank.positions_and_logl()
+    live = [r for r in bank.rays if not r.dead]
+    if not live:
+        return np.zeros((0, dim))
+    pos = np.vstack([r.ray.at(r.t) for r in live])
+    val = np.concatenate([r.logl for r in live])
     finite = np.isfinite(val)
     pos, val = pos[finite], val[finite]
     if pos.shape[0] == 0:

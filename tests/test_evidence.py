@@ -35,7 +35,7 @@ def peak(position, logl, hess_diag, steps=()):
     return RefinedPeak(
         position=position, logl=float(logl), hess_diag=hess_diag,
         widths=widths, grad_inf=0.0, origin=0, steps=list(steps),
-        seed_ring=None, width_floored=False,
+        width_floored=False,
     )
 
 

@@ -12,17 +12,13 @@ def make_problem(fn, lo, hi, d):
 
 def test_hand_case_one_flat_axis():
     # l = -x1^2/2 on [-5,5]^2: s = (25, 0), axis 2 is flat with marginal
-    # log(10) for the full width convention, log(5) for the literal one.
+    # log(10), its full prior width.
     p = make_problem(lambda x: -0.5 * x[:, 0] ** 2, -5, 5, 2)
     rep = precheck(p)
     np.testing.assert_allclose(rep.sensitivities, [25.0, 0.0], atol=1e-12)
     assert rep.flat == (1,) and rep.soft == () and rep.active == (0,)
     assert rep.log_z_marginal == pytest.approx(np.log(10.0), abs=1e-12)
     assert rep.eval_cost == 5 and p.eval_counter == 5
-
-    p2 = make_problem(lambda x: -0.5 * x[:, 0] ** 2, -5, 5, 2)
-    rep2 = precheck(p2, half_width_flat=True)
-    assert rep2.log_z_marginal == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_hand_case_thresholds_3d():

@@ -37,7 +37,6 @@ def make_peak(position, logl, hess_diag):
         grad_inf=0.0,
         origin=0,
         steps=[],
-        seed_ring=None,
         width_floored=False,
     )
 

@@ -192,18 +192,6 @@ def test_refine_fast_mode_matches_default_answer():
                         rng=np.random.default_rng(0), fast=True, **kw)
     np.testing.assert_allclose(a[0].position, b[0].position, atol=1e-8)
     np.testing.assert_allclose(a[0].hess_diag, b[0].hess_diag, rtol=1e-5)
-    assert a[0].seed_ring is not None and b[0].seed_ring is None
-
-
-def test_seed_ring_diagnostic_matches_curvature():
-    sig2 = np.array([1.0, 4.0])
-    p = gaussian(2, 0.0, sig2)
-    peaks, _ = refine_peaks(
-        p, [coarse(np.zeros(2), logl=0.0, width=0.5)],
-        lam_fine=0.05, rng=np.random.default_rng(0),
-    )
-    ring = peaks[0].seed_ring
-    np.testing.assert_allclose(ring, -1.0 / sig2, rtol=1e-9)
 
 
 def test_refine_postsearch_cost_is_one_hessian_batch():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from laplev.errors import InvalidParameterError, UnsupportedDimensionError
-from laplev.problem import BoundsBox
+from laplev.problem import BoundsBox, Problem
 from laplev.targets import (
     LOG_2PI,
     REGISTRY,
@@ -219,14 +219,15 @@ def test_evaluator_pure_and_counted(name):
     assert np.array_equal(c, a[perm])
 
 
-def test_worker_pool_does_not_change_results(monkeypatch):
-    t = get_target("mixture4", 4)
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-2.7, 2.7, size=(101, 4))
-    ref = t.problem.logl(x)
-    monkeypatch.setenv("LAPLEV_WORKERS", "4")
-    out = t.problem.logl(x)
-    assert np.array_equal(ref, out)
+@pytest.mark.parametrize("fn", [
+    lambda x: np.zeros(x.shape[0] + 1),
+    lambda x: np.zeros((x.shape[0], 2)),
+], ids=["n_plus_one", "n_by_two"])
+def test_wrong_sized_batch_is_a_typed_error(fn):
+    p = Problem(fn, BoundsBox.cube(2, -1.0, 1.0))
+    with pytest.raises(InvalidParameterError, match="wrong-sized batch"):
+        p.logl(np.zeros((3, 2)))
+    assert p.eval_counter == 0 and p.peak_logl == -np.inf
 
 
 def test_peak_logl_tracks_running_max():
