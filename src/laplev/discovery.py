@@ -48,15 +48,12 @@ class Ray:
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
 
-    def at(self, t) -> np.ndarray:
-        return _points_along(self.start, self.end, t)
-
 
 def _points_along(start, end, t) -> np.ndarray:
     """``start + t (end - start)``, with a coordinate axis appended to ``t``.
 
-    The one formula for positions on rays, so the survey, the seed picks and
-    ``Ray.at`` agree bit for bit.
+    The one formula for positions on rays, so the survey and the seed picks
+    agree bit for bit.
     """
     return start + np.asarray(t, dtype=np.float64)[..., None] * (end - start)
 
@@ -221,13 +218,6 @@ class RayBank:
     """All ray samples from one survey."""
 
     rays: list = field(default_factory=list)
-
-    def add(self, samples: RaySamples) -> None:
-        self.rays.append(samples)
-
-    @property
-    def n_live(self) -> int:
-        return sum(not r.dead for r in self.rays)
 
     def summary(self) -> str:
         counts = {name: 0 for name in KIND_NAMES.values()}

@@ -4,7 +4,12 @@ Every sample in a batch carries its own limited-memory curvature history,
 but all function evaluations across the batch are fused into shared calls:
 one batch for the 2*N*d gradient probes, one batch per backtracking round
 for the line-search candidates. The evaluator never sees a single-row call
-unless only one sample is still searching.
+unless only one sample is still searching. The optimizer's own math runs as
+array operations across the batch too: the two-loop recursion steps over
+the ring buffers by pair age, the line-search phases advance by masks, and
+the curvature pairs are gated and stored for all moved rows at once. Row
+dot products go through ``_row_dot`` so every row rounds exactly as a
+per-sample ``np.dot`` would.
 
 Internally the math runs in minimization convention on f = -logl; the
 public surface (gradients, monotonicity, convergence checks) speaks in
@@ -81,35 +86,20 @@ def fd_gradient(problem, theta, widths=None):
     return grad, bad
 
 
-def _two_loop(g_f, s_hist, y_hist) -> np.ndarray:
-    """Descent direction for f from one sample's curvature pairs.
-
-    ``s_hist``/``y_hist`` are chronological (oldest first); every stored
-    pair already passed the positive-curvature gate. Empty history falls
-    back to steepest descent.
-    """
-    if not s_hist:
-        return -g_f
-    k = len(s_hist)
-    rho = np.empty(k)
-    alpha = np.empty(k)
-    q = g_f.copy()
-    for j in range(k - 1, -1, -1):
-        rho[j] = 1.0 / float(np.dot(s_hist[j], y_hist[j]))
-        alpha[j] = rho[j] * float(np.dot(s_hist[j], q))
-        q -= alpha[j] * y_hist[j]
-    s_last, y_last = s_hist[-1], y_hist[-1]
-    gamma = float(np.dot(s_last, y_last)) / float(np.dot(y_last, y_last))
-    r = gamma * q
-    for j in range(k):
-        beta = rho[j] * float(np.dot(y_hist[j], r))
-        r += s_hist[j] * (alpha[j] - beta)
-    return -r
+def _row_dot(a, b) -> np.ndarray:
+    """Row-wise dot products of two (N, d) arrays, bit-equal to ``np.dot``."""
+    # Not einsum: its row sums round differently from np.dot for d >= 2.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass
 class BatchState:
-    """Mutable per-batch optimizer state; one row per sample."""
+    """Mutable per-batch optimizer state; one row per sample.
+
+    ``s_ring``/``y_ring`` hold each row's most recent curvature pairs; the
+    pair of age ``a`` (0 = newest) sits in slot
+    ``(pairs_total - 1 - a) % memory``.
+    """
 
     theta: np.ndarray
     logl: np.ndarray
@@ -144,28 +134,6 @@ class BatchState:
 
     def freeze(self, mask) -> None:
         self.frozen |= np.asarray(mask, dtype=bool)
-
-    def _history(self, i):
-        memory = self.s_ring.shape[1]
-        v = int(min(self.pairs_total[i], memory))
-        base = int(self.pairs_total[i])
-        s_hist, y_hist = [], []
-        for j in range(v):
-            slot = (base - v + j) % memory
-            s_hist.append(self.s_ring[i, slot])
-            y_hist.append(self.y_ring[i, slot])
-        return s_hist, y_hist
-
-    def _push_pair(self, i, s, y) -> None:
-        sy = float(np.dot(s, y))
-        gate = CURVATURE_TOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-        if not np.isfinite(sy) or sy <= gate:
-            return
-        slot = int(self.pairs_total[i]) % self.s_ring.shape[1]
-        self.s_ring[i, slot] = s
-        self.y_ring[i, slot] = y
-        self.pairs_total[i] += 1
-        self.gamma[i] = sy / float(np.dot(y, y))
 
 
 def make_state(problem, theta0, widths=None, record=False,
@@ -204,42 +172,89 @@ def make_state(problem, theta0, widths=None, record=False,
     )
 
 
+def _directions(state: BatchState, active):
+    """Search directions for f = -logl at rows ``active``, all at once.
+
+    Runs the two-loop recursion over the rows' ring buffers age by age
+    (newest pair first); a row with no pair of some age keeps its ``q`` and
+    ``r`` through that age, and a row with no pairs at all takes steepest
+    descent. A non-finite or ascending direction falls back to steepest
+    descent too. Returns ``(dirs, slopes, alpha, searchable)``: directions,
+    directional derivatives of f, first trial steps and the mask of rows
+    with a usable descent direction.
+    """
+    g_f = -state.grad[active]
+    memory = state.s_ring.shape[1]
+    total = state.pairs_total[active]
+    depth = np.minimum(total, memory)
+    with np.errstate(all="ignore"):
+        q = g_f.copy()
+        pairs = []
+        for age in range(int(depth.max())):
+            has = (depth > age)[:, None]
+            slot = (total - 1 - age) % memory
+            s = state.s_ring[active, slot]
+            y = state.y_ring[active, slot]
+            rho = 1.0 / _row_dot(s, y)
+            coef = rho * _row_dot(s, q)
+            q = np.where(has, q - coef[:, None] * y, q)
+            pairs.append((has, s, y, rho, coef))
+        # gamma is s.y/y.y of each row's newest pair.
+        r = state.gamma[active][:, None] * q
+        for has, s, y, rho, coef in reversed(pairs):
+            beta = rho * _row_dot(y, r)
+            r = np.where(has, r + s * (coef - beta)[:, None], r)
+        fresh = depth == 0
+        d = np.where(fresh[:, None], -g_f, -r)
+        m = _row_dot(g_f, d)
+        fallback = ~np.isfinite(d).all(axis=1) | (m >= 0.0)
+        d = np.where(fallback[:, None], -g_f, d)
+        m = np.where(fallback, -_row_dot(g_f, g_f), m)
+        nrm = np.sqrt(_row_dot(d, d))
+        searchable = (m < 0.0) & (nrm > 0.0) & np.isfinite(m)
+        # First step has no curvature scale yet; cap the raw gradient step
+        # so a stiff direction cannot fling the sample across the whole box
+        # before backtracking bites.
+        alpha = np.where(searchable & fresh, np.minimum(1.0, 1.0 / nrm), 1.0)
+    return d, m, alpha, searchable
+
+
+def _push_pairs(state: BatchState, rows, s, y) -> None:
+    """Store the curvature pairs ``(s, y)`` of ``rows`` that pass the gate.
+
+    A pair is kept when s.y is finite and above ``CURVATURE_TOL * |s| |y|``;
+    it overwrites the row's oldest slot and sets its ``gamma``.
+    """
+    with np.errstate(all="ignore"):
+        sy = _row_dot(s, y)
+        yy = _row_dot(y, y)
+        gate = CURVATURE_TOL * np.sqrt(_row_dot(s, s)) * np.sqrt(yy)
+        keep = np.isfinite(sy) & ~(sy <= gate)
+        gamma = sy[keep] / yy[keep]
+    rows = rows[keep]
+    slot = state.pairs_total[rows] % state.s_ring.shape[1]
+    state.s_ring[rows, slot] = s[keep]
+    state.y_ring[rows, slot] = y[keep]
+    state.pairs_total[rows] += 1
+    state.gamma[rows] = gamma
+
+
 def step_batch(state: BatchState, problem) -> np.ndarray:
     """One quasi-Newton iteration over all unfrozen samples.
 
-    Directions come from each sample's own history; the backtracking line
-    search shares evaluator batches across samples round by round. Samples
-    whose search exhausts its budget simply stay put. Returns the boolean
-    mask of rows that moved.
+    Directions, line-search transitions and curvature-pair updates run as
+    array operations across the batch; each sample still follows its own
+    history and its own line search. The backtracking line search shares
+    evaluator batches across samples round by round. Samples whose search
+    exhausts its budget simply stay put. Returns the boolean mask of rows
+    that moved.
     """
     moved = np.zeros(state.n, dtype=bool)
     active = np.flatnonzero(~state.frozen)
     if active.size == 0:
         return moved
 
-    dirs = np.zeros((active.size, state.dim))
-    slopes = np.zeros(active.size)
-    searchable = np.zeros(active.size, dtype=bool)
-    alpha = np.ones(active.size)
-    for k, i in enumerate(active):
-        g_f = -state.grad[i]
-        s_hist, y_hist = state._history(i)
-        d_k = _two_loop(g_f, s_hist, y_hist)
-        m = float(np.dot(g_f, d_k))
-        if not np.all(np.isfinite(d_k)) or m >= 0.0:
-            d_k = -g_f
-            m = -float(np.dot(g_f, g_f))
-        nrm = float(np.linalg.norm(d_k))
-        if m < 0.0 and nrm > 0.0 and np.isfinite(m):
-            dirs[k] = d_k
-            slopes[k] = m
-            searchable[k] = True
-            if not s_hist:
-                # First step has no curvature scale yet; cap the raw
-                # gradient step so a stiff direction cannot fling the
-                # sample across the whole box before backtracking bites.
-                alpha[k] = min(1.0, 1.0 / nrm)
-
+    dirs, slopes, alpha, searchable = _directions(state, active)
     searching = np.flatnonzero(searchable)
     new_theta = state.theta.copy()
     new_logl = state.logl.copy()
@@ -269,48 +284,33 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
             & (vals > state.logl[rows])
         )
 
-        accept = np.zeros(searching.size, dtype=bool)
-        for k in range(searching.size):
-            j = searching[k]
-            if phase[j] == 0:
-                gain = float(vals[k] - state.logl[rows[k]])
-                slope_up = -slopes[j]
-                curv = 2.0 * (slope_up * a[k] - gain) / (a[k] * a[k])
-                a_fit = slope_up / curv if curv > 0.0 else np.inf
-                fit_ok = (
-                    unclipped[k]
-                    and np.isfinite(vals[k])
-                    and np.isfinite(a_fit)
-                    and 0.0 < a_fit <= 10.0 * a[k]
-                    and abs(a_fit - a[k]) > 0.05 * a[k]
-                )
-                if ok[k]:
-                    best_val[j] = vals[k]
-                    best_pos[j] = cand[k]
-                if fit_ok:
-                    alpha[j] = a_fit
-                    phase[j] = 1
-                elif ok[k]:
-                    accept[k] = True
-                else:
-                    alpha[j] *= BACKTRACK
-                    phase[j] = 2
-            elif phase[j] == 1:
-                if ok[k] and vals[k] > best_val[j]:
-                    best_val[j] = vals[k]
-                    best_pos[j] = cand[k]
-                if best_val[j] > -np.inf:
-                    accept[k] = True
-                else:
-                    alpha[j] = BACKTRACK * min(a[k], alpha0[j])
-                    phase[j] = 2
-            else:
-                if ok[k]:
-                    best_val[j] = vals[k]
-                    best_pos[j] = cand[k]
-                    accept[k] = True
-                else:
-                    alpha[j] *= BACKTRACK
+        first = phase[searching] == 0
+        fitted = phase[searching] == 1
+        with np.errstate(all="ignore"):
+            gain = vals - state.logl[rows]
+            slope_up = -slopes[searching]
+            curv = 2.0 * (slope_up * a - gain) / (a * a)
+            a_fit = np.where(curv > 0.0, slope_up / curv, np.inf)
+            fit_ok = (
+                first
+                & unclipped
+                & np.isfinite(vals)
+                & np.isfinite(a_fit)
+                & (0.0 < a_fit)
+                & (a_fit <= 10.0 * a)
+                & (np.abs(a_fit - a) > 0.05 * a)
+            )
+        better = ok & (~fitted | (vals > best_val[searching]))
+        best_val[searching[better]] = vals[better]
+        best_pos[searching[better]] = cand[better]
+        accept = (ok & ~fitted & ~fit_ok) | (fitted & (best_val[searching] > -np.inf))
+        retreat = fitted & ~accept
+        halve = ~ok & ~fitted & ~fit_ok
+        alpha[searching[fit_ok]] = a_fit[fit_ok]
+        alpha[searching[retreat]] = BACKTRACK * np.minimum(a, alpha0[searching])[retreat]
+        alpha[searching[halve]] = a[halve] * BACKTRACK
+        phase[searching[fit_ok]] = 1
+        phase[searching[retreat | halve]] = 2
 
         hit = rows[accept]
         sel = searching[accept]
@@ -323,15 +323,12 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     if rows.size:
         sub_w = None if state.widths is None else state.widths[rows]
         g_new, bad = fd_gradient(problem, new_theta[rows], sub_w)
-        for k, i in enumerate(rows):
-            s = new_theta[i] - state.theta[i]
-            y = state.grad[i] - g_new[k]
-            state._push_pair(i, s, y)
-            if state.record:
-                state.steps[i].append(
-                    (state.theta[i].copy(), state.grad[i].copy(), new_theta[i].copy())
-                )
-        state.theta[rows] = new_theta[rows]
+        start, g_old, end = state.theta[rows], state.grad[rows], new_theta[rows]
+        _push_pairs(state, rows, end - start, g_old - g_new)
+        if state.record:
+            for i, step in zip(rows, zip(start, g_old, end)):
+                state.steps[i].append(step)
+        state.theta[rows] = end
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
         state.bad_grad[rows] |= bad

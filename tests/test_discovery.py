@@ -12,6 +12,7 @@ from laplev.discovery import (
     RaySamples,
     ScaleEstimate,
     _momentum_descent,
+    _points_along,
     _reseed_from_unconverged,
     _reseed_orthonormal,
     discover_modes,
@@ -139,7 +140,8 @@ def test_survey_batches_and_counter():
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(11))
     assert len(bank.rays) == 44
-    assert p.eval_counter == bank.n_live * 128 + (44 - bank.n_live) * 64
+    n_live = sum(not r.dead for r in bank.rays)
+    assert p.eval_counter == n_live * 128 + (44 - n_live) * 64
 
 
 class CountingProblem(Problem):
@@ -396,10 +398,10 @@ def _ragged_bank():
         v = -0.5 * x * x / 0.3**2
         v[rng.random(n) < 0.1] = -np.inf
         v[rng.random(n) < 0.05] = np.nan
-        bank.add(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
+        bank.rays.append(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
     dead = Ray(RAY_V2V, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    bank.add(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
-                        np.zeros(8, dtype=np.uint8), True))
+    bank.rays.append(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
+                                np.zeros(8, dtype=np.uint8), True))
     return bank
 
 
@@ -447,7 +449,7 @@ def _select_seeds_reference(bank, lam_fine, dim):
     live = [r for r in bank.rays if not r.dead]
     if not live:
         return np.zeros((0, dim))
-    pos = np.vstack([r.ray.at(r.t) for r in live])
+    pos = np.vstack([_points_along(r.ray.start, r.ray.end, r.t) for r in live])
     val = np.concatenate([r.logl for r in live])
     finite = np.isfinite(val)
     pos, val = pos[finite], val[finite]

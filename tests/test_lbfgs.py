@@ -1,11 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from laplev.lbfgs import (
     ARMIJO_C1,
+    BACKTRACK,
+    CURVATURE_TOL,
     HISTORY,
+    MAX_BACKTRACK,
     BatchState,
-    _two_loop,
+    _directions,
+    _push_pairs,
+    _row_dot,
     fd_gradient,
     fd_steps,
     make_state,
@@ -71,9 +78,21 @@ def test_fd_gradient_nonfinite_zeroed_and_flagged():
     assert g[0, 1] == pytest.approx(-1.0, rel=1e-6)
 
 
+def _direction(grad, s_hist=(), y_hist=()):
+    """Batched direction for one sample whose pairs are pushed in order."""
+    g = np.asarray(grad, dtype=np.float64)
+    state = make_state(quad_problem(np.zeros(g.size), np.eye(g.size)),
+                       np.zeros((1, g.size)))
+    state.grad[0] = g
+    for s, y in zip(s_hist, y_hist):
+        _push_pairs(state, np.array([0]), s[None, :], y[None, :])
+    return _directions(state, np.array([0]))[0][0]
+
+
 def test_two_loop_empty_history_is_steepest_descent():
     g = np.array([3.0, -1.0])
-    np.testing.assert_array_equal(_two_loop(g, [], []), -g)
+    # g is the gradient of f = -logl, so the state holds -g.
+    np.testing.assert_array_equal(_direction(-g), -g)
 
 
 def test_two_loop_recovers_newton_step_on_quadratic():
@@ -82,7 +101,7 @@ def test_two_loop_recovers_newton_step_on_quadratic():
     s = [np.array([0.5])]
     y = [np.array([0.0625])]  # y = H s with H = 1/8
     g = np.array([0.25])
-    d = _two_loop(g, s, y)
+    d = _direction(-g, s, y)
     np.testing.assert_allclose(d, [-2.0], rtol=1e-14)
 
 
@@ -160,13 +179,17 @@ def test_iterates_stay_inside_bounds():
     np.testing.assert_allclose(state.theta, [[2.0, -2.0], [2.0, -2.0]], atol=1e-9)
 
 
+def _push(state, i, s, y):
+    _push_pairs(state, np.array([i]), np.atleast_2d(s), np.atleast_2d(y))
+
+
 def test_ring_history_caps_at_depth():
     state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]])
     for k in range(1, HISTORY + 9):
         s = np.array([float(k), 0.0])
-        state._push_pair(0, s, s)  # s.y > 0, so every pair is accepted
+        _push(state, 0, s, s)  # s.y > 0, so every pair is accepted
     assert state.pairs_total[0] == HISTORY + 8
-    s_hist, y_hist = state._history(0)
+    s_hist, y_hist = _history(state, 0)
     assert len(s_hist) == HISTORY
     # ring keeps the most recent HISTORY pairs, oldest first
     assert s_hist[0][0] == 9.0
@@ -178,8 +201,8 @@ def test_history_depth_is_configurable():
                        memory=3)
     for k in range(1, 7):
         s = np.array([float(k), 0.0])
-        state._push_pair(0, s, s)
-    s_hist, _ = state._history(0)
+        _push(state, 0, s, s)
+    s_hist, _ = _history(state, 0)
     assert len(s_hist) == 3
     assert [h[0] for h in s_hist] == [4.0, 5.0, 6.0]
 
@@ -187,11 +210,22 @@ def test_history_depth_is_configurable():
 def test_curvature_gate_rejects_nonpositive_pairs():
     state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]])
     before = int(state.pairs_total[0])
-    state._push_pair(0, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    state._push_pair(0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    _push(state, 0, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    _push(state, 0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert int(state.pairs_total[0]) == before
-    state._push_pair(0, np.array([1.0, 0.0]), np.array([0.5, 0.0]))
+    _push(state, 0, np.array([1.0, 0.0]), np.array([0.5, 0.0]))
     assert int(state.pairs_total[0]) == before + 1
+
+
+def test_curvature_gate_is_per_row_in_one_batch():
+    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), np.zeros((4, 2)))
+    s = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [np.nan, 0.0]])
+    y = np.array([[-1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.0, 0.0]])
+    _push_pairs(state, np.array([3, 2, 1, 0]), s, y)
+    np.testing.assert_array_equal(state.pairs_total, [0, 1, 0, 0])
+    np.testing.assert_array_equal(state.s_ring[1, 0], [1.0, 0.0])
+    assert state.gamma[1] == 2.0
+    assert np.isnan(state.gamma[[0, 2, 3]]).all()
 
 
 def test_trajectory_recording_start_grad_end():
@@ -249,3 +283,294 @@ def test_run_batch_tol_freeze_skips_work():
     # Started essentially at the optimum: frozen immediately after intake.
     assert state.frozen[0]
     assert p.eval_counter == 1 + 4
+
+
+def test_row_dot_is_bitwise_np_dot():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 7, 8, 16, 17, 32, 128, 257):
+        scale = 10.0 ** rng.uniform(-150, 150, size=(64, 1))
+        a = rng.standard_normal((64, d)) * scale
+        b = rng.standard_normal((64, d)) * 10.0 ** rng.uniform(-8, 8, size=(64, 1))
+        got = _row_dot(a, b)
+        want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        assert got.tobytes() == want.tobytes(), d
+        norms = np.array([np.linalg.norm(x) for x in b])
+        assert np.sqrt(_row_dot(b, b)).tobytes() == norms.tobytes(), d
+
+
+# --- Per-sample reference -------------------------------------------------
+# A verbatim copy of the per-sample L-BFGS step that the batched step_batch
+# replaced (the BatchState methods became functions of the state). The
+# batched code must reproduce it byte for byte.
+
+
+def _two_loop(g_f, s_hist, y_hist) -> np.ndarray:
+    """Descent direction for f from one sample's curvature pairs.
+
+    ``s_hist``/``y_hist`` are chronological (oldest first); every stored
+    pair already passed the positive-curvature gate. Empty history falls
+    back to steepest descent.
+    """
+    if not s_hist:
+        return -g_f
+    k = len(s_hist)
+    rho = np.empty(k)
+    alpha = np.empty(k)
+    q = g_f.copy()
+    for j in range(k - 1, -1, -1):
+        rho[j] = 1.0 / float(np.dot(s_hist[j], y_hist[j]))
+        alpha[j] = rho[j] * float(np.dot(s_hist[j], q))
+        q -= alpha[j] * y_hist[j]
+    s_last, y_last = s_hist[-1], y_hist[-1]
+    gamma = float(np.dot(s_last, y_last)) / float(np.dot(y_last, y_last))
+    r = gamma * q
+    for j in range(k):
+        beta = rho[j] * float(np.dot(y_hist[j], r))
+        r += s_hist[j] * (alpha[j] - beta)
+    return -r
+
+
+def _history(self, i):
+    memory = self.s_ring.shape[1]
+    v = int(min(self.pairs_total[i], memory))
+    base = int(self.pairs_total[i])
+    s_hist, y_hist = [], []
+    for j in range(v):
+        slot = (base - v + j) % memory
+        s_hist.append(self.s_ring[i, slot])
+        y_hist.append(self.y_ring[i, slot])
+    return s_hist, y_hist
+
+
+def _push_pair(self, i, s, y) -> None:
+    sy = float(np.dot(s, y))
+    gate = CURVATURE_TOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    if not np.isfinite(sy) or sy <= gate:
+        return
+    slot = int(self.pairs_total[i]) % self.s_ring.shape[1]
+    self.s_ring[i, slot] = s
+    self.y_ring[i, slot] = y
+    self.pairs_total[i] += 1
+    self.gamma[i] = sy / float(np.dot(y, y))
+
+
+def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
+    moved = np.zeros(state.n, dtype=bool)
+    active = np.flatnonzero(~state.frozen)
+    if active.size == 0:
+        return moved
+
+    dirs = np.zeros((active.size, state.dim))
+    slopes = np.zeros(active.size)
+    searchable = np.zeros(active.size, dtype=bool)
+    alpha = np.ones(active.size)
+    for k, i in enumerate(active):
+        g_f = -state.grad[i]
+        s_hist, y_hist = _history(state, i)
+        d_k = _two_loop(g_f, s_hist, y_hist)
+        m = float(np.dot(g_f, d_k))
+        if not np.all(np.isfinite(d_k)) or m >= 0.0:
+            d_k = -g_f
+            m = -float(np.dot(g_f, g_f))
+        nrm = float(np.linalg.norm(d_k))
+        if m < 0.0 and nrm > 0.0 and np.isfinite(m):
+            dirs[k] = d_k
+            slopes[k] = m
+            searchable[k] = True
+            if not s_hist:
+                alpha[k] = min(1.0, 1.0 / nrm)
+
+    searching = np.flatnonzero(searchable)
+    new_theta = state.theta.copy()
+    new_logl = state.logl.copy()
+    phase = np.zeros(active.size, dtype=np.int8)
+    alpha0 = alpha.copy()
+    best_val = np.full(active.size, -np.inf)
+    best_pos = np.zeros((active.size, state.dim))
+    for _ in range(MAX_BACKTRACK):
+        if searching.size == 0:
+            break
+        rows = active[searching]
+        a = alpha[searching]
+        raw = state.theta[rows] + a[:, None] * dirs[searching]
+        cand = problem.bounds.clip(raw)
+        vals = problem.logl(cand)
+        displaced = np.any(cand != state.theta[rows], axis=1)
+        unclipped = np.all(cand == raw, axis=1)
+        ok = (
+            displaced
+            & np.isfinite(vals)
+            & (vals >= state.logl[rows] - ARMIJO_C1 * a * slopes[searching])
+            & (vals > state.logl[rows])
+        )
+
+        accept = np.zeros(searching.size, dtype=bool)
+        for k in range(searching.size):
+            j = searching[k]
+            if phase[j] == 0:
+                gain = float(vals[k] - state.logl[rows[k]])
+                slope_up = -slopes[j]
+                curv = 2.0 * (slope_up * a[k] - gain) / (a[k] * a[k])
+                a_fit = slope_up / curv if curv > 0.0 else np.inf
+                fit_ok = (
+                    unclipped[k]
+                    and np.isfinite(vals[k])
+                    and np.isfinite(a_fit)
+                    and 0.0 < a_fit <= 10.0 * a[k]
+                    and abs(a_fit - a[k]) > 0.05 * a[k]
+                )
+                if ok[k]:
+                    best_val[j] = vals[k]
+                    best_pos[j] = cand[k]
+                if fit_ok:
+                    alpha[j] = a_fit
+                    phase[j] = 1
+                elif ok[k]:
+                    accept[k] = True
+                else:
+                    alpha[j] *= BACKTRACK
+                    phase[j] = 2
+            elif phase[j] == 1:
+                if ok[k] and vals[k] > best_val[j]:
+                    best_val[j] = vals[k]
+                    best_pos[j] = cand[k]
+                if best_val[j] > -np.inf:
+                    accept[k] = True
+                else:
+                    alpha[j] = BACKTRACK * min(a[k], alpha0[j])
+                    phase[j] = 2
+            else:
+                if ok[k]:
+                    best_val[j] = vals[k]
+                    best_pos[j] = cand[k]
+                    accept[k] = True
+                else:
+                    alpha[j] *= BACKTRACK
+
+        hit = rows[accept]
+        sel = searching[accept]
+        new_theta[hit] = best_pos[sel]
+        new_logl[hit] = best_val[sel]
+        moved[hit] = True
+        searching = searching[~accept]
+
+    rows = np.flatnonzero(moved)
+    if rows.size:
+        sub_w = None if state.widths is None else state.widths[rows]
+        g_new, bad = fd_gradient(problem, new_theta[rows], sub_w)
+        for k, i in enumerate(rows):
+            s = new_theta[i] - state.theta[i]
+            y = state.grad[i] - g_new[k]
+            _push_pair(state, i, s, y)
+            if state.record:
+                state.steps[i].append(
+                    (state.theta[i].copy(), state.grad[i].copy(), new_theta[i].copy())
+                )
+        state.theta[rows] = new_theta[rows]
+        state.logl[rows] = new_logl[rows]
+        state.grad[rows] = g_new
+        state.bad_grad[rows] |= bad
+    return moved
+
+
+def _rugged(d):
+    """A non-concave target with NaN and -inf regions, peaked past the box.
+
+    A rounded |x - c| cone (c beyond the 2.0 box face on some axes), ripples
+    that feed the curvature gate negative pairs and, for d > 1, a banana
+    valley across neighbouring axes. NaN for x_0 > c_0 + 0.2 and -inf for
+    x_{d-1} < -1.7. ``seen`` counts evaluated points on the box face and
+    NaN/-inf values.
+    """
+    seen = {"face": 0, "nan": 0, "ninf": 0}
+    c = np.full(d, 1.4)
+    c[1::3] = 2.5
+    c[-1] = -1.65 if d > 1 else 1.7
+
+    def fn(x):
+        out = -np.sum(np.sqrt(1e-6 + (x - c) ** 2), axis=1)
+        out = out + 0.15 * np.sum(np.cos(4.0 * x), axis=1)
+        if d > 1:
+            out = out - 0.5 * np.sum((x[:, 1:] - 0.5 * x[:, :-1] ** 2) ** 2, axis=1)
+        out[x[:, 0] > c[0] + 0.2] = np.nan
+        out[x[:, -1] < -1.7] = -np.inf
+        seen["face"] += int(np.any(np.abs(x) == 2.0))
+        seen["nan"] += int(np.isnan(out).sum())
+        seen["ninf"] += int(np.isneginf(out).sum())
+        return out
+
+    return fn, seen
+
+
+def _seed_history(state, rng):
+    """Give row k a history of (k - 3) % (2 * memory + 2) curvature pairs."""
+    memory = state.s_ring.shape[1]
+    for k in range(state.n):
+        total = (k - 3) % (2 * memory + 2)
+        for j in range(total):
+            s = rng.normal(0.0, 0.05, state.dim)
+            y = s * rng.uniform(0.2, 5.0, state.dim)
+            state.s_ring[k, j % memory] = s
+            state.y_ring[k, j % memory] = y
+            state.gamma[k] = float(np.dot(s, y)) / float(np.dot(y, y))
+        state.pairs_total[k] = total
+
+
+def _state_bytes(state, moved):
+    steps = [b"".join(a.tobytes() for t in row for a in t) for row in state.steps]
+    return (
+        state.theta.tobytes(), state.logl.tobytes(), state.grad.tobytes(),
+        state.s_ring.tobytes(), state.y_ring.tobytes(),
+        state.pairs_total.tobytes(), state.gamma.tobytes(),
+        state.bad_grad.tobytes(), state.frozen.tobytes(), moved.tobytes(),
+        steps,
+    )
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("d", [1, 32])
+@pytest.mark.parametrize("memory", [1, 3, 10])
+def test_step_batch_matches_per_sample_reference(memory, d, record):
+    rng = np.random.default_rng(100 * memory + d)
+    n = 12
+    theta0 = rng.uniform(-1.6, 1.6, size=(n, d))
+    theta0[0, -1] = -1.9          # starts in the -inf region: frozen at intake
+    theta0[1] = 2.0               # starts on the box corner
+    theta0[2] = -2.0
+    theta0[3] = 0.3 * theta0[3]
+    widths = np.full(d, 0.05) if d > 1 else None
+    fn, seen = _rugged(d)
+    states, problems = [], []
+    for _ in range(2):
+        p = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
+        st = make_state(p, theta0, widths=widths, record=record, memory=memory)
+        _seed_history(st, np.random.default_rng(memory))
+        states.append(st)
+        problems.append(p)
+    (s_ref, s_new), (p_ref, p_new) = states, problems
+    assert s_new.frozen[0]
+    intake_ninf = seen["ninf"]
+    overwrites = 0
+    frozen_beside_live = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for it in range(36):
+            for st in states:
+                st.freeze(st.grad_inf() < 1e-6)
+                if it == 8:
+                    st.freeze(np.arange(n) == 5)
+            frozen_beside_live += s_new.frozen.any() and (~s_new.frozen).any()
+            full = s_new.pairs_total >= memory
+            before = s_new.pairs_total.copy()
+            m_ref = _step_batch_reference(s_ref, p_ref)
+            m_new = step_batch(s_new, p_new)
+            assert _state_bytes(s_new, m_new) == _state_bytes(s_ref, m_ref), it
+            assert p_new.eval_counter == p_ref.eval_counter, it
+            overwrites += int(np.sum(full & (s_new.pairs_total > before)))
+    # The run covered what it is meant to cover.
+    assert overwrites                 # pairs replaced the oldest slot of a full ring
+    assert frozen_beside_live
+    assert seen["face"] and seen["nan"]
+    assert seen["ninf"] > intake_ninf or d == 1
+    if record:
+        assert sum(len(row) for row in s_new.steps) > 0
