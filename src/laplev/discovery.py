@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoModesFoundError
-from .lbfgs import fd_gradient, run_batch
+from .lbfgs import _row_dot, fd_gradient, run_batch
 from .linalg import dedup_linf
 from .problem import BoundsBox
 
@@ -43,10 +43,6 @@ class Ray:
     kind: int
     start: np.ndarray
     end: np.ndarray
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
 
 
 def _points_along(start, end, t) -> np.ndarray:
@@ -197,22 +193,6 @@ def _sample_rays(problem, rays, rng, n_coarse, active_drop) -> list[RaySamples]:
     return out
 
 
-def two_pass_sample(problem, ray: Ray, rng, n_coarse: int = N_COARSE,
-                    active_drop: float = ACTIVE_DROP) -> RaySamples:
-    """Survey one ray: a uniform coarse pass, then a mass-weighted refill.
-
-    The coarse pass is an inclusive uniform grid in t. Cells whose value
-    sits within ``active_drop`` nats of the ray maximum form the active
-    region; a second pass of equal size draws t values from the normalized
-    piecewise-constant profile over those cells by inverse transform. A ray
-    whose coarse pass is entirely non-finite is marked dead and gets no
-    second pass. This is ``survey`` for a single ray: one likelihood call
-    per pass, and the same samples ``survey`` stores for this ray when the
-    generator is in the same state.
-    """
-    return _sample_rays(problem, [ray], rng, n_coarse, active_drop)[0]
-
-
 @dataclass
 class RayBank:
     """All ray samples from one survey."""
@@ -232,11 +212,16 @@ def survey(problem, rng, n_coarse: int = N_COARSE,
            active_drop: float = ACTIVE_DROP) -> RayBank:
     """Two-pass survey of the ``generate_rays`` family in two batched calls.
 
-    One likelihood call evaluates every ray's coarse grid, a second every
-    live ray's refill (skipped when every ray is dead). The bank equals,
-    bit for bit, a ``two_pass_sample`` loop over the same rays and
-    generator: the refill draws are the only generator use after the rays,
-    and they are taken in ray order.
+    Each ray gets an inclusive uniform coarse grid in t. Cells whose value
+    sits within ``active_drop`` nats of the ray maximum form the active
+    region; a second pass of equal size draws t values from the normalized
+    piecewise-constant profile over those cells by inverse transform. A ray
+    whose coarse pass is entirely non-finite is marked dead and gets no
+    second pass. One likelihood call evaluates every ray's coarse grid, a
+    second every live ray's refill (skipped when every ray is dead). The
+    bank equals, bit for bit, surveying the rays one at a time with the
+    same generator: the refill draws are the only generator use after the
+    rays, and they are taken in ray order.
     """
     return RayBank(_sample_rays(problem, generate_rays(problem.bounds, rng), rng,
                                 n_coarse, active_drop))
@@ -257,29 +242,109 @@ class ScaleEstimate:
         return (self.lam_fine, self.lam_mid, self.lam_coarse)
 
 
-def _nearest_index(s: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(s, targets)
-    lo = np.maximum(pos - 1, 0)
-    hi = np.minimum(pos, s.size - 1)
-    pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
-    return np.where(pick_hi, hi, lo)
+def _profiles(bank: RayBank):
+    """The usable rays' profiles as the rows of one padded array.
 
-
-def _ray_kappa(s, v, hs, match_tol) -> np.ndarray:
-    """Spikiest matched second difference along one ray, for every h in ``hs``.
-
-    All h values that fit in half the ray's span are handled at once, on an
-    (h, sample) grid. NaN where h does not fit or no sample has both
-    neighbours within ``match_tol * h`` of distance h.
+    A live ray with at least 8 finite values is usable. Its finite samples
+    become arc lengths s = t * length, and a sample whose s does not exceed
+    the previous one's is dropped. A row holds a -inf sentinel, the kept
+    samples in order, then +inf padding. Returns those s rows, the matching
+    log-likelihood rows (0 outside the samples) and the kept count per row.
     """
-    kappa = np.full(hs.size, np.nan)
-    fit = hs <= (s[-1] - s[0]) / 2.0
-    h = hs[fit, None]
-    tol = match_tol * h
-    ip = _nearest_index(s, s + h)
-    im = _nearest_index(s, s - h)
-    a = s[ip] - s  # actual forward offset
-    b = s - s[im]  # actual backward offset
+    live = [r for r in bank.rays if not r.dead]
+    t = np.zeros((len(live), max((r.t.size for r in live), default=0)))
+    v = np.full(t.shape, np.nan)
+    for j, r in enumerate(live):
+        t[j, :r.t.size] = r.t
+        v[j, :r.t.size] = r.logl
+    finite = np.isfinite(v)
+    use = finite.sum(axis=1) >= 8
+    if not use.any():
+        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.intp)
+    t, v, finite = t[use], v[use], finite[use]
+    chord = np.array([r.ray.end - r.ray.start for r, u in zip(live, use) if u])
+    length = np.sqrt(_row_dot(chord, chord))  # np.linalg.norm, bit for bit
+    row, col = np.nonzero(finite)  # each row's finite samples, in order
+    s = t[row, col] * length[row]
+    keep = np.r_[True, (row[1:] != row[:-1]) | (np.diff(s) > 0)]
+    row, s, v = row[keep], s[keep], v[row, col][keep]
+    n = np.bincount(row, minlength=length.size)
+    s_pad = np.full((n.size, int(n.max()) + 2), np.inf)
+    s_pad[:, 0] = -np.inf
+    v_pad = np.zeros(s_pad.shape)
+    slot = np.arange(row.size) - (np.cumsum(n) - n)[row] + 1
+    s_pad[row, slot] = s
+    v_pad[row, slot] = v
+    return s_pad, v_pad, n
+
+
+def _candidates(s_pad, n, hs, match_tol) -> np.ndarray:
+    """(ray, h, column) cells of ``_profiles`` rows that may match.
+
+    The necessary condition of ``estimate_scales``: h fits in half the
+    ray's span, the larger of the sample's two gaps is at most
+    1.01 (h + tol) and the shorter of its reaches to the ray's ends is at
+    least 0.99 h - 1.01 tol. Sentinel and padding columns fail it.
+    """
+    first = s_pad[:, 1:2]
+    last = s_pad[np.arange(n.size), n][:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        step = np.diff(s_pad, axis=1)
+    gap = np.full(s_pad.shape, np.nan)
+    gap[:, 1:-1] = np.maximum(step[:, :-1], step[:, 1:])
+    reach = np.minimum(s_pad - first, last - s_pad)
+    tol = match_tol * hs
+    cand = gap[:, None, :] <= (1.01 * (hs + tol))[:, None]
+    cand &= reach[:, None, :] >= (0.99 * hs - 1.01 * tol)[:, None]
+    cand &= (hs <= (last - first) / 2.0)[:, :, None]
+    return cand
+
+
+def _nearest(s_pad, cut, targets) -> np.ndarray:
+    """Flat index into ``s_pad`` of the sample nearest each target on its row.
+
+    ``targets[cut[r]:cut[r + 1]]`` lie on row r; np.searchsorted has no
+    row-wise form, so it runs once per row. pos is the first sample not
+    below the target, and the nearest is pos or pos - 1, pos on a strict
+    win. The sentinels take the place of clamping pos at the ends: an
+    infinite distance never wins.
+    """
+    width = s_pad.shape[1]
+    pos = np.empty(targets.size, dtype=np.intp)
+    for r in np.flatnonzero(np.diff(cut)):
+        lo, hi = cut[r], cut[r + 1]
+        pos[lo:hi] = np.searchsorted(s_pad[r], targets[lo:hi]) + r * width
+    s_flat = s_pad.ravel()
+    return pos - (s_flat[pos] - targets >= targets - s_flat[pos - 1])
+
+
+def _kappa_rays(s_pad, v_pad, n, hs, match_tol) -> np.ndarray:
+    """Spikiest matched second difference, one row per ray, one column per h.
+
+    The rows are ``_profiles`` rows. Only ``_candidates`` cells are
+    evaluated, as flat arrays over all rays. NaN where h does not fit in
+    half the ray's span or no sample matches.
+    """
+    n_rays, width = s_pad.shape
+    n_h = hs.size
+    cand = _candidates(s_pad, n, hs, match_tol)
+    counts = cand.sum(axis=2).ravel()  # cells per (ray, h), in cell order
+    cell = np.flatnonzero(cand)
+    kappa = np.full(n_rays * n_h, np.nan)
+    if cell.size == 0:
+        return kappa.reshape(n_rays, n_h)
+
+    q, col = np.divmod(cell, width)
+    ix = q // n_h * width + col  # the cell's sample in s_pad.flat
+    h = np.repeat(np.tile(hs, n_rays), counts)
+    tol = np.repeat(np.tile(match_tol * hs, n_rays), counts)
+    s_flat, v_flat = s_pad.ravel(), v_pad.ravel()
+    s = s_flat[ix]
+    cut = np.concatenate([[0], np.cumsum(counts)[n_h - 1::n_h]])  # cells by ray
+    ip = _nearest(s_pad, cut, s + h)
+    im = _nearest(s_pad, cut, s - h)
+    a = s_flat[ip] - s  # actual forward offset
+    b = s - s_flat[im]  # actual backward offset
     ok = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
     # Three-point second derivative with unequal arms; this form cancels
     # the first-derivative term that a plain (v+ - 2v + v-)/h^2 leaks when
@@ -289,11 +354,15 @@ def _ray_kappa(s, v, hs, match_tol) -> np.ndarray:
     aa = np.where(ok, a, 1.0)
     bb = np.where(ok, b, 1.0)
     second = 2.0 * np.abs(
-        bb * v[ip] - (aa + bb) * v + aa * v[im]
+        bb * v_flat[ip] - (aa + bb) * v_flat[ix] + aa * v_flat[im]
     ) / (aa * bb * (aa + bb))
-    peak = np.where(ok, second, -np.inf).max(axis=1)
-    kappa[fit] = np.where(ok.any(axis=1), peak, np.nan)
-    return kappa
+    # Largest matched value per (ray, h); a matched value is never -inf,
+    # so -inf marks an (ray, h) with no match, which stays NaN.
+    live = counts > 0
+    start = (np.cumsum(counts) - counts)[live]
+    peak = np.maximum.reduceat(np.where(ok, second, -np.inf), start)
+    kappa[live] = np.where(peak == -np.inf, np.nan, peak)
+    return kappa.reshape(n_rays, n_h)
 
 
 def estimate_scales(bank: RayBank, bounds: BoundsBox, n_h: int = 24,
@@ -313,33 +382,38 @@ def estimate_scales(bank: RayBank, bounds: BoundsBox, n_h: int = 24,
     for a pure Gaussian profile); one or two drops are padded by repetition;
     a bank with no usable rays falls back to fixed fractions of the mean
     box width and sets the fallback flag.
-    """
-    series = []
-    for r in bank.rays:
-        if r.dead:
-            continue
-        finite = np.isfinite(r.logl)
-        if int(finite.sum()) < 8:
-            continue
-        s = r.t[finite] * r.ray.length
-        v = r.logl[finite]
-        keep = np.concatenate([[True], np.diff(s) > 0])
-        series.append((s[keep], v[keep]))
 
+    Sample i of a ray matches at h when the samples nearest to s[i] + h and
+    s[i] - h sit at positive offsets a and b with |a - h| and |b - h| at
+    most tol = match_tol * h. Only the cells (ray, h, i) that pass a
+    necessary condition are evaluated, as flat arrays over all rays; on
+    survey banks that is about a quarter of them. a > 0 puts the forward
+    match at or beyond s[i+1] and at or before the ray's last sample, and
+    rounded subtraction is monotone, so the gap s[i+1] - s[i] is at most a
+    and the reach s[-1] - s[i] at least a. The same holds backward with b,
+    the gap s[i] - s[i-1] and the reach s[i] - s[0]. A match therefore
+    needs both gaps at most 1.01 (h + tol) and both reaches at least
+    0.99 h - 1.01 tol: the match test rounds by a few ulps of h and tol,
+    far inside that 1% slack. The filter drops only cells that cannot
+    match, and the rest go through the same elementwise expressions as on
+    the full (h, sample) grid, so kappa is the same bit for bit.
+    """
+    s_pad, v_pad, n = _profiles(bank)
     mean_width = float(np.mean(bounds.widths))
-    if not series:
+    if n.size == 0:
         return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width, 1e-1 * mean_width,
                              True, np.zeros(0), np.zeros(0))
 
-    spans = np.array([s[-1] - s[0] for s, _ in series])
-    gaps = [np.min(np.diff(s)) for s, _ in series if s.size > 1]
+    spans = s_pad[np.arange(n.size), n] - s_pad[:, 1]
+    with np.errstate(invalid="ignore"):
+        step = np.diff(s_pad, axis=1)
     h_hi = float(spans.max()) / 2.0
-    h_lo = max(float(min(gaps)), 1e-9 * h_hi)
+    h_lo = max(float(step[np.isfinite(step)].min()), 1e-9 * h_hi)
     if h_lo >= h_hi:
         h_lo = h_hi / 1e3
     hs = np.geomspace(h_lo, h_hi, n_h)
 
-    kappa_rays = np.array([_ray_kappa(s, v, hs, match_tol) for s, v in series])
+    kappa_rays = _kappa_rays(s_pad, v_pad, n, hs, match_tol)
     # Slopes along one ray's own profile only: pooling first and
     # differentiating after would fake transitions wherever the set of rays
     # able to support a given h changes. Consecutive live entries of one

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laplev.discovery import (
+    ACTIVE_DROP,
+    N_COARSE,
     RAY_SUN,
     RAY_V2E,
     RAY_V2V,
@@ -11,10 +15,14 @@ from laplev.discovery import (
     RayBank,
     RaySamples,
     ScaleEstimate,
+    _candidates,
+    _kappa_rays,
     _momentum_descent,
     _points_along,
+    _profiles,
     _reseed_from_unconverged,
     _reseed_orthonormal,
+    _sample_rays,
     discover_modes,
     estimate_scales,
     generate_rays,
@@ -22,7 +30,6 @@ from laplev.discovery import (
     select_seeds,
     smoothed_gradient,
     survey,
-    two_pass_sample,
 )
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import fd_gradient
@@ -98,13 +105,18 @@ def test_ray_endpoint_structure():
 # ---------------------------------------------------------------- two-pass
 
 
+def one_ray(problem, ray, rng):
+    """Survey a single ray: one likelihood call per pass."""
+    return _sample_rays(problem, [ray], rng, N_COARSE, ACTIVE_DROP)[0]
+
+
 def test_two_pass_refines_inside_active_region():
     # Sharp bump at the box midpoint: the refined pass must concentrate there.
     p = gaussian_problem(2, mu=0.0, sig2=1e-4)
     from laplev.discovery import Ray
 
     ray = Ray(RAY_W2W, np.array([-5.0, 0.0]), np.array([5.0, 0.0]))
-    rs = two_pass_sample(p, ray, np.random.default_rng(3))
+    rs = one_ray(p, ray, np.random.default_rng(3))
     assert not rs.dead
     assert rs.t.shape == (128,) and p.eval_counter == 128
     refined_t = rs.t[rs.tags == 1]
@@ -120,7 +132,7 @@ def test_two_pass_dead_ray_skips_refinement():
     from laplev.discovery import Ray
 
     ray = Ray(RAY_V2V, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    rs = two_pass_sample(p, ray, np.random.default_rng(0))
+    rs = one_ray(p, ray, np.random.default_rng(0))
     assert rs.dead
     assert p.eval_counter == 64
     assert rs.t.shape == (64,)
@@ -131,7 +143,7 @@ def test_two_pass_uniform_likelihood_spreads_samples():
     from laplev.discovery import Ray
 
     ray = Ray(RAY_V2V, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    rs = two_pass_sample(p, ray, np.random.default_rng(5))
+    rs = one_ray(p, ray, np.random.default_rng(5))
     refined = rs.t[rs.tags == 1]
     assert refined.min() < 0.2 and refined.max() > 0.8
 
@@ -218,7 +230,7 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
         assert 0 < n_dead < len(bank.rays)
     expected_counter = p.eval_counter
 
-    for single in (two_pass_sample, _two_pass_reference):
+    for single in (one_ray, _two_pass_reference):
         q = CountingProblem(fn, box(d))
         rng = np.random.default_rng(8)
         rays = [single(q, ray, rng) for ray in generate_rays(q.bounds, rng)]
@@ -236,7 +248,7 @@ def test_survey_all_rays_dead_makes_one_call():
     assert p.eval_counter == 64 * len(bank.rays)
     rng_loop = np.random.default_rng(0)
     q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
-    rays = [two_pass_sample(q, ray, rng_loop) for ray in generate_rays(q.bounds, rng_loop)]
+    rays = [one_ray(q, ray, rng_loop) for ray in generate_rays(q.bounds, rng_loop)]
     assert _bank_bytes(rays) == _bank_bytes(bank.rays)
     # dead rays draw nothing, so both generators are in the same state
     assert rng.random() == rng_loop.random()
@@ -303,9 +315,8 @@ def _nearest_index_reference(s, targets):
     return np.where(pick_hi, hi, lo)
 
 
-def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
-                               slope_threshold=-0.5):
-    """The per-(ray, h) loop ``estimate_scales`` must reproduce bit for bit."""
+def _series_reference(bank):
+    """Usable rays' (s, v) profiles, one ray at a time."""
     series = []
     for r in bank.rays:
         if r.dead:
@@ -313,10 +324,17 @@ def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
         finite = np.isfinite(r.logl)
         if int(finite.sum()) < 8:
             continue
-        s = r.t[finite] * r.ray.length
+        s = r.t[finite] * float(np.linalg.norm(r.ray.end - r.ray.start))
         v = r.logl[finite]
         keep = np.concatenate([[True], np.diff(s) > 0])
         series.append((s[keep], v[keep]))
+    return series
+
+
+def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
+                               slope_threshold=-0.5):
+    """The per-(ray, h) loop ``estimate_scales`` must reproduce bit for bit."""
+    series = _series_reference(bank)
 
     mean_width = float(np.mean(bounds.widths))
     if not series:
@@ -383,8 +401,69 @@ def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
     return ScaleEstimate(found[0], found[1], found[2], False, hs, kappa)
 
 
+def _nearest_index(s: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    pos = np.searchsorted(s, targets)
+    lo = np.maximum(pos - 1, 0)
+    hi = np.minimum(pos, s.size - 1)
+    pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
+    return np.where(pick_hi, hi, lo)
+
+
+def _ray_kappa(s, v, hs, match_tol) -> np.ndarray:
+    """Spikiest matched second difference along one ray, for every h in ``hs``.
+
+    All h values that fit in half the ray's span are handled at once, on an
+    (h, sample) grid. NaN where h does not fit or no sample has both
+    neighbours within ``match_tol * h`` of distance h.
+    """
+    kappa = np.full(hs.size, np.nan)
+    fit = hs <= (s[-1] - s[0]) / 2.0
+    h = hs[fit, None]
+    tol = match_tol * h
+    ip = _nearest_index(s, s + h)
+    im = _nearest_index(s, s - h)
+    a = s[ip] - s  # actual forward offset
+    b = s - s[im]  # actual backward offset
+    ok = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
+    # Three-point second derivative with unequal arms; this form cancels
+    # the first-derivative term that a plain (v+ - 2v + v-)/h^2 leaks when
+    # the matched neighbors sit asymmetrically, which would otherwise fake
+    # a curvature rise at small h. Unmatched entries get unit arms so they
+    # stay finite; the mask drops them.
+    aa = np.where(ok, a, 1.0)
+    bb = np.where(ok, b, 1.0)
+    second = 2.0 * np.abs(
+        bb * v[ip] - (aa + bb) * v + aa * v[im]
+    ) / (aa * bb * (aa + bb))
+    peak = np.where(ok, second, -np.inf).max(axis=1)
+    kappa[fit] = np.where(ok.any(axis=1), peak, np.nan)
+    return kappa
+
+
+def _ray_matches(s, hs, match_tol) -> np.ndarray:
+    """The (h, sample) cells ``_ray_kappa`` counts as matched."""
+    matched = np.zeros((hs.size, s.size), dtype=bool)
+    fit = hs <= (s[-1] - s[0]) / 2.0
+    h = hs[fit, None]
+    tol = match_tol * h
+    ip = _nearest_index(s, s + h)
+    im = _nearest_index(s, s - h)
+    a = s[ip] - s
+    b = s - s[im]
+    matched[fit] = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
+    return matched
+
+
 def _ripple(x):
     return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(2 * np.pi / 0.3 * x[:, 0])
+
+
+def _samples(ray, t, v, dead=False):
+    return RaySamples(ray, np.asarray(t, dtype=np.float64), np.asarray(v, dtype=np.float64),
+                      np.zeros(len(t), dtype=np.uint8), dead)
+
+
+UNIT = Ray(RAY_W2W, np.array([0.0]), np.array([1.0]))  # length 1: s equals t
 
 
 def _ragged_bank():
@@ -405,6 +484,28 @@ def _ragged_bank():
     return bank
 
 
+def _single_ray_bank():
+    """One usable ray beside a dead one and one with only 7 finite values."""
+    t = np.sort(np.random.default_rng(5).random(50))
+    v = np.sin(9.0 * t) - 4.0 * t * t
+    seven = np.full(20, -np.inf)
+    seven[:7] = 0.0
+    return RayBank([_samples(UNIT, np.linspace(0, 1, 20), np.full(20, -np.inf), dead=True),
+                    _samples(UNIT, t, v),
+                    _samples(UNIT, np.linspace(0, 1, 20), seven)])
+
+
+def _short_rays_bank():
+    """One long ray and many short ones that fit only the smallest h."""
+    rng = np.random.default_rng(8)
+    bank = RayBank()
+    for length in (20.0, 0.02, 0.05, 0.003, 0.4, 0.01):
+        ray = Ray(RAY_SUN, np.zeros(2), np.array([length, 0.0]))
+        t = np.sort(rng.random(64))
+        bank.rays.append(_samples(ray, t, -0.5 * (t * length - 0.2) ** 2 / 0.01))
+    return bank
+
+
 def _scales_banks():
     yield gaussian_problem(3, sig2=0.7**2).bounds, survey(
         gaussian_problem(3, sig2=0.7**2), np.random.default_rng(9))
@@ -415,17 +516,101 @@ def _scales_banks():
     yield box(2), _ragged_bank()
     half = Problem(_corner_only, box(3))
     yield half.bounds, survey(half, np.random.default_rng(4))
+    yield box(1, 0, 1), _single_ray_bank()
+    yield box(2, -20, 20), _short_rays_bank()
 
 
-@pytest.mark.parametrize("case", range(5))
+MATCH_TOLS = (0.05, 0.3, 0.99, 1.5)
+
+
+@pytest.mark.parametrize("case", range(7))
 def test_estimate_scales_bitwise_equal_to_per_h_loop(case):
     bounds, bank = list(_scales_banks())[case]
-    got = estimate_scales(bank, bounds)
-    ref = _estimate_scales_reference(bank, bounds)
-    assert np.array(got.as_tuple()).tobytes() == np.array(ref.as_tuple()).tobytes()
-    assert got.fallback == ref.fallback
-    assert got.h.tobytes() == ref.h.tobytes()
-    assert got.kappa.tobytes() == ref.kappa.tobytes()
+    for match_tol in MATCH_TOLS:
+        got = estimate_scales(bank, bounds, match_tol=match_tol)
+        ref = _estimate_scales_reference(bank, bounds, match_tol=match_tol)
+        assert np.array(got.as_tuple()).tobytes() == np.array(ref.as_tuple()).tobytes()
+        assert got.fallback == ref.fallback
+        assert got.h.tobytes() == ref.h.tobytes()
+        assert got.kappa.tobytes() == ref.kappa.tobytes()
+
+
+@pytest.mark.parametrize("match_tol", MATCH_TOLS)
+@pytest.mark.parametrize("case", range(7))
+def test_kappa_rays_bitwise_equal_to_ray_kappa(case, match_tol):
+    bounds, bank = list(_scales_banks())[case]
+    series = _series_reference(bank)
+    s_pad, v_pad, n = _profiles(bank)
+    assert n.tolist() == [s.size for s, _ in series]
+    for row, m, (s, v) in zip(zip(s_pad, v_pad), n, series):
+        assert row[0][1:m + 1].tobytes() == s.tobytes()
+        assert row[1][1:m + 1].tobytes() == v.tobytes()
+    hs = estimate_scales(bank, bounds, match_tol=match_tol).h
+    want = np.array([_ray_kappa(s, v, hs, match_tol) for s, v in series])
+    assert _kappa_rays(s_pad, v_pad, n, hs, match_tol).tobytes() == want.tobytes()
+
+
+def _boundary_bank(h, match_tol):
+    """Triplets whose right arm walks across the match bound ulp by ulp.
+
+    Each centre c has a left neighbour at c - h and a right one a few ulps
+    of c either side of c + (1 +- match_tol) h. From match_tol = 1 on, an
+    arm that long loses the nearest-sample pick to c itself, so the walk
+    crosses c + 2 h instead, where that pick flips. Triplets sit far apart.
+    """
+    t = []
+    c = 0.25
+    arms = [(1.0 + match_tol) * h, (1.0 - match_tol) * h] if match_tol < 1 else [2.0 * h]
+    for arm in arms:
+        for k in range(-4, 5):
+            right = c + arm
+            for _ in range(abs(k)):
+                right = np.nextafter(right, np.inf if k > 0 else -np.inf)
+            t += [c - h, c, right]
+            c += 8.0 * (1.0 + match_tol) * h
+    t = np.array(t)
+    return RayBank([_samples(UNIT, t, np.cos(40.0 * t) + t)])
+
+
+@pytest.mark.parametrize("match_tol", MATCH_TOLS)
+def test_kappa_rays_at_the_match_bound(match_tol):
+    h = 0.003
+    bank = _boundary_bank(h, match_tol)
+    (s, v), = _series_reference(bank)
+    hs = np.array([h / 2, h, 1.7 * h])
+    matched = _ray_matches(s, hs, match_tol)[1, 1::3]  # the centres at h
+    assert matched.any() and not matched.all()
+    s_pad, v_pad, n = _profiles(bank)
+    assert _candidates(s_pad, n, hs, match_tol)[0, 1, 2::3][matched].all()
+    want = _ray_kappa(s, v, hs, match_tol)[None]
+    assert _kappa_rays(s_pad, v_pad, n, hs, match_tol).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=4),
+    st.one_of(st.sampled_from((0.0, 0.05, 0.3, 0.99, 1.0, 1.5)), st.floats(0.0, 2.0)),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-1.0, 0.0, 1.0)),
+                       st.integers(-3, 3), st.floats(1e-6, 0.3)),
+             min_size=8, max_size=60),
+)
+def test_candidate_filter_keeps_every_reference_match(hs, match_tol, steps):
+    # Gaps land near (1 +- match_tol) h for one of the h, give or take a
+    # few ulps, or anywhere in [1e-6, 0.3].
+    hs = np.array(hs)
+    t = [0.0]
+    for j, sign, ulps, free in steps:
+        gap = (1.0 + sign * match_tol) * hs[j % hs.size] if sign else free
+        nxt = t[-1] + abs(gap)
+        for _ in range(abs(ulps)):
+            nxt = np.nextafter(nxt, np.inf if ulps > 0 else -np.inf)
+        t.append(max(nxt, t[-1]))
+    bank = RayBank([_samples(UNIT, t, np.zeros(len(t)))])
+    s_pad, _, n = _profiles(bank)
+    (s, _), = _series_reference(bank)
+    matched = _ray_matches(s, hs, match_tol)
+    cand = _candidates(s_pad, n, hs, match_tol)[0, :, 1:n[0] + 1]
+    assert not (matched & ~cand).any()
 
 
 # ---------------------------------------------------------------- seeds
