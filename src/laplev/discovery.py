@@ -506,13 +506,23 @@ def smoothed_gradient(problem, theta, sigma, k, rng, widths=None):
 
 
 def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
-    """Climb the noise-averaged gradient to hop over fine-scale ripple."""
+    """Climb the noise-averaged gradient to hop over fine-scale ripple.
+
+    Takes ``n_cloud`` steps of length ``lam_fine`` along the normalised
+    smoothed gradient. Each step averages central-difference gradients (2d
+    evaluations each) over a Gaussian cloud of
+    ``k = min(k_smooth, max(1, 2 * k_smooth // d))`` points per sample, so
+    a step costs at most ``max(4 * k_smooth, 2d)`` evaluations per sample
+    at any d. At d <= 2 the cloud holds all ``k_smooth`` points.
+    """
     th = np.array(theta, dtype=np.float64)
     if th.shape[0] == 0:
         return th
+    k_smooth = int(k_smooth)
+    k = min(k_smooth, max(1, 2 * k_smooth // th.shape[1]))
     sigma = th.std(axis=0)
     for _ in range(int(n_cloud)):
-        g = smoothed_gradient(problem, th, sigma, k_smooth, rng, widths=lam_fine)
+        g = smoothed_gradient(problem, th, sigma, k, rng, widths=lam_fine)
         nrm = np.linalg.norm(g, axis=1, keepdims=True)
         step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
         th = problem.bounds.clip(th + lam_fine * step)
@@ -576,6 +586,12 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     anywhere so far, collapses duplicate peaks, and (except on the last
     round) refills the freed slots and perturbs the rest: a smoothed-
     gradient climb first, then a momentum descent away from the basin.
+
+    The climb takes ``n_cloud`` steps. ``k_smooth`` is its gradient cloud
+    size at d <= 2; above that the cloud shrinks so that one step costs at
+    most ``max(4 * k_smooth, 2d)`` evaluations per sample (see
+    ``_smoothed_ascent``). The momentum descent takes ``n_anticonverge``
+    steps of 2d evaluations each.
 
     Raises the no-modes error, carrying the best sample seen, if nothing
     ever sticks.

@@ -152,17 +152,20 @@ def dedup_linf(points, scores, radius, widths=None):
             raise InvalidParameterError("dedup_linf: widths must be positive finite")
         pts = pts / w
     order = np.lexsort((np.arange(n), -sc))
-    kept = []
     survivor = np.full(n, -1, dtype=np.intp)
-    kept_pts = np.empty((0, pts.shape[1]))
+    # Survivors fill the first m slots of these buffers, in visiting order.
+    kept = np.empty(n, dtype=np.intp)
+    kept_pts = np.empty_like(pts)
+    m = 0
     for i in order:
-        if kept:
-            dist = np.max(np.abs(kept_pts - pts[i]), axis=1)
+        if m:
+            dist = np.max(np.abs(kept_pts[:m] - pts[i]), axis=1)
             j = int(np.argmin(dist))
             if dist[j] <= radius:
                 survivor[i] = kept[j]
                 continue
-        kept.append(int(i))
-        kept_pts = np.vstack([kept_pts, pts[i]])
+        kept[m] = i
+        kept_pts[m] = pts[i]
+        m += 1
         survivor[i] = i
-    return np.asarray(sorted(kept), dtype=np.intp), survivor
+    return np.sort(kept[:m]), survivor

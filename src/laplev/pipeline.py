@@ -49,8 +49,8 @@ DEFAULT_BUDGETS = {
     "n_coarse": N_COARSE,    # coarse samples per survey ray
     "n_converge": 15,        # ascent steps per oscillation
     "n_anticonverge": 10,    # repulsion steps between oscillations
-    "n_cloud": 5,            # cloud size for the smoothed gradient
-    "k_smooth": 8,           # smoothing rounds at the start of a phase
+    "n_cloud": 5,            # smoothed-ascent steps between oscillations
+    "k_smooth": 8,           # smoothing cloud at d <= 2; step cost <= 4x this
     "lbfgs_memory": 10,      # curvature pairs kept per polish sample
 }
 

@@ -23,6 +23,7 @@ from laplev.discovery import (
     _reseed_from_unconverged,
     _reseed_orthonormal,
     _sample_rays,
+    _smoothed_ascent,
     discover_modes,
     estimate_scales,
     generate_rays,
@@ -157,14 +158,16 @@ def test_survey_batches_and_counter():
 
 
 class CountingProblem(Problem):
-    """Problem that also counts batched likelihood calls."""
+    """Problem that also counts batched likelihood calls and their rows."""
 
     def __init__(self, fn, bounds):
         super().__init__(fn, bounds)
         self.calls = 0
+        self.rows = []
 
     def logl(self, points):
         self.calls += 1
+        self.rows.append(len(points))
         return super().logl(points)
 
 
@@ -674,6 +677,68 @@ def test_smoothed_gradient_degenerates_to_fd():
     )
     g_plain, _ = fd_gradient(p, th, widths=0.01)
     assert g_smooth.tobytes() == g_plain.tobytes()
+
+
+def _smoothed_ascent_reference(problem, theta, lam_fine, n_cloud, k_smooth, rng):
+    """The smoothed ascent with a cloud of ``k_smooth`` points at every d."""
+    th = np.array(theta, dtype=np.float64)
+    if th.shape[0] == 0:
+        return th
+    sigma = th.std(axis=0)
+    for _ in range(int(n_cloud)):
+        g = smoothed_gradient(problem, th, sigma, k_smooth, rng, widths=lam_fine)
+        nrm = np.linalg.norm(g, axis=1, keepdims=True)
+        step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
+        th = problem.bounds.clip(th + lam_fine * step)
+    return th
+
+
+def _walled_ripple(x):
+    # Some cloud probes land past the wall at x0 = 4 and read -inf.
+    return np.where(x[:, 0] > 4.0, -np.inf, _ripple(x))
+
+
+def _ascent_start(n, d, seed):
+    start = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, d))
+    start[0, 0] = 3.99  # next to the wall
+    start[1] = 5.0      # on the box corner
+    return start
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("k_smooth", [1, 3, 8])
+@pytest.mark.parametrize("d", [1, 2])
+def test_smoothed_ascent_low_dim_bitwise_equal_to_fixed_cloud(d, k_smooth):
+    # At d <= 2 the cloud keeps all k_smooth points: same positions and the
+    # same draws from the generator as the fixed-cloud ascent.
+    p = Problem(_walled_ripple, box(d))
+    start = _ascent_start(12, d, 21)
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = _smoothed_ascent(p, start, 0.05, 5, k_smooth, rng)
+    want = _smoothed_ascent_reference(p, start, 0.05, 5, k_smooth, rng_ref)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert not np.array_equal(got, start)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("d,k_smooth,k", [
+    (3, 8, 5), (8, 8, 2), (16, 8, 1), (20, 8, 1),
+    (3, 3, 2), (8, 3, 1), (16, 3, 1), (3, 1, 1),
+])
+def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
+    # Above d = 2 the cloud shrinks to k = min(k_smooth, max(1, 2 k_smooth // d))
+    # points, so a step costs at most max(4 k_smooth, 2d) evaluations per
+    # sample; otherwise the ascent is the fixed-cloud one with k points.
+    n, n_cloud = 6, 5
+    p = CountingProblem(_walled_ripple, box(d))
+    start = _ascent_start(n, d, 22)
+    got = _smoothed_ascent(p, start, 0.05, n_cloud, k_smooth, np.random.default_rng(4))
+    assert p.rows == [n * k * 2 * d] * n_cloud
+    assert k * 2 * d <= max(4 * k_smooth, 2 * d)
+    want = _smoothed_ascent_reference(p, start, 0.05, n_cloud, k,
+                                      np.random.default_rng(4))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_momentum_descent_decreases_logl():

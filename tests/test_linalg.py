@@ -221,6 +221,52 @@ def test_dedup_matches_brute_force():
                 assert np.max(np.abs(pts[i] - pts[j])) <= 0.5
 
 
+def _dedup_linf_reference(points, scores, radius, widths=None):
+    """``dedup_linf`` as it was written with one ``np.vstack`` per survivor."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    sc = np.asarray(scores, dtype=np.float64).reshape(-1)
+    n = pts.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if widths is not None:
+        pts = pts / np.asarray(widths, dtype=np.float64)
+    order = np.lexsort((np.arange(n), -sc))
+    kept = []
+    survivor = np.full(n, -1, dtype=np.intp)
+    kept_pts = np.empty((0, pts.shape[1]))
+    for i in order:
+        if kept:
+            dist = np.max(np.abs(kept_pts - pts[i]), axis=1)
+            j = int(np.argmin(dist))
+            if dist[j] <= radius:
+                survivor[i] = kept[j]
+                continue
+        kept.append(int(i))
+        kept_pts = np.vstack([kept_pts, pts[i]])
+        survivor[i] = i
+    return np.asarray(sorted(kept), dtype=np.intp), survivor
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.3, 1e3])
+@pytest.mark.parametrize("whiten", [False, True])
+def test_dedup_bitwise_equal_to_vstack_loop(radius, whiten):
+    # Scores drawn from four values, so most candidates tie; a few points
+    # repeat exactly, so radius 0 still merges some. Radius 1e3 merges
+    # everything into the best point.
+    rng = np.random.default_rng(31)
+    for n, d in ((1, 1), (2, 3), (40, 1), (150, 8), (300, 128)):
+        pts = rng.uniform(-2.0, 2.0, size=(n, d))
+        pts[n // 2:n // 2 + n // 10] = pts[0]
+        sc = rng.integers(0, 4, size=n).astype(np.float64)
+        widths = rng.uniform(0.1, 2.0, size=d) if whiten else None
+        got = dedup_linf(pts, sc, radius, widths=widths)
+        want = _dedup_linf_reference(pts, sc, radius, widths=widths)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if radius == 1e3:
+            assert got[0].tolist() == [int(np.lexsort((np.arange(n), -sc))[0])]
+
+
 def test_dedup_whitened_coordinates():
     # Distance 0.4 in a coordinate of width 0.1 is 4 whitened units: kept.
     pts = np.array([[0.0, 0.0], [0.4, 0.0]])
