@@ -8,6 +8,10 @@ pipeline answer can be graded without trusting any pipeline code.
 
 Evaluators are pure functions of their input batch. Nothing here keeps
 state, which is what makes repeated runs bit-identical.
+
+scipy is imported inside the builders that need it (quadrature truths,
+gamma-function normalizations, the skew-normal likelihood), so importing
+laplev and running the pipeline load numpy only.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, log_ndtr
 
 from .errors import InvalidParameterError, UnsupportedDimensionError
 from .problem import BoundsBox, Problem
@@ -215,6 +217,8 @@ def _make_bimodal_asym(dim):
 
 
 def _make_student_t(dim, nu):
+    from scipy.special import gammaln
+
     name = "cauchy" if nu == 1 else f"student-t-{nu:g}"
     dim = _check_dim(name, dim, 1)
 
@@ -232,6 +236,7 @@ def _make_student_t(dim, nu):
 def _skew_normal_mode(alpha):
     # Stationary point of log(2 phi(x) Phi(alpha x)): x = alpha phi / Phi.
     from scipy.optimize import brentq
+    from scipy.special import log_ndtr
 
     def grad(x):
         z = alpha * x
@@ -242,6 +247,8 @@ def _skew_normal_mode(alpha):
 
 
 def _make_skew_normal(dim, alpha=5.0):
+    from scipy.special import log_ndtr
+
     dim = _check_dim("skew-normal-5", dim, 1)
 
     def fn(x, a=float(alpha)):
@@ -254,6 +261,8 @@ def _make_skew_normal(dim, alpha=5.0):
 
 
 def _make_exp_power(dim, beta):
+    from scipy.special import gammaln
+
     name = f"exp-power-{beta:g}"
     dim = _check_dim(name, dim, 1)
     if not 0 < beta <= 2:
@@ -294,6 +303,8 @@ TWIST_FREQ = 2.5
 @lru_cache(maxsize=None)
 def _twist_factor():
     # 1-d modulation factor: integral of exp(-x^2/2 + A(cos(wx) - 1)).
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda x: np.exp(-0.5 * x * x + TWIST_AMP * (np.cos(TWIST_FREQ * x) - 1.0)),
         -12.0, 12.0, epsabs=1e-14, epsrel=1e-13, limit=400,
@@ -373,6 +384,9 @@ RING_WIDTH = 0.3
 def _ring_log_integral(dim):
     # Spherical shell: S_{d-1} * integral of r^{d-1} exp(-(r-R)^2 / 2w^2),
     # done in log space so large d cannot overflow the radial weight.
+    from scipy.integrate import quad
+    from scipy.special import gammaln
+
     d = dim
     log_sphere = np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d)
 

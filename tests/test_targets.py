@@ -185,6 +185,66 @@ def test_mixture4_separations_by_dimension():
         assert lo < min(dists) < hi
 
 
+# ------------------------------------------------------------- pinned truths
+
+# true_log_integral.hex() of every registry target, recorded with the scipy
+# imports at module level; moving them into the builders must not move a
+# truth by a bit. Recorded with numpy 2.4 and scipy 1.17: the quadrature,
+# gamma-function and LAPACK truths can differ in the last bit on another stack.
+TRUTH_HEX = {
+    ("banana-0.1", 2): "0x1.08fd54ff3da38p+2",
+    ("banana-0.1", 4): "0x1.7e9d1c20d09e5p+2",
+    ("banana-0.5", 2): "0x1.08fd54ff3da38p+2",
+    ("banana-0.5", 4): "0x1.7e9d1c20d09e5p+2",
+    ("bimodal-asym", 2): "0x0.0p+0",
+    ("bimodal-asym", 4): "0x0.0p+0",
+    ("cauchy", 2): "0x1.d67f1c864beb4p+0",
+    ("cauchy", 4): "0x1.49dfc8b0e3d2fp+1",
+    ("cigar", 2): "-0x1.4478e2776cff3p+2",
+    ("cigar", 4): "-0x1.10c29ba1f67e2p+4",
+    ("correlated", 2): "0x1.b1ac5863e2342p+0",
+    ("correlated", 4): "0x1.8c0e0c6e3050ap+1",
+    ("eggbox", 2): "0x1.e0e55e50d3f50p+7",
+    ("exp-power-0.5", 2): "0x1.62e42fefa39efp+1",
+    ("exp-power-0.5", 4): "0x1.62e42fefa39efp+2",
+    ("exp-power-1", 2): "0x1.62e42fefa39efp+0",
+    ("exp-power-1", 4): "0x1.62e42fefa39efp+1",
+    ("funnel-3", 2): "0x1.77dee2188e0e0p+1",
+    ("funnel-3", 4): "0x1.318f382dda01dp+2",
+    ("gaussian", 2): "0x1.d67f1c864beb4p+0",
+    ("gaussian", 4): "0x1.d67f1c864beb4p+1",
+    ("mixture4", 2): "0x0.0p+0",
+    ("mixture4", 4): "0x0.0p+0",
+    ("ring", 2): "0x1.5362e15433cfcp+1",
+    ("ring", 4): "0x1.8178503d5c749p+2",
+    ("rotated-cigar", 2): "-0x1.4478e2776cff3p+2",
+    ("rotated-cigar", 4): "-0x1.4478e2776cff3p+3",
+    ("skew-normal-5", 2): "0x0.0p+0",
+    ("skew-normal-5", 4): "0x0.0p+0",
+    ("student-t-3", 2): "0x1.d67f1c864beb4p+0",
+    ("student-t-3", 4): "0x1.951c609c479a1p+1",
+    ("twisted", 2): "0x1.1cbd9f630a3bcp+0",
+    ("twisted", 4): "0x1.799e5df4ab138p+1",
+}
+SKEW_NORMAL_MODE_HEX = "0x1.7b64d4d2fc052p-2"
+
+
+def test_truths_pinned_bitwise():
+    assert {name for name, _ in TRUTH_HEX} == set(REGISTRY)
+    for (name, dim), want in TRUTH_HEX.items():
+        assert get_target(name, dim).true_log_integral.hex() == want, (name, dim)
+
+
+def test_skew_normal_modes_and_likelihood_pinned_bitwise():
+    for dim in (2, 4):
+        modes = get_target("skew-normal-5", dim).known_modes
+        assert [[v.hex() for v in m] for m in modes] == [[SKEW_NORMAL_MODE_HEX] * dim]
+    x = np.linspace(-8.0, 8.0, 12).reshape(3, 4)
+    x[0, 0] = -40.0  # deep in the log_ndtr tail
+    assert [v.hex() for v in get_target("skew-normal-5", 4).problem.logl(x)] == [
+        "-0x1.55f52c6c72a61p+14", "-0x1.379974145ba5ep+6", "-0x1.279460e9ff4f2p+6"]
+
+
 # -------------------------------------------------------------- known modes
 
 
