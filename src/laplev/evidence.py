@@ -3,19 +3,17 @@
 Each validated peak contributes ``log Z_k = l(peak) + (d/2) log 2pi
 - 1/2 log det(-H_k)``, the integral of the second-order expansion of the
 log-likelihood around the peak. The expensive part is deciding whether the
-diagonal curvature already measured during refinement is the whole story:
-
-1. Trajectory analysis (free): the optimizer's accepted steps, whitened by
-   the per-coordinate curvature, should align with the whitened gradient
-   when the mode has no cross-coordinate structure. The mean perpendicular
-   fraction of the recorded steps classifies the mode.
-2. Probe (cheap, only when step analysis is inconclusive): a second
-   difference along the diagonal direction measures the mean off-diagonal
-   curvature directly, plus a few random directions to catch off-diagonal
-   structure of mixed sign.
+diagonal curvature already measured during refinement is the whole story.
+One rotation test decides it for every mode with d >= 2: second-difference
+probes along the diagonal direction (1,...,1)/sqrt(d) and a few random unit
+directions, each compared with the curvature the diagonal alone predicts.
+The random directions catch off-diagonal structure of mixed sign, which
+cancels along the diagonal direction. A d = 1 mode needs no test.
 
 Only modes judged to have cross terms pay for the full d x d Hessian
-stencil. Total evidence is the log-sum-exp over modes plus the marginal
+stencil. That route takes log det(-H) and the condition number from the
+Cholesky factor of -H; the Jacobi eigensolver runs only in ``reduce``.
+Total evidence is the log-sum-exp over modes plus the marginal
 contribution of any pathological (flat/soft) coordinates found by the
 precheck screen.
 """
@@ -32,20 +30,14 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-from .linalg import LOG_2PI, eig_symmetric, logsumexp
-from .refine import GRAD_FILTER_SCALE, hess_steps
-
-# Mean whitened perpendicular fraction above which a mode is declared
-# rotated outright, and below which it is declared axis-aligned outright.
-# The band in between (and trajectories with fewer than two usable steps)
-# falls through to the evaluation probe.
-PERP_ROTATED = 0.05
-PERP_AXIS_ALIGNED = 0.02
-# Steps shorter than this are numerical dust, not optimizer motion.
-STEP_NORM_FLOOR = 1e-14
+from .linalg import LOG_2PI, cholesky_lower, condition_pd, logsumexp
+# Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
+from .linalg import eig_symmetric  # noqa: F401
+from .refine import hess_steps
 
 # An off-diagonal probe fires when the measured curvature along a direction
-# deviates from its diagonal-only prediction by this relative margin.
+# deviates from its diagonal-only prediction by this relative margin (the
+# pipeline's ``eps_rot`` tolerance).
 PROBE_REL_THRESHOLD = 0.05
 # Default number of extra random-direction probes. The diagonal-direction
 # probe alone sees the MEAN off-diagonal and is blind to correlations of
@@ -73,16 +65,12 @@ HEAVY_TAIL_WARNING = "heavy-tail geometry detected"
 class RotationVerdict:
     """How a mode's off-diagonal structure was judged.
 
-    decision: 'axis_aligned', 'rotated', or 'inconclusive' (the last only
-    when the probe was unavailable, e.g. d = 1 trajectories are always
-    conclusive). perp_mean/perp_max summarize the whitened perpendicular
-    step fractions; probe_b is the measured mean off-diagonal curvature
-    when the probe ran, else None.
+    decision: 'axis_aligned' or 'rotated'. probe_b is the mean off-diagonal
+    curvature the diagonal-direction probe measured (NaN when that probe
+    read a non-finite value), or None for a d = 1 mode, which is not probed.
     """
 
     decision: str
-    perp_mean: float
-    perp_max: float
     probe_b: float | None
 
 
@@ -154,71 +142,23 @@ class EvidenceResult:
         return out
 
 
-def perpendicular_fraction(steps, hess_diag, grad_floor=0.0):
-    """Whitened perpendicular fraction of recorded optimizer steps.
-
-    steps is a sequence of (start, gradient_at_start, end) triples; the
-    gradient is of the log-likelihood. Coordinates are whitened by
-    sqrt(-H_ii): positions scale by w while gradients scale by 1/w, so a
-    curvature-scaled step toward an axis-aligned optimum maps exactly onto
-    the whitened gradient direction and any residual perpendicular
-    component is evidence of cross-coordinate curvature.
-
-    Steps whose starting gradient has max-norm below ``grad_floor`` are
-    skipped: they were taken from an already-stationary point, where the
-    line search crushes the step to floating-point dust whose direction
-    carries no curvature information.
-
-    Returns (mean, max, n_usable); mean and max are NaN when fewer than 2
-    steps are usable (steps shorter than STEP_NORM_FLOOR, stationary-point
-    steps, or steps with non-finite/zero whitened gradients are skipped).
-    """
-    hess_diag = np.asarray(hess_diag, dtype=np.float64)
-    w = np.sqrt(-hess_diag)
-    fractions = []
-    for start, grad, end in steps:
-        grad = np.asarray(grad, dtype=np.float64)
-        if float(np.abs(grad).max()) < grad_floor:
-            continue
-        delta = np.asarray(end, dtype=np.float64) - np.asarray(start, dtype=np.float64)
-        if float(np.linalg.norm(delta)) < STEP_NORM_FLOOR:
-            continue
-        step_w = delta * w
-        grad_w = grad / w
-        gn = float(np.linalg.norm(grad_w))
-        sn = float(np.linalg.norm(step_w))
-        if not (np.isfinite(gn) and np.isfinite(sn)) or gn == 0.0 or sn == 0.0:
-            continue
-        ghat = grad_w / gn
-        perp = step_w - float(step_w @ ghat) * ghat
-        fractions.append(float(np.linalg.norm(perp)) / sn)
-    if len(fractions) < 2:
-        return float("nan"), float("nan"), len(fractions)
-    arr = np.asarray(fractions)
-    return float(arr.mean()), float(arr.max()), len(fractions)
-
-
-def _probe_step(direction, widths):
-    """Step length that moves no coordinate more than a small width fraction."""
-    return PROBE_STEP_FRACTION / float(np.max(np.abs(direction) / widths))
-
-
 def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
                   extra=PROBE_EXTRA_DEFAULT, threshold=PROBE_REL_THRESHOLD):
-    """Measure mean off-diagonal curvature with second-difference probes.
+    """Judge off-diagonal curvature with second-difference probes.
 
     The main probe runs along v = (1,...,1)/sqrt(d), where the second
     difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j); the
     returned b is that mean off-diagonal term. ``extra`` additional probes
     along random unit directions (drawn from rng; skipped when rng is None)
-    guard against off-diagonals that cancel in the mean. All probe rows are
-    issued as one evaluation batch.
+    guard against off-diagonals that cancel in the mean. Each probe steps
+    so that no coordinate moves more than PROBE_STEP_FRACTION of its width,
+    and all probe rows are issued as one evaluation batch.
 
-    Returns (b, rotated): rotated is True when |b| exceeds ``threshold``
-    times |mean(H_ii)|, when any extra probe's measured curvature deviates
-    from its diagonal-only prediction by that relative margin, or when any
-    probe value is non-finite (conservative: an unmeasurable mode is not
-    assumed separable).
+    Returns (b, rotated): rotated is True when any probe's measured
+    curvature u'Hu deviates from its diagonal-only prediction sum u_i^2 H_ii
+    by at least ``threshold`` times that prediction, or when any probe value
+    is non-finite (conservative: an unmeasurable mode is not assumed
+    separable).
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -236,32 +176,22 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
                 u = rng.standard_normal(d)
                 norm = float(np.linalg.norm(u))
             directions.append(u / norm)
+    directions = np.vstack(directions)
 
-    eps = np.array([_probe_step(u, widths) for u in directions])
-    rows = np.vstack([
-        np.stack([position + e * u, position - e * u])
-        for u, e in zip(directions, eps)
-    ])
-    values = problem.logl(rows)
+    eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
+    steps = eps[:, None] * directions
+    rows = np.stack([position + steps, position - steps], axis=1)
+    values = problem.logl(rows.reshape(-1, d)).reshape(-1, 2)
 
-    b = float("nan")
-    rotated = False
-    for k, (u, e) in enumerate(zip(directions, eps)):
-        plus, minus = float(values[2 * k]), float(values[2 * k + 1])
-        if not (np.isfinite(plus) and np.isfinite(minus)):
-            rotated = True
-            continue
-        quad = (plus + minus - 2.0 * center_logl) / (e * e)  # u'Hu
-        pred = float(np.sum(u * u * hess_diag))  # diagonal-only prediction
-        if k == 0:
-            # along (1,..,1)/sqrt(d) the prediction equals mean(H_ii), and
-            # the excess is (d-1) times the mean off-diagonal entry
-            b = (quad - pred) / (d - 1)
-            if abs(b) >= threshold * abs(pred):
-                rotated = True
-        elif abs(quad - pred) >= threshold * abs(pred):
-            rotated = True
-    return b, rotated
+    finite = np.isfinite(values).all(axis=1)
+    pred = np.sum(directions * directions * hess_diag, axis=1)
+    with np.errstate(invalid="ignore"):
+        quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
+        off = np.abs(quad - pred) >= threshold * np.abs(pred)
+    # along (1,..,1)/sqrt(d) the prediction equals mean(H_ii), and the
+    # excess is (d-1) times the mean off-diagonal entry
+    b = float((quad[0] - pred[0]) / (d - 1)) if finite[0] else float("nan")
+    return b, bool((~finite | off).any())
 
 
 def full_hessian(problem, position, center_logl, hess_diag):
@@ -282,25 +212,25 @@ def full_hessian(problem, position, center_logl, hess_diag):
     widths = 1.0 / np.sqrt(-hess_diag)
     eps = hess_steps(position, widths)
 
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows = np.empty((4 * len(pairs), d))
-    for k, (i, j) in enumerate(pairs):
-        base = position.copy()
-        for r, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            row = base.copy()
-            row[i] += si * eps[i]
-            row[j] += sj * eps[j]
-            rows[4 * k + r] = row
-    values = problem.logl(rows)
+    # Four rows per pair (i, j) in row-major pair order: (+i,+j), (+i,-j),
+    # (-i,+j), (-i,-j).
+    ii, jj = np.triu_indices(d, 1)
+    pair, corner = np.arange(ii.size)[:, None], np.arange(4)
+    rows = np.tile(position, (ii.size, 4, 1))
+    sign_i = np.array([1.0, 1.0, -1.0, -1.0])
+    sign_j = np.array([1.0, -1.0, 1.0, -1.0])
+    rows[pair, corner, ii[:, None]] += sign_i * eps[ii][:, None]
+    rows[pair, corner, jj[:, None]] += sign_j * eps[jj][:, None]
+    values = problem.logl(rows.reshape(-1, d))
     if not np.isfinite(values).all():
         raise HessianFailedError(
             "non-finite values in the off-diagonal Hessian stencil"
         )
 
+    vpp, vpm, vmp, vmm = values.reshape(-1, 4).T
     hess = np.diag(hess_diag)
-    for k, (i, j) in enumerate(pairs):
-        vpp, vpm, vmp, vmm = values[4 * k: 4 * k + 4]
-        hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * eps[i] * eps[j])
+    cross = (vpp - vpm - vmp + vmm) / (4.0 * eps[ii] * eps[jj])
+    hess[ii, jj] = hess[jj, ii] = cross
     return 0.5 * (hess + hess.T)
 
 
@@ -341,33 +271,25 @@ def _gaussianity_warnings(problem, position, logl_center, neg_hess_apply,
 
 
 def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
-                  tail_diagnostic=True, eps_rot=PERP_ROTATED):
+                  tail_diagnostic=True, eps_rot=PROBE_REL_THRESHOLD):
     """Evidence contribution of one refined peak.
 
     Decides between the already-measured diagonal curvature and a full
-    Hessian via trajectory analysis with a probe fallback, then applies
-    the Gaussian-integral formula. ``eps_rot`` is the rotated threshold
-    for both the trajectory fraction and the probe's relative coupling.
-    Raises NotPositiveDefiniteError when the full path finds a non-concave
-    direction (the candidate is a ridge or saddle that slipped through the
-    diagonal filter, and its Gaussian integral does not exist).
+    Hessian with ``probe_offdiag`` (every mode with d >= 2 is probed;
+    ``eps_rot`` is its relative threshold), then applies the
+    Gaussian-integral formula. Raises NotPositiveDefiniteError when the
+    Cholesky factorization of the full -H breaks down (the candidate is a
+    ridge or saddle that slipped through the diagonal filter, and its
+    Gaussian integral does not exist).
     """
     position = np.asarray(peak.position, dtype=np.float64)
     hess_diag = np.asarray(peak.hess_diag, dtype=np.float64)
     d = position.size
     evals_before = problem.eval_counter
 
-    stationary = GRAD_FILTER_SCALE * max(1.0, abs(float(peak.logl)))
-    perp_mean, perp_max, n_usable = perpendicular_fraction(
-        peak.steps or [], hess_diag, grad_floor=stationary,
-    )
     probe_b = None
     if d < 2:
         # one coordinate: the diagonal IS the full Hessian
-        decision = "axis_aligned"
-    elif n_usable >= 2 and perp_mean > eps_rot:
-        decision = "rotated"
-    elif n_usable >= 2 and perp_mean < min(PERP_AXIS_ALIGNED, eps_rot):
         decision = "axis_aligned"
     else:
         probe_b, probe_rotated = probe_offdiag(
@@ -375,20 +297,21 @@ def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
             rng=rng, extra=extra_probes, threshold=eps_rot,
         )
         decision = "rotated" if probe_rotated else "axis_aligned"
-    verdict = RotationVerdict(decision, perp_mean, perp_max, probe_b)
+    verdict = RotationVerdict(decision, probe_b)
 
     if decision == "rotated":
         hess = full_hessian(problem, position, peak.logl, hess_diag)
-        eigenvalues, _ = eig_symmetric(-hess)
-        if eigenvalues[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                int(np.argmin(eigenvalues)),
-                "mode has a non-concave direction in the full Hessian",
-            )
-        log_det = float(np.sum(np.log(eigenvalues)))
-        condition = float(eigenvalues[-1] / eigenvalues[0])
-        kind = "full"
         neg_hess = -hess
+        try:
+            factor = cholesky_lower(neg_hess)
+        except NotPositiveDefiniteError as err:
+            raise NotPositiveDefiniteError(
+                err.pivot_index,
+                "mode has a non-concave direction in the full Hessian",
+            ) from None
+        log_det = float(2.0 * np.sum(np.log(np.diag(factor))))
+        condition = condition_pd(factor)
+        kind = "full"
 
         def neg_hess_apply(delta):
             return float(delta @ neg_hess @ delta)

@@ -18,7 +18,7 @@ log-likelihood terms throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +111,6 @@ class BatchState:
     pairs_total: np.ndarray
     bad_grad: np.ndarray
     widths: np.ndarray | None = None
-    record: bool = False
-    steps: list = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -136,8 +134,7 @@ class BatchState:
         self.frozen |= np.asarray(mask, dtype=bool)
 
 
-def make_state(problem, theta0, widths=None, record=False,
-               memory=HISTORY) -> BatchState:
+def make_state(problem, theta0, widths=None, memory=HISTORY) -> BatchState:
     """Evaluate a starting batch and freeze rows that begin non-finite."""
     th = np.array(np.atleast_2d(theta0), dtype=np.float64)
     th = problem.bounds.clip(th)
@@ -167,8 +164,6 @@ def make_state(problem, theta0, widths=None, record=False,
         pairs_total=np.zeros(n, dtype=np.int64),
         bad_grad=bad,
         widths=None if widths is None else np.asarray(widths, dtype=np.float64),
-        record=record,
-        steps=[[] for _ in range(n)],
     )
 
 
@@ -323,11 +318,8 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     if rows.size:
         sub_w = None if state.widths is None else state.widths[rows]
         g_new, bad = fd_gradient(problem, new_theta[rows], sub_w)
-        start, g_old, end = state.theta[rows], state.grad[rows], new_theta[rows]
-        _push_pairs(state, rows, end - start, g_old - g_new)
-        if state.record:
-            for i, step in zip(rows, zip(start, g_old, end)):
-                state.steps[i].append(step)
+        end = new_theta[rows]
+        _push_pairs(state, rows, end - state.theta[rows], state.grad[rows] - g_new)
         state.theta[rows] = end
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
@@ -335,13 +327,13 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     return moved
 
 
-def run_batch(problem, theta0, iterations, tol, widths=None, record=False) -> BatchState:
+def run_batch(problem, theta0, iterations, tol, widths=None) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
     A sample freezes once its gradient sup-norm drops below ``tol``; the
     loop ends early when every sample is frozen or nothing moved.
     """
-    state = make_state(problem, theta0, widths=widths, record=record)
+    state = make_state(problem, theta0, widths=widths)
     for _ in range(int(iterations)):
         state.freeze(state.grad_inf() < tol)
         if state.frozen.all():

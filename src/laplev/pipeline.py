@@ -31,7 +31,7 @@ from .errors import (
     NoModesFoundError,
     NotPositiveDefiniteError,
 )
-from .evidence import PERP_ROTATED, combine, mode_evidence
+from .evidence import PROBE_REL_THRESHOLD, combine, mode_evidence
 from .precheck import EPS_FLAT, EPS_SOFT, active_subproblem, precheck
 from .reduction import reduce_mode
 from .refine import refine_peaks
@@ -41,7 +41,7 @@ DEFAULT_TOLERANCES = {
     "refine_grad": 1e-10,    # polish stopping gradient
     "eps_flat": EPS_FLAT,    # flat-coordinate sensitivity cut
     "eps_soft": EPS_SOFT,    # soft-coordinate sensitivity cut
-    "eps_rot": PERP_ROTATED,  # rotation-detector threshold
+    "eps_rot": PROBE_REL_THRESHOLD,  # rotation-probe threshold
     "dedup_radius": 1e-3,    # duplicate-peak radius, fraction of mean width
 }
 

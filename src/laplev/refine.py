@@ -1,9 +1,8 @@
 """Peak polishing: re-seed around each coarse peak, converge hard, filter.
 
 Every surviving peak leaves this stage with a machine-tight position, a
-diagonal Hessian measured at the converged point, per-axis widths, and the
-optimizer trajectories that led into it (the raw material for telling
-axis-aligned curvature from rotated curvature later).
+diagonal Hessian measured at the converged point and per-axis widths. The
+evidence stage's off-diagonal probe starts from that diagonal.
 
 The filter cascade is ordered by cost: checks that reuse already-computed
 values run first, the single Hessian batch runs only for deduplicated
@@ -99,7 +98,6 @@ class RefinedPeak:
     widths: np.ndarray
     grad_inf: float
     origin: int
-    steps: list
     width_floored: bool
 
 
@@ -127,7 +125,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     origins = np.asarray(origins)
     hints = np.asarray(hints, dtype=np.float64)
 
-    state = make_state(problem, seeds, widths=hints[:, None], record=True,
+    state = make_state(problem, seeds, widths=hints[:, None],
                        memory=HISTORY if lbfgs_memory is None else lbfgs_memory)
     iters = refine_iterations(d)
     for _ in range(iters):
@@ -151,14 +149,9 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         reasons["gradient"] = int((~ok).sum())
         alive = alive[ok]
 
-    chain = {int(r): int(r) for r in alive}
     if alive.size:
-        kept_local, surv_local = dedup_linf(
-            state.theta[alive], state.logl[alive], dedup_radius
-        )
-        for i, r in enumerate(alive):
-            chain[int(r)] = int(alive[surv_local[i]])
-        alive = alive[np.asarray(kept_local)]
+        kept, _ = dedup_linf(state.theta[alive], state.logl[alive], dedup_radius)
+        alive = alive[kept]
 
     if alive.size:
         hess, bad = diag_hessian(
@@ -184,35 +177,16 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
 
     if alive.size:
         min_w = np.min(np.vstack([widths_by_row[int(r)] for r in alive]), axis=0)
-        kept_local, surv_local = dedup_linf(
-            state.theta[alive], state.logl[alive], 1.0, widths=min_w
-        )
-        for i, r in enumerate(alive):
-            chain[int(r)] = int(alive[surv_local[i]])
-        alive = alive[np.asarray(kept_local)]
+        kept, _ = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
+                             widths=min_w)
+        alive = alive[kept]
 
     if alive.size == 0:
         raise NoValidMaximaError(reasons, state.logl.size)
 
-    def final_survivor(row):
-        seen = set()
-        while chain.get(row, row) != row and row not in seen:
-            seen.add(row)
-            row = chain[row]
-        return row
-
-    members = {int(r): [] for r in alive}
-    for row in range(state.n):
-        target = final_survivor(chain.get(row, -1)) if row in chain else -1
-        if target in members:
-            members[target].append(row)
-
     peaks = []
     for r in alive:
         r = int(r)
-        steps = []
-        for row in members[r]:
-            steps.extend(state.steps[row])
         peaks.append(RefinedPeak(
             position=state.theta[r].copy(),
             logl=float(state.logl[r]),
@@ -220,7 +194,6 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
             widths=widths_by_row[r].copy(),
             grad_inf=float(state.grad_inf()[r]),
             origin=int(origins[r]),
-            steps=steps,
             width_floored=any_floored[r],
         ))
     peaks.sort(key=lambda p: -p.logl)

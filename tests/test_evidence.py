@@ -13,13 +13,12 @@ from laplev.evidence import (
     combine,
     full_hessian,
     mode_evidence,
-    perpendicular_fraction,
     probe_offdiag,
 )
-from laplev.lbfgs import run_batch
+from laplev.pipeline import preset_config, run
 from laplev.precheck import PrecheckReport
 from laplev.problem import BoundsBox, Problem
-from laplev.refine import RefinedPeak
+from laplev.refine import RefinedPeak, hess_steps
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -28,104 +27,14 @@ def box(d, lo=-5.0, hi=5.0):
     return BoundsBox.cube(d, lo, hi)
 
 
-def peak(position, logl, hess_diag, steps=()):
+def peak(position, logl, hess_diag):
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
     widths = 1.0 / np.sqrt(-hess_diag)
     return RefinedPeak(
         position=position, logl=float(logl), hess_diag=hess_diag,
-        widths=widths, grad_inf=0.0, origin=0, steps=list(steps),
-        width_floored=False,
+        widths=widths, grad_inf=0.0, origin=0, width_floored=False,
     )
-
-
-def triple(start, grad, end):
-    return (np.asarray(start, float), np.asarray(grad, float),
-            np.asarray(end, float))
-
-
-# ---------------------------------------------------------------- f_perp
-
-
-def test_perp_fraction_parallel_steps_zero():
-    # axis-pure parallel steps cancel bitwise; diagonal ones only to roundoff
-    axis = [
-        triple([1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]),
-        triple([0.5, 0.0], [-0.5, 0.0], [0.25, 0.0]),
-    ]
-    mean, peak_f, n = perpendicular_fraction(axis, np.array([-1.0, -1.0]))
-    assert n == 2
-    assert mean == 0.0
-    assert peak_f == 0.0
-
-    diagonal = [
-        triple([1.0, 1.0], [-1.0, -1.0], [0.5, 0.5]),
-        triple([0.5, 0.5], [-0.5, -0.5], [0.25, 0.25]),
-    ]
-    mean, peak_f, _ = perpendicular_fraction(diagonal, np.array([-1.0, -1.0]))
-    assert mean == pytest.approx(0.0, abs=1e-14)
-
-
-def test_perp_fraction_orthogonal_step_is_one():
-    steps = [
-        triple([1.0, 0.0], [-1.0, 0.0], [1.0, 0.5]),
-        triple([1.0, 0.5], [-1.0, 0.0], [1.0, 1.0]),
-    ]
-    mean, peak_f, _ = perpendicular_fraction(steps, np.array([-1.0, -1.0]))
-    assert mean == pytest.approx(1.0)
-    assert peak_f == pytest.approx(1.0)
-
-
-def test_perp_fraction_hand_value():
-    # unit whitening; gradient e1, step 0.8 e1 + 0.6 e2 -> perp share 0.6
-    steps = [
-        triple([0.0, 0.0], [1.0, 0.0], [0.8, 0.6]),
-        triple([0.0, 0.0], [1.0, 0.0], [0.8, 0.6]),
-    ]
-    mean, peak_f, _ = perpendicular_fraction(steps, np.array([-1.0, -1.0]))
-    assert mean == pytest.approx(0.6, rel=1e-12)
-    assert peak_f == pytest.approx(0.6, rel=1e-12)
-
-
-def test_perp_fraction_whitening_makes_newton_step_parallel():
-    # l = -(x1^2 + 100 x2^2)/2: the exact step to the optimum from theta is
-    # -theta, which is NOT parallel to the gradient (-x1, -100 x2) in raw
-    # coordinates, but is exactly parallel after whitening by sqrt(-H_ii).
-    hd = np.array([-1.0, -100.0])
-    theta = np.array([1.0, 0.1])
-    grad = hd * -theta * -1.0  # gradient of l at theta: H theta
-    steps = [
-        triple(theta, grad, [0.0, 0.0]),
-        triple(theta / 2, hd * theta / 2, [0.0, 0.0]),
-    ]
-    mean, _, _ = perpendicular_fraction(steps, hd)
-    assert mean == pytest.approx(0.0, abs=1e-13)
-
-
-def test_perp_fraction_skips_dust_and_needs_two():
-    tiny = triple([0.0, 0.0], [1.0, 0.0], [1e-15, 0.0])
-    real = triple([0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
-    mean, peak_f, n = perpendicular_fraction([tiny, real], np.array([-1.0, -1.0]))
-    assert n == 1
-    assert np.isnan(mean) and np.isnan(peak_f)
-
-
-def test_perp_fraction_measured_on_correlated_target_exceeds_band():
-    # Correlated 2D Gaussian, rho = 0.5. Whitening by the DIAGONAL curvature
-    # cannot absorb the cross term, so optimizer steps keep a substantial
-    # perpendicular component. This pins the rotated-verdict threshold.
-    h = np.array([[-4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, -4.0 / 3.0]])
-
-    def fn(x):
-        return 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
-
-    p = Problem(fn, box(2))
-    starts = np.random.default_rng(7).uniform(-2, 2, size=(6, 2))
-    state = run_batch(p, starts, iterations=12, tol=1e-12, record=True)
-    steps = [t for row in state.steps for t in row]
-    mean, _, n = perpendicular_fraction(steps, np.diag(h))
-    assert n >= 2
-    assert mean > 0.05
 
 
 # ---------------------------------------------------------------- probe
@@ -261,6 +170,47 @@ def test_full_hessian_one_batch_cost_two_d_dminus1():
     assert batches == [2 * d * (d - 1)]
 
 
+def _full_hessian_reference(problem, position, hess_diag):
+    """The cross stencil as a double loop over the pairs."""
+    d = position.size
+    eps = hess_steps(position, 1.0 / np.sqrt(-hess_diag))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows = np.empty((4 * len(pairs), d))
+    for k, (i, j) in enumerate(pairs):
+        for r, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+            row = position.copy()
+            row[i] += si * eps[i]
+            row[j] += sj * eps[j]
+            rows[4 * k + r] = row
+    values = problem.logl(rows)
+    hess = np.diag(hess_diag)
+    for k, (i, j) in enumerate(pairs):
+        vpp, vpm, vmp, vmm = values[4 * k: 4 * k + 4]
+        hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * eps[i] * eps[j])
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_full_hessian_bitwise_equal_to_pair_loop(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    h = -(a @ a.T / d + np.eye(d))
+    position = rng.uniform(-1.0, 1.0, d)
+    batches = []
+
+    def fn(x):
+        batches.append(x.copy())
+        z = x - position
+        return 0.5 * np.einsum("ni,ij,nj->n", z, h, z) - 0.1 * np.sum(z ** 4, axis=1)
+
+    p = Problem(fn, box(d))
+    hess_diag = np.diag(h) * rng.uniform(0.5, 2.0, d)
+    got = full_hessian(p, position, 0.0, hess_diag)
+    want = _full_hessian_reference(p, position, hess_diag)
+    assert batches[0].tobytes() == batches[1].tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_full_hessian_nonfinite_raises():
     def fn(x):
         out = -0.5 * np.sum(x * x, axis=1)
@@ -281,33 +231,18 @@ def test_full_hessian_rejects_1d():
 # ---------------------------------------------------------------- mode_evidence
 
 
-def newton_steps(hess_diag, point=(1.0, 1.0)):
-    # steps straight toward the optimum of l = sum h_i x_i^2 / 2, with the
-    # true gradient h * x at each start: whitened-parallel by construction
-    hd = np.asarray(hess_diag, float)
-    p0 = np.asarray(point, float)
-    return [
-        triple(p0, hd * p0, np.zeros_like(p0)),
-        triple(p0 / 2, hd * p0 / 2, np.zeros_like(p0)),
-    ]
-
-
-def orthogonal_steps():
-    return [
-        triple([1.0, 0.0], [-1.0, 0.0], [1.0, 0.5]),
-        triple([1.0, 0.5], [-1.0, 0.0], [1.0, 1.0]),
-    ]
-
-
 def test_mode_evidence_standard_gaussian_diag_path():
+    # the probe (1 + 3 directions, 8 evaluations) finds no coupling, and
+    # the diagonal route costs nothing more
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0], newton_steps([-1.0, -1.0])),
-                       tail_diagnostic=False)
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                       rng=np.random.default_rng(0), tail_diagnostic=False)
     assert me.hessian_kind == "diagonal"
     assert me.verdict.decision == "axis_aligned"
+    assert me.verdict.probe_b == pytest.approx(0.0, abs=1e-8)
     assert me.log_z == pytest.approx(LOG_2PI, rel=1e-14)
     assert me.condition_number == pytest.approx(1.0)
-    assert me.evals_used == 0
+    assert me.evals_used == 8
     assert me.hessian is None
 
 
@@ -336,18 +271,42 @@ def test_mode_evidence_1d_scaling():
 
 
 def test_mode_evidence_path_consistency_on_axis_aligned():
-    # force the full-Hessian path on an axis-aligned Gaussian by feeding
-    # synthetic orthogonal steps; both paths must agree.
+    # force the full-Hessian path on an axis-aligned Gaussian with a zero
+    # probe threshold, which every direction exceeds; both paths must agree.
     p = quad_problem(np.diag([-1.0, -0.25]), 2)
-    diag_me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -0.25],
-                                    newton_steps([-1.0, -0.25])),
+    pk = peak([0.0, 0.0], 0.0, [-1.0, -0.25])
+    diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0),
                             tail_diagnostic=False)
-    full_me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -0.25],
-                                    orthogonal_steps()),
-                            tail_diagnostic=False)
+    full_me = mode_evidence(p, pk, rng=np.random.default_rng(0),
+                            tail_diagnostic=False, eps_rot=0.0)
     assert diag_me.hessian_kind == "diagonal"
     assert full_me.hessian_kind == "full"
     assert full_me.log_z == pytest.approx(diag_me.log_z, abs=1e-8)
+    assert full_me.condition_number == pytest.approx(4.0, rel=1e-6)
+
+
+def test_mode_evidence_weak_equicorrelation_takes_full_route():
+    # Covariance (1 - rho) I + rho 11' with rho = 0.03 at d = 32: every
+    # precision off-diagonal is only 1.6% of the diagonal, but together the
+    # couplings make the diagonal route's log det(-H) 0.187 too large, so
+    # its log Z would be 0.093 too small.
+    # Along (1,...,1)/sqrt(d) the curvature is 0.52 against a diagonal
+    # prediction of 1.01, so the probe routes the mode to the full Hessian.
+    d, rho = 32, 0.03
+    mu = np.linspace(-0.5, 0.5, d)
+    cov = (1.0 - rho) * np.eye(d) + rho
+    neg_h = np.linalg.inv(cov)
+
+    def fn(x):
+        z = x - mu
+        return -0.5 * np.einsum("ni,ij,nj->n", z, neg_h, z)
+
+    res = run(Problem(fn, box(d, -10.0, 10.0)), preset_config("fast", seed=1))
+    assert [m.verdict.decision for m in res.modes] == ["rotated"]
+    assert res.modes[0].hessian_kind == "full"
+    log_det_cov = (d - 1) * np.log(1.0 - rho) + np.log(1.0 + (d - 1) * rho)
+    assert res.log_z_total == pytest.approx(
+        0.5 * d * LOG_2PI + 0.5 * log_det_cov, abs=1e-9)
 
 
 def test_mode_evidence_rejects_indefinite_full_hessian():
@@ -396,16 +355,20 @@ def test_mode_evidence_heavy_tail_warning_fires_on_student_t():
 
     p = Problem(fn, box(2))
     hd = np.full(2, -(nu + d) / nu)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, hd, newton_steps(hd)))
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, hd),
+                       rng=np.random.default_rng(0))
+    assert me.hessian_kind == "diagonal"
     assert HEAVY_TAIL_WARNING in me.warnings
-    assert me.evals_used == 2
+    assert me.evals_used == 8 + 2  # probe, then the tail screen
 
 
 def test_mode_evidence_no_tail_warning_on_gaussian():
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0], newton_steps([-1.0, -1.0])))
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                       rng=np.random.default_rng(0))
+    assert me.hessian_kind == "diagonal"
     assert me.warnings == []
-    assert me.evals_used == 2
+    assert me.evals_used == 8 + 2  # probe, then the tail screen
 
 
 def test_mode_evidence_asymmetry_warning():
@@ -415,13 +378,13 @@ def test_mode_evidence_asymmetry_warning():
         return np.where(x.sum(axis=1) >= 0, q, q / 4.0)
 
     p = Problem(fn, box(2))
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0], newton_steps([-1.0, -1.0])))
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]))
     assert any("asymmetric" in w for w in me.warnings)
 
 
 def test_mode_evidence_condition_warning():
     p = quad_problem(np.diag([-1.0, -1e7]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1e7], newton_steps([-1.0, -1e7])),
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1e7]),
                        tail_diagnostic=False)
     assert any("unreliable" in w for w in me.warnings)
     assert me.condition_number == pytest.approx(1e7)
@@ -432,7 +395,7 @@ def test_mode_evidence_probe_cost_accounting():
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
                        rng=np.random.default_rng(0), extra_probes=3,
                        tail_diagnostic=False)
-    # no usable steps -> probe path: 2 + 2*3 evaluations, no full Hessian
+    # probe only: 2 + 2*3 evaluations, no full Hessian
     assert me.evals_used == 8
     assert me.hessian_kind == "diagonal"
 

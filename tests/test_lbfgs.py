@@ -228,17 +228,6 @@ def test_curvature_gate_is_per_row_in_one_batch():
     assert np.isnan(state.gamma[[0, 2, 3]]).all()
 
 
-def test_trajectory_recording_start_grad_end():
-    p = quad_problem([0.0], [[1.0]])
-    state = make_state(p, [[2.0]], record=True)
-    step_batch(state, p)
-    assert len(state.steps[0]) == 1
-    start, grad, end = state.steps[0][0]
-    assert start[0] == pytest.approx(2.0)
-    assert grad[0] == pytest.approx(-2.0, rel=1e-6)
-    assert end[0] != start[0]
-
-
 def test_line_search_batches_candidates_per_round():
     sizes = []
 
@@ -462,10 +451,6 @@ def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
             s = new_theta[i] - state.theta[i]
             y = state.grad[i] - g_new[k]
             _push_pair(state, i, s, y)
-            if state.record:
-                state.steps[i].append(
-                    (state.theta[i].copy(), state.grad[i].copy(), new_theta[i].copy())
-                )
         state.theta[rows] = new_theta[rows]
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
@@ -517,20 +502,18 @@ def _seed_history(state, rng):
 
 
 def _state_bytes(state, moved):
-    steps = [b"".join(a.tobytes() for t in row for a in t) for row in state.steps]
     return (
         state.theta.tobytes(), state.logl.tobytes(), state.grad.tobytes(),
         state.s_ring.tobytes(), state.y_ring.tobytes(),
         state.pairs_total.tobytes(), state.gamma.tobytes(),
         state.bad_grad.tobytes(), state.frozen.tobytes(), moved.tobytes(),
-        steps,
     )
 
 
-@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("hinted", [False, True])
 @pytest.mark.parametrize("d", [1, 32])
 @pytest.mark.parametrize("memory", [1, 3, 10])
-def test_step_batch_matches_per_sample_reference(memory, d, record):
+def test_step_batch_matches_per_sample_reference(memory, d, hinted):
     rng = np.random.default_rng(100 * memory + d)
     n = 12
     theta0 = rng.uniform(-1.6, 1.6, size=(n, d))
@@ -538,12 +521,12 @@ def test_step_batch_matches_per_sample_reference(memory, d, record):
     theta0[1] = 2.0               # starts on the box corner
     theta0[2] = -2.0
     theta0[3] = 0.3 * theta0[3]
-    widths = np.full(d, 0.05) if d > 1 else None
+    widths = np.full(d, 0.05) if hinted else None  # gradient step floor
     fn, seen = _rugged(d)
     states, problems = [], []
     for _ in range(2):
         p = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
-        st = make_state(p, theta0, widths=widths, record=record, memory=memory)
+        st = make_state(p, theta0, widths=widths, memory=memory)
         _seed_history(st, np.random.default_rng(memory))
         states.append(st)
         problems.append(p)
@@ -572,5 +555,3 @@ def test_step_batch_matches_per_sample_reference(memory, d, record):
     assert frozen_beside_live
     assert seen["face"] and seen["nan"]
     assert seen["ninf"] > intake_ninf or d == 1
-    if record:
-        assert sum(len(row) for row in s_new.steps) > 0

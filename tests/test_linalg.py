@@ -8,7 +8,8 @@ from laplev.errors import (
     NotPositiveDefiniteError,
     NumericInputError,
 )
-from laplev.linalg import cholesky_lower, dedup_linf, eig_symmetric, log_det_pd, logsumexp
+from laplev.linalg import (cholesky_lower, condition_pd, dedup_linf, eig_symmetric,
+                           log_det_pd, logsumexp)
 
 
 def random_pd(rng, d, cond=None):
@@ -115,6 +116,44 @@ def test_cholesky_pivot_index_on_failure():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         cholesky_lower([[-1.0]])
     assert exc.value.pivot_index == 0
+
+
+# ------------------------------------------------------------------ condition
+
+
+def test_condition_estimate_within_ten_percent():
+    # Log-uniform spectra with both ends pinned, so the true ratio is the
+    # constructed one. eig_symmetric reads it too, but costs about 50 s on
+    # the whole set; it is checked on the matrices with d <= 16.
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(200):
+        d = int(rng.integers(2, 65))
+        cond = 10.0 ** rng.uniform(0.0, 8.0)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = np.exp(rng.uniform(0.0, np.log(cond), d))
+        lam[0], lam[-1] = 1.0, cond
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+        est = condition_pd(cholesky_lower(a))
+        assert est <= cond * (1.0 + 1e-6)
+        worst = max(worst, 1.0 - est / cond)
+        if d <= 16:
+            w, _ = eig_symmetric(a)
+            assert abs(est / (w[-1] / w[0]) - 1.0) < 0.1
+    assert worst < 0.1
+
+
+def test_condition_estimate_repeats_bitwise():
+    a = random_pd(np.random.default_rng(5), 24, cond=1e5)
+    l = cholesky_lower(a)
+    assert condition_pd(l).hex() == condition_pd(l.copy()).hex()
+
+
+def test_condition_estimate_hand_case():
+    # (1, 1) is an eigenvector here: a constant start vector would read 1.
+    assert abs(condition_pd(cholesky_lower([[2.0, 1.0], [1.0, 2.0]])) - 3.0) < 1e-9
+    assert condition_pd(cholesky_lower(np.diag([4.0, 1.0, 2.0]))) == pytest.approx(4.0, rel=1e-12)
 
 
 # ------------------------------------------------------------------ logsumexp

@@ -36,7 +36,6 @@ def make_peak(position, logl, hess_diag):
         widths=1.0 / np.sqrt(-hess_diag),
         grad_inf=0.0,
         origin=0,
-        steps=[],
         width_floored=False,
     )
 
