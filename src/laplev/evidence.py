@@ -143,7 +143,8 @@ class EvidenceResult:
 
 
 def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
-                  extra=PROBE_EXTRA_DEFAULT, threshold=PROBE_REL_THRESHOLD):
+                  extra=PROBE_EXTRA_DEFAULT, threshold=PROBE_REL_THRESHOLD,
+                  also=None):
     """Judge off-diagonal curvature with second-difference probes.
 
     The main probe runs along v = (1,...,1)/sqrt(d), where the second
@@ -152,13 +153,14 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
     along random unit directions (drawn from rng; skipped when rng is None)
     guard against off-diagonals that cancel in the mean. Each probe steps
     so that no coordinate moves more than PROBE_STEP_FRACTION of its width,
-    and all probe rows are issued as one evaluation batch.
+    and all probe rows are issued as one evaluation batch. Rows passed as
+    ``also`` ride in the same batch, after the probe rows.
 
-    Returns (b, rotated): rotated is True when any probe's measured
-    curvature u'Hu deviates from its diagonal-only prediction sum u_i^2 H_ii
-    by at least ``threshold`` times that prediction, or when any probe value
-    is non-finite (conservative: an unmeasurable mode is not assumed
-    separable).
+    Returns (b, rotated), plus the values of the ``also`` rows when given:
+    rotated is True when any probe's measured curvature u'Hu deviates from
+    its diagonal-only prediction sum u_i^2 H_ii by at least ``threshold``
+    times that prediction, or when any probe value is non-finite
+    (conservative: an unmeasurable mode is not assumed separable).
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -180,8 +182,12 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
 
     eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
     steps = eps[:, None] * directions
-    rows = np.stack([position + steps, position - steps], axis=1)
-    values = problem.logl(rows.reshape(-1, d)).reshape(-1, 2)
+    rows = np.stack([position + steps, position - steps], axis=1).reshape(-1, d)
+    if also is not None:
+        rows = np.concatenate([rows, also])
+    n_probe = 2 * directions.shape[0]
+    all_values = problem.logl(rows)
+    values = all_values[:n_probe].reshape(-1, 2)
 
     finite = np.isfinite(values).all(axis=1)
     pred = np.sum(directions * directions * hess_diag, axis=1)
@@ -191,7 +197,8 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
     # along (1,..,1)/sqrt(d) the prediction equals mean(H_ii), and the
     # excess is (d-1) times the mean off-diagonal entry
     b = float((quad[0] - pred[0]) / (d - 1)) if finite[0] else float("nan")
-    return b, bool((~finite | off).any())
+    rotated = bool((~finite | off).any())
+    return (b, rotated) if also is None else (b, rotated, all_values[n_probe:])
 
 
 def full_hessian(problem, position, center_logl, hess_diag):
@@ -234,27 +241,31 @@ def full_hessian(problem, position, center_logl, hess_diag):
     return 0.5 * (hess + hess.T)
 
 
-def _gaussianity_warnings(problem, position, logl_center, neg_hess_apply,
-                          widths, bounds):
-    """Tail and asymmetry screen: 2 evaluations at +-3 whitened radii.
+def _tail_points(position, widths, bounds):
+    """The tail screen's 2 rows: +-3 whitened radii along the diagonal.
+
+    Clipped into the bounds. They depend on the mode's position and
+    diagonal widths only, not on its Hessian route.
+    """
+    delta = (TAIL_SIGMA / np.sqrt(position.size)) * widths
+    return bounds.clip(np.stack([position + delta, position - delta]))
+
+
+def _gaussianity_warnings(position, logl_center, neg_hess_apply, points, values):
+    """Tail and asymmetry screen on the ``_tail_points`` rows and values.
 
     neg_hess_apply(delta) must return delta' (-H) delta for a displacement
-    delta. Probes are clipped into the bounds and the quadratic prediction
-    uses the actual clipped displacement, so a peak near a wall is compared
-    like for like. Non-finite probe values mean the support simply ends
-    there (a wall, not a tail) and produce no warning.
+    delta. The points are clipped into the bounds and the quadratic
+    prediction uses the actual clipped displacement, so a peak near a wall
+    is compared like for like. Non-finite values mean the support simply
+    ends there (a wall, not a tail) and produce no warning.
     """
-    d = position.size
-    delta = (TAIL_SIGMA / np.sqrt(d)) * widths
-    plus = bounds.clip((position + delta)[None, :])[0]
-    minus = bounds.clip((position - delta)[None, :])[0]
-    values = problem.logl(np.stack([plus, minus]))
     if not np.isfinite(values).all():
         return []
 
     warnings = []
     ratios, drops = [], []
-    for point, value in zip((plus, minus), values):
+    for point, value in zip(points, values):
         shift = point - position
         q = 0.5 * float(neg_hess_apply(shift))
         if q <= 0.0:  # clipped to the peak itself; nothing to compare
@@ -287,14 +298,18 @@ def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
     d = position.size
     evals_before = problem.eval_counter
 
+    tail = (_tail_points(position, 1.0 / np.sqrt(-hess_diag), problem.bounds)
+            if tail_diagnostic else np.zeros((0, d)))
     probe_b = None
     if d < 2:
         # one coordinate: the diagonal IS the full Hessian
         decision = "axis_aligned"
+        tail_values = problem.logl(tail) if tail_diagnostic else None
     else:
-        probe_b, probe_rotated = probe_offdiag(
+        # The tail rows ride in the probe's batch: one likelihood call.
+        probe_b, probe_rotated, tail_values = probe_offdiag(
             problem, position, peak.logl, hess_diag,
-            rng=rng, extra=extra_probes, threshold=eps_rot,
+            rng=rng, extra=extra_probes, threshold=eps_rot, also=tail,
         )
         decision = "rotated" if probe_rotated else "axis_aligned"
     verdict = RotationVerdict(decision, probe_b)
@@ -329,10 +344,8 @@ def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
 
     warnings = []
     if tail_diagnostic:
-        true_widths = 1.0 / np.sqrt(-hess_diag)
         warnings.extend(_gaussianity_warnings(
-            problem, position, float(peak.logl), neg_hess_apply,
-            true_widths, problem.bounds,
+            position, float(peak.logl), neg_hess_apply, tail, tail_values,
         ))
     if condition > CONDITION_WARN:
         warnings.append(

@@ -359,7 +359,7 @@ def test_mode_evidence_heavy_tail_warning_fires_on_student_t():
                        rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert HEAVY_TAIL_WARNING in me.warnings
-    assert me.evals_used == 8 + 2  # probe, then the tail screen
+    assert me.evals_used == 8 + 2  # probe and tail screen, one batch
 
 
 def test_mode_evidence_no_tail_warning_on_gaussian():
@@ -368,7 +368,37 @@ def test_mode_evidence_no_tail_warning_on_gaussian():
                        rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.warnings == []
-    assert me.evals_used == 8 + 2  # probe, then the tail screen
+    assert me.evals_used == 8 + 2  # probe and tail screen, one batch
+
+
+@pytest.mark.parametrize("coupling,tail,want", [
+    (0.0, True, [8 + 2]),             # probe and tail rows in one batch
+    (0.5, True, [8 + 2, 2 * 3 * 2]),  # then the full stencil
+    (0.0, False, [8]),                # no tail screen: the probe alone
+])
+def test_mode_evidence_one_call_per_probed_mode(coupling, tail, want):
+    batches = []
+    h = np.array([[-1.0, coupling, 0.0], [coupling, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
+    def fn(x):
+        batches.append(x.shape[0])
+        return 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
+
+    me = mode_evidence(Problem(fn, box(3)), peak(np.zeros(3), 0.0, np.diag(h)),
+                       rng=np.random.default_rng(0), tail_diagnostic=tail)
+    assert batches == want
+    assert me.hessian_kind == ("full" if coupling else "diagonal")
+
+
+def test_mode_evidence_1d_tail_screen_is_its_own_call():
+    batches = []
+
+    def fn(x):
+        batches.append(x.shape[0])
+        return -0.5 * np.sum(x * x, axis=1)
+
+    mode_evidence(Problem(fn, box(1)), peak([0.0], 0.0, [-1.0]))
+    assert batches == [2]
 
 
 def test_mode_evidence_asymmetry_warning():
