@@ -475,8 +475,7 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     start = np.array([r.ray.start for r in live])[ray[idx]]
     end = np.array([r.ray.end for r in live])[ray[idx]]
     pos = _points_along(start, end, t[idx])
-    kept, _ = dedup_linf(pos, val[idx], lam_fine)
-    kept = np.asarray(kept)
+    kept = dedup_linf(pos, val[idx], lam_fine)
     order = np.lexsort((idx[kept], -val[idx[kept]]))
     return pos[kept[order]]
 
@@ -636,8 +635,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         lost = np.zeros(0, dtype=np.intp)
         if stuck.any():
             sidx = np.flatnonzero(stuck)
-            kept_local, _ = dedup_linf(positions[sidx], logls[sidx], dedup_radius)
-            kept = sidx[np.asarray(kept_local)]
+            kept = sidx[dedup_linf(positions[sidx], logls[sidx], dedup_radius)]
             lost = np.setdiff1d(sidx, kept)
             stuck[lost] = False
 

@@ -170,8 +170,7 @@ def dedup_linf(points, scores, radius, widths=None):
     Candidates are visited in descending score order (ties broken by lowest
     index). A candidate is dropped iff it lies within ``radius`` (Chebyshev
     distance, optionally whitened by per-coordinate ``widths``) of an already
-    kept survivor. Returns (kept_indices, survivor_map) where survivor_map[i]
-    is the index of the kept point that absorbed candidate i (itself if kept).
+    kept survivor. Returns the kept indices, ascending.
 
     The greedy order makes the output order-independent for distinct scores
     and idempotent: rerunning on the survivors keeps all of them.
@@ -184,27 +183,21 @@ def dedup_linf(points, scores, radius, widths=None):
         raise InvalidParameterError("dedup_linf: radius must be non-negative")
     n = pts.shape[0]
     if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.intp)
     if widths is not None:
         w = np.asarray(widths, dtype=np.float64)
         if np.any(w <= 0) or not np.isfinite(w).all():
             raise InvalidParameterError("dedup_linf: widths must be positive finite")
         pts = pts / w
     order = np.lexsort((np.arange(n), -sc))
-    survivor = np.full(n, -1, dtype=np.intp)
     # Survivors fill the first m slots of these buffers, in visiting order.
     kept = np.empty(n, dtype=np.intp)
     kept_pts = np.empty_like(pts)
     m = 0
     for i in order:
-        if m:
-            dist = np.max(np.abs(kept_pts[:m] - pts[i]), axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] <= radius:
-                survivor[i] = kept[j]
-                continue
+        if m and np.max(np.abs(kept_pts[:m] - pts[i]), axis=1).min() <= radius:
+            continue
         kept[m] = i
         kept_pts[m] = pts[i]
         m += 1
-        survivor[i] = i
-    return np.sort(kept[:m]), survivor
+    return np.sort(kept[:m])

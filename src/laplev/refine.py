@@ -150,7 +150,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         alive = alive[ok]
 
     if alive.size:
-        kept, _ = dedup_linf(state.theta[alive], state.logl[alive], dedup_radius)
+        kept = dedup_linf(state.theta[alive], state.logl[alive], dedup_radius)
         alive = alive[kept]
 
     if alive.size:
@@ -177,8 +177,8 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
 
     if alive.size:
         min_w = np.min(np.vstack([widths_by_row[int(r)] for r in alive]), axis=0)
-        kept, _ = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
-                             widths=min_w)
+        kept = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
+                          widths=min_w)
         alive = alive[kept]
 
     if alive.size == 0:

@@ -290,7 +290,7 @@ def _prop_dedup(n_trials=30):
         pts = rng.uniform(-2.0, 2.0, (n, 3))
         sc = rng.uniform(-5.0, 5.0, n)
         radius = float(rng.uniform(0.05, 1.0))
-        kept, _ = dedup_linf(pts, sc, radius)
+        kept = dedup_linf(pts, sc, radius)
         # Independent O(N^2) greedy oracle.
         order = np.lexsort((np.arange(n), -sc))
         survivors = []
@@ -299,7 +299,7 @@ def _prop_dedup(n_trials=30):
                 survivors.append(int(i))
         if sorted(survivors) != list(kept):
             return False, "dedup mismatch vs brute force"
-        again, _ = dedup_linf(pts[kept], sc[kept], radius)
+        again = dedup_linf(pts[kept], sc[kept], radius)
         if list(again) != list(range(len(kept))):
             return False, "dedup not idempotent"
     return True, f"dedup vs oracle, {n_trials} trials"

@@ -655,7 +655,7 @@ def _select_seeds_reference(bank, lam_fine, dim):
             pick[offset + int(np.argmax(np.asarray(r.logl)[fin]))] = True
         offset += fin.size
     idx = np.flatnonzero(pick)
-    kept, _ = dedup_linf(pos[idx], val[idx], lam_fine)
+    kept = dedup_linf(pos[idx], val[idx], lam_fine)
     kept = idx[np.asarray(kept)]
     order = np.lexsort((kept, -val[kept]))
     return pos[kept[order]]

@@ -211,26 +211,23 @@ def test_dedup_hand_chain():
     # Points 0, 0.4, 0.8 with scores 3, 1, 2 at radius 0.5: the middle point
     # is absorbed by the best one, the far point survives.
     pts = np.array([[0.0], [0.4], [0.8]])
-    kept, surv = dedup_linf(pts, [3.0, 1.0, 2.0], 0.5)
+    kept = dedup_linf(pts, [3.0, 1.0, 2.0], 0.5)
     assert list(kept) == [0, 2]
-    assert list(surv) == [0, 0, 2]
 
 
 def test_dedup_tie_breaks_to_lowest_index():
     pts = np.array([[0.0], [0.1]])
-    kept, surv = dedup_linf(pts, [1.0, 1.0], 0.5)
+    kept = dedup_linf(pts, [1.0, 1.0], 0.5)
     assert list(kept) == [0]
-    assert list(surv) == [0, 0]
 
 
 def test_dedup_idempotent():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, size=(50, 3))
     sc = rng.uniform(0, 1, size=50)
-    kept, _ = dedup_linf(pts, sc, 0.3)
-    kept2, surv2 = dedup_linf(pts[kept], sc[kept], 0.3)
+    kept = dedup_linf(pts, sc, 0.3)
+    kept2 = dedup_linf(pts[kept], sc[kept], 0.3)
     assert list(kept2) == list(range(len(kept)))
-    assert np.array_equal(surv2, np.arange(len(kept)))
 
 
 def brute_force_dedup(pts, sc, radius):
@@ -250,14 +247,8 @@ def test_dedup_matches_brute_force():
         d = int(rng.integers(1, 6))
         pts = rng.uniform(-2, 2, size=(n, d))
         sc = rng.uniform(0, 10, size=n)
-        kept, surv = dedup_linf(pts, sc, 0.5)
+        kept = dedup_linf(pts, sc, 0.5)
         assert list(kept) == brute_force_dedup(pts, sc, 0.5)
-        # Every absorbed point sits within radius of its survivor.
-        for i in range(n):
-            j = surv[i]
-            assert j in kept
-            if i not in kept:
-                assert np.max(np.abs(pts[i] - pts[j])) <= 0.5
 
 
 def _dedup_linf_reference(points, scores, radius, widths=None):
@@ -266,24 +257,21 @@ def _dedup_linf_reference(points, scores, radius, widths=None):
     sc = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = pts.shape[0]
     if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.intp)
     if widths is not None:
         pts = pts / np.asarray(widths, dtype=np.float64)
     order = np.lexsort((np.arange(n), -sc))
     kept = []
-    survivor = np.full(n, -1, dtype=np.intp)
     kept_pts = np.empty((0, pts.shape[1]))
     for i in order:
         if kept:
             dist = np.max(np.abs(kept_pts - pts[i]), axis=1)
             j = int(np.argmin(dist))
             if dist[j] <= radius:
-                survivor[i] = kept[j]
                 continue
         kept.append(int(i))
         kept_pts = np.vstack([kept_pts, pts[i]])
-        survivor[i] = i
-    return np.asarray(sorted(kept), dtype=np.intp), survivor
+    return np.asarray(sorted(kept), dtype=np.intp)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.3, 1e3])
@@ -300,18 +288,17 @@ def test_dedup_bitwise_equal_to_vstack_loop(radius, whiten):
         widths = rng.uniform(0.1, 2.0, size=d) if whiten else None
         got = dedup_linf(pts, sc, radius, widths=widths)
         want = _dedup_linf_reference(pts, sc, radius, widths=widths)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if radius == 1e3:
-            assert got[0].tolist() == [int(np.lexsort((np.arange(n), -sc))[0])]
+            assert got.tolist() == [int(np.lexsort((np.arange(n), -sc))[0])]
 
 
 def test_dedup_whitened_coordinates():
     # Distance 0.4 in a coordinate of width 0.1 is 4 whitened units: kept.
     pts = np.array([[0.0, 0.0], [0.4, 0.0]])
-    kept, _ = dedup_linf(pts, [2.0, 1.0], 0.5, widths=[0.1, 1.0])
+    kept = dedup_linf(pts, [2.0, 1.0], 0.5, widths=[0.1, 1.0])
     assert list(kept) == [0, 1]
-    kept, _ = dedup_linf(pts, [2.0, 1.0], 0.5, widths=[10.0, 1.0])
+    kept = dedup_linf(pts, [2.0, 1.0], 0.5, widths=[10.0, 1.0])
     assert list(kept) == [0]
 
 
