@@ -6,10 +6,10 @@ the log-likelihood bends. That survey costs two batched likelihood calls,
 one for every ray's coarse grid and one for every live ray's refill; reading
 scales and seeds off it costs none. Then it runs a stick/release cycle:
 batches of seeds ascend until they stick to a peak, duplicates collapse,
-freed slots reseed, and the survivors are shaken loose sideways and
-downhill so the next ascent can only end somewhere new. Everything is
-driven by one seeded generator and batched evaluator calls, so a (seed,
-config) pair fixes the run bit for bit.
+freed slots reseed, and every sample that did not stick climbs a few
+noise-smoothed gradient steps that hop over fine-scale ripple before the
+next ascent. Everything is driven by one seeded generator and batched
+evaluator calls, so a (seed, config) pair fixes the run bit for bit.
 """
 
 from __future__ import annotations
@@ -528,20 +528,6 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
     return th
 
 
-def _momentum_descent(problem, theta, lam_fine, n_steps, rng, momentum=0.9):
-    """Push samples downhill with momentum so they leave the current basin."""
-    th = np.array(theta, dtype=np.float64)
-    if th.shape[0] == 0:
-        return th
-    v = np.zeros_like(th)
-    alpha = 0.5 * lam_fine
-    for _ in range(int(n_steps)):
-        g, _ = fd_gradient(problem, th, widths=lam_fine)
-        v = momentum * v - alpha * g
-        th = problem.bounds.clip(th + v)
-    return th
-
-
 def _reseed_from_unconverged(rng, n_lost, unconverged, lam_mid, lam_coarse, bounds):
     """Refill lost slots by shooting outward from wandering samples."""
     out = np.empty((n_lost, bounds.dim))
@@ -574,8 +560,8 @@ def _reseed_orthonormal(rng, n_lost, peaks, lam_coarse, bounds):
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                    n_oscillations: int = 1, n_converge: int = 15,
-                   n_anticonverge: int = 10, n_cloud: int = 5,
-                   k_smooth: int = 8, stick_grad: float = 1e-6,
+                   n_cloud: int = 5, k_smooth: int = 8,
+                   stick_grad: float = 1e-6,
                    dedup_radius: float | None = None,
                    keep_ratio: float = 0.1) -> list[CoarsePeak]:
     """Stick/release search over a fixed population of samples.
@@ -583,14 +569,14 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     Each oscillation re-runs the ascent on every sample, sticks the ones
     that converged onto a peak within ``keep_ratio`` of the best value seen
     anywhere so far, collapses duplicate peaks, and (except on the last
-    round) refills the freed slots and perturbs the rest: a smoothed-
-    gradient climb first, then a momentum descent away from the basin.
+    round) refills the freed slots, then moves every sample that did not
+    stick, refilled ones included, by a smoothed-gradient climb. Nothing
+    else runs between two ascents.
 
     The climb takes ``n_cloud`` steps. ``k_smooth`` is its gradient cloud
     size at d <= 2; above that the cloud shrinks so that one step costs at
     most ``max(4 * k_smooth, 2d)`` evaluations per sample (see
-    ``_smoothed_ascent``). The momentum descent takes ``n_anticonverge``
-    steps of 2d evaluations each.
+    ``_smoothed_ascent``).
 
     Raises the no-modes error, carrying the best sample seen, if nothing
     ever sticks.
@@ -662,11 +648,9 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                 prev_used_golden = True
 
         if unstuck_idx.size:
-            moved = _smoothed_ascent(
+            positions[unstuck_idx] = _smoothed_ascent(
                 problem, positions[unstuck_idx], lam_fine, n_cloud, k_smooth, rng
             )
-            moved = _momentum_descent(problem, moved, lam_fine, n_anticonverge, rng)
-            positions[unstuck_idx] = moved
 
     if not stuck.any():
         raise NoModesFoundError(

@@ -48,7 +48,6 @@ DEFAULT_TOLERANCES = {
 DEFAULT_BUDGETS = {
     "n_coarse": N_COARSE,    # coarse samples per survey ray
     "n_converge": 15,        # ascent steps per oscillation
-    "n_anticonverge": 10,    # repulsion steps between oscillations
     "n_cloud": 5,            # smoothed-ascent steps between oscillations
     "k_smooth": 8,           # smoothing cloud at d <= 2; step cost <= 4x this
     "lbfgs_memory": 10,      # curvature pairs kept per polish sample
@@ -194,7 +193,6 @@ def run(problem, config: PipelineConfig):
             active, seeds, scales, rng_discover,
             n_oscillations=config.n_oscillations,
             n_converge=bud["n_converge"],
-            n_anticonverge=bud["n_anticonverge"],
             n_cloud=bud["n_cloud"],
             k_smooth=bud["k_smooth"],
             stick_grad=tol["stick_grad"],

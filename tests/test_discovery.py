@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laplev.discovery
 from laplev.discovery import (
     ACTIVE_DROP,
     N_COARSE,
@@ -17,7 +18,6 @@ from laplev.discovery import (
     ScaleEstimate,
     _candidates,
     _kappa_rays,
-    _momentum_descent,
     _points_along,
     _profiles,
     _reseed_from_unconverged,
@@ -741,15 +741,6 @@ def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
     assert got.tobytes() == want.tobytes()
 
 
-def test_momentum_descent_decreases_logl():
-    p = gaussian_problem(2)
-    start = np.array([[0.1, -0.1]])
-    out = _momentum_descent(p, start, lam_fine=0.05, n_steps=10,
-                            rng=np.random.default_rng(0))
-    assert p.logl(out)[0] < p.logl(start)[0]
-    assert p.bounds.contains(out).all()
-
-
 def test_reseed_from_unconverged_distance_band():
     rng = np.random.default_rng(5)
     b = box(3, -100, 100)
@@ -853,3 +844,33 @@ def test_discover_multi_oscillation_keeps_peaks():
     assert len(peaks) == 1
     assert peaks[0].oscillation >= 1
     np.testing.assert_allclose(peaks[0].position, [0.0, 0.0], atol=1e-4)
+
+
+def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
+    # Between two ascents the samples that did not stick take n_cloud
+    # smoothed-ascent steps, one batched call each, and nothing else is
+    # evaluated: no descent, no extra gradient.
+    d, n_cloud, k_smooth = 3, 5, 8
+    p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(d))
+    rng = np.random.default_rng(3)
+    bank = survey(p, rng)
+    est = estimate_scales(bank, p.bounds)
+    seeds = select_seeds(bank, est.lam_fine, d)
+    marks = []
+    ascent = laplev.discovery.run_batch
+
+    def traced(*args, **kwargs):
+        marks.append(p.calls)
+        state = ascent(*args, **kwargs)
+        marks.append(p.calls)
+        return state
+
+    monkeypatch.setattr(laplev.discovery, "run_batch", traced)
+    discover_modes(p, seeds, est, rng, n_oscillations=2, n_cloud=n_cloud,
+                   k_smooth=k_smooth)
+    assert len(marks) == 4  # two ascent rounds
+    between = p.rows[marks[1]:marks[2]]
+    k = min(k_smooth, max(1, 2 * k_smooth // d))
+    assert len(between) == n_cloud
+    assert len(set(between)) == 1 and between[0] > 0
+    assert between[0] % (k * 2 * d) == 0  # whole clouds of 2d-row gradients

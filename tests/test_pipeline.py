@@ -67,6 +67,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(budgets={"n_coarse": 2.5})
     with pytest.raises(InvalidParameterError):
         PipelineConfig(budgets={"warp_drive": 3})
+    with pytest.raises(InvalidParameterError):
+        PipelineConfig(budgets={"n_anticonverge": 10})  # removed budget
 
 
 def test_config_echo_serializes():
@@ -122,6 +124,19 @@ def test_conservative_eggbox_finds_every_mode(seed):
     res = run(target.problem, preset_config("conservative", seed=seed))
     assert len(res.modes) == 5
     assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-2
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("name,dim,n_modes", [
+    ("mixture4", 3, 4), ("mixture4", 4, 4), ("mixture4", 8, 4),
+    ("bimodal-asym", 3, 2), ("bimodal-asym", 8, 2),
+])
+def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
+    # Above d=2 the search between rounds is the smoothed ascent alone; it
+    # must still find every mode of the mixtures.
+    target = get_target(name, dim)
+    res = run(target.problem, preset_config("conservative", seed=seed))
+    assert len(res.modes) == n_modes
 
 
 def test_timings_present_but_excluded_from_canonical_json():
