@@ -849,7 +849,7 @@ def test_discover_multi_oscillation_keeps_peaks():
 def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
     # Between two ascents the samples that did not stick take n_cloud
     # smoothed-ascent steps, one batched call each, and nothing else is
-    # evaluated: no descent, no extra gradient.
+    # evaluated.
     d, n_cloud, k_smooth = 3, 5, 8
     p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(d))
     rng = np.random.default_rng(3)
