@@ -7,7 +7,12 @@ or come from 1-d/2-d quadrature oracles accurate to ~1e-12 relative, so a
 pipeline answer can be graded without trusting any pipeline code.
 
 Evaluators are pure functions of their input batch. Nothing here keeps
-state, which is what makes repeated runs bit-identical.
+state, which is what makes repeated runs bit-identical. A row's value also
+does not depend on how rows are batched: every target returns the same bits
+for a row evaluated alone, in a chunk or in a whole batch. Full-covariance
+Gaussians are evaluated in whitened form, one BLAS matrix product per batch
+(see ``make_gaussian``); the other targets use row-wise array operations
+only.
 
 scipy is imported inside the builders that need it (quadrature truths,
 gamma-function normalizations, the skew-normal likelihood), so importing
@@ -63,6 +68,13 @@ def make_gaussian(dim, mean=None, cov=None, bounds=None, name="gaussian"):
     full covariance matrix. The reference log integral is
     d/2 log(2 pi) + log det(cov)/2, with the determinant from numpy so the
     truth stays independent of this package's own factorizations.
+
+    A full covariance is factored once, at construction: P = W W^T with W
+    the Cholesky factor of the precision. A batch then costs one gemm and a
+    row sum of squares, z = (x - mu) W and logl = -|z|^2/2. A 1-row batch is
+    padded to two rows, so each row's value is the same bits however the
+    rows are batched. The last bits can depend on the BLAS build and, from
+    about d=128, on its thread count.
     """
     dim = _check_dim(name, dim, 1)
     mu = np.zeros(dim) if mean is None else np.asarray(mean, dtype=np.float64)
@@ -101,11 +113,17 @@ def make_gaussian(dim, mean=None, cov=None, bounds=None, name="gaussian"):
         if sign <= 0:
             raise InvalidParameterError("covariance must be positive definite")
         prec = np.linalg.inv(cov_arr)
-        prec = 0.5 * (prec + prec.T)
+        whiten = np.linalg.cholesky(0.5 * (prec + prec.T))
 
-        def fn(x, mu=mu, p=prec):
+        def fn(x, mu=mu, w=whiten):
             dx = x - mu
-            return -0.5 * np.einsum("ni,ij,nj->n", dx, p, dx)
+            if dx.shape[0] == 1:
+                # numpy sends a 1-row product to gemv, whose last bits differ
+                # from gemm's; a padded 2-row gemm keeps the row's value
+                # independent of how the batch was cut.
+                dx = np.concatenate([dx, dx])
+            z = dx @ w
+            return -0.5 * np.einsum("ni,ni->n", z, z)[: x.shape[0]]
 
         tags = ("gaussian", "rotated")
     if bounds is None:
@@ -188,11 +206,15 @@ def _mixture4_layout(dim):
         # coordinates: pairwise Hamming distance grows like d/2, so the modes
         # separate on their own in high dimension. At d=4 the separation is
         # about 3.8 sigma, the partial-overlap regime where a sum of
-        # per-mode Gaussian integrals double counts shared mass.
+        # per-mode Gaussian integrals double counts shared mass. Column 0 is
+        # all +1, so d=3 takes columns 1-3 instead: a tetrahedron with the
+        # same 3.8 sigma edges, where columns 0-2 would leave neighbours 2.7
+        # apart.
         offset = 1.35
         h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
                       dtype=np.float64)
-        signs = h4[:, np.arange(dim) % 4]
+        cols = np.arange(1, 4) if dim == 3 else np.arange(dim) % 4
+        signs = h4[:, cols]
     return offset * signs, 2.0 * offset
 
 

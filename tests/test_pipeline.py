@@ -139,6 +139,17 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     assert len(res.modes) == n_modes
 
 
+def test_conservative_mixture4_d3_overlaps_like_d4():
+    # At d=3 the four modes form a tetrahedron with d=4's 3.8 sigma edges,
+    # so the overlap error lands in criterion 3's d=4 band, overestimated.
+    # Modes 2.7 apart (Hadamard columns 0-2) put Z 37% high.
+    target = get_target("mixture4", 3)
+    res = run(target.problem, preset_config("conservative", seed=1))
+    assert len(res.modes) == 4
+    err = np.expm1(res.log_z_total - target.true_log_integral)
+    assert 5e-3 <= err <= 5e-2
+
+
 def test_timings_present_but_excluded_from_canonical_json():
     target = get_target("gaussian", 2)
     res = run(target.problem, preset_config("fast", seed=1))

@@ -185,6 +185,14 @@ def test_mixture4_separations_by_dimension():
         assert lo < min(dists) < hi
 
 
+def test_mixture4_modes_at_least_3p8_apart_from_d3():
+    for dim in range(3, 17):
+        means, _ = _mixture4_layout(dim)
+        dists = [np.linalg.norm(means[i] - means[j])
+                 for i in range(4) for j in range(i + 1, 4)]
+        assert min(dists) >= 3.8, dim
+
+
 # ------------------------------------------------------------- pinned truths
 
 # true_log_integral.hex() of every registry target, recorded with the scipy
@@ -277,6 +285,37 @@ def test_evaluator_pure_and_counted(name):
     perm = rng.permutation(17)
     c = t.problem.logl(x[perm])
     assert np.array_equal(c, a[perm])
+
+
+def _smallest_dim(name):
+    for dim in (1, 2):
+        try:
+            get_target(name, dim)
+            return dim
+        except UnsupportedDimensionError:
+            pass
+    raise AssertionError(name)
+
+
+ROW_CASES = sorted(
+    {(n, _smallest_dim(n)) for n in ALL_NAMES}
+    | {(n, 8) for n in ALL_NAMES if n != "eggbox"}
+    | {(n, d) for n in ("correlated", "rotated-cigar") for d in (32, 128)}
+)
+
+
+@pytest.mark.parametrize("name,dim", ROW_CASES)
+def test_evaluator_values_do_not_depend_on_batching(name, dim):
+    # A row's value must be the same bits whether the row is evaluated alone,
+    # in a chunk, or in the whole batch: 1-row batches included, which BLAS
+    # would otherwise route to gemv instead of gemm.
+    problem = get_target(name, dim, allow_large=True).problem
+    fn, bounds = problem._fn, problem.bounds
+    x = np.random.default_rng(3).uniform(bounds.lower, bounds.upper, size=(200, dim))
+    whole = fn(x)
+    for size in (1, 7):
+        parts = np.concatenate([fn(x[i:i + size]) for i in range(0, len(x), size)])
+        assert np.array_equal(parts, whole), size
 
 
 @pytest.mark.parametrize("fn", [
