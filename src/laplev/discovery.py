@@ -1,12 +1,13 @@
 """Mode discovery: ray survey, length-scale estimation, oscillating search.
 
 The search never trusts a single optimizer run. It first scans the box with
-a family of line probes to learn where mass lives and at what length scales
-the log-likelihood bends. That survey costs two batched likelihood calls,
+a family of line probes to learn where mass lives and how sharply the
+log-likelihood bends there. That survey costs two batched likelihood calls,
 one for every ray's coarse grid and one for every live ray's refill; reading
-scales and seeds off it costs none. Then it runs a stick/release cycle:
-batches of seeds ascend until they stick to a peak, duplicates collapse,
-freed slots reseed, and every sample that did not stick climbs a few
+the length scale and the seeds off it costs none. The length scale is the
+smallest profile width the rays show at their best samples. Then it runs a
+stick/release cycle: batches of seeds ascend until they stick to a peak,
+duplicates collapse, and every sample that did not stick climbs a few
 noise-smoothed gradient steps that hop over fine-scale ripple before the
 next ascent. Everything is driven by one seeded generator and batched
 evaluator calls, so a (seed, config) pair fixes the run bit for bit.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoModesFoundError
-from .lbfgs import _row_dot, fd_gradient, run_batch
+from .lbfgs import fd_gradient, run_batch
 from .linalg import dedup_linf
 from .problem import BoundsBox
 
@@ -32,6 +33,7 @@ KIND_NAMES = {RAY_V2V: "v2v", RAY_V2E: "v2e", RAY_W2W: "w2w", RAY_SUN: "sunburst
 
 N_COARSE = 64
 ACTIVE_DROP = 20.0
+KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 
 
 def rays_per_kind(dim: int) -> int:
@@ -229,218 +231,50 @@ def survey(problem, rng, n_coarse: int = N_COARSE,
 
 @dataclass(frozen=True)
 class ScaleEstimate:
-    """Three characteristic lengths, finest first, in parameter units."""
+    """The survey's length scale in parameter units, and whether it is a guess."""
 
     lam_fine: float
-    lam_mid: float
-    lam_coarse: float
     fallback: bool
-    h: np.ndarray
-    kappa: np.ndarray
-
-    def as_tuple(self):
-        return (self.lam_fine, self.lam_mid, self.lam_coarse)
 
 
-def _profiles(bank: RayBank):
-    """The usable rays' profiles as the rows of one padded array.
+def _champion_width(r: RaySamples) -> float:
+    """Profile width 1/sqrt(-c) at the ray's best sample; NaN if unreadable.
 
-    A live ray with at least 8 finite values is usable. Its finite samples
-    become arc lengths s = t * length, and a sample whose s does not exceed
-    the previous one's is dropped. A row holds a -inf sentinel, the kept
-    samples in order, then +inf padding. Returns those s rows, the matching
-    log-likelihood rows (0 outside the samples) and the kept count per row.
+    c is the three-point second difference with unequal arms a and b over
+    the best sample and its stored neighbours, in arc length. This form
+    cancels the first-derivative term a plain (v+ - 2v + v-)/h^2 leaks when
+    the arms differ. The width is unreadable when the best sample is a ray
+    end, a neighbour is not finite, an arm is empty or c is not negative.
     """
-    live = [r for r in bank.rays if not r.dead]
-    t = np.zeros((len(live), max((r.t.size for r in live), default=0)))
-    v = np.full(t.shape, np.nan)
-    for j, r in enumerate(live):
-        t[j, :r.t.size] = r.t
-        v[j, :r.t.size] = r.logl
-    finite = np.isfinite(v)
-    use = finite.sum(axis=1) >= 8
-    if not use.any():
-        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.intp)
-    t, v, finite = t[use], v[use], finite[use]
-    chord = np.array([r.ray.end - r.ray.start for r, u in zip(live, use) if u])
-    length = np.sqrt(_row_dot(chord, chord))  # np.linalg.norm, bit for bit
-    row, col = np.nonzero(finite)  # each row's finite samples, in order
-    s = t[row, col] * length[row]
-    keep = np.r_[True, (row[1:] != row[:-1]) | (np.diff(s) > 0)]
-    row, s, v = row[keep], s[keep], v[row, col][keep]
-    n = np.bincount(row, minlength=length.size)
-    s_pad = np.full((n.size, int(n.max()) + 2), np.inf)
-    s_pad[:, 0] = -np.inf
-    v_pad = np.zeros(s_pad.shape)
-    slot = np.arange(row.size) - (np.cumsum(n) - n)[row] + 1
-    s_pad[row, slot] = s
-    v_pad[row, slot] = v
-    return s_pad, v_pad, n
+    v = np.where(np.isfinite(r.logl), r.logl, -np.inf)
+    i = int(np.argmax(v))
+    if i == 0 or i == v.size - 1 or not np.isfinite(v[i - 1] + v[i + 1]):
+        return np.nan
+    length = float(np.linalg.norm(r.ray.end - r.ray.start))
+    a = float(r.t[i + 1] - r.t[i]) * length
+    b = float(r.t[i] - r.t[i - 1]) * length
+    if not (a > 0 and b > 0):
+        return np.nan
+    c = 2.0 * (b * v[i + 1] - (a + b) * v[i] + a * v[i - 1]) / (a * b * (a + b))
+    return 1.0 / np.sqrt(-c) if c < 0 else np.nan
 
 
-def _candidates(s_pad, n, hs, match_tol) -> np.ndarray:
-    """(ray, h, column) cells of ``_profiles`` rows that may match.
+def estimate_scales(bank: RayBank, bounds: BoundsBox) -> ScaleEstimate:
+    """The finest profile width any live ray shows at its best sample.
 
-    The necessary condition of ``estimate_scales``: h fits in half the
-    ray's span, the larger of the sample's two gaps is at most
-    1.01 (h + tol) and the shorter of its reaches to the ray's ends is at
-    least 0.99 h - 1.01 tol. Sentinel and padding columns fail it.
+    Each live ray's curvature c at its best sample gives a width
+    1/sqrt(-c): sigma along the ray for a Gaussian profile, at least the
+    smallest sigma of a Gaussian mode for any ray direction. The scale is
+    the smallest of those widths. No new evaluations are spent here. When
+    no ray gives a width (no interior best sample with finite neighbours
+    and negative curvature), the scale falls back to 1e-3 of the mean box
+    width and the fallback flag is set.
     """
-    first = s_pad[:, 1:2]
-    last = s_pad[np.arange(n.size), n][:, None]
-    with np.errstate(invalid="ignore"):  # inf - inf in the padding
-        step = np.diff(s_pad, axis=1)
-    gap = np.full(s_pad.shape, np.nan)
-    gap[:, 1:-1] = np.maximum(step[:, :-1], step[:, 1:])
-    reach = np.minimum(s_pad - first, last - s_pad)
-    tol = match_tol * hs
-    cand = gap[:, None, :] <= (1.01 * (hs + tol))[:, None]
-    cand &= reach[:, None, :] >= (0.99 * hs - 1.01 * tol)[:, None]
-    cand &= (hs <= (last - first) / 2.0)[:, :, None]
-    return cand
-
-
-def _nearest(s_pad, cut, targets) -> np.ndarray:
-    """Flat index into ``s_pad`` of the sample nearest each target on its row.
-
-    ``targets[cut[r]:cut[r + 1]]`` lie on row r; np.searchsorted has no
-    row-wise form, so it runs once per row. pos is the first sample not
-    below the target, and the nearest is pos or pos - 1, pos on a strict
-    win. The sentinels take the place of clamping pos at the ends: an
-    infinite distance never wins.
-    """
-    width = s_pad.shape[1]
-    pos = np.empty(targets.size, dtype=np.intp)
-    for r in np.flatnonzero(np.diff(cut)):
-        lo, hi = cut[r], cut[r + 1]
-        pos[lo:hi] = np.searchsorted(s_pad[r], targets[lo:hi]) + r * width
-    s_flat = s_pad.ravel()
-    return pos - (s_flat[pos] - targets >= targets - s_flat[pos - 1])
-
-
-def _kappa_rays(s_pad, v_pad, n, hs, match_tol) -> np.ndarray:
-    """Spikiest matched second difference, one row per ray, one column per h.
-
-    The rows are ``_profiles`` rows. Only ``_candidates`` cells are
-    evaluated, as flat arrays over all rays. NaN where h does not fit in
-    half the ray's span or no sample matches.
-    """
-    n_rays, width = s_pad.shape
-    n_h = hs.size
-    cand = _candidates(s_pad, n, hs, match_tol)
-    counts = cand.sum(axis=2).ravel()  # cells per (ray, h), in cell order
-    cell = np.flatnonzero(cand)
-    kappa = np.full(n_rays * n_h, np.nan)
-    if cell.size == 0:
-        return kappa.reshape(n_rays, n_h)
-
-    q, col = np.divmod(cell, width)
-    ix = q // n_h * width + col  # the cell's sample in s_pad.flat
-    h = np.repeat(np.tile(hs, n_rays), counts)
-    tol = np.repeat(np.tile(match_tol * hs, n_rays), counts)
-    s_flat, v_flat = s_pad.ravel(), v_pad.ravel()
-    s = s_flat[ix]
-    cut = np.concatenate([[0], np.cumsum(counts)[n_h - 1::n_h]])  # cells by ray
-    ip = _nearest(s_pad, cut, s + h)
-    im = _nearest(s_pad, cut, s - h)
-    a = s_flat[ip] - s  # actual forward offset
-    b = s - s_flat[im]  # actual backward offset
-    ok = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
-    # Three-point second derivative with unequal arms; this form cancels
-    # the first-derivative term that a plain (v+ - 2v + v-)/h^2 leaks when
-    # the matched neighbors sit asymmetrically, which would otherwise fake
-    # a curvature rise at small h. Unmatched entries get unit arms so they
-    # stay finite; the mask drops them.
-    aa = np.where(ok, a, 1.0)
-    bb = np.where(ok, b, 1.0)
-    second = 2.0 * np.abs(
-        bb * v_flat[ip] - (aa + bb) * v_flat[ix] + aa * v_flat[im]
-    ) / (aa * bb * (aa + bb))
-    # Largest matched value per (ray, h); a matched value is never -inf,
-    # so -inf marks an (ray, h) with no match, which stays NaN.
-    live = counts > 0
-    start = (np.cumsum(counts) - counts)[live]
-    peak = np.maximum.reduceat(np.where(ok, second, -np.inf), start)
-    kappa[live] = np.where(peak == -np.inf, np.nan, peak)
-    return kappa.reshape(n_rays, n_h)
-
-
-def estimate_scales(bank: RayBank, bounds: BoundsBox, n_h: int = 24,
-                    match_tol: float = 0.3,
-                    slope_threshold: float = -0.5) -> ScaleEstimate:
-    """Read bending length scales off the stored ray profiles.
-
-    For a grid of skip lengths h the spikiest second difference across all
-    stored samples gives kappa(h), an upper curvature envelope. Structure
-    finer than h averages out of the second difference, so kappa falls off
-    steeply once h crosses a characteristic length; the h values at the
-    three steepest drops of log kappa against log h are the scale triple.
-    No new evaluations are spent here.
-
-    Degenerate cases: constant curvature has no drop at all, so the single
-    quadratic length 1/sqrt(kappa) stands in for all three (it equals sigma
-    for a pure Gaussian profile); one or two drops are padded by repetition;
-    a bank with no usable rays falls back to fixed fractions of the mean
-    box width and sets the fallback flag.
-
-    Sample i of a ray matches at h when the samples nearest to s[i] + h and
-    s[i] - h sit at positive offsets a and b with |a - h| and |b - h| at
-    most tol = match_tol * h. Only the cells (ray, h, i) that pass a
-    necessary condition are evaluated, as flat arrays over all rays; on
-    survey banks that is about a quarter of them. a > 0 puts the forward
-    match at or beyond s[i+1] and at or before the ray's last sample, and
-    rounded subtraction is monotone, so the gap s[i+1] - s[i] is at most a
-    and the reach s[-1] - s[i] at least a. The same holds backward with b,
-    the gap s[i] - s[i-1] and the reach s[i] - s[0]. A match therefore
-    needs both gaps at most 1.01 (h + tol) and both reaches at least
-    0.99 h - 1.01 tol: the match test rounds by a few ulps of h and tol,
-    far inside that 1% slack. The filter drops only cells that cannot
-    match, and the rest go through the same elementwise expressions as on
-    the full (h, sample) grid, so kappa is the same bit for bit.
-    """
-    s_pad, v_pad, n = _profiles(bank)
-    mean_width = float(np.mean(bounds.widths))
-    if n.size == 0:
-        return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width, 1e-1 * mean_width,
-                             True, np.zeros(0), np.zeros(0))
-
-    spans = s_pad[np.arange(n.size), n] - s_pad[:, 1]
-    with np.errstate(invalid="ignore"):
-        step = np.diff(s_pad, axis=1)
-    h_hi = float(spans.max()) / 2.0
-    h_lo = max(float(step[np.isfinite(step)].min()), 1e-9 * h_hi)
-    if h_lo >= h_hi:
-        h_lo = h_hi / 1e3
-    hs = np.geomspace(h_lo, h_hi, n_h)
-
-    kappa_rays = _kappa_rays(s_pad, v_pad, n, hs, match_tol)
-    # Slopes along one ray's own profile only: pooling first and
-    # differentiating after would fake transitions wherever the set of rays
-    # able to support a given h changes. Consecutive live entries of one
-    # row are adjacent in the row-major nonzero order.
-    rows, cols = np.nonzero(np.isfinite(kappa_rays) & (kappa_rays > 0))
-    pair = np.flatnonzero(rows[1:] == rows[:-1])
-    lk = np.log(kappa_rays[rows, cols])
-    lh = np.log(hs[cols])
-    slopes = (lk[pair + 1] - lk[pair]) / (lh[pair + 1] - lh[pair])
-    steep = slopes < slope_threshold
-    h_mid = np.sqrt(hs[cols[pair[steep]]] * hs[cols[pair[steep] + 1]])
-    # Three steepest drops, ties in (ray, h) order.
-    found = sorted(h_mid[np.argsort(slopes[steep], kind="stable")[:3]].tolist())
-
-    finite = np.isfinite(kappa_rays)
-    kappa = np.where(finite, kappa_rays, -np.inf).max(axis=0)
-    kappa[~finite.any(axis=0)] = np.nan
-
-    if not found:
-        if not np.isfinite(kappa).any() or np.nanmax(kappa) <= 0:
-            return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width,
-                                 1e-1 * mean_width, True, hs, kappa)
-        lam = 1.0 / float(np.sqrt(np.nanmax(kappa)))
-        found = [lam]
-    while len(found) < 3:
-        found.append(found[-1])
-    return ScaleEstimate(found[0], found[1], found[2], False, hs, kappa)
+    widths = np.array([_champion_width(r) for r in bank.rays if not r.dead])
+    widths = widths[np.isfinite(widths)]
+    if widths.size == 0:
+        return ScaleEstimate(1e-3 * float(np.mean(bounds.widths)), True)
+    return ScaleEstimate(float(widths.min()), False)
 
 
 def select_seeds(bank: RayBank, lam_fine: float, dim: int):
@@ -528,50 +362,20 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
     return th
 
 
-def _reseed_from_unconverged(rng, n_lost, unconverged, lam_mid, lam_coarse, bounds):
-    """Refill lost slots by shooting outward from wandering samples."""
-    out = np.empty((n_lost, bounds.dim))
-    for i in range(n_lost):
-        base = unconverged[int(rng.integers(unconverged.shape[0]))]
-        while True:
-            z = rng.standard_normal(bounds.dim)
-            nrm = float(np.linalg.norm(z))
-            if nrm > 1e-12:
-                break
-        dist = rng.uniform(lam_mid, lam_coarse)
-        out[i] = base + (dist / nrm) * z
-    return bounds.clip(out)
-
-
-def _reseed_orthonormal(rng, n_lost, peaks, lam_coarse, bounds):
-    """Refill lost slots on signed orthonormal spokes around known peaks."""
-    d = bounds.dim
-    r = min(d, n_lost)
-    q, _ = np.linalg.qr(rng.standard_normal((d, r)))
-    n_peaks = peaks.shape[0]
-    out = np.empty((n_lost, d))
-    for i in range(n_lost):
-        peak = peaks[i % n_peaks]
-        spoke = (i // n_peaks) % (2 * r)
-        sign = 1.0 if spoke % 2 == 0 else -1.0
-        out[i] = peak + sign * lam_coarse * q[:, spoke // 2]
-    return bounds.clip(out)
-
-
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                    n_oscillations: int = 1, n_converge: int = 15,
                    n_cloud: int = 5, k_smooth: int = 8,
                    stick_grad: float = 1e-6,
-                   dedup_radius: float | None = None,
-                   keep_ratio: float = 0.1) -> list[CoarsePeak]:
+                   dedup_radius: float | None = None) -> list[CoarsePeak]:
     """Stick/release search over a fixed population of samples.
 
     Each oscillation re-runs the ascent on every sample, sticks the ones
-    that converged onto a peak within ``keep_ratio`` of the best value seen
-    anywhere so far, collapses duplicate peaks, and (except on the last
-    round) refills the freed slots, then moves every sample that did not
-    stick, refilled ones included, by a smoothed-gradient climb. Nothing
-    else runs between two ascents.
+    that converged onto a peak within a factor ``KEEP_RATIO`` of the best
+    value seen anywhere so far, and collapses duplicate peaks. Except on
+    the last round, every sample that did not stick, the duplicates
+    included, then climbs the smoothed gradient. Nothing else runs between
+    two ascents. The survey's one length scale ``scales.lam_fine`` sets the
+    finite-difference widths and the climb's step.
 
     The climb takes ``n_cloud`` steps. ``k_smooth`` is its gradient cloud
     size at d <= 2; above that the cloud shrinks so that one step costs at
@@ -582,7 +386,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     ever sticks.
     """
     bounds = problem.bounds
-    lam_fine, lam_mid, lam_coarse = scales.as_tuple()
+    lam_fine = scales.lam_fine
     if dedup_radius is None:
         dedup_radius = 1e-3 * float(np.mean(bounds.widths))
     positions = bounds.clip(np.atleast_2d(np.asarray(seeds, dtype=np.float64)))
@@ -596,9 +400,6 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     logls = np.full(n, -np.inf)
     grad_inf = np.full(n, np.inf)
     best_pos, best_logl = None, -np.inf
-    golden_enabled = True
-    prev_used_golden = False
-    prev_peak_count = 0
 
     for osc in range(1, int(n_oscillations) + 1):
         state = run_batch(problem, positions, n_converge, stick_grad, widths=lam_fine)
@@ -614,39 +415,19 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
             if logls[i] > best_logl:
                 best_pos, best_logl = positions[i].copy(), float(logls[i])
 
-        floor = problem.peak_logl + np.log(keep_ratio)
+        floor = problem.peak_logl + np.log(KEEP_RATIO)
         stuck = (grad_inf < stick_grad) & finite & (logls >= floor)
         stuck_osc[stuck & (stuck_osc == 0)] = osc
 
-        lost = np.zeros(0, dtype=np.intp)
         if stuck.any():
             sidx = np.flatnonzero(stuck)
-            kept = sidx[dedup_linf(positions[sidx], logls[sidx], dedup_radius)]
-            lost = np.setdiff1d(sidx, kept)
-            stuck[lost] = False
-
-        n_peaks = int(stuck.sum())
-        if prev_used_golden and n_peaks <= prev_peak_count:
-            golden_enabled = False
-        prev_used_golden = False
-        prev_peak_count = n_peaks
+            stuck[sidx] = False
+            stuck[sidx[dedup_linf(positions[sidx], logls[sidx], dedup_radius)]] = True
 
         if osc == int(n_oscillations):
             break
 
         unstuck_idx = np.flatnonzero(~stuck)
-        if lost.size:
-            wanderers = np.setdiff1d(unstuck_idx, lost)
-            if wanderers.size >= 5:
-                positions[lost] = _reseed_from_unconverged(
-                    rng, lost.size, positions[wanderers], lam_mid, lam_coarse, bounds
-                )
-            elif stuck.any() and golden_enabled:
-                positions[lost] = _reseed_orthonormal(
-                    rng, lost.size, positions[np.flatnonzero(stuck)], lam_coarse, bounds
-                )
-                prev_used_golden = True
-
         if unstuck_idx.size:
             positions[unstuck_idx] = _smoothed_ascent(
                 problem, positions[unstuck_idx], lam_fine, n_cloud, k_smooth, rng

@@ -1,8 +1,8 @@
 """Behaviour baseline: a fixed grid of pipeline runs against committed results.
 
 Every cell records log Z, the mode count, each mode's Hessian route and
-rotation decision, the per-stage evaluation counts, and the length-scale
-triple the survey inferred (as ``float.hex``, with the fallback flag). A
+rotation decision, the per-stage evaluation counts, and the length scale
+the survey inferred (as ``float.hex``, with the fallback flag). A
 change that claims "no behaviour change" must reproduce ``baseline.json``
 exactly: counts, modes, routes and scales compare equal, log Z to 1e-12
 absolute. A cell whose run raises records the error. One known fault is
@@ -51,7 +51,7 @@ def cell_key(name, dim, preset):
 
 
 def observe_scales(problem, config):
-    """The scale triple ``run`` reads off its survey.
+    """The length scale ``run`` reads off its survey.
 
     Same generator (the first stream spawned off the seed), same active
     subproblem and survey budget as the pipeline.
@@ -61,7 +61,7 @@ def observe_scales(problem, config):
     report = precheck(problem, eps_flat=tol["eps_flat"], eps_soft=tol["eps_soft"])
     active = active_subproblem(problem, report)
     est = estimate_scales(survey(active, rng, n_coarse=bud["n_coarse"]), active.bounds)
-    return {"lam": [float(x).hex() for x in est.as_tuple()], "fallback": est.fallback}
+    return {"lam": float(est.lam_fine).hex(), "fallback": est.fallback}
 
 
 def observe(name, dim, preset):

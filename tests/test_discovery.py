@@ -15,13 +15,8 @@ from laplev.discovery import (
     Ray,
     RayBank,
     RaySamples,
-    ScaleEstimate,
-    _candidates,
-    _kappa_rays,
+    _champion_width,
     _points_along,
-    _profiles,
-    _reseed_from_unconverged,
-    _reseed_orthonormal,
     _sample_rays,
     _smoothed_ascent,
     discover_modes,
@@ -35,7 +30,9 @@ from laplev.discovery import (
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import fd_gradient
 from laplev.linalg import dedup_linf
+from laplev.precheck import active_subproblem, precheck
 from laplev.problem import BoundsBox, Problem
+from laplev.targets import get_target
 
 
 def box(d, lo=-5.0, hi=5.0):
@@ -269,196 +266,82 @@ def test_raybank_summary():
 # ---------------------------------------------------------------- scales
 
 
+def _ripple(x):
+    return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(2 * np.pi / 0.3 * x[:, 0])
+
+
+# Curvature of _ripple along x0 at a ripple crest: 1/100 + (2 pi / 0.3)^2 / 2.
+RIPPLE_WIDTH = (0.01 + 0.5 * (2 * np.pi / 0.3) ** 2) ** -0.5
+
+
 def test_scales_pure_quadratic_gives_equal_triple():
+    # A quadratic's three-point second difference is exact for any arms, so
+    # every readable ray reads the same width, sigma, and so does the scale
+    # reduced over them (once the fine, mid and coarse ends of a triple).
     sigma = 0.7
     p = gaussian_problem(3, sig2=sigma**2)
     bank = survey(p, np.random.default_rng(9))
+    widths = np.array([_champion_width(r) for r in bank.rays if not r.dead])
+    widths = widths[np.isfinite(widths)]
+    assert widths.size > 1
+    np.testing.assert_allclose(widths, sigma, rtol=1e-9)
     est = estimate_scales(bank, p.bounds)
     assert not est.fallback
-    assert est.lam_fine == est.lam_mid == est.lam_coarse
-    assert sigma / 2 < est.lam_fine < sigma * 2
+    assert est.lam_fine == pytest.approx(sigma, rel=1e-9)
 
 
 def test_scales_two_scale_profile_finds_fine_scale():
-    # Gaussian envelope (sigma = 10) carrying a short ripple: the finest
-    # detected scale must sit in the ripple band, far below the envelope.
-    omega = 2 * np.pi / 0.3
-
-    def fn(x):
-        return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(omega * x[:, 0])
-
-    p = Problem(fn, box(2, -10, 10))
+    # Gaussian envelope (sigma = 10) carrying a short ripple: the scale
+    # must sit at the ripple crests' width, far below the envelope.
+    p = Problem(_ripple, box(2, -10, 10))
     bank = survey(p, np.random.default_rng(13))
     est = estimate_scales(bank, p.bounds)
     assert not est.fallback
-    assert 0.01 <= est.lam_fine <= 0.45
-    assert est.lam_fine <= est.lam_mid <= est.lam_coarse
+    assert RIPPLE_WIDTH / 2 <= est.lam_fine <= 2 * RIPPLE_WIDTH
 
 
 def test_scales_fallback_when_no_usable_rays():
     bank = RayBank()
     est = estimate_scales(bank, box(2, -5, 5))
     assert est.fallback
-    np.testing.assert_allclose(est.as_tuple(), (1e-2, 1e-1, 1e0))
+    assert est.lam_fine == pytest.approx(1e-2)
 
 
 def test_scales_cigar_detects_stiff_axis():
+    # Every ray direction reads a width of at least the stiff sigma, 1e-3;
+    # the ray closest to the stiff axis reads it.
     sig2 = np.array([1.0, 1e-6])
     p = gaussian_problem(2, sig2=sig2)
     bank = survey(p, np.random.default_rng(21))
     est = estimate_scales(bank, p.bounds)
-    assert est.lam_fine < 0.05  # stiff sigma = 1e-3; must be well below 1
+    assert 1e-3 * (1 - 1e-9) <= est.lam_fine <= 2e-3
 
 
-def _nearest_index_reference(s, targets):
-    pos = np.searchsorted(s, targets)
-    lo = np.clip(pos - 1, 0, s.size - 1)
-    hi = np.clip(pos, 0, s.size - 1)
-    pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
-    return np.where(pick_hi, hi, lo)
+def pipeline_scale(problem, seed):
+    """The scale ``run`` reads off its survey at ``seed`` with default settings.
 
-
-def _series_reference(bank):
-    """Usable rays' (s, v) profiles, one ray at a time."""
-    series = []
-    for r in bank.rays:
-        if r.dead:
-            continue
-        finite = np.isfinite(r.logl)
-        if int(finite.sum()) < 8:
-            continue
-        s = r.t[finite] * float(np.linalg.norm(r.ray.end - r.ray.start))
-        v = r.logl[finite]
-        keep = np.concatenate([[True], np.diff(s) > 0])
-        series.append((s[keep], v[keep]))
-    return series
-
-
-def _estimate_scales_reference(bank, bounds, n_h=24, match_tol=0.3,
-                               slope_threshold=-0.5):
-    """The per-(ray, h) loop ``estimate_scales`` must reproduce bit for bit."""
-    series = _series_reference(bank)
-
-    mean_width = float(np.mean(bounds.widths))
-    if not series:
-        return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width, 1e-1 * mean_width,
-                             True, np.zeros(0), np.zeros(0))
-
-    spans = np.array([s[-1] - s[0] for s, _ in series])
-    gaps = [np.min(np.diff(s)) for s, _ in series if s.size > 1]
-    h_hi = float(spans.max()) / 2.0
-    h_lo = max(float(min(gaps)), 1e-9 * h_hi)
-    if h_lo >= h_hi:
-        h_lo = h_hi / 1e3
-    hs = np.geomspace(h_lo, h_hi, n_h)
-
-    kappa = np.full(n_h, np.nan)
-    drops = []
-    for s, v in series:
-        span = s[-1] - s[0]
-        kappa_ray = np.full(n_h, np.nan)
-        for k, h in enumerate(hs):
-            if h > span / 2.0:
-                continue
-            ip = _nearest_index_reference(s, s + h)
-            im = _nearest_index_reference(s, s - h)
-            a = s[ip] - s
-            b = s - s[im]
-            ok = (
-                (np.abs(a - h) <= match_tol * h)
-                & (np.abs(b - h) <= match_tol * h)
-                & (a > 0)
-                & (b > 0)
-            )
-            if not ok.any():
-                continue
-            aa, bb = a[ok], b[ok]
-            second = 2.0 * np.abs(
-                bb * v[ip][ok] - (aa + bb) * v[ok] + aa * v[im][ok]
-            ) / (aa * bb * (aa + bb))
-            kappa_ray[k] = float(second.max())
-        live = np.flatnonzero(np.isfinite(kappa_ray) & (kappa_ray > 0))
-        if live.size >= 2:
-            lh = np.log(hs[live])
-            lk = np.log(kappa_ray[live])
-            slopes = np.diff(lk) / np.diff(lh)
-            for j in np.flatnonzero(slopes < slope_threshold):
-                h_mid = float(np.sqrt(hs[live[j]] * hs[live[j + 1]]))
-                drops.append((float(slopes[j]), h_mid))
-        upd = np.isfinite(kappa_ray) & (np.isnan(kappa) | (kappa_ray > kappa))
-        kappa[upd] = kappa_ray[upd]
-
-    found = []
-    if drops:
-        drops.sort(key=lambda p: p[0])
-        found = sorted(h for _, h in drops[:3])
-
-    if not found:
-        if not np.isfinite(kappa).any() or np.nanmax(kappa) <= 0:
-            return ScaleEstimate(1e-3 * mean_width, 1e-2 * mean_width,
-                                 1e-1 * mean_width, True, hs, kappa)
-        lam = 1.0 / float(np.sqrt(np.nanmax(kappa)))
-        found = [lam]
-    while len(found) < 3:
-        found.append(found[-1])
-    return ScaleEstimate(found[0], found[1], found[2], False, hs, kappa)
-
-
-def _nearest_index(s: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(s, targets)
-    lo = np.maximum(pos - 1, 0)
-    hi = np.minimum(pos, s.size - 1)
-    pick_hi = np.abs(s[hi] - targets) < np.abs(s[lo] - targets)
-    return np.where(pick_hi, hi, lo)
-
-
-def _ray_kappa(s, v, hs, match_tol) -> np.ndarray:
-    """Spikiest matched second difference along one ray, for every h in ``hs``.
-
-    All h values that fit in half the ray's span are handled at once, on an
-    (h, sample) grid. NaN where h does not fit or no sample has both
-    neighbours within ``match_tol * h`` of distance h.
+    Same generator (the first stream spawned off the seed) and the same
+    active subproblem as the pipeline.
     """
-    kappa = np.full(hs.size, np.nan)
-    fit = hs <= (s[-1] - s[0]) / 2.0
-    h = hs[fit, None]
-    tol = match_tol * h
-    ip = _nearest_index(s, s + h)
-    im = _nearest_index(s, s - h)
-    a = s[ip] - s  # actual forward offset
-    b = s - s[im]  # actual backward offset
-    ok = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
-    # Three-point second derivative with unequal arms; this form cancels
-    # the first-derivative term that a plain (v+ - 2v + v-)/h^2 leaks when
-    # the matched neighbors sit asymmetrically, which would otherwise fake
-    # a curvature rise at small h. Unmatched entries get unit arms so they
-    # stay finite; the mask drops them.
-    aa = np.where(ok, a, 1.0)
-    bb = np.where(ok, b, 1.0)
-    second = 2.0 * np.abs(
-        bb * v[ip] - (aa + bb) * v + aa * v[im]
-    ) / (aa * bb * (aa + bb))
-    peak = np.where(ok, second, -np.inf).max(axis=1)
-    kappa[fit] = np.where(ok.any(axis=1), peak, np.nan)
-    return kappa
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+    active = active_subproblem(problem, precheck(problem))
+    return estimate_scales(survey(active, rng), active.bounds)
 
 
-def _ray_matches(s, hs, match_tol) -> np.ndarray:
-    """The (h, sample) cells ``_ray_kappa`` counts as matched."""
-    matched = np.zeros((hs.size, s.size), dtype=bool)
-    fit = hs <= (s[-1] - s[0]) / 2.0
-    h = hs[fit, None]
-    tol = match_tol * h
-    ip = _nearest_index(s, s + h)
-    im = _nearest_index(s, s - h)
-    a = s[ip] - s
-    b = s - s[im]
-    matched[fit] = (np.abs(a - h) <= tol) & (np.abs(b - h) <= tol) & (a > 0) & (b > 0)
-    return matched
-
-
-def _ripple(x):
-    return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(2 * np.pi / 0.3 * x[:, 0])
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name,dim,width", [
+    ("gaussian", 8, 1.0), ("cigar", 8, 1e-3), ("cigar", 32, 1e-3),
+    ("correlated", 16, 0.5**0.5), ("mixture4", 4, 1.0), ("mixture4", 8, 1.0),
+    ("mixture4", 16, 1.0), ("eggbox", 2, 405**-0.5), ("ripple", 2, RIPPLE_WIDTH),
+])
+def test_scale_within_twice_the_smallest_true_width(name, dim, width, seed):
+    if name == "ripple":
+        problem = Problem(_ripple, box(2, -10, 10))
+    else:
+        problem = get_target(name, dim).problem
+    est = pipeline_scale(problem, seed)
+    assert not est.fallback
+    assert width / 2 <= est.lam_fine <= 2 * width
 
 
 def _samples(ray, t, v, dead=False):
@@ -487,28 +370,6 @@ def _ragged_bank():
     return bank
 
 
-def _single_ray_bank():
-    """One usable ray beside a dead one and one with only 7 finite values."""
-    t = np.sort(np.random.default_rng(5).random(50))
-    v = np.sin(9.0 * t) - 4.0 * t * t
-    seven = np.full(20, -np.inf)
-    seven[:7] = 0.0
-    return RayBank([_samples(UNIT, np.linspace(0, 1, 20), np.full(20, -np.inf), dead=True),
-                    _samples(UNIT, t, v),
-                    _samples(UNIT, np.linspace(0, 1, 20), seven)])
-
-
-def _short_rays_bank():
-    """One long ray and many short ones that fit only the smallest h."""
-    rng = np.random.default_rng(8)
-    bank = RayBank()
-    for length in (20.0, 0.02, 0.05, 0.003, 0.4, 0.01):
-        ray = Ray(RAY_SUN, np.zeros(2), np.array([length, 0.0]))
-        t = np.sort(rng.random(64))
-        bank.rays.append(_samples(ray, t, -0.5 * (t * length - 0.2) ** 2 / 0.01))
-    return bank
-
-
 def _scales_banks():
     yield gaussian_problem(3, sig2=0.7**2).bounds, survey(
         gaussian_problem(3, sig2=0.7**2), np.random.default_rng(9))
@@ -519,101 +380,45 @@ def _scales_banks():
     yield box(2), _ragged_bank()
     half = Problem(_corner_only, box(3))
     yield half.bounds, survey(half, np.random.default_rng(4))
-    yield box(1, 0, 1), _single_ray_bank()
-    yield box(2, -20, 20), _short_rays_bank()
 
 
-MATCH_TOLS = (0.05, 0.3, 0.99, 1.5)
+def test_champion_width_uses_unequal_arms():
+    # Uneven samples over a quadratic: the best sample's arms differ, and
+    # the unequal-arm second difference still reads sigma.
+    t = np.sort(np.random.default_rng(2).random(40))
+    sigma, mu = 0.05, float(t[17] + 0.3 * (t[18] - t[17]))
+    r = _samples(UNIT, t, -0.5 * (t - mu) ** 2 / sigma**2)
+    assert np.argmax(r.logl) == 17
+    assert t[18] - t[17] != t[17] - t[16]
+    assert _champion_width(r) == pytest.approx(sigma, rel=1e-9)
+    # Arc length, not t: the same profile on a ray three times as long.
+    long = Ray(RAY_W2W, np.array([0.0]), np.array([3.0]))
+    r3 = _samples(long, t, -0.5 * (3 * (t - mu)) ** 2 / sigma**2)
+    assert _champion_width(r3) == pytest.approx(sigma, rel=1e-9)
 
 
-@pytest.mark.parametrize("case", range(7))
-def test_estimate_scales_bitwise_equal_to_per_h_loop(case):
-    bounds, bank = list(_scales_banks())[case]
-    for match_tol in MATCH_TOLS:
-        got = estimate_scales(bank, bounds, match_tol=match_tol)
-        ref = _estimate_scales_reference(bank, bounds, match_tol=match_tol)
-        assert np.array(got.as_tuple()).tobytes() == np.array(ref.as_tuple()).tobytes()
-        assert got.fallback == ref.fallback
-        assert got.h.tobytes() == ref.h.tobytes()
-        assert got.kappa.tobytes() == ref.kappa.tobytes()
-
-
-@pytest.mark.parametrize("match_tol", MATCH_TOLS)
-@pytest.mark.parametrize("case", range(7))
-def test_kappa_rays_bitwise_equal_to_ray_kappa(case, match_tol):
-    bounds, bank = list(_scales_banks())[case]
-    series = _series_reference(bank)
-    s_pad, v_pad, n = _profiles(bank)
-    assert n.tolist() == [s.size for s, _ in series]
-    for row, m, (s, v) in zip(zip(s_pad, v_pad), n, series):
-        assert row[0][1:m + 1].tobytes() == s.tobytes()
-        assert row[1][1:m + 1].tobytes() == v.tobytes()
-    hs = estimate_scales(bank, bounds, match_tol=match_tol).h
-    want = np.array([_ray_kappa(s, v, hs, match_tol) for s, v in series])
-    assert _kappa_rays(s_pad, v_pad, n, hs, match_tol).tobytes() == want.tobytes()
-
-
-def _boundary_bank(h, match_tol):
-    """Triplets whose right arm walks across the match bound ulp by ulp.
-
-    Each centre c has a left neighbour at c - h and a right one a few ulps
-    of c either side of c + (1 +- match_tol) h. From match_tol = 1 on, an
-    arm that long loses the nearest-sample pick to c itself, so the walk
-    crosses c + 2 h instead, where that pick flips. Triplets sit far apart.
-    """
-    t = []
-    c = 0.25
-    arms = [(1.0 + match_tol) * h, (1.0 - match_tol) * h] if match_tol < 1 else [2.0 * h]
-    for arm in arms:
-        for k in range(-4, 5):
-            right = c + arm
-            for _ in range(abs(k)):
-                right = np.nextafter(right, np.inf if k > 0 else -np.inf)
-            t += [c - h, c, right]
-            c += 8.0 * (1.0 + match_tol) * h
-    t = np.array(t)
-    return RayBank([_samples(UNIT, t, np.cos(40.0 * t) + t)])
-
-
-@pytest.mark.parametrize("match_tol", MATCH_TOLS)
-def test_kappa_rays_at_the_match_bound(match_tol):
-    h = 0.003
-    bank = _boundary_bank(h, match_tol)
-    (s, v), = _series_reference(bank)
-    hs = np.array([h / 2, h, 1.7 * h])
-    matched = _ray_matches(s, hs, match_tol)[1, 1::3]  # the centres at h
-    assert matched.any() and not matched.all()
-    s_pad, v_pad, n = _profiles(bank)
-    assert _candidates(s_pad, n, hs, match_tol)[0, 1, 2::3][matched].all()
-    want = _ray_kappa(s, v, hs, match_tol)[None]
-    assert _kappa_rays(s_pad, v_pad, n, hs, match_tol).tobytes() == want.tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=4),
-    st.one_of(st.sampled_from((0.0, 0.05, 0.3, 0.99, 1.0, 1.5)), st.floats(0.0, 2.0)),
-    st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-1.0, 0.0, 1.0)),
-                       st.integers(-3, 3), st.floats(1e-6, 0.3)),
-             min_size=8, max_size=60),
-)
-def test_candidate_filter_keeps_every_reference_match(hs, match_tol, steps):
-    # Gaps land near (1 +- match_tol) h for one of the h, give or take a
-    # few ulps, or anywhere in [1e-6, 0.3].
-    hs = np.array(hs)
-    t = [0.0]
-    for j, sign, ulps, free in steps:
-        gap = (1.0 + sign * match_tol) * hs[j % hs.size] if sign else free
-        nxt = t[-1] + abs(gap)
-        for _ in range(abs(ulps)):
-            nxt = np.nextafter(nxt, np.inf if ulps > 0 else -np.inf)
-        t.append(max(nxt, t[-1]))
-    bank = RayBank([_samples(UNIT, t, np.zeros(len(t)))])
-    s_pad, _, n = _profiles(bank)
-    (s, _), = _series_reference(bank)
-    matched = _ray_matches(s, hs, match_tol)
-    cand = _candidates(s_pad, n, hs, match_tol)[0, :, 1:n[0] + 1]
-    assert not (matched & ~cand).any()
+def test_champion_width_unreadable_cases():
+    t = np.linspace(0.0, 1.0, 9)
+    bowl = -0.5 * (t - 0.5) ** 2 / 0.1**2
+    cases = {
+        "best at the ray end": -t,
+        "neighbour not finite": np.where(t == 0.625, -np.inf, bowl),
+        "neighbour NaN": np.where(t == 0.375, np.nan, bowl),
+        "flat top, zero curvature": np.zeros(9),
+    }
+    for why, v in cases.items():
+        assert np.isnan(_champion_width(_samples(UNIT, t, v))), why
+    repeated = np.array([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
+    assert np.isnan(_champion_width(_samples(UNIT, repeated, -(repeated - 0.5) ** 2)))
+    # Only unreadable rays (and a dead one): the scale falls back.
+    bank = RayBank([_samples(UNIT, t, v) for v in cases.values()])
+    bank.rays.append(_samples(UNIT, t, np.full(9, -np.inf), dead=True))
+    est = estimate_scales(bank, box(1, 0, 1))
+    assert est.fallback and est.lam_fine == pytest.approx(1e-3)
+    # One readable ray among them sets the scale on its own.
+    bank.rays.append(_samples(UNIT, t, bowl))
+    est = estimate_scales(bank, box(1, 0, 1))
+    assert not est.fallback and est.lam_fine == pytest.approx(0.1, rel=1e-9)
 
 
 # ---------------------------------------------------------------- seeds
@@ -739,29 +544,6 @@ def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
     want = _smoothed_ascent_reference(p, start, 0.05, n_cloud, k,
                                       np.random.default_rng(4))
     assert got.tobytes() == want.tobytes()
-
-
-def test_reseed_from_unconverged_distance_band():
-    rng = np.random.default_rng(5)
-    b = box(3, -100, 100)
-    base = np.zeros((1, 3))
-    out = _reseed_from_unconverged(rng, 200, base, lam_mid=1.0, lam_coarse=2.0, bounds=b)
-    dist = np.linalg.norm(out, axis=1)
-    assert np.all(dist >= 1.0 - 1e-12) and np.all(dist <= 2.0 + 1e-12)
-
-
-def test_reseed_orthonormal_directions():
-    # Signed spokes: +q0, -q0, +q1, ... around the peak, all unit length,
-    # pairwise either orthogonal or exact opposites.
-    rng = np.random.default_rng(6)
-    b = box(4, -100, 100)
-    peaks = np.zeros((1, 4))
-    out = _reseed_orthonormal(rng, 4, peaks, lam_coarse=2.0, bounds=b)
-    u = out / 2.0
-    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(u[0], -u[1], atol=1e-12)
-    np.testing.assert_allclose(u[2], -u[3], atol=1e-12)
-    assert abs(np.dot(u[0], u[2])) < 1e-12
 
 
 # ---------------------------------------------------------------- search

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
-                           NoModesFoundError)
+                           LaplevError, NoModesFoundError)
 from laplev.pipeline import (
     DEFAULT_BUDGETS,
     DEFAULT_TOLERANCES,
@@ -211,11 +211,25 @@ def test_permutation_equivariance_on_axis_aligned_target():
 
 
 def test_no_modes_error_carries_stage_and_bank_summary():
-    target = get_target("funnel-3", 4)
+    # At d=8 the funnel's neck is too narrow for any sample to stick.
+    target = get_target("funnel-3", 8)
     with pytest.raises(NoModesFoundError) as excinfo:
         run(target.problem, preset_config("slow", seed=1))
     assert excinfo.value.stage == "discover"
     assert "survey held" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+def test_low_dim_funnel_refuses_or_warns(dim):
+    # At d <= 5 the search can reach the funnel's neck; the Gaussian step
+    # there misses most of the mass, so an answer must say so.
+    target = get_target("funnel-3", dim)
+    try:
+        res = run(target.problem, preset_config("slow", seed=1))
+    except LaplevError as err:
+        assert err.stage is not None
+        return
+    assert "heavy-tail geometry detected" in res.warnings
 
 
 def test_all_pathological_coordinates_raise_at_precheck():
