@@ -38,6 +38,8 @@ print(f"geometry        : {m.verdict.decision} -> {m.hessian_kind} Hessian, "
       f"condition {m.condition_number:.2f}")
 print(f"evaluations     : {sum(result.eval_counts.values())} "
       f"{result.eval_counts}")
+print(f"likelihood calls: {sum(result.call_counts.values())} "
+      f"{result.call_counts}")
 print()
 print("canonical JSON (byte-stable across reruns):")
 print(result_json(result, indent=2)[:400] + " ...")

@@ -10,7 +10,8 @@ Typical use::
 
 ``log_likelihood_fn`` takes an (N, d) array and returns N log-likelihood
 values; everything downstream is batched, deterministic for a fixed
-(seed, config), and accounted for in ``result.eval_counts``.
+(seed, config), and accounted for in ``result.eval_counts`` (evaluations)
+and ``result.call_counts`` (batched calls).
 """
 
 from .errors import (CenterEvaluationError, DegenerateProblemError,

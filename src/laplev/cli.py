@@ -57,9 +57,10 @@ def _print_summary(target, res, wall_s, out):
                   file=out)
     for w in res.warnings:
         print(f"warning: {w}", file=out)
-    evals = sum(res.eval_counts.values())
-    print(f"evaluations  {evals}  ({', '.join(f'{k}={v}' for k, v in res.eval_counts.items())})",
-          file=out)
+    for label, counts in (("evaluations", res.eval_counts),
+                          ("calls", res.call_counts)):
+        print(f"{label:<12} {sum(counts.values())}  "
+              f"({', '.join(f'{k}={v}' for k, v in counts.items())})", file=out)
     print(f"wall time    {wall_s * 1e3:.0f} ms  seed {res.seed}", file=out)
 
 

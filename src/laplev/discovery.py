@@ -51,9 +51,12 @@ def _points_along(start, end, t) -> np.ndarray:
     """``start + t (end - start)``, with a coordinate axis appended to ``t``.
 
     The one formula for positions on rays, so the survey and the seed picks
-    agree bit for bit.
+    agree bit for bit. The sum is built in place; addition commutes, so
+    every point has the bits of ``start + t (end - start)``.
     """
-    return start + np.asarray(t, dtype=np.float64)[..., None] * (end - start)
+    out = np.multiply(np.asarray(t, dtype=np.float64)[..., None], end - start)
+    out += start
+    return out
 
 
 @dataclass

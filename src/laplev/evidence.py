@@ -112,6 +112,7 @@ class EvidenceResult:
     modes: list
     precheck: object
     eval_counts: dict
+    call_counts: dict
     warnings: list
     # Filled by the pipeline; absent on direct module use. timings_ms is
     # hardware noise and therefore excluded from the canonical dictionary.
@@ -127,6 +128,7 @@ class EvidenceResult:
             "modes": [m.to_dict() for m in self.modes],
             "precheck": self.precheck.to_dict(),
             "eval_counts": {k: int(v) for k, v in self.eval_counts.items()},
+            "call_counts": {k: int(v) for k, v in self.call_counts.items()},
             "warnings": list(self.warnings),
         }
         if self.config_echo is not None:
@@ -367,7 +369,7 @@ def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
 
 
 def combine(mode_evidences, precheck, bounds, *, eval_counts=None,
-            warnings=()):
+            call_counts=None, warnings=()):
     """Total evidence: log-sum-exp over modes plus pathological-axis mass.
 
     ``bounds`` must be the FULL original parameter box (not the active
@@ -388,5 +390,6 @@ def combine(mode_evidences, precheck, bounds, *, eval_counts=None,
         modes=modes,
         precheck=precheck,
         eval_counts=dict(eval_counts or {}),
+        call_counts=dict(call_counts or {}),
         warnings=all_warnings,
     )

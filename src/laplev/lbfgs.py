@@ -11,6 +11,11 @@ the curvature pairs are gated and stored for all moved rows at once. Row
 dot products go through ``_row_dot`` so every row rounds exactly as a
 per-sample ``np.dot`` would.
 
+A sample that ends a step where it started is frozen: its position, value,
+gradient and history are unchanged, so every later step would replay the
+same failed search. For an evaluator whose row values do not depend on the
+batch, freezing it removes only evaluations that cannot change any row.
+
 Internally the math runs in minimization convention on f = -logl; the
 public surface (gradients, monotonicity, convergence checks) speaks in
 log-likelihood terms throughout.
@@ -240,8 +245,12 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     Directions, line-search transitions and curvature-pair updates run as
     array operations across the batch; each sample still follows its own
     history and its own line search. The backtracking line search shares
-    evaluator batches across samples round by round. Samples whose search
-    exhausts its budget simply stay put. Returns the boolean mask of rows
+    evaluator batches across samples round by round. A sample leaves the
+    search early once its candidate lands on its own position before any
+    candidate was accepted: every later trial step is no longer, so it
+    cannot leave either. Every sample that ends the step unmoved (no descent
+    direction, a dropped or exhausted search) is frozen, since a replay from
+    the same state would fail the same way. Returns the boolean mask of rows
     that moved.
     """
     moved = np.zeros(state.n, dtype=bool)
@@ -312,7 +321,13 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
         new_theta[hit] = best_pos[sel]
         new_logl[hit] = best_val[sel]
         moved[hit] = True
-        searching = searching[~accept]
+        # A candidate that rounded or clipped back onto its own position,
+        # with nothing accepted yet: no later trial step is longer than the
+        # next one (only a phase-0 fit may aim longer, hence the alpha
+        # check), so every later candidate lands there too and fails.
+        stuck = (~displaced & (best_val[searching] == -np.inf)
+                 & (alpha[searching] <= a))
+        searching = searching[~(accept | stuck)]
 
     rows = np.flatnonzero(moved)
     if rows.size:
@@ -324,20 +339,20 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
         state.bad_grad[rows] |= bad
+    state.frozen[active] |= ~moved[active]
     return moved
 
 
 def run_batch(problem, theta0, iterations, tol, widths=None) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
-    A sample freezes once its gradient sup-norm drops below ``tol``; the
-    loop ends early when every sample is frozen or nothing moved.
+    A sample freezes once its gradient sup-norm drops below ``tol`` or a
+    step leaves it unmoved; the loop ends early when every sample is frozen.
     """
     state = make_state(problem, theta0, widths=widths)
     for _ in range(int(iterations)):
         state.freeze(state.grad_inf() < tol)
         if state.frozen.all():
             break
-        if not step_batch(state, problem).any():
-            break
+        step_batch(state, problem)
     return state

@@ -128,21 +128,26 @@ def preset_config(name, *, seed=0, reduce=False, **overrides) -> PipelineConfig:
 
 
 class _Meter:
-    """Per-stage evaluation and wall-time bookkeeping."""
+    """Per-stage evaluation, likelihood-call and wall-time bookkeeping."""
 
     def __init__(self, problem):
         self.problem = problem
         self.counts = {}
+        self.calls = {}
         self.timings = {}
         self._mark = problem.eval_counter
+        self._call_mark = problem.call_counter
         self._tick = time.perf_counter()
 
     def close(self, stage) -> None:
         now_evals = self.problem.eval_counter
+        now_calls = self.problem.call_counter
         now_time = time.perf_counter()
         self.counts[stage] = self.counts.get(stage, 0) + (now_evals - self._mark)
+        self.calls[stage] = self.calls.get(stage, 0) + (now_calls - self._call_mark)
         self.timings[stage] = self.timings.get(stage, 0.0) + 1e3 * (now_time - self._tick)
         self._mark = now_evals
+        self._call_mark = now_calls
         self._tick = now_time
 
 
@@ -154,10 +159,11 @@ def _tag(err: LaplevError, stage: str) -> LaplevError:
 def run(problem, config: PipelineConfig):
     """Execute every stage and combine the evidence.
 
-    Returns the combined result with per-stage evaluation counts (summing
-    exactly to the problem's total), per-stage wall times, the config echo,
-    and mode locations mapped back to the full coordinate space. Stage
-    errors propagate with a ``stage`` attribute naming the failing stage.
+    Returns the combined result with per-stage evaluation and likelihood-call
+    counts (each summing exactly to the problem's total), per-stage wall
+    times, the config echo, and mode locations mapped back to the full
+    coordinate space. Stage errors propagate with a ``stage`` attribute
+    naming the failing stage.
     """
     tol, bud = config.tolerances, config.budgets
     streams = np.random.SeedSequence(config.seed).spawn(4)
@@ -265,7 +271,8 @@ def run(problem, config: PipelineConfig):
 
     try:
         result = combine(modes, report, problem.bounds,
-                         eval_counts=meter.counts, warnings=warnings)
+                         eval_counts=meter.counts, call_counts=meter.calls,
+                         warnings=warnings)
     except LaplevError as err:
         raise _tag(err, "combine")
     result.config_echo = config.echo()

@@ -68,10 +68,11 @@ class Problem:
     """A log-likelihood bound to a box, with exact evaluation accounting.
 
     ``fn`` maps an (N, d) float64 array to an (N,) float64 array and must be
-    pure: no state, no dependence on call order. The counter increments by
-    exactly N per batch. ``peak_logl`` tracks the running maximum over every
-    value the problem has ever returned, which the mode search uses as its
-    global reference height.
+    pure: no state, no dependence on call order. The evaluation counter
+    increments by exactly N per batch and the call counter by one.
+    ``peak_logl`` tracks the running maximum over every value the problem
+    has ever returned, which the mode search uses as its global reference
+    height.
     """
 
     def __init__(self, fn, bounds: BoundsBox, name: str = ""):
@@ -79,6 +80,7 @@ class Problem:
         self.bounds = bounds
         self.name = name
         self._count = 0
+        self._calls = 0
         self._lock = threading.Lock()
         self._peak = -np.inf
 
@@ -89,6 +91,10 @@ class Problem:
     @property
     def eval_counter(self) -> int:
         return self._count
+
+    @property
+    def call_counter(self) -> int:
+        return self._calls
 
     @property
     def peak_logl(self) -> float:
@@ -107,6 +113,7 @@ class Problem:
         vals = vals.reshape(n)
         with self._lock:
             self._count += n
+            self._calls += 1
             finite = vals[np.isfinite(vals)]
             if finite.size:
                 m = float(finite.max())
@@ -123,8 +130,8 @@ class SubProblem:
     """View of a problem restricted to a subset of coordinates.
 
     The remaining coordinates are pinned at fixed values. Evaluations flow
-    through to the parent problem, so the parent's counter stays the single
-    source of truth for accounting.
+    through to the parent problem, so the parent's counters stay the single
+    source of truth for accounting: each batch counts as one call there.
     """
 
     parent: Problem

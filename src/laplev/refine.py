@@ -132,8 +132,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         state.freeze(state.grad_inf() < grad_tol)
         if state.frozen.all():
             break
-        if not step_batch(state, problem).any():
-            break
+        step_batch(state, problem)
 
     reasons = {"nonfinite_start": 0, "gradient": 0, "hessian_nonfinite": 0,
                "saddle": 0}

@@ -30,6 +30,7 @@ def test_run_success_prints_summary(capsys):
     assert "log Z" in out
     assert "rel error" in out
     assert "evaluations" in out
+    assert "\ncalls        " in out
 
 
 def test_unknown_problem_exits_2(capsys):
@@ -71,7 +72,7 @@ def test_run_writes_json_result(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(path.read_text())
     for key in ("log_z", "log_z_vs_prior", "modes", "precheck",
-                "eval_counts", "warnings", "config_echo", "seed",
+                "eval_counts", "call_counts", "warnings", "config_echo", "seed",
                 "reduction", "timings_ms"):
         assert key in doc
     # The file must agree exactly with an in-process run (determinism).

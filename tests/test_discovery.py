@@ -254,6 +254,21 @@ def test_survey_all_rays_dead_makes_one_call():
     assert rng.random() == rng_loop.random()
 
 
+@pytest.mark.parametrize("ray_shape, t_shape", [
+    ((68, 1, 128), (68, 64)),   # the survey's (ray, sample) grid
+    ((30, 7), (30,)),           # one t per picked seed
+    ((5,), (9,)),               # one ray
+])
+def test_points_along_is_bitwise_the_textbook_sum(ray_shape, t_shape):
+    rng = np.random.default_rng(4)
+    start = rng.normal(size=ray_shape) * 10.0 ** rng.uniform(-5, 5, size=ray_shape)
+    end = rng.normal(size=ray_shape)
+    t = rng.random(t_shape)
+    want = start + t[..., None] * (end - start)
+    got = _points_along(start, end, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- ray bank
 
 

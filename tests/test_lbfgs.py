@@ -285,12 +285,41 @@ def test_row_dot_is_bitwise_np_dot():
         assert got.tobytes() == want.tobytes(), d
         norms = np.array([np.linalg.norm(x) for x in b])
         assert np.sqrt(_row_dot(b, b)).tobytes() == norms.tobytes(), d
+        # Strided row views of an (N, age, d) history, such as S[:, age].
+        hist = rng.standard_normal((64, 3, d)) * scale[:, :, None]
+        for age in range(3):
+            view = hist[:, age]
+            want = np.array([np.dot(x, y) for x, y in zip(view, b)])
+            assert _row_dot(view, b).tobytes() == want.tobytes(), (d, age)
+            assert _row_dot(b, view).tobytes() == want.tobytes(), (d, age)
+
+
+def test_corner_row_pointing_out_of_the_box_costs_one_round():
+    # Ascent points out of the box on both axes, so the clipped candidate
+    # is the corner itself and every shorter step would clip back onto it.
+    problems = [quad_problem([9.5, -9.5], np.eye(2), lo=-2.0, hi=2.0)
+                for _ in range(2)]
+    p_new, p_ref = problems
+    s_new, s_ref = (make_state(p, [[2.0, -2.0]]) for p in problems)
+    before = (p_new.call_counter, p_new.eval_counter)
+    moved = step_batch(s_new, p_new)
+    assert not moved[0] and s_new.frozen[0]
+    assert (p_new.call_counter - before[0], p_new.eval_counter - before[1]) == (1, 1)
+    # The per-sample step spends the whole backtracking budget instead.
+    calls = p_ref.call_counter
+    _step_batch_reference(s_ref, p_ref)
+    assert p_ref.call_counter - calls == MAX_BACKTRACK
+    # A frozen row costs nothing after.
+    step_batch(s_new, p_new)
+    assert p_new.call_counter - before[0] == 1
 
 
 # --- Per-sample reference -------------------------------------------------
 # A verbatim copy of the per-sample L-BFGS step that the batched step_batch
 # replaced (the BatchState methods became functions of the state). The
-# batched code must reproduce it byte for byte.
+# batched code must reproduce it byte for byte, apart from freezing the rows
+# a step leaves unmoved and skipping the evaluations a replay of their
+# search would spend.
 
 
 def _two_loop(g_f, s_hist, y_hist) -> np.ndarray:
@@ -501,13 +530,24 @@ def _seed_history(state, rng):
         state.pairs_total[k] = total
 
 
-def _state_bytes(state, moved):
-    return (
+def _state_bytes(state, moved=None):
+    """State bytes; the frozen mask and ``moved`` too when ``moved`` is given."""
+    out = (
         state.theta.tobytes(), state.logl.tobytes(), state.grad.tobytes(),
         state.s_ring.tobytes(), state.y_ring.tobytes(),
         state.pairs_total.tobytes(), state.gamma.tobytes(),
-        state.bad_grad.tobytes(), state.frozen.tobytes(), moved.tobytes(),
+        state.bad_grad.tobytes(),
     )
+    return out if moved is None else out + (state.frozen.tobytes(), moved.tobytes())
+
+
+def _rugged_start(rng, n, d):
+    theta0 = rng.uniform(-1.6, 1.6, size=(n, d))
+    theta0[0, -1] = -1.9          # starts in the -inf region: frozen at intake
+    theta0[1] = 2.0               # starts on the box corner
+    theta0[2] = -2.0
+    theta0[3] = 0.3 * theta0[3]
+    return theta0
 
 
 @pytest.mark.parametrize("hinted", [False, True])
@@ -516,11 +556,7 @@ def _state_bytes(state, moved):
 def test_step_batch_matches_per_sample_reference(memory, d, hinted):
     rng = np.random.default_rng(100 * memory + d)
     n = 12
-    theta0 = rng.uniform(-1.6, 1.6, size=(n, d))
-    theta0[0, -1] = -1.9          # starts in the -inf region: frozen at intake
-    theta0[1] = 2.0               # starts on the box corner
-    theta0[2] = -2.0
-    theta0[3] = 0.3 * theta0[3]
+    theta0 = _rugged_start(rng, n, d)
     widths = np.full(d, 0.05) if hinted else None  # gradient step floor
     fn, seen = _rugged(d)
     states, problems = [], []
@@ -535,6 +571,7 @@ def test_step_batch_matches_per_sample_reference(memory, d, hinted):
     intake_ninf = seen["ninf"]
     overwrites = 0
     frozen_beside_live = 0
+    left_unmoved = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for it in range(36):
@@ -545,7 +582,11 @@ def test_step_batch_matches_per_sample_reference(memory, d, hinted):
             frozen_beside_live += s_new.frozen.any() and (~s_new.frozen).any()
             full = s_new.pairs_total >= memory
             before = s_new.pairs_total.copy()
+            active = ~s_ref.frozen
             m_ref = _step_batch_reference(s_ref, p_ref)
+            # The freezing rule, applied to the reference from outside.
+            s_ref.freeze(active & ~m_ref)
+            left_unmoved += int(np.sum(active & ~m_ref))
             m_new = step_batch(s_new, p_new)
             assert _state_bytes(s_new, m_new) == _state_bytes(s_ref, m_ref), it
             assert p_new.eval_counter == p_ref.eval_counter, it
@@ -553,5 +594,30 @@ def test_step_batch_matches_per_sample_reference(memory, d, hinted):
     # The run covered what it is meant to cover.
     assert overwrites                 # pairs replaced the oldest slot of a full ring
     assert frozen_beside_live
+    assert left_unmoved or d == 1
     assert seen["face"] and seen["nan"]
     assert seen["ninf"] > intake_ninf or d == 1
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_frozen_searches_end_where_replays_end(d):
+    # Without outside help the reference replays every failed search until
+    # the loop ends; run_batch freezes those rows instead. The end state is
+    # the same to the bit and only the replayed evaluations are gone.
+    theta0 = _rugged_start(np.random.default_rng(d), 16, d)
+    fn, _ = _rugged(d)
+    p_ref = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
+    p_new = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s_new = run_batch(p_new, theta0, iterations=40, tol=1e-6)
+        # run_batch's loop as it was: stop when every row is frozen or a
+        # step moves nothing.
+        s_ref = make_state(p_ref, theta0)
+        for _ in range(40):
+            s_ref.freeze(s_ref.grad_inf() < 1e-6)
+            if s_ref.frozen.all() or not _step_batch_reference(s_ref, p_ref).any():
+                break
+    assert _state_bytes(s_new) == _state_bytes(s_ref)
+    assert p_new.eval_counter < p_ref.eval_counter
+    assert p_new.call_counter < p_ref.call_counter

@@ -115,6 +115,31 @@ def test_eval_accounting_sums_to_counter(name, dim, preset):
     assert sum(res.eval_counts.values()) == target.problem.eval_counter
 
 
+@pytest.mark.parametrize("name,dim,preset,reduce", [
+    ("gaussian", 8, "fast", False),
+    ("mixture4", 4, "conservative", True),
+    ("correlated", 8, "slow", False),
+])
+def test_call_accounting_counts_every_fn_call(name, dim, preset, reduce):
+    # A subproblem's batch reaches fn as one call and counts once.
+    def observe():
+        target = get_target(name, dim)
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape[0])
+            return target.problem.logl(x)
+
+        problem = Problem(counted, target.problem.bounds)
+        res = run(problem, preset_config(preset, seed=1, reduce=reduce))
+        assert sum(res.call_counts.values()) == len(calls) == problem.call_counter
+        assert sum(res.eval_counts.values()) == sum(calls)
+        assert set(res.call_counts) == set(res.eval_counts)
+        return result_json(res)
+
+    assert observe() == observe()
+
+
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_conservative_eggbox_finds_every_mode(seed):
     # The ripple the smoothed ascent exists for: without that step, or with
