@@ -57,6 +57,12 @@ def _print_summary(target, res, wall_s, out):
                   file=out)
     for w in res.warnings:
         print(f"warning: {w}", file=out)
+    sv = res.survey
+    counts = {k: sv[k] for k in ("v2v", "v2e", "w2w", "sunburst")}
+    fallback = " (fallback)" if sv["scale_fallback"] else ""
+    print(f"survey       {sum(counts.values())} rays "
+          f"({', '.join(f'{k}={v}' for k, v in counts.items())}), "
+          f"{sv['dead']} dead, scale {sv['scale']:.6g}{fallback}", file=out)
     for label, counts in (("evaluations", res.eval_counts),
                           ("calls", res.call_counts)):
         print(f"{label:<12} {sum(counts.values())}  "

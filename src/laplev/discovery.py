@@ -4,23 +4,25 @@ The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and how sharply the
 log-likelihood bends there. That survey costs two batched likelihood calls,
 one for every ray's coarse grid and one for every live ray's refill; reading
-the length scale and the seeds off it costs none. The length scale is the
-smallest profile width the rays show at their best samples. Then it runs a
-stick/release cycle: batches of seeds ascend until they stick to a peak,
-duplicates collapse, and every sample that did not stick climbs a few
-noise-smoothed gradient steps that hop over fine-scale ripple before the
-next ascent. Everything is driven by one seeded generator and batched
+the length scale and the seeds off it costs none. The samples sit in one
+``RayBank`` of arrays, one row per ray and one row of samples per live ray,
+so the scale and the seeds are read off every ray at once, in array
+operations. The length scale is the smallest profile width the rays show
+at their best samples. Then it runs a stick/release cycle: batches of seeds
+ascend until they stick to a peak, duplicates collapse, and every sample
+that did not stick climbs a few noise-smoothed gradient steps that hop
+over fine-scale ripple before the next ascent. Everything is driven by one seeded generator and batched
 evaluator calls, so a (seed, config) pair fixes the run bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoModesFoundError
-from .lbfgs import fd_gradient, run_batch
+from .lbfgs import _row_dot, fd_gradient, run_batch
 from .linalg import dedup_linf
 from .problem import BoundsBox
 
@@ -40,13 +42,6 @@ def rays_per_kind(dim: int) -> int:
     return int(np.ceil(10.0 + np.log2(dim)))
 
 
-@dataclass(frozen=True)
-class Ray:
-    kind: int
-    start: np.ndarray
-    end: np.ndarray
-
-
 def _points_along(start, end, t) -> np.ndarray:
     """``start + t (end - start)``, with a coordinate axis appended to ``t``.
 
@@ -59,80 +54,77 @@ def _points_along(start, end, t) -> np.ndarray:
     return out
 
 
-@dataclass
-class RaySamples:
-    ray: Ray
-    t: np.ndarray
-    logl: np.ndarray
-    tags: np.ndarray  # 0 = coarse pass, 1 = refined pass
-    dead: bool
-
-
-def _random_vertex(rng, bounds: BoundsBox) -> np.ndarray:
-    pick = rng.integers(0, 2, size=bounds.dim)
-    return np.where(pick == 1, bounds.upper, bounds.lower).astype(np.float64)
-
-
-def _sunburst_end(rng, bounds: BoundsBox) -> np.ndarray:
-    c = bounds.center
-    while True:
-        z = rng.standard_normal(bounds.dim)
-        nrm = float(np.linalg.norm(z))
-        if nrm > 1e-12:
-            break
-    u = z / nrm
-    with np.errstate(divide="ignore"):
-        t_hi = np.where(u > 0, (bounds.upper - c) / u, np.inf)
-        t_lo = np.where(u < 0, (bounds.lower - c) / u, np.inf)
-    t_exit = float(np.min(np.minimum(t_hi, t_lo)))
-    return c + t_exit * u
-
-
-def generate_rays(bounds: BoundsBox, rng) -> list[Ray]:
+def generate_rays(bounds: BoundsBox, rng):
     """Fixed-order ray family over the box; count scales as ceil(10+log2 d).
 
     Four kinds, equal quota each. One dimension has no edges distinct from
     its vertices, so there the edge-kind quota goes to extra sunburst rays
-    and the total stays at four quotas.
+    and the total stays at four quotas. Returns ``(kind, start, end)``: the
+    kind of every ray, and its end points as rows of two (n_rays, d) arrays.
+
+    The generator is called once per vertex, edge pick, wall point and
+    direction, in ray order; the draws fill preallocated arrays, and the
+    geometry that needs no draw (vertices, edge midpoints, wall ends and
+    the sunburst exits) is computed for all rays at once afterwards.
     """
     d = bounds.dim
+    lower, upper, c = bounds.lower, bounds.upper, bounds.center
     n = rays_per_kind(d)
-    rays = []
-    for _ in range(n):
-        a = _random_vertex(rng, bounds)
-        while True:
-            b = _random_vertex(rng, bounds)
-            if not np.array_equal(a, b):
-                break
-        rays.append(Ray(RAY_V2V, a, b))
-    if d > 1:
-        for _ in range(n):
-            a = _random_vertex(rng, bounds)
-            w = _random_vertex(rng, bounds)
-            k = int(rng.integers(d))
-            mid = w.copy()
-            mid[k] = bounds.center[k]
-            rays.append(Ray(RAY_V2E, a, mid))
-    for _ in range(n):
-        k = int(rng.integers(d))
-        p = rng.uniform(bounds.lower, bounds.upper)
-        a = p.copy()
-        a[k] = bounds.lower[k]
-        b = p.copy()
-        b[k] = bounds.upper[k]
-        rays.append(Ray(RAY_W2W, a, b))
+    n_v2e = n if d > 1 else 0
     n_sun = n if d > 1 else 2 * n
-    c = bounds.center
-    for _ in range(n_sun):
-        rays.append(Ray(RAY_SUN, c.copy(), _sunburst_end(rng, bounds)))
-    return rays
+    kind = np.repeat([RAY_V2V, RAY_V2E, RAY_W2W, RAY_SUN], [n, n_v2e, n, n_sun])
+    start = np.empty((kind.size, d))
+    end = np.empty((kind.size, d))
+    # Vertex picks: 1 selects the upper bound of a coordinate, 0 the lower.
+    v_start = np.empty((n + n_v2e, d), dtype=np.int64)
+    v_end = np.empty((n + n_v2e, d), dtype=np.int64)
+    for i in range(n):
+        v_start[i] = rng.integers(0, 2, size=d)
+        while True:
+            v_end[i] = rng.integers(0, 2, size=d)
+            if not np.array_equal(v_start[i], v_end[i]):
+                break
+    edge_axis = np.empty(n_v2e, dtype=np.int64)
+    for i in range(n, n + n_v2e):
+        v_start[i] = rng.integers(0, 2, size=d)
+        v_end[i] = rng.integers(0, 2, size=d)
+        edge_axis[i - n] = rng.integers(d)
+    n_vert = n + n_v2e
+    start[:n_vert] = np.where(v_start == 1, upper, lower)
+    end[:n_vert] = np.where(v_end == 1, upper, lower)
+    end[n + np.arange(n_v2e), edge_axis] = c[edge_axis]
+
+    wall = np.arange(n_vert, n_vert + n)
+    wall_axis = np.empty(n, dtype=np.int64)
+    for i in wall:
+        wall_axis[i - n_vert] = rng.integers(d)
+        start[i] = rng.uniform(lower, upper)
+    end[wall] = start[wall]
+    start[wall, wall_axis] = lower[wall_axis]
+    end[wall, wall_axis] = upper[wall_axis]
+
+    z = np.empty((n_sun, d))
+    nrm = np.empty((n_sun, 1))
+    for i in range(n_sun):
+        while True:
+            z_i = rng.standard_normal(d)
+            nrm_i = float(np.linalg.norm(z_i))
+            if nrm_i > 1e-12:
+                break
+        z[i], nrm[i] = z_i, nrm_i
+    u = z / nrm
+    with np.errstate(divide="ignore"):
+        t_hi = np.where(u > 0, (upper - c) / u, np.inf)
+        t_lo = np.where(u < 0, (lower - c) / u, np.inf)
+    t_exit = np.min(np.minimum(t_hi, t_lo), axis=1, keepdims=True)
+    start[-n_sun:] = c
+    end[-n_sun:] = c + t_exit * u
+    return kind, start, end
 
 
-def _eval_rays(problem, rays, t) -> np.ndarray:
-    """Evaluate row k of ``t`` along ``rays[k]`` in one batched call."""
-    start = np.array([r.start for r in rays])[:, None, :]
-    end = np.array([r.end for r in rays])[:, None, :]
-    pts = _points_along(start, end, t)
+def _eval_rays(problem, start, end, t) -> np.ndarray:
+    """Evaluate row k of ``t`` along ray k, ``start[k]`` to ``end[k]``, in one call."""
+    pts = _points_along(start[:, None, :], end[:, None, :], t)
     return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
 
 
@@ -170,47 +162,32 @@ def _refill_t(t0, v0, rng, active_drop):
     return live, edges[cells] + frac * cell_w[cells]
 
 
-def _sample_rays(problem, rays, rng, n_coarse, active_drop) -> list[RaySamples]:
-    """Two-pass survey of ``rays`` in at most two batched likelihood calls.
-
-    One call evaluates every ray's coarse grid; a second evaluates every
-    live ray's refill and is skipped when all rays are dead.
-    """
-    t0 = np.linspace(0.0, 1.0, n_coarse)
-    v0 = _eval_rays(problem, rays, np.broadcast_to(t0, (len(rays), n_coarse)))
-    live, t1 = _refill_t(t0, v0, rng, active_drop)
-    live_idx = np.flatnonzero(live)
-    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(n_coarse, dtype=np.uint8), True)
-           for i, ray in enumerate(rays)]
-    if live_idx.size == 0:
-        return out
-    v1 = _eval_rays(problem, [rays[i] for i in live_idx], t1)
-
-    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
-    v_all = np.concatenate([v0[live], v1], axis=1)
-    tags = np.concatenate(
-        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
-    )
-    order = np.argsort(t_all, axis=1, kind="stable")
-    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
-    for k, i in enumerate(live_idx):
-        out[i] = RaySamples(rays[i], t_all[k], v_all[k], tags[k], False)
-    return out
-
-
 @dataclass
 class RayBank:
-    """All ray samples from one survey."""
+    """All ray samples from one survey, as arrays.
 
-    rays: list = field(default_factory=list)
+    ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``,
+    ``logl`` and ``tags`` (0 = coarse pass, 1 = refined pass) hold one row
+    per live ray, in ray order, sorted by t. A dead ray's coarse values are
+    all non-finite, so no row is kept for it.
+    """
+
+    kind: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    dead: np.ndarray
+    t: np.ndarray
+    logl: np.ndarray
+    tags: np.ndarray
+
+    def kind_counts(self) -> dict:
+        """Ray count per kind name, in kind order."""
+        counts = np.bincount(self.kind, minlength=len(KIND_NAMES))
+        return {name: int(counts[k]) for k, name in KIND_NAMES.items()}
 
     def summary(self) -> str:
-        counts = {name: 0 for name in KIND_NAMES.values()}
-        for r in self.rays:
-            counts[KIND_NAMES[r.ray.kind]] += 1
-        dead = sum(r.dead for r in self.rays)
-        parts = ", ".join(f"{k}={v}" for k, v in counts.items())
-        return f"{len(self.rays)} rays ({parts}), {dead} dead"
+        parts = ", ".join(f"{k}={v}" for k, v in self.kind_counts().items())
+        return f"{self.kind.size} rays ({parts}), {int(self.dead.sum())} dead"
 
 
 def survey(problem, rng, n_coarse: int = N_COARSE,
@@ -223,13 +200,31 @@ def survey(problem, rng, n_coarse: int = N_COARSE,
     piecewise-constant profile over those cells by inverse transform. A ray
     whose coarse pass is entirely non-finite is marked dead and gets no
     second pass. One likelihood call evaluates every ray's coarse grid, a
-    second every live ray's refill (skipped when every ray is dead). The
-    bank equals, bit for bit, surveying the rays one at a time with the
-    same generator: the refill draws are the only generator use after the
-    rays, and they are taken in ray order.
+    second every live ray's refill (skipped when every ray is dead). Every
+    bank array, and the generator state afterwards, equals bit for bit
+    what surveying the rays one at a time with the same generator gives:
+    the refill draws are the only generator use after the rays, and they
+    are taken in ray order.
     """
-    return RayBank(_sample_rays(problem, generate_rays(problem.bounds, rng), rng,
-                                n_coarse, active_drop))
+    return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng,
+                        n_coarse, active_drop)
+
+
+def _sample_rays(problem, kind, start, end, rng, n_coarse, active_drop) -> RayBank:
+    """Two-pass survey of the rays ``(kind, start, end)``; see ``survey``."""
+    t0 = np.linspace(0.0, 1.0, n_coarse)
+    v0 = _eval_rays(problem, start, end, np.broadcast_to(t0, (kind.size, n_coarse)))
+    live, t1 = _refill_t(t0, v0, rng, active_drop)
+    v1 = (_eval_rays(problem, start[live], end[live], t1) if live.any()
+          else np.zeros_like(t1))
+    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
+    v_all = np.concatenate([v0[live], v1], axis=1)
+    tags = np.concatenate(
+        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
+    )
+    order = np.argsort(t_all, axis=1, kind="stable")
+    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
+    return RayBank(kind, start, end, ~live, t_all, v_all, tags)
 
 
 @dataclass(frozen=True)
@@ -240,44 +235,43 @@ class ScaleEstimate:
     fallback: bool
 
 
-def _champion_width(r: RaySamples) -> float:
-    """Profile width 1/sqrt(-c) at the ray's best sample; NaN if unreadable.
-
-    c is the three-point second difference with unequal arms a and b over
-    the best sample and its stored neighbours, in arc length. This form
-    cancels the first-derivative term a plain (v+ - 2v + v-)/h^2 leaks when
-    the arms differ. The width is unreadable when the best sample is a ray
-    end, a neighbour is not finite, an arm is empty or c is not negative.
-    """
-    v = np.where(np.isfinite(r.logl), r.logl, -np.inf)
-    i = int(np.argmax(v))
-    if i == 0 or i == v.size - 1 or not np.isfinite(v[i - 1] + v[i + 1]):
-        return np.nan
-    length = float(np.linalg.norm(r.ray.end - r.ray.start))
-    a = float(r.t[i + 1] - r.t[i]) * length
-    b = float(r.t[i] - r.t[i - 1]) * length
-    if not (a > 0 and b > 0):
-        return np.nan
-    c = 2.0 * (b * v[i + 1] - (a + b) * v[i] + a * v[i - 1]) / (a * b * (a + b))
-    return 1.0 / np.sqrt(-c) if c < 0 else np.nan
-
-
 def estimate_scales(bank: RayBank, bounds: BoundsBox) -> ScaleEstimate:
     """The finest profile width any live ray shows at its best sample.
 
-    Each live ray's curvature c at its best sample gives a width
-    1/sqrt(-c): sigma along the ray for a Gaussian profile, at least the
-    smallest sigma of a Gaussian mode for any ray direction. The scale is
-    the smallest of those widths. No new evaluations are spent here. When
-    no ray gives a width (no interior best sample with finite neighbours
-    and negative curvature), the scale falls back to 1e-3 of the mean box
-    width and the fallback flag is set.
+    Each live ray's curvature c at its best sample (its first maximum)
+    gives a width 1/sqrt(-c): sigma along the ray for a Gaussian profile,
+    at least the smallest sigma of a Gaussian mode for any ray direction.
+    c is the three-point second difference with unequal arms a and b over
+    the best sample and its stored neighbours, in arc length; this form
+    cancels the first-derivative term a plain (v+ - 2v + v-)/h^2 leaks
+    when the arms differ. A ray reads no width when its best sample is a
+    ray end, a neighbour is not finite, an arm is empty or c is not
+    negative. All live rays are read at once; the lanes that read no width
+    are computed and then discarded.
+
+    The scale is the smallest width read. No new evaluations are spent
+    here. When no ray reads a width, the scale falls back to 1e-3 of the
+    mean box width and the fallback flag is set.
     """
-    widths = np.array([_champion_width(r) for r in bank.rays if not r.dead])
-    widths = widths[np.isfinite(widths)]
-    if widths.size == 0:
+    live = ~bank.dead
+    v = np.where(np.isfinite(bank.logl), bank.logl, -np.inf)
+    n_live, m = v.shape
+    rows = np.arange(n_live)
+    i = np.argmax(v, axis=1)
+    inner = (i > 0) & (i < m - 1)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, m - 1)
+    v_lo, v_mid, v_hi = v[rows, lo], v[rows, i], v[rows, hi]
+    diff = bank.end[live] - bank.start[live]
+    length = np.sqrt(_row_dot(diff, diff))
+    t = bank.t
+    with np.errstate(all="ignore"):
+        a = (t[rows, hi] - t[rows, i]) * length
+        b = (t[rows, i] - t[rows, lo]) * length
+        c = 2.0 * (b * v_hi - (a + b) * v_mid + a * v_lo) / (a * b * (a + b))
+        readable = inner & np.isfinite(v_lo + v_hi) & (a > 0) & (b > 0) & (c < 0)
+    if not readable.any():
         return ScaleEstimate(1e-3 * float(np.mean(bounds.widths)), True)
-    return ScaleEstimate(float(widths.min()), False)
+    return ScaleEstimate(float(np.min(1.0 / np.sqrt(-c[readable]))), False)
 
 
 def select_seeds(bank: RayBank, lam_fine: float, dim: int):
@@ -288,14 +282,13 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     dominant mode. Every live ray therefore also contributes its single
     best sample, so any basin a ray grazes gets seeded no matter how it
     compares across basins. The union is thinned at the finest scale.
+    Samples are ranked from the flattened live arrays, ray by ray in t
+    order.
     """
     q = max(32, 4 * rays_per_kind(dim))
-    live = [r for r in bank.rays if not r.dead]
-    if not live:
-        return np.zeros((0, dim))
-    ray = np.repeat(np.arange(len(live)), [r.t.size for r in live])
-    t = np.concatenate([r.t for r in live])
-    val = np.concatenate([r.logl for r in live])
+    ray = np.repeat(np.flatnonzero(~bank.dead), bank.t.shape[1])
+    t = bank.t.ravel()
+    val = bank.logl.ravel()
     finite = np.isfinite(val)
     ray, t, val = ray[finite], t[finite], val[finite]
     if val.size == 0:
@@ -309,9 +302,7 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     pick[by_ray[np.r_[True, np.diff(ray[by_ray]) != 0]]] = True
     idx = np.flatnonzero(pick)
     # Positions of the picked samples only.
-    start = np.array([r.ray.start for r in live])[ray[idx]]
-    end = np.array([r.ray.end for r in live])[ray[idx]]
-    pos = _points_along(start, end, t[idx])
+    pos = _points_along(bank.start[ray[idx]], bank.end[ray[idx]], t[idx])
     kept = dedup_linf(pos, val[idx], lam_fine)
     order = np.lexsort((idx[kept], -val[idx[kept]]))
     return pos[kept[order]]

@@ -118,6 +118,7 @@ class EvidenceResult:
     # hardware noise and therefore excluded from the canonical dictionary.
     config_echo: dict | None = None
     seed: int | None = None
+    survey: dict | None = None
     reduction: list | None = None
     timings_ms: dict | None = None
 
@@ -135,6 +136,8 @@ class EvidenceResult:
             out["config_echo"] = dict(self.config_echo)
         if self.seed is not None:
             out["seed"] = int(self.seed)
+        if self.survey is not None:
+            out["survey"] = dict(self.survey)
         if self.reduction is not None:
             out["reduction"] = [r.to_dict() for r in self.reduction]
         if with_timings and self.timings_ms is not None:

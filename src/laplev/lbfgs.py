@@ -62,11 +62,12 @@ def axis_values(problem, theta, eps) -> np.ndarray:
     d columns and the -eps probes in the last d.
     """
     n, d = theta.shape
-    probes = np.repeat(theta[:, None, :], 2 * d, axis=1)
-    idx = np.arange(d)
-    rows = np.arange(n)[:, None]
-    probes[rows, idx, idx] += eps
-    probes[rows, d + idx, idx] -= eps
+    probes = np.empty((n, 2, d, d))
+    probes[...] = theta[:, None, None, :]
+    # Probe k of a sign block moves axis k: the block's strided diagonal.
+    diag = probes.reshape(n, 2, d * d)[:, :, ::d + 1]
+    diag[:, 0] += eps
+    diag[:, 1] -= eps
     return problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
 
 

@@ -170,7 +170,12 @@ def dedup_linf(points, scores, radius, widths=None):
     Candidates are visited in descending score order (ties broken by lowest
     index). A candidate is dropped iff it lies within ``radius`` (Chebyshev
     distance, optionally whitened by per-coordinate ``widths``) of an already
-    kept survivor. Returns the kept indices, ascending.
+    kept survivor and no kept survivor lies at a NaN distance from it.
+    Returns the kept indices, ascending.
+
+    The loop runs once per survivor, not per candidate: each survivor
+    measures its distance to every later candidate in one array operation,
+    and the next survivor is the first later candidate nothing dropped.
 
     The greedy order makes the output order-independent for distinct scores
     and idempotent: rerunning on the survivors keeps all of them.
@@ -190,14 +195,18 @@ def dedup_linf(points, scores, radius, widths=None):
             raise InvalidParameterError("dedup_linf: widths must be positive finite")
         pts = pts / w
     order = np.lexsort((np.arange(n), -sc))
-    # Survivors fill the first m slots of these buffers, in visiting order.
-    kept = np.empty(n, dtype=np.intp)
-    kept_pts = np.empty_like(pts)
-    m = 0
-    for i in order:
-        if m and np.max(np.abs(kept_pts[:m] - pts[i]), axis=1).min() <= radius:
-            continue
-        kept[m] = i
-        kept_pts[m] = pts[i]
-        m += 1
-    return np.sort(kept[:m])
+    pts = pts[order]
+    # Per candidate in visiting order, its distance to the nearest survivor
+    # so far. np.minimum propagates NaN, so one NaN distance keeps it NaN,
+    # and a NaN is never within the radius.
+    nearest = np.full(n, np.inf)
+    keep = np.zeros(n, dtype=bool)
+    i = 0
+    while True:
+        keep[i] = True
+        rest = nearest[i + 1:]
+        np.minimum(rest, np.abs(pts[i + 1:] - pts[i]).max(axis=1), out=rest)
+        far = np.flatnonzero(~(rest <= radius))
+        if far.size == 0:
+            return np.sort(order[keep])
+        i += 1 + int(far[0])

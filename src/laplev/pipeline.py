@@ -277,6 +277,8 @@ def run(problem, config: PipelineConfig):
         raise _tag(err, "combine")
     result.config_echo = config.echo()
     result.seed = int(config.seed)
+    result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),
+                     "scale": scales.lam_fine, "scale_fallback": scales.fallback}
     result.reduction = reduction
     result.timings_ms = meter.timings
     return result

@@ -31,6 +31,9 @@ def test_run_success_prints_summary(capsys):
     assert "rel error" in out
     assert "evaluations" in out
     assert "\ncalls        " in out
+    survey = [line for line in out.splitlines() if line.startswith("survey ")]
+    assert survey == ["survey       48 rays (v2v=12, v2e=12, w2w=12, sunburst=12), "
+                      "0 dead, scale 1"]
 
 
 def test_unknown_problem_exits_2(capsys):

@@ -1,21 +1,19 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import laplev.discovery
 from laplev.discovery import (
     ACTIVE_DROP,
+    KIND_NAMES,
     N_COARSE,
     RAY_SUN,
     RAY_V2E,
     RAY_V2V,
     RAY_W2W,
-    CoarsePeak,
-    Ray,
     RayBank,
-    RaySamples,
-    _champion_width,
+    ScaleEstimate,
     _points_along,
     _sample_rays,
     _smoothed_ascent,
@@ -49,75 +47,279 @@ def gaussian_problem(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
     return Problem(fn, box(d, lo, hi))
 
 
+# ------------------------------------------------- per-ray oracles
+#
+# The survey front end as it was written one ray at a time, kept verbatim:
+# one object per ray, one generator call per vertex, edge pick, wall point
+# and direction, the per-ray scale reading and the list-based seed picks.
+# The array front end must reproduce all of it bit for bit.
+
+
+@dataclass(frozen=True)
+class Ray:
+    kind: int
+    start: np.ndarray
+    end: np.ndarray
+
+
+@dataclass
+class RaySamples:
+    ray: Ray
+    t: np.ndarray
+    logl: np.ndarray
+    tags: np.ndarray  # 0 = coarse pass, 1 = refined pass
+    dead: bool
+
+
+def _random_vertex(rng, bounds: BoundsBox) -> np.ndarray:
+    pick = rng.integers(0, 2, size=bounds.dim)
+    return np.where(pick == 1, bounds.upper, bounds.lower).astype(np.float64)
+
+
+def _sunburst_end(rng, bounds: BoundsBox) -> np.ndarray:
+    c = bounds.center
+    while True:
+        z = rng.standard_normal(bounds.dim)
+        nrm = float(np.linalg.norm(z))
+        if nrm > 1e-12:
+            break
+    u = z / nrm
+    with np.errstate(divide="ignore"):
+        t_hi = np.where(u > 0, (bounds.upper - c) / u, np.inf)
+        t_lo = np.where(u < 0, (bounds.lower - c) / u, np.inf)
+    t_exit = float(np.min(np.minimum(t_hi, t_lo)))
+    return c + t_exit * u
+
+
+def _generate_rays_reference(bounds: BoundsBox, rng) -> list:
+    d = bounds.dim
+    n = rays_per_kind(d)
+    rays = []
+    for _ in range(n):
+        a = _random_vertex(rng, bounds)
+        while True:
+            b = _random_vertex(rng, bounds)
+            if not np.array_equal(a, b):
+                break
+        rays.append(Ray(RAY_V2V, a, b))
+    if d > 1:
+        for _ in range(n):
+            a = _random_vertex(rng, bounds)
+            w = _random_vertex(rng, bounds)
+            k = int(rng.integers(d))
+            mid = w.copy()
+            mid[k] = bounds.center[k]
+            rays.append(Ray(RAY_V2E, a, mid))
+    for _ in range(n):
+        k = int(rng.integers(d))
+        p = rng.uniform(bounds.lower, bounds.upper)
+        a = p.copy()
+        a[k] = bounds.lower[k]
+        b = p.copy()
+        b[k] = bounds.upper[k]
+        rays.append(Ray(RAY_W2W, a, b))
+    n_sun = n if d > 1 else 2 * n
+    c = bounds.center
+    for _ in range(n_sun):
+        rays.append(Ray(RAY_SUN, c.copy(), _sunburst_end(rng, bounds)))
+    return rays
+
+
+def _eval_rays_reference(problem, rays, t) -> np.ndarray:
+    start = np.array([r.start for r in rays])[:, None, :]
+    end = np.array([r.end for r in rays])[:, None, :]
+    pts = _points_along(start, end, t)
+    return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
+
+
+def _sample_rays_reference(problem, rays, rng, n_coarse=N_COARSE,
+                           active_drop=ACTIVE_DROP) -> list:
+    t0 = np.linspace(0.0, 1.0, n_coarse)
+    v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), n_coarse)))
+    live, t1 = laplev.discovery._refill_t(t0, v0, rng, active_drop)
+    live_idx = np.flatnonzero(live)
+    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(n_coarse, dtype=np.uint8), True)
+           for i, ray in enumerate(rays)]
+    if live_idx.size == 0:
+        return out
+    v1 = _eval_rays_reference(problem, [rays[i] for i in live_idx], t1)
+
+    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
+    v_all = np.concatenate([v0[live], v1], axis=1)
+    tags = np.concatenate(
+        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
+    )
+    order = np.argsort(t_all, axis=1, kind="stable")
+    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
+    for k, i in enumerate(live_idx):
+        out[i] = RaySamples(rays[i], t_all[k], v_all[k], tags[k], False)
+    return out
+
+
+def _survey_reference(problem, rng) -> list:
+    return _sample_rays_reference(problem, _generate_rays_reference(problem.bounds, rng), rng)
+
+
+def _summary_reference(rays) -> str:
+    counts = {name: 0 for name in KIND_NAMES.values()}
+    for r in rays:
+        counts[KIND_NAMES[r.ray.kind]] += 1
+    dead = sum(r.dead for r in rays)
+    parts = ", ".join(f"{k}={v}" for k, v in counts.items())
+    return f"{len(rays)} rays ({parts}), {dead} dead"
+
+
+def _champion_width_reference(r: RaySamples) -> float:
+    v = np.where(np.isfinite(r.logl), r.logl, -np.inf)
+    i = int(np.argmax(v))
+    if i == 0 or i == v.size - 1 or not np.isfinite(v[i - 1] + v[i + 1]):
+        return np.nan
+    length = float(np.linalg.norm(r.ray.end - r.ray.start))
+    a = float(r.t[i + 1] - r.t[i]) * length
+    b = float(r.t[i] - r.t[i - 1]) * length
+    if not (a > 0 and b > 0):
+        return np.nan
+    c = 2.0 * (b * v[i + 1] - (a + b) * v[i] + a * v[i - 1]) / (a * b * (a + b))
+    return 1.0 / np.sqrt(-c) if c < 0 else np.nan
+
+
+def _estimate_scales_reference(rays, bounds: BoundsBox) -> ScaleEstimate:
+    widths = np.array([_champion_width_reference(r) for r in rays if not r.dead])
+    widths = widths[np.isfinite(widths)]
+    if widths.size == 0:
+        return ScaleEstimate(1e-3 * float(np.mean(bounds.widths)), True)
+    return ScaleEstimate(float(widths.min()), False)
+
+
+def _select_seeds_reference(rays, lam_fine: float, dim: int):
+    q = max(32, 4 * rays_per_kind(dim))
+    live = [r for r in rays if not r.dead]
+    if not live:
+        return np.zeros((0, dim))
+    ray = np.repeat(np.arange(len(live)), [r.t.size for r in live])
+    t = np.concatenate([r.t for r in live])
+    val = np.concatenate([r.logl for r in live])
+    finite = np.isfinite(val)
+    ray, t, val = ray[finite], t[finite], val[finite]
+    if val.size == 0:
+        return np.zeros((0, dim))
+    order = np.lexsort((np.arange(val.size), -val))
+    pick = np.zeros(val.size, dtype=bool)
+    pick[order[:q]] = True
+    by_ray = np.lexsort((-val, ray))
+    pick[by_ray[np.r_[True, np.diff(ray[by_ray]) != 0]]] = True
+    idx = np.flatnonzero(pick)
+    start = np.array([r.ray.start for r in live])[ray[idx]]
+    end = np.array([r.ray.end for r in live])[ray[idx]]
+    pos = _points_along(start, end, t[idx])
+    kept = dedup_linf(pos, val[idx], lam_fine)
+    order = np.lexsort((idx[kept], -val[idx[kept]]))
+    return pos[kept[order]]
+
+
+def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
+    """The array bank holding the per-ray samples ``rays``."""
+    dim = rays[0].ray.start.size if rays else dim
+    live = [r for r in rays if not r.dead]
+
+    def stack(field, dtype=np.float64):
+        return (np.stack([getattr(r, field) for r in live]) if live
+                else np.zeros((0, width), dtype=dtype))
+
+    return RayBank(
+        kind=np.array([r.ray.kind for r in rays], dtype=np.int64),
+        start=np.array([r.ray.start for r in rays]).reshape(len(rays), dim),
+        end=np.array([r.ray.end for r in rays]).reshape(len(rays), dim),
+        dead=np.array([r.dead for r in rays], dtype=bool),
+        t=stack("t"), logl=stack("logl"), tags=stack("tags", np.uint8),
+    )
+
+
+def _bank_bytes(bank):
+    return (bank.kind.tolist(), bank.dead.tolist(), bank.t.shape, bank.tags.dtype,
+            *(x.tobytes() for x in (bank.start, bank.end, bank.t, bank.logl, bank.tags)))
+
+
 # ---------------------------------------------------------------- rays
 
 
 def test_ray_counts_match_dimension_rule():
     assert rays_per_kind(2) == 11
-    rays = generate_rays(box(2), np.random.default_rng(0))
-    assert len(rays) == 44
-    by_kind = {k: sum(r.kind == k for r in rays) for k in range(4)}
+    kind, _, _ = generate_rays(box(2), np.random.default_rng(0))
+    assert len(kind) == 44
+    by_kind = {k: int(np.sum(kind == k)) for k in range(4)}
     assert by_kind == {RAY_V2V: 11, RAY_V2E: 11, RAY_W2W: 11, RAY_SUN: 11}
 
 
 def test_one_dimension_redistributes_edge_quota_to_sunburst():
-    rays = generate_rays(box(1), np.random.default_rng(0))
+    kind, _, _ = generate_rays(box(1), np.random.default_rng(0))
     n = rays_per_kind(1)
-    by_kind = {k: sum(r.kind == k for r in rays) for k in range(4)}
+    by_kind = {k: int(np.sum(kind == k)) for k in range(4)}
     assert by_kind == {RAY_V2V: n, RAY_V2E: 0, RAY_W2W: n, RAY_SUN: 2 * n}
-    assert len(rays) == 4 * n
+    assert len(kind) == 4 * n
 
 
 def test_large_dimension_count_is_cheap_and_right():
-    rays = generate_rays(box(1024), np.random.default_rng(1))
+    kind, start, end = generate_rays(box(1024), np.random.default_rng(1))
     assert rays_per_kind(1024) == 20
-    assert len(rays) == 80
+    assert len(kind) == 80
+    assert start.shape == end.shape == (80, 1024)
 
 
 def test_ray_endpoint_structure():
     b = BoundsBox(np.array([-2.0, 0.0, 1.0]), np.array([3.0, 4.0, 9.0]))
-    rays = generate_rays(b, np.random.default_rng(7))
-    for r in rays:
-        assert b.contains(r.start[None, :])[0] and b.contains(r.end[None, :])[0]
-        if r.kind == RAY_V2V:
-            for p in (r.start, r.end):
+    for kind, start, end in zip(*generate_rays(b, np.random.default_rng(7))):
+        assert b.contains(start[None, :])[0] and b.contains(end[None, :])[0]
+        if kind == RAY_V2V:
+            for p in (start, end):
                 assert np.all((p == b.lower) | (p == b.upper))
-            assert not np.array_equal(r.start, r.end)
-        elif r.kind == RAY_V2E:
-            assert np.all((r.start == b.lower) | (r.start == b.upper))
-            centered = r.end == b.center
+            assert not np.array_equal(start, end)
+        elif kind == RAY_V2E:
+            assert np.all((start == b.lower) | (start == b.upper))
+            centered = end == b.center
             assert centered.sum() == 1
             others = ~centered
-            assert np.all((r.end[others] == b.lower[others]) | (r.end[others] == b.upper[others]))
-        elif r.kind == RAY_W2W:
-            diff = np.flatnonzero(r.start != r.end)
+            assert np.all((end[others] == b.lower[others]) | (end[others] == b.upper[others]))
+        elif kind == RAY_W2W:
+            diff = np.flatnonzero(start != end)
             assert diff.size == 1
             k = diff[0]
-            assert r.start[k] == b.lower[k] and r.end[k] == b.upper[k]
+            assert start[k] == b.lower[k] and end[k] == b.upper[k]
         else:
-            np.testing.assert_array_equal(r.start, b.center)
-            on_wall = (np.abs(r.end - b.lower) < 1e-9) | (np.abs(r.end - b.upper) < 1e-9)
+            np.testing.assert_array_equal(start, b.center)
+            on_wall = (np.abs(end - b.lower) < 1e-9) | (np.abs(end - b.upper) < 1e-9)
             assert on_wall.any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 128])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_rays_bitwise_equal_to_per_ray_draws(d, seed):
+    b = BoundsBox(np.linspace(-3.0, 0.0, d), np.linspace(0.5, 7.0, d))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    kind, start, end = generate_rays(b, rng)
+    rays = _generate_rays_reference(b, rng_ref)
+    assert kind.tolist() == [r.kind for r in rays]
+    assert start.tobytes() == np.array([r.start for r in rays]).tobytes()
+    assert end.tobytes() == np.array([r.end for r in rays]).tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 # ---------------------------------------------------------------- two-pass
 
 
-def one_ray(problem, ray, rng):
+def one_ray(problem, kind, start, end, rng):
     """Survey a single ray: one likelihood call per pass."""
-    return _sample_rays(problem, [ray], rng, N_COARSE, ACTIVE_DROP)[0]
+    return _sample_rays(problem, np.array([kind]), np.array([start], dtype=np.float64),
+                        np.array([end], dtype=np.float64), rng, N_COARSE, ACTIVE_DROP)
 
 
 def test_two_pass_refines_inside_active_region():
     # Sharp bump at the box midpoint: the refined pass must concentrate there.
     p = gaussian_problem(2, mu=0.0, sig2=1e-4)
-    from laplev.discovery import Ray
-
-    ray = Ray(RAY_W2W, np.array([-5.0, 0.0]), np.array([5.0, 0.0]))
-    rs = one_ray(p, ray, np.random.default_rng(3))
-    assert not rs.dead
-    assert rs.t.shape == (128,) and p.eval_counter == 128
-    refined_t = rs.t[rs.tags == 1]
+    bank = one_ray(p, RAY_W2W, [-5.0, 0.0], [5.0, 0.0], np.random.default_rng(3))
+    assert not bank.dead[0]
+    assert bank.t.shape == (1, 128) and p.eval_counter == 128
+    refined_t = bank.t[0][bank.tags[0] == 1]
     # active region: |x| < sqrt(2 * 20 * 1e-4) = 0.0632 -> t within 0.5 +- 0.0063,
     # padded by one coarse cell half-width (the profile is piecewise constant).
     cell = 1.0 / 63.0
@@ -127,30 +329,26 @@ def test_two_pass_refines_inside_active_region():
 
 def test_two_pass_dead_ray_skips_refinement():
     p = Problem(lambda x: np.full(x.shape[0], -np.inf), box(2))
-    from laplev.discovery import Ray
-
-    ray = Ray(RAY_V2V, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    rs = one_ray(p, ray, np.random.default_rng(0))
-    assert rs.dead
+    bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(0))
+    assert bank.dead[0]
     assert p.eval_counter == 64
-    assert rs.t.shape == (64,)
+    # A dead ray keeps no row of samples.
+    assert bank.t.shape == bank.logl.shape == bank.tags.shape == (0, 128)
 
 
 def test_two_pass_uniform_likelihood_spreads_samples():
     p = Problem(lambda x: np.zeros(x.shape[0]), box(2))
-    from laplev.discovery import Ray
-
-    ray = Ray(RAY_V2V, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-    rs = one_ray(p, ray, np.random.default_rng(5))
-    refined = rs.t[rs.tags == 1]
+    bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
+    refined = bank.t[0][bank.tags[0] == 1]
     assert refined.min() < 0.2 and refined.max() > 0.8
 
 
 def test_survey_batches_and_counter():
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(11))
-    assert len(bank.rays) == 44
-    n_live = sum(not r.dead for r in bank.rays)
+    assert len(bank.kind) == 44
+    n_live = int(np.sum(~bank.dead))
+    assert bank.t.shape == (n_live, 128)
     assert p.eval_counter == n_live * 128 + (44 - n_live) * 64
 
 
@@ -204,9 +402,8 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
     return RaySamples(ray, t_all[order], v_all[order], tags[order], False)
 
 
-def _bank_bytes(rays):
-    return [(r.ray.kind, r.ray.start.tobytes(), r.ray.end.tobytes(), r.t.tobytes(),
-             r.logl.tobytes(), r.tags.tobytes(), r.dead) for r in rays]
+def _one_ray_reference(problem, ray, rng):
+    return _sample_rays_reference(problem, [ray], rng)[0]
 
 
 def _corner_only(x):
@@ -225,16 +422,16 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
     p = CountingProblem(fn, box(d))
     bank = survey(p, np.random.default_rng(8))
     assert p.calls == 2
-    n_dead = sum(r.dead for r in bank.rays)
+    n_dead = int(bank.dead.sum())
     if fn is _corner_only:
-        assert 0 < n_dead < len(bank.rays)
+        assert 0 < n_dead < len(bank.kind)
     expected_counter = p.eval_counter
 
-    for single in (one_ray, _two_pass_reference):
+    for single in (_one_ray_reference, _two_pass_reference):
         q = CountingProblem(fn, box(d))
         rng = np.random.default_rng(8)
-        rays = [single(q, ray, rng) for ray in generate_rays(q.bounds, rng)]
-        assert _bank_bytes(rays) == _bank_bytes(bank.rays)
+        rays = [single(q, ray, rng) for ray in _generate_rays_reference(q.bounds, rng)]
+        assert _bank_bytes(_as_bank(rays)) == _bank_bytes(bank)
         assert q.eval_counter == expected_counter
         assert q.calls == 2 * len(rays) - n_dead
 
@@ -244,12 +441,13 @@ def test_survey_all_rays_dead_makes_one_call():
     rng = np.random.default_rng(0)
     bank = survey(p, rng)
     assert p.calls == 1
-    assert all(r.dead for r in bank.rays)
-    assert p.eval_counter == 64 * len(bank.rays)
+    assert bank.dead.all()
+    assert p.eval_counter == 64 * len(bank.kind)
     rng_loop = np.random.default_rng(0)
     q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
-    rays = [one_ray(q, ray, rng_loop) for ray in generate_rays(q.bounds, rng_loop)]
-    assert _bank_bytes(rays) == _bank_bytes(bank.rays)
+    rays = [_one_ray_reference(q, ray, rng_loop)
+            for ray in _generate_rays_reference(q.bounds, rng_loop)]
+    assert _bank_bytes(_as_bank(rays)) == _bank_bytes(bank)
     # dead rays draw nothing, so both generators are in the same state
     assert rng.random() == rng_loop.random()
 
@@ -276,17 +474,86 @@ def test_raybank_summary():
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(4))
     assert "44 rays" in bank.summary()
+    rays = _survey_reference(gaussian_problem(2), np.random.default_rng(4))
+    assert bank.summary() == _summary_reference(rays)
+    half = _survey_reference(Problem(_corner_only, box(3)), np.random.default_rng(4))
+    assert "0 dead" not in _summary_reference(half)
+    assert _as_bank(half).summary() == _summary_reference(half)
 
 
-# ---------------------------------------------------------------- scales
+# ------------------------------------------- the front end against its oracles
 
 
 def _ripple(x):
     return -np.sum(x * x, axis=1) / 200.0 + 0.5 * np.cos(2 * np.pi / 0.3 * x[:, 0])
 
 
+def _half_dead(x):
+    # Finite on half of the box: some rays are dead, most are half dead.
+    return np.where(x[:, 0] < 0.0, -0.5 * np.sum(x * x, axis=1), -np.inf)
+
+
+def _nan_region(x):
+    # NaN on a slab, finite elsewhere.
+    return np.where(x[:, 0] > 1.0, np.nan, -0.5 * np.sum((x - 0.5) ** 2, axis=1))
+
+
+FRONT_END_PROBLEMS = {
+    "quadratic": (lambda x: -0.5 * np.sum(x * x, axis=1), -5.0, 5.0),
+    "dead": (_corner_only, -5.0, 5.0),
+    "half-dead": (_half_dead, -5.0, 5.0),
+    "all-dead": (lambda x: np.full(x.shape[0], -np.inf), -5.0, 5.0),
+    "nan": (_nan_region, -5.0, 5.0),
+    "ripple": (_ripple, -10.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 128])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FRONT_END_PROBLEMS))
+def test_front_end_bitwise_equal_to_per_ray_oracles(name, seed, d):
+    # Survey, scale and seeds from the array bank against the per-ray
+    # front end: every bank array, the generator state after the survey,
+    # the scale estimate and the seeds agree bit for bit.
+    fn, lo, hi = FRONT_END_PROBLEMS[name]
+    p, q = Problem(fn, box(d, lo, hi)), Problem(fn, box(d, lo, hi))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    bank = survey(p, rng)
+    rays = _survey_reference(q, rng_ref)
+    assert _bank_bytes(bank) == _bank_bytes(_as_bank(rays))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert p.eval_counter == q.eval_counter
+    assert bank.summary() == _summary_reference(rays)
+
+    est = estimate_scales(bank, p.bounds)
+    want = _estimate_scales_reference(rays, q.bounds)
+    assert float(est.lam_fine).hex() == float(want.lam_fine).hex()
+    assert est.fallback is want.fallback
+    for lam in (est.lam_fine, 0.2):
+        got = select_seeds(bank, lam, d)
+        ref = _select_seeds_reference(rays, lam, d)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------- scales
+
+
 # Curvature of _ripple along x0 at a ripple crest: 1/100 + (2 pi / 0.3)^2 / 2.
 RIPPLE_WIDTH = (0.01 + 0.5 * (2 * np.pi / 0.3) ** 2) ** -0.5
+
+
+def _live_ray(bank, j):
+    """A bank holding only the j-th live ray of ``bank``."""
+    k = np.flatnonzero(~bank.dead)[j]
+    return RayBank(bank.kind[k:k + 1], bank.start[k:k + 1], bank.end[k:k + 1],
+                   bank.dead[k:k + 1], bank.t[j:j + 1], bank.logl[j:j + 1],
+                   bank.tags[j:j + 1])
+
+
+def _width(bank, bounds):
+    """The width the bank's rays read; NaN when none reads one."""
+    est = estimate_scales(bank, bounds)
+    return np.nan if est.fallback else est.lam_fine
 
 
 def test_scales_pure_quadratic_gives_equal_triple():
@@ -296,7 +563,8 @@ def test_scales_pure_quadratic_gives_equal_triple():
     sigma = 0.7
     p = gaussian_problem(3, sig2=sigma**2)
     bank = survey(p, np.random.default_rng(9))
-    widths = np.array([_champion_width(r) for r in bank.rays if not r.dead])
+    widths = np.array([_width(_live_ray(bank, j), p.bounds)
+                       for j in range(bank.t.shape[0])])
     widths = widths[np.isfinite(widths)]
     assert widths.size > 1
     np.testing.assert_allclose(widths, sigma, rtol=1e-9)
@@ -316,7 +584,7 @@ def test_scales_two_scale_profile_finds_fine_scale():
 
 
 def test_scales_fallback_when_no_usable_rays():
-    bank = RayBank()
+    bank = _as_bank([], dim=2)
     est = estimate_scales(bank, box(2, -5, 5))
     assert est.fallback
     assert est.lam_fine == pytest.approx(1e-2)
@@ -367,34 +635,48 @@ def _samples(ray, t, v, dead=False):
 UNIT = Ray(RAY_W2W, np.array([0.0]), np.array([1.0]))  # length 1: s equals t
 
 
-def _ragged_bank():
-    """Rays of very different lengths, with -inf / NaN samples and repeated t."""
+def _ragged_rays():
+    """Rays of very different lengths, with -inf / NaN samples and repeated t.
+
+    Every live row of a bank holds the same number of samples, so the rays
+    differ in length and in which samples are missing, not in count.
+    """
     rng = np.random.default_rng(31)
-    bank = RayBank()
-    for length, n in ((10.0, 128), (0.05, 40), (3.0, 9), (7.0, 128), (1e-4, 12)):
+    rays = []
+    n = 40
+    for length in (10.0, 0.05, 3.0, 7.0, 1e-4):
         ray = Ray(RAY_W2W, np.array([-length / 2, 0.0]), np.array([length / 2, 0.0]))
         t = np.sort(np.concatenate([rng.random(n - 4), [0.0, 1.0, 0.5, 0.5]]))
         x = (t - 0.5) * length
         v = -0.5 * x * x / 0.3**2
         v[rng.random(n) < 0.1] = -np.inf
         v[rng.random(n) < 0.05] = np.nan
-        bank.rays.append(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
+        rays.append(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
     dead = Ray(RAY_V2V, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    bank.rays.append(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
-                                np.zeros(8, dtype=np.uint8), True))
-    return bank
+    rays.append(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
+                           np.zeros(8, dtype=np.uint8), True))
+    return rays
 
 
-def _scales_banks():
-    yield gaussian_problem(3, sig2=0.7**2).bounds, survey(
+def _scales_rays():
+    yield gaussian_problem(3, sig2=0.7**2).bounds, _survey_reference(
         gaussian_problem(3, sig2=0.7**2), np.random.default_rng(9))
     cigar = gaussian_problem(2, sig2=np.array([1.0, 1e-6]))
-    yield cigar.bounds, survey(cigar, np.random.default_rng(21))
+    yield cigar.bounds, _survey_reference(cigar, np.random.default_rng(21))
     ripple = Problem(_ripple, box(2, -10, 10))
-    yield ripple.bounds, survey(ripple, np.random.default_rng(13))
-    yield box(2), _ragged_bank()
+    yield ripple.bounds, _survey_reference(ripple, np.random.default_rng(13))
+    yield box(2), _ragged_rays()
     half = Problem(_corner_only, box(3))
-    yield half.bounds, survey(half, np.random.default_rng(4))
+    yield half.bounds, _survey_reference(half, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_scales_match_per_ray_reading(case):
+    bounds, rays = list(_scales_rays())[case]
+    got = estimate_scales(_as_bank(rays), bounds)
+    want = _estimate_scales_reference(rays, bounds)
+    assert float(got.lam_fine).hex() == float(want.lam_fine).hex()
+    assert got.fallback is want.fallback
 
 
 def test_champion_width_uses_unequal_arms():
@@ -405,11 +687,11 @@ def test_champion_width_uses_unequal_arms():
     r = _samples(UNIT, t, -0.5 * (t - mu) ** 2 / sigma**2)
     assert np.argmax(r.logl) == 17
     assert t[18] - t[17] != t[17] - t[16]
-    assert _champion_width(r) == pytest.approx(sigma, rel=1e-9)
+    assert _width(_as_bank([r]), box(1, 0, 1)) == pytest.approx(sigma, rel=1e-9)
     # Arc length, not t: the same profile on a ray three times as long.
     long = Ray(RAY_W2W, np.array([0.0]), np.array([3.0]))
     r3 = _samples(long, t, -0.5 * (3 * (t - mu)) ** 2 / sigma**2)
-    assert _champion_width(r3) == pytest.approx(sigma, rel=1e-9)
+    assert _width(_as_bank([r3]), box(1, 0, 1)) == pytest.approx(sigma, rel=1e-9)
 
 
 def test_champion_width_unreadable_cases():
@@ -422,17 +704,18 @@ def test_champion_width_unreadable_cases():
         "flat top, zero curvature": np.zeros(9),
     }
     for why, v in cases.items():
-        assert np.isnan(_champion_width(_samples(UNIT, t, v))), why
+        assert np.isnan(_width(_as_bank([_samples(UNIT, t, v)]), box(1, 0, 1))), why
     repeated = np.array([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
-    assert np.isnan(_champion_width(_samples(UNIT, repeated, -(repeated - 0.5) ** 2)))
+    rep = _as_bank([_samples(UNIT, repeated, -(repeated - 0.5) ** 2)])
+    assert np.isnan(_width(rep, box(1, 0, 1)))
     # Only unreadable rays (and a dead one): the scale falls back.
-    bank = RayBank([_samples(UNIT, t, v) for v in cases.values()])
-    bank.rays.append(_samples(UNIT, t, np.full(9, -np.inf), dead=True))
-    est = estimate_scales(bank, box(1, 0, 1))
+    rays = [_samples(UNIT, t, v) for v in cases.values()]
+    rays.append(_samples(UNIT, t, np.full(9, -np.inf), dead=True))
+    est = estimate_scales(_as_bank(rays), box(1, 0, 1))
     assert est.fallback and est.lam_fine == pytest.approx(1e-3)
     # One readable ray among them sets the scale on its own.
-    bank.rays.append(_samples(UNIT, t, bowl))
-    est = estimate_scales(bank, box(1, 0, 1))
+    rays.append(_samples(UNIT, t, bowl))
+    est = estimate_scales(_as_bank(rays), box(1, 0, 1))
     assert not est.fallback and est.lam_fine == pytest.approx(0.1, rel=1e-9)
 
 
@@ -451,10 +734,10 @@ def test_select_seeds_quota_and_thinning():
             assert np.max(np.abs(seeds[i] - seeds[j])) > 0.5
 
 
-def _select_seeds_reference(bank, lam_fine, dim):
+def _select_seeds_champion_walk(rays, lam_fine, dim):
     """Seed selection with the per-ray champion walk."""
     q = max(32, 4 * rays_per_kind(dim))
-    live = [r for r in bank.rays if not r.dead]
+    live = [r for r in rays if not r.dead]
     if not live:
         return np.zeros((0, dim))
     pos = np.vstack([_points_along(r.ray.start, r.ray.end, r.t) for r in live])
@@ -467,7 +750,7 @@ def _select_seeds_reference(bank, lam_fine, dim):
     pick = np.zeros(val.size, dtype=bool)
     pick[order[:q]] = True
     offset = 0
-    for r in bank.rays:
+    for r in rays:
         if r.dead:
             continue
         fin = np.flatnonzero(np.isfinite(np.asarray(r.logl)))
@@ -483,10 +766,18 @@ def _select_seeds_reference(bank, lam_fine, dim):
 
 @pytest.mark.parametrize("case", range(5))
 def test_select_seeds_champions_match_per_ray_walk(case):
-    bounds, bank = list(_scales_banks())[case]
+    bounds, rays = list(_scales_rays())[case]
+    bank = _as_bank(rays)
     for lam in (1e-3, 0.2):
         got = select_seeds(bank, lam, bounds.dim)
-        assert got.tobytes() == _select_seeds_reference(bank, lam, bounds.dim).tobytes()
+        assert got.tobytes() == _select_seeds_champion_walk(rays, lam, bounds.dim).tobytes()
+        assert got.tobytes() == _select_seeds_reference(rays, lam, bounds.dim).tobytes()
+
+
+def test_select_seeds_all_dead_gives_no_seeds():
+    p = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
+    seeds = select_seeds(survey(p, np.random.default_rng(0)), 0.1, 3)
+    assert seeds.shape == (0, 3)
 
 
 def test_smoothed_gradient_degenerates_to_fd():

@@ -13,6 +13,7 @@ from laplev.lbfgs import (
     _directions,
     _push_pairs,
     _row_dot,
+    axis_values,
     fd_gradient,
     fd_steps,
     make_state,
@@ -31,6 +32,46 @@ def quad_problem(mu, a, lo=-10.0, hi=10.0):
         return -0.5 * np.einsum("ni,ij,nj->n", r, a, r)
 
     return Problem(fn, BoundsBox.cube(mu.size, lo, hi))
+
+
+def _axis_values_reference(problem, theta, eps):
+    """``axis_values`` as it was written with ``np.repeat`` and fancy-index adds."""
+    n, d = theta.shape
+    probes = np.repeat(theta[:, None, :], 2 * d, axis=1)
+    idx = np.arange(d)
+    rows = np.arange(n)[:, None]
+    probes[rows, idx, idx] += eps
+    probes[rows, d + idx, idx] -= eps
+    return problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
+
+
+class _Recorder(Problem):
+    """A problem that keeps a copy of every batch of points it evaluates."""
+
+    def __init__(self, d):
+        w = np.linspace(0.3, 1.7, d)
+        super().__init__(lambda x: -(x * x) @ w + np.sin(x).sum(axis=1),
+                         BoundsBox.cube(d, -10.0, 10.0))
+        self.batches = []
+
+    def logl(self, points):
+        self.batches.append(np.array(points))
+        return super().logl(points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 128])
+def test_axis_values_bitwise_equal_to_repeat_stencil(d):
+    rng = np.random.default_rng(d)
+    n = 7
+    theta = rng.uniform(-5.0, 5.0, (n, d)) * 10.0 ** rng.uniform(-8, 2, (n, d))
+    for eps in (1e-5, rng.uniform(1e-8, 1e-3, d), fd_steps(theta, 0.01),
+                fd_steps(theta)):
+        got_p, want_p = _Recorder(d), _Recorder(d)
+        got = axis_values(got_p, theta, eps)
+        want = _axis_values_reference(want_p, theta, eps)
+        assert got.shape == want.shape == (n, 2 * d)
+        assert got.tobytes() == want.tobytes()
+        assert got_p.batches[0].tobytes() == want_p.batches[0].tobytes()
 
 
 def test_fd_steps_floor_and_width_hint():

@@ -274,6 +274,41 @@ def _dedup_linf_reference(points, scores, radius, widths=None):
     return np.asarray(sorted(kept), dtype=np.intp)
 
 
+def _dedup_linf_loop_reference(points, scores, radius, widths=None):
+    """``dedup_linf`` as it was written with one iteration per candidate."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    sc = np.asarray(scores, dtype=np.float64).reshape(-1)
+    n = pts.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    if widths is not None:
+        pts = pts / np.asarray(widths, dtype=np.float64)
+    order = np.lexsort((np.arange(n), -sc))
+    # Survivors fill the first m slots of these buffers, in visiting order.
+    kept = np.empty(n, dtype=np.intp)
+    kept_pts = np.empty_like(pts)
+    m = 0
+    for i in order:
+        if m and np.max(np.abs(kept_pts[:m] - pts[i]), axis=1).min() <= radius:
+            continue
+        kept[m] = i
+        kept_pts[m] = pts[i]
+        m += 1
+    return np.sort(kept[:m])
+
+
+def _dedup_cases(rng, nan):
+    """(points, scores) of assorted sizes: tied scores, repeated points."""
+    for n, d in ((1, 1), (2, 3), (40, 1), (150, 8), (300, 128)):
+        pts = rng.uniform(-2.0, 2.0, size=(n, d))
+        pts[n // 2:n // 2 + n // 10] = pts[0]
+        sc = rng.integers(0, 4, size=n).astype(np.float64)
+        if nan:
+            rows = rng.choice(n, size=max(1, n // 20), replace=False)
+            pts[rows, rng.integers(0, d, size=rows.size)] = np.nan
+        yield pts, sc
+
+
 @pytest.mark.parametrize("radius", [0.0, 0.3, 1e3])
 @pytest.mark.parametrize("whiten", [False, True])
 def test_dedup_bitwise_equal_to_vstack_loop(radius, whiten):
@@ -281,16 +316,40 @@ def test_dedup_bitwise_equal_to_vstack_loop(radius, whiten):
     # repeat exactly, so radius 0 still merges some. Radius 1e3 merges
     # everything into the best point.
     rng = np.random.default_rng(31)
-    for n, d in ((1, 1), (2, 3), (40, 1), (150, 8), (300, 128)):
-        pts = rng.uniform(-2.0, 2.0, size=(n, d))
-        pts[n // 2:n // 2 + n // 10] = pts[0]
-        sc = rng.integers(0, 4, size=n).astype(np.float64)
-        widths = rng.uniform(0.1, 2.0, size=d) if whiten else None
+    for pts, sc in _dedup_cases(rng, nan=False):
+        widths = rng.uniform(0.1, 2.0, size=pts.shape[1]) if whiten else None
         got = dedup_linf(pts, sc, radius, widths=widths)
-        want = _dedup_linf_reference(pts, sc, radius, widths=widths)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for reference in (_dedup_linf_reference, _dedup_linf_loop_reference):
+            want = reference(pts, sc, radius, widths=widths)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if radius == 1e3:
-            assert got.tolist() == [int(np.lexsort((np.arange(n), -sc))[0])]
+            assert got.tolist() == [int(np.lexsort((np.arange(len(sc)), -sc))[0])]
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.3, 1e3])
+@pytest.mark.parametrize("whiten", [False, True])
+def test_dedup_nan_coordinates_bitwise_equal_to_candidate_loop(radius, whiten):
+    # A NaN coordinate puts a point at a NaN distance from every other: it
+    # is kept, and once kept it keeps every later candidate.
+    rng = np.random.default_rng(37)
+    for pts, sc in _dedup_cases(rng, nan=True):
+        widths = rng.uniform(0.1, 2.0, size=pts.shape[1]) if whiten else None
+        got = dedup_linf(pts, sc, radius, widths=widths)
+        for reference in (_dedup_linf_reference, _dedup_linf_loop_reference):
+            want = reference(pts, sc, radius, widths=widths)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_dedup_nan_survivor_keeps_every_later_candidate():
+    # The best point has a NaN coordinate; the two after it sit within the
+    # radius of each other but at a NaN distance from the best one.
+    pts = np.array([[np.nan, 0.0], [0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
+    sc = [4.0, 3.0, 2.0, 1.0]
+    kept = dedup_linf(pts, sc, 0.5)
+    assert kept.tolist() == [0, 1, 2, 3]
+    assert kept.tolist() == _dedup_linf_loop_reference(pts, sc, 0.5).tolist()
+    # Without the NaN point the close pair merges.
+    assert dedup_linf(pts[1:], sc[1:], 0.5).tolist() == [0, 2]
 
 
 def test_dedup_whitened_coordinates():

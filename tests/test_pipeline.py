@@ -1,6 +1,7 @@
 """End-to-end pipeline: configuration, determinism, accounting, equivariance."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ def test_timings_present_but_excluded_from_canonical_json():
     assert set(res.timings_ms) == set(res.eval_counts)
     assert "timings_ms" not in json.loads(result_json(res))
     assert "timings_ms" in json.loads(result_json(res, with_timings=True))
+
+
+SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback"}
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
+def test_result_reports_its_survey(name, dim):
+    # The survey block: ray counts per kind, dead rays and the length scale,
+    # which is the scale the behaviour baseline records for the cell.
+    config = preset_config("fast", seed=1)
+    texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
+    assert texts[0] == texts[1]
+    block = json.loads(texts[0])["survey"]
+    assert set(block) == SURVEY_KEYS
+    n = int(np.ceil(10 + np.log2(dim)))
+    assert [block[k] for k in ("v2v", "v2e", "w2w", "sunburst")] == [n] * 4
+    assert block["dead"] == 0
+    baseline = json.loads(Path(__file__).with_name("baseline.json").read_text())
+    scales = baseline[f"{name}/{dim}/fast"]["scales"]
+    assert block["scale"] == float.fromhex(scales["lam"])
+    assert block["scale_fallback"] is scales["fallback"]
 
 
 # ---------------------------------------------------------------------------
