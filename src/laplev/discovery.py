@@ -11,8 +11,9 @@ operations. The length scale is the smallest profile width the rays show
 at their best samples. Then it runs a stick/release cycle: batches of seeds
 ascend until they stick to a peak, duplicates collapse, and every sample
 that did not stick climbs a few noise-smoothed gradient steps that hop
-over fine-scale ripple before the next ascent. Everything is driven by one seeded generator and batched
-evaluator calls, so a (seed, config) pair fixes the run bit for bit.
+over fine-scale ripple before the next ascent. Everything is driven by one
+seeded generator and batched evaluator calls, so a (seed, config) pair
+fixes the run bit for bit.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def generate_rays(bounds: BoundsBox, rng):
     kind = np.repeat([RAY_V2V, RAY_V2E, RAY_W2W, RAY_SUN], [n, n_v2e, n, n_sun])
     start = np.empty((kind.size, d))
     end = np.empty((kind.size, d))
+    n_vert = n + n_v2e
     # Vertex picks: 1 selects the upper bound of a coordinate, 0 the lower.
-    v_start = np.empty((n + n_v2e, d), dtype=np.int64)
-    v_end = np.empty((n + n_v2e, d), dtype=np.int64)
+    v_start = np.empty((n_vert, d), dtype=np.int64)
+    v_end = np.empty((n_vert, d), dtype=np.int64)
     for i in range(n):
         v_start[i] = rng.integers(0, 2, size=d)
         while True:
@@ -85,11 +87,10 @@ def generate_rays(bounds: BoundsBox, rng):
             if not np.array_equal(v_start[i], v_end[i]):
                 break
     edge_axis = np.empty(n_v2e, dtype=np.int64)
-    for i in range(n, n + n_v2e):
+    for i in range(n, n_vert):
         v_start[i] = rng.integers(0, 2, size=d)
         v_end[i] = rng.integers(0, 2, size=d)
         edge_axis[i - n] = rng.integers(d)
-    n_vert = n + n_v2e
     start[:n_vert] = np.where(v_start == 1, upper, lower)
     end[:n_vert] = np.where(v_end == 1, upper, lower)
     end[n + np.arange(n_v2e), edge_axis] = c[edge_axis]
