@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NoModesFoundError
 from .lbfgs import _row_dot, fd_gradient, run_batch
-from .linalg import dedup_linf
+from .linalg import dedup_linf, dedup_radius
 from .problem import BoundsBox
 
 RAY_V2V = 0  # vertex to vertex
@@ -34,9 +34,11 @@ RAY_SUN = 3  # center outward to the boundary
 
 KIND_NAMES = {RAY_V2V: "v2v", RAY_V2E: "v2e", RAY_W2W: "w2w", RAY_SUN: "sunburst"}
 
-N_COARSE = 64
-ACTIVE_DROP = 20.0
+N_COARSE = 64  # coarse samples per survey ray, and as many refill samples
+ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
+N_CONVERGE = 15  # ascent steps per oscillation
+STICK_GRAD = 1e-6  # gradient sup-norm below which a sample has stuck
 
 
 def rays_per_kind(dim: int) -> int:
@@ -129,7 +131,7 @@ def _eval_rays(problem, start, end, t) -> np.ndarray:
     return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
 
 
-def _refill_t(t0, v0, rng, active_drop):
+def _refill_t(t0, v0, rng):
     """Mass-weighted refill positions for a stack of coarse passes.
 
     ``v0`` holds one ray's coarse values per row. Rows with no finite value
@@ -144,7 +146,7 @@ def _refill_t(t0, v0, rng, active_drop):
         return live, np.zeros((0, n_coarse))
     v0, finite = v0[live], finite[live]
     vmax = np.where(finite, v0, -np.inf).max(axis=1, keepdims=True)
-    active = finite & (v0 > vmax - active_drop)
+    active = finite & (v0 > vmax - ACTIVE_DROP)
     edges = np.empty(n_coarse + 1)
     edges[0], edges[-1] = 0.0, 1.0
     edges[1:-1] = 0.5 * (t0[:-1] + t0[1:])
@@ -191,31 +193,29 @@ class RayBank:
         return f"{self.kind.size} rays ({parts}), {int(self.dead.sum())} dead"
 
 
-def survey(problem, rng, n_coarse: int = N_COARSE,
-           active_drop: float = ACTIVE_DROP) -> RayBank:
+def survey(problem, rng) -> RayBank:
     """Two-pass survey of the ``generate_rays`` family in two batched calls.
 
-    Each ray gets an inclusive uniform coarse grid in t. Cells whose value
-    sits within ``active_drop`` nats of the ray maximum form the active
-    region; a second pass of equal size draws t values from the normalized
-    piecewise-constant profile over those cells by inverse transform. A ray
-    whose coarse pass is entirely non-finite is marked dead and gets no
-    second pass. One likelihood call evaluates every ray's coarse grid, a
-    second every live ray's refill (skipped when every ray is dead). Every
-    bank array, and the generator state afterwards, equals bit for bit
-    what surveying the rays one at a time with the same generator gives:
-    the refill draws are the only generator use after the rays, and they
-    are taken in ray order.
+    Each ray gets an inclusive uniform coarse grid of ``N_COARSE`` points
+    in t. Cells whose value sits within ``ACTIVE_DROP`` nats of the ray
+    maximum form the active region; a second pass of equal size draws t
+    values from the normalized piecewise-constant profile over those cells
+    by inverse transform. A ray whose coarse pass is entirely non-finite is
+    marked dead and gets no second pass. One likelihood call evaluates
+    every ray's coarse grid, a second every live ray's refill (skipped when
+    every ray is dead). Every bank array, and the generator state
+    afterwards, equals bit for bit what surveying the rays one at a time
+    with the same generator gives: the refill draws are the only generator
+    use after the rays, and they are taken in ray order.
     """
-    return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng,
-                        n_coarse, active_drop)
+    return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng)
 
 
-def _sample_rays(problem, kind, start, end, rng, n_coarse, active_drop) -> RayBank:
+def _sample_rays(problem, kind, start, end, rng) -> RayBank:
     """Two-pass survey of the rays ``(kind, start, end)``; see ``survey``."""
-    t0 = np.linspace(0.0, 1.0, n_coarse)
-    v0 = _eval_rays(problem, start, end, np.broadcast_to(t0, (kind.size, n_coarse)))
-    live, t1 = _refill_t(t0, v0, rng, active_drop)
+    t0 = np.linspace(0.0, 1.0, N_COARSE)
+    v0 = _eval_rays(problem, start, end, np.broadcast_to(t0, (kind.size, N_COARSE)))
+    live, t1 = _refill_t(t0, v0, rng)
     v1 = (_eval_rays(problem, start[live], end[live], t1) if live.any()
           else np.zeros_like(t1))
     t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
@@ -358,19 +358,19 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
 
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
-                   n_oscillations: int = 1, n_converge: int = 15,
-                   n_cloud: int = 5, k_smooth: int = 8,
-                   stick_grad: float = 1e-6,
-                   dedup_radius: float | None = None) -> list[CoarsePeak]:
+                   n_oscillations: int = 1, n_cloud: int = 5,
+                   k_smooth: int = 8) -> list[CoarsePeak]:
     """Stick/release search over a fixed population of samples.
 
-    Each oscillation re-runs the ascent on every sample, sticks the ones
-    that converged onto a peak within a factor ``KEEP_RATIO`` of the best
-    value seen anywhere so far, and collapses duplicate peaks. Except on
-    the last round, every sample that did not stick, the duplicates
-    included, then climbs the smoothed gradient. Nothing else runs between
-    two ascents. The survey's one length scale ``scales.lam_fine`` sets the
-    finite-difference widths and the climb's step.
+    Each oscillation re-runs the ascent (at most ``N_CONVERGE`` steps) on
+    every sample, sticks the ones that converged (gradient sup-norm below
+    ``STICK_GRAD``) onto a peak within a factor ``KEEP_RATIO`` of the best
+    value seen anywhere so far, and collapses duplicate peaks within the
+    box's ``dedup_radius``. Except on the last round, every sample that did
+    not stick, the duplicates included, then climbs the smoothed gradient.
+    Nothing else runs between two ascents. The survey's one length scale
+    ``scales.lam_fine`` sets the finite-difference widths and the climb's
+    step.
 
     The climb takes ``n_cloud`` steps. ``k_smooth`` is its gradient cloud
     size at d <= 2; above that the cloud shrinks so that one step costs at
@@ -382,8 +382,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     """
     bounds = problem.bounds
     lam_fine = scales.lam_fine
-    if dedup_radius is None:
-        dedup_radius = 1e-3 * float(np.mean(bounds.widths))
+    radius = dedup_radius(bounds)
     positions = bounds.clip(np.atleast_2d(np.asarray(seeds, dtype=np.float64)))
     if positions.shape[0] == 0:
         raise NoModesFoundError(None, -np.inf, "no seeds to start from")
@@ -397,7 +396,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     best_pos, best_logl = None, -np.inf
 
     for osc in range(1, int(n_oscillations) + 1):
-        state = run_batch(problem, positions, n_converge, stick_grad, widths=lam_fine)
+        state = run_batch(problem, positions, N_CONVERGE, STICK_GRAD, widths=lam_fine)
         positions = state.theta
         logls = state.logl
         grad_inf = state.grad_inf()
@@ -411,13 +410,13 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                 best_pos, best_logl = positions[i].copy(), float(logls[i])
 
         floor = problem.peak_logl + np.log(KEEP_RATIO)
-        stuck = (grad_inf < stick_grad) & finite & (logls >= floor)
+        stuck = (grad_inf < STICK_GRAD) & finite & (logls >= floor)
         stuck_osc[stuck & (stuck_osc == 0)] = osc
 
         if stuck.any():
             sidx = np.flatnonzero(stuck)
             stuck[sidx] = False
-            stuck[sidx[dedup_linf(positions[sidx], logls[sidx], dedup_radius)]] = True
+            stuck[sidx[dedup_linf(positions[sidx], logls[sidx], radius)]] = True
 
         if osc == int(n_oscillations):
             break

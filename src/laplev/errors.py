@@ -38,7 +38,12 @@ class NotPositiveDefiniteError(LaplevError):
 
 
 class DegenerateProblemError(LaplevError):
-    """All probe sensitivities vanished, the likelihood is constant."""
+    """Every precheck axis probe read the box center's value.
+
+    All 2d probe sensitivities vanished. That is what a constant likelihood
+    gives, but also one that takes the center's value at each probe point
+    and varies in between, such as a ring through every probe.
+    """
 
     exit_code = 6
 

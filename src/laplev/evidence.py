@@ -37,7 +37,7 @@ from .refine import hess_steps
 
 # An off-diagonal probe fires when the measured curvature along a direction
 # deviates from its diagonal-only prediction by this relative margin (the
-# pipeline's ``eps_rot`` tolerance).
+# default of ``mode_evidence``'s ``eps_rot``).
 PROBE_REL_THRESHOLD = 0.05
 # Default number of extra random-direction probes. The diagonal-direction
 # probe alone sees the MEAN off-diagonal and is blind to correlations of

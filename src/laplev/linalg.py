@@ -28,6 +28,8 @@ JACOBI_MAX_SWEEPS = 100
 # PD matrices, d up to 64, log-uniform spectra and condition up to 1e8, the
 # estimate stayed within 5% of the eigenvalue ratio (64 iterations: 7.4%).
 CONDITION_ITERATIONS = 96
+# Duplicate-peak radius as a fraction of the mean box width (``dedup_radius``).
+DEDUP_WIDTH_FRACTION = 1e-3
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
 
@@ -162,6 +164,11 @@ def logsumexp(values) -> float:
     if m == -np.inf:
         return -np.inf
     return m + float(np.log(np.sum(np.exp(v - m))))
+
+
+def dedup_radius(bounds) -> float:
+    """Radius within which two peaks in ``bounds`` are one peak."""
+    return DEDUP_WIDTH_FRACTION * float(np.mean(bounds.widths))
 
 
 def dedup_linf(points, scores, radius, widths=None):

@@ -3,9 +3,12 @@
 Stages run in a fixed order — coordinate screen, ray survey, oscillating
 mode search, quasi-Newton polish, per-mode Gaussian integral, optional
 dimensional reduction — each consuming the previous stage's output on the
-active-coordinate subproblem. Results are bitwise deterministic for a fixed
-(problem, config) pair: every random draw comes from streams spawned off the
-config seed, and each likelihood batch reaches the evaluator as one call.
+active-coordinate subproblem. A config is a preset name, a seed and the
+reduce flag: the preset sets the number of oscillations and the polish, and
+every tolerance and budget is a constant of the stage that uses it. Results
+are bitwise deterministic for a fixed (problem, config) pair: every random
+draw comes from streams spawned off the config seed, and each likelihood
+batch reaches the evaluator as one call.
 """
 
 from __future__ import annotations
@@ -13,17 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .discovery import (
-    N_COARSE,
-    discover_modes,
-    estimate_scales,
-    select_seeds,
-    survey,
-)
+from .discovery import discover_modes, estimate_scales, select_seeds, survey
 from .errors import (
     HessianFailedError,
     InvalidParameterError,
@@ -31,100 +28,65 @@ from .errors import (
     NoModesFoundError,
     NotPositiveDefiniteError,
 )
-from .evidence import PROBE_REL_THRESHOLD, combine, mode_evidence
-from .precheck import EPS_FLAT, EPS_SOFT, active_subproblem, precheck
+from .evidence import combine, mode_evidence
+from .precheck import active_subproblem, precheck
 from .reduction import reduce_mode
 from .refine import refine_peaks
 
-DEFAULT_TOLERANCES = {
-    "stick_grad": 1e-6,      # ascent stopping gradient (coarse search)
-    "refine_grad": 1e-10,    # polish stopping gradient
-    "eps_flat": EPS_FLAT,    # flat-coordinate sensitivity cut
-    "eps_soft": EPS_SOFT,    # soft-coordinate sensitivity cut
-    "eps_rot": PROBE_REL_THRESHOLD,  # rotation-probe threshold
-    "dedup_radius": 1e-3,    # duplicate-peak radius, fraction of mean width
+# Each preset's search depth and polish: (n_oscillations, fast_refine).
+PRESET_SETTINGS = {
+    "fast": (1, True),
+    "slow": (1, False),
+    "conservative": (3, False),
 }
-
-DEFAULT_BUDGETS = {
-    "n_coarse": N_COARSE,    # coarse samples per survey ray
-    "n_converge": 15,        # ascent steps per oscillation
-    "n_cloud": 5,            # smoothed-ascent steps between oscillations
-    "k_smooth": 8,           # smoothing cloud at d <= 2; step cost <= 4x this
-    "lbfgs_memory": 10,      # curvature pairs kept per polish sample
-}
-
-PRESETS = ("fast", "slow", "conservative")
+PRESETS = tuple(PRESET_SETTINGS)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Complete, validated run configuration.
+    """A run's configuration: a preset name, a seed and the reduce flag.
 
-    ``tolerances`` and ``budgets`` accept partial overrides; missing keys
-    take the defaults above, unknown keys are rejected.
+    The preset fixes the oscillation count and the polish; every tolerance
+    and budget is the owning stage's module constant. An unknown preset
+    name is rejected.
     """
 
-    n_oscillations: int = 3
-    fast_refine: bool = False
+    name: str
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    budgets: dict = field(default_factory=dict)
     reduce: bool = False
-    name: str = "custom"
 
     def __post_init__(self):
-        if int(self.n_oscillations) != self.n_oscillations or self.n_oscillations < 1:
-            raise InvalidParameterError("n_oscillations must be an integer >= 1")
-        tol = dict(DEFAULT_TOLERANCES)
-        unknown = set(self.tolerances) - set(tol)
-        if unknown:
-            raise InvalidParameterError(f"unknown tolerances: {sorted(unknown)}")
-        tol.update(self.tolerances)
-        for key, value in tol.items():
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidParameterError(f"tolerance {key} must be positive")
-        bud = dict(DEFAULT_BUDGETS)
-        unknown = set(self.budgets) - set(bud)
-        if unknown:
-            raise InvalidParameterError(f"unknown budgets: {sorted(unknown)}")
-        bud.update(self.budgets)
-        for key, value in bud.items():
-            if int(value) != value or value < 1:
-                raise InvalidParameterError(f"budget {key} must be an integer >= 1")
-        object.__setattr__(self, "tolerances", tol)
-        object.__setattr__(self, "budgets", {k: int(v) for k, v in bud.items()})
+        if self.name not in PRESETS:
+            raise InvalidParameterError(
+                f"unknown preset {self.name!r}; choose from {', '.join(PRESETS)}"
+            )
+
+    @property
+    def n_oscillations(self) -> int:
+        return PRESET_SETTINGS[self.name][0]
+
+    @property
+    def fast_refine(self) -> bool:
+        return PRESET_SETTINGS[self.name][1]
 
     def echo(self) -> dict:
         """JSON-stable copy of everything that influences the result."""
         return {
             "name": self.name,
-            "n_oscillations": int(self.n_oscillations),
-            "fast_refine": bool(self.fast_refine),
+            "n_oscillations": self.n_oscillations,
+            "fast_refine": self.fast_refine,
             "reduce": bool(self.reduce),
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
-            "budgets": {k: int(v) for k, v in sorted(self.budgets.items())},
         }
 
 
-def preset_config(name, *, seed=0, reduce=False, **overrides) -> PipelineConfig:
+def preset_config(name, *, seed=0, reduce=False) -> PipelineConfig:
     """The three named configurations: fast, slow, conservative.
 
     fast uses a single oscillation with the cheap polish; slow keeps one
     oscillation but polishes fully; conservative runs three oscillations
     with the full polish.
     """
-    if name == "fast":
-        base = dict(n_oscillations=1, fast_refine=True)
-    elif name == "slow":
-        base = dict(n_oscillations=1, fast_refine=False)
-    elif name == "conservative":
-        base = dict(n_oscillations=3, fast_refine=False)
-    else:
-        raise InvalidParameterError(
-            f"unknown preset {name!r}; choose from {', '.join(PRESETS)}"
-        )
-    base.update(overrides)
-    return PipelineConfig(seed=seed, reduce=reduce, name=name, **base)
+    return PipelineConfig(name, seed=seed, reduce=reduce)
 
 
 class _Meter:
@@ -165,7 +127,6 @@ def run(problem, config: PipelineConfig):
     coordinate space. Stage errors propagate with a ``stage`` attribute
     naming the failing stage.
     """
-    tol, bud = config.tolerances, config.budgets
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_survey, rng_discover, rng_refine, rng_evidence = (
         np.random.default_rng(s) for s in streams
@@ -173,7 +134,7 @@ def run(problem, config: PipelineConfig):
     meter = _Meter(problem)
 
     try:
-        report = precheck(problem, eps_flat=tol["eps_flat"], eps_soft=tol["eps_soft"])
+        report = precheck(problem)
         active = active_subproblem(problem, report)
     except LaplevError as err:
         raise _tag(err, "precheck")
@@ -186,24 +147,16 @@ def run(problem, config: PipelineConfig):
         )
 
     try:
-        bank = survey(active, rng_survey, n_coarse=bud["n_coarse"])
+        bank = survey(active, rng_survey)
         scales = estimate_scales(bank, active.bounds)
         seeds = select_seeds(bank, scales.lam_fine, active.dim)
     except LaplevError as err:
         raise _tag(err, "survey")
     meter.close("survey")
 
-    dedup_abs = tol["dedup_radius"] * float(np.mean(active.bounds.widths))
     try:
-        coarse = discover_modes(
-            active, seeds, scales, rng_discover,
-            n_oscillations=config.n_oscillations,
-            n_converge=bud["n_converge"],
-            n_cloud=bud["n_cloud"],
-            k_smooth=bud["k_smooth"],
-            stick_grad=tol["stick_grad"],
-            dedup_radius=dedup_abs,
-        )
+        coarse = discover_modes(active, seeds, scales, rng_discover,
+                                n_oscillations=config.n_oscillations)
     except NoModesFoundError as err:
         raise _tag(
             NoModesFoundError(err.best_position, err.best_logl,
@@ -215,13 +168,8 @@ def run(problem, config: PipelineConfig):
     meter.close("discover")
 
     try:
-        peaks, warnings = refine_peaks(
-            active, coarse, scales.lam_fine, rng_refine,
-            fast=config.fast_refine,
-            grad_tol=tol["refine_grad"],
-            dedup_radius=dedup_abs,
-            lbfgs_memory=bud["lbfgs_memory"],
-        )
+        peaks, warnings = refine_peaks(active, coarse, scales.lam_fine,
+                                       rng_refine, fast=config.fast_refine)
     except LaplevError as err:
         raise _tag(err, "refine")
     meter.close("refine")
@@ -230,9 +178,7 @@ def run(problem, config: PipelineConfig):
     modes = []
     for pk in peaks:
         try:
-            modes.append(mode_evidence(
-                active, pk, rng=rng_evidence, eps_rot=tol["eps_rot"],
-            ))
+            modes.append(mode_evidence(active, pk, rng=rng_evidence))
         except (NotPositiveDefiniteError, HessianFailedError) as err:
             warnings.append(
                 "dropped candidate at "

@@ -48,14 +48,13 @@ def _lower_median(values) -> float:
     return float(v[(v.size - 1) // 2])
 
 
-def precheck(problem: Problem, eps_flat: float = EPS_FLAT,
-             eps_soft: float = EPS_SOFT) -> PrecheckReport:
+def precheck(problem: Problem) -> PrecheckReport:
     """Classify coordinates by axis sensitivity around the box center.
 
     Sensitivity of axis i is s_i = |l(c + D_i e_i) - l(c)| +
     |l(c - D_i e_i) - l(c)| with D_i the half width. Flat axes have exactly
-    zero sensitivity or fall below eps_flat times the (lower) median; soft
-    axes fall below eps_soft times the maximum without being flat.
+    zero sensitivity or fall below EPS_FLAT times the (lower) median; soft
+    axes fall below EPS_SOFT times the maximum without being flat.
 
     Flat axes contribute their prior width log(b_i - a_i) to the marginal.
     Soft axes get a Gaussian marginal with the probe-implied scale
@@ -78,11 +77,14 @@ def precheck(problem: Problem, eps_flat: float = EPS_FLAT,
     dn = vals[1 + d :]
     s = np.abs(up - l0) + np.abs(dn - l0)
     if np.all(s == 0.0):
-        raise DegenerateProblemError("zero sensitivity on every axis")
+        raise DegenerateProblemError(
+            "every axis probe at +-half width read the center's value; the "
+            "likelihood may still vary between the probes"
+        )
     med = _lower_median(s)
     smax = float(np.max(s))
-    flat_mask = (s == 0.0) | (s < eps_flat * med)
-    soft_mask = (s < eps_soft * smax) & ~flat_mask
+    flat_mask = (s == 0.0) | (s < EPS_FLAT * med)
+    soft_mask = (s < EPS_SOFT * smax) & ~flat_mask
     flat = tuple(int(i) for i in np.where(flat_mask)[0])
     soft = tuple(int(i) for i in np.where(soft_mask)[0])
     active = tuple(int(i) for i in np.where(~flat_mask & ~soft_mask)[0])

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidMaximaError
-from .lbfgs import HISTORY, axis_values, make_state, step_batch
-from .linalg import dedup_linf
+from .lbfgs import HISTORY, axis_values, run_batch
+# Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
+from .lbfgs import step_batch  # noqa: F401
+from .linalg import dedup_linf, dedup_radius
 
 GRAD_FILTER_SCALE = 1e-6
 # Hessian stencil step per coordinate (see ``hess_steps``).
@@ -102,16 +104,18 @@ class RefinedPeak:
 
 
 def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
-                 grad_tol=1e-10, dedup_radius=None, lbfgs_memory=None):
+                 grad_tol=1e-10, lbfgs_memory=HISTORY):
     """Polish coarse peaks into validated maxima.
+
+    Every seed climbs for ``refine_iterations`` L-BFGS steps, keeping
+    ``lbfgs_memory`` curvature pairs, or until its gradient sup-norm falls
+    below ``grad_tol``.
 
     Returns (peaks, warnings). Raises the no-valid-maxima error, with a
     per-filter casualty count, when nothing survives the cascade.
     """
     bounds = problem.bounds
     d = bounds.dim
-    if dedup_radius is None:
-        dedup_radius = 1e-3 * float(np.mean(bounds.widths))
     if not coarse_peaks:
         raise NoValidMaximaError({"no_input_peaks": 0}, 0)
 
@@ -125,14 +129,8 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     origins = np.asarray(origins)
     hints = np.asarray(hints, dtype=np.float64)
 
-    state = make_state(problem, seeds, widths=hints[:, None],
-                       memory=HISTORY if lbfgs_memory is None else lbfgs_memory)
-    iters = refine_iterations(d)
-    for _ in range(iters):
-        state.freeze(state.grad_inf() < grad_tol)
-        if state.frozen.all():
-            break
-        step_batch(state, problem)
+    state = run_batch(problem, seeds, refine_iterations(d), grad_tol,
+                      widths=hints[:, None], memory=lbfgs_memory)
 
     reasons = {"nonfinite_start": 0, "gradient": 0, "hessian_nonfinite": 0,
                "saddle": 0}
@@ -149,7 +147,8 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         alive = alive[ok]
 
     if alive.size:
-        kept = dedup_linf(state.theta[alive], state.logl[alive], dedup_radius)
+        kept = dedup_linf(state.theta[alive], state.logl[alive],
+                          dedup_radius(bounds))
         alive = alive[kept]
 
     if alive.size:

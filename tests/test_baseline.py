@@ -53,14 +53,12 @@ def cell_key(name, dim, preset):
 def observe_scales(problem, config):
     """The length scale ``run`` reads off its survey.
 
-    Same generator (the first stream spawned off the seed), same active
-    subproblem and survey budget as the pipeline.
+    Same generator (the first stream spawned off the seed) and same active
+    subproblem as the pipeline.
     """
-    tol, bud = config.tolerances, config.budgets
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[0])
-    report = precheck(problem, eps_flat=tol["eps_flat"], eps_soft=tol["eps_soft"])
-    active = active_subproblem(problem, report)
-    est = estimate_scales(survey(active, rng, n_coarse=bud["n_coarse"]), active.bounds)
+    active = active_subproblem(problem, precheck(problem))
+    est = estimate_scales(survey(active, rng), active.bounds)
     return {"lam": float(est.lam_fine).hex(), "fallback": est.fallback}
 
 

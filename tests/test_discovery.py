@@ -5,7 +5,6 @@ import pytest
 
 import laplev.discovery
 from laplev.discovery import (
-    ACTIVE_DROP,
     KIND_NAMES,
     N_COARSE,
     RAY_SUN,
@@ -132,13 +131,12 @@ def _eval_rays_reference(problem, rays, t) -> np.ndarray:
     return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
 
 
-def _sample_rays_reference(problem, rays, rng, n_coarse=N_COARSE,
-                           active_drop=ACTIVE_DROP) -> list:
-    t0 = np.linspace(0.0, 1.0, n_coarse)
-    v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), n_coarse)))
-    live, t1 = laplev.discovery._refill_t(t0, v0, rng, active_drop)
+def _sample_rays_reference(problem, rays, rng) -> list:
+    t0 = np.linspace(0.0, 1.0, N_COARSE)
+    v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), N_COARSE)))
+    live, t1 = laplev.discovery._refill_t(t0, v0, rng)
     live_idx = np.flatnonzero(live)
-    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(n_coarse, dtype=np.uint8), True)
+    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(N_COARSE, dtype=np.uint8), True)
            for i, ray in enumerate(rays)]
     if live_idx.size == 0:
         return out
@@ -310,7 +308,7 @@ def test_generate_rays_bitwise_equal_to_per_ray_draws(d, seed):
 def one_ray(problem, kind, start, end, rng):
     """Survey a single ray: one likelihood call per pass."""
     return _sample_rays(problem, np.array([kind]), np.array([start], dtype=np.float64),
-                        np.array([end], dtype=np.float64), rng, N_COARSE, ACTIVE_DROP)
+                        np.array([end], dtype=np.float64), rng)
 
 
 def test_two_pass_refines_inside_active_region():

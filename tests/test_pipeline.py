@@ -9,8 +9,7 @@ import pytest
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.pipeline import (
-    DEFAULT_BUDGETS,
-    DEFAULT_TOLERANCES,
+    PRESETS,
     PipelineConfig,
     preset_config,
     result_json,
@@ -48,35 +47,25 @@ def test_presets_match_documented_settings():
         preset_config("turbo")
 
 
-def test_config_defaults_fill_partial_overrides():
-    cfg = PipelineConfig(tolerances={"stick_grad": 1e-5},
-                         budgets={"n_coarse": 16})
-    assert cfg.tolerances["stick_grad"] == 1e-5
-    assert cfg.tolerances["refine_grad"] == DEFAULT_TOLERANCES["refine_grad"]
-    assert cfg.budgets["n_coarse"] == 16
-    assert cfg.budgets["n_cloud"] == DEFAULT_BUDGETS["n_cloud"]
+def test_config_rejects_unknown_preset():
+    for make in (PipelineConfig, preset_config):
+        with pytest.raises(InvalidParameterError, match="unknown preset 'custom'"):
+            make("custom")
 
 
-def test_config_rejects_bad_values():
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(n_oscillations=0)
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(tolerances={"stick_grad": -1e-6})
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(tolerances={"mystery_knob": 1.0})
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(budgets={"n_coarse": 2.5})
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(budgets={"warp_drive": 3})
-    with pytest.raises(InvalidParameterError):
-        PipelineConfig(budgets={"n_anticonverge": 10})  # removed budget
+def test_config_echo_has_the_four_keys():
+    echo = preset_config("conservative", seed=7, reduce=True).echo()
+    assert json.loads(json.dumps(echo)) == {
+        "name": "conservative", "n_oscillations": 3, "fast_refine": False,
+        "reduce": True,
+    }
 
 
-def test_config_echo_serializes():
-    echo = preset_config("fast", seed=7).echo()
-    back = json.loads(json.dumps(echo))
-    assert back["name"] == "fast"
-    assert back["budgets"]["n_coarse"] == DEFAULT_BUDGETS["n_coarse"]
+@pytest.mark.parametrize("preset", PRESETS)
+def test_config_is_its_preset(preset):
+    assert PipelineConfig(name=preset) == preset_config(preset)
+    assert (PipelineConfig(name=preset, seed=4, reduce=True)
+            == preset_config(preset, seed=4, reduce=True))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +273,23 @@ def test_all_pathological_coordinates_raise_at_precheck():
     with pytest.raises(DegenerateProblemError) as excinfo:
         run(problem, preset_config("fast", seed=1))
     assert excinfo.value.stage == "precheck"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_ring_error_says_what_the_probes_read(dim):
+    # The box center and every axis probe at +-half width sit at the same
+    # distance from ring's radius, so all sensitivities vanish although the
+    # likelihood varies along every axis. The error says what was measured,
+    # not that the likelihood is constant, after the one 2d+1 batch.
+    problem = get_target("ring", dim).problem
+    with pytest.raises(DegenerateProblemError) as excinfo:
+        run(problem, preset_config("slow", seed=1))
+    assert excinfo.value.stage == "precheck"
+    assert str(excinfo.value) == (
+        "every axis probe at +-half width read the center's value; the "
+        "likelihood may still vary between the probes"
+    )
+    assert problem.eval_counter == 2 * dim + 1
 
 
 # ---------------------------------------------------------------------------
