@@ -39,6 +39,8 @@ ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 N_CONVERGE = 15  # ascent steps per oscillation
 STICK_GRAD = 1e-6  # gradient sup-norm below which a sample has stuck
+N_CLOUD = 5  # smoothed-ascent steps between two ascents
+K_SMOOTH = 8  # smoothed-gradient cloud size at d <= 2
 
 
 def rays_per_kind(dim: int) -> int:
@@ -358,8 +360,7 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
 
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
-                   n_oscillations: int = 1, n_cloud: int = 5,
-                   k_smooth: int = 8) -> list[CoarsePeak]:
+                   n_oscillations: int = 1) -> list[CoarsePeak]:
     """Stick/release search over a fixed population of samples.
 
     Each oscillation re-runs the ascent (at most ``N_CONVERGE`` steps) on
@@ -372,9 +373,9 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     ``scales.lam_fine`` sets the finite-difference widths and the climb's
     step.
 
-    The climb takes ``n_cloud`` steps. ``k_smooth`` is its gradient cloud
+    The climb takes ``N_CLOUD`` steps. ``K_SMOOTH`` is its gradient cloud
     size at d <= 2; above that the cloud shrinks so that one step costs at
-    most ``max(4 * k_smooth, 2d)`` evaluations per sample (see
+    most ``max(4 * K_SMOOTH, 2d)`` evaluations per sample (see
     ``_smoothed_ascent``).
 
     Raises the no-modes error, carrying the best sample seen, if nothing
@@ -424,7 +425,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         unstuck_idx = np.flatnonzero(~stuck)
         if unstuck_idx.size:
             positions[unstuck_idx] = _smoothed_ascent(
-                problem, positions[unstuck_idx], lam_fine, n_cloud, k_smooth, rng
+                problem, positions[unstuck_idx], lam_fine, N_CLOUD, K_SMOOTH, rng
             )
 
     if not stuck.any():

@@ -36,13 +36,12 @@ from .linalg import eig_symmetric  # noqa: F401
 from .refine import hess_steps
 
 # An off-diagonal probe fires when the measured curvature along a direction
-# deviates from its diagonal-only prediction by this relative margin (the
-# default of ``mode_evidence``'s ``eps_rot``).
+# deviates from its diagonal-only prediction by this relative margin.
 PROBE_REL_THRESHOLD = 0.05
-# Default number of extra random-direction probes. The diagonal-direction
-# probe alone sees the MEAN off-diagonal and is blind to correlations of
-# mixed sign; random directions break that cancellation.
-PROBE_EXTRA_DEFAULT = 3
+# Number of extra random-direction probes. The diagonal-direction probe
+# alone sees the MEAN off-diagonal and is blind to correlations of mixed
+# sign; random directions break that cancellation.
+PROBE_EXTRA = 3
 # A probe displaces the stiffest coordinate by this fraction of its width.
 PROBE_STEP_FRACTION = 1e-2
 
@@ -147,25 +146,23 @@ class EvidenceResult:
         return out
 
 
-def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
-                  extra=PROBE_EXTRA_DEFAULT, threshold=PROBE_REL_THRESHOLD,
-                  also=None):
+def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
     """Judge off-diagonal curvature with second-difference probes.
 
     The main probe runs along v = (1,...,1)/sqrt(d), where the second
     difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j); the
-    returned b is that mean off-diagonal term. ``extra`` additional probes
-    along random unit directions (drawn from rng; skipped when rng is None)
-    guard against off-diagonals that cancel in the mean. Each probe steps
-    so that no coordinate moves more than PROBE_STEP_FRACTION of its width,
-    and all probe rows are issued as one evaluation batch. Rows passed as
-    ``also`` ride in the same batch, after the probe rows.
+    returned b is that mean off-diagonal term. ``PROBE_EXTRA`` additional
+    probes along random unit directions drawn from ``rng`` guard against
+    off-diagonals that cancel in the mean. Each probe steps so that no
+    coordinate moves more than PROBE_STEP_FRACTION of its width, and all
+    probe rows are issued as one evaluation batch. The ``also`` rows (an
+    (m, d) array, m may be 0) ride in the same batch, after the probe rows.
 
-    Returns (b, rotated), plus the values of the ``also`` rows when given:
-    rotated is True when any probe's measured curvature u'Hu deviates from
-    its diagonal-only prediction sum u_i^2 H_ii by at least ``threshold``
-    times that prediction, or when any probe value is non-finite
-    (conservative: an unmeasurable mode is not assumed separable).
+    Returns (b, rotated, also_values): rotated is True when any probe's
+    measured curvature u'Hu deviates from its diagonal-only prediction
+    sum u_i^2 H_ii by at least PROBE_REL_THRESHOLD times that prediction,
+    or when any probe value is non-finite (conservative: an unmeasurable
+    mode is not assumed separable).
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -175,21 +172,19 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
     widths = 1.0 / np.sqrt(-hess_diag)
 
     directions = [np.full(d, 1.0 / np.sqrt(d))]
-    if extra > 0 and rng is not None:
-        for _ in range(int(extra)):
+    for _ in range(PROBE_EXTRA):
+        u = rng.standard_normal(d)
+        norm = float(np.linalg.norm(u))
+        while norm <= 1e-12:
             u = rng.standard_normal(d)
             norm = float(np.linalg.norm(u))
-            while norm <= 1e-12:
-                u = rng.standard_normal(d)
-                norm = float(np.linalg.norm(u))
-            directions.append(u / norm)
+        directions.append(u / norm)
     directions = np.vstack(directions)
 
     eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
     steps = eps[:, None] * directions
     rows = np.stack([position + steps, position - steps], axis=1).reshape(-1, d)
-    if also is not None:
-        rows = np.concatenate([rows, also])
+    rows = np.concatenate([rows, also])
     n_probe = 2 * directions.shape[0]
     all_values = problem.logl(rows)
     values = all_values[:n_probe].reshape(-1, 2)
@@ -198,12 +193,12 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng=None,
     pred = np.sum(directions * directions * hess_diag, axis=1)
     with np.errstate(invalid="ignore"):
         quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
-        off = np.abs(quad - pred) >= threshold * np.abs(pred)
+        off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
     # along (1,..,1)/sqrt(d) the prediction equals mean(H_ii), and the
     # excess is (d-1) times the mean off-diagonal entry
     b = float((quad[0] - pred[0]) / (d - 1)) if finite[0] else float("nan")
     rotated = bool((~finite | off).any())
-    return (b, rotated) if also is None else (b, rotated, all_values[n_probe:])
+    return b, rotated, all_values[n_probe:]
 
 
 def full_hessian(problem, position, center_logl, hess_diag):
@@ -286,35 +281,31 @@ def _gaussianity_warnings(position, logl_center, neg_hess_apply, points, values)
     return warnings
 
 
-def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
-                  tail_diagnostic=True, eps_rot=PROBE_REL_THRESHOLD):
+def mode_evidence(problem, peak, *, rng):
     """Evidence contribution of one refined peak.
 
     Decides between the already-measured diagonal curvature and a full
-    Hessian with ``probe_offdiag`` (every mode with d >= 2 is probed;
-    ``eps_rot`` is its relative threshold), then applies the
-    Gaussian-integral formula. Raises NotPositiveDefiniteError when the
-    Cholesky factorization of the full -H breaks down (the candidate is a
-    ridge or saddle that slipped through the diagonal filter, and its
-    Gaussian integral does not exist).
+    Hessian with ``probe_offdiag`` (every mode with d >= 2 is probed), then
+    applies the Gaussian-integral formula and screens the tails. Raises
+    NotPositiveDefiniteError when the Cholesky factorization of the full -H
+    breaks down (the candidate is a ridge or saddle that slipped through the
+    diagonal filter, and its Gaussian integral does not exist).
     """
     position = np.asarray(peak.position, dtype=np.float64)
     hess_diag = np.asarray(peak.hess_diag, dtype=np.float64)
     d = position.size
     evals_before = problem.eval_counter
 
-    tail = (_tail_points(position, 1.0 / np.sqrt(-hess_diag), problem.bounds)
-            if tail_diagnostic else np.zeros((0, d)))
+    tail = _tail_points(position, 1.0 / np.sqrt(-hess_diag), problem.bounds)
     probe_b = None
     if d < 2:
         # one coordinate: the diagonal IS the full Hessian
         decision = "axis_aligned"
-        tail_values = problem.logl(tail) if tail_diagnostic else None
+        tail_values = problem.logl(tail)
     else:
         # The tail rows ride in the probe's batch: one likelihood call.
         probe_b, probe_rotated, tail_values = probe_offdiag(
-            problem, position, peak.logl, hess_diag,
-            rng=rng, extra=extra_probes, threshold=eps_rot, also=tail,
+            problem, position, peak.logl, hess_diag, rng=rng, also=tail,
         )
         decision = "rotated" if probe_rotated else "axis_aligned"
     verdict = RotationVerdict(decision, probe_b)
@@ -347,11 +338,9 @@ def mode_evidence(problem, peak, *, rng=None, extra_probes=PROBE_EXTRA_DEFAULT,
 
     log_z = float(peak.logl) + 0.5 * d * LOG_2PI - 0.5 * log_det
 
-    warnings = []
-    if tail_diagnostic:
-        warnings.extend(_gaussianity_warnings(
-            position, float(peak.logl), neg_hess_apply, tail, tail_values,
-        ))
+    warnings = _gaussianity_warnings(
+        position, float(peak.logl), neg_hess_apply, tail, tail_values,
+    )
     if condition > CONDITION_WARN:
         warnings.append(
             f"mode condition number {condition:.3g} exceeds {CONDITION_WARN:.0e};"

@@ -344,15 +344,14 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     return moved
 
 
-def run_batch(problem, theta0, iterations, tol, widths=None,
-              memory=HISTORY) -> BatchState:
+def run_batch(problem, theta0, iterations, tol, widths=None) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
     A sample freezes once its gradient sup-norm drops below ``tol`` or a
     step leaves it unmoved; the loop ends early when every sample is frozen.
-    Each sample keeps its ``memory`` newest curvature pairs.
+    Each sample keeps its ``HISTORY`` newest curvature pairs.
     """
-    state = make_state(problem, theta0, widths=widths, memory=memory)
+    state = make_state(problem, theta0, widths=widths)
     for _ in range(int(iterations)):
         state.freeze(state.grad_inf() < tol)
         if state.frozen.all():

@@ -167,6 +167,3 @@ class SubProblem:
 
     def logl(self, points) -> np.ndarray:
         return self.parent.logl(self.embed(points))
-
-    def logl_one(self, point) -> float:
-        return float(self.logl(np.asarray(point, dtype=np.float64)[None, :])[0])

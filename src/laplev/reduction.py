@@ -1,11 +1,13 @@
 """Eigendecomposition-based dimensional reduction of a mode.
 
-Directions of -H at a peak are sorted into three classes by eigenvalue:
+Directions of -H at a peak are sorted into three classes by eigenvalue,
+with cutoffs relative to the largest eigenvalue lambda_max:
 
 - informative: enough curvature that a downstream sampler should explore
-  the direction (lambda above eps_inform);
-- nuisance: weakly constrained; integrated out analytically with the
-  Gaussian marginal 1/2 log(2 pi / lambda) each;
+  the direction (lambda above EPS_INFORM_REL * lambda_max);
+- nuisance: weakly constrained (lambda above EPS_NUISANCE_REL *
+  lambda_max); integrated out analytically with the Gaussian marginal
+  1/2 log(2 pi / lambda) each;
 - degenerate: curvature indistinguishable from zero; integrated as uniform
   mass over the chord of the parameter box along the eigenvector, log(chord)
   each.
@@ -26,8 +28,8 @@ from .errors import InvalidParameterError, SaddleDirectionError
 from .linalg import LOG_2PI, eig_symmetric
 from .problem import BoundsBox
 
-# Relative classification thresholds applied to lambda_max when no explicit
-# cutoffs are given: they make the split scale-free.
+# Classification cutoffs as fractions of lambda_max: they make the split
+# scale-free.
 EPS_INFORM_REL = 1e-6
 EPS_NUISANCE_REL = 1e-12
 
@@ -116,15 +118,15 @@ def box_chord(bounds, center, direction):
     return t_lo, t_hi
 
 
-def reduce_mode(problem, peak, hessian, *, eps_inform=None, eps_nuisance=None):
+def reduce_mode(problem, peak, hessian):
     """Split a mode's directions by curvature and build the reduced evaluator.
 
     hessian is the full symmetric Hessian of the log-likelihood at the
     peak. Returns (ReductionReport, ReducedProblem). Raises
-    SaddleDirectionError when -H has an eigenvalue below -eps_nuisance
-    (negative beyond roundoff: the point is not a maximum along that
-    direction), and InvalidParameterError for a threshold ordering
-    violation.
+    SaddleDirectionError when -H has no positive eigenvalue or one below
+    -EPS_NUISANCE_REL * lambda_max (negative beyond roundoff: the point is
+    not a maximum along that direction), and InvalidParameterError when
+    the Hessian's shape does not match the problem.
     """
     hessian = np.asarray(hessian, dtype=np.float64)
     if hessian.shape != (problem.dim, problem.dim):
@@ -138,14 +140,8 @@ def reduce_mode(problem, peak, hessian, *, eps_inform=None, eps_nuisance=None):
         raise SaddleDirectionError(
             "no positive-curvature direction at the peak"
         )
-    if eps_inform is None:
-        eps_inform = EPS_INFORM_REL * lam_max
-    if eps_nuisance is None:
-        eps_nuisance = EPS_NUISANCE_REL * lam_max
-    if not eps_nuisance < eps_inform:
-        raise InvalidParameterError(
-            "eps_nuisance must be strictly below eps_inform"
-        )
+    eps_inform = EPS_INFORM_REL * lam_max
+    eps_nuisance = EPS_NUISANCE_REL * lam_max
     if eigenvalues[0] < -eps_nuisance:
         raise SaddleDirectionError(
             f"negative curvature direction (lambda {eigenvalues[0]:.3g})"

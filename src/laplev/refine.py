@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidMaximaError
-from .lbfgs import HISTORY, axis_values, run_batch
+from .lbfgs import axis_values, run_batch
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .lbfgs import step_batch  # noqa: F401
 from .linalg import dedup_linf, dedup_radius
 
 GRAD_FILTER_SCALE = 1e-6
+# Gradient sup-norm at which a polish seed stops climbing.
+POLISH_GRAD_TOL = 1e-10
 # Hessian stencil step per coordinate (see ``hess_steps``).
 HESS_STEP_WIDTH = 1e-4
 HESS_STEP_ABS = 1e-6
@@ -85,11 +87,14 @@ def diag_hessian(problem, centers, center_logl, widths):
 
 
 def peak_widths(hess_diag, bound_widths):
-    """Per-axis sigma from a strictly negative diagonal; floored, flagged."""
+    """Per-axis sigma from strictly negative diagonals, one per row.
+
+    Returns the widths, floored at a fraction of the box, and a flag per row
+    that is set when any of its axes hit that floor.
+    """
     w = 1.0 / np.sqrt(-np.asarray(hess_diag, dtype=np.float64))
     floor = WIDTH_FLOOR_SCALE * np.asarray(bound_widths, dtype=np.float64)
-    floored = w < floor
-    return np.maximum(w, floor), bool(floored.any())
+    return np.maximum(w, floor), (w < floor).any(axis=-1)
 
 
 @dataclass
@@ -103,13 +108,11 @@ class RefinedPeak:
     width_floored: bool
 
 
-def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
-                 grad_tol=1e-10, lbfgs_memory=HISTORY):
+def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False):
     """Polish coarse peaks into validated maxima.
 
-    Every seed climbs for ``refine_iterations`` L-BFGS steps, keeping
-    ``lbfgs_memory`` curvature pairs, or until its gradient sup-norm falls
-    below ``grad_tol``.
+    Every seed climbs for ``refine_iterations`` L-BFGS steps, or until its
+    gradient sup-norm falls below ``POLISH_GRAD_TOL``.
 
     Returns (peaks, warnings). Raises the no-valid-maxima error, with a
     per-filter casualty count, when nothing survives the cascade.
@@ -129,12 +132,12 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     origins = np.asarray(origins)
     hints = np.asarray(hints, dtype=np.float64)
 
-    state = run_batch(problem, seeds, refine_iterations(d), grad_tol,
-                      widths=hints[:, None], memory=lbfgs_memory)
+    state = run_batch(problem, seeds, refine_iterations(d), POLISH_GRAD_TOL,
+                      widths=hints[:, None])
+    grad_inf = state.grad_inf()
 
     reasons = {"nonfinite_start": 0, "gradient": 0, "hessian_nonfinite": 0,
                "saddle": 0}
-    warnings = []
 
     alive = np.flatnonzero(np.isfinite(state.logl) & ~state.bad_grad)
     reasons["nonfinite_start"] = state.logl.size - alive.size
@@ -142,7 +145,7 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
     # Gradient filter from cached optimizer gradients: free of evaluations.
     if alive.size:
         thresh = GRAD_FILTER_SCALE * np.maximum(1.0, np.abs(state.logl[alive]))
-        ok = state.grad_inf()[alive] <= thresh
+        ok = grad_inf[alive] <= thresh
         reasons["gradient"] = int((~ok).sum())
         alive = alive[ok]
 
@@ -159,40 +162,25 @@ def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False,
         saddle = (~bad) & (hess >= 0).any(axis=1)
         reasons["saddle"] = int(saddle.sum())
         keep = ~(bad | saddle)
-        hess_by_row = {int(r): hess[i] for i, r in enumerate(alive) if keep[i]}
-        alive = alive[keep]
-    else:
-        hess_by_row = {}
-
-    widths_by_row = {}
-    any_floored = {}
-    for r in alive:
-        w, floored = peak_widths(hess_by_row[int(r)], bounds.widths)
-        widths_by_row[int(r)] = w
-        any_floored[int(r)] = floored
-        if floored:
-            warnings.append("peak width hit the resolution floor")
-
-    if alive.size:
-        min_w = np.min(np.vstack([widths_by_row[int(r)] for r in alive]), axis=0)
-        kept = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
-                          widths=min_w)
-        alive = alive[kept]
-
+        alive, hess = alive[keep], hess[keep]
     if alive.size == 0:
         raise NoValidMaximaError(reasons, state.logl.size)
 
-    peaks = []
-    for r in alive:
-        r = int(r)
-        peaks.append(RefinedPeak(
+    widths, floored = peak_widths(hess, bounds.widths)
+    warnings = ["peak width hit the resolution floor"] * int(floored.sum())
+    kept = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
+                      widths=widths.min(axis=0))
+    peaks = [
+        RefinedPeak(
             position=state.theta[r].copy(),
             logl=float(state.logl[r]),
-            hess_diag=hess_by_row[r].copy(),
-            widths=widths_by_row[r].copy(),
-            grad_inf=float(state.grad_inf()[r]),
+            hess_diag=hess[i],
+            widths=widths[i],
+            grad_inf=float(grad_inf[r]),
             origin=int(origins[r]),
-            width_floored=any_floored[r],
-        ))
+            width_floored=bool(floored[i]),
+        )
+        for i, r in zip(kept, alive[kept])
+    ]
     peaks.sort(key=lambda p: -p.logl)
     return peaks, warnings

@@ -83,19 +83,12 @@ def make_gaussian(dim, mean=None, cov=None, bounds=None, name="gaussian"):
     if cov is None:
         cov = 1.0
     cov_arr = np.asarray(cov, dtype=np.float64)
-    if cov_arr.ndim == 0:
-        var = np.full(dim, float(cov_arr))
-        if np.any(var <= 0):
+    isotropic = cov_arr.ndim == 0
+    if isotropic:
+        if cov_arr <= 0:
             raise InvalidParameterError("variance must be positive")
-        prec_diag = 1.0 / var
-        logdet = float(np.sum(np.log(var)))
-
-        def fn(x, mu=mu, p=prec_diag):
-            dx = x - mu
-            return -0.5 * np.einsum("ni,i,ni->n", dx, p, dx)
-
-        tags = ("gaussian",)
-    elif cov_arr.ndim == 1:
+        cov_arr = np.full(dim, float(cov_arr))
+    if cov_arr.ndim == 1:
         if cov_arr.shape != (dim,) or np.any(cov_arr <= 0):
             raise InvalidParameterError("variance vector must be positive, length dim")
         prec_diag = 1.0 / cov_arr
@@ -105,7 +98,7 @@ def make_gaussian(dim, mean=None, cov=None, bounds=None, name="gaussian"):
             dx = x - mu
             return -0.5 * np.einsum("ni,i,ni->n", dx, p, dx)
 
-        tags = ("gaussian", "anisotropic")
+        tags = ("gaussian",) if isotropic else ("gaussian", "anisotropic")
     else:
         if cov_arr.shape != (dim, dim):
             raise InvalidParameterError("covariance matrix must be (dim, dim)")

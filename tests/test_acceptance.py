@@ -185,10 +185,8 @@ def test_criterion_6_precheck_exactness():
 def _prop_laplace_exactness(n_cases=200):
     # Random rotated PD quadratics, d in [1, 32], condition up to ~10 (the
     # extreme-condition regime is criterion 2's job, at pipeline level).
-    # refine caps L-BFGS at max(10, ceil(3 log2 d)) iterations, so the
-    # optimizer gets history depth >= d and seeds close to the optimum;
-    # a 1e-8 gradient at the accepted peak biases log Z by at most
-    # 0.5 g' H^-1 g <= 0.5 * 32 * (1e-8)^2 / 0.33 ~ 5e-15, far inside 1e-9.
+    # refine_peaks and mode_evidence run at their stage settings, tail
+    # screen included, from seeds within 1e-7 of the optimum.
     # Peak values sit at 0 (the convention all bundled targets follow):
     # the curvature stencil loses eps_mach*|logl*|/step^2 of relative
     # precision to cancellation, so exactness-grade results presume a
@@ -224,9 +222,8 @@ def _prop_laplace_exactness(n_cases=200):
         start = center + rng.uniform(-1.0, 1.0, d) * 1e-7
         cp = CoarsePeak(start, float(problem.logl(start[None, :])[0]),
                         1e-5, 1e-8, 1)
-        peaks, _ = refine_peaks(problem, [cp], lam_fine=1e-5, rng=rng,
-                                grad_tol=1e-8, lbfgs_memory=40)
-        me = mode_evidence(problem, peaks[0], rng=rng, tail_diagnostic=False)
+        peaks, _ = refine_peaks(problem, [cp], lam_fine=1e-5, rng=rng)
+        me = mode_evidence(problem, peaks[0], rng=rng)
         worst = max(worst, ratio_err(me.log_z, truth))
     return worst < 1e-9, f"laplace worst {worst:.2e}"
 

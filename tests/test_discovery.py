@@ -5,7 +5,9 @@ import pytest
 
 import laplev.discovery
 from laplev.discovery import (
+    K_SMOOTH,
     KIND_NAMES,
+    N_CLOUD,
     N_COARSE,
     RAY_SUN,
     RAY_V2E,
@@ -933,10 +935,10 @@ def test_discover_multi_oscillation_keeps_peaks():
 
 
 def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
-    # Between two ascents the samples that did not stick take n_cloud
+    # Between two ascents the samples that did not stick take N_CLOUD
     # smoothed-ascent steps, one batched call each, and nothing else is
     # evaluated.
-    d, n_cloud, k_smooth = 3, 5, 8
+    d = 3
     p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(d))
     rng = np.random.default_rng(3)
     bank = survey(p, rng)
@@ -952,11 +954,10 @@ def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
         return state
 
     monkeypatch.setattr(laplev.discovery, "run_batch", traced)
-    discover_modes(p, seeds, est, rng, n_oscillations=2, n_cloud=n_cloud,
-                   k_smooth=k_smooth)
+    discover_modes(p, seeds, est, rng, n_oscillations=2)
     assert len(marks) == 4  # two ascent rounds
     between = p.rows[marks[1]:marks[2]]
-    k = min(k_smooth, max(1, 2 * k_smooth // d))
-    assert len(between) == n_cloud
+    k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // d))
+    assert len(between) == N_CLOUD
     assert len(set(between)) == 1 and between[0] > 0
     assert between[0] % (k * 2 * d) == 0  # whole clouds of 2d-row gradients

@@ -9,12 +9,14 @@ from laplev.errors import (
 )
 from laplev.evidence import (
     HEAVY_TAIL_WARNING,
+    PROBE_EXTRA,
     ModeEvidence,
     combine,
     full_hessian,
     mode_evidence,
     probe_offdiag,
 )
+from laplev.linalg import cholesky_lower, condition_pd
 from laplev.pipeline import preset_config, run
 from laplev.precheck import PrecheckReport
 from laplev.problem import BoundsBox, Problem
@@ -49,28 +51,35 @@ def quad_problem(h, d, lo=-5.0, hi=5.0):
     return Problem(fn, box(d, lo, hi))
 
 
+def probe(p, position, hess_diag, seed=0):
+    """probe_offdiag with no rows riding along: (b, rotated)."""
+    b, rotated, also_values = probe_offdiag(
+        p, position, 0.0, hess_diag, rng=np.random.default_rng(seed),
+        also=np.zeros((0, position.size)),
+    )
+    assert also_values.shape == (0,)
+    return b, rotated
+
+
 def test_probe_hand_case_negative_coupling():
     # l = -(x1^2 + x2^2 + x1 x2): H = [[-2,-1],[-1,-2]], so the probe along
     # (1,1)/sqrt(2) reads v'Hv = -3 against the diagonal prediction -2.
     p = quad_problem([[-2.0, -1.0], [-1.0, -2.0]], 2)
-    b, rotated = probe_offdiag(p, np.zeros(2), 0.0, np.array([-2.0, -2.0]))
+    b, rotated = probe(p, np.zeros(2), np.array([-2.0, -2.0]))
     assert b == pytest.approx(-1.0, rel=1e-6)
     assert rotated
 
 
 def test_probe_hand_case_positive_coupling():
     p = quad_problem([[-2.0, 1.0], [1.0, -2.0]], 2)
-    b, rotated = probe_offdiag(p, np.zeros(2), 0.0, np.array([-2.0, -2.0]))
+    b, rotated = probe(p, np.zeros(2), np.array([-2.0, -2.0]))
     assert b == pytest.approx(1.0, rel=1e-6)
     assert rotated
 
 
 def test_probe_diagonal_silent_even_with_extras():
     p = quad_problem(np.diag([-2.0, -4.0, -1.0]), 3)
-    b, rotated = probe_offdiag(
-        p, np.zeros(3), 0.0, np.array([-2.0, -4.0, -1.0]),
-        rng=np.random.default_rng(3), extra=3,
-    )
+    b, rotated = probe(p, np.zeros(3), np.array([-2.0, -4.0, -1.0]), seed=3)
     assert b == pytest.approx(0.0, abs=1e-8)
     assert not rotated
 
@@ -84,14 +93,12 @@ def test_probe_extras_catch_sign_cancelling_coupling():
     p = quad_problem(h, 4)
     hd = np.full(4, -2.0)
 
-    b0, rot0 = probe_offdiag(p, np.zeros(4), 0.0, hd, rng=None, extra=0)
-    assert b0 == pytest.approx(0.0, abs=1e-8)
-    assert not rot0
+    v = np.full(4, 0.5)
+    assert v @ h @ v == np.sum(v * v * hd)  # no excess along the diagonal
 
-    b1, rot1 = probe_offdiag(p, np.zeros(4), 0.0, hd,
-                             rng=np.random.default_rng(1), extra=3)
-    assert b1 == pytest.approx(0.0, abs=1e-8)
-    assert rot1
+    b, rotated = probe(p, np.zeros(4), hd, seed=1)
+    assert b == pytest.approx(0.0, abs=1e-8)
+    assert rotated
 
 
 def test_probe_nonfinite_is_conservatively_rotated():
@@ -101,7 +108,7 @@ def test_probe_nonfinite_is_conservatively_rotated():
         return out
 
     p = Problem(fn, box(2))
-    b, rotated = probe_offdiag(p, np.zeros(2), 0.0, np.array([-1.0, -1.0]))
+    b, rotated = probe(p, np.zeros(2), np.array([-1.0, -1.0]))
     assert np.isnan(b)
     assert rotated
 
@@ -114,16 +121,18 @@ def test_probe_single_fused_batch_and_cost():
         return -0.5 * np.sum(x * x, axis=1)
 
     p = Problem(fn, box(3))
-    probe_offdiag(p, np.zeros(3), 0.0, np.full(3, -1.0),
-                  rng=np.random.default_rng(0), extra=3)
-    assert batches == [2 + 2 * 3]
-    assert p.eval_counter == 8
+    also = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    _, _, also_values = probe_offdiag(p, np.zeros(3), 0.0, np.full(3, -1.0),
+                                      rng=np.random.default_rng(0), also=also)
+    assert batches == [2 + 2 * PROBE_EXTRA + 2]
+    assert p.eval_counter == 10
+    np.testing.assert_array_equal(also_values, [-0.125, -2.0])
 
 
 def test_probe_rejects_1d():
     p = quad_problem([[-1.0]], 1)
     with pytest.raises(UnsupportedDimensionError):
-        probe_offdiag(p, np.zeros(1), 0.0, np.array([-1.0]))
+        probe(p, np.zeros(1), np.array([-1.0]))
 
 
 # ---------------------------------------------------------------- full H
@@ -233,16 +242,16 @@ def test_full_hessian_rejects_1d():
 
 def test_mode_evidence_standard_gaussian_diag_path():
     # the probe (1 + 3 directions, 8 evaluations) finds no coupling, and
-    # the diagonal route costs nothing more
+    # the diagonal route costs nothing beyond the 2 tail-screen rows
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0), tail_diagnostic=False)
+                       rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.verdict.decision == "axis_aligned"
     assert me.verdict.probe_b == pytest.approx(0.0, abs=1e-8)
     assert me.log_z == pytest.approx(LOG_2PI, rel=1e-14)
     assert me.condition_number == pytest.approx(1.0)
-    assert me.evals_used == 8
+    assert me.evals_used == 8 + 2
     assert me.hessian is None
 
 
@@ -250,7 +259,7 @@ def test_mode_evidence_correlated_full_path_value():
     # integral of exp(-(x^2 + y^2 + xy)) is 2 pi / sqrt(3)
     p = quad_problem([[-2.0, -1.0], [-1.0, -2.0]], 2)
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
-                       rng=np.random.default_rng(0), tail_diagnostic=False)
+                       rng=np.random.default_rng(0))
     assert me.hessian_kind == "full"
     assert me.verdict.decision == "rotated"
     assert me.verdict.probe_b == pytest.approx(-1.0, rel=1e-6)
@@ -264,25 +273,26 @@ def test_mode_evidence_1d_scaling():
         return -x[:, 0] ** 2 / 8.0
 
     p = Problem(fn, box(1))
-    me = mode_evidence(p, peak([0.0], 0.0, [-0.25]), tail_diagnostic=False)
+    me = mode_evidence(p, peak([0.0], 0.0, [-0.25]),
+                       rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.log_z == pytest.approx(0.5 * LOG_2PI + 0.5 * np.log(4.0),
                                      rel=1e-12)
 
 
 def test_mode_evidence_path_consistency_on_axis_aligned():
-    # force the full-Hessian path on an axis-aligned Gaussian with a zero
-    # probe threshold, which every direction exceeds; both paths must agree.
+    # The full-Hessian route's arithmetic (stencil, Cholesky log det and
+    # condition number) applied to an axis-aligned Gaussian must agree with
+    # the diagonal route that the probe picks for it.
     p = quad_problem(np.diag([-1.0, -0.25]), 2)
     pk = peak([0.0, 0.0], 0.0, [-1.0, -0.25])
-    diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0),
-                            tail_diagnostic=False)
-    full_me = mode_evidence(p, pk, rng=np.random.default_rng(0),
-                            tail_diagnostic=False, eps_rot=0.0)
+    diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0))
     assert diag_me.hessian_kind == "diagonal"
-    assert full_me.hessian_kind == "full"
-    assert full_me.log_z == pytest.approx(diag_me.log_z, abs=1e-8)
-    assert full_me.condition_number == pytest.approx(4.0, rel=1e-6)
+    factor = cholesky_lower(-full_hessian(p, pk.position, pk.logl, pk.hess_diag))
+    full_log_z = (pk.logl + LOG_2PI
+                  - float(np.sum(np.log(np.diag(factor)))))
+    assert full_log_z == pytest.approx(diag_me.log_z, abs=1e-8)
+    assert condition_pd(factor) == pytest.approx(4.0, rel=1e-6)
 
 
 def test_mode_evidence_weak_equicorrelation_takes_full_route():
@@ -315,7 +325,7 @@ def test_mode_evidence_rejects_indefinite_full_hessian():
     p = quad_problem([[-2.0, -3.0], [-3.0, -2.0]], 2)
     with pytest.raises(NotPositiveDefiniteError):
         mode_evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
-                      rng=np.random.default_rng(0), tail_diagnostic=False)
+                      rng=np.random.default_rng(0))
 
 
 def test_mode_evidence_soundness_on_refined_trajectories():
@@ -341,7 +351,7 @@ def test_mode_evidence_soundness_on_refined_trajectories():
             cp = CoarsePeak(start, float(p.logl(start[None, :])[0]), 0.3,
                             1e-8, 1)
             pk, _ = refine_peaks(p, [cp], lam_fine=0.01, rng=rng)
-            me = mode_evidence(p, pk[0], rng=rng, tail_diagnostic=False)
+            me = mode_evidence(p, pk[0], rng=rng)
             assert me.verdict.decision == expected, f"{name} seed {seed}"
 
 
@@ -371,12 +381,11 @@ def test_mode_evidence_no_tail_warning_on_gaussian():
     assert me.evals_used == 8 + 2  # probe and tail screen, one batch
 
 
-@pytest.mark.parametrize("coupling,tail,want", [
-    (0.0, True, [8 + 2]),             # probe and tail rows in one batch
-    (0.5, True, [8 + 2, 2 * 3 * 2]),  # then the full stencil
-    (0.0, False, [8]),                # no tail screen: the probe alone
+@pytest.mark.parametrize("coupling,want", [
+    (0.0, [8 + 2]),             # probe and tail rows in one batch
+    (0.5, [8 + 2, 2 * 3 * 2]),  # then the full stencil
 ])
-def test_mode_evidence_one_call_per_probed_mode(coupling, tail, want):
+def test_mode_evidence_one_call_per_probed_mode(coupling, want):
     batches = []
     h = np.array([[-1.0, coupling, 0.0], [coupling, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
@@ -385,7 +394,7 @@ def test_mode_evidence_one_call_per_probed_mode(coupling, tail, want):
         return 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
 
     me = mode_evidence(Problem(fn, box(3)), peak(np.zeros(3), 0.0, np.diag(h)),
-                       rng=np.random.default_rng(0), tail_diagnostic=tail)
+                       rng=np.random.default_rng(0))
     assert batches == want
     assert me.hessian_kind == ("full" if coupling else "diagonal")
 
@@ -397,7 +406,8 @@ def test_mode_evidence_1d_tail_screen_is_its_own_call():
         batches.append(x.shape[0])
         return -0.5 * np.sum(x * x, axis=1)
 
-    mode_evidence(Problem(fn, box(1)), peak([0.0], 0.0, [-1.0]))
+    mode_evidence(Problem(fn, box(1)), peak([0.0], 0.0, [-1.0]),
+                  rng=np.random.default_rng(0))
     assert batches == [2]
 
 
@@ -408,14 +418,15 @@ def test_mode_evidence_asymmetry_warning():
         return np.where(x.sum(axis=1) >= 0, q, q / 4.0)
 
     p = Problem(fn, box(2))
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]))
+    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                       rng=np.random.default_rng(0))
     assert any("asymmetric" in w for w in me.warnings)
 
 
 def test_mode_evidence_condition_warning():
     p = quad_problem(np.diag([-1.0, -1e7]), 2)
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1e7]),
-                       tail_diagnostic=False)
+                       rng=np.random.default_rng(0))
     assert any("unreliable" in w for w in me.warnings)
     assert me.condition_number == pytest.approx(1e7)
 
@@ -423,10 +434,9 @@ def test_mode_evidence_condition_warning():
 def test_mode_evidence_probe_cost_accounting():
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0), extra_probes=3,
-                       tail_diagnostic=False)
-    # probe only: 2 + 2*3 evaluations, no full Hessian
-    assert me.evals_used == 8
+                       rng=np.random.default_rng(0))
+    # probe and tail screen: 2 + 2*PROBE_EXTRA + 2 evaluations, no full Hessian
+    assert me.evals_used == 2 + 2 * PROBE_EXTRA + 2
     assert me.hessian_kind == "diagonal"
 
 

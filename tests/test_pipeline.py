@@ -1,13 +1,17 @@
 """End-to-end pipeline: configuration, determinism, accounting, equivariance."""
 
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from laplev.discovery import discover_modes
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
+from laplev.evidence import mode_evidence, probe_offdiag
+from laplev.lbfgs import run_batch
 from laplev.pipeline import (
     PRESETS,
     PipelineConfig,
@@ -16,6 +20,8 @@ from laplev.pipeline import (
     run,
 )
 from laplev.problem import BoundsBox, Problem
+from laplev.reduction import reduce_mode
+from laplev.refine import refine_peaks
 from laplev.targets import get_target, make_gaussian
 
 
@@ -66,6 +72,24 @@ def test_config_is_its_preset(preset):
     assert PipelineConfig(name=preset) == preset_config(preset)
     assert (PipelineConfig(name=preset, seed=4, reduce=True)
             == preset_config(preset, seed=4, reduce=True))
+
+
+# Each stage's arguments are exactly what its caller in the pipeline passes:
+# a tolerance or budget is a module constant, never a stage argument.
+STAGE_PARAMS = {
+    discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
+    refine_peaks: ["problem", "coarse_peaks", "lam_fine", "rng", "fast"],
+    run_batch: ["problem", "theta0", "iterations", "tol", "widths"],
+    mode_evidence: ["problem", "peak", "rng"],
+    probe_offdiag: ["problem", "position", "center_logl", "hess_diag", "rng",
+                    "also"],
+    reduce_mode: ["problem", "peak", "hessian"],
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_PARAMS, ids=lambda f: f.__name__)
+def test_stage_takes_only_what_its_caller_passes(stage):
+    assert list(inspect.signature(stage).parameters) == STAGE_PARAMS[stage]
 
 
 # ---------------------------------------------------------------------------

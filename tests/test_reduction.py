@@ -13,6 +13,7 @@ import pytest
 from laplev.errors import InvalidParameterError, SaddleDirectionError
 from laplev.problem import BoundsBox, Problem
 from laplev.reduction import (
+    EPS_INFORM_REL,
     EPS_NUISANCE_REL,
     LOG_2PI,
     ReductionReport,
@@ -64,17 +65,17 @@ def quad_problem(precision, d, mu=None, lo=-5.0, hi=5.0):
 
 
 def test_classification_three_way_split():
-    lam = np.array([100.0, 1.0, 1e-10])
+    # lambda_max = 1e3 puts the cutoffs at 1e-3 and 1e-9: 1 is informative,
+    # 1e-10 degenerate, each a factor of 10 or more from its cutoff.
+    lam = np.array([1e3, 1.0, 1e-10])
     v = rotation_3d()
     hessian = -(v @ np.diag(lam) @ v.T)
     p = quad_problem(-hessian, 3)
     peak = make_peak(np.zeros(3), 0.0, np.diag(hessian))
-    report, _ = reduce_mode(
-        p, peak, hessian, eps_inform=1e-2, eps_nuisance=1e-6
-    )
+    report, _ = reduce_mode(p, peak, hessian)
     assert report.eigenvalues[0] == pytest.approx(1e-10, rel=1e-6)
     assert report.eigenvalues[1] == pytest.approx(1.0, rel=1e-10)
-    assert report.eigenvalues[2] == pytest.approx(100.0, rel=1e-10)
+    assert report.eigenvalues[2] == pytest.approx(1e3, rel=1e-10)
     assert report.informative == (1, 2)
     assert report.nuisance == ()
     assert report.degenerate == (0,)
@@ -94,10 +95,11 @@ def test_all_informative_has_no_corrections():
 
 
 def test_single_unit_nuisance_contributes_half_log_2pi():
-    hessian = np.diag([-100.0, -1.0])
+    # lambda_max = 1e8 puts the cutoffs at 1e2 and 1e-4: 1 is a nuisance.
+    hessian = np.diag([-1e8, -1.0])
     p = quad_problem(-hessian, 2)
     peak = make_peak(np.zeros(2), 0.0, np.diag(hessian))
-    report, _ = reduce_mode(p, peak, hessian, eps_inform=10.0, eps_nuisance=1e-6)
+    report, _ = reduce_mode(p, peak, hessian)
     assert report.d_eff == 1
     assert report.nuisance == (0,)
     assert report.log_z_nuisance == pytest.approx(0.5 * LOG_2PI, abs=1e-12)
@@ -105,7 +107,7 @@ def test_single_unit_nuisance_contributes_half_log_2pi():
 
 
 def test_classification_uses_relative_defaults():
-    # lambda_max = 1e8 lifts the default cutoffs to 1e2 and 1e-4.
+    # lambda_max = 1e8 lifts the cutoffs to 1e2 and 1e-4.
     hessian = np.diag([-1e8, -1.0, -1e-6])
     p = quad_problem(-hessian, 3)
     peak = make_peak(np.zeros(3), 0.0, np.diag(hessian))
@@ -113,6 +115,7 @@ def test_classification_uses_relative_defaults():
     assert report.informative == (2,)
     assert report.nuisance == (1,)
     assert report.degenerate == (0,)
+    assert EPS_INFORM_REL * 1e8 == pytest.approx(1e2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +254,18 @@ def full_fd_hessian(reduced, center_logl):
 
 
 def test_reduced_laplace_plus_corrections_matches_full_integral():
-    # Eigenvalues straddle the cutoffs: {100, 1} informative, {1e-4}
-    # nuisance, nothing degenerate. The reduced-space Gaussian integral
-    # plus the nuisance correction must reproduce the full-space value.
-    lam = np.array([100.0, 1.0, 1e-4])
+    # Eigenvalues straddle the cutoffs (1e-2 and 1e-8 at lambda_max =
+    # 1e4): {1e4, 1} informative, {1e-4} nuisance, nothing degenerate. The
+    # reduced-space Gaussian integral plus the nuisance correction must
+    # reproduce the full-space value.
+    lam = np.array([1e4, 1.0, 1e-4])
     v = rotation_3d()
     precision = v @ np.diag(lam) @ v.T
     mu = np.array([0.4, -0.2, 0.1])
     p = quad_problem(precision, 3, mu=mu)
     logl_star = 0.0
     peak = make_peak(mu, logl_star, np.diag(-precision))
-    report, reduced = reduce_mode(
-        p, peak, -precision, eps_inform=1e-2, eps_nuisance=1e-8
-    )
+    report, reduced = reduce_mode(p, peak, -precision)
     assert report.nuisance != () and report.degenerate == ()
 
     hess_red = full_fd_hessian(reduced, logl_star)
@@ -314,16 +316,6 @@ def test_all_directions_non_positive_raises():
         reduce_mode(p, peak, hessian)
 
 
-def test_threshold_ordering_violation_raises():
-    hessian = np.diag([-4.0, -9.0])
-    p = quad_problem(-hessian, 2)
-    peak = make_peak(np.zeros(2), 0.0, np.diag(hessian))
-    with pytest.raises(InvalidParameterError):
-        reduce_mode(p, peak, hessian, eps_inform=1e-6, eps_nuisance=1e-3)
-    with pytest.raises(InvalidParameterError):
-        reduce_mode(p, peak, hessian, eps_inform=1e-6, eps_nuisance=1e-6)
-
-
 def test_hessian_dimension_mismatch_raises():
     # A 2x2 Hessian against a 3-d problem must fail loudly up front, not
     # deep inside the chord geometry.
@@ -350,12 +342,12 @@ def test_saddle_threshold_scales_with_lambda_max():
 
 
 def test_report_serializes_to_json():
-    lam = np.array([100.0, 1.0, 1e-10])
+    lam = np.array([1e3, 1.0, 1e-10])
     v = rotation_3d()
     hessian = -(v @ np.diag(lam) @ v.T)
     p = quad_problem(-hessian, 3)
     peak = make_peak(np.zeros(3), 0.0, np.diag(hessian))
-    report, _ = reduce_mode(p, peak, hessian, eps_inform=1e-2, eps_nuisance=1e-6)
+    report, _ = reduce_mode(p, peak, hessian)
     blob = json.dumps(report.to_dict())
     back = json.loads(blob)
     assert back["d_eff"] == 2
