@@ -5,9 +5,9 @@ assumption. On a Student-t (nu=3) the tails carry mass the local
 curvature cannot see: the evidence is *underestimated*, the bias grows
 with dimension, and the run says so out loud via the tail diagnostic.
 On a funnel the mass sits in a neck the Gaussian step cannot represent.
-At d=4 the search reaches the neck and the answer is far too low, so it
-comes with warnings; at d=8 no sample sticks and the pipeline raises a
-typed error instead of returning a number.
+At d=3 the search reaches the neck and the answer is far too low, so it
+comes with warnings; at d=4 and d=8 no ascent sticks and the pipeline
+raises a typed error instead of returning a number.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ for dim in (2, 8, 16):
 
 print()
 print("Funnel (sigma=3): the Gaussian step cannot see the neck")
-for dim in (4, 8):
+for dim in (3, 4, 8):
     target = get_target("funnel-3", dim)
     try:
         result = run(target.problem, preset_config("slow", seed=1))

@@ -62,7 +62,8 @@ def _print_summary(target, res, wall_s, out):
     fallback = " (fallback)" if sv["scale_fallback"] else ""
     print(f"survey       {sum(counts.values())} rays "
           f"({', '.join(f'{k}={v}' for k, v in counts.items())}), "
-          f"{sv['dead']} dead, scale {sv['scale']:.6g}{fallback}", file=out)
+          f"{sv['dead']} dead, scale {sv['scale']:.6g}{fallback}, "
+          f"{sv['seeds']} seeds, {sv['ascents']} ascents", file=out)
     for label, counts in (("evaluations", res.eval_counts),
                           ("calls", res.call_counts)):
         print(f"{label:<12} {sum(counts.values())}  "

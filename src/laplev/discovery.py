@@ -8,12 +8,16 @@ the length scale and the seeds off it costs none. The samples sit in one
 ``RayBank`` of arrays, one row per ray and one row of samples per live ray,
 so the scale and the seeds are read off every ray at once, in array
 operations. The length scale is the smallest profile width the rays show
-at their best samples. Then it runs a stick/release cycle: batches of seeds
-ascend until they stick to a peak, duplicates collapse, and every sample
-that did not stick climbs a few noise-smoothed gradient steps that hop
-over fine-scale ripple before the next ascent. Everything is driven by one
-seeded generator and batched evaluator calls, so a (seed, config) pair
-fixes the run bit for bit.
+at their best samples. The seeds are then grouped into basins by a
+hill-valley test: a seed joins the basin of its nearest better seed when
+the log-likelihood is concave on the segment between them (one batched
+call holds every segment), and only the best few seeds of each basin go on.
+Then it runs a stick/release cycle: batches of seeds ascend until they
+stick to a peak, duplicates collapse, and every sample that did not stick
+climbs a few noise-smoothed gradient steps that hop over fine-scale ripple
+before the next ascent. Everything is driven by one seeded generator and
+batched evaluator calls, so a (seed, config) pair fixes the run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ N_CONVERGE = 15  # ascent steps per oscillation
 STICK_GRAD = 1e-6  # gradient sup-norm below which a sample has stuck
 N_CLOUD = 5  # smoothed-ascent steps between two ascents
 K_SMOOTH = 8  # smoothed-gradient cloud size at d <= 2
+K_PER_BASIN = 3  # best seeds of each basin that run the ascent
+N_TEST_MIN = 3  # fewest interior points on a seed's concavity segment
+N_TEST_MAX = 64  # most interior points on a seed's concavity segment
+DIST_BLOCK = 8  # seeds whose nearest-better distances are taken together
 
 
 def rays_per_kind(dim: int) -> int:
@@ -287,6 +295,11 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     compares across basins. The union is thinned at the finest scale.
     Samples are ranked from the flattened live arrays, ray by ray in t
     order.
+
+    Returns ``(seeds, values)``: the seed positions ranked best first (ties
+    in sample order) and their survey values, which ``group_seeds`` reads
+    at no new evaluation. Thinning at ``lam_fine`` alone leaves one basin
+    seeded many times over; ``group_seeds`` groups them.
     """
     q = max(32, 4 * rays_per_kind(dim))
     ray = np.repeat(np.flatnonzero(~bank.dead), bank.t.shape[1])
@@ -295,7 +308,7 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     finite = np.isfinite(val)
     ray, t, val = ray[finite], t[finite], val[finite]
     if val.size == 0:
-        return np.zeros((0, dim))
+        return np.zeros((0, dim)), np.zeros(0)
     order = np.lexsort((np.arange(val.size), -val))
     pick = np.zeros(val.size, dtype=bool)
     pick[order[:q]] = True
@@ -308,7 +321,97 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     pos = _points_along(bank.start[ray[idx]], bank.end[ray[idx]], t[idx])
     kept = dedup_linf(pos, val[idx], lam_fine)
     order = np.lexsort((idx[kept], -val[idx[kept]]))
-    return pos[kept[order]]
+    return pos[kept[order]], val[idx[kept[order]]]
+
+
+def _nearest_better(seeds):
+    """Index of, and distance to, the nearest seed ranked above each seed.
+
+    For seeds 1..n-1 in rank order, the closest of the seeds before it in
+    Euclidean distance (the first of them on a tie). Squared distances are
+    elementwise sums over each pair's coordinate differences, the rounding
+    of ``np.sum((a - b) ** 2)`` per pair, with no BLAS product. Seeds are
+    taken ``DIST_BLOCK`` at a time against the seeds before them, so the
+    working set is at most ``DIST_BLOCK`` x n x d.
+    """
+    n = seeds.shape[0]
+    near = np.empty(n - 1, dtype=np.int64)
+    sq = np.empty(n - 1)
+    for lo in range(1, n, DIST_BLOCK):
+        hi = min(lo + DIST_BLOCK, n)
+        diff = seeds[None, :hi - 1] - seeds[lo:hi, None]
+        block = np.sum(diff * diff, axis=2)
+        rows = np.arange(lo, hi)
+        block[np.arange(hi - 1) >= rows[:, None]] = np.inf
+        near[lo - 1:hi - 1] = np.argmin(block, axis=1)
+        sq[lo - 1:hi - 1] = block[rows - lo, near[lo - 1:hi - 1]]
+    return near, np.sqrt(sq)
+
+
+def _concave(problem, seeds, seed_logl, near, n_test):
+    """Whether each seed's log-likelihood profile to its nearest better is concave.
+
+    Seed i (1..n-1) is joined to ``seeds[near[i - 1]]`` by ``n_test[i - 1]``
+    evenly spaced interior points; every pair's points go out in one
+    batched call. The profile (v_i, interior values, v_j) is concave when
+    each of its second differences is <= 0; a non-finite value fails it.
+    """
+    pair = np.repeat(np.arange(n_test.size), n_test)
+    k = np.arange(pair.size) - (np.cumsum(n_test) - n_test)[pair] + 1
+    pts = _points_along(seeds[pair + 1], seeds[near[pair]], k / (n_test[pair] + 1))
+    # Row p is pair p's profile (v_i, interior values, v_j), zero-padded.
+    prof = np.zeros((n_test.size, int(n_test.max()) + 2))
+    prof[:, 0] = seed_logl[1:]
+    prof[pair, k] = problem.logl(pts)
+    prof[np.arange(n_test.size), n_test + 1] = seed_logl[near]
+    with np.errstate(invalid="ignore"):
+        second = prof[:, :-2] - 2.0 * prof[:, 1:-1] + prof[:, 2:]
+    inside = np.arange(second.shape[1]) < n_test[:, None]
+    return np.all(~inside | (second <= 0.0), axis=1)
+
+
+def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> np.ndarray:
+    """Basin label of every seed, by a line-concavity (hill-valley) test.
+
+    ``seeds`` come ranked best first with their survey values ``seed_logl``,
+    as ``select_seeds`` returns them. Seed i joins the basin of its nearest
+    better seed j, the closest seed ranked above it, when the
+    log-likelihood profile on the segment from i to j is concave: the
+    segment gets m evenly spaced interior points, at most lam_fine / 2
+    apart with ``N_TEST_MIN <= m <= N_TEST_MAX``, and every second
+    difference of (v_i, interior values, v_j) is <= 0. Otherwise i starts
+    a basin of its own. A log-concave target thus collapses to one basin,
+    and any valley, shoulder or plateau on a segment keeps the two seeds
+    apart. One batched likelihood call evaluates every segment; none is
+    made for fewer than two seeds. Basins are numbered in the order of
+    their best seed.
+    """
+    n = seeds.shape[0]
+    basin = np.zeros(n, dtype=np.int64)
+    if n < 2:
+        return basin
+    near, dist = _nearest_better(seeds)
+    n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, N_TEST_MIN, N_TEST_MAX)
+    concave = _concave(problem, seeds, seed_logl, near, n_test.astype(np.int64))
+    n_basins = 1
+    for i in range(1, n):
+        if concave[i - 1]:
+            basin[i] = basin[near[i - 1]]
+        else:
+            basin[i] = n_basins
+            n_basins += 1
+    return basin
+
+
+def basin_leaders(basin) -> np.ndarray:
+    """Indices of the first ``K_PER_BASIN`` seeds of every basin, in seed order."""
+    # A seed's rank in its basin: its place in the stable basin-sorted
+    # order minus the place of its basin's first seed.
+    order = np.argsort(basin, kind="stable")
+    ranked = basin[order]
+    rank = np.empty(basin.size, dtype=np.int64)
+    rank[order] = np.arange(basin.size) - np.searchsorted(ranked, ranked)
+    return np.flatnonzero(rank < K_PER_BASIN)
 
 
 @dataclass(frozen=True)
@@ -362,6 +465,11 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                    n_oscillations: int = 1) -> list[CoarsePeak]:
     """Stick/release search over a fixed population of samples.
+
+    ``seeds`` is the population. The pipeline passes the basin leaders:
+    the best ``K_PER_BASIN`` seeds of each basin ``group_seeds`` finds, so
+    a log-concave target climbs from ``K_PER_BASIN`` seeds, not from every
+    seed ``select_seeds`` keeps.
 
     Each oscillation re-runs the ascent (at most ``N_CONVERGE`` steps) on
     every sample, sticks the ones that converged (gradient sup-norm below

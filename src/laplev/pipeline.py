@@ -1,14 +1,14 @@
 """End-to-end evidence pipeline.
 
-Stages run in a fixed order — coordinate screen, ray survey, oscillating
-mode search, quasi-Newton polish, per-mode Gaussian integral, optional
-dimensional reduction — each consuming the previous stage's output on the
-active-coordinate subproblem. A config is a preset name, a seed and the
-reduce flag: the preset sets the number of oscillations and the polish, and
-every tolerance and budget is a constant of the stage that uses it. Results
-are bitwise deterministic for a fixed (problem, config) pair: every random
-draw comes from streams spawned off the config seed, and each likelihood
-batch reaches the evaluator as one call.
+Stages run in a fixed order — coordinate screen, ray survey, seed grouping
+into basins, oscillating mode search, quasi-Newton polish, per-mode Gaussian
+integral, optional dimensional reduction — each consuming the previous
+stage's output on the active-coordinate subproblem. A config is a preset
+name, a seed and the reduce flag: the preset sets the number of oscillations
+and the polish, and every tolerance and budget is a constant of the stage
+that uses it. Results are bitwise deterministic for a fixed (problem,
+config) pair: every random draw comes from streams spawned off the config
+seed, and each likelihood batch reaches the evaluator as one call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discovery import discover_modes, estimate_scales, select_seeds, survey
+from .discovery import (
+    basin_leaders,
+    discover_modes,
+    estimate_scales,
+    group_seeds,
+    select_seeds,
+    survey,
+)
 from .errors import (
     HessianFailedError,
     InvalidParameterError,
@@ -149,13 +156,14 @@ def run(problem, config: PipelineConfig):
     try:
         bank = survey(active, rng_survey)
         scales = estimate_scales(bank, active.bounds)
-        seeds = select_seeds(bank, scales.lam_fine, active.dim)
+        seeds, seed_logl = select_seeds(bank, scales.lam_fine, active.dim)
     except LaplevError as err:
         raise _tag(err, "survey")
     meter.close("survey")
 
     try:
-        coarse = discover_modes(active, seeds, scales, rng_discover,
+        climb = basin_leaders(group_seeds(active, seeds, seed_logl, scales.lam_fine))
+        coarse = discover_modes(active, seeds[climb], scales, rng_discover,
                                 n_oscillations=config.n_oscillations)
     except NoModesFoundError as err:
         raise _tag(
@@ -224,7 +232,8 @@ def run(problem, config: PipelineConfig):
     result.config_echo = config.echo()
     result.seed = int(config.seed)
     result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),
-                     "scale": scales.lam_fine, "scale_fallback": scales.fallback}
+                     "scale": scales.lam_fine, "scale_fallback": scales.fallback,
+                     "seeds": int(seeds.shape[0]), "ascents": int(climb.size)}
     result.reduction = reduction
     result.timings_ms = meter.timings
     return result

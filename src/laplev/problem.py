@@ -121,9 +121,6 @@ class Problem:
                     self._peak = m
         return vals
 
-    def logl_one(self, point) -> float:
-        return float(self.logl(np.asarray(point, dtype=np.float64)[None, :])[0])
-
 
 @dataclass
 class SubProblem:

@@ -67,7 +67,7 @@ class ReductionReport:
 class ReducedProblem:
     """Log-likelihood restricted to the informative subspace of a peak.
 
-    Mirrors the evaluator interface (bounds/dim/logl/logl_one); evaluations
+    Mirrors the evaluator interface (bounds/dim/logl); evaluations
     are delegated to the parent problem, so they appear in the parent's
     eval_counter.
     """
@@ -97,9 +97,6 @@ class ReducedProblem:
 
     def logl(self, phi) -> np.ndarray:
         return self._parent.logl(self.embed(phi))
-
-    def logl_one(self, phi) -> float:
-        return float(self.logl(np.atleast_2d(phi))[0])
 
 
 def box_chord(bounds, center, direction):

@@ -5,6 +5,7 @@ import pytest
 
 import laplev.discovery
 from laplev.discovery import (
+    K_PER_BASIN,
     K_SMOOTH,
     KIND_NAMES,
     N_CLOUD,
@@ -17,10 +18,14 @@ from laplev.discovery import (
     ScaleEstimate,
     _points_along,
     _sample_rays,
+    _concave,
+    _nearest_better,
     _smoothed_ascent,
+    basin_leaders,
     discover_modes,
     estimate_scales,
     generate_rays,
+    group_seeds,
     rays_per_kind,
     select_seeds,
     smoothed_gradient,
@@ -28,6 +33,7 @@ from laplev.discovery import (
 )
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import fd_gradient
+from laplev.pipeline import preset_config, run
 from laplev.linalg import dedup_linf
 from laplev.precheck import active_subproblem, precheck
 from laplev.problem import BoundsBox, Problem
@@ -195,14 +201,14 @@ def _select_seeds_reference(rays, lam_fine: float, dim: int):
     q = max(32, 4 * rays_per_kind(dim))
     live = [r for r in rays if not r.dead]
     if not live:
-        return np.zeros((0, dim))
+        return np.zeros((0, dim)), np.zeros(0)
     ray = np.repeat(np.arange(len(live)), [r.t.size for r in live])
     t = np.concatenate([r.t for r in live])
     val = np.concatenate([r.logl for r in live])
     finite = np.isfinite(val)
     ray, t, val = ray[finite], t[finite], val[finite]
     if val.size == 0:
-        return np.zeros((0, dim))
+        return np.zeros((0, dim)), np.zeros(0)
     order = np.lexsort((np.arange(val.size), -val))
     pick = np.zeros(val.size, dtype=bool)
     pick[order[:q]] = True
@@ -214,7 +220,7 @@ def _select_seeds_reference(rays, lam_fine: float, dim: int):
     pos = _points_along(start, end, t[idx])
     kept = dedup_linf(pos, val[idx], lam_fine)
     order = np.lexsort((idx[kept], -val[idx[kept]]))
-    return pos[kept[order]]
+    return pos[kept[order]], val[idx[kept[order]]]
 
 
 def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
@@ -532,7 +538,8 @@ def test_front_end_bitwise_equal_to_per_ray_oracles(name, seed, d):
     for lam in (est.lam_fine, 0.2):
         got = select_seeds(bank, lam, d)
         ref = _select_seeds_reference(rays, lam, d)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- scales
@@ -725,7 +732,10 @@ def test_champion_width_unreadable_cases():
 def test_select_seeds_quota_and_thinning():
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(17))
-    seeds = select_seeds(bank, lam_fine=0.5, dim=2)
+    seeds, seed_logl = select_seeds(bank, lam_fine=0.5, dim=2)
+    # Ranked best first, with the survey values of the seed positions.
+    assert np.all(np.diff(seed_logl) <= 0)
+    assert seed_logl.tobytes() == p.logl(seeds).tobytes()
     assert seeds.shape[0] <= max(32, 4 * rays_per_kind(2))
     assert seeds.shape[0] > 0
     # thinning: no two seeds within the radius of each other
@@ -739,13 +749,13 @@ def _select_seeds_champion_walk(rays, lam_fine, dim):
     q = max(32, 4 * rays_per_kind(dim))
     live = [r for r in rays if not r.dead]
     if not live:
-        return np.zeros((0, dim))
+        return np.zeros((0, dim)), np.zeros(0)
     pos = np.vstack([_points_along(r.ray.start, r.ray.end, r.t) for r in live])
     val = np.concatenate([r.logl for r in live])
     finite = np.isfinite(val)
     pos, val = pos[finite], val[finite]
     if pos.shape[0] == 0:
-        return np.zeros((0, dim))
+        return np.zeros((0, dim)), np.zeros(0)
     order = np.lexsort((np.arange(val.size), -val))
     pick = np.zeros(val.size, dtype=bool)
     pick[order[:q]] = True
@@ -761,7 +771,7 @@ def _select_seeds_champion_walk(rays, lam_fine, dim):
     kept = dedup_linf(pos[idx], val[idx], lam_fine)
     kept = idx[np.asarray(kept)]
     order = np.lexsort((kept, -val[kept]))
-    return pos[kept[order]]
+    return pos[kept[order]], val[kept[order]]
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -770,14 +780,159 @@ def test_select_seeds_champions_match_per_ray_walk(case):
     bank = _as_bank(rays)
     for lam in (1e-3, 0.2):
         got = select_seeds(bank, lam, bounds.dim)
-        assert got.tobytes() == _select_seeds_champion_walk(rays, lam, bounds.dim).tobytes()
-        assert got.tobytes() == _select_seeds_reference(rays, lam, bounds.dim).tobytes()
+        for ref in (_select_seeds_champion_walk(rays, lam, bounds.dim),
+                    _select_seeds_reference(rays, lam, bounds.dim)):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
 def test_select_seeds_all_dead_gives_no_seeds():
     p = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
-    seeds = select_seeds(survey(p, np.random.default_rng(0)), 0.1, 3)
-    assert seeds.shape == (0, 3)
+    seeds, seed_logl = select_seeds(survey(p, np.random.default_rng(0)), 0.1, 3)
+    assert seeds.shape == (0, 3) and seed_logl.shape == (0,)
+
+
+# ---------------------------------------------------------------- basins
+
+
+def _group_seeds_reference(problem, seeds, seed_logl, lam_fine):
+    """Seed grouping one pair at a time: one likelihood call per segment."""
+    near, dist, concave, basin = [], [], [], [0]
+    for i in range(1, seeds.shape[0]):
+        sq = [np.sum((seeds[i] - seeds[j]) ** 2) for j in range(i)]
+        j = int(np.argmin(sq))
+        r = np.sqrt(sq[j])
+        m = int(min(max(np.ceil(2.0 * r / lam_fine) - 1.0, 3.0), 64.0))
+        t = np.arange(1, m + 1) / (m + 1)
+        u = problem.logl(_points_along(seeds[i], seeds[j], t))
+        prof = np.concatenate([[seed_logl[i]], u, [seed_logl[j]]])
+        ok = bool(np.all(prof[:-2] - 2.0 * prof[1:-1] + prof[2:] <= 0.0))
+        near.append(j)
+        dist.append(r)
+        concave.append(ok)
+        basin.append(basin[j] if ok else max(basin) + 1)
+    return (np.array(near, dtype=np.int64), np.array(dist), np.array(concave),
+            np.array(basin, dtype=np.int64))
+
+
+def _two_bumps(x):
+    # Two unit Gaussians 3 apart on the first axis: segments that cross
+    # the valley between them are not concave.
+    a = -0.5 * np.sum((x - 1.5) ** 2, axis=1)
+    b = -0.5 * np.sum((x + 1.5) ** 2, axis=1)
+    return np.logaddexp(a, b)
+
+
+def _ranked_seeds(problem, n, rng_seed):
+    """``n`` uniform box points with their values, ranked best first."""
+    b = problem.bounds
+    x = np.random.default_rng(rng_seed).uniform(b.lower, b.upper, (n, b.dim))
+    v = problem.logl(x)
+    order = np.lexsort((np.arange(n), -v))
+    return x[order], v[order]
+
+
+@pytest.mark.parametrize("fn", [_two_bumps, _ripple], ids=["two-bumps", "ripple"])
+@pytest.mark.parametrize("d", [1, 2, 8, 128, 1024])
+def test_group_seeds_matches_per_pair_reference(fn, d):
+    # Nearest-better indices, distances, verdicts and labels equal bit for
+    # bit a per-pair loop with one likelihood call per segment; the
+    # seed count spans several distance blocks.
+    p = CountingProblem(fn, box(d))
+    seeds, seed_logl = _ranked_seeds(p, 29, d)
+    for lam_fine in (0.5, 3.0):
+        near, dist = _nearest_better(seeds)
+        want_near, want_dist, want_concave, want_basin = _group_seeds_reference(
+            p, seeds, seed_logl, lam_fine)
+        assert near.tobytes() == want_near.tobytes()
+        assert dist.tobytes() == want_dist.tobytes()
+        n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, 3, 64).astype(np.int64)
+        concave = _concave(p, seeds, seed_logl, near, n_test)
+        assert concave.tobytes() == want_concave.tobytes()
+        calls = p.calls
+        basin = group_seeds(p, seeds, seed_logl, lam_fine)
+        assert basin.tobytes() == want_basin.tobytes()
+        # One call holds every segment's interior points.
+        assert p.calls == calls + 1 and p.rows[-1] == int(n_test.sum())
+
+
+def test_group_seeds_sees_both_verdicts():
+    # On two bumps in 2-d some segments cross the valley and some do not.
+    p = Problem(_two_bumps, box(2))
+    seeds, seed_logl = _ranked_seeds(p, 40, 5)
+    near, dist = _nearest_better(seeds)
+    n_test = np.clip(np.ceil(2.0 * dist / 0.5) - 1.0, 3, 64).astype(np.int64)
+    concave = _concave(p, seeds, seed_logl, near, n_test)
+    assert concave.any() and not concave.all()
+    assert group_seeds(p, seeds, seed_logl, 0.5).max() >= 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_group_seeds_spends_nothing_below_two_seeds(n):
+    p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
+    seeds = np.zeros((n, 3))
+    basin = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
+    assert basin.tolist() == [0] * n
+    assert p.calls == n  # only the value call above
+    assert basin_leaders(basin).tolist() == list(range(n))
+
+
+def test_basin_leaders_keeps_the_best_of_each_basin():
+    basin = np.array([0, 0, 1, 0, 0, 2, 1, 1, 1, 0, 2])
+    want = [i for i in range(basin.size)
+            if np.sum(basin[:i] == basin[i]) < K_PER_BASIN]
+    assert basin_leaders(basin).tolist() == want
+
+
+def _pipeline_seeds(name, dim, seed=1):
+    """The active subproblem, ranked seeds, values and scale that ``run`` groups."""
+    problem = get_target(name, dim).problem
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+    active = active_subproblem(problem, precheck(problem))
+    bank = survey(active, rng)
+    est = estimate_scales(bank, active.bounds)
+    return (active, *select_seeds(bank, est.lam_fine, active.dim), est.lam_fine)
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 32), ("correlated", 16)])
+def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
+    # Every segment of a log-concave target is concave, so every seed joins
+    # the best one's basin and only its K_PER_BASIN best seeds ascend.
+    active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
+    assert group_seeds(active, seeds, seed_logl, lam_fine).tolist() == [0] * len(seeds)
+    rows = []
+    ascent = laplev.discovery.run_batch
+
+    def traced(problem, theta0, *args, **kwargs):
+        rows.append(len(theta0))
+        return ascent(problem, theta0, *args, **kwargs)
+
+    monkeypatch.setattr(laplev.discovery, "run_batch", traced)
+    res = run(get_target(name, dim).problem, preset_config("fast", seed=1))
+    assert rows == [K_PER_BASIN]
+    assert res.survey["seeds"] == len(seeds) > res.survey["ascents"] == K_PER_BASIN
+
+
+@pytest.mark.parametrize("preset", ["fast", "slow"])
+def test_mixture4_keeps_a_basin_per_mode(preset):
+    # The valleys between mixture4's components keep its seeds in at least
+    # four basins, and the leaders still climb to all four modes.
+    active, seeds, seed_logl, lam_fine = _pipeline_seeds("mixture4", 16)
+    assert group_seeds(active, seeds, seed_logl, lam_fine).max() + 1 >= 4
+    res = run(get_target("mixture4", 16).problem, preset_config(preset, seed=1))
+    assert len(res.modes) == 4
+    assert res.survey["ascents"] < res.survey["seeds"]
+
+
+@pytest.mark.parametrize("preset", ["fast", "slow"])
+@pytest.mark.parametrize("seed", [1, 2, 6, 8])
+def test_eggbox_one_oscillation_keeps_every_mode(preset, seed):
+    # Recall guard for the basin leaders: with a single leader per basin
+    # some eggbox basins lose their only ascent, which ends unmoved above
+    # STICK_GRAD, and the run misses a mode.
+    target = get_target("eggbox", 2)
+    res = run(target.problem, preset_config(preset, seed=seed))
+    assert len(res.modes) == 5
+    assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-2
 
 
 def test_smoothed_gradient_degenerates_to_fd():
@@ -856,11 +1011,13 @@ def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
 
 
 def run_discovery(p, rng_seed=0, **kw):
+    # Survey, seeds, basin leaders and search, as the pipeline runs them.
     rng = np.random.default_rng(rng_seed)
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
-    seeds = select_seeds(bank, est.lam_fine, p.dim)
-    return discover_modes(p, seeds, est, rng, **kw)
+    seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
+    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine))
+    return discover_modes(p, seeds[climb], est, rng, **kw)
 
 
 def test_discover_single_gaussian_peak():
@@ -943,7 +1100,7 @@ def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
     rng = np.random.default_rng(3)
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
-    seeds = select_seeds(bank, est.lam_fine, d)
+    seeds, _ = select_seeds(bank, est.lam_fine, d)
     marks = []
     ascent = laplev.discovery.run_batch
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplev.discovery import discover_modes
+from laplev.discovery import K_PER_BASIN, discover_modes, group_seeds
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.evidence import mode_evidence, probe_offdiag
@@ -77,6 +77,7 @@ def test_config_is_its_preset(preset):
 # Each stage's arguments are exactly what its caller in the pipeline passes:
 # a tolerance or budget is a module constant, never a stage argument.
 STAGE_PARAMS = {
+    group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
     discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
     refine_peaks: ["problem", "coarse_peaks", "lam_fine", "rng", "fast"],
     run_batch: ["problem", "theta0", "iterations", "tol", "widths"],
@@ -197,13 +198,15 @@ def test_timings_present_but_excluded_from_canonical_json():
     assert "timings_ms" in json.loads(result_json(res, with_timings=True))
 
 
-SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback"}
+SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback",
+               "seeds", "ascents"}
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
 def test_result_reports_its_survey(name, dim):
-    # The survey block: ray counts per kind, dead rays and the length scale,
-    # which is the scale the behaviour baseline records for the cell.
+    # The survey block: ray counts per kind, dead rays, the length scale,
+    # which is the scale the behaviour baseline records for the cell, and
+    # how many seeds were picked and how many of them ascended.
     config = preset_config("fast", seed=1)
     texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
     assert texts[0] == texts[1]
@@ -216,6 +219,8 @@ def test_result_reports_its_survey(name, dim):
     scales = baseline[f"{name}/{dim}/fast"]["scales"]
     assert block["scale"] == float.fromhex(scales["lam"])
     assert block["scale_fallback"] is scales["fallback"]
+    assert 0 < block["ascents"] <= block["seeds"]
+    assert (block["ascents"] == K_PER_BASIN) is (name != "mixture4")
 
 
 # ---------------------------------------------------------------------------

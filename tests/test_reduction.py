@@ -129,9 +129,9 @@ def test_reduced_evaluator_center_is_exact():
     p = Problem(fn, box(3))
     center = np.array([0.7, -1.3, 2.2])
     hessian = np.diag([-2.0, -1.0, -0.2])
-    peak = make_peak(center, p.logl_one(center), np.diag(hessian))
+    peak = make_peak(center, p.logl(center[None])[0], np.diag(hessian))
     _, reduced = reduce_mode(p, peak, hessian)
-    assert reduced.logl_one(np.zeros(reduced.dim)) == p.logl_one(center)
+    assert reduced.logl(np.zeros((1, reduced.dim)))[0] == p.logl(center[None])[0]
 
 
 def test_reduced_evaluator_matches_rotated_coordinates():
@@ -237,18 +237,18 @@ def full_fd_hessian(reduced, center_logl):
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        lp = reduced.logl_one(e)
-        lm = reduced.logl_one(-e)
+        lp = reduced.logl(e[None])[0]
+        lm = reduced.logl(-e[None])[0]
         hess[i, i] = (lp + lm - 2.0 * center_logl) / h**2
     for i in range(d):
         for j in range(i + 1, d):
             ei, ej = np.zeros(d), np.zeros(d)
             ei[i] = h
             ej[j] = h
-            pp = reduced.logl_one(ei + ej)
-            pm = reduced.logl_one(ei - ej)
-            mp = reduced.logl_one(-ei + ej)
-            mm = reduced.logl_one(-ei - ej)
+            pp = reduced.logl((ei + ej)[None])[0]
+            pm = reduced.logl((ei - ej)[None])[0]
+            mp = reduced.logl((-ei + ej)[None])[0]
+            mm = reduced.logl((-ei - ej)[None])[0]
             hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
     return hess
 

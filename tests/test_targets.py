@@ -85,8 +85,8 @@ def test_skew_normal_truth_and_mode():
     # Stationarity of the product form at the known mode.
     p = t.problem
     eps = 1e-6
-    up = p.logl_one(mode + eps)
-    dn = p.logl_one(mode - eps)
+    up = p.logl((mode + eps)[None])[0]
+    dn = p.logl((mode - eps)[None])[0]
     assert abs(up - dn) / (2 * eps) < 1e-6
 
 
@@ -261,10 +261,10 @@ def test_known_modes_are_local_maxima(name):
     t = get_target(name, 2)
     rng = np.random.default_rng(1)
     for mode in t.known_modes:
-        base = t.problem.logl_one(mode)
+        base = t.problem.logl(mode[None])[0]
         for _ in range(8):
             delta = rng.uniform(-1, 1, size=2) * 0.05
-            assert t.problem.logl_one(mode + delta) <= base + 1e-12
+            assert t.problem.logl((mode + delta)[None])[0] <= base + 1e-12
 
 
 # ------------------------------------------------------ evaluator invariants
