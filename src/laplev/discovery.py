@@ -13,11 +13,11 @@ hill-valley test: a seed joins the basin of its nearest better seed when
 the log-likelihood is concave on the segment between them (one batched
 call holds every segment), and only the best few seeds of each basin go on.
 Then it runs a stick/release cycle: batches of seeds ascend until they
-stick to a peak, duplicates collapse, and every sample that did not stick
-climbs a few noise-smoothed gradient steps that hop over fine-scale ripple
-before the next ascent. Everything is driven by one seeded generator and
-batched evaluator calls, so a (seed, config) pair fixes the run bit for
-bit.
+stick to a peak, which is then held and never evaluated again; duplicates
+of a held peak retire, and only the samples that did not stick climb a few
+noise-smoothed gradient steps that hop over fine-scale ripple before the
+next ascent. Everything is driven by one seeded generator and batched
+evaluator calls, so a (seed, config) pair fixes the run bit for bit.
 """
 
 from __future__ import annotations
@@ -464,20 +464,27 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                    n_oscillations: int = 1) -> list[CoarsePeak]:
-    """Stick/release search over a fixed population of samples.
+    """Stick/release search: peaks that stick are held, the rest go round again.
 
-    ``seeds`` is the population. The pipeline passes the basin leaders:
-    the best ``K_PER_BASIN`` seeds of each basin ``group_seeds`` finds, so
-    a log-concave target climbs from ``K_PER_BASIN`` seeds, not from every
-    seed ``select_seeds`` keeps.
+    ``seeds`` is the starting population. The pipeline passes the basin
+    leaders: the best ``K_PER_BASIN`` seeds of each basin ``group_seeds``
+    finds, so a log-concave target climbs from ``K_PER_BASIN`` seeds, not
+    from every seed ``select_seeds`` keeps.
 
-    Each oscillation re-runs the ascent (at most ``N_CONVERGE`` steps) on
-    every sample, sticks the ones that converged (gradient sup-norm below
+    Each oscillation runs the ascent (at most ``N_CONVERGE`` steps) on the
+    population. A sample sticks when it converged (gradient sup-norm below
     ``STICK_GRAD``) onto a peak within a factor ``KEEP_RATIO`` of the best
-    value seen anywhere so far, and collapses duplicate peaks within the
-    box's ``dedup_radius``. Except on the last round, every sample that did
-    not stick, the duplicates included, then climbs the smoothed gradient.
-    Nothing else runs between two ascents. The survey's one length scale
+    value seen anywhere so far. The newly stuck samples are deduplicated
+    within the box's ``dedup_radius`` together with the held peaks, held
+    peaks first: a tie keeps the held peak and a strictly better newcomer
+    replaces it. The survivors are the held peaks; every other stuck
+    sample retires, and so does a held peak that falls below the keep band
+    once a better value turns up. A held peak keeps the position, value,
+    gradient sup-norm, width and oscillation of the round it stuck in and
+    is never evaluated again. Except on the last round, only the samples
+    that did not stick climb the smoothed gradient and form the next
+    round's population; when none are left, the search ends. Nothing else
+    runs between two ascents. The survey's one length scale
     ``scales.lam_fine`` sets the finite-difference widths and the climb's
     step.
 
@@ -496,12 +503,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     if positions.shape[0] == 0:
         raise NoModesFoundError(None, -np.inf, "no seeds to start from")
 
-    n = positions.shape[0]
-    stuck = np.zeros(n, dtype=bool)
-    stuck_osc = np.zeros(n, dtype=np.int64)
-    widths = np.full(n, lam_fine)
-    logls = np.full(n, -np.inf)
-    grad_inf = np.full(n, np.inf)
+    held = []
     best_pos, best_logl = None, -np.inf
 
     for osc in range(1, int(n_oscillations) + 1):
@@ -520,35 +522,25 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
 
         floor = problem.peak_logl + np.log(KEEP_RATIO)
         stuck = (grad_inf < STICK_GRAD) & finite & (logls >= floor)
-        stuck_osc[stuck & (stuck_osc == 0)] = osc
+        held = [pk for pk in held if pk.logl >= floor] + [
+            CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),
+                       width=float(widths[i]), grad_inf=float(grad_inf[i]),
+                       oscillation=osc)
+            for i in np.flatnonzero(stuck)
+        ]
+        if held:
+            kept = dedup_linf([pk.position for pk in held], [pk.logl for pk in held], radius)
+            held = [held[i] for i in kept]
 
-        if stuck.any():
-            sidx = np.flatnonzero(stuck)
-            stuck[sidx] = False
-            stuck[sidx[dedup_linf(positions[sidx], logls[sidx], radius)]] = True
-
-        if osc == int(n_oscillations):
+        positions = positions[~stuck]
+        if osc == int(n_oscillations) or positions.shape[0] == 0:
             break
+        positions = _smoothed_ascent(problem, positions, lam_fine, N_CLOUD, K_SMOOTH, rng)
 
-        unstuck_idx = np.flatnonzero(~stuck)
-        if unstuck_idx.size:
-            positions[unstuck_idx] = _smoothed_ascent(
-                problem, positions[unstuck_idx], lam_fine, N_CLOUD, K_SMOOTH, rng
-            )
-
-    if not stuck.any():
+    if not held:
         raise NoModesFoundError(
             best_pos, best_logl,
             f"no sample stuck after {n_oscillations} oscillation(s)",
         )
-    peaks = []
-    for i in np.flatnonzero(stuck):
-        peaks.append(CoarsePeak(
-            position=positions[i].copy(),
-            logl=float(logls[i]),
-            width=float(widths[i]),
-            grad_inf=float(grad_inf[i]),
-            oscillation=int(stuck_osc[i]),
-        ))
-    peaks.sort(key=lambda p: -p.logl)
-    return peaks
+    held.sort(key=lambda p: -p.logl)
+    return held

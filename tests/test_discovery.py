@@ -7,6 +7,7 @@ import laplev.discovery
 from laplev.discovery import (
     K_PER_BASIN,
     K_SMOOTH,
+    KEEP_RATIO,
     KIND_NAMES,
     N_CLOUD,
     N_COARSE,
@@ -14,6 +15,7 @@ from laplev.discovery import (
     RAY_V2E,
     RAY_V2V,
     RAY_W2W,
+    STICK_GRAD,
     RayBank,
     ScaleEstimate,
     _points_along,
@@ -34,7 +36,7 @@ from laplev.discovery import (
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import fd_gradient
 from laplev.pipeline import preset_config, run
-from laplev.linalg import dedup_linf
+from laplev.linalg import dedup_linf, dedup_radius
 from laplev.precheck import active_subproblem, precheck
 from laplev.problem import BoundsBox, Problem
 from laplev.targets import get_target
@@ -1049,15 +1051,18 @@ def test_discover_two_modes_asymmetric():
     assert xs[1] == pytest.approx(2.5, abs=1e-3)
 
 
+def _side_peak(x):
+    # Main peak at +2, a side peak 3 nats lower at -2: samples that climb
+    # the side peak converge below the log 0.1 keep band and do not stick.
+    a = -0.5 * np.sum((x - 2.0) ** 2, axis=1)
+    b = -3.0 - 0.5 * np.sum((x + 2.0) ** 2, axis=1)
+    return np.logaddexp(a, b)
+
+
 def test_discover_drops_peak_below_keep_band():
     # Secondary basin 3 nats below the main one (under the log 0.1 floor):
     # it may attract samples but must never appear in the output.
-    def fn(x):
-        a = -0.5 * np.sum((x - 2.0) ** 2, axis=1)
-        b = -3.0 - 0.5 * np.sum((x + 2.0) ** 2, axis=1)
-        return np.logaddexp(a, b)
-
-    p = Problem(fn, box(2, -4, 4))
+    p = Problem(_side_peak, box(2, -4, 4))
     peaks = run_discovery(p, n_oscillations=3)
     assert len(peaks) == 1
     np.testing.assert_allclose(peaks[0].position, [2.0, 2.0], atol=1e-3)
@@ -1091,16 +1096,50 @@ def test_discover_multi_oscillation_keeps_peaks():
     np.testing.assert_allclose(peaks[0].position, [0.0, 0.0], atol=1e-4)
 
 
+def _all_seeds(p, rng):
+    # Every seed select_seeds keeps, so several samples climb each peak.
+    bank = survey(p, rng)
+    est = estimate_scales(bank, p.bounds)
+    seeds, _ = select_seeds(bank, est.lam_fine, p.dim)
+    return seeds, est
+
+
+def _traced_rounds(monkeypatch, p):
+    """Record every ascent's start rows, final state and keep-band floor, and
+    every climb's rows in and out."""
+    rounds, climbs = [], []
+    ascent, climb = laplev.discovery.run_batch, laplev.discovery._smoothed_ascent
+
+    def traced_ascent(problem, theta0, *args, **kwargs):
+        start = np.array(theta0)
+        state = ascent(problem, theta0, *args, **kwargs)
+        rounds.append((start, state, p.peak_logl + np.log(KEEP_RATIO)))
+        return state
+
+    def traced_climb(problem, theta, *args):
+        start = np.array(theta)
+        out = climb(problem, theta, *args)
+        climbs.append((start, out))
+        return out
+
+    monkeypatch.setattr(laplev.discovery, "run_batch", traced_ascent)
+    monkeypatch.setattr(laplev.discovery, "_smoothed_ascent", traced_climb)
+    return rounds, climbs
+
+
+def _stuck(state, floor):
+    logl = state.logl
+    return (state.grad_inf() < STICK_GRAD) & np.isfinite(logl) & (logl >= floor)
+
+
 def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
     # Between two ascents the samples that did not stick take N_CLOUD
     # smoothed-ascent steps, one batched call each, and nothing else is
     # evaluated.
     d = 3
-    p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(d))
+    p = CountingProblem(_side_peak, box(d, -4, 4))
     rng = np.random.default_rng(3)
-    bank = survey(p, rng)
-    est = estimate_scales(bank, p.bounds)
-    seeds, _ = select_seeds(bank, est.lam_fine, d)
+    seeds, est = _all_seeds(p, rng)
     marks = []
     ascent = laplev.discovery.run_batch
 
@@ -1118,3 +1157,93 @@ def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
     assert len(between) == N_CLOUD
     assert len(set(between)) == 1 and between[0] > 0
     assert between[0] % (k * 2 * d) == 0  # whole clouds of 2d-row gradients
+
+
+def test_discover_all_stuck_makes_no_later_round():
+    # On a unit Gaussian every sample sticks in round 1 and is held or
+    # retires, so rounds 2 and 3 make no call and change no peak.
+    def once(n_oscillations):
+        p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
+        rng = np.random.default_rng(3)
+        seeds, est = _all_seeds(p, rng)
+        mark = (p.eval_counter, p.calls)
+        peaks = discover_modes(p, seeds, est, rng, n_oscillations=n_oscillations)
+        return peaks, (p.eval_counter - mark[0], p.calls - mark[1])
+
+    one, cost_one = once(1)
+    three, cost_three = once(3)
+    assert cost_three == cost_one
+    assert len(three) == len(one) == 1
+    for a, b in zip(one, three):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert (np.float64([a.logl, a.width, a.grad_inf]).tobytes()
+                == np.float64([b.logl, b.width, b.grad_inf]).tobytes())
+        assert a.oscillation == b.oscillation == 1
+
+
+def test_discover_climbs_only_the_samples_that_did_not_stick(monkeypatch):
+    # The smoothed ascent receives exactly the rows of each round's
+    # population that did not stick, in order; a stuck sample, held or a
+    # duplicate of a held peak, never climbs again.
+    p = Problem(_side_peak, box(3, -4, 4))
+    rng = np.random.default_rng(3)
+    seeds, est = _all_seeds(p, rng)
+    rounds, climbs = _traced_rounds(monkeypatch, p)
+    peaks = discover_modes(p, seeds, est, rng, n_oscillations=3)
+    assert len(peaks) == 1
+    assert len(climbs) == len(rounds) - 1 >= 1
+    for (_, state, floor), (climbed, _) in zip(rounds, climbs):
+        stuck = _stuck(state, floor)
+        assert climbed.tobytes() == state.theta[~stuck].tobytes()
+    # Round 1 stuck more samples than it kept: its duplicates retired.
+    _, state, floor = rounds[0]
+    assert int(_stuck(state, floor).sum()) > len(peaks)
+    # Each later round ascends exactly what the climb returned.
+    for (start, _, _), (_, out) in zip(rounds[1:], climbs):
+        assert start.tobytes() == out.tobytes()
+
+
+def test_discover_held_peak_keeps_its_first_round(monkeypatch):
+    # The main peak sticks in round 1 and is held: its position, value,
+    # gradient and width are round 1's, and its oscillation stays 1.
+    p = Problem(_side_peak, box(3, -4, 4))
+    rng = np.random.default_rng(3)
+    seeds, est = _all_seeds(p, rng)
+    rounds, _ = _traced_rounds(monkeypatch, p)
+    peaks = discover_modes(p, seeds, est, rng, n_oscillations=3)
+    assert len(rounds) >= 2
+    _, state, floor = rounds[0]
+    sidx = np.flatnonzero(_stuck(state, floor))
+    first = sidx[dedup_linf(state.theta[sidx], state.logl[sidx],
+                            dedup_radius(p.bounds))]
+    assert first.size == 1
+    i = int(first[0])
+    (peak,) = peaks
+    gamma = state.width_estimate()[i]
+    assert np.isfinite(gamma) and gamma > 0
+    assert peak.oscillation == 1
+    assert peak.position.tobytes() == state.theta[i].tobytes()
+    assert peak.logl == state.logl[i]
+    assert peak.grad_inf == state.grad_inf()[i]
+    assert peak.width == np.sqrt(gamma)
+
+
+def test_discover_held_peak_retires_below_a_later_band():
+    # A low peak at -5 sticks in round 1 while the other sample idles on a
+    # gentle ramp. The smoothed ascent carries that sample onto a peak
+    # 10 nats higher, which sticks in round 2 and lifts the keep band past
+    # the held peak: the held peak retires, as it would had it been
+    # evaluated again.
+    def fn(x):
+        x0 = x[:, 0]
+        low = -0.5 * (x0 + 5.0) ** 2
+        high = 10.0 - 50.0 * (x0 - 5.0) ** 2
+        ramp = -20.0 + 1e-3 * x0
+        return np.maximum(np.maximum(low, high), ramp)
+
+    p = Problem(fn, box(1, -10, 10))
+    peaks = discover_modes(p, np.array([[-5.0], [2.0]]), ScaleEstimate(0.5, False),
+                           np.random.default_rng(0), n_oscillations=3)
+    (peak,) = peaks
+    assert peak.oscillation == 2
+    assert peak.position[0] == pytest.approx(5.0, abs=1e-6)

@@ -169,7 +169,7 @@ def test_conservative_eggbox_finds_every_mode(seed):
 @pytest.mark.parametrize("seed", (1, 2))
 @pytest.mark.parametrize("name,dim,n_modes", [
     ("mixture4", 3, 4), ("mixture4", 4, 4), ("mixture4", 8, 4),
-    ("bimodal-asym", 3, 2), ("bimodal-asym", 8, 2),
+    ("mixture4", 16, 4), ("bimodal-asym", 3, 2), ("bimodal-asym", 8, 2),
 ])
 def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     # Above d=2 the search between rounds is the smoothed ascent alone; it
