@@ -23,8 +23,8 @@ from .evidence import EvidenceResult, ModeEvidence, RotationVerdict, combine
 from .pipeline import (PRESETS, PipelineConfig, preset_config, result_json,
                        run)
 from .precheck import PrecheckReport, precheck
-from .problem import BoundsBox, Problem, SubProblem
-from .reduction import ReducedProblem, ReductionReport, reduce_mode
+from .problem import BoundsBox, Problem, View
+from .reduction import ReductionReport, reduce_mode
 from .targets import SUITES, AnalyticTarget, get_target, list_targets
 
 __version__ = "0.1.0"
@@ -35,9 +35,8 @@ __all__ = [
     "InvalidParameterError", "LaplevError", "ModeEvidence",
     "NoModesFoundError", "NotPositiveDefiniteError", "NoValidMaximaError",
     "PRESETS", "PipelineConfig", "PrecheckReport", "Problem",
-    "ReducedProblem", "ReductionReport", "RotationVerdict",
-    "SaddleDirectionError", "SUITES", "SubProblem",
-    "UnsupportedDimensionError", "combine", "get_target", "list_targets",
-    "precheck", "preset_config", "reduce_mode", "result_json", "run",
-    "__version__",
+    "ReductionReport", "RotationVerdict", "SaddleDirectionError", "SUITES",
+    "UnsupportedDimensionError", "View", "combine", "get_target",
+    "list_targets", "precheck", "preset_config", "reduce_mode",
+    "result_json", "run", "__version__",
 ]

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from .discovery import KIND_NAMES
 from .errors import InvalidParameterError, LaplevError
 from .pipeline import PRESETS, preset_config, result_json, run
 from .targets import SUITES, dim_cap, get_target, list_targets
@@ -58,7 +59,7 @@ def _print_summary(target, res, wall_s, out):
     for w in res.warnings:
         print(f"warning: {w}", file=out)
     sv = res.survey
-    counts = {k: sv[k] for k in ("v2v", "v2e", "w2w", "sunburst")}
+    counts = {k: sv[k] for k in KIND_NAMES.values()}
     fallback = " (fallback)" if sv["scale_fallback"] else ""
     print(f"survey       {sum(counts.values())} rays "
           f"({', '.join(f'{k}={v}' for k, v in counts.items())}), "

@@ -208,8 +208,8 @@ def full_hessian(problem, position, center_logl, hess_diag):
     [f(+i,+j) - f(+i,-j) - f(-i,+j) + f(-i,-j)] / (4 eps_i eps_j)
     with the same per-coordinate steps as the diagonal stage; the diagonal
     is reused from ``hess_diag`` (already measured during refinement). All
-    2 d (d-1) off-diagonal evaluations are issued as a single batch and the
-    result is explicitly symmetrized.
+    2 d (d-1) off-diagonal evaluations are issued as a single batch, and
+    each cross term is written to both triangles.
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -238,7 +238,7 @@ def full_hessian(problem, position, center_logl, hess_diag):
     hess = np.diag(hess_diag)
     cross = (vpp - vpm - vmp + vmm) / (4.0 * eps[ii] * eps[jj])
     hess[ii, jj] = hess[jj, ii] = cross
-    return 0.5 * (hess + hess.T)
+    return hess
 
 
 def _tail_points(position, widths, bounds):

@@ -3,17 +3,18 @@
 One batch of 2d+1 axis probes from the box center splits coordinates into
 flat (no sensitivity at all), soft (orders of magnitude below the dominant
 axes), and active. Flat and soft coordinates are integrated out analytically
-and the expensive machinery only sees the active subspace.
+and the expensive machinery only sees the active subspace: a ``View`` over
+the active axes, with the rest pinned at the box center.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CenterEvaluationError, DegenerateProblemError
-from .problem import Problem, SubProblem
+from .problem import BoundsBox, Problem, View
 
 EPS_FLAT = 1e-6
 EPS_SOFT = 1e-3
@@ -111,5 +112,7 @@ def active_subproblem(problem: Problem, report: PrecheckReport):
     """Restrict the problem to active axes, pinning the rest at the center."""
     if len(report.active) == problem.dim:
         return problem
-    return SubProblem(problem, np.asarray(report.active, dtype=np.intp),
-                      problem.bounds.center)
+    axes = np.asarray(report.active, dtype=np.intp)
+    box = problem.bounds
+    return View(problem, box.center, axes,
+                BoundsBox(box.lower[axes], box.upper[axes]))

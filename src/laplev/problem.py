@@ -1,4 +1,5 @@
-"""Problem container: a batched log-likelihood on a bounds box.
+"""Problem container: a batched log-likelihood on a bounds box, and the
+``View`` that evaluates it on an affine slice of that box.
 
 The evaluator contract is the backbone of everything downstream: it takes an
 (N, d) array of positions questioned in one batch, returns an (N,) array of
@@ -10,7 +11,7 @@ stateful calls, which is what makes runs bit-reproducible.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,31 +123,25 @@ class Problem:
         return vals
 
 
-@dataclass
-class SubProblem:
-    """View of a problem restricted to a subset of coordinates.
+class View:
+    """The parent's log-likelihood on an affine slice of its box, x = c + B phi.
 
-    The remaining coordinates are pinned at fixed values. Evaluations flow
-    through to the parent problem, so the parent's counters stay the single
-    source of truth for accounting: each batch counts as one call there.
+    ``basis`` is either a 1-d array of coordinate indices, the rest of x
+    pinned at ``center`` (scattered into a copy of it), or a dense (d, k)
+    matrix of directions (one matrix product). Evaluations flow through to
+    the parent, so its counters stay the single source of truth: each batch
+    of N rows counts N evaluations and one call there.
     """
 
-    parent: Problem
-    active: np.ndarray
-    pinned_values: np.ndarray
-    bounds: BoundsBox = field(init=False)
-
-    def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=np.intp)
-        self.pinned_values = np.asarray(self.pinned_values, dtype=np.float64)
-        self.bounds = BoundsBox(
-            self.parent.bounds.lower[self.active],
-            self.parent.bounds.upper[self.active],
-        )
+    def __init__(self, parent, center, basis, bounds: BoundsBox):
+        self.parent = parent
+        self.center = np.asarray(center, dtype=np.float64)
+        self.basis = np.asarray(basis)
+        self.bounds = bounds
 
     @property
     def dim(self) -> int:
-        return self.active.shape[0]
+        return self.basis.shape[-1]
 
     @property
     def eval_counter(self) -> int:
@@ -156,11 +151,14 @@ class SubProblem:
     def peak_logl(self) -> float:
         return self.parent.peak_logl
 
-    def embed(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        full = np.tile(self.pinned_values, (pts.shape[0], 1))
-        full[:, self.active] = pts
-        return full
+    def embed(self, phi) -> np.ndarray:
+        """Map view coordinates (N, k) to the parent's coordinates (N, d)."""
+        phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
+        if self.basis.ndim == 1:
+            x = np.tile(self.center, (phi.shape[0], 1))
+            x[:, self.basis] = phi
+            return x
+        return phi @ self.basis.T + self.center
 
-    def logl(self, points) -> np.ndarray:
-        return self.parent.logl(self.embed(points))
+    def logl(self, phi) -> np.ndarray:
+        return self.parent.logl(self.embed(phi))

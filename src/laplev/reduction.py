@@ -12,10 +12,10 @@ with cutoffs relative to the largest eigenvalue lambda_max:
   mass over the chord of the parameter box along the eigenvector, log(chord)
   each.
 
-The reduced evaluator exposes the log-likelihood on the informative
+The reduced evaluator is a ``View`` of the problem on the informative
 subspace only, phi -> l(V_info phi + peak), with every non-informative
-direction pinned at the peak. Downstream consumers get the reduced bounds
-(per-direction box chords) alongside.
+direction pinned at the peak. Its bounds are the informative directions'
+box chords.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SaddleDirectionError
 from .linalg import LOG_2PI, eig_symmetric
-from .problem import BoundsBox
+from .problem import BoundsBox, View
 
 # Classification cutoffs as fractions of lambda_max: they make the split
 # scale-free.
@@ -64,54 +64,20 @@ class ReductionReport:
         }
 
 
-class ReducedProblem:
-    """Log-likelihood restricted to the informative subspace of a peak.
+def box_chords(bounds, center, directions):
+    """Extents [t_lo, t_hi] of {center + t * u} inside the box, per column u.
 
-    Mirrors the evaluator interface (bounds/dim/logl); evaluations
-    are delegated to the parent problem, so they appear in the parent's
-    eval_counter.
+    directions is (d, m); returns two (m,) arrays. A zero component of u
+    never bounds t along it.
     """
-
-    def __init__(self, parent, center, basis, bounds):
-        self._parent = parent
-        self._center = np.asarray(center, dtype=np.float64)
-        self._basis = np.asarray(basis, dtype=np.float64)  # (d, d_eff)
-        self.bounds = bounds
-
-    @property
-    def dim(self) -> int:
-        return self._basis.shape[1]
-
-    @property
-    def eval_counter(self) -> int:
-        return self._parent.eval_counter
-
-    @property
-    def peak_logl(self) -> float:
-        return self._parent.peak_logl
-
-    def embed(self, phi) -> np.ndarray:
-        """Map reduced coordinates (N, d_eff) to full coordinates (N, d)."""
-        phi = np.atleast_2d(np.asarray(phi, dtype=np.float64))
-        return phi @ self._basis.T + self._center
-
-    def logl(self, phi) -> np.ndarray:
-        return self._parent.logl(self.embed(phi))
-
-
-def box_chord(bounds, center, direction):
-    """Extent [t_lo, t_hi] of {center + t * direction} inside the box."""
-    center = np.asarray(center, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    t_lo, t_hi = -np.inf, np.inf
-    for j in range(center.size):
-        v = direction[j]
-        if v == 0.0:
-            continue
-        a = (bounds.lower[j] - center[j]) / v
-        b = (bounds.upper[j] - center[j]) / v
-        t_lo = max(t_lo, min(a, b))
-        t_hi = min(t_hi, max(a, b))
+    directions = np.asarray(directions, dtype=np.float64)
+    offset = np.asarray(center, dtype=np.float64)[:, None]
+    moving = directions != 0.0
+    step = np.where(moving, directions, 1.0)
+    a = (bounds.lower[:, None] - offset) / step
+    b = (bounds.upper[:, None] - offset) / step
+    t_lo = np.where(moving, np.minimum(a, b), -np.inf).max(axis=0)
+    t_hi = np.where(moving, np.maximum(a, b), np.inf).min(axis=0)
     return t_lo, t_hi
 
 
@@ -119,11 +85,12 @@ def reduce_mode(problem, peak, hessian):
     """Split a mode's directions by curvature and build the reduced evaluator.
 
     hessian is the full symmetric Hessian of the log-likelihood at the
-    peak. Returns (ReductionReport, ReducedProblem). Raises
-    SaddleDirectionError when -H has no positive eigenvalue or one below
-    -EPS_NUISANCE_REL * lambda_max (negative beyond roundoff: the point is
-    not a maximum along that direction), and InvalidParameterError when
-    the Hessian's shape does not match the problem.
+    peak. Returns (ReductionReport, View): the view evaluates the parent on
+    phi -> peak + V_info phi over the informative directions' box chords.
+    Raises SaddleDirectionError when -H has no positive eigenvalue or one
+    below -EPS_NUISANCE_REL * lambda_max (negative beyond roundoff: the
+    point is not a maximum along that direction), and InvalidParameterError
+    when the Hessian's shape does not match the problem.
     """
     hessian = np.asarray(hessian, dtype=np.float64)
     if hessian.shape != (problem.dim, problem.dim):
@@ -158,20 +125,8 @@ def reduce_mode(problem, peak, hessian):
     ))
 
     center = np.asarray(peak.position, dtype=np.float64)
-    log_z_degen = 0.0
-    for i in degenerate:
-        t_lo, t_hi = box_chord(problem.bounds, center, rotation[:, i])
-        log_z_degen += float(np.log(t_hi - t_lo))
-
-    basis = rotation[:, informative]
-    chords = np.array([
-        box_chord(problem.bounds, center, basis[:, k])
-        for k in range(len(informative))
-    ])
-    if len(informative):
-        reduced_bounds = BoundsBox(chords[:, 0], chords[:, 1])
-    else:
-        reduced_bounds = BoundsBox(np.zeros(0), np.zeros(0))
+    t_lo, t_hi = box_chords(problem.bounds, center, rotation)
+    log_z_degen = float(sum(np.log(t_hi[i] - t_lo[i]) for i in degenerate))
 
     report = ReductionReport(
         rotation=rotation,
@@ -183,5 +138,6 @@ def reduce_mode(problem, peak, hessian):
         log_z_nuisance=log_z_nuisance,
         log_z_degen=log_z_degen,
     )
-    reduced = ReducedProblem(problem, center, basis, reduced_bounds)
+    reduced = View(problem, center, rotation[:, informative],
+                   BoundsBox(t_lo[informative], t_hi[informative]))
     return report, reduced

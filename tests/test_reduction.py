@@ -17,7 +17,7 @@ from laplev.reduction import (
     EPS_NUISANCE_REL,
     LOG_2PI,
     ReductionReport,
-    box_chord,
+    box_chords,
     reduce_mode,
 )
 from laplev.refine import RefinedPeak
@@ -178,15 +178,50 @@ def test_rotation_is_orthonormal():
 
 def test_box_chord_axis_direction():
     b = BoundsBox(np.array([-5.0, -2.0]), np.array([5.0, 8.0]))
-    t_lo, t_hi = box_chord(b, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert (t_lo, t_hi) == (-3.0, 7.0)
+    t_lo, t_hi = box_chords(b, np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+    assert (t_lo[0], t_hi[0]) == (-3.0, 7.0)
 
 
 def test_box_chord_diagonal_direction():
     b = box(2)
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    t_lo, t_hi = box_chord(b, np.zeros(2), u)
-    assert t_hi - t_lo == pytest.approx(10.0 * np.sqrt(2.0), rel=1e-12)
+    t_lo, t_hi = box_chords(b, np.zeros(2), u[:, None])
+    assert t_hi[0] - t_lo[0] == pytest.approx(10.0 * np.sqrt(2.0), rel=1e-12)
+
+
+def box_chord_reference(bounds, center, direction):
+    """The per-direction, per-coordinate loop that box_chords replaced."""
+    center = np.asarray(center, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    t_lo, t_hi = -np.inf, np.inf
+    for j in range(center.size):
+        v = direction[j]
+        if v == 0.0:
+            continue
+        a = (bounds.lower[j] - center[j]) / v
+        b = (bounds.upper[j] - center[j]) / v
+        t_lo = max(t_lo, min(a, b))
+        t_hi = min(t_hi, max(a, b))
+    return t_lo, t_hi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_box_chords_equal_the_per_direction_loop(d):
+    rng = np.random.default_rng(d)
+    lower = rng.uniform(-6.0, -1.0, d)
+    b = BoundsBox(lower, lower + rng.uniform(0.5, 9.0, d))
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    sparse = rotation * (rng.uniform(size=(d, d)) < 0.5)
+    columns = np.hstack([rotation, sparse, np.eye(d), np.zeros((d, 1))])
+    inside = b.lower + rng.uniform(size=d) * b.widths
+    on_wall = inside.copy()
+    on_wall[0] = b.lower[0]
+    on_wall[-1] = b.upper[-1]
+    for center in (inside, b.center, on_wall):
+        t_lo, t_hi = box_chords(b, center, columns)
+        for k in range(columns.shape[1]):
+            want = box_chord_reference(b, center, columns[:, k])
+            assert (t_lo[k], t_hi[k]) == want
 
 
 def test_degenerate_axis_direction_gets_box_width():
