@@ -61,10 +61,10 @@ def trough(x):
 
 
 problem2 = Problem(trough, BoundsBox.cube(2, -4.0, 4.0))
-rng = np.random.default_rng(0)
-start = 0.3 * u  # somewhere on the line of maxima
-cp = CoarsePeak(start, float(problem2.logl(start[None, :])[0]), 0.5, 0.0, 1)
-peaks, _ = refine_peaks(problem2, [cp], lam_fine=0.01, rng=rng)
+start = 0.3 * u  # somewhere on the line of maxima, where the gradient is 0
+cp = CoarsePeak(start, float(problem2.logl(start[None, :])[0]), 0.5,
+                np.zeros(2), 1)
+peaks, _ = refine_peaks(problem2, [cp], lam_fine=0.01)
 
 rep, reduced = reduce_mode(problem2, peaks[0], -prec)
 chord = np.exp(rep.log_z_degen)

@@ -419,8 +419,12 @@ class CoarsePeak:
     position: np.ndarray
     logl: float
     width: float
-    grad_inf: float
+    grad: np.ndarray
     oscillation: int
+
+    @property
+    def grad_inf(self) -> float:
+        return float(np.max(np.abs(self.grad)))
 
 
 def smoothed_gradient(problem, theta, sigma, k, rng, widths=None):
@@ -480,7 +484,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     replaces it. The survivors are the held peaks; every other stuck
     sample retires, and so does a held peak that falls below the keep band
     once a better value turns up. A held peak keeps the position, value,
-    gradient sup-norm, width and oscillation of the round it stuck in and
+    gradient, width and oscillation of the round it stuck in and
     is never evaluated again. Except on the last round, only the samples
     that did not stick climb the smoothed gradient and form the next
     round's population; when none are left, the search ends. Nothing else
@@ -524,7 +528,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         stuck = (grad_inf < STICK_GRAD) & finite & (logls >= floor)
         held = [pk for pk in held if pk.logl >= floor] + [
             CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),
-                       width=float(widths[i]), grad_inf=float(grad_inf[i]),
+                       width=float(widths[i]), grad=state.grad[i].copy(),
                        oscillation=osc)
             for i in np.flatnonzero(stuck)
         ]

@@ -76,7 +76,7 @@ class NoValidMaximaError(LaplevError):
     """Every refined candidate was filtered out.
 
     ``reasons`` maps each filter name to the number of candidates it removed;
-    ``n_candidates`` is the number of polished candidates the filters saw.
+    ``n_candidates`` is the number of held peaks the filters saw.
     """
 
     exit_code = 5

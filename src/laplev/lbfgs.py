@@ -41,10 +41,10 @@ def fd_steps(theta, widths=None) -> np.ndarray:
     """Per-coordinate central-difference offsets for positions ``theta``.
 
     The baseline sqrt(eps) * (1 + |theta|) step is the classic optimum for
-    a unit-scale function. When the caller knows a length scale (a ray
-    resolution during search, a mode width during polish) the step is kept
-    at no less than a fixed fraction of it, because the subtraction noise
-    floor grows with |logl| and a too-small step drowns the signal.
+    a unit-scale function. When the caller knows a length scale (the
+    survey's ray resolution, in the search) the step is kept at no less
+    than a fixed fraction of it, because the subtraction noise floor grows
+    with |logl| and a too-small step drowns the signal.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
     eps = _SQRT_EPS * (1.0 + np.abs(th))

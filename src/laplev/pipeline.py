@@ -1,11 +1,11 @@
 """End-to-end evidence pipeline.
 
 Stages run in a fixed order — coordinate screen, ray survey, seed grouping
-into basins, oscillating mode search, quasi-Newton polish, per-mode Gaussian
-integral, optional dimensional reduction — each consuming the previous
-stage's output on the active-coordinate subproblem. A config is a preset
-name, a seed and the reduce flag: the preset sets the number of oscillations
-and the polish, and every tolerance and budget is a constant of the stage
+into basins, oscillating mode search, curvature check of the held peaks,
+per-mode Gaussian integral, optional dimensional reduction — each consuming
+the previous stage's output on the active-coordinate subproblem. A config is
+a preset name, a seed and the reduce flag: the preset sets the number of
+oscillations, and every tolerance and budget is a constant of the stage
 that uses it. Results are bitwise deterministic for a fixed (problem,
 config) pair: every random draw comes from streams spawned off the config
 seed, and each likelihood batch reaches the evaluator as one call.
@@ -40,11 +40,12 @@ from .precheck import active_subproblem, precheck
 from .reduction import reduce_mode
 from .refine import refine_peaks
 
-# Each preset's search depth and polish: (n_oscillations, fast_refine).
+# Each preset's search depth, n_oscillations. ``slow`` is an alias of
+# ``fast``: the two run identically.
 PRESET_SETTINGS = {
-    "fast": (1, True),
-    "slow": (1, False),
-    "conservative": (3, False),
+    "fast": 1,
+    "slow": 1,
+    "conservative": 3,
 }
 PRESETS = tuple(PRESET_SETTINGS)
 
@@ -53,7 +54,7 @@ PRESETS = tuple(PRESET_SETTINGS)
 class PipelineConfig:
     """A run's configuration: a preset name, a seed and the reduce flag.
 
-    The preset fixes the oscillation count and the polish; every tolerance
+    The preset fixes the oscillation count; every tolerance
     and budget is the owning stage's module constant. An unknown preset
     name is rejected.
     """
@@ -70,18 +71,13 @@ class PipelineConfig:
 
     @property
     def n_oscillations(self) -> int:
-        return PRESET_SETTINGS[self.name][0]
-
-    @property
-    def fast_refine(self) -> bool:
-        return PRESET_SETTINGS[self.name][1]
+        return PRESET_SETTINGS[self.name]
 
     def echo(self) -> dict:
         """JSON-stable copy of everything that influences the result."""
         return {
             "name": self.name,
             "n_oscillations": self.n_oscillations,
-            "fast_refine": self.fast_refine,
             "reduce": bool(self.reduce),
         }
 
@@ -89,9 +85,8 @@ class PipelineConfig:
 def preset_config(name, *, seed=0, reduce=False) -> PipelineConfig:
     """The three named configurations: fast, slow, conservative.
 
-    fast uses a single oscillation with the cheap polish; slow keeps one
-    oscillation but polishes fully; conservative runs three oscillations
-    with the full polish.
+    fast runs a single oscillation, slow is an alias of fast, and
+    conservative runs three oscillations.
     """
     return PipelineConfig(name, seed=seed, reduce=reduce)
 
@@ -135,7 +130,9 @@ def run(problem, config: PipelineConfig):
     naming the failing stage.
     """
     streams = np.random.SeedSequence(config.seed).spawn(4)
-    rng_survey, rng_discover, rng_refine, rng_evidence = (
+    # The third stream is unused; spawning it keeps the evidence stream, and
+    # so the rotation probes' directions, at index 3.
+    rng_survey, rng_discover, _, rng_evidence = (
         np.random.default_rng(s) for s in streams
     )
     meter = _Meter(problem)
@@ -176,8 +173,7 @@ def run(problem, config: PipelineConfig):
     meter.close("discover")
 
     try:
-        peaks, warnings = refine_peaks(active, coarse, scales.lam_fine,
-                                       rng_refine, fast=config.fast_refine)
+        peaks, warnings = refine_peaks(active, coarse, scales.lam_fine)
     except LaplevError as err:
         raise _tag(err, "refine")
     meter.close("refine")

@@ -1,12 +1,13 @@
-"""Peak polishing: re-seed around each coarse peak, converge hard, filter.
+"""Peak validation: measure each held peak's curvature, filter, merge.
 
-Every surviving peak leaves this stage with a machine-tight position, a
-diagonal Hessian measured at the converged point and per-axis widths. The
-evidence stage's off-diagonal probe starts from that diagonal.
-
-The filter cascade is ordered by cost: checks that reuse already-computed
-values run first, the single Hessian batch runs only for deduplicated
-survivors, and nothing is evaluated twice.
+Every coarse peak reaching this stage has already stuck in the search: its
+gradient sup-norm is below the search's stick threshold and its value is
+finite. It is taken as it stands, position, value and gradient, and is not
+climbed again. One fused batch of 2d rows per peak measures the diagonal
+Hessian at every peak at once; a peak whose stencil is non-finite or that
+curves upward along some axis is rejected, and the survivors are merged
+by their widths. The evidence stage's off-diagonal probe starts from that
+diagonal.
 """
 
 from __future__ import annotations
@@ -16,43 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidMaximaError
-from .lbfgs import axis_values, run_batch
+from .lbfgs import axis_values
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .lbfgs import step_batch  # noqa: F401
-from .linalg import dedup_linf, dedup_radius
+from .linalg import dedup_linf
 
-GRAD_FILTER_SCALE = 1e-6
-# Gradient sup-norm at which a polish seed stops climbing.
-POLISH_GRAD_TOL = 1e-10
 # Hessian stencil step per coordinate (see ``hess_steps``).
 HESS_STEP_WIDTH = 1e-4
 HESS_STEP_ABS = 1e-6
 WIDTH_FLOOR_SCALE = 1e-12
-FAST_SEED_COUNT = 20
-SEED_OFFSET = 0.9
-
-
-def refine_iterations(dim: int) -> int:
-    """Iteration budget: flat floor of 10, growing as 3*log2(d) above d=10."""
-    return max(10, int(np.ceil(3.0 * np.log2(max(dim, 2)))))
-
-
-def seed_peak(position, width, dim, rng, bounds, min_width, fast=False):
-    """Seed cloud around one coarse peak, clipped into the box.
-
-    Default: one pair of seeds per axis at 0.9 width. Fast: a fixed count
-    of uniform draws in the 0.9-width sup-norm ball, which costs less than
-    2d rows once the dimension passes ten.
-    """
-    w = SEED_OFFSET * max(float(width), float(min_width))
-    pos = np.asarray(position, dtype=np.float64)
-    if fast:
-        u = rng.uniform(-w, w, size=(FAST_SEED_COUNT, dim))
-        seeds = pos[None, :] + u
-    else:
-        eye = np.eye(dim)
-        seeds = np.vstack([pos[None, :] + w * eye, pos[None, :] - w * eye])
-    return bounds.clip(seeds)
 
 
 def hess_steps(position, widths):
@@ -108,76 +81,41 @@ class RefinedPeak:
     width_floored: bool
 
 
-def refine_peaks(problem, coarse_peaks, lam_fine, rng, *, fast=False):
-    """Polish coarse peaks into validated maxima.
+def refine_peaks(problem, coarse_peaks, lam_fine):
+    """Validate held coarse peaks into maxima with a measured curvature.
 
-    Every seed climbs for ``refine_iterations`` L-BFGS steps, or until its
-    gradient sup-norm falls below ``POLISH_GRAD_TOL``.
+    Each peak keeps its position, value and gradient; its Hessian stencil
+    steps follow its width, never below ``lam_fine``. The only likelihood
+    call is the one ``diag_hessian`` batch, 2d rows per peak.
 
     Returns (peaks, warnings). Raises the no-valid-maxima error, with a
-    per-filter casualty count, when nothing survives the cascade.
+    per-filter casualty count, when every peak is rejected.
     """
-    bounds = problem.bounds
-    d = bounds.dim
     if not coarse_peaks:
         raise NoValidMaximaError({"no_input_peaks": 0}, 0)
 
-    seed_rows, origins, hints = [], [], []
-    for k, pk in enumerate(coarse_peaks):
-        s = seed_peak(pk.position, pk.width, d, rng, bounds, lam_fine, fast=fast)
-        seed_rows.append(s)
-        origins.extend([k] * s.shape[0])
-        hints.extend([max(pk.width, lam_fine)] * s.shape[0])
-    seeds = np.vstack(seed_rows)
-    origins = np.asarray(origins)
-    hints = np.asarray(hints, dtype=np.float64)
-
-    state = run_batch(problem, seeds, refine_iterations(d), POLISH_GRAD_TOL,
-                      widths=hints[:, None])
-    grad_inf = state.grad_inf()
-
-    reasons = {"nonfinite_start": 0, "gradient": 0, "hessian_nonfinite": 0,
-               "saddle": 0}
-
-    alive = np.flatnonzero(np.isfinite(state.logl) & ~state.bad_grad)
-    reasons["nonfinite_start"] = state.logl.size - alive.size
-
-    # Gradient filter from cached optimizer gradients: free of evaluations.
-    if alive.size:
-        thresh = GRAD_FILTER_SCALE * np.maximum(1.0, np.abs(state.logl[alive]))
-        ok = grad_inf[alive] <= thresh
-        reasons["gradient"] = int((~ok).sum())
-        alive = alive[ok]
-
-    if alive.size:
-        kept = dedup_linf(state.theta[alive], state.logl[alive],
-                          dedup_radius(bounds))
-        alive = alive[kept]
-
-    if alive.size:
-        hess, bad = diag_hessian(
-            problem, state.theta[alive], state.logl[alive], hints[alive]
-        )
-        reasons["hessian_nonfinite"] = int(bad.sum())
-        saddle = (~bad) & (hess >= 0).any(axis=1)
-        reasons["saddle"] = int(saddle.sum())
-        keep = ~(bad | saddle)
-        alive, hess = alive[keep], hess[keep]
+    theta = np.array([pk.position for pk in coarse_peaks], dtype=np.float64)
+    logl = np.array([pk.logl for pk in coarse_peaks], dtype=np.float64)
+    hints = np.maximum([pk.width for pk in coarse_peaks], lam_fine)
+    hess, bad = diag_hessian(problem, theta, logl, hints)
+    saddle = ~bad & (hess >= 0).any(axis=1)
+    reasons = {"hessian_nonfinite": int(bad.sum()), "saddle": int(saddle.sum())}
+    alive = np.flatnonzero(~(bad | saddle))
     if alive.size == 0:
-        raise NoValidMaximaError(reasons, state.logl.size)
+        raise NoValidMaximaError(reasons, len(coarse_peaks))
 
-    widths, floored = peak_widths(hess, bounds.widths)
+    hess = hess[alive]
+    widths, floored = peak_widths(hess, problem.bounds.widths)
     warnings = ["peak width hit the resolution floor"] * int(floored.sum())
-    kept = dedup_linf(state.theta[alive], state.logl[alive], 1.0,
-                      widths=widths.min(axis=0))
+    kept = dedup_linf(theta[alive], logl[alive], 1.0, widths=widths.min(axis=0))
     peaks = [
         RefinedPeak(
-            position=state.theta[r].copy(),
-            logl=float(state.logl[r]),
+            position=theta[r].copy(),
+            logl=float(logl[r]),
             hess_diag=hess[i],
             widths=widths[i],
-            grad_inf=float(grad_inf[r]),
-            origin=int(origins[r]),
+            grad_inf=coarse_peaks[r].grad_inf,
+            origin=int(r),
             width_floored=bool(floored[i]),
         )
         for i, r in zip(kept, alive[kept])

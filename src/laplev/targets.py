@@ -468,7 +468,7 @@ _ANISO_CAP = {"cigar", "correlated", "rotated-cigar", "mixture4"}
 
 def dim_cap(name) -> int:
     if name in _GAUSSIAN_CAP:
-        return 128
+        return 1024
     if name in _ANISO_CAP:
         return 32
     return 16

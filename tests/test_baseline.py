@@ -5,9 +5,7 @@ rotation decision, the per-stage evaluation counts, and the length scale
 the survey inferred (as ``float.hex``, with the fallback flag). A
 change that claims "no behaviour change" must reproduce ``baseline.json``
 exactly: counts, modes, routes and scales compare equal, log Z to 1e-12
-absolute. A cell whose run raises records the error. One known fault is
-pinned as it stands: rotated-cigar/16 raises ``NoValidMaximaError``. That
-records current behaviour; it does not endorse it.
+absolute. A cell whose run raises records the error.
 
 The grid runs ``fast`` and ``slow`` on every target. A smaller slice runs
 ``conservative``, the only preset whose later oscillations take the

@@ -160,11 +160,11 @@ def test_bench_empty_or_bad_dims_exit_2(tmp_path, capsys):
 def test_bench_skips_over_cap_dims(tmp_path, capsys):
     # eggbox is 2-d only; at d=4 it must be skipped with a notice, and a
     # suite where nothing is runnable is a usage error.
-    rc = cli.main(["bench", "--suite", "gaussian", "--dims", "200",
+    rc = cli.main(["bench", "--suite", "gaussian", "--dims", "2000",
                    "--csv", str(tmp_path / "c.csv")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "skip gaussian d=200" in err
+    assert "skip gaussian d=2000" in err
 
 
 def test_bench_stdout_mode(capsys):

@@ -349,8 +349,8 @@ def test_mode_evidence_soundness_on_refined_trajectories():
             kappa = -np.diag(np.asarray(h))
             start = rng.uniform(-1.0, 1.0, 2) * 1e-7 / kappa
             cp = CoarsePeak(start, float(p.logl(start[None, :])[0]), 0.3,
-                            1e-8, 1)
-            pk, _ = refine_peaks(p, [cp], lam_fine=0.01, rng=rng)
+                            np.asarray(h) @ start, 1)
+            pk, _ = refine_peaks(p, [cp], lam_fine=0.01)
             me = mode_evidence(p, pk[0], rng=rng)
             assert me.verdict.decision == expected, f"{name} seed {seed}"
 

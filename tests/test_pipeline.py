@@ -45,9 +45,7 @@ def test_presets_match_documented_settings():
     fast = preset_config("fast")
     slow = preset_config("slow")
     cons = preset_config("conservative")
-    assert (fast.n_oscillations, fast.fast_refine) == (1, True)
-    assert (slow.n_oscillations, slow.fast_refine) == (1, False)
-    assert (cons.n_oscillations, cons.fast_refine) == (3, False)
+    assert (fast.n_oscillations, slow.n_oscillations, cons.n_oscillations) == (1, 1, 3)
     assert fast.name == "fast" and cons.name == "conservative"
     with pytest.raises(InvalidParameterError):
         preset_config("turbo")
@@ -59,11 +57,10 @@ def test_config_rejects_unknown_preset():
             make("custom")
 
 
-def test_config_echo_has_the_four_keys():
+def test_config_echo_has_the_three_keys():
     echo = preset_config("conservative", seed=7, reduce=True).echo()
     assert json.loads(json.dumps(echo)) == {
-        "name": "conservative", "n_oscillations": 3, "fast_refine": False,
-        "reduce": True,
+        "name": "conservative", "n_oscillations": 3, "reduce": True,
     }
 
 
@@ -79,7 +76,7 @@ def test_config_is_its_preset(preset):
 STAGE_PARAMS = {
     group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
     discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
-    refine_peaks: ["problem", "coarse_peaks", "lam_fine", "rng", "fast"],
+    refine_peaks: ["problem", "coarse_peaks", "lam_fine"],
     run_batch: ["problem", "theta0", "iterations", "tol", "widths"],
     mode_evidence: ["problem", "peak", "rng"],
     probe_offdiag: ["problem", "position", "center_logl", "hess_diag", "rng",
@@ -177,6 +174,17 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     target = get_target(name, dim)
     res = run(target.problem, preset_config("conservative", seed=seed))
     assert len(res.modes) == n_modes
+
+
+def test_rotated_cigar_d16_slow_is_exact_on_the_full_route():
+    # A 1e6-conditioned rotated mode: refine measures the curvature at the
+    # held peak, so the one mode survives and the full-Hessian route
+    # integrates it exactly.
+    target = get_target("rotated-cigar", 16)
+    res = run(target.problem, preset_config("slow", seed=1))
+    assert len(res.modes) == 1
+    assert res.modes[0].hessian_kind == "full"
+    assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-8
 
 
 def test_conservative_mixture4_d3_overlaps_like_d4():

@@ -4,22 +4,24 @@ import pytest
 from laplev.discovery import CoarsePeak
 from laplev.errors import NoValidMaximaError
 from laplev.problem import BoundsBox, Problem
-from laplev.refine import (
-    diag_hessian,
-    peak_widths,
-    refine_iterations,
-    refine_peaks,
-    seed_peak,
-)
+from laplev.refine import diag_hessian, peak_widths, refine_peaks
 
 
 def box(d, lo=-5.0, hi=5.0):
     return BoundsBox.cube(d, lo, hi)
 
 
-def coarse(pos, logl=0.0, width=1.0):
+def coarse(pos, logl=0.0, width=1.0, grad=None):
+    """A held peak as the search hands it over."""
     pos = np.asarray(pos, dtype=np.float64)
-    return CoarsePeak(pos, float(logl), float(width), 1e-8, 1)
+    grad = np.zeros_like(pos) if grad is None else np.asarray(grad, dtype=np.float64)
+    return CoarsePeak(pos, float(logl), float(width), grad, 1)
+
+
+def held(p, pos, width=1.0, grad=None):
+    """A held peak at ``pos``, its value read off ``p``."""
+    pos = np.asarray(pos, dtype=np.float64)
+    return coarse(pos, logl=float(p.logl(pos[None, :])[0]), width=width, grad=grad)
 
 
 def gaussian(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
@@ -30,36 +32,6 @@ def gaussian(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
         return -0.5 * np.sum((x - mu) ** 2 / sig2, axis=1)
 
     return Problem(fn, box(d, lo, hi))
-
-
-def test_iteration_budget_rule():
-    assert refine_iterations(2) == 10
-    assert refine_iterations(8) == 10
-    assert refine_iterations(16) == 12
-    assert refine_iterations(64) == 18
-    assert refine_iterations(128) == 21
-
-
-def test_axis_seed_layout():
-    rng = np.random.default_rng(0)
-    s = seed_peak(np.array([1.0, -1.0, 0.0]), 0.5, 3, rng, box(3), 1e-3)
-    assert s.shape == (6, 3)
-    np.testing.assert_allclose(s[0], [1.45, -1.0, 0.0])
-    np.testing.assert_allclose(s[4], [1.0, -1.45, 0.0])  # row d+1 = minus axis 1
-
-
-def test_ball_seed_layout_clipped():
-    rng = np.random.default_rng(1)
-    s = seed_peak(np.array([4.9, 0.0]), 1.0, 2, rng, box(2), 1e-3, fast=True)
-    assert s.shape == (20, 2)
-    assert box(2).contains(s).all()
-    assert np.max(np.abs(s[:, 1])) <= 0.9
-
-
-def test_seed_width_floor():
-    rng = np.random.default_rng(2)
-    s = seed_peak(np.zeros(2), 0.0, 2, rng, box(2), 0.01)
-    np.testing.assert_allclose(np.abs(s).max(axis=1), 0.009)
 
 
 def test_diag_hessian_exact_on_quadratic():
@@ -99,104 +71,95 @@ def test_peak_widths_floor_and_flag():
 
 
 def test_refine_gaussian_to_machine_tightness():
+    # A held peak is taken as it stands: its position, value and gradient
+    # pass through bit for bit, and the diagonal Hessian measured there is
+    # exact on a quadratic.
     mu = np.array([0.5, -1.25])
     sig2 = np.array([1.0, 0.25])
     p = gaussian(2, mu, sig2)
-    peaks, warns = refine_peaks(
-        p, [coarse(mu + 0.3, logl=float(p.logl(mu[None] + 0.3)[0]))],
-        lam_fine=0.05, rng=np.random.default_rng(0),
-    )
+    pos = mu + np.array([3e-8, -2e-9])
+    grad = -(pos - mu) / sig2
+    cp = held(p, pos, width=0.7, grad=grad)
+    peaks, warns = refine_peaks(p, [cp], 0.05)
     assert warns == []
     assert len(peaks) == 1
     pk = peaks[0]
-    np.testing.assert_allclose(pk.position, mu, atol=1e-8)
+    assert pk.position.tobytes() == pos.tobytes()
+    assert pk.logl == cp.logl
+    assert pk.grad_inf == cp.grad_inf == np.max(np.abs(grad))
+    assert pk.origin == 0
     np.testing.assert_allclose(pk.hess_diag, -1.0 / sig2, rtol=1e-6)
     np.testing.assert_allclose(pk.widths, np.sqrt(sig2), rtol=1e-6)
-    assert pk.grad_inf < 1e-9
 
 
 def test_refine_cigar_hessian_span():
+    # 1e6:1 conditioning: the stencil steps follow the held width, so both
+    # curvatures come out exact at the held position.
     sig2 = np.array([1.0, 1e-6])
     p = gaussian(2, 0.0, sig2)
-    peaks, _ = refine_peaks(
-        p, [coarse(np.array([1e-4, 1e-5]), logl=-0.05, width=1e-3)],
-        lam_fine=1e-3, rng=np.random.default_rng(0),
-    )
+    pos = np.array([4e-7, 3e-13])
+    peaks, _ = refine_peaks(p, [held(p, pos, width=1e-3)], 1e-3)
     pk = peaks[0]
     np.testing.assert_allclose(pk.hess_diag, [-1.0, -1e6], rtol=1e-4)
-    np.testing.assert_allclose(pk.position, [0.0, 0.0], atol=1e-9)
+    assert pk.position.tobytes() == pos.tobytes()
 
 
 def test_refine_rejects_saddle_keeps_maxima():
-    # Double well: maxima at (+-1, 0), saddle at the origin. The coarse peak
-    # centred on the symmetry line produces two seeds with x0 = 0 exactly;
-    # the x0-gradient vanishes there by symmetry, so they slide down to the
-    # origin and must be removed by the sign-of-curvature filter, while the
-    # coarse peaks near each basin refine to the true maxima.
+    # Double well: maxima at (+-1, 0), saddle at the origin. The gradient
+    # vanishes at all three, so each may come out of the search held; the
+    # sign-of-curvature filter removes the saddle and keeps both maxima.
     def fn(x):
         return -((x[:, 0] ** 2 - 1.0) ** 2) - x[:, 1] ** 2
 
     p = Problem(fn, box(2, -3, 3))
-
-    def cp(x0, x1, width):
-        pos = np.array([x0, x1])
-        return coarse(pos, logl=float(fn(pos[None, :])[0]), width=width)
-
-    peaks, _ = refine_peaks(
-        p, [cp(0.9, 0.0, 0.1), cp(-0.9, 0.0, 0.1), cp(0.0, 0.4, 0.1)],
-        lam_fine=0.01, rng=np.random.default_rng(0),
-    )
-    xs = sorted(pk.position[0] for pk in peaks)
-    assert len(peaks) == 2
-    assert xs[0] == pytest.approx(-1.0, abs=1e-8)
-    assert xs[1] == pytest.approx(1.0, abs=1e-8)
-    # the saddle itself never survives
-    assert all(abs(pk.position[0]) > 0.5 for pk in peaks)
+    cps = [held(p, [1.0, 0.0], 0.1), held(p, [0.0, 0.0], 0.1),
+           held(p, [-1.0, 0.0], 0.1)]
+    peaks, _ = refine_peaks(p, cps, 0.01)
+    assert sorted(pk.position[0] for pk in peaks) == [-1.0, 1.0]
+    assert sorted(pk.origin for pk in peaks) == [0, 2]
+    for pk in peaks:
+        np.testing.assert_allclose(pk.hess_diag, [-8.0, -2.0], rtol=1e-6)
+    # the saddle alone is rejected, and the error names the filter
+    with pytest.raises(NoValidMaximaError) as exc:
+        refine_peaks(p, [cps[1]], 0.01)
+    assert exc.value.reasons == {"hessian_nonfinite": 0, "saddle": 1}
 
 
 def test_refine_all_fail_raises_with_reasons():
-    p = Problem(lambda x: x[:, 0] + 0.5 * x[:, 1], box(2))
+    # A plane is flat along every axis (a saddle for the filter), and past
+    # x0 = 1 the likelihood is NaN, so a peak on that edge has a non-finite
+    # stencil. Both are rejected, each under its own reason, after the one
+    # curvature batch of 2d rows per peak.
+    def fn(x):
+        out = x[:, 0] + 0.5 * x[:, 1]
+        out[x[:, 0] > 1.0] = np.nan
+        return out
+
+    p = Problem(fn, box(2))
+    cps = [held(p, [0.0, 0.0]), held(p, [1.0, 0.0])]
+    mark = (p.call_counter, p.eval_counter)
     with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(p, [coarse(np.zeros(2))], lam_fine=0.1,
-                     rng=np.random.default_rng(0))
-    reasons = exc.value.reasons
-    assert reasons.get("gradient", 0) > 0
-    # one +-axis pair per coordinate: four polished candidates
-    assert exc.value.n_candidates == 4
-    assert "all 4 candidates rejected" in str(exc.value)
-    # the fast scatter polishes 20 candidates, still through four filters
-    with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(p, [coarse(np.zeros(2))], lam_fine=0.1,
-                     rng=np.random.default_rng(0), fast=True)
-    assert exc.value.n_candidates == 20
-    assert str(exc.value).startswith("all 20 candidates rejected")
+        refine_peaks(p, cps, 0.1)
+    assert exc.value.reasons == {"hessian_nonfinite": 1, "saddle": 1}
+    assert exc.value.n_candidates == 2
+    assert str(exc.value).startswith("all 2 candidates rejected")
+    assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (1, 2 * 2 * 2)
 
 
 def test_refine_merges_duplicate_coarse_peaks():
+    # Two held peaks within one width of each other are one mode: the
+    # better one survives, unmoved.
     p = gaussian(2)
-    cps = [coarse(np.array([0.2, 0.0]), logl=-0.02),
-           coarse(np.array([-0.15, 0.1]), logl=-0.02)]
-    peaks, _ = refine_peaks(p, cps, lam_fine=0.05, rng=np.random.default_rng(3))
+    cps = [held(p, [0.2, 0.0]), held(p, [-0.15, 0.1])]
+    peaks, _ = refine_peaks(p, cps, 0.05)
     assert len(peaks) == 1
-    np.testing.assert_allclose(peaks[0].position, [0.0, 0.0], atol=1e-8)
-
-
-def test_refine_fast_mode_matches_default_answer():
-    mu = np.array([1.0, 2.0, -0.5])
-    p1, p2 = gaussian(3, mu), gaussian(3, mu)
-    kw = dict(lam_fine=0.05)
-    a, _ = refine_peaks(p1, [coarse(mu + 0.2, logl=-0.06)],
-                        rng=np.random.default_rng(0), **kw)
-    b, _ = refine_peaks(p2, [coarse(mu + 0.2, logl=-0.06)],
-                        rng=np.random.default_rng(0), fast=True, **kw)
-    np.testing.assert_allclose(a[0].position, b[0].position, atol=1e-8)
-    np.testing.assert_allclose(a[0].hess_diag, b[0].hess_diag, rtol=1e-5)
+    assert peaks[0].origin == 1
+    assert peaks[0].position.tobytes() == cps[1].position.tobytes()
 
 
 def test_refine_postsearch_cost_is_one_hessian_batch():
-    # The curvature stage must issue ONE fused batch covering every candidate
-    # (2*d rows per candidate), not one batch per peak. It is also the last
-    # batch of the whole call: the gradient and width stages are eval-free.
+    # The curvature stage issues ONE fused batch covering every held peak
+    # (2*d rows per peak), not one batch per peak, and nothing else.
     batches = []
 
     def fn(x):
@@ -204,25 +167,19 @@ def test_refine_postsearch_cost_is_one_hessian_batch():
         return -((x[:, 0] ** 2 - 1.0) ** 2) - x[:, 1] ** 2
 
     p = Problem(fn, box(2, -3, 3))
-
-    def cp(x0):
-        pos = np.array([x0, 0.0])
-        return coarse(pos, logl=float(fn(pos[None, :])[0]), width=0.1)
-
+    cps = [held(p, [0.9, 0.0], 0.1), held(p, [-0.9, 0.0], 0.1)]
     batches.clear()
-    peaks, _ = refine_peaks(
-        p, [cp(0.9), cp(-0.9)], lam_fine=0.01, rng=np.random.default_rng(0)
-    )
+    mark = p.eval_counter
+    peaks, _ = refine_peaks(p, cps, 0.01)
     assert len(peaks) == 2
-    # the two cp() probes called fn directly and bypassed the counter
-    assert sum(batches) - 2 == p.eval_counter
-    # two surviving candidates x 2 probes x d=2 coordinates, in one batch
-    assert batches[-1] == 2 * 2 * 2
+    # two held peaks x 2 probes x d=2 coordinates, in one batch
+    assert batches == [2 * 2 * 2]
+    assert p.eval_counter - mark == 2 * 2 * 2
     assert all(pk.hess_diag.shape == (2,) for pk in peaks)
 
 
 def test_refine_empty_input_raises():
     with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(gaussian(2), [], lam_fine=0.1, rng=np.random.default_rng(0))
+        refine_peaks(gaussian(2), [], 0.1)
     assert exc.value.n_candidates == 0
     assert str(exc.value).startswith("all 0 candidates rejected")

@@ -366,7 +366,9 @@ def test_registry_rejects_unknown_and_bad_dims():
 
 
 def test_dim_caps():
-    assert dim_cap("gaussian") == 128
+    assert dim_cap("gaussian") == 1024
+    with pytest.raises(InvalidParameterError):
+        get_target("gaussian", 1025)
     assert dim_cap("cigar") == 32
     assert dim_cap("funnel-3") == 16
     with pytest.raises(InvalidParameterError):
