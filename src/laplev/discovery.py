@@ -179,9 +179,9 @@ def _refill_t(t0, v0, rng):
 class RayBank:
     """All ray samples from one survey, as arrays.
 
-    ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``,
-    ``logl`` and ``tags`` (0 = coarse pass, 1 = refined pass) hold one row
-    per live ray, in ray order, sorted by t. A dead ray's coarse values are
+    ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``
+    and ``logl`` hold one row per live ray, in ray order, sorted by t: the
+    coarse and the refill samples together. A dead ray's coarse values are
     all non-finite, so no row is kept for it.
     """
 
@@ -191,7 +191,6 @@ class RayBank:
     dead: np.ndarray
     t: np.ndarray
     logl: np.ndarray
-    tags: np.ndarray
 
     def kind_counts(self) -> dict:
         """Ray count per kind name, in kind order."""
@@ -230,12 +229,9 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
           else np.zeros_like(t1))
     t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
     v_all = np.concatenate([v0[live], v1], axis=1)
-    tags = np.concatenate(
-        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
-    )
     order = np.argsort(t_all, axis=1, kind="stable")
-    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
-    return RayBank(kind, start, end, ~live, t_all, v_all, tags)
+    t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
+    return RayBank(kind, start, end, ~live, t_all, v_all)
 
 
 @dataclass(frozen=True)
@@ -427,39 +423,40 @@ class CoarsePeak:
         return float(np.max(np.abs(self.grad)))
 
 
-def smoothed_gradient(problem, theta, sigma, k, rng, widths=None):
+def smoothed_gradient(problem, theta, sigma, k, rng, width):
     """Average finite-difference gradient over a Gaussian position cloud.
 
-    With sigma = 0 and k = 1 the cloud collapses onto the sample itself and
-    this is exactly ``fd_gradient``.
+    Every cloud point's gradient steps at ``fd_steps(point, width)``. With
+    sigma = 0 and k = 1 the cloud collapses onto the sample itself and this
+    is exactly ``fd_gradient``.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
     n, d = th.shape
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (d,))
     z = rng.standard_normal((n, int(k), d))
     pts = th[:, None, :] + sig[None, None, :] * z
-    g, _ = fd_gradient(problem, pts.reshape(n * int(k), d), widths)
+    g = fd_gradient(problem, pts.reshape(n * int(k), d), width)
     return g.reshape(n, int(k), d).mean(axis=1)
 
 
-def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
+def _smoothed_ascent(problem, theta, lam_fine, rng):
     """Climb the noise-averaged gradient to hop over fine-scale ripple.
 
-    Takes ``n_cloud`` steps of length ``lam_fine`` along the normalised
-    smoothed gradient. Each step averages central-difference gradients (2d
-    evaluations each) over a Gaussian cloud of
-    ``k = min(k_smooth, max(1, 2 * k_smooth // d))`` points per sample, so
-    a step costs at most ``max(4 * k_smooth, 2d)`` evaluations per sample
-    at any d. At d <= 2 the cloud holds all ``k_smooth`` points.
+    Takes ``N_CLOUD`` steps of length ``lam_fine`` along the normalised
+    smoothed gradient, whose finite differences step at no less than
+    ``lam_fine`` times ``FD_WIDTH_FACTOR``. Each step averages
+    central-difference gradients (2d evaluations each) over a Gaussian
+    cloud of ``k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // d))`` points per
+    sample, so a step costs at most ``max(4 * K_SMOOTH, 2d)`` evaluations
+    per sample at any d. At d <= 2 the cloud holds all ``K_SMOOTH`` points.
+    ``theta`` holds at least one sample: the search climbs only when some
+    sample did not stick.
     """
     th = np.array(theta, dtype=np.float64)
-    if th.shape[0] == 0:
-        return th
-    k_smooth = int(k_smooth)
-    k = min(k_smooth, max(1, 2 * k_smooth // th.shape[1]))
+    k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // th.shape[1]))
     sigma = th.std(axis=0)
-    for _ in range(int(n_cloud)):
-        g = smoothed_gradient(problem, th, sigma, k, rng, widths=lam_fine)
+    for _ in range(N_CLOUD):
+        g = smoothed_gradient(problem, th, sigma, k, rng, lam_fine)
         nrm = np.linalg.norm(g, axis=1, keepdims=True)
         step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
         th = problem.bounds.clip(th + lam_fine * step)
@@ -467,7 +464,7 @@ def _smoothed_ascent(problem, theta, lam_fine, n_cloud, k_smooth, rng):
 
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
-                   n_oscillations: int = 1) -> list[CoarsePeak]:
+                   n_oscillations: int) -> list[CoarsePeak]:
     """Stick/release search: peaks that stick are held, the rest go round again.
 
     ``seeds`` is the starting population. The pipeline passes the basin
@@ -475,7 +472,8 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     finds, so a log-concave target climbs from ``K_PER_BASIN`` seeds, not
     from every seed ``select_seeds`` keeps.
 
-    Each oscillation runs the ascent (at most ``N_CONVERGE`` steps) on the
+    The search runs at most ``n_oscillations`` rounds (the preset's
+    count). Each runs the ascent (at most ``N_CONVERGE`` steps) on the
     population. A sample sticks when it converged (gradient sup-norm below
     ``STICK_GRAD``) onto a peak within a factor ``KEEP_RATIO`` of the best
     value seen anywhere so far. The newly stuck samples are deduplicated
@@ -484,18 +482,17 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     replaces it. The survivors are the held peaks; every other stuck
     sample retires, and so does a held peak that falls below the keep band
     once a better value turns up. A held peak keeps the position, value,
-    gradient, width and oscillation of the round it stuck in and
-    is never evaluated again. Except on the last round, only the samples
-    that did not stick climb the smoothed gradient and form the next
-    round's population; when none are left, the search ends. Nothing else
-    runs between two ascents. The survey's one length scale
-    ``scales.lam_fine`` sets the finite-difference widths and the climb's
-    step.
+    gradient, width and oscillation of the round it stuck in and is never
+    evaluated again; its width is the square root of the ascent's newest
+    curvature scale s.y/y.y there, or ``lam_fine`` when it has none.
+    Except on the last round, only the samples that did not stick climb
+    the smoothed gradient and form the next round's population; when none
+    are left, the search ends. Nothing else runs between two ascents.
 
-    The climb takes ``N_CLOUD`` steps. ``K_SMOOTH`` is its gradient cloud
-    size at d <= 2; above that the cloud shrinks so that one step costs at
-    most ``max(4 * K_SMOOTH, 2d)`` evaluations per sample (see
-    ``_smoothed_ascent``).
+    The survey's one length scale ``scales.lam_fine`` is the ``width`` of
+    every finite-difference gradient, in the ascent and in the climb, and
+    the climb's step. The climb (``_smoothed_ascent``) takes ``N_CLOUD``
+    steps of at most ``max(4 * K_SMOOTH, 2d)`` evaluations per sample each.
 
     Raises the no-modes error, carrying the best sample seen, if nothing
     ever sticks.
@@ -511,11 +508,11 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     best_pos, best_logl = None, -np.inf
 
     for osc in range(1, int(n_oscillations) + 1):
-        state = run_batch(problem, positions, N_CONVERGE, STICK_GRAD, widths=lam_fine)
+        state = run_batch(problem, positions, N_CONVERGE, STICK_GRAD, lam_fine)
         positions = state.theta
         logls = state.logl
         grad_inf = state.grad_inf()
-        gamma = state.width_estimate()
+        gamma = state.gamma
         widths = np.where(np.isfinite(gamma) & (gamma > 0), np.sqrt(gamma), lam_fine)
 
         finite = np.isfinite(logls)
@@ -539,7 +536,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         positions = positions[~stuck]
         if osc == int(n_oscillations) or positions.shape[0] == 0:
             break
-        positions = _smoothed_ascent(problem, positions, lam_fine, N_CLOUD, K_SMOOTH, rng)
+        positions = _smoothed_ascent(problem, positions, lam_fine, rng)
 
     if not held:
         raise NoModesFoundError(

@@ -101,9 +101,13 @@ class ModeEvidence:
 class EvidenceResult:
     """Combined evidence over all modes plus pathological-coordinate mass.
 
-    log_z_total integrates the likelihood over the parameter box;
-    log_z_vs_prior subtracts the log-volume of the FULL original box so it
-    is the evidence under the uniform prior.
+    log_z_total is the log of the likelihood's integral as the modes
+    measure it: each mode's Gaussian is integrated over all of R^d, not cut
+    at the box walls, so a mode whose mass reaches past a wall reads high
+    (a unit Gaussian peaked on the corner of [-5, 5]^2 reads log 2 pi,
+    four times its box integral, with no warning). Flat and soft axes add
+    their precheck marginals. log_z_vs_prior subtracts the log-volume of
+    the FULL original box so it is the evidence under the uniform prior.
     """
 
     log_z_total: float

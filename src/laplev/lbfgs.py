@@ -37,21 +37,18 @@ FD_WIDTH_FACTOR = 1e-3
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def fd_steps(theta, widths=None) -> np.ndarray:
+def fd_steps(theta, width) -> np.ndarray:
     """Per-coordinate central-difference offsets for positions ``theta``.
 
     The baseline sqrt(eps) * (1 + |theta|) step is the classic optimum for
-    a unit-scale function. When the caller knows a length scale (the
-    survey's ray resolution, in the search) the step is kept at no less
-    than a fixed fraction of it, because the subtraction noise floor grows
-    with |logl| and a too-small step drowns the signal.
+    a unit-scale function. The step is kept at no less than
+    ``FD_WIDTH_FACTOR`` times the length scale ``width`` (the survey's ray
+    resolution, in the search), because the subtraction noise floor grows
+    with |logl| and a too-small step drowns the signal. A zero ``width``
+    leaves the baseline step as it is.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-    eps = _SQRT_EPS * (1.0 + np.abs(th))
-    if widths is not None:
-        w = np.broadcast_to(np.asarray(widths, dtype=np.float64), th.shape)
-        eps = np.maximum(eps, FD_WIDTH_FACTOR * np.abs(w))
-    return eps
+    return np.maximum(_SQRT_EPS * (1.0 + np.abs(th)), FD_WIDTH_FACTOR * abs(width))
 
 
 def axis_values(problem, theta, eps) -> np.ndarray:
@@ -71,25 +68,20 @@ def axis_values(problem, theta, eps) -> np.ndarray:
     return problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
 
 
-def fd_gradient(problem, theta, widths=None):
+def fd_gradient(problem, theta, width):
     """Central-difference gradient of the log-likelihood, one fused batch.
 
-    Returns ``(grad, bad)`` where ``grad`` is (N, d) and ``bad`` marks
-    samples for which at least one coordinate produced a non-finite
-    difference; those coordinates are zeroed rather than poisoning the
-    whole direction.
+    Returns the (N, d) gradient at steps ``fd_steps(theta, width)``. A
+    coordinate whose difference is not finite is zeroed rather than
+    poisoning the whole direction.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-    n, d = th.shape
-    if n == 0:
-        return np.zeros((0, d)), np.zeros(0, dtype=bool)
-    eps = fd_steps(th, widths)
+    d = th.shape[1]
+    eps = fd_steps(th, width)
     vals = axis_values(problem, th, eps)
     grad = (vals[:, :d] - vals[:, d:]) / (2.0 * eps)
-    finite = np.isfinite(grad)
-    bad = ~finite.all(axis=1)
-    grad[~finite] = 0.0
-    return grad, bad
+    grad[~np.isfinite(grad)] = 0.0
+    return grad
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -104,7 +96,10 @@ class BatchState:
 
     ``s_ring``/``y_ring`` hold each row's most recent curvature pairs; the
     pair of age ``a`` (0 = newest) sits in slot
-    ``(pairs_total - 1 - a) % memory``.
+    ``(pairs_total - 1 - a) % HISTORY``. ``gamma`` is each row's most recent
+    curvature scale s.y/y.y (variance units), NaN until the row has
+    accepted a pair. ``width`` is the length scale of every gradient's
+    finite-difference steps.
     """
 
     theta: np.ndarray
@@ -115,8 +110,7 @@ class BatchState:
     s_ring: np.ndarray
     y_ring: np.ndarray
     pairs_total: np.ndarray
-    bad_grad: np.ndarray
-    widths: np.ndarray | None = None
+    width: float
 
     @property
     def n(self) -> int:
@@ -129,47 +123,28 @@ class BatchState:
     def grad_inf(self) -> np.ndarray:
         return np.max(np.abs(self.grad), axis=1)
 
-    def width_estimate(self) -> np.ndarray:
-        """Most recent curvature scale s.y/y.y per sample (variance units).
 
-        NaN until a sample has accepted at least one curvature pair.
-        """
-        return self.gamma.copy()
-
-    def freeze(self, mask) -> None:
-        self.frozen |= np.asarray(mask, dtype=bool)
-
-
-def make_state(problem, theta0, widths=None, memory=HISTORY) -> BatchState:
+def make_state(problem, theta0, width) -> BatchState:
     """Evaluate a starting batch and freeze rows that begin non-finite."""
     th = np.array(np.atleast_2d(theta0), dtype=np.float64)
     th = problem.bounds.clip(th)
     n, d = th.shape
-    if widths is not None:
-        widths = np.broadcast_to(
-            np.asarray(widths, dtype=np.float64), th.shape
-        ).copy()
     logl = problem.logl(th)
     frozen = ~np.isfinite(logl)
     grad = np.zeros((n, d))
-    bad = np.zeros(n, dtype=bool)
     live = ~frozen
     if live.any():
-        g, b = fd_gradient(problem, th[live],
-                           None if widths is None else widths[live])
-        grad[live] = g
-        bad[live] = b
+        grad[live] = fd_gradient(problem, th[live], width)
     return BatchState(
         theta=th,
         logl=logl,
         grad=grad,
         frozen=frozen,
         gamma=np.full(n, np.nan),
-        s_ring=np.zeros((n, memory, d)),
-        y_ring=np.zeros((n, memory, d)),
+        s_ring=np.zeros((n, HISTORY, d)),
+        y_ring=np.zeros((n, HISTORY, d)),
         pairs_total=np.zeros(n, dtype=np.int64),
-        bad_grad=bad,
-        widths=None if widths is None else np.asarray(widths, dtype=np.float64),
+        width=width,
     )
 
 
@@ -332,28 +307,27 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
 
     rows = np.flatnonzero(moved)
     if rows.size:
-        sub_w = None if state.widths is None else state.widths[rows]
-        g_new, bad = fd_gradient(problem, new_theta[rows], sub_w)
+        g_new = fd_gradient(problem, new_theta[rows], state.width)
         end = new_theta[rows]
         _push_pairs(state, rows, end - state.theta[rows], state.grad[rows] - g_new)
         state.theta[rows] = end
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
-        state.bad_grad[rows] |= bad
     state.frozen[active] |= ~moved[active]
     return moved
 
 
-def run_batch(problem, theta0, iterations, tol, widths=None) -> BatchState:
+def run_batch(problem, theta0, iterations, tol, width) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
     A sample freezes once its gradient sup-norm drops below ``tol`` or a
     step leaves it unmoved; the loop ends early when every sample is frozen.
-    Each sample keeps its ``HISTORY`` newest curvature pairs.
+    Each sample keeps its ``HISTORY`` newest curvature pairs, and every
+    gradient steps at ``fd_steps(theta, width)``.
     """
-    state = make_state(problem, theta0, widths=widths)
+    state = make_state(problem, theta0, width)
     for _ in range(int(iterations)):
-        state.freeze(state.grad_inf() < tol)
+        state.frozen |= state.grad_inf() < tol
         if state.frozen.all():
             break
         step_batch(state, problem)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,21 +104,30 @@ class _Meter:
         self._call_mark = problem.call_counter
         self._tick = time.perf_counter()
 
-    def close(self, stage) -> None:
+    @contextmanager
+    def stage(self, name, metered=True):
+        """Run a stage: tag its package errors with ``name``, then meter it.
+
+        A ``LaplevError`` leaving the block gets ``stage = name``. A stage
+        that completes is charged everything since the previous stage
+        closed, unless ``metered`` is false.
+        """
+        try:
+            yield
+        except LaplevError as err:
+            err.stage = name
+            raise
+        if not metered:
+            return
         now_evals = self.problem.eval_counter
         now_calls = self.problem.call_counter
         now_time = time.perf_counter()
-        self.counts[stage] = self.counts.get(stage, 0) + (now_evals - self._mark)
-        self.calls[stage] = self.calls.get(stage, 0) + (now_calls - self._call_mark)
-        self.timings[stage] = self.timings.get(stage, 0.0) + 1e3 * (now_time - self._tick)
+        self.counts[name] = self.counts.get(name, 0) + (now_evals - self._mark)
+        self.calls[name] = self.calls.get(name, 0) + (now_calls - self._call_mark)
+        self.timings[name] = self.timings.get(name, 0.0) + 1e3 * (now_time - self._tick)
         self._mark = now_evals
         self._call_mark = now_calls
         self._tick = now_time
-
-
-def _tag(err: LaplevError, stage: str) -> LaplevError:
-    err.stage = stage
-    return err
 
 
 def run(problem, config: PipelineConfig):
@@ -137,80 +147,57 @@ def run(problem, config: PipelineConfig):
     )
     meter = _Meter(problem)
 
-    try:
+    with meter.stage("precheck"):
         report = precheck(problem)
         active = active_subproblem(problem, report)
-    except LaplevError as err:
-        raise _tag(err, "precheck")
-    meter.close("precheck")
-    if active.dim == 0:
-        raise _tag(
-            NoModesFoundError(None, report.center_logl,
-                              "every coordinate is flat or soft"),
-            "precheck",
-        )
+        if active.dim == 0:
+            raise NoModesFoundError(None, report.center_logl,
+                                    "every coordinate is flat or soft")
 
-    try:
+    with meter.stage("survey"):
         bank = survey(active, rng_survey)
         scales = estimate_scales(bank, active.bounds)
         seeds, seed_logl = select_seeds(bank, scales.lam_fine, active.dim)
-    except LaplevError as err:
-        raise _tag(err, "survey")
-    meter.close("survey")
 
-    try:
-        climb = basin_leaders(group_seeds(active, seeds, seed_logl, scales.lam_fine))
-        coarse = discover_modes(active, seeds[climb], scales, rng_discover,
-                                n_oscillations=config.n_oscillations)
-    except NoModesFoundError as err:
-        raise _tag(
-            NoModesFoundError(err.best_position, err.best_logl,
-                              f"search exhausted; survey held {bank.summary()}"),
-            "discover",
-        )
-    except LaplevError as err:
-        raise _tag(err, "discover")
-    meter.close("discover")
+    with meter.stage("discover"):
+        try:
+            climb = basin_leaders(group_seeds(active, seeds, seed_logl, scales.lam_fine))
+            coarse = discover_modes(active, seeds[climb], scales, rng_discover,
+                                    n_oscillations=config.n_oscillations)
+        except NoModesFoundError as err:
+            raise NoModesFoundError(err.best_position, err.best_logl,
+                                    f"search exhausted; survey held {bank.summary()}")
 
-    try:
+    with meter.stage("refine"):
         peaks, warnings = refine_peaks(active, coarse, scales.lam_fine)
-    except LaplevError as err:
-        raise _tag(err, "refine")
-    meter.close("refine")
     warnings = list(warnings)
 
-    modes = []
-    for pk in peaks:
-        try:
-            modes.append(mode_evidence(active, pk, rng=rng_evidence))
-        except (NotPositiveDefiniteError, HessianFailedError) as err:
-            warnings.append(
-                "dropped candidate at "
-                f"{np.array2string(pk.position, precision=4)}: {err}"
-            )
-    if not modes:
-        best = max(peaks, key=lambda pk: pk.logl)
-        raise _tag(
-            NoModesFoundError(best.position, best.logl,
-                              "every refined candidate failed curvature "
-                              "validation"),
-            "evidence",
-        )
-    meter.close("evidence")
+    with meter.stage("evidence"):
+        modes = []
+        for pk in peaks:
+            try:
+                modes.append(mode_evidence(active, pk, rng=rng_evidence))
+            except (NotPositiveDefiniteError, HessianFailedError) as err:
+                warnings.append(
+                    "dropped candidate at "
+                    f"{np.array2string(pk.position, precision=4)}: {err}"
+                )
+        if not modes:
+            best = max(peaks, key=lambda pk: pk.logl)
+            raise NoModesFoundError(best.position, best.logl,
+                                    "every refined candidate failed curvature "
+                                    "validation")
 
     reduction = None
     if config.reduce:
         reduction = []
-        try:
+        with meter.stage("reduce"):
             for ev in modes:
                 hess = ev.hessian
                 if hess is None:
                     hess = np.diag(np.asarray(ev.peak.hess_diag, dtype=np.float64))
                 rep, _ = reduce_mode(active, ev.peak, hess)
                 reduction.append(rep)
-        except LaplevError as err:
-            raise _tag(err, "reduce")
-        meter.close("reduce")
 
     # Report mode locations in the caller's full coordinate space; the
     # curvature fields stay on the active axes where they were measured.
@@ -219,12 +206,10 @@ def run(problem, config: PipelineConfig):
             full = active.embed(ev.peak.position)[0]
             ev.peak = dataclasses.replace(ev.peak, position=full)
 
-    try:
+    with meter.stage("combine", metered=False):
         result = combine(modes, report, problem.bounds,
                          eval_counts=meter.counts, call_counts=meter.calls,
                          warnings=warnings)
-    except LaplevError as err:
-        raise _tag(err, "combine")
     result.config_echo = config.echo()
     result.seed = int(config.seed)
     result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),

@@ -241,7 +241,7 @@ def _prop_fd_gradient(n_points=100):
     worst = 0.0
     for _ in range(n_points):
         x = rng.uniform(-4.0, 4.0, 4)
-        g = fd_gradient(problem, x[None, :])[0]
+        g = fd_gradient(problem, x[None, :], 0.0)[0]
         g_true = -x / sigma**2
         worst = max(worst, float(np.max(np.abs(g - g_true))
                                  / max(1.0, np.max(np.abs(g_true)))))

@@ -76,7 +76,6 @@ class RaySamples:
     ray: Ray
     t: np.ndarray
     logl: np.ndarray
-    tags: np.ndarray  # 0 = coarse pass, 1 = refined pass
     dead: bool
 
 
@@ -146,7 +145,7 @@ def _sample_rays_reference(problem, rays, rng) -> list:
     v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), N_COARSE)))
     live, t1 = laplev.discovery._refill_t(t0, v0, rng)
     live_idx = np.flatnonzero(live)
-    out = [RaySamples(ray, t0.copy(), v0[i], np.zeros(N_COARSE, dtype=np.uint8), True)
+    out = [RaySamples(ray, t0.copy(), v0[i], True)
            for i, ray in enumerate(rays)]
     if live_idx.size == 0:
         return out
@@ -154,13 +153,10 @@ def _sample_rays_reference(problem, rays, rng) -> list:
 
     t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
     v_all = np.concatenate([v0[live], v1], axis=1)
-    tags = np.concatenate(
-        [np.zeros(t1.shape, dtype=np.uint8), np.ones(t1.shape, dtype=np.uint8)], axis=1
-    )
     order = np.argsort(t_all, axis=1, kind="stable")
-    t_all, v_all, tags = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all, tags))
+    t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
     for k, i in enumerate(live_idx):
-        out[i] = RaySamples(rays[i], t_all[k], v_all[k], tags[k], False)
+        out[i] = RaySamples(rays[i], t_all[k], v_all[k], False)
     return out
 
 
@@ -239,13 +235,13 @@ def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
         start=np.array([r.ray.start for r in rays]).reshape(len(rays), dim),
         end=np.array([r.ray.end for r in rays]).reshape(len(rays), dim),
         dead=np.array([r.dead for r in rays], dtype=bool),
-        t=stack("t"), logl=stack("logl"), tags=stack("tags", np.uint8),
+        t=stack("t"), logl=stack("logl"),
     )
 
 
 def _bank_bytes(bank):
-    return (bank.kind.tolist(), bank.dead.tolist(), bank.t.shape, bank.tags.dtype,
-            *(x.tobytes() for x in (bank.start, bank.end, bank.t, bank.logl, bank.tags)))
+    return (bank.kind.tolist(), bank.dead.tolist(), bank.t.shape,
+            *(x.tobytes() for x in (bank.start, bank.end, bank.t, bank.logl)))
 
 
 # ---------------------------------------------------------------- rays
@@ -315,6 +311,11 @@ def test_generate_rays_bitwise_equal_to_per_ray_draws(d, seed):
 # ---------------------------------------------------------------- two-pass
 
 
+def _refill(bank):
+    """The refill samples of the bank's first live ray: those off the coarse grid."""
+    return bank.t[0][~np.isin(bank.t[0], np.linspace(0.0, 1.0, N_COARSE))]
+
+
 def one_ray(problem, kind, start, end, rng):
     """Survey a single ray: one likelihood call per pass."""
     return _sample_rays(problem, np.array([kind]), np.array([start], dtype=np.float64),
@@ -327,7 +328,8 @@ def test_two_pass_refines_inside_active_region():
     bank = one_ray(p, RAY_W2W, [-5.0, 0.0], [5.0, 0.0], np.random.default_rng(3))
     assert not bank.dead[0]
     assert bank.t.shape == (1, 128) and p.eval_counter == 128
-    refined_t = bank.t[0][bank.tags[0] == 1]
+    refined_t = _refill(bank)
+    assert refined_t.size == N_COARSE
     # active region: |x| < sqrt(2 * 20 * 1e-4) = 0.0632 -> t within 0.5 +- 0.0063,
     # padded by one coarse cell half-width (the profile is piecewise constant).
     cell = 1.0 / 63.0
@@ -341,13 +343,13 @@ def test_two_pass_dead_ray_skips_refinement():
     assert bank.dead[0]
     assert p.eval_counter == 64
     # A dead ray keeps no row of samples.
-    assert bank.t.shape == bank.logl.shape == bank.tags.shape == (0, 128)
+    assert bank.t.shape == bank.logl.shape == (0, 128)
 
 
 def test_two_pass_uniform_likelihood_spreads_samples():
     p = Problem(lambda x: np.zeros(x.shape[0]), box(2))
     bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
-    refined = bank.t[0][bank.tags[0] == 1]
+    refined = _refill(bank)
     assert refined.min() < 0.2 and refined.max() > 0.8
 
 
@@ -384,7 +386,7 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
     v0 = problem.logl(at(t0))
     finite = np.isfinite(v0)
     if not finite.any():
-        return RaySamples(ray, t0, v0, np.zeros(n_coarse, dtype=np.uint8), True)
+        return RaySamples(ray, t0, v0, True)
 
     vmax = float(v0[finite].max())
     active = finite & (v0 > vmax - active_drop)
@@ -403,11 +405,8 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
 
     t_all = np.concatenate([t0, t1])
     v_all = np.concatenate([v0, v1])
-    tags = np.concatenate(
-        [np.zeros(n_coarse, dtype=np.uint8), np.ones(n_coarse, dtype=np.uint8)]
-    )
     order = np.argsort(t_all, kind="stable")
-    return RaySamples(ray, t_all[order], v_all[order], tags[order], False)
+    return RaySamples(ray, t_all[order], v_all[order], False)
 
 
 def _one_ray_reference(problem, ray, rng):
@@ -555,8 +554,7 @@ def _live_ray(bank, j):
     """A bank holding only the j-th live ray of ``bank``."""
     k = np.flatnonzero(~bank.dead)[j]
     return RayBank(bank.kind[k:k + 1], bank.start[k:k + 1], bank.end[k:k + 1],
-                   bank.dead[k:k + 1], bank.t[j:j + 1], bank.logl[j:j + 1],
-                   bank.tags[j:j + 1])
+                   bank.dead[k:k + 1], bank.t[j:j + 1], bank.logl[j:j + 1])
 
 
 def _width(bank, bounds):
@@ -637,8 +635,8 @@ def test_scale_within_twice_the_smallest_true_width(name, dim, width, seed):
 
 
 def _samples(ray, t, v, dead=False):
-    return RaySamples(ray, np.asarray(t, dtype=np.float64), np.asarray(v, dtype=np.float64),
-                      np.zeros(len(t), dtype=np.uint8), dead)
+    return RaySamples(ray, np.asarray(t, dtype=np.float64),
+                      np.asarray(v, dtype=np.float64), dead)
 
 
 UNIT = Ray(RAY_W2W, np.array([0.0]), np.array([1.0]))  # length 1: s equals t
@@ -660,10 +658,9 @@ def _ragged_rays():
         v = -0.5 * x * x / 0.3**2
         v[rng.random(n) < 0.1] = -np.inf
         v[rng.random(n) < 0.05] = np.nan
-        rays.append(RaySamples(ray, t, v, np.zeros(n, dtype=np.uint8), False))
+        rays.append(RaySamples(ray, t, v, False))
     dead = Ray(RAY_V2V, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    rays.append(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf),
-                           np.zeros(8, dtype=np.uint8), True))
+    rays.append(RaySamples(dead, np.linspace(0, 1, 8), np.full(8, -np.inf), True))
     return rays
 
 
@@ -941,9 +938,9 @@ def test_smoothed_gradient_degenerates_to_fd():
     p = gaussian_problem(3)
     th = np.array([[0.5, -1.0, 2.0], [0.0, 0.3, -0.4]])
     g_smooth = smoothed_gradient(
-        p, th, sigma=np.zeros(3), k=1, rng=np.random.default_rng(0), widths=0.01
+        p, th, sigma=np.zeros(3), k=1, rng=np.random.default_rng(0), width=0.01
     )
-    g_plain, _ = fd_gradient(p, th, widths=0.01)
+    g_plain = fd_gradient(p, th, 0.01)
     assert g_smooth.tobytes() == g_plain.tobytes()
 
 
@@ -954,7 +951,7 @@ def _smoothed_ascent_reference(problem, theta, lam_fine, n_cloud, k_smooth, rng)
         return th
     sigma = th.std(axis=0)
     for _ in range(int(n_cloud)):
-        g = smoothed_gradient(problem, th, sigma, k_smooth, rng, widths=lam_fine)
+        g = smoothed_gradient(problem, th, sigma, k_smooth, rng, lam_fine)
         nrm = np.linalg.norm(g, axis=1, keepdims=True)
         step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
         th = problem.bounds.clip(th + lam_fine * step)
@@ -976,13 +973,16 @@ def _ascent_start(n, d, seed):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("k_smooth", [1, 3, 8])
 @pytest.mark.parametrize("d", [1, 2])
-def test_smoothed_ascent_low_dim_bitwise_equal_to_fixed_cloud(d, k_smooth):
-    # At d <= 2 the cloud keeps all k_smooth points: same positions and the
+def test_smoothed_ascent_low_dim_bitwise_equal_to_fixed_cloud(d, k_smooth,
+                                                              monkeypatch):
+    # At d <= 2 the cloud keeps all K_SMOOTH points: same positions and the
     # same draws from the generator as the fixed-cloud ascent.
+    monkeypatch.setattr(laplev.discovery, "K_SMOOTH", k_smooth)
+    monkeypatch.setattr(laplev.discovery, "N_CLOUD", 5)
     p = Problem(_walled_ripple, box(d))
     start = _ascent_start(12, d, 21)
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    got = _smoothed_ascent(p, start, 0.05, 5, k_smooth, rng)
+    got = _smoothed_ascent(p, start, 0.05, rng)
     want = _smoothed_ascent_reference(p, start, 0.05, 5, k_smooth, rng_ref)
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -994,14 +994,16 @@ def test_smoothed_ascent_low_dim_bitwise_equal_to_fixed_cloud(d, k_smooth):
     (3, 8, 5), (8, 8, 2), (16, 8, 1), (20, 8, 1),
     (3, 3, 2), (8, 3, 1), (16, 3, 1), (3, 1, 1),
 ])
-def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
-    # Above d = 2 the cloud shrinks to k = min(k_smooth, max(1, 2 k_smooth // d))
-    # points, so a step costs at most max(4 k_smooth, 2d) evaluations per
+def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k, monkeypatch):
+    # Above d = 2 the cloud shrinks to k = min(K_SMOOTH, max(1, 2 K_SMOOTH // d))
+    # points, so a step costs at most max(4 K_SMOOTH, 2d) evaluations per
     # sample; otherwise the ascent is the fixed-cloud one with k points.
     n, n_cloud = 6, 5
+    monkeypatch.setattr(laplev.discovery, "K_SMOOTH", k_smooth)
+    monkeypatch.setattr(laplev.discovery, "N_CLOUD", n_cloud)
     p = CountingProblem(_walled_ripple, box(d))
     start = _ascent_start(n, d, 22)
-    got = _smoothed_ascent(p, start, 0.05, n_cloud, k_smooth, np.random.default_rng(4))
+    got = _smoothed_ascent(p, start, 0.05, np.random.default_rng(4))
     assert p.rows == [n * k * 2 * d] * n_cloud
     assert k * 2 * d <= max(4 * k_smooth, 2 * d)
     want = _smoothed_ascent_reference(p, start, 0.05, n_cloud, k,
@@ -1012,14 +1014,14 @@ def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k):
 # ---------------------------------------------------------------- search
 
 
-def run_discovery(p, rng_seed=0, **kw):
+def run_discovery(p, rng_seed=0, n_oscillations=1):
     # Survey, seeds, basin leaders and search, as the pipeline runs them.
     rng = np.random.default_rng(rng_seed)
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
     climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine))
-    return discover_modes(p, seeds[climb], est, rng, **kw)
+    return discover_modes(p, seeds[climb], est, rng, n_oscillations=n_oscillations)
 
 
 def test_discover_single_gaussian_peak():
@@ -1219,7 +1221,7 @@ def test_discover_held_peak_keeps_its_first_round(monkeypatch):
     assert first.size == 1
     i = int(first[0])
     (peak,) = peaks
-    gamma = state.width_estimate()[i]
+    gamma = state.gamma[i]
     assert np.isfinite(gamma) and gamma > 0
     assert peak.oscillation == 1
     assert peak.position.tobytes() == state.theta[i].tobytes()

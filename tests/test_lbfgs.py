@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import laplev.lbfgs
 from laplev.lbfgs import (
     ARMIJO_C1,
     BACKTRACK,
@@ -65,7 +66,7 @@ def test_axis_values_bitwise_equal_to_repeat_stencil(d):
     n = 7
     theta = rng.uniform(-5.0, 5.0, (n, d)) * 10.0 ** rng.uniform(-8, 2, (n, d))
     for eps in (1e-5, rng.uniform(1e-8, 1e-3, d), fd_steps(theta, 0.01),
-                fd_steps(theta)):
+                fd_steps(theta, 0.0)):
         got_p, want_p = _Recorder(d), _Recorder(d)
         got = axis_values(got_p, theta, eps)
         want = _axis_values_reference(want_p, theta, eps)
@@ -75,21 +76,34 @@ def test_axis_values_bitwise_equal_to_repeat_stencil(d):
 
 
 def test_fd_steps_floor_and_width_hint():
-    th = np.array([[0.0, 100.0]])
-    eps = fd_steps(th)
+    th = np.array([[0.0, 1e5]])
+    eps = fd_steps(th, 0.0)
     base = np.sqrt(np.finfo(float).eps)
-    np.testing.assert_allclose(eps, [[base, base * 101.0]], rtol=1e-12)
-    eps_w = fd_steps(th, widths=np.array([1.0, 1e6]))
+    np.testing.assert_allclose(eps, [[base, base * 100001.0]], rtol=1e-12)
+    # The width floor lifts the small step and leaves the larger one.
+    eps_w = fd_steps(th, 1.0)
     assert eps_w[0, 0] == pytest.approx(1e-3)
-    assert eps_w[0, 1] == pytest.approx(1e3)
+    assert eps_w[0, 1] == eps[0, 1] > 1e-3
+    assert fd_steps(th, 1e6)[0].tolist() == [1e3, 1e3]
+
+
+def test_fd_steps_scalar_width_matches_broadcast_widths():
+    # One scalar length scale gives the bits a per-row copy of it gave, and
+    # a zero width gives the bits of the baseline step alone.
+    rng = np.random.default_rng(2)
+    th = rng.uniform(-5.0, 5.0, (9, 4)) * 10.0 ** rng.uniform(-8, 4, (9, 4))
+    base = np.sqrt(np.finfo(np.float64).eps) * (1.0 + np.abs(th))
+    assert fd_steps(th, 0.0).tobytes() == base.tobytes()
+    for w in (1e-9, 0.01, 3.7, 1e6):
+        wide = np.maximum(base, 1e-3 * np.abs(np.full(th.shape, w)))
+        assert fd_steps(th, w).tobytes() == wide.tobytes()
 
 
 def test_fd_gradient_quartic_oracle():
     p = Problem(lambda x: np.sum(x**4, axis=1), BoundsBox.cube(3, -5, 5))
     rng = np.random.default_rng(7)
     th = rng.uniform(-2, 2, size=(100, 3))
-    g, bad = fd_gradient(p, th)
-    assert not bad.any()
+    g = fd_gradient(p, th, 0.0)
     np.testing.assert_allclose(g, 4 * th**3, rtol=1e-6, atol=1e-7)
     assert p.eval_counter == 100 * 2 * 3
 
@@ -102,28 +116,28 @@ def test_fd_gradient_single_fused_batch():
         return -np.sum(x * x, axis=1)
 
     p = Problem(fn, BoundsBox.cube(4, -3, 3))
-    fd_gradient(p, np.zeros((6, 4)))
+    fd_gradient(p, np.zeros((6, 4)), 0.0)
     assert batches == [6 * 8]
 
 
-def test_fd_gradient_nonfinite_zeroed_and_flagged():
+def test_fd_gradient_nonfinite_zeroed():
     def fn(x):
         out = -np.sum(x * x, axis=1)
         out[x[:, 0] > 1.0] = np.nan
         return out
 
     p = Problem(fn, BoundsBox.cube(2, -3, 3))
-    g, bad = fd_gradient(p, np.array([[1.0, 0.5], [0.0, 0.0]]), widths=0.5)
-    assert bad[0] and not bad[1]
+    g = fd_gradient(p, np.array([[1.0, 0.5], [0.0, 0.0]]), 0.5)
     assert g[0, 0] == 0.0
     assert g[0, 1] == pytest.approx(-1.0, rel=1e-6)
+    assert np.isfinite(g).all()
 
 
 def _direction(grad, s_hist=(), y_hist=()):
     """Batched direction for one sample whose pairs are pushed in order."""
     g = np.asarray(grad, dtype=np.float64)
     state = make_state(quad_problem(np.zeros(g.size), np.eye(g.size)),
-                       np.zeros((1, g.size)))
+                       np.zeros((1, g.size)), 0.0)
     state.grad[0] = g
     for s, y in zip(s_hist, y_hist):
         _push_pairs(state, np.array([0]), s[None, :], y[None, :])
@@ -146,11 +160,11 @@ def test_two_loop_recovers_newton_step_on_quadratic():
     np.testing.assert_allclose(d, [-2.0], rtol=1e-14)
 
 
-def test_width_estimate_is_inverse_curvature():
+def test_gamma_is_inverse_curvature():
     p = quad_problem([0.0], [[0.25]])
-    state = make_state(p, [[1.0]])
+    state = make_state(p, [[1.0]], 0.0)
     step_batch(state, p)
-    assert state.width_estimate()[0] == pytest.approx(4.0, rel=1e-6)
+    assert state.gamma[0] == pytest.approx(4.0, rel=1e-6)
 
 
 def test_batch_converges_on_shifted_anisotropic_quadratic():
@@ -158,7 +172,8 @@ def test_batch_converges_on_shifted_anisotropic_quadratic():
     a = np.diag([1.0, 4.0, 0.5, 9.0])
     p = quad_problem(mu, a)
     rng = np.random.default_rng(3)
-    state = run_batch(p, rng.uniform(-5, 5, size=(6, 4)), iterations=60, tol=1e-9)
+    state = run_batch(p, rng.uniform(-5, 5, size=(6, 4)), iterations=60, tol=1e-9,
+                      width=0.0)
     err = np.max(np.abs(state.theta - mu))
     assert err < 1e-6
     assert state.frozen.all()
@@ -170,7 +185,8 @@ def test_batch_converges_on_correlated_quadratic():
     a = q @ np.diag([0.5, 1.0, 2.0, 4.0, 8.0]) @ q.T
     mu = np.array([0.5, -1.0, 2.0, 0.0, -0.5])
     p = quad_problem(mu, a)
-    state = run_batch(p, rng.uniform(-4, 4, size=(4, 5)), iterations=80, tol=1e-9)
+    state = run_batch(p, rng.uniform(-4, 4, size=(4, 5)), iterations=80, tol=1e-9,
+                      width=0.0)
     assert np.max(np.abs(state.theta - mu)) < 1e-6
 
 
@@ -180,7 +196,7 @@ def test_monotone_logl_every_iteration():
 
     p = Problem(fn, BoundsBox.cube(3, -4, 4))
     rng = np.random.default_rng(5)
-    state = make_state(p, rng.uniform(-3, 3, size=(5, 3)))
+    state = make_state(p, rng.uniform(-3, 3, size=(5, 3)), 0.0)
     for _ in range(25):
         prev = state.logl.copy()
         step_batch(state, p)
@@ -197,13 +213,13 @@ def test_frozen_rows_cost_nothing_after_intake():
     dead = np.array([[3.0, 0.0]])
 
     p_solo = Problem(fn, BoundsBox.cube(2, -5, 5))
-    s_solo = make_state(p_solo, good)
+    s_solo = make_state(p_solo, good, 0.0)
     for _ in range(5):
         step_batch(s_solo, p_solo)
     solo_total = p_solo.eval_counter
 
     p_pair = Problem(fn, BoundsBox.cube(2, -5, 5))
-    s_pair = make_state(p_pair, np.vstack([good, dead]))
+    s_pair = make_state(p_pair, np.vstack([good, dead]), 0.0)
     assert s_pair.frozen[1] and not s_pair.frozen[0]
     for _ in range(5):
         step_batch(s_pair, p_pair)
@@ -215,7 +231,8 @@ def test_frozen_rows_cost_nothing_after_intake():
 
 def test_iterates_stay_inside_bounds():
     p = quad_problem([9.5, -9.5], np.eye(2) * 50.0, lo=-2.0, hi=2.0)
-    state = run_batch(p, [[0.0, 0.0], [1.5, -1.5]], iterations=30, tol=1e-9)
+    state = run_batch(p, [[0.0, 0.0], [1.5, -1.5]], iterations=30, tol=1e-9,
+                      width=0.0)
     assert p.bounds.contains(state.theta).all()
     np.testing.assert_allclose(state.theta, [[2.0, -2.0], [2.0, -2.0]], atol=1e-9)
 
@@ -225,7 +242,7 @@ def _push(state, i, s, y):
 
 
 def test_ring_history_caps_at_depth():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]])
+    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
     for k in range(1, HISTORY + 9):
         s = np.array([float(k), 0.0])
         _push(state, 0, s, s)  # s.y > 0, so every pair is accepted
@@ -237,19 +254,8 @@ def test_ring_history_caps_at_depth():
     assert s_hist[-1][0] == float(HISTORY + 8)
 
 
-def test_history_depth_is_configurable():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]],
-                       memory=3)
-    for k in range(1, 7):
-        s = np.array([float(k), 0.0])
-        _push(state, 0, s, s)
-    s_hist, _ = _history(state, 0)
-    assert len(s_hist) == 3
-    assert [h[0] for h in s_hist] == [4.0, 5.0, 6.0]
-
-
 def test_curvature_gate_rejects_nonpositive_pairs():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]])
+    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
     before = int(state.pairs_total[0])
     _push(state, 0, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     _push(state, 0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -259,7 +265,7 @@ def test_curvature_gate_rejects_nonpositive_pairs():
 
 
 def test_curvature_gate_is_per_row_in_one_batch():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), np.zeros((4, 2)))
+    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), np.zeros((4, 2)), 0.0)
     s = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [np.nan, 0.0]])
     y = np.array([[-1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.0, 0.0]])
     _push_pairs(state, np.array([3, 2, 1, 0]), s, y)
@@ -277,7 +283,7 @@ def test_line_search_batches_candidates_per_round():
         return -np.sum(x * x, axis=1)
 
     p = Problem(fn, BoundsBox.cube(2, -5, 5))
-    state = make_state(p, np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]))
+    state = make_state(p, np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), 0.0)
     sizes.clear()
     step_batch(state, p)
     # One shared candidate batch per backtracking round (possibly several
@@ -294,7 +300,8 @@ def test_deterministic_repeat():
     def run():
         p = Problem(fn, BoundsBox.cube(3, -4, 4))
         st = run_batch(
-            p, np.linspace(-3, 3, 12).reshape(4, 3), iterations=40, tol=1e-8
+            p, np.linspace(-3, 3, 12).reshape(4, 3), iterations=40, tol=1e-8,
+            width=0.0,
         )
         return st.theta.tobytes(), st.logl.tobytes(), st.gamma.tobytes()
 
@@ -309,7 +316,7 @@ def test_armijo_constant_wired_in():
 
 def test_run_batch_tol_freeze_skips_work():
     p = quad_problem([0.0, 0.0], np.eye(2))
-    state = run_batch(p, [[1e-12, 0.0]], iterations=50, tol=1e-6)
+    state = run_batch(p, [[1e-12, 0.0]], iterations=50, tol=1e-6, width=0.0)
     # Started essentially at the optimum: frozen immediately after intake.
     assert state.frozen[0]
     assert p.eval_counter == 1 + 4
@@ -341,7 +348,7 @@ def test_corner_row_pointing_out_of_the_box_costs_one_round():
     problems = [quad_problem([9.5, -9.5], np.eye(2), lo=-2.0, hi=2.0)
                 for _ in range(2)]
     p_new, p_ref = problems
-    s_new, s_ref = (make_state(p, [[2.0, -2.0]]) for p in problems)
+    s_new, s_ref = (make_state(p, [[2.0, -2.0]], 0.0) for p in problems)
     before = (p_new.call_counter, p_new.eval_counter)
     moved = step_batch(s_new, p_new)
     assert not moved[0] and s_new.frozen[0]
@@ -515,8 +522,7 @@ def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
 
     rows = np.flatnonzero(moved)
     if rows.size:
-        sub_w = None if state.widths is None else state.widths[rows]
-        g_new, bad = fd_gradient(problem, new_theta[rows], sub_w)
+        g_new = fd_gradient(problem, new_theta[rows], state.width)
         for k, i in enumerate(rows):
             s = new_theta[i] - state.theta[i]
             y = state.grad[i] - g_new[k]
@@ -524,7 +530,6 @@ def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
         state.theta[rows] = new_theta[rows]
         state.logl[rows] = new_logl[rows]
         state.grad[rows] = g_new
-        state.bad_grad[rows] |= bad
     return moved
 
 
@@ -577,7 +582,6 @@ def _state_bytes(state, moved=None):
         state.theta.tobytes(), state.logl.tobytes(), state.grad.tobytes(),
         state.s_ring.tobytes(), state.y_ring.tobytes(),
         state.pairs_total.tobytes(), state.gamma.tobytes(),
-        state.bad_grad.tobytes(),
     )
     return out if moved is None else out + (state.frozen.tobytes(), moved.tobytes())
 
@@ -594,16 +598,17 @@ def _rugged_start(rng, n, d):
 @pytest.mark.parametrize("hinted", [False, True])
 @pytest.mark.parametrize("d", [1, 32])
 @pytest.mark.parametrize("memory", [1, 3, 10])
-def test_step_batch_matches_per_sample_reference(memory, d, hinted):
+def test_step_batch_matches_per_sample_reference(memory, d, hinted, monkeypatch):
+    monkeypatch.setattr(laplev.lbfgs, "HISTORY", memory)
     rng = np.random.default_rng(100 * memory + d)
     n = 12
     theta0 = _rugged_start(rng, n, d)
-    widths = np.full(d, 0.05) if hinted else None  # gradient step floor
+    width = 0.05 if hinted else 0.0  # gradient step floor
     fn, seen = _rugged(d)
     states, problems = [], []
     for _ in range(2):
         p = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
-        st = make_state(p, theta0, widths=widths, memory=memory)
+        st = make_state(p, theta0, width)
         _seed_history(st, np.random.default_rng(memory))
         states.append(st)
         problems.append(p)
@@ -617,16 +622,16 @@ def test_step_batch_matches_per_sample_reference(memory, d, hinted):
         warnings.simplefilter("error")
         for it in range(36):
             for st in states:
-                st.freeze(st.grad_inf() < 1e-6)
+                st.frozen |= st.grad_inf() < 1e-6
                 if it == 8:
-                    st.freeze(np.arange(n) == 5)
+                    st.frozen |= np.arange(n) == 5
             frozen_beside_live += s_new.frozen.any() and (~s_new.frozen).any()
             full = s_new.pairs_total >= memory
             before = s_new.pairs_total.copy()
             active = ~s_ref.frozen
             m_ref = _step_batch_reference(s_ref, p_ref)
             # The freezing rule, applied to the reference from outside.
-            s_ref.freeze(active & ~m_ref)
+            s_ref.frozen |= active & ~m_ref
             left_unmoved += int(np.sum(active & ~m_ref))
             m_new = step_batch(s_new, p_new)
             assert _state_bytes(s_new, m_new) == _state_bytes(s_ref, m_ref), it
@@ -651,12 +656,12 @@ def test_frozen_searches_end_where_replays_end(d):
     p_new = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s_new = run_batch(p_new, theta0, iterations=40, tol=1e-6)
+        s_new = run_batch(p_new, theta0, iterations=40, tol=1e-6, width=0.0)
         # run_batch's loop as it was: stop when every row is frozen or a
         # step moves nothing.
-        s_ref = make_state(p_ref, theta0)
+        s_ref = make_state(p_ref, theta0, 0.0)
         for _ in range(40):
-            s_ref.freeze(s_ref.grad_inf() < 1e-6)
+            s_ref.frozen |= s_ref.grad_inf() < 1e-6
             if s_ref.frozen.all() or not _step_batch_reference(s_ref, p_ref).any():
                 break
     assert _state_bytes(s_new) == _state_bytes(s_ref)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplev.discovery import K_PER_BASIN, discover_modes, group_seeds
+from laplev.discovery import (K_PER_BASIN, _smoothed_ascent, discover_modes,
+                              group_seeds, smoothed_gradient)
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.evidence import mode_evidence, probe_offdiag
-from laplev.lbfgs import run_batch
+from laplev.lbfgs import fd_gradient, fd_steps, make_state, run_batch
 from laplev.pipeline import (
     PRESETS,
     PipelineConfig,
@@ -71,13 +72,19 @@ def test_config_is_its_preset(preset):
             == preset_config(preset, seed=4, reduce=True))
 
 
-# Each stage's arguments are exactly what its caller in the pipeline passes:
-# a tolerance or budget is a module constant, never a stage argument.
+# Each stage's arguments, and those of the ascent layer under the search,
+# are exactly what its caller passes: a tolerance or budget is a module
+# constant, never an argument, and no argument has a default.
 STAGE_PARAMS = {
     group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
     discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
+    _smoothed_ascent: ["problem", "theta", "lam_fine", "rng"],
+    smoothed_gradient: ["problem", "theta", "sigma", "k", "rng", "width"],
     refine_peaks: ["problem", "coarse_peaks", "lam_fine"],
-    run_batch: ["problem", "theta0", "iterations", "tol", "widths"],
+    run_batch: ["problem", "theta0", "iterations", "tol", "width"],
+    make_state: ["problem", "theta0", "width"],
+    fd_gradient: ["problem", "theta", "width"],
+    fd_steps: ["theta", "width"],
     mode_evidence: ["problem", "peak", "rng"],
     probe_offdiag: ["problem", "position", "center_logl", "hess_diag", "rng",
                     "also"],
@@ -87,7 +94,9 @@ STAGE_PARAMS = {
 
 @pytest.mark.parametrize("stage", STAGE_PARAMS, ids=lambda f: f.__name__)
 def test_stage_takes_only_what_its_caller_passes(stage):
-    assert list(inspect.signature(stage).parameters) == STAGE_PARAMS[stage]
+    params = inspect.signature(stage).parameters
+    assert list(params) == STAGE_PARAMS[stage]
+    assert all(p.default is p.empty for p in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +262,24 @@ def test_flat_dimensions_detected_and_integrated():
     assert res.precheck.flat == (5, 8)
     assert res.eval_counts["precheck"] == 2 * 10 + 1
     assert abs(np.exp(res.log_z_total - truth) - 1.0) < 1e-9
+
+
+def test_infinite_axis_probe_leaves_the_other_axes_active():
+    # The +x0 precheck probe reads -inf at the support edge past x0 = 7.
+    # Every axis stays active and the run integrates the Gaussian exactly,
+    # on both search depths.
+    mu = np.array([0.3, 0.5, -0.7])
+
+    def fn(x):
+        out = -0.5 * np.sum((x - mu) ** 2, axis=1)
+        return np.where(x[:, 0] > 7.0, -np.inf, out)
+
+    truth = 1.5 * np.log(2.0 * np.pi)
+    for preset in ("fast", "conservative"):
+        res = run(Problem(fn, BoundsBox.cube(3, -8.0, 8.0)),
+                  preset_config(preset, seed=1))
+        assert res.precheck.soft == ()
+        assert abs(np.exp(res.log_z_total - truth) - 1.0) <= 1e-9
 
 
 def test_mode_locations_are_full_coordinates():

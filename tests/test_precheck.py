@@ -59,6 +59,22 @@ def test_isotropic_gaussian_keeps_all_axes_active():
     assert rep.eval_cost == 17 and p.eval_counter == 17
 
 
+def _walled_gaussian(x):
+    # A unit Gaussian at (0.3, 0.5, -0.7), cut to -inf past x0 = 7.
+    out = -0.5 * np.sum((x - np.array([0.3, 0.5, -0.7])) ** 2, axis=1)
+    return np.where(x[:, 0] > 7.0, -np.inf, out)
+
+
+def test_infinite_probe_leaves_the_finite_axes_active():
+    # The +x0 probe at 8 reads -inf, so s_0 is infinite. The soft reference
+    # is the largest finite sensitivity (64), not s_0: no axis is soft.
+    rep = precheck(make_problem(_walled_gaussian, -8, 8, 3))
+    assert np.isinf(rep.sensitivities[0])
+    assert np.isfinite(rep.sensitivities[1:]).all()
+    assert rep.flat == () and rep.soft == ()
+    assert rep.active == (0, 1, 2)
+
+
 def test_exact_zero_sensitivity_is_flat_even_with_zero_median():
     # d=2 with one dead axis: the lower median is 0, so only the absolute
     # zero-sensitivity rule can catch it.
