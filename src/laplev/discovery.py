@@ -2,16 +2,18 @@
 
 The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and how sharply the
-log-likelihood bends there. That survey costs two batched likelihood calls,
-one for every ray's coarse grid and one for every live ray's refill; reading
-the length scale and the seeds off it costs none. The samples sit in one
-``RayBank`` of arrays, one row per ray and one row of samples per live ray,
-so the scale and the seeds are read off every ray at once, in array
-operations. The length scale is the smallest profile width the rays show
-at their best samples. The seeds are then grouped into basins by a
-hill-valley test: a seed joins the basin of its nearest better seed when
-the log-likelihood is concave on the segment between them (one batched
-call holds every segment), and only the best few seeds of each basin go on.
+log-likelihood bends there. That survey costs one batched likelihood call
+for every ray's coarse grid and, when some ray's coarse profile is not a
+parabola, a second for those rays' refill; reading the length scale and the
+seeds off it costs none. A Gaussian target is a parabola along every line,
+so its survey is one call. The samples sit in one ``RayBank`` of arrays,
+one row per ray and one row of samples per live ray, so the scale and the
+seeds are read off every ray at once, in array operations. The length
+scale is the smallest profile width the rays show at their best samples.
+The seeds are then grouped into basins by a hill-valley test: a seed joins
+the basin of its nearest better seed when the log-likelihood is concave on
+the segment between them (one batched call holds every segment), and only
+the best few seeds of each basin go on.
 Then it runs a stick/release cycle: batches of seeds ascend until they
 stick to a peak, which is then held and never evaluated again; duplicates
 of a held peak retire, and only the samples that did not stick climb a few
@@ -40,6 +42,7 @@ KIND_NAMES = {RAY_V2V: "v2v", RAY_V2E: "v2e", RAY_W2W: "w2w", RAY_SUN: "sunburst
 
 N_COARSE = 64  # coarse samples per survey ray, and as many refill samples
 ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
+PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a ray left unrefilled
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 N_CONVERGE = 15  # ascent steps per oscillation
 STICK_GRAD = 1e-6  # gradient sup-norm below which a sample has stuck
@@ -142,19 +145,30 @@ def _eval_rays(problem, start, end, t) -> np.ndarray:
 
 
 def _refill_t(t0, v0, rng):
-    """Mass-weighted refill positions for a stack of coarse passes.
+    """Mass-weighted refill positions for the rays the coarse pass cannot read.
 
     ``v0`` holds one ray's coarse values per row. Rows with no finite value
-    are dead and draw nothing; every live row draws ``rng.random(n_coarse)``
-    in row order, which is the same stream as one draw per ray. Returns the
-    live-row mask and the refill t values, one row per live ray.
+    are dead. A live row is parabolic when every coarse value is finite and
+    its second differences agree to ``PARABOLA_TOL`` of the largest one:
+    the coarse grid already holds the whole profile, so the row draws
+    nothing. Every other live row draws ``rng.random(n_coarse)`` in row
+    order, which is the same stream as one draw per refilled ray. Returns
+    the live and refill masks over the rows and the refill t values, one
+    row per refilled ray.
     """
     n_coarse = t0.size
     finite = np.isfinite(v0)
     live = finite.any(axis=1)
-    if not live.any():
-        return live, np.zeros((0, n_coarse))
-    v0, finite = v0[live], finite[live]
+    refill = live.copy()
+    whole = finite.all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.diff(v0[whole], n=2, axis=1)
+        spread = np.abs(d2 - d2.mean(axis=1, keepdims=True)).max(axis=1)
+        # A spread that overflowed to NaN is not a parabola either.
+        refill[whole] = ~(spread <= PARABOLA_TOL * np.abs(d2).max(axis=1))
+    if not refill.any():
+        return live, refill, np.zeros((0, n_coarse))
+    v0, finite = v0[refill], finite[refill]
     vmax = np.where(finite, v0, -np.inf).max(axis=1, keepdims=True)
     active = finite & (v0 > vmax - ACTIVE_DROP)
     edges = np.empty(n_coarse + 1)
@@ -164,7 +178,7 @@ def _refill_t(t0, v0, rng):
     weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
     cum = np.cumsum(weights, axis=1)
     targets = rng.random(cum.shape) * cum[:, -1:]
-    # np.searchsorted has no row-wise form: one call per live ray.
+    # np.searchsorted has no row-wise form: one call per refilled ray.
     cells = np.minimum(
         [np.searchsorted(c, x, side="right") for c, x in zip(cum, targets)],
         n_coarse - 1,
@@ -172,7 +186,7 @@ def _refill_t(t0, v0, rng):
     w = np.take_along_axis(weights, cells, axis=1)
     lo = np.take_along_axis(cum, cells, axis=1) - w
     frac = np.where(w > 0, (targets - lo) / w, 0.5)
-    return live, edges[cells] + frac * cell_w[cells]
+    return live, refill, edges[cells] + frac * cell_w[cells]
 
 
 @dataclass
@@ -181,8 +195,10 @@ class RayBank:
 
     ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``
     and ``logl`` hold one row per live ray, in ray order, sorted by t: the
-    coarse and the refill samples together. A dead ray's coarse values are
-    all non-finite, so no row is kept for it.
+    coarse and the refill samples together. A ray left unrefilled pads its
+    refill half with t = +inf and a NaN value, which sort last and which
+    the scale reading and the seed picks skip as non-finite. A dead ray's
+    coarse values are all non-finite, so no row is kept for it.
     """
 
     kind: np.ndarray
@@ -203,32 +219,42 @@ class RayBank:
 
 
 def survey(problem, rng) -> RayBank:
-    """Two-pass survey of the ``generate_rays`` family in two batched calls.
+    """Survey of the ``generate_rays`` family in at most two batched calls.
 
     Each ray gets an inclusive uniform coarse grid of ``N_COARSE`` points
-    in t. Cells whose value sits within ``ACTIVE_DROP`` nats of the ray
+    in t. A ray whose coarse values are all finite with second differences
+    agreeing to ``PARABOLA_TOL`` of the largest is parabolic: the coarse grid
+    reads its width exactly, and it keeps its coarse samples only. On every
+    other ray, cells whose value sits within ``ACTIVE_DROP`` nats of the ray
     maximum form the active region; a second pass of equal size draws t
     values from the normalized piecewise-constant profile over those cells
     by inverse transform. A ray whose coarse pass is entirely non-finite is
     marked dead and gets no second pass. One likelihood call evaluates
-    every ray's coarse grid, a second every live ray's refill (skipped when
-    every ray is dead). Every bank array, and the generator state
+    every ray's coarse grid, a second every refilled ray's refill (skipped
+    when no ray is refilled). Every bank array, and the generator state
     afterwards, equals bit for bit what surveying the rays one at a time
     with the same generator gives: the refill draws are the only generator
     use after the rays, and they are taken in ray order.
+
+    The gate is blind to structure the grid aliases away: a ripple whose
+    period divides the grid step on every ray reads as a parabola.
     """
     return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng)
 
 
 def _sample_rays(problem, kind, start, end, rng) -> RayBank:
-    """Two-pass survey of the rays ``(kind, start, end)``; see ``survey``."""
+    """Coarse pass, then a refill of the rays that need one; see ``survey``."""
     t0 = np.linspace(0.0, 1.0, N_COARSE)
     v0 = _eval_rays(problem, start, end, np.broadcast_to(t0, (kind.size, N_COARSE)))
-    live, t1 = _refill_t(t0, v0, rng)
-    v1 = (_eval_rays(problem, start[live], end[live], t1) if live.any()
-          else np.zeros_like(t1))
-    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
-    v_all = np.concatenate([v0[live], v1], axis=1)
+    live, refill, t1 = _refill_t(t0, v0, rng)
+    # An unrefilled row keeps its padding: t = +inf, a NaN value.
+    t_all = np.concatenate([np.broadcast_to(t0, v0.shape), np.full(v0.shape, np.inf)],
+                           axis=1)
+    v_all = np.concatenate([v0, np.full(v0.shape, np.nan)], axis=1)
+    if refill.any():
+        t_all[refill, N_COARSE:] = t1
+        v_all[refill, N_COARSE:] = _eval_rays(problem, start[refill], end[refill], t1)
+    t_all, v_all = t_all[live], v_all[live]
     order = np.argsort(t_all, axis=1, kind="stable")
     t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
     return RayBank(kind, start, end, ~live, t_all, v_all)

@@ -54,11 +54,11 @@ def precheck(problem: Problem) -> PrecheckReport:
 
     Sensitivity of axis i is s_i = |l(c + D_i e_i) - l(c)| +
     |l(c - D_i e_i) - l(c)| with D_i the half width. Flat axes have exactly
-    zero sensitivity or fall below EPS_FLAT times the (lower) median; soft
-    axes fall below EPS_SOFT times the largest finite sensitivity without
-    being flat. A probe that reads an infinite value (a support edge on one
-    face) gives its axis an infinite sensitivity, which is not the scale of
-    the others.
+    zero sensitivity or fall below EPS_FLAT times the (lower) median of the
+    finite sensitivities; soft axes fall below EPS_SOFT times the largest
+    finite sensitivity without being flat. A probe that reads an infinite
+    value (a support edge on one face) gives its axis an infinite
+    sensitivity, which is not the scale of the others.
 
     Flat axes contribute their prior width log(b_i - a_i) to the marginal.
     Soft axes get a Gaussian marginal with the probe-implied scale
@@ -85,8 +85,9 @@ def precheck(problem: Problem) -> PrecheckReport:
             "every axis probe at +-half width read the center's value; the "
             "likelihood may still vary between the probes"
         )
-    med = _lower_median(s)
-    smax = float(np.max(s, where=np.isfinite(s), initial=0.0))
+    finite = s[np.isfinite(s)]
+    med = _lower_median(finite) if finite.size else 0.0
+    smax = float(np.max(finite, initial=0.0))
     flat_mask = (s == 0.0) | (s < EPS_FLAT * med)
     soft_mask = (s < EPS_SOFT * smax) & ~flat_mask
     flat = tuple(int(i) for i in np.where(flat_mask)[0])

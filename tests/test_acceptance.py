@@ -329,8 +329,9 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_evaluation_scaling():
     # Fast-preset isotropic Gaussian: total likelihood evaluations must grow
-    # sub-quadratically in dimension (fitted log-log exponent < 1.6).
-    dims = np.array([8, 16, 32, 64, 128], dtype=float)
+    # sub-quadratically in dimension (fitted log-log exponent < 1.6), up to
+    # the paper's d=1024.
+    dims = np.array([8, 16, 32, 64, 128, 256, 512, 1024], dtype=float)
     evals = []
     for dim in dims.astype(int):
         target, res = solve("gaussian", int(dim), "fast", 1)

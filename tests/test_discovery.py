@@ -11,6 +11,7 @@ from laplev.discovery import (
     KIND_NAMES,
     N_CLOUD,
     N_COARSE,
+    PARABOLA_TOL,
     RAY_SUN,
     RAY_V2E,
     RAY_V2V,
@@ -140,23 +141,42 @@ def _eval_rays_reference(problem, rays, t) -> np.ndarray:
     return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
 
 
+def _parabolic_reference(v) -> bool:
+    """Whether one ray's coarse values are all finite and lie on a parabola."""
+    if not np.isfinite(v).all():
+        return False
+    d2 = np.diff(np.diff(v))
+    return bool(np.max(np.abs(d2 - d2.mean())) <= PARABOLA_TOL * np.max(np.abs(d2)))
+
+
+def _padded(ray, t0, v0, t1=None, v1=None) -> RaySamples:
+    """A live ray's sorted samples; an unrefilled ray pads with t = inf, NaN."""
+    if t1 is None:
+        t1, v1 = np.full(t0.size, np.inf), np.full(t0.size, np.nan)
+    t_all, v_all = np.concatenate([t0, t1]), np.concatenate([v0, v1])
+    order = np.argsort(t_all, kind="stable")
+    return RaySamples(ray, t_all[order], v_all[order], False)
+
+
 def _sample_rays_reference(problem, rays, rng) -> list:
     t0 = np.linspace(0.0, 1.0, N_COARSE)
     v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), N_COARSE)))
-    live, t1 = laplev.discovery._refill_t(t0, v0, rng)
-    live_idx = np.flatnonzero(live)
-    out = [RaySamples(ray, t0.copy(), v0[i], True)
-           for i, ray in enumerate(rays)]
-    if live_idx.size == 0:
-        return out
-    v1 = _eval_rays_reference(problem, [rays[i] for i in live_idx], t1)
-
-    t_all = np.concatenate([np.broadcast_to(t0, t1.shape), t1], axis=1)
-    v_all = np.concatenate([v0[live], v1], axis=1)
-    order = np.argsort(t_all, axis=1, kind="stable")
-    t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
-    for k, i in enumerate(live_idx):
-        out[i] = RaySamples(rays[i], t_all[k], v_all[k], False)
+    live, refill, t1 = laplev.discovery._refill_t(t0, v0, rng)
+    # The gate, ray by ray: every live ray off a parabola is refilled.
+    assert refill.tolist() == [bool(np.isfinite(v).any()) and not _parabolic_reference(v)
+                               for v in v0]
+    refilled = np.flatnonzero(refill)
+    if refilled.size:
+        v1 = _eval_rays_reference(problem, [rays[i] for i in refilled], t1)
+    out = []
+    for i, ray in enumerate(rays):
+        if not live[i]:
+            out.append(RaySamples(ray, t0.copy(), v0[i], True))
+        elif refill[i]:
+            k = int(np.searchsorted(refilled, i))
+            out.append(_padded(ray, t0, v0[i], t1[k], v1[k]))
+        else:
+            out.append(_padded(ray, t0, v0[i]))
     return out
 
 
@@ -313,7 +333,13 @@ def test_generate_rays_bitwise_equal_to_per_ray_draws(d, seed):
 
 def _refill(bank):
     """The refill samples of the bank's first live ray: those off the coarse grid."""
-    return bank.t[0][~np.isin(bank.t[0], np.linspace(0.0, 1.0, N_COARSE))]
+    t = bank.t[0][np.isfinite(bank.t[0])]
+    return t[~np.isin(t, np.linspace(0.0, 1.0, N_COARSE))]
+
+
+def _refilled(bank):
+    """Which live rows of the bank were refilled: an unrefilled row ends in padding."""
+    return np.isfinite(bank.t[:, -1])
 
 
 def one_ray(problem, kind, start, end, rng):
@@ -322,9 +348,16 @@ def one_ray(problem, kind, start, end, rng):
                         np.array([end], dtype=np.float64), rng)
 
 
+def _sharp_bump(x):
+    # A Gaussian bump of variance 1e-4 at the origin plus a quartic: off a
+    # parabola, so the ray is refilled; the quartic is below 2e-5 nats
+    # inside the active region.
+    return -0.5 * np.sum(x * x, axis=1) / 1e-4 - np.sum(x**4, axis=1)
+
+
 def test_two_pass_refines_inside_active_region():
     # Sharp bump at the box midpoint: the refined pass must concentrate there.
-    p = gaussian_problem(2, mu=0.0, sig2=1e-4)
+    p = Problem(_sharp_bump, box(2))
     bank = one_ray(p, RAY_W2W, [-5.0, 0.0], [5.0, 0.0], np.random.default_rng(3))
     assert not bank.dead[0]
     assert bank.t.shape == (1, 128) and p.eval_counter == 128
@@ -347,19 +380,34 @@ def test_two_pass_dead_ray_skips_refinement():
 
 
 def test_two_pass_uniform_likelihood_spreads_samples():
+    # Exactly uniform is a (flat) parabola: the coarse grid is the profile.
     p = Problem(lambda x: np.zeros(x.shape[0]), box(2))
     bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
+    assert not _refilled(bank)[0] and p.call_counter == 1 and _refill(bank).size == 0
+    # Within a nat of uniform, with a kink: the refill spreads over the ray.
+    p = Problem(lambda x: -np.abs(x[:, 0] + x[:, 1]) / 10.0, box(2))
+    bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
     refined = _refill(bank)
+    assert refined.size == N_COARSE
     assert refined.min() < 0.2 and refined.max() > 0.8
 
 
 def test_survey_batches_and_counter():
-    p = gaussian_problem(2)
+    p = Problem(_half_ripple, box(2))
     bank = survey(p, np.random.default_rng(11))
     assert len(bank.kind) == 44
     n_live = int(np.sum(~bank.dead))
+    n_refilled = int(_refilled(bank).sum())
+    assert 0 < n_refilled < n_live
     assert bank.t.shape == (n_live, 128)
-    assert p.eval_counter == n_live * 128 + (44 - n_live) * 64
+    assert p.eval_counter == 44 * 64 + n_refilled * 64
+
+
+def _half_ripple(x):
+    # A unit Gaussian with a ripple on the half x0 > 0: rays that stay in
+    # x0 < 0 are parabolas, the others are not.
+    ripple = np.where(x[:, 0] > 0.0, 0.1 * np.sin(7.0 * x[:, 0]) ** 2, 0.0)
+    return -0.5 * np.sum(x * x, axis=1) + ripple
 
 
 class CountingProblem(Problem):
@@ -377,7 +425,7 @@ class CountingProblem(Problem):
 
 
 def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
-    """One ray, two likelihood calls: the survey as it was written per ray."""
+    """One ray, at most two likelihood calls: the survey as it was written per ray."""
 
     def at(t):
         return ray.start + t[:, None] * (ray.end - ray.start)
@@ -387,6 +435,8 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
     finite = np.isfinite(v0)
     if not finite.any():
         return RaySamples(ray, t0, v0, True)
+    if _parabolic_reference(v0):
+        return _padded(ray, t0, v0)
 
     vmax = float(v0[finite].max())
     active = finite & (v0 > vmax - active_drop)
@@ -401,12 +451,7 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
     lo = cum[cells] - weights[cells]
     frac = np.where(weights[cells] > 0, (targets - lo) / weights[cells], 0.5)
     t1 = edges[cells] + frac * cell_w[cells]
-    v1 = problem.logl(at(t1))
-
-    t_all = np.concatenate([t0, t1])
-    v_all = np.concatenate([v0, v1])
-    order = np.argsort(t_all, kind="stable")
-    return RaySamples(ray, t_all[order], v_all[order], False)
+    return _padded(ray, t0, v0, t1, problem.logl(at(t1)))
 
 
 def _one_ray_reference(problem, ray, rng):
@@ -420,18 +465,28 @@ def _corner_only(x):
 
 
 @pytest.mark.parametrize("fn, d", [
-    (lambda x: -0.5 * np.sum(x * x, axis=1), 1),
-    (lambda x: -0.5 * np.sum(x * x, axis=1), 3),
+    (lambda x: -0.25 * np.sum(x**4, axis=1), 1),
+    (lambda x: -0.25 * np.sum(x**4, axis=1), 3),
     (_corner_only, 1),
     (_corner_only, 3),
+    (_half_ripple, 2),
+    (_half_ripple, 3),
 ])
 def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
+    # A quartic is off a parabola on every ray: every ray is refilled. On
+    # the others some rays are dead or parabolic and draw nothing.
     p = CountingProblem(fn, box(d))
     bank = survey(p, np.random.default_rng(8))
     assert p.calls == 2
     n_dead = int(bank.dead.sum())
+    n_refilled = int(_refilled(bank).sum())
     if fn is _corner_only:
         assert 0 < n_dead < len(bank.kind)
+    elif fn is _half_ripple:
+        assert 0 < n_refilled < len(bank.kind)
+    else:
+        assert n_refilled == len(bank.kind)
+    assert p.rows == [64 * len(bank.kind), 64 * n_refilled]
     expected_counter = p.eval_counter
 
     for single in (_one_ray_reference, _two_pass_reference):
@@ -440,7 +495,7 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
         rays = [single(q, ray, rng) for ray in _generate_rays_reference(q.bounds, rng)]
         assert _bank_bytes(_as_bank(rays)) == _bank_bytes(bank)
         assert q.eval_counter == expected_counter
-        assert q.calls == 2 * len(rays) - n_dead
+        assert q.calls == len(rays) + n_refilled
 
 
 def test_survey_all_rays_dead_makes_one_call():
@@ -472,6 +527,39 @@ def test_points_along_is_bitwise_the_textbook_sum(ray_shape, t_shape):
     want = start + t[..., None] * (end - start)
     got = _points_along(start, end, t)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("gaussian", 1024),
+                                      ("correlated", 16), ("rotated-cigar", 16)])
+def test_gaussian_survey_is_one_call_of_coarse_rows(name, dim):
+    # A Gaussian is a parabola along every line: no ray is refilled, and
+    # the survey is the one call of every ray's coarse grid.
+    p = get_target(name, dim, allow_large=True).problem
+    bank = survey(p, np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0]))
+    assert p.call_counter == 1 and p.eval_counter == len(bank.kind) * N_COARSE
+    assert not bank.dead.any() and not _refilled(bank).any()
+    assert np.isinf(bank.t[:, N_COARSE:]).all() and np.isnan(bank.logl[:, N_COARSE:]).all()
+
+
+def test_eggbox_survey_refills_every_ray():
+    p = get_target("eggbox", 2).problem
+    bank = survey(p, np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0]))
+    assert _refilled(bank).all() and len(bank.t) == len(bank.kind)
+    assert p.call_counter == 2 and p.eval_counter == len(bank.kind) * 2 * N_COARSE
+
+
+def test_ripple_ray_is_refilled_and_parabolic_ray_is_not():
+    # Along x0 the ripple shows between the grid points; along x1, at a
+    # fixed x0, _ripple is a parabola.
+    p = CountingProblem(_ripple, box(2, -10, 10))
+    start = np.array([[-10.0, 0.3], [0.3, -10.0]])
+    end = np.array([[10.0, 0.3], [0.3, 10.0]])
+    bank = _sample_rays(p, np.array([RAY_W2W, RAY_W2W]), start, end,
+                        np.random.default_rng(2))
+    assert _refilled(bank).tolist() == [True, False]
+    assert p.rows == [2 * N_COARSE, N_COARSE]
+    np.testing.assert_array_equal(bank.t[1, :N_COARSE], np.linspace(0.0, 1.0, N_COARSE))
+    assert np.isinf(bank.t[1, N_COARSE:]).all() and np.isnan(bank.logl[1, N_COARSE:]).all()
 
 
 # ---------------------------------------------------------------- ray bank
@@ -749,10 +837,11 @@ def _select_seeds_champion_walk(rays, lam_fine, dim):
     live = [r for r in rays if not r.dead]
     if not live:
         return np.zeros((0, dim)), np.zeros(0)
-    pos = np.vstack([_points_along(r.ray.start, r.ray.end, r.t) for r in live])
+    # An unrefilled ray's padding (t = inf, NaN) is not finite: no position.
+    pos = np.vstack([_points_along(r.ray.start, r.ray.end, r.t[np.isfinite(r.logl)])
+                     for r in live])
     val = np.concatenate([r.logl for r in live])
-    finite = np.isfinite(val)
-    pos, val = pos[finite], val[finite]
+    val = val[np.isfinite(val)]
     if pos.shape[0] == 0:
         return np.zeros((0, dim)), np.zeros(0)
     order = np.lexsort((np.arange(val.size), -val))

@@ -185,6 +185,21 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     assert len(res.modes) == n_modes
 
 
+@pytest.mark.parametrize("name,dim,preset,n_modes", [
+    ("mixture4", 4, "fast", 4), ("mixture4", 8, "fast", 4),
+    ("mixture4", 16, "fast", 4), ("bimodal-asym", 2, "fast", 2),
+    ("bimodal-asym", 8, "fast", 2), ("eggbox", 2, "conservative", 5),
+])
+def test_recall_over_forty_seeds(name, dim, preset, n_modes):
+    # Recall guard for the survey's seeds: every mode is found on each of
+    # seeds 1-40. A fresh problem per run, since a problem keeps the best
+    # value it has returned.
+    missed = [seed for seed in range(1, 41)
+              if len(run(get_target(name, dim).problem,
+                         preset_config(preset, seed=seed)).modes) != n_modes]
+    assert missed == []
+
+
 def test_rotated_cigar_d16_slow_is_exact_on_the_full_route():
     # A 1e6-conditioned rotated mode: refine measures the curvature at the
     # held peak, so the one mode survives and the full-Hessian route
@@ -265,21 +280,27 @@ def test_flat_dimensions_detected_and_integrated():
 
 
 def test_infinite_axis_probe_leaves_the_other_axes_active():
-    # The +x0 precheck probe reads -inf at the support edge past x0 = 7.
-    # Every axis stays active and the run integrates the Gaussian exactly,
-    # on both search depths.
+    # The +x0 precheck probe reads -inf at the support edge past x0 = 7,
+    # and with the second wall the +x1 probe too. Every axis stays active
+    # and the run integrates the Gaussian exactly, on both search depths.
+    # Were infinite sensitivities the flat reference, the two walls would
+    # make axis 2 flat over its whole width: Z 4x high, with no warning.
     mu = np.array([0.3, 0.5, -0.7])
 
-    def fn(x):
+    def one_wall(x):
         out = -0.5 * np.sum((x - mu) ** 2, axis=1)
         return np.where(x[:, 0] > 7.0, -np.inf, out)
 
+    def two_walls(x):
+        return np.where(x[:, 1] > 7.0, -np.inf, one_wall(x))
+
     truth = 1.5 * np.log(2.0 * np.pi)
-    for preset in ("fast", "conservative"):
-        res = run(Problem(fn, BoundsBox.cube(3, -8.0, 8.0)),
-                  preset_config(preset, seed=1))
-        assert res.precheck.soft == ()
-        assert abs(np.exp(res.log_z_total - truth) - 1.0) <= 1e-9
+    for fn in (one_wall, two_walls):
+        for preset in ("fast", "conservative"):
+            res = run(Problem(fn, BoundsBox.cube(3, -8.0, 8.0)),
+                      preset_config(preset, seed=1))
+            assert res.precheck.flat == () and res.precheck.soft == ()
+            assert abs(np.exp(res.log_z_total - truth) - 1.0) <= 1e-9
 
 
 def test_mode_locations_are_full_coordinates():

@@ -65,14 +65,24 @@ def _walled_gaussian(x):
     return np.where(x[:, 0] > 7.0, -np.inf, out)
 
 
+def _two_walled_gaussian(x):
+    # The same Gaussian, also cut to -inf past x1 = 7.
+    return np.where(x[:, 1] > 7.0, -np.inf, _walled_gaussian(x))
+
+
 def test_infinite_probe_leaves_the_finite_axes_active():
     # The +x0 probe at 8 reads -inf, so s_0 is infinite. The soft reference
     # is the largest finite sensitivity (64), not s_0: no axis is soft.
-    rep = precheck(make_problem(_walled_gaussian, -8, 8, 3))
-    assert np.isinf(rep.sensitivities[0])
-    assert np.isfinite(rep.sensitivities[1:]).all()
-    assert rep.flat == () and rep.soft == ()
-    assert rep.active == (0, 1, 2)
+    # With the second wall the +x1 probe reads -inf too: sensitivities
+    # (inf, inf, 64). The flat reference is the lower median of the finite
+    # ones (64), not inf, so axis 2 is not flat.
+    for fn, n_inf in ((_walled_gaussian, 1), (_two_walled_gaussian, 2)):
+        rep = precheck(make_problem(fn, -8, 8, 3))
+        assert np.isinf(rep.sensitivities[:n_inf]).all()
+        assert np.isfinite(rep.sensitivities[n_inf:]).all()
+        assert rep.sensitivities[2] == pytest.approx(64.0, rel=1e-12)
+        assert rep.flat == () and rep.soft == ()
+        assert rep.active == (0, 1, 2)
 
 
 def test_exact_zero_sensitivity_is_flat_even_with_zero_median():
