@@ -11,11 +11,12 @@ The random directions catch off-diagonal structure of mixed sign, which
 cancels along the diagonal direction. A d = 1 mode needs no test.
 
 Only modes judged to have cross terms pay for the full d x d Hessian
-stencil. That route takes log det(-H) and the condition number from the
-Cholesky factor of -H; the Jacobi eigensolver runs only in ``reduce``.
-Total evidence is the log-sum-exp over modes plus the marginal
-contribution of any pathological (flat/soft) coordinates found by the
-precheck screen.
+stencil. That route factors -H by Cholesky: the factor is the positive
+definiteness check, names the pivot where a non-concave mode breaks down,
+and gives log det(-H). Its condition number is the exact ratio of the
+extreme eigenvalues of -H. Total evidence is the log-sum-exp over modes
+plus the marginal contribution of any pathological (flat/soft) coordinates
+found by the precheck screen.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def mode_evidence(problem, peak, *, rng):
                 "mode has a non-concave direction in the full Hessian",
             ) from None
         log_det = float(2.0 * np.sum(np.log(np.diag(factor))))
-        condition = condition_pd(factor)
+        condition = condition_pd(neg_hess)
         kind = "full"
 
         def neg_hess_apply(delta):

@@ -1,18 +1,16 @@
-"""Deterministic dense linear algebra for the evidence pipeline.
+"""Dense linear algebra for the evidence pipeline.
 
-Everything here is hand-rolled on purpose. LAPACK results can differ between
-builds and thread counts; the operations below always execute the same
-floating-point program for the same input, which is what makes whole pipeline
-runs byte-reproducible.
+The eigen work goes to LAPACK: ``eig_symmetric`` is ``np.linalg.eigh`` and
+``condition_pd`` reads the extreme eigenvalues from ``np.linalg.eigvalsh``.
+Their bits depend on the numpy build, like every BLAS product the targets
+already make; the canonical JSON is checked byte-identical under one and
+two BLAS threads on full-route and ``reduce`` cells. A matrix with no
+off-diagonal entry skips LAPACK: its eigenvalues are its diagonal, exact,
+and at d = 1024 that is far cheaper than ``eigh``.
 
-That costs time, and the cost is not negligible from d = 32 on. The cyclic
-Jacobi ``eig_symmetric`` loops over the d(d-1)/2 pairs in Python on every
-sweep: the benchmark's micro probes (2-vCPU VM, one BLAS thread) put it at
-69-94 ms at d=32 and 2.1-2.2 s at d=128, more than a whole cheap-likelihood
-run. It runs only in ``reduce``, which needs the eigenvectors. The
-full-Hessian evidence route takes its log det and condition number from the
-row-vectorised Cholesky factor instead (``log_det_pd`` takes about 1.1 ms at
-d=128).
+``cholesky_lower`` stays hand-rolled. It is the evidence route's PD check,
+reports the pivot at which a non-concave mode breaks down, and gives the
+log det every log Z is built from.
 """
 
 from __future__ import annotations
@@ -22,23 +20,17 @@ import numpy as np
 from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericInputError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-# Power iterations per extreme eigenvalue in ``condition_pd``. On 800 random
-# PD matrices, d up to 64, log-uniform spectra and condition up to 1e8, the
-# estimate stayed within 5% of the eigenvalue ratio (64 iterations: 7.4%).
-CONDITION_ITERATIONS = 96
 # Duplicate-peak radius as a fraction of the mean box width (``dedup_radius``).
 DEDUP_WIDTH_FRACTION = 1e-3
-_GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
 
 def eig_symmetric(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
-    Sweeps pairs (p, q) in fixed row-major order until the off-diagonal
-    Frobenius norm drops below JACOBI_TOL times the matrix norm. Returns
-    (eigenvalues ascending, eigenvectors as columns) with A = V diag(w) V^T.
+    Returns (eigenvalues ascending, eigenvectors as columns) with
+    A = V diag(w) V^T. A matrix with no off-diagonal entry returns its
+    stably sorted diagonal and the matching identity columns; any other
+    goes to ``np.linalg.eigh``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -47,51 +39,11 @@ def eig_symmetric(a):
         raise NumericInputError("eig_symmetric: non-finite entries")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
         raise NumericInputError("eig_symmetric: matrix is not symmetric")
-    d = a.shape[0]
-    w = a.copy()
-    v = np.eye(d)
-    if d == 1:
-        return w.reshape(1).copy(), v
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        return np.zeros(d), v
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Off-diagonal Frobenius norm. Summing squares of the off entries
-        # directly avoids the catastrophic cancellation that subtracting the
-        # diagonal mass from the total would suffer near convergence.
-        strict = w.copy()
-        np.fill_diagonal(strict, 0.0)
-        off = float(np.linalg.norm(strict))
-        if off < JACOBI_TOL * norm:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                # Stable tangent of the rotation angle. theta may overflow to
-                # inf for denormal apq; the limit t -> 0 is the right answer.
-                with np.errstate(over="ignore"):
-                    theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * w[:, p] - s * w[:, q]
-                rot_q = s * w[:, p] + c * w[:, q]
-                w[:, p], w[:, q] = rot_p, rot_q
-                rot_p = c * w[p, :] - s * w[q, :]
-                rot_q = s * w[p, :] + c * w[q, :]
-                w[p, :], w[q, :] = rot_p, rot_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    vals = np.diag(w).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    if np.count_nonzero(a) == np.count_nonzero(np.diag(a)):
+        vals = np.diag(a).copy()
+        order = np.argsort(vals, kind="stable")
+        return vals[order], np.eye(a.shape[0])[:, order]
+    return np.linalg.eigh(a)
 
 
 def cholesky_lower(a):
@@ -123,30 +75,13 @@ def log_det_pd(a) -> float:
     return float(2.0 * np.sum(np.log(np.diag(l))))
 
 
-def condition_pd(l) -> float:
-    """Condition number of A = L L^T, estimated from its Cholesky factor.
+def condition_pd(a) -> float:
+    """Condition number of a symmetric matrix: largest over smallest eigenvalue.
 
-    Runs CONDITION_ITERATIONS power iterations on A and on A^-1 =
-    L^-T L^-1 side by side and multiplies the two Rayleigh quotients. Both
-    quotients are lower bounds of their top eigenvalues, so the estimate
-    never exceeds the true ratio. The start vector 1 + frac(k * golden
-    ratio) is fixed, so the result repeats bit for bit; it is not constant,
-    so it is no eigenvector of an equicorrelated A (the (1,...,1) start
-    would read a condition of 1 on [[2, 1], [1, 2]]).
+    inf when the smallest eigenvalue is <= 0.
     """
-    l = np.asarray(l, dtype=np.float64)
-    d = l.shape[0]
-    inv = np.zeros_like(l)
-    for j in range(d):
-        inv[j, :j] = -(l[j, :j] @ inv[:j, :j]) / l[j, j]
-        inv[j, j] = 1.0 / l[j, j]
-    mats = np.stack([l @ l.T, inv.T @ inv])
-    v = np.tile(1.0 + np.mod(np.arange(1, d + 1) * _GOLDEN, 1.0), (2, 1))
-    for _ in range(CONDITION_ITERATIONS):
-        v = np.matmul(mats, v[:, :, None])[:, :, 0]
-        v /= np.sqrt(np.sum(v * v, axis=1))[:, None]
-    top = np.sum(v * np.matmul(mats, v[:, :, None])[:, :, 0], axis=1)
-    return float(top[0] * top[1])
+    w = np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
+    return float(w[-1] / w[0]) if w[0] > 0.0 else float("inf")
 
 
 def logsumexp(values) -> float:

@@ -288,11 +288,12 @@ def test_mode_evidence_path_consistency_on_axis_aligned():
     pk = peak([0.0, 0.0], 0.0, [-1.0, -0.25])
     diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0))
     assert diag_me.hessian_kind == "diagonal"
-    factor = cholesky_lower(-full_hessian(p, pk.position, pk.logl, pk.hess_diag))
+    neg_hess = -full_hessian(p, pk.position, pk.logl, pk.hess_diag)
+    factor = cholesky_lower(neg_hess)
     full_log_z = (pk.logl + LOG_2PI
                   - float(np.sum(np.log(np.diag(factor)))))
     assert full_log_z == pytest.approx(diag_me.log_z, abs=1e-8)
-    assert condition_pd(factor) == pytest.approx(4.0, rel=1e-6)
+    assert condition_pd(neg_hess) == pytest.approx(4.0, rel=1e-6)
 
 
 def test_mode_evidence_weak_equicorrelation_takes_full_route():
