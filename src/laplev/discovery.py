@@ -45,7 +45,7 @@ ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a ray left unrefilled
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 N_CONVERGE = 15  # ascent steps per oscillation
-STICK_GRAD = 1e-6  # gradient sup-norm below which a sample has stuck
+STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
 N_CLOUD = 5  # smoothed-ascent steps between two ascents
 K_SMOOTH = 8  # smoothed-gradient cloud size at d <= 2
 K_PER_BASIN = 3  # best seeds of each basin that run the ascent
@@ -501,11 +501,12 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     The search runs at most ``n_oscillations`` rounds (the preset's
     count). Each runs the ascent (at most ``N_CONVERGE`` steps) on the
     population. A sample sticks when it converged (gradient sup-norm below
-    ``STICK_GRAD``) onto a peak within a factor ``KEEP_RATIO`` of the best
-    value seen anywhere so far. The newly stuck samples are deduplicated
-    within the box's ``dedup_radius`` together with the held peaks, held
-    peaks first: a tie keeps the held peak and a strictly better newcomer
-    replaces it. The survivors are the held peaks; every other stuck
+    ``STICK_GRAD * max(1, |logl|)``, so finite-difference noise at a large
+    peak value does not hold it back) onto a peak within a factor
+    ``KEEP_RATIO`` of the best value seen anywhere so far. The newly stuck
+    samples are deduplicated within the box's ``dedup_radius`` together
+    with the held peaks, held peaks first: a tie keeps the held peak and a
+    strictly better newcomer replaces it. The survivors are the held peaks; every other stuck
     sample retires, and so does a held peak that falls below the keep band
     once a better value turns up. A held peak keeps the position, value,
     gradient, width and oscillation of the round it stuck in and is never
@@ -548,7 +549,8 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                 best_pos, best_logl = positions[i].copy(), float(logls[i])
 
         floor = problem.peak_logl + np.log(KEEP_RATIO)
-        stuck = (grad_inf < STICK_GRAD) & finite & (logls >= floor)
+        stuck = ((grad_inf < STICK_GRAD * np.maximum(1.0, np.abs(logls)))
+                 & finite & (logls >= floor))
         held = [pk for pk in held if pk.logl >= floor] + [
             CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),
                        width=float(widths[i]), grad=state.grad[i].copy(),

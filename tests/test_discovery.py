@@ -1014,9 +1014,10 @@ def test_mixture4_keeps_a_basin_per_mode(preset):
 @pytest.mark.parametrize("preset", ["fast", "slow"])
 @pytest.mark.parametrize("seed", [1, 2, 6, 8])
 def test_eggbox_one_oscillation_keeps_every_mode(preset, seed):
-    # Recall guard for the basin leaders: with a single leader per basin
-    # some eggbox basins lose their only ascent, which ends unmoved above
-    # STICK_GRAD, and the run misses a mode.
+    # With one oscillation every eggbox basin's leaders must stick at its
+    # peak in the first round, and the five Gaussian patches must give Z
+    # to 1%. test_recall_over_forty_seeds checks the mode count alone, on
+    # seeds 1-40.
     target = get_target("eggbox", 2)
     res = run(target.problem, preset_config(preset, seed=seed))
     assert len(res.modes) == 5
@@ -1220,7 +1221,9 @@ def _traced_rounds(monkeypatch, p):
 
 def _stuck(state, floor):
     logl = state.logl
-    return (state.grad_inf() < STICK_GRAD) & np.isfinite(logl) & (logl >= floor)
+    scale = np.maximum(1.0, np.abs(logl))
+    return ((state.grad_inf() < STICK_GRAD * scale) & np.isfinite(logl)
+            & (logl >= floor))
 
 
 def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):

@@ -127,7 +127,7 @@ def test_cholesky_pivot_index_on_failure():
 # ------------------------------------------------------------------ condition
 
 
-def test_condition_is_the_constructed_ratio():
+def test_condition_estimate_within_ten_percent():
     # Log-uniform spectra with both ends pinned, so the true ratio is the
     # constructed one. Forming A rounds each entry by about eps * cond, which
     # moves the smallest eigenvalue (1) by up to d * eps * cond; no solver
@@ -145,12 +145,12 @@ def test_condition_is_the_constructed_ratio():
         assert abs(condition_pd(a) / cond - 1.0) < d * eps * cond
 
 
-def test_condition_repeats_bitwise():
+def test_condition_estimate_repeats_bitwise():
     a = random_pd(np.random.default_rng(5), 24, cond=1e5)
     assert condition_pd(a).hex() == condition_pd(a.copy()).hex()
 
 
-def test_condition_hand_case():
+def test_condition_estimate_hand_case():
     assert abs(condition_pd([[2.0, 1.0], [1.0, 2.0]]) - 3.0) < 1e-12
     assert condition_pd(np.diag([4.0, 1.0, 2.0])) == pytest.approx(4.0, rel=1e-12)
 

@@ -189,11 +189,15 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     ("mixture4", 4, "fast", 4), ("mixture4", 8, "fast", 4),
     ("mixture4", 16, "fast", 4), ("bimodal-asym", 2, "fast", 2),
     ("bimodal-asym", 8, "fast", 2), ("eggbox", 2, "conservative", 5),
+    ("eggbox", 2, "fast", 5), ("eggbox", 2, "slow", 5),
 ])
 def test_recall_over_forty_seeds(name, dim, preset, n_modes):
     # Recall guard for the survey's seeds: every mode is found on each of
-    # seeds 1-40. A fresh problem per run, since a problem keeps the best
-    # value it has returned.
+    # seeds 1-40. With one oscillation, an eggbox basin's lone leader ends
+    # at the peak with finite-difference noise of about 8e-6 in its
+    # gradient at logl 243; the stick rule's max(1, |logl|) scale must
+    # still stick it. A fresh problem per run, since a problem keeps the
+    # best value it has returned.
     missed = [seed for seed in range(1, 41)
               if len(run(get_target(name, dim).problem,
                          preset_config(preset, seed=seed)).modes) != n_modes]
