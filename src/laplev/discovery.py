@@ -70,6 +70,13 @@ def _points_along(start, end, t) -> np.ndarray:
     return out
 
 
+def _vertex_picks(rng, n, d):
+    """The v2v vertex picks in draw order: n pairs in one call, then one at a time."""
+    yield from rng.integers(0, 2, size=(2 * n, d))
+    while True:
+        yield rng.integers(0, 2, size=d)
+
+
 def generate_rays(bounds: BoundsBox, rng):
     """Fixed-order ray family over the box; count scales as ceil(10+log2 d).
 
@@ -78,10 +85,14 @@ def generate_rays(bounds: BoundsBox, rng):
     and the total stays at four quotas. Returns ``(kind, start, end)``: the
     kind of every ray, and its end points as rows of two (n_rays, d) arrays.
 
-    The generator is called once per vertex, edge pick, wall point and
-    direction, in ray order; the draws fill preallocated arrays, and the
-    geometry that needs no draw (vertices, edge midpoints, wall ends and
-    the sunburst exits) is computed for all rays at once afterwards.
+    The draws follow ray order, as one generator call per vertex, edge
+    pick, wall point and direction would take them, but each block of rays
+    draws in one call: numpy's Generator returns the same numbers, and
+    leaves the same state, for one (n, k) draw as for n draws of k. Only
+    the wall rays draw one at a time, because each interleaves an integer
+    draw with a float draw. The geometry that needs no draw (vertices,
+    edge midpoints, wall ends and the sunburst exits) is computed for all
+    rays at once afterwards.
     """
     d = bounds.dim
     lower, upper, c = bounds.lower, bounds.upper, bounds.center
@@ -93,19 +104,18 @@ def generate_rays(bounds: BoundsBox, rng):
     end = np.empty((kind.size, d))
     n_vert = n + n_v2e
     # Vertex picks: 1 selects the upper bound of a coordinate, 0 the lower.
+    # A v2v end equal to its start is redrawn from the vectors that follow.
     v_start = np.empty((n_vert, d), dtype=np.int64)
     v_end = np.empty((n_vert, d), dtype=np.int64)
+    picks = _vertex_picks(rng, n, d)
     for i in range(n):
-        v_start[i] = rng.integers(0, 2, size=d)
-        while True:
-            v_end[i] = rng.integers(0, 2, size=d)
-            if not np.array_equal(v_start[i], v_end[i]):
-                break
-    edge_axis = np.empty(n_v2e, dtype=np.int64)
-    for i in range(n, n_vert):
-        v_start[i] = rng.integers(0, 2, size=d)
-        v_end[i] = rng.integers(0, 2, size=d)
-        edge_axis[i - n] = rng.integers(d)
+        v_start[i] = next(picks)
+        v_end[i] = next(picks)
+        while np.array_equal(v_start[i], v_end[i]):
+            v_end[i] = next(picks)
+    # Per v2e ray: its start vertex, the vertex of its edge, the edge axis.
+    pick = rng.integers(0, np.r_[np.full(2 * d, 2), d], size=(n_v2e, 2 * d + 1))
+    v_start[n:], v_end[n:], edge_axis = pick[:, :d], pick[:, d:-1], pick[:, -1]
     start[:n_vert] = np.where(v_start == 1, upper, lower)
     end[:n_vert] = np.where(v_end == 1, upper, lower)
     end[n + np.arange(n_v2e), edge_axis] = c[edge_axis]
@@ -119,16 +129,15 @@ def generate_rays(bounds: BoundsBox, rng):
     start[wall, wall_axis] = lower[wall_axis]
     end[wall, wall_axis] = upper[wall_axis]
 
-    z = np.empty((n_sun, d))
-    nrm = np.empty((n_sun, 1))
-    for i in range(n_sun):
-        while True:
-            z_i = rng.standard_normal(d)
-            nrm_i = float(np.linalg.norm(z_i))
-            if nrm_i > 1e-12:
-                break
-        z[i], nrm[i] = z_i, nrm_i
-    u = z / nrm
+    # A direction too short to normalise is dropped and the ones after it
+    # move up, so the kept directions are the stream's usable ones in order.
+    z = rng.standard_normal((n_sun, d))
+    nrm = np.sqrt(_row_dot(z, z))
+    while not (nrm > 1e-12).all():
+        more = rng.standard_normal((int(np.sum(nrm <= 1e-12)), d))
+        z = np.concatenate([z[nrm > 1e-12], more])
+        nrm = np.concatenate([nrm[nrm > 1e-12], np.sqrt(_row_dot(more, more))])
+    u = z / nrm[:, None]
     with np.errstate(divide="ignore"):
         t_hi = np.where(u > 0, (upper - c) / u, np.inf)
         t_lo = np.where(u < 0, (lower - c) / u, np.inf)
@@ -142,6 +151,23 @@ def _eval_rays(problem, start, end, t) -> np.ndarray:
     """Evaluate row k of ``t`` along ray k, ``start[k]`` to ``end[k]``, in one call."""
     pts = _points_along(start[:, None, :], end[:, None, :], t)
     return problem.logl(pts.reshape(-1, pts.shape[-1])).reshape(t.shape)
+
+
+def _parabolic(v) -> np.ndarray:
+    """Rows of ``v`` that are all finite and lie on a parabola.
+
+    The values sit on a uniform grid, so a parabola has constant second
+    differences: a row is parabolic when they agree to ``PARABOLA_TOL`` of
+    the largest one.
+    """
+    whole = np.isfinite(v).all(axis=1)
+    out = np.zeros(v.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.diff(v[whole], n=2, axis=1)
+        spread = np.abs(d2 - d2.mean(axis=1, keepdims=True)).max(axis=1)
+        # A spread that overflowed to NaN is not a parabola either.
+        out[whole] = spread <= PARABOLA_TOL * np.abs(d2).max(axis=1)
+    return out
 
 
 def _refill_t(t0, v0, rng):
@@ -159,13 +185,7 @@ def _refill_t(t0, v0, rng):
     n_coarse = t0.size
     finite = np.isfinite(v0)
     live = finite.any(axis=1)
-    refill = live.copy()
-    whole = finite.all(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = np.diff(v0[whole], n=2, axis=1)
-        spread = np.abs(d2 - d2.mean(axis=1, keepdims=True)).max(axis=1)
-        # A spread that overflowed to NaN is not a parabola either.
-        refill[whole] = ~(spread <= PARABOLA_TOL * np.abs(d2).max(axis=1))
+    refill = live & ~_parabolic(v0)
     if not refill.any():
         return live, refill, np.zeros((0, n_coarse))
     v0, finite = v0[refill], finite[refill]
@@ -178,11 +198,9 @@ def _refill_t(t0, v0, rng):
     weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
     cum = np.cumsum(weights, axis=1)
     targets = rng.random(cum.shape) * cum[:, -1:]
-    # np.searchsorted has no row-wise form: one call per refilled ray.
-    cells = np.minimum(
-        [np.searchsorted(c, x, side="right") for c, x in zip(cum, targets)],
-        n_coarse - 1,
-    )
+    # On each nondecreasing row, the count of cum <= x is
+    # np.searchsorted(row, x, side="right"), which has no row-wise form.
+    cells = np.minimum((targets[:, :, None] >= cum[:, None, :]).sum(axis=2), n_coarse - 1)
     w = np.take_along_axis(weights, cells, axis=1)
     lo = np.take_along_axis(cum, cells, axis=1) - w
     frac = np.where(w > 0, (targets - lo) / w, 0.5)
@@ -324,25 +342,28 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     seeded many times over; ``group_seeds`` groups them.
     """
     q = max(32, 4 * rays_per_kind(dim))
-    ray = np.repeat(np.flatnonzero(~bank.dead), bank.t.shape[1])
+    n_live, m = bank.logl.shape
+    ray = np.repeat(np.flatnonzero(~bank.dead), m)
     t = bank.t.ravel()
     val = bank.logl.ravel()
     finite = np.isfinite(val)
     ray, t, val = ray[finite], t[finite], val[finite]
     if val.size == 0:
         return np.zeros((0, dim)), np.zeros(0)
-    order = np.lexsort((np.arange(val.size), -val))
     pick = np.zeros(val.size, dtype=bool)
-    pick[order[:q]] = True
-    # Champion per ray: the first of its samples in (ray, -value, index)
-    # order, which is the first maximum as argmax would pick it.
-    by_ray = np.lexsort((-val, ray))
-    pick[by_ray[np.r_[True, np.diff(ray[by_ray]) != 0]]] = True
+    # A stable sort ranks equal values in sample order.
+    pick[np.argsort(-val, kind="stable")[:q]] = True
+    # Champion per ray: its first maximum, as a flat index into the bank,
+    # then into the finite samples; a row with no finite value has none.
+    best = np.arange(n_live) * m + np.argmax(np.where(finite, bank.logl.ravel(), -np.inf)
+                                             .reshape(n_live, m), axis=1)
+    pick[(np.cumsum(finite) - 1)[best[finite[best]]]] = True
     idx = np.flatnonzero(pick)
     # Positions of the picked samples only.
     pos = _points_along(bank.start[ray[idx]], bank.end[ray[idx]], t[idx])
+    # dedup_linf keeps ascending indices, so ties stay in sample order.
     kept = dedup_linf(pos, val[idx], lam_fine)
-    order = np.lexsort((idx[kept], -val[idx[kept]]))
+    order = np.argsort(-val[idx[kept]], kind="stable")
     return pos[kept[order]], val[idx[kept[order]]]
 
 

@@ -315,15 +315,52 @@ def test_ray_endpoint_structure():
             assert on_wall.any()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 128])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_generate_rays_bitwise_equal_to_per_ray_draws(d, seed):
+# At d <= 3 a v2v end often equals its start, so seeds 0-49 there walk the
+# redraws past the end of the first block of vertex picks.
+@pytest.mark.parametrize("seed, d", [(s, d) for d in (1, 2, 3) for s in range(50)]
+                         + [(s, d) for d in (8, 32, 128) for s in range(3)])
+def test_generate_rays_bitwise_equal_to_per_ray_draws(seed, d):
     b = BoundsBox(np.linspace(-3.0, 0.0, d), np.linspace(0.5, 7.0, d))
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     kind, start, end = generate_rays(b, rng)
     rays = _generate_rays_reference(b, rng_ref)
     assert kind.tolist() == [r.kind for r in rays]
     assert start.tobytes() == np.array([r.start for r in rays]).tobytes()
+    assert end.tobytes() == np.array([r.end for r in rays]).tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class _ZeroDirections:
+    """A generator whose normal vectors at the given places of its stream are zero."""
+
+    def __init__(self, seed, zero):
+        self._rng = np.random.default_rng(seed)
+        self._zero = set(zero)
+        self._drawn = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        rows = z.reshape(-1, z.shape[-1])
+        for j in range(rows.shape[0]):
+            if self._drawn + j in self._zero:
+                rows[j] = 0.0
+        self._drawn += rows.shape[0]
+        return z
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_generate_rays_skips_zero_directions_like_per_ray_draws(d):
+    # A direction too short to normalise is redrawn: the first, a middle and
+    # the last of the block, and the first redraw, are zero.
+    n_sun = rays_per_kind(d) * (2 if d == 1 else 1)
+    zero = (0, 3, n_sun - 1, n_sun)
+    rng, rng_ref = _ZeroDirections(5, zero), _ZeroDirections(5, zero)
+    kind, start, end = generate_rays(box(d), rng)
+    rays = _generate_rays_reference(box(d), rng_ref)
+    assert np.isfinite(end).all()
     assert end.tobytes() == np.array([r.end for r in rays]).tobytes()
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
