@@ -2,11 +2,13 @@
 
 The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and how sharply the
-log-likelihood bends there. That survey costs one batched likelihood call
-for every ray's coarse grid and, when some ray's coarse profile is not a
-parabola, a second for those rays' refill; reading the length scale and the
-seeds off it costs none. A Gaussian target is a parabola along every line,
-so its survey is one call. The samples sit in one ``RayBank`` of arrays,
+log-likelihood bends there. That survey costs at most three batched
+likelihood calls: one for every ray's probe points, a second for the rest
+of the coarse grid of each ray the probe cannot read as a parabola, and a
+third for the refill of each such ray whose whole coarse profile is not a
+parabola either; reading the length scale and the seeds off it costs none.
+A Gaussian target is a parabola along every line, so its survey is one
+call. The samples sit in one ``RayBank`` of arrays,
 one row per ray and one row of samples per live ray, so the scale and the
 seeds are read off every ray at once, in array operations. The length
 scale is the smallest profile width the rays show at their best samples.
@@ -42,7 +44,8 @@ KIND_NAMES = {RAY_V2V: "v2v", RAY_V2E: "v2e", RAY_W2W: "w2w", RAY_SUN: "sunburst
 
 N_COARSE = 64  # coarse samples per survey ray, and as many refill samples
 ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
-PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a ray left unrefilled
+PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profile
+PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 N_CONVERGE = 15  # ascent steps per oscillation
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
@@ -174,13 +177,11 @@ def _refill_t(t0, v0, rng):
     """Mass-weighted refill positions for the rays the coarse pass cannot read.
 
     ``v0`` holds one ray's coarse values per row. Rows with no finite value
-    are dead. A live row is parabolic when every coarse value is finite and
-    its second differences agree to ``PARABOLA_TOL`` of the largest one:
-    the coarse grid already holds the whole profile, so the row draws
-    nothing. Every other live row draws ``rng.random(n_coarse)`` in row
-    order, which is the same stream as one draw per refilled ray. Returns
-    the live and refill masks over the rows and the refill t values, one
-    row per refilled ray.
+    are dead. A live row that is ``_parabolic`` draws nothing: the coarse
+    grid already holds the whole profile. Every other live row draws
+    ``rng.random(n_coarse)`` in row order, which is the same stream as one
+    draw per refilled ray. Returns the live and refill masks over the rows
+    and the refill t values, one row per refilled ray.
     """
     n_coarse = t0.size
     finite = np.isfinite(v0)
@@ -213,10 +214,12 @@ class RayBank:
 
     ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``
     and ``logl`` hold one row per live ray, in ray order, sorted by t: the
-    coarse and the refill samples together. A ray left unrefilled pads its
-    refill half with t = +inf and a NaN value, which sort last and which
-    the scale reading and the seed picks skip as non-finite. A dead ray's
-    coarse values are all non-finite, so no row is kept for it.
+    samples the ray took, ``2 * N_COARSE`` places at most. A ray read at
+    the probe holds its probe samples, a ray left unrefilled its coarse
+    grid, and a refilled ray its coarse grid and refill. The places a ray
+    did not take are padding, t = +inf and a NaN value, which sort last
+    and which the scale reading and the seed picks skip as non-finite. A
+    dead ray's coarse values are all non-finite, so no row is kept for it.
     """
 
     kind: np.ndarray
@@ -237,41 +240,59 @@ class RayBank:
 
 
 def survey(problem, rng) -> RayBank:
-    """Survey of the ``generate_rays`` family in at most two batched calls.
+    """Survey of the ``generate_rays`` family in at most three batched calls.
 
-    Each ray gets an inclusive uniform coarse grid of ``N_COARSE`` points
-    in t. A ray whose coarse values are all finite with second differences
-    agreeing to ``PARABOLA_TOL`` of the largest is parabolic: the coarse grid
-    reads its width exactly, and it keeps its coarse samples only. On every
-    other ray, cells whose value sits within ``ACTIVE_DROP`` nats of the ray
-    maximum form the active region; a second pass of equal size draws t
-    values from the normalized piecewise-constant profile over those cells
-    by inverse transform. A ray whose coarse pass is entirely non-finite is
-    marked dead and gets no second pass. One likelihood call evaluates
-    every ray's coarse grid, a second every refilled ray's refill (skipped
-    when no ray is refilled). Every bank array, and the generator state
-    afterwards, equals bit for bit what surveying the rays one at a time
-    with the same generator gives: the refill draws are the only generator
-    use after the rays, and they are taken in ray order.
+    Each ray's samples come from an inclusive uniform coarse grid of
+    ``N_COARSE`` points in t. Values that are all finite with second
+    differences agreeing to ``PARABOLA_TOL`` of the largest lie on a
+    parabola, which they read exactly.
+    - Probe: every ray is evaluated at every ``PROBE_STEP``-th grid point,
+      both ends included (22 of 64). A ray whose probe values are a parabola
+      is read: it keeps its probe samples only.
+    - Completion: every other ray, including one with no finite probe
+      value, is evaluated at its other grid points. A ray whose whole grid
+      is non-finite is marked dead; one whose whole grid is a parabola
+      keeps its coarse samples only.
+    - Refill: on every other live ray, cells whose value sits within
+      ``ACTIVE_DROP`` nats of the ray maximum form the active region; a
+      pass of ``N_COARSE`` t values is drawn from the normalized
+      piecewise-constant profile over those cells by inverse transform.
+    Each pass is one likelihood call, skipped when it has no ray. A ray
+    that is not read at the probe takes the samples, and draws the refill,
+    it took when every ray paid the whole grid. Every bank array, and the
+    generator state afterwards, equals bit for bit what surveying the rays
+    one at a time with the same generator gives: the refill draws are the
+    only generator use after the rays, and they are taken in ray order.
 
-    The gate is blind to structure the grid aliases away: a ripple whose
-    period divides the grid step on every ray reads as a parabola.
+    The gates are blind to structure the grid aliases away: a ripple whose
+    period divides the grid step on every ray reads as a parabola, and at
+    the probe so does one whose period divides ``PROBE_STEP`` grid steps.
     """
     return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng)
 
 
 def _sample_rays(problem, kind, start, end, rng) -> RayBank:
-    """Coarse pass, then a refill of the rays that need one; see ``survey``."""
+    """Probe, completion and refill passes; see ``survey``."""
     t0 = np.linspace(0.0, 1.0, N_COARSE)
-    v0 = _eval_rays(problem, start, end, np.broadcast_to(t0, (kind.size, N_COARSE)))
-    live, refill, t1 = _refill_t(t0, v0, rng)
-    # An unrefilled row keeps its padding: t = +inf, a NaN value.
-    t_all = np.concatenate([np.broadcast_to(t0, v0.shape), np.full(v0.shape, np.inf)],
-                           axis=1)
-    v_all = np.concatenate([v0, np.full(v0.shape, np.nan)], axis=1)
-    if refill.any():
-        t_all[refill, N_COARSE:] = t1
-        v_all[refill, N_COARSE:] = _eval_rays(problem, start[refill], end[refill], t1)
+    probe = slice(0, N_COARSE, PROBE_STEP)
+    other = np.arange(N_COARSE) % PROBE_STEP != 0
+    # Row k holds ray k's coarse grid in t0 order, then its refill; a
+    # sample not taken is padding, t = +inf and a NaN value.
+    t_all = np.full((kind.size, 2 * N_COARSE), np.inf)
+    v_all = np.full((kind.size, 2 * N_COARSE), np.nan)
+    t_all[:, probe] = t0[probe]
+    v_all[:, probe] = _eval_rays(problem, start, end, t_all[:, probe])
+    live = _parabolic(v_all[:, probe])
+    rest = np.flatnonzero(~live)
+    if rest.size:
+        t_all[np.ix_(rest, other)] = t0[other]
+        v_all[np.ix_(rest, other)] = _eval_rays(problem, start[rest], end[rest],
+                                                t_all[np.ix_(rest, other)])
+        live[rest], refill, t1 = _refill_t(t0, v_all[rest, :N_COARSE], rng)
+        refilled = rest[refill]
+        if refilled.size:
+            t_all[refilled, N_COARSE:] = t1
+            v_all[refilled, N_COARSE:] = _eval_rays(problem, start[refilled], end[refilled], t1)
     t_all, v_all = t_all[live], v_all[live]
     order = np.argsort(t_all, axis=1, kind="stable")
     t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))

@@ -12,6 +12,7 @@ from laplev.discovery import (
     N_CLOUD,
     N_COARSE,
     PARABOLA_TOL,
+    PROBE_STEP,
     RAY_SUN,
     RAY_V2E,
     RAY_V2V,
@@ -149,34 +150,53 @@ def _parabolic_reference(v) -> bool:
     return bool(np.max(np.abs(d2 - d2.mean())) <= PARABOLA_TOL * np.max(np.abs(d2)))
 
 
-def _padded(ray, t0, v0, t1=None, v1=None) -> RaySamples:
-    """A live ray's sorted samples; an unrefilled ray pads with t = inf, NaN."""
-    if t1 is None:
-        t1, v1 = np.full(t0.size, np.inf), np.full(t0.size, np.nan)
-    t_all, v_all = np.concatenate([t0, t1]), np.concatenate([v0, v1])
+def _padded(ray, t, v) -> RaySamples:
+    """A live ray's samples sorted by t, padded to 2 N_COARSE with t = inf, NaN."""
+    pad = 2 * N_COARSE - t.size
+    t_all = np.concatenate([t, np.full(pad, np.inf)])
+    v_all = np.concatenate([v, np.full(pad, np.nan)])
     order = np.argsort(t_all, kind="stable")
     return RaySamples(ray, t_all[order], v_all[order], False)
 
 
+T0 = np.linspace(0.0, 1.0, N_COARSE)
+T_PROBE = T0[::PROBE_STEP]  # the probe points, both ends included
+T_OTHER = T0[np.arange(N_COARSE) % PROBE_STEP != 0]  # the completion points
+N_PROBE = T_PROBE.size
+
+
+def _coarse(v_probe, v_other):
+    """One ray's 64 coarse values in t order, from its probe and completion values."""
+    v0 = np.empty(N_COARSE)
+    v0[::PROBE_STEP] = v_probe
+    v0[np.arange(N_COARSE) % PROBE_STEP != 0] = v_other
+    return v0
+
+
 def _sample_rays_reference(problem, rays, rng) -> list:
-    t0 = np.linspace(0.0, 1.0, N_COARSE)
-    v0 = _eval_rays_reference(problem, rays, np.broadcast_to(t0, (len(rays), N_COARSE)))
-    live, refill, t1 = laplev.discovery._refill_t(t0, v0, rng)
-    # The gate, ray by ray: every live ray off a parabola is refilled.
+    vp = _eval_rays_reference(problem, rays, np.broadcast_to(T_PROBE, (len(rays), N_PROBE)))
+    unread = [i for i in range(len(rays)) if not _parabolic_reference(vp[i])]
+    out = [_padded(ray, T_PROBE, v) for ray, v in zip(rays, vp)]
+    if not unread:
+        return out
+    vr = _eval_rays_reference(problem, [rays[i] for i in unread],
+                              np.broadcast_to(T_OTHER, (len(unread), T_OTHER.size)))
+    v0 = np.array([_coarse(vp[i], v) for i, v in zip(unread, vr)])
+    live, refill, t1 = laplev.discovery._refill_t(T0, v0, rng)
+    # The gate, ray by ray: every live unread ray off a parabola is refilled.
     assert refill.tolist() == [bool(np.isfinite(v).any()) and not _parabolic_reference(v)
                                for v in v0]
     refilled = np.flatnonzero(refill)
     if refilled.size:
-        v1 = _eval_rays_reference(problem, [rays[i] for i in refilled], t1)
-    out = []
-    for i, ray in enumerate(rays):
-        if not live[i]:
-            out.append(RaySamples(ray, t0.copy(), v0[i], True))
-        elif refill[i]:
-            k = int(np.searchsorted(refilled, i))
-            out.append(_padded(ray, t0, v0[i], t1[k], v1[k]))
+        v1 = _eval_rays_reference(problem, [rays[unread[k]] for k in refilled], t1)
+    for k, i in enumerate(unread):
+        if not live[k]:
+            out[i] = RaySamples(rays[i], T0.copy(), v0[k], True)
+        elif refill[k]:
+            j = int(np.searchsorted(refilled, k))
+            out[i] = _padded(rays[i], np.r_[T0, t1[j]], np.r_[v0[k], v1[j]])
         else:
-            out.append(_padded(ray, t0, v0[i]))
+            out[i] = _padded(rays[i], T0, v0[k])
     return out
 
 
@@ -379,6 +399,11 @@ def _refilled(bank):
     return np.isfinite(bank.t[:, -1])
 
 
+def _read(bank):
+    """Which live rows of the bank were read at the probe: they hold only its points."""
+    return np.isinf(bank.t[:, N_PROBE])
+
+
 def one_ray(problem, kind, start, end, rng):
     """Survey a single ray: one likelihood call per pass."""
     return _sample_rays(problem, np.array([kind]), np.array([start], dtype=np.float64),
@@ -397,7 +422,7 @@ def test_two_pass_refines_inside_active_region():
     p = Problem(_sharp_bump, box(2))
     bank = one_ray(p, RAY_W2W, [-5.0, 0.0], [5.0, 0.0], np.random.default_rng(3))
     assert not bank.dead[0]
-    assert bank.t.shape == (1, 128) and p.eval_counter == 128
+    assert bank.t.shape == (1, 128) and p.eval_counter == 128 and p.call_counter == 3
     refined_t = _refill(bank)
     assert refined_t.size == N_COARSE
     # active region: |x| < sqrt(2 * 20 * 1e-4) = 0.0632 -> t within 0.5 +- 0.0063,
@@ -411,16 +436,18 @@ def test_two_pass_dead_ray_skips_refinement():
     p = Problem(lambda x: np.full(x.shape[0], -np.inf), box(2))
     bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(0))
     assert bank.dead[0]
-    assert p.eval_counter == 64
+    # The probe finds no finite value, so the completion runs: all 64 are dead.
+    assert p.eval_counter == 64 and p.call_counter == 2
     # A dead ray keeps no row of samples.
     assert bank.t.shape == bank.logl.shape == (0, 128)
 
 
 def test_two_pass_uniform_likelihood_spreads_samples():
-    # Exactly uniform is a (flat) parabola: the coarse grid is the profile.
+    # Exactly uniform is a (flat) parabola: the probe reads the profile.
     p = Problem(lambda x: np.zeros(x.shape[0]), box(2))
     bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
-    assert not _refilled(bank)[0] and p.call_counter == 1 and _refill(bank).size == 0
+    assert _read(bank)[0] and p.call_counter == 1 and p.eval_counter == N_PROBE
+    assert not _refilled(bank)[0] and _refill(bank).size == 0
     # Within a nat of uniform, with a kink: the refill spreads over the ray.
     p = Problem(lambda x: -np.abs(x[:, 0] + x[:, 1]) / 10.0, box(2))
     bank = one_ray(p, RAY_V2V, [-5.0, -5.0], [5.0, 5.0], np.random.default_rng(5))
@@ -434,10 +461,12 @@ def test_survey_batches_and_counter():
     bank = survey(p, np.random.default_rng(11))
     assert len(bank.kind) == 44
     n_live = int(np.sum(~bank.dead))
+    n_read = int(_read(bank).sum())
     n_refilled = int(_refilled(bank).sum())
-    assert 0 < n_refilled < n_live
+    assert 0 < n_read and 0 < n_refilled <= n_live - n_read
     assert bank.t.shape == (n_live, 128)
-    assert p.eval_counter == 44 * 64 + n_refilled * 64
+    assert p.eval_counter == (44 * N_PROBE + (44 - n_read) * (N_COARSE - N_PROBE)
+                              + n_refilled * N_COARSE)
 
 
 def _half_ripple(x):
@@ -462,13 +491,16 @@ class CountingProblem(Problem):
 
 
 def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
-    """One ray, at most two likelihood calls: the survey as it was written per ray."""
+    """One ray, at most three likelihood calls: the survey as it was written per ray."""
 
     def at(t):
         return ray.start + t[:, None] * (ray.end - ray.start)
 
+    v_probe = problem.logl(at(T_PROBE))
+    if _parabolic_reference(v_probe):
+        return _padded(ray, T_PROBE, v_probe)
     t0 = np.linspace(0.0, 1.0, n_coarse)
-    v0 = problem.logl(at(t0))
+    v0 = _coarse(v_probe, problem.logl(at(T_OTHER)))
     finite = np.isfinite(v0)
     if not finite.any():
         return RaySamples(ray, t0, v0, True)
@@ -488,7 +520,7 @@ def _two_pass_reference(problem, ray, rng, n_coarse=64, active_drop=20.0):
     lo = cum[cells] - weights[cells]
     frac = np.where(weights[cells] > 0, (targets - lo) / weights[cells], 0.5)
     t1 = edges[cells] + frac * cell_w[cells]
-    return _padded(ray, t0, v0, t1, problem.logl(at(t1)))
+    return _padded(ray, np.r_[t0, t1], np.r_[v0, problem.logl(at(t1))])
 
 
 def _one_ray_reference(problem, ray, rng):
@@ -509,21 +541,24 @@ def _corner_only(x):
     (_half_ripple, 2),
     (_half_ripple, 3),
 ])
-def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
-    # A quartic is off a parabola on every ray: every ray is refilled. On
-    # the others some rays are dead or parabolic and draw nothing.
+def test_survey_calls_bitwise_equal_to_per_ray_loop(fn, d):
+    # A quartic is off a parabola on every ray: every ray is completed and
+    # refilled. On the others some rays are dead, or read at the probe, and
+    # draw nothing.
     p = CountingProblem(fn, box(d))
     bank = survey(p, np.random.default_rng(8))
-    assert p.calls == 2
+    assert p.calls == 3
+    n_rays = len(bank.kind)
     n_dead = int(bank.dead.sum())
+    n_unread = n_rays - int(_read(bank).sum())
     n_refilled = int(_refilled(bank).sum())
     if fn is _corner_only:
-        assert 0 < n_dead < len(bank.kind)
+        assert 0 < n_dead < n_unread <= n_rays
     elif fn is _half_ripple:
-        assert 0 < n_refilled < len(bank.kind)
+        assert 0 < n_refilled <= n_unread < n_rays
     else:
-        assert n_refilled == len(bank.kind)
-    assert p.rows == [64 * len(bank.kind), 64 * n_refilled]
+        assert n_refilled == n_unread == n_rays
+    assert p.rows == [N_PROBE * n_rays, (N_COARSE - N_PROBE) * n_unread, N_COARSE * n_refilled]
     expected_counter = p.eval_counter
 
     for single in (_one_ray_reference, _two_pass_reference):
@@ -532,16 +567,17 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
         rays = [single(q, ray, rng) for ray in _generate_rays_reference(q.bounds, rng)]
         assert _bank_bytes(_as_bank(rays)) == _bank_bytes(bank)
         assert q.eval_counter == expected_counter
-        assert q.calls == len(rays) + n_refilled
+        assert q.calls == n_rays + n_unread + n_refilled
 
 
-def test_survey_all_rays_dead_makes_one_call():
+def test_survey_all_rays_dead_makes_probe_and_completion_calls():
+    # No probe value is finite, so every ray is completed; all 64 values are
+    # dead, so no ray is refilled.
     p = CountingProblem(lambda x: np.full(x.shape[0], -np.inf), box(3))
     rng = np.random.default_rng(0)
     bank = survey(p, rng)
-    assert p.calls == 1
     assert bank.dead.all()
-    assert p.eval_counter == 64 * len(bank.kind)
+    assert p.rows == [N_PROBE * len(bank.kind), (N_COARSE - N_PROBE) * len(bank.kind)]
     rng_loop = np.random.default_rng(0)
     q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
     rays = [_one_ray_reference(q, ray, rng_loop)
@@ -569,20 +605,22 @@ def test_points_along_is_bitwise_the_textbook_sum(ray_shape, t_shape):
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("gaussian", 1024),
                                       ("correlated", 16), ("rotated-cigar", 16)])
 def test_gaussian_survey_is_one_call_of_coarse_rows(name, dim):
-    # A Gaussian is a parabola along every line: no ray is refilled, and
-    # the survey is the one call of every ray's coarse grid.
+    # A Gaussian is a parabola along every line: every ray is read at the
+    # probe, and the survey is the one call of every ray's probe points.
     p = get_target(name, dim, allow_large=True).problem
     bank = survey(p, np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0]))
-    assert p.call_counter == 1 and p.eval_counter == len(bank.kind) * N_COARSE
-    assert not bank.dead.any() and not _refilled(bank).any()
-    assert np.isinf(bank.t[:, N_COARSE:]).all() and np.isnan(bank.logl[:, N_COARSE:]).all()
+    assert p.call_counter == 1 and p.eval_counter == len(bank.kind) * N_PROBE
+    assert not bank.dead.any() and _read(bank).all()
+    assert (bank.t[:, :N_PROBE] == T_PROBE).all()
+    assert np.isinf(bank.t[:, N_PROBE:]).all() and np.isnan(bank.logl[:, N_PROBE:]).all()
 
 
 def test_eggbox_survey_refills_every_ray():
+    # No eggbox ray is read at the probe: each is completed, then refilled.
     p = get_target("eggbox", 2).problem
     bank = survey(p, np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0]))
     assert _refilled(bank).all() and len(bank.t) == len(bank.kind)
-    assert p.call_counter == 2 and p.eval_counter == len(bank.kind) * 2 * N_COARSE
+    assert p.call_counter == 3 and p.eval_counter == len(bank.kind) * 2 * N_COARSE
 
 
 def test_ripple_ray_is_refilled_and_parabolic_ray_is_not():
@@ -594,9 +632,52 @@ def test_ripple_ray_is_refilled_and_parabolic_ray_is_not():
     bank = _sample_rays(p, np.array([RAY_W2W, RAY_W2W]), start, end,
                         np.random.default_rng(2))
     assert _refilled(bank).tolist() == [True, False]
-    assert p.rows == [2 * N_COARSE, N_COARSE]
-    np.testing.assert_array_equal(bank.t[1, :N_COARSE], np.linspace(0.0, 1.0, N_COARSE))
-    assert np.isinf(bank.t[1, N_COARSE:]).all() and np.isnan(bank.logl[1, N_COARSE:]).all()
+    assert _read(bank).tolist() == [False, True]
+    assert p.rows == [2 * N_PROBE, N_COARSE - N_PROBE, N_COARSE]
+    np.testing.assert_array_equal(bank.t[1, :N_PROBE], T_PROBE)
+    assert np.isinf(bank.t[1, N_PROBE:]).all() and np.isnan(bank.logl[1, N_PROBE:]).all()
+
+
+def _grid_ripple(period_steps):
+    """A wide bowl along x0 in [-10, 10] with a cosine ripple of the given
+    period, in coarse-grid steps of a wall-to-wall ray along x0; the ripple
+    peaks on every grid point a multiple of its period from the wall."""
+    h = 20.0 / (N_COARSE - 1)
+
+    def fn(x):
+        return (-np.sum(x * x, axis=1) / 200.0
+                + 0.5 * np.cos(2.0 * np.pi * (x[:, 0] + 10.0) / (period_steps * h)))
+
+    return fn
+
+
+def _ripple_ray(period_steps):
+    """The wall-to-wall ray along x0 through a grid ripple, surveyed alone."""
+    p = CountingProblem(_grid_ripple(period_steps), box(2, -10, 10))
+    bank = _sample_rays(p, np.array([RAY_W2W]), np.array([[-10.0, 0.3]]),
+                        np.array([[10.0, 0.3]]), np.random.default_rng(2))
+    return p, bank
+
+
+def test_ripple_of_two_grid_steps_is_not_read_at_the_probe():
+    # The probe steps 3 grid steps, an odd count, so a ripple of period 2
+    # alternates from one probe point to the next: the ray is completed and
+    # refilled.
+    p, bank = _ripple_ray(2)
+    assert not _read(bank)[0] and _refilled(bank)[0]
+    assert p.rows == [N_PROBE, N_COARSE - N_PROBE, N_COARSE]
+
+
+@pytest.mark.parametrize("period_steps", [3, 1.5])
+def test_ripple_dividing_the_probe_step_is_read_at_the_probe(period_steps):
+    # The probe's blind spot: a ripple whose period divides 3 grid steps
+    # shows the same phase at every probe point, so the ray reads as a
+    # parabola and keeps the probe alone, although the whole coarse grid
+    # is not a parabola and would have the ray refilled.
+    p, bank = _ripple_ray(period_steps)
+    assert _read(bank)[0] and p.rows == [N_PROBE]
+    whole = p.logl(_points_along(np.array([-10.0, 0.3]), np.array([10.0, 0.3]), T0))
+    assert not _parabolic_reference(whole)
 
 
 # ---------------------------------------------------------------- ray bank

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplev.discovery import (K_PER_BASIN, _smoothed_ascent, discover_modes,
-                              group_seeds, smoothed_gradient)
+from laplev.discovery import (K_PER_BASIN, N_COARSE, PROBE_STEP, _smoothed_ascent,
+                              discover_modes, group_seeds, smoothed_gradient)
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.evidence import mode_evidence, probe_offdiag
@@ -257,6 +257,14 @@ def test_result_reports_its_survey(name, dim):
     assert block["scale_fallback"] is scales["fallback"]
     assert 0 < block["ascents"] <= block["seeds"]
     assert (block["ascents"] == K_PER_BASIN) is (name != "mixture4")
+    # A Gaussian's survey is one call of every ray's probe points; mixture4
+    # rays that are not read at the probe are completed, then refilled.
+    res = json.loads(texts[0])
+    if name == "mixture4":
+        assert res["call_counts"]["survey"] == 3
+    else:
+        assert res["call_counts"]["survey"] == 1
+        assert res["eval_counts"]["survey"] == 4 * n * len(range(0, N_COARSE, PROBE_STEP))
 
 
 # ---------------------------------------------------------------------------
