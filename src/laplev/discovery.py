@@ -246,6 +246,7 @@ def survey(problem, rng) -> RayBank:
     ``N_COARSE`` points in t. Values that are all finite with second
     differences agreeing to ``PARABOLA_TOL`` of the largest lie on a
     parabola, which they read exactly.
+
     - Probe: every ray is evaluated at every ``PROBE_STEP``-th grid point,
       both ends included (22 of 64). A ray whose probe values are a parabola
       is read: it keeps its probe samples only.
@@ -257,12 +258,14 @@ def survey(problem, rng) -> RayBank:
       ``ACTIVE_DROP`` nats of the ray maximum form the active region; a
       pass of ``N_COARSE`` t values is drawn from the normalized
       piecewise-constant profile over those cells by inverse transform.
-    Each pass is one likelihood call, skipped when it has no ray. A ray
-    that is not read at the probe takes the samples, and draws the refill,
-    it took when every ray paid the whole grid. Every bank array, and the
-    generator state afterwards, equals bit for bit what surveying the rays
-    one at a time with the same generator gives: the refill draws are the
-    only generator use after the rays, and they are taken in ray order.
+
+    Each pass is one likelihood call, skipped when it has no ray. Probe and
+    completion together evaluate an unread ray on the whole coarse grid, so
+    its samples and its refill draws do not depend on the probe. Every
+    bank array, and the generator state afterwards, equals bit for bit
+    what surveying the rays one at a time with the same generator gives:
+    the refill draws are the only generator use after the rays, and they
+    are taken in ray order.
 
     The gates are blind to structure the grid aliases away: a ripple whose
     period divides the grid step on every ray reads as a parabola, and at
@@ -282,12 +285,13 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
     v_all = np.full((kind.size, 2 * N_COARSE), np.nan)
     t_all[:, probe] = t0[probe]
     v_all[:, probe] = _eval_rays(problem, start, end, t_all[:, probe])
+    # A ray read at the probe is live; the rest are judged on the whole grid.
     live = _parabolic(v_all[:, probe])
     rest = np.flatnonzero(~live)
     if rest.size:
-        t_all[np.ix_(rest, other)] = t0[other]
-        v_all[np.ix_(rest, other)] = _eval_rays(problem, start[rest], end[rest],
-                                                t_all[np.ix_(rest, other)])
+        cols = np.ix_(rest, other)
+        t_all[cols] = t0[other]
+        v_all[cols] = _eval_rays(problem, start[rest], end[rest], t_all[cols])
         live[rest], refill, t1 = _refill_t(t0, v_all[rest, :N_COARSE], rng)
         refilled = rest[refill]
         if refilled.size:
@@ -374,10 +378,11 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     pick = np.zeros(val.size, dtype=bool)
     # A stable sort ranks equal values in sample order.
     pick[np.argsort(-val, kind="stable")[:q]] = True
-    # Champion per ray: its first maximum, as a flat index into the bank,
-    # then into the finite samples; a row with no finite value has none.
-    best = np.arange(n_live) * m + np.argmax(np.where(finite, bank.logl.ravel(), -np.inf)
-                                             .reshape(n_live, m), axis=1)
+    # Champion per ray: its first maximum. A row's argmax is a flat index
+    # into the bank, which the running count of finite samples maps into
+    # the finite samples; a row with no finite value has no champion.
+    v = np.where(finite, bank.logl.ravel(), -np.inf).reshape(n_live, m)
+    best = np.arange(n_live) * m + np.argmax(v, axis=1)
     pick[(np.cumsum(finite) - 1)[best[finite[best]]]] = True
     idx = np.flatnonzero(pick)
     # Positions of the picked samples only.

@@ -541,10 +541,11 @@ def _corner_only(x):
     (_half_ripple, 2),
     (_half_ripple, 3),
 ])
-def test_survey_calls_bitwise_equal_to_per_ray_loop(fn, d):
-    # A quartic is off a parabola on every ray: every ray is completed and
-    # refilled. On the others some rays are dead, or read at the probe, and
-    # draw nothing.
+def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
+    # Named when the survey made two calls; it makes three now: probe,
+    # completion, refill. A quartic is off a parabola on every ray: every
+    # ray is completed and refilled. On the others some rays are dead, or
+    # read at the probe, and draw nothing.
     p = CountingProblem(fn, box(d))
     bank = survey(p, np.random.default_rng(8))
     assert p.calls == 3
