@@ -14,8 +14,12 @@ seeds are read off every ray at once, in array operations. The length
 scale is the smallest profile width the rays show at their best samples.
 The seeds are then grouped into basins by a hill-valley test: a seed joins
 the basin of its nearest better seed when the log-likelihood is concave on
-the segment between them (one batched call holds every segment), and only
-the best few seeds of each basin go on.
+the segment between them, and only the best few seeds of each basin go on.
+The test costs at most two batched calls: one probes every segment at
+three points, which read a segment whose values lie on a concave parabola,
+and a second completes every other segment's grid. A Gaussian target
+groups in one call. A valley narrower than a quarter of a segment can hide
+between its probe points; that segment reads as concave.
 Then it runs a stick/release cycle: batches of seeds ascend until they
 stick to a peak, which is then held and never evaluated again; duplicates
 of a held peak retire, and only the samples that did not stick climb a few
@@ -199,9 +203,12 @@ def _refill_t(t0, v0, rng):
     weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
     cum = np.cumsum(weights, axis=1)
     targets = rng.random(cum.shape) * cum[:, -1:]
-    # On each nondecreasing row, the count of cum <= x is
-    # np.searchsorted(row, x, side="right"), which has no row-wise form.
-    cells = np.minimum((targets[:, :, None] >= cum[:, None, :]).sum(axis=2), n_coarse - 1)
+    # np.searchsorted has no row-wise form: one call per refilled ray, which
+    # is faster than one broadcast count of cum <= x over all rows.
+    cells = np.minimum(
+        [np.searchsorted(c, x, side="right") for c, x in zip(cum, targets)],
+        n_coarse - 1,
+    )
     w = np.take_along_axis(weights, cells, axis=1)
     lo = np.take_along_axis(cum, cells, axis=1) - w
     frac = np.where(w > 0, (targets - lo) / w, 0.5)
@@ -417,29 +424,70 @@ def _nearest_better(seeds):
     return near, np.sqrt(sq)
 
 
+def _second(prof) -> np.ndarray:
+    """Second differences ``a - 2b + c`` along each row of ``prof``."""
+    with np.errstate(invalid="ignore"):
+        return prof[:, :-2] - 2.0 * prof[:, 1:-1] + prof[:, 2:]
+
+
 def _concave(problem, seeds, seed_logl, near, n_test):
     """Whether each seed's log-likelihood profile to its nearest better is concave.
 
     Seed i (1..n-1) is joined to ``seeds[near[i - 1]]`` by ``n_test[i - 1]``
-    evenly spaced interior points; every pair's points go out in one
-    batched call. The profile (v_i, interior values, v_j) is concave when
-    each of its second differences is <= 0; a non-finite value fails it.
+    evenly spaced interior points. The profile (v_i, interior values, v_j)
+    is concave when each of its second differences is <= 0; a non-finite
+    value fails it. Two batched calls at most:
+
+    - Probe: every segment is evaluated at t = 1/4, 1/2 and 3/4, which
+      with the two seed values gives five uniform points. A segment whose
+      grid is those three points (m = ``N_TEST_MIN``) is judged on them;
+      any other segment is read as concave when its five points are
+      ``_parabolic`` and none of their second differences is positive.
+    - Completion: every segment the probe did not decide is evaluated on
+      its grid, and judged on its whole profile. The probe points are on
+      the grid when 4 divides m + 1, and are not evaluated again; any
+      other completed segment pays m points after the probe's 3.
+
+    Returns the verdicts and the mask of segments the probe decided.
     """
-    pair = np.repeat(np.arange(n_test.size), n_test)
-    k = np.arange(pair.size) - (np.cumsum(n_test) - n_test)[pair] + 1
-    pts = _points_along(seeds[pair + 1], seeds[near[pair]], k / (n_test[pair] + 1))
-    # Row p is pair p's profile (v_i, interior values, v_j), zero-padded.
-    prof = np.zeros((n_test.size, int(n_test.max()) + 2))
-    prof[:, 0] = seed_logl[1:]
-    prof[pair, k] = problem.logl(pts)
-    prof[np.arange(n_test.size), n_test + 1] = seed_logl[near]
-    with np.errstate(invalid="ignore"):
-        second = prof[:, :-2] - 2.0 * prof[:, 1:-1] + prof[:, 2:]
-    inside = np.arange(second.shape[1]) < n_test[:, None]
-    return np.all(~inside | (second <= 0.0), axis=1)
+    n_pair = n_test.size
+    ends = seeds[near]
+    five = np.empty((n_pair, 5))
+    five[:, 0] = seed_logl[1:]
+    five[:, 1:4] = problem.logl(
+        _points_along(seeds[1:, None], ends[:, None], np.array([0.25, 0.5, 0.75]))
+        .reshape(3 * n_pair, -1)).reshape(n_pair, 3)
+    five[:, 4] = seed_logl[near]
+    down = np.all(_second(five) <= 0.0, axis=1)
+    read = (n_test == N_TEST_MIN) | (down & _parabolic(five))
+    concave = read & down
+    rest = np.flatnonzero(~read)
+    if rest.size == 0:
+        return concave, read
+    m = n_test[rest]
+    # Row r is segment rest[r]'s profile (v_i, interior values, v_j),
+    # zero-padded. Where 4 divides m + 1 the probe points are grid points
+    # q, 2q and 3q, q = (m + 1) / 4, and only the others are evaluated;
+    # elsewhere (q = m + 1, which no grid index reaches) the whole grid is.
+    prof = np.zeros((rest.size, int(m.max()) + 2))
+    rows = np.arange(rest.size)
+    prof[:, 0] = five[rest, 0]
+    prof[rows, m + 1] = five[rest, 4]
+    on = (m + 1) % 4 == 0
+    quarter = np.where(on, (m + 1) // 4, m + 1)
+    prof[rows[on, None], quarter[on, None] * np.arange(1, 4)] = five[rest[on], 1:4]
+    row = np.repeat(rows, m)
+    k = np.arange(row.size) - (np.cumsum(m) - m)[row] + 1
+    other = k % quarter[row] != 0
+    row, k = row[other], k[other]
+    seg = rest[row]
+    prof[row, k] = problem.logl(_points_along(seeds[seg + 1], ends[seg], k / (m[row] + 1)))
+    inside = np.arange(prof.shape[1] - 2) < m[:, None]
+    concave[rest] = np.all(~inside | (_second(prof) <= 0.0), axis=1)
+    return concave, read
 
 
-def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> np.ndarray:
+def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> tuple[np.ndarray, np.ndarray]:
     """Basin label of every seed, by a line-concavity (hill-valley) test.
 
     ``seeds`` come ranked best first with their survey values ``seed_logl``,
@@ -451,17 +499,27 @@ def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> np.ndarray:
     difference of (v_i, interior values, v_j) is <= 0. Otherwise i starts
     a basin of its own. A log-concave target thus collapses to one basin,
     and any valley, shoulder or plateau on a segment keeps the two seeds
-    apart. One batched likelihood call evaluates every segment; none is
-    made for fewer than two seeds. Basins are numbered in the order of
-    their best seed.
+    apart. Basins are numbered in the order of their best seed.
+
+    Along a segment of a Gaussian-class target the log-likelihood is a
+    parabola, which five uniform points show. So one batched call probes
+    every segment at t = 1/4, 1/2 and 3/4, and a segment whose five points
+    lie on a concave parabola is read as concave; a second call completes
+    every other segment's grid (see ``_concave``). The probe is blind to
+    a valley narrower than a quarter of the segment whose five points
+    still lie on a parabola to ``PARABOLA_TOL``: that segment reads as
+    concave. No call is made for fewer than two seeds.
+
+    Returns the labels and the mask of segments the probe decided, one
+    per seed after the first.
     """
     n = seeds.shape[0]
     basin = np.zeros(n, dtype=np.int64)
     if n < 2:
-        return basin
+        return basin, np.zeros(0, dtype=bool)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, N_TEST_MIN, N_TEST_MAX)
-    concave = _concave(problem, seeds, seed_logl, near, n_test.astype(np.int64))
+    concave, read = _concave(problem, seeds, seed_logl, near, n_test.astype(np.int64))
     n_basins = 1
     for i in range(1, n):
         if concave[i - 1]:
@@ -469,7 +527,7 @@ def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> np.ndarray:
         else:
             basin[i] = n_basins
             n_basins += 1
-    return basin
+    return basin, read
 
 
 def basin_leaders(basin) -> np.ndarray:

@@ -161,7 +161,8 @@ def run(problem, config: PipelineConfig):
 
     with meter.stage("discover"):
         try:
-            climb = basin_leaders(group_seeds(active, seeds, seed_logl, scales.lam_fine))
+            basin, read = group_seeds(active, seeds, seed_logl, scales.lam_fine)
+            climb = basin_leaders(basin)
             coarse = discover_modes(active, seeds[climb], scales, rng_discover,
                                     n_oscillations=config.n_oscillations)
         except NoModesFoundError as err:
@@ -214,7 +215,9 @@ def run(problem, config: PipelineConfig):
     result.seed = int(config.seed)
     result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),
                      "scale": scales.lam_fine, "scale_fallback": scales.fallback,
-                     "seeds": int(seeds.shape[0]), "ascents": int(climb.size)}
+                     "seeds": int(seeds.shape[0]), "segments_read": int(read.sum()),
+                     "segments_completed": int(read.size - read.sum()),
+                     "ascents": int(climb.size)}
     result.reduction = reduction
     result.timings_ms = meter.timings
     return result

@@ -456,6 +456,52 @@ def test_two_pass_uniform_likelihood_spreads_samples():
     assert refined.min() < 0.2 and refined.max() > 0.8
 
 
+def _refill_t_broadcast(t0, v0, rng):
+    """``_refill_t`` with every target's cell found by one broadcast count
+    of cum <= x over all rows, in place of a searchsorted per row."""
+    n_coarse = t0.size
+    finite = np.isfinite(v0)
+    live = finite.any(axis=1)
+    refill = live & np.array([not _parabolic_reference(v) for v in v0], dtype=bool)
+    if not refill.any():
+        return live, refill, np.zeros((0, n_coarse))
+    v0, finite = v0[refill], finite[refill]
+    vmax = np.where(finite, v0, -np.inf).max(axis=1, keepdims=True)
+    active = finite & (v0 > vmax - laplev.discovery.ACTIVE_DROP)
+    edges = np.concatenate([[0.0], 0.5 * (t0[:-1] + t0[1:]), [1.0]])
+    cell_w = np.diff(edges)
+    weights = np.where(active, np.exp(np.where(finite, v0, -np.inf) - vmax), 0.0) * cell_w
+    cum = np.cumsum(weights, axis=1)
+    targets = rng.random(cum.shape) * cum[:, -1:]
+    cells = np.minimum((targets[:, :, None] >= cum[:, None, :]).sum(axis=2), n_coarse - 1)
+    w = np.take_along_axis(weights, cells, axis=1)
+    lo = np.take_along_axis(cum, cells, axis=1) - w
+    frac = np.where(w > 0, (targets - lo) / w, 0.5)
+    return live, refill, edges[cells] + frac * cell_w[cells]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_refill_t_equals_the_broadcast_count(seed):
+    # Random rows: rough profiles with steep drops (cells outside the
+    # active region weigh nothing, so cum has flat runs) and holes of -inf
+    # and NaN, after four dead rows and six parabolic ones. Masks, refill positions and
+    # the generator state afterwards match bit for bit.
+    gen = np.random.default_rng(100 + seed)
+    rows = 44
+    v0 = (-np.abs(gen.standard_normal((rows, N_COARSE))).cumsum(axis=1)
+          * gen.uniform(0.1, 5.0, (rows, 1)))
+    v0[gen.random(v0.shape) < 0.05] = -np.inf
+    v0[gen.random(v0.shape) < 0.02] = np.nan
+    v0[:4] = np.nan
+    v0[4:10] = -0.5 * (T0 - gen.random()) ** 2
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = laplev.discovery._refill_t(T0, v0, got_rng)
+    want = _refill_t_broadcast(T0, v0, want_rng)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got[1].any() and (got[0] & ~got[1]).any() and not got[0].all()
+
+
 def test_survey_batches_and_counter():
     p = Problem(_half_ripple, box(2))
     bank = survey(p, np.random.default_rng(11))
@@ -1002,23 +1048,43 @@ def test_select_seeds_all_dead_gives_no_seeds():
 
 
 def _group_seeds_reference(problem, seeds, seed_logl, lam_fine):
-    """Seed grouping one pair at a time: one likelihood call per segment."""
-    near, dist, concave, basin = [], [], [], [0]
+    """Seed grouping one pair at a time: probe the segment, then complete it.
+
+    Each segment is probed at t = 1/4, 1/2, 3/4 in a call of its own. It is
+    decided there when its grid is those three points, or when its five
+    points (the seed values around the probe) are a concave parabola. Any
+    other segment is judged on its whole grid; it costs m points more,
+    m - 3 when the probe points are grid points (4 divides m + 1). Returns
+    the nearest-better indices and distances, the verdicts, the probe's
+    decisions, the labels and the completion's point count.
+    """
+    near, dist, concave, read, basin, completed = [], [], [], [], [0], 0
     for i in range(1, seeds.shape[0]):
         sq = [np.sum((seeds[i] - seeds[j]) ** 2) for j in range(i)]
         j = int(np.argmin(sq))
         r = np.sqrt(sq[j])
         m = int(min(max(np.ceil(2.0 * r / lam_fine) - 1.0, 3.0), 64.0))
-        t = np.arange(1, m + 1) / (m + 1)
-        u = problem.logl(_points_along(seeds[i], seeds[j], t))
-        prof = np.concatenate([[seed_logl[i]], u, [seed_logl[j]]])
-        ok = bool(np.all(prof[:-2] - 2.0 * prof[1:-1] + prof[2:] <= 0.0))
+        u = problem.logl(_points_along(seeds[i], seeds[j], np.array([0.25, 0.5, 0.75])))
+        five = np.concatenate([[seed_logl[i]], u, [seed_logl[j]]])
+        with np.errstate(invalid="ignore"):
+            down = bool(np.all(five[:-2] - 2.0 * five[1:-1] + five[2:] <= 0.0))
+        decided = m == 3 or (down and _parabolic_reference(five))
+        ok = down
+        if not decided:
+            t = np.arange(1, m + 1) / (m + 1)
+            prof = np.concatenate([[seed_logl[i]],
+                                   problem.logl(_points_along(seeds[i], seeds[j], t)),
+                                   [seed_logl[j]]])
+            with np.errstate(invalid="ignore"):
+                ok = bool(np.all(prof[:-2] - 2.0 * prof[1:-1] + prof[2:] <= 0.0))
+            completed += m - 3 if (m + 1) % 4 == 0 else m
         near.append(j)
         dist.append(r)
         concave.append(ok)
+        read.append(decided)
         basin.append(basin[j] if ok else max(basin) + 1)
     return (np.array(near, dtype=np.int64), np.array(dist), np.array(concave),
-            np.array(basin, dtype=np.int64))
+            np.array(read), np.array(basin, dtype=np.int64), completed)
 
 
 def _two_bumps(x):
@@ -1041,25 +1107,30 @@ def _ranked_seeds(problem, n, rng_seed):
 @pytest.mark.parametrize("fn", [_two_bumps, _ripple], ids=["two-bumps", "ripple"])
 @pytest.mark.parametrize("d", [1, 2, 8, 128, 1024])
 def test_group_seeds_matches_per_pair_reference(fn, d):
-    # Nearest-better indices, distances, verdicts and labels equal bit for
-    # bit a per-pair loop with one likelihood call per segment; the
-    # seed count spans several distance blocks.
+    # Nearest-better indices, distances, verdicts, probe decisions and
+    # labels equal bit for bit a per-pair loop that probes each segment,
+    # then completes it; the seed count spans several distance blocks.
     p = CountingProblem(fn, box(d))
-    seeds, seed_logl = _ranked_seeds(p, 29, d)
+    n = 29
+    seeds, seed_logl = _ranked_seeds(p, n, d)
     for lam_fine in (0.5, 3.0):
         near, dist = _nearest_better(seeds)
-        want_near, want_dist, want_concave, want_basin = _group_seeds_reference(
-            p, seeds, seed_logl, lam_fine)
+        (want_near, want_dist, want_concave, want_read, want_basin,
+         completed) = _group_seeds_reference(p, seeds, seed_logl, lam_fine)
         assert near.tobytes() == want_near.tobytes()
         assert dist.tobytes() == want_dist.tobytes()
         n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, 3, 64).astype(np.int64)
-        concave = _concave(p, seeds, seed_logl, near, n_test)
+        concave, read = _concave(p, seeds, seed_logl, near, n_test)
         assert concave.tobytes() == want_concave.tobytes()
+        assert read.tobytes() == want_read.tobytes()
         calls = p.calls
-        basin = group_seeds(p, seeds, seed_logl, lam_fine)
+        basin, read = group_seeds(p, seeds, seed_logl, lam_fine)
         assert basin.tobytes() == want_basin.tobytes()
-        # One call holds every segment's interior points.
-        assert p.calls == calls + 1 and p.rows[-1] == int(n_test.sum())
+        assert read.tobytes() == want_read.tobytes()
+        # One call probes every segment; a second, made only when some
+        # segment is left undecided, completes them all.
+        assert p.rows[calls:] == [3 * (n - 1)] + ([completed] if completed else [])
+        assert (completed > 0) is (not read.all())
 
 
 def test_group_seeds_sees_both_verdicts():
@@ -1068,19 +1139,76 @@ def test_group_seeds_sees_both_verdicts():
     seeds, seed_logl = _ranked_seeds(p, 40, 5)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / 0.5) - 1.0, 3, 64).astype(np.int64)
-    concave = _concave(p, seeds, seed_logl, near, n_test)
+    concave, _ = _concave(p, seeds, seed_logl, near, n_test)
     assert concave.any() and not concave.all()
-    assert group_seeds(p, seeds, seed_logl, 0.5).max() >= 1
+    assert group_seeds(p, seeds, seed_logl, 0.5)[0].max() >= 1
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_group_seeds_spends_nothing_below_two_seeds(n):
     p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
     seeds = np.zeros((n, 3))
-    basin = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
-    assert basin.tolist() == [0] * n
+    basin, read = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
+    assert basin.tolist() == [0] * n and read.size == 0
     assert p.calls == n  # only the value call above
     assert basin_leaders(basin).tolist() == list(range(n))
+
+
+def _dip(centre):
+    """A concave parabola in x0 with a valley 0.02 wide at x0 = ``centre``."""
+
+    def fn(x):
+        return -0.5 * np.sum(x * x, axis=1) - 5.0 * np.exp(-((x[:, 0] - centre) / 0.02) ** 2)
+
+    return fn
+
+
+def _dip_segment(centre, lam_fine):
+    """The two seeds x0 = 0 (best) and 1 on a dip, grouped at ``lam_fine``."""
+    p = CountingProblem(_dip(centre), box(1))
+    seeds = np.array([[0.0], [1.0]])
+    seed_logl = p.logl(seeds)
+    basin, read = group_seeds(p, seeds, seed_logl, lam_fine)
+    return p, seeds, seed_logl, basin, read
+
+
+def test_valley_between_the_probe_points_is_read_as_concave():
+    # The probe's blind spot: a valley narrower than a quarter of the
+    # segment, centred between the probe points x0 = 0.25 and 0.5, leaves
+    # the five probe values on a parabola to PARABOLA_TOL, so the segment
+    # is read as concave and the seeds share a basin, although its
+    # 64-point grid shows the valley.
+    p, seeds, seed_logl, basin, read = _dip_segment(0.375, 0.02)
+    assert read.tolist() == [True] and basin.tolist() == [0, 0]
+    assert p.rows[1:] == [3]
+    t = np.arange(1, 65) / 65
+    prof = np.concatenate([seed_logl[1:], p.logl(_points_along(seeds[1], seeds[0], t)),
+                           seed_logl[:1]])
+    assert np.any(prof[:-2] - 2.0 * prof[1:-1] + prof[2:] > 0.0)
+
+
+@pytest.mark.parametrize("lam_fine,completed", [(0.02, 64), (2.0 / 64, 60)],
+                         ids=["m=64", "m=63"])
+def test_valley_at_the_probe_is_completed_and_splits(lam_fine, completed):
+    # A valley at the segment's midpoint shows at the probe: the segment is
+    # completed on its grid, which splits the basin. At m = 63 the probe
+    # points are grid points, so completion evaluates only the other 60.
+    p, _, _, basin, read = _dip_segment(0.5, lam_fine)
+    assert read.tolist() == [False] and basin.tolist() == [0, 1]
+    assert p.rows[1:] == [3, completed]
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cigar"])
+def test_gaussian_segments_are_read_in_one_call(name):
+    # Along every segment of a Gaussian target the log-likelihood is a
+    # concave parabola: the probe decides every segment, in one call.
+    active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, 8)
+    root = getattr(active, "parent", active)
+    calls, evals = root.call_counter, root.eval_counter
+    basin, read = group_seeds(active, seeds, seed_logl, lam_fine)
+    assert read.all() and basin.tolist() == [0] * len(seeds)
+    assert root.call_counter == calls + 1
+    assert root.eval_counter == evals + 3 * (len(seeds) - 1)
 
 
 def test_basin_leaders_keeps_the_best_of_each_basin():
@@ -1105,7 +1233,7 @@ def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
     # Every segment of a log-concave target is concave, so every seed joins
     # the best one's basin and only its K_PER_BASIN best seeds ascend.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
-    assert group_seeds(active, seeds, seed_logl, lam_fine).tolist() == [0] * len(seeds)
+    assert group_seeds(active, seeds, seed_logl, lam_fine)[0].tolist() == [0] * len(seeds)
     rows = []
     ascent = laplev.discovery.run_batch
 
@@ -1124,7 +1252,7 @@ def test_mixture4_keeps_a_basin_per_mode(preset):
     # The valleys between mixture4's components keep its seeds in at least
     # four basins, and the leaders still climb to all four modes.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds("mixture4", 16)
-    assert group_seeds(active, seeds, seed_logl, lam_fine).max() + 1 >= 4
+    assert group_seeds(active, seeds, seed_logl, lam_fine)[0].max() + 1 >= 4
     res = run(get_target("mixture4", 16).problem, preset_config(preset, seed=1))
     assert len(res.modes) == 4
     assert res.survey["ascents"] < res.survey["seeds"]
@@ -1229,7 +1357,7 @@ def run_discovery(p, rng_seed=0, n_oscillations=1):
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
-    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine))
+    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
     return discover_modes(p, seeds[climb], est, rng, n_oscillations=n_oscillations)
 
 

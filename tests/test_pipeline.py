@@ -235,14 +235,15 @@ def test_timings_present_but_excluded_from_canonical_json():
 
 
 SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback",
-               "seeds", "ascents"}
+               "seeds", "segments_read", "segments_completed", "ascents"}
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
 def test_result_reports_its_survey(name, dim):
     # The survey block: ray counts per kind, dead rays, the length scale,
-    # which is the scale the behaviour baseline records for the cell, and
-    # how many seeds were picked and how many of them ascended.
+    # which is the scale the behaviour baseline records for the cell, how
+    # many seeds were picked, how their segments were tested and how many
+    # of the seeds ascended.
     config = preset_config("fast", seed=1)
     texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
     assert texts[0] == texts[1]
@@ -257,6 +258,10 @@ def test_result_reports_its_survey(name, dim):
     assert block["scale_fallback"] is scales["fallback"]
     assert 0 < block["ascents"] <= block["seeds"]
     assert (block["ascents"] == K_PER_BASIN) is (name != "mixture4")
+    # Every seed after the best has one segment, which the grouping's probe
+    # either decides or completes; a Gaussian's are all decided.
+    assert block["segments_read"] + block["segments_completed"] == block["seeds"] - 1
+    assert (block["segments_completed"] == 0) is (name != "mixture4")
     # A Gaussian's survey is one call of every ray's probe points; mixture4
     # rays that are not read at the probe are completed, then refilled.
     res = json.loads(texts[0])
