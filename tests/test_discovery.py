@@ -482,10 +482,10 @@ def _refill_t_broadcast(t0, v0, rng):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_refill_t_equals_the_broadcast_count(seed):
-    # Random rows: rough profiles with steep drops (cells outside the
-    # active region weigh nothing, so cum has flat runs) and holes of -inf
-    # and NaN, after four dead rows and six parabolic ones. Masks, refill positions and
-    # the generator state afterwards match bit for bit.
+    # Random rows: four dead rows, six parabolic ones, then rough profiles
+    # with steep drops (cells outside the active region weigh nothing, so
+    # cum has flat runs) and holes of -inf and NaN. Masks, refill positions
+    # and the generator state afterwards match bit for bit.
     gen = np.random.default_rng(100 + seed)
     rows = 44
     v0 = (-np.abs(gen.standard_normal((rows, N_COARSE))).cumsum(axis=1)
