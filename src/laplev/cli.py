@@ -50,7 +50,7 @@ def _print_summary(target, res, wall_s, out):
         more = "..." if len(m.peak.position) > 4 else ""
         print(f"  [{k}] logl={m.peak.logl:.6g} log_z={m.log_z:.6g} "
               f"hessian={m.hessian_kind} cond={m.condition_number:.3g} "
-              f"at {loc}{more}", file=out)
+              f"evals={m.evals_used} at {loc}{more}", file=out)
     if res.reduction is not None:
         for k, rep in enumerate(res.reduction):
             print(f"  [{k}] reduction: d_eff={rep.d_eff} "

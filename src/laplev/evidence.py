@@ -11,7 +11,10 @@ The random directions catch off-diagonal structure of mixed sign, which
 cancels along the diagonal direction. A d = 1 mode needs no test.
 
 Only modes judged to have cross terms pay for the full d x d Hessian
-stencil. That route factors -H by Cholesky: the factor is the positive
+stencil: each cross term from the mode's value and six more, the axis
+points x +- eps_i e_i and x +- eps_j e_j, which all pairs share, and the
+pair's own two points x +- (eps_i e_i + eps_j e_j); d (d + 1) evaluations
+in one batch. That route factors -H by Cholesky: the factor is the positive
 definiteness check, names the pivot where a non-concave mode breaks down,
 and gives log det(-H). Its condition number is the exact ratio of the
 extreme eigenvalues of -H. Total evidence is the log-sum-exp over modes
@@ -95,6 +98,7 @@ class ModeEvidence:
             "log_z": float(self.log_z),
             "hessian_kind": self.hessian_kind,
             "condition_number": float(self.condition_number),
+            "evals": int(self.evals_used),
         }
 
 
@@ -209,12 +213,16 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
 def full_hessian(problem, position, center_logl, hess_diag):
     """Full symmetric Hessian of the log-likelihood at a peak.
 
-    Off-diagonal entries come from the 4-point cross stencil
-    [f(+i,+j) - f(+i,-j) - f(-i,+j) + f(-i,-j)] / (4 eps_i eps_j)
-    with the same per-coordinate steps as the diagonal stage; the diagonal
-    is reused from ``hess_diag`` (already measured during refinement). All
-    2 d (d-1) off-diagonal evaluations are issued as a single batch, and
-    each cross term is written to both triangles.
+    Off-diagonal entries come from the seven-point mixed-derivative stencil
+    H_ij = [f(+i,+j) + f(-i,-j) - f(+i) - f(-i) - f(+j) - f(-j) + 2 f(x)]
+    / (2 eps_i eps_j), second order like the 4-point cross stencil, with
+    the same per-coordinate steps as the diagonal stage. Every value enters
+    as its difference from ``center_logl``, which must be f(x) at
+    ``position``. The diagonal is reused from ``hess_diag`` (already
+    measured during refinement). The 2d axis rows x +- eps_i e_i and the
+    two rows x +- (eps_i e_i + eps_j e_j) of each pair, d (d + 1)
+    evaluations, are issued as a single batch, and each cross term is
+    written to both triangles.
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -224,24 +232,28 @@ def full_hessian(problem, position, center_logl, hess_diag):
     widths = 1.0 / np.sqrt(-hess_diag)
     eps = hess_steps(position, widths)
 
-    # Four rows per pair (i, j) in row-major pair order: (+i,+j), (+i,-j),
-    # (-i,+j), (-i,-j).
+    # A + row and its mirrored - row per stencil point: the d axis points
+    # x + eps_i e_i, then the pairs (i, j) in row-major pair order at
+    # x + eps_i e_i + eps_j e_j. Every point steps along its ``first``
+    # axis, and a pair point along j as well.
     ii, jj = np.triu_indices(d, 1)
-    pair, corner = np.arange(ii.size)[:, None], np.arange(4)
-    rows = np.tile(position, (ii.size, 4, 1))
-    sign_i = np.array([1.0, 1.0, -1.0, -1.0])
-    sign_j = np.array([1.0, -1.0, 1.0, -1.0])
-    rows[pair, corner, ii[:, None]] += sign_i * eps[ii][:, None]
-    rows[pair, corner, jj[:, None]] += sign_j * eps[jj][:, None]
+    first = np.concatenate([np.arange(d), ii])
+    point = np.arange(first.size)[:, None]
+    rows = np.tile(position, (first.size, 2, 1))
+    sign = np.array([1.0, -1.0])
+    rows[point, [0, 1], first[:, None]] += sign * eps[first][:, None]
+    rows[point[d:], [0, 1], jj[:, None]] += sign * eps[jj][:, None]
     values = problem.logl(rows.reshape(-1, d))
     if not np.isfinite(values).all():
         raise HessianFailedError(
             "non-finite values in the off-diagonal Hessian stencil"
         )
 
-    vpp, vpm, vmp, vmm = values.reshape(-1, 4).T
+    # f(+) - f(x) + f(-) - f(x) for every stencil point
+    diffs = (values - center_logl).reshape(-1, 2)
+    sums = diffs[:, 0] + diffs[:, 1]
     hess = np.diag(hess_diag)
-    cross = (vpp - vpm - vmp + vmm) / (4.0 * eps[ii] * eps[jj])
+    cross = (sums[d:] - sums[ii] - sums[jj]) / (2.0 * eps[ii] * eps[jj])
     hess[ii, jj] = hess[jj, ii] = cross
     return hess
 

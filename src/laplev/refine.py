@@ -88,8 +88,9 @@ def refine_peaks(problem, coarse_peaks, lam_fine):
     steps follow its width, never below ``lam_fine``. The only likelihood
     call is the one ``diag_hessian`` batch, 2d rows per peak.
 
-    Returns (peaks, warnings). Raises the no-valid-maxima error, with a
-    per-filter casualty count, when every peak is rejected.
+    Returns (peaks, warnings); warnings holds at most one line, counting the
+    peaks whose width hit the resolution floor. Raises the no-valid-maxima
+    error, with a per-filter casualty count, when every peak is rejected.
     """
     if not coarse_peaks:
         raise NoValidMaximaError({"no_input_peaks": 0}, 0)
@@ -106,7 +107,9 @@ def refine_peaks(problem, coarse_peaks, lam_fine):
 
     hess = hess[alive]
     widths, floored = peak_widths(hess, problem.bounds.widths)
-    warnings = ["peak width hit the resolution floor"] * int(floored.sum())
+    n_floored = int(floored.sum())
+    warnings = ([f"peak width hit the resolution floor on {n_floored} of"
+                 f" {alive.size} peaks"] if n_floored else [])
     kept = dedup_linf(theta[alive], logl[alive], 1.0, widths=widths.min(axis=0))
     peaks = [
         RefinedPeak(

@@ -31,6 +31,8 @@ def test_run_success_prints_summary(capsys):
     assert "rel error" in out
     assert "evaluations" in out
     assert "\ncalls        " in out
+    # the one mode takes the diagonal route: probe and tail screen
+    assert re.search(r"\n  \[0\] logl=.* hessian=diagonal .* evals=10 at ", out)
     survey = [line for line in out.splitlines() if line.startswith("survey ")]
     # gaussian is log-concave: the grouping's probe reads all 30 segments
     # as concave, so its 31 seeds form one basin, and only that basin's best

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from laplev.evidence import (
     probe_offdiag,
 )
 from laplev.linalg import cholesky_lower, condition_pd
-from laplev.pipeline import preset_config, run
+from laplev.pipeline import preset_config, result_json, run
 from laplev.precheck import PrecheckReport
 from laplev.problem import BoundsBox, Problem
 from laplev.refine import RefinedPeak, hess_steps
+from laplev.targets import get_target
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -166,7 +169,8 @@ def test_full_hessian_rotated_cigar_recovered():
     np.testing.assert_allclose(h, h_true, rtol=1e-4, atol=1e-4 * scale)
 
 
-def test_full_hessian_one_batch_cost_two_d_dminus1():
+def test_full_hessian_one_batch_cost_d_dplus1():
+    # 2d axis rows and two rows per pair: d (d + 1) in one call
     batches = []
     d = 5
 
@@ -176,27 +180,32 @@ def test_full_hessian_one_batch_cost_two_d_dminus1():
 
     p = Problem(fn, box(d))
     full_hessian(p, np.zeros(d), 0.0, np.full(d, -1.0))
-    assert batches == [2 * d * (d - 1)]
+    assert batches == [d * (d + 1)]
 
 
-def _full_hessian_reference(problem, position, hess_diag):
-    """The cross stencil as a double loop over the pairs."""
+def _full_hessian_reference(problem, position, center_logl, hess_diag):
+    """The seven-point cross stencil as loops over the axes and the pairs."""
     d = position.size
     eps = hess_steps(position, 1.0 / np.sqrt(-hess_diag))
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows = np.empty((4 * len(pairs), d))
-    for k, (i, j) in enumerate(pairs):
-        for r, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+    points = [(i,) for i in range(d)] + pairs
+    rows = np.empty((2 * len(points), d))
+    for k, axes in enumerate(points):
+        for r, sign in enumerate((1.0, -1.0)):
             row = position.copy()
-            row[i] += si * eps[i]
-            row[j] += sj * eps[j]
-            rows[4 * k + r] = row
+            for a in axes:
+                row[a] += sign * eps[a]
+            rows[2 * k + r] = row
     values = problem.logl(rows)
+
+    def both(k):  # f(+) - f(x) + f(-) - f(x) at stencil point k
+        return (values[2 * k] - center_logl) + (values[2 * k + 1] - center_logl)
+
     hess = np.diag(hess_diag)
     for k, (i, j) in enumerate(pairs):
-        vpp, vpm, vmp, vmm = values[4 * k: 4 * k + 4]
-        hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * eps[i] * eps[j])
-    return 0.5 * (hess + hess.T)
+        hess[i, j] = hess[j, i] = (
+            (both(d + k) - both(i) - both(j)) / (2.0 * eps[i] * eps[j]))
+    return hess
 
 
 @pytest.mark.parametrize("d", [2, 5, 32])
@@ -205,17 +214,23 @@ def test_full_hessian_bitwise_equal_to_pair_loop(d):
     a = rng.standard_normal((d, d))
     h = -(a @ a.T / d + np.eye(d))
     position = rng.uniform(-1.0, 1.0, d)
+    mu = position + rng.uniform(-0.5, 0.5, d)  # no symmetry about the stencil
     batches = []
+
+    def value(x):
+        z = x - mu
+        return (3.0 + 0.5 * np.einsum("ni,ij,nj->n", z, h, z)
+                - 0.1 * np.sum(z ** 4, axis=1) + 0.05 * np.sum(z, axis=1) ** 3)
 
     def fn(x):
         batches.append(x.copy())
-        z = x - position
-        return 0.5 * np.einsum("ni,ij,nj->n", z, h, z) - 0.1 * np.sum(z ** 4, axis=1)
+        return value(x)
 
     p = Problem(fn, box(d))
     hess_diag = np.diag(h) * rng.uniform(0.5, 2.0, d)
-    got = full_hessian(p, position, 0.0, hess_diag)
-    want = _full_hessian_reference(p, position, hess_diag)
+    center = float(value(position[None, :])[0])
+    got = full_hessian(p, position, center, hess_diag)
+    want = _full_hessian_reference(p, position, center, hess_diag)
     assert batches[0].tobytes() == batches[1].tobytes()
     assert got.tobytes() == want.tobytes()
 
@@ -229,6 +244,54 @@ def test_full_hessian_nonfinite_raises():
     p = Problem(fn, box(2))
     with pytest.raises(HessianFailedError):
         full_hessian(p, np.zeros(2), 0.0, np.array([-1.0, -1.0]))
+
+
+def test_full_hessian_nonfinite_axis_value_raises():
+    # Only the axis row x - eps_0 e_0 is non-finite; every pair row is fine.
+    hit = []
+
+    def fn(x):
+        out = -0.5 * np.sum(x * x, axis=1)
+        axis_row = (x[:, 0] < 0) & (x[:, 1:] == 0).all(axis=1)
+        hit.append(int(axis_row.sum()))
+        out[axis_row] = -np.inf
+        return out
+
+    p = Problem(fn, box(3))
+    with pytest.raises(HessianFailedError):
+        full_hessian(p, np.zeros(3), 0.0, np.full(3, -1.0))
+    assert hit == [1]
+
+
+def test_full_hessian_cross_terms_second_order():
+    # Quadratic plus quartic couplings: the mixed partials at x are
+    # known, and the stencil's error is a multiple of eps^2 (the quartic's
+    # fourth derivatives are constant), so halving the widths, and so
+    # every step, cuts it by 4. A one-sided stencil would only halve it.
+    h = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, -0.4], [0.0, -0.4, -1.5]])
+
+    def fn(x):
+        quartic = (0.1 * x[:, 0] ** 3 * x[:, 1] + 0.05 * x[:, 0] ** 2 * x[:, 1] ** 2
+                   - 0.2 * x[:, 1] * x[:, 2] ** 3)
+        return 0.5 * np.einsum("ni,ij,nj->n", x, h, x) + quartic
+
+    x = np.array([0.7, -0.5, 0.4])
+    want = h.copy()
+    want[0, 1] = want[1, 0] = 0.3 + 0.3 * x[0] ** 2 + 0.2 * x[0] * x[1]
+    want[1, 2] = want[2, 1] = -0.4 - 0.6 * x[2] ** 2
+    p = Problem(fn, box(3))
+    center = float(p.logl(x[None, :])[0])
+    off = ~np.eye(3, dtype=bool)
+    errors = []
+    for width in (100.0, 50.0):  # steps 1e-2 and 5e-3
+        got = full_hessian(p, x, center, np.full(3, -1.0 / width ** 2))
+        errors.append(np.abs(got - want)[off])
+    coarse, fine = errors
+    # (0, 2) has no fourth-order coupling: exact up to rounding
+    assert max(coarse[[1, 4]].max(), fine[[1, 4]].max()) < 1e-9
+    for k in (0, 2, 3, 5):  # the (0, 1) and (1, 2) entries, both triangles
+        assert coarse[k] > 1e-6
+        assert 3.8 < coarse[k] / fine[k] < 4.2
 
 
 def test_full_hessian_rejects_1d():
@@ -384,7 +447,7 @@ def test_mode_evidence_no_tail_warning_on_gaussian():
 
 @pytest.mark.parametrize("coupling,want", [
     (0.0, [8 + 2]),             # probe and tail rows in one batch
-    (0.5, [8 + 2, 2 * 3 * 2]),  # then the full stencil
+    (0.5, [8 + 2, 3 * 4]),      # then the full stencil, d (d + 1) rows
 ])
 def test_mode_evidence_one_call_per_probed_mode(coupling, want):
     batches = []
@@ -439,6 +502,21 @@ def test_mode_evidence_probe_cost_accounting():
     # probe and tail screen: 2 + 2*PROBE_EXTRA + 2 evaluations, no full Hessian
     assert me.evals_used == 2 + 2 * PROBE_EXTRA + 2
     assert me.hessian_kind == "diagonal"
+
+
+@pytest.mark.parametrize("name,d,kind,evals", [
+    ("gaussian", 4, "diagonal", 10),          # probe and tail screen
+    ("correlated", 4, "full", 4 * 5 + 10),    # plus the d (d + 1) stencil
+    ("correlated", 8, "full", 8 * 9 + 10),
+])
+def test_mode_evals_in_canonical_json(name, d, kind, evals):
+    texts = [result_json(run(get_target(name, d).problem,
+                             preset_config("fast", seed=1)))
+             for _ in range(2)]
+    assert texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert [(m["hessian_kind"], m["evals"]) for m in doc["modes"]] == [(kind, evals)]
+    assert doc["eval_counts"]["evidence"] == evals
 
 
 # ---------------------------------------------------------------- combine

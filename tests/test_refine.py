@@ -70,6 +70,18 @@ def test_peak_widths_floor_and_flag():
     assert w2[1] == pytest.approx(1.0)
 
 
+def test_refine_one_floor_warning_counts_floored_peaks():
+    # Curvature 1e24 on axis 0 puts both peaks' widths (1e-12) under the
+    # floor, 1e-12 of the box width (1e-11): one warning counts both.
+    def fn(x):
+        return -0.5 * (1e24 * x[:, 0] ** 2 + x[:, 1] ** 2)
+
+    p = Problem(fn, box(2))
+    peaks, warnings = refine_peaks(p, [held(p, [0.0, 0.0]), held(p, [0.0, 3.0])], 0.0)
+    assert len(peaks) == 2 and all(pk.width_floored for pk in peaks)
+    assert warnings == ["peak width hit the resolution floor on 2 of 2 peaks"]
+
+
 def test_refine_gaussian_to_machine_tightness():
     # A held peak is taken as it stands: its position, value and gradient
     # pass through bit for bit, and the diagonal Hessian measured there is
