@@ -18,6 +18,7 @@ import numpy as np
 from laplev import BoundsBox, Problem, preset_config, reduce_mode, run
 from laplev.refine import refine_peaks
 from laplev.discovery import CoarsePeak
+from laplev.lbfgs import make_state
 
 # --- Part 1: pipeline view -------------------------------------------------
 # Axis 2 is exactly flat: the precheck marginalizes it before any search
@@ -62,9 +63,12 @@ def trough(x):
 
 problem2 = Problem(trough, BoundsBox.cube(2, -4.0, 4.0))
 start = 0.3 * u  # somewhere on the line of maxima, where the gradient is 0
-cp = CoarsePeak(start, float(problem2.logl(start[None, :])[0]), 0.5,
-                np.zeros(2), 1)
-peaks, _ = refine_peaks(problem2, [cp], lam_fine=0.01)
+# An ascent state there holds the value, gradient and diagonal Hessian
+# that the search would hand over for a held peak.
+state = make_state(problem2, start[None, :], 0.01)
+hess, steps = state.hess_diag([0])
+cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0], state.grad[0], 1)
+peaks, _ = refine_peaks(problem2, [cp])
 
 rep, reduced = reduce_mode(problem2, peaks[0], -prec)
 chord = np.exp(rep.log_z_degen)

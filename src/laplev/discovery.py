@@ -21,11 +21,13 @@ and a second completes every other segment's grid. A Gaussian target
 groups in one call. A valley narrower than a quarter of a segment can hide
 between its probe points; that segment reads as concave.
 Then it runs a stick/release cycle: batches of seeds ascend until they
-stick to a peak, which is then held and never evaluated again; duplicates
-of a held peak retire, and only the samples that did not stick climb a few
-noise-smoothed gradient steps that hop over fine-scale ripple before the
-next ascent. Everything is driven by one seeded generator and batched
-evaluator calls, so a (seed, config) pair fixes the run bit for bit.
+stick to a peak, which is then held and never evaluated again (its
+diagonal Hessian is read off the values its last gradient evaluated);
+duplicates of a held peak retire, and only the samples that did not stick
+climb a few noise-smoothed gradient steps that hop over fine-scale ripple
+before the next ascent. Everything is driven by one seeded generator and
+batched evaluator calls, so a (seed, config) pair fixes the run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -543,9 +545,17 @@ def basin_leaders(basin) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoarsePeak:
+    """A held peak as the search hands it over.
+
+    ``hess_diag`` is the diagonal second difference the ascent's last
+    gradient at ``position`` already evaluated, at the per-axis ``steps``
+    ``fd_steps(position, lam_fine)``; ``grad`` is that gradient.
+    """
+
     position: np.ndarray
     logl: float
-    width: float
+    hess_diag: np.ndarray
+    steps: np.ndarray
     grad: np.ndarray
     oscillation: int
 
@@ -566,7 +576,7 @@ def smoothed_gradient(problem, theta, sigma, k, rng, width):
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (d,))
     z = rng.standard_normal((n, int(k), d))
     pts = th[:, None, :] + sig[None, None, :] * z
-    g = fd_gradient(problem, pts.reshape(n * int(k), d), width)
+    g, _ = fd_gradient(problem, pts.reshape(n * int(k), d), width)
     return g.reshape(n, int(k), d).mean(axis=1)
 
 
@@ -614,9 +624,10 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     strictly better newcomer replaces it. The survivors are the held peaks; every other stuck
     sample retires, and so does a held peak that falls below the keep band
     once a better value turns up. A held peak keeps the position, value,
-    gradient, width and oscillation of the round it stuck in and is never
-    evaluated again; its width is the square root of the ascent's newest
-    curvature scale s.y/y.y there, or ``lam_fine`` when it has none.
+    gradient and oscillation of the round it stuck in and is never
+    evaluated again. Its diagonal Hessian is read off the values its last
+    gradient evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``,
+    with no likelihood call (``BatchState.hess_diag``).
     Except on the last round, only the samples that did not stick climb
     the smoothed gradient and form the next round's population; when none
     are left, the search ends. Nothing else runs between two ascents.
@@ -644,8 +655,6 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         positions = state.theta
         logls = state.logl
         grad_inf = state.grad_inf()
-        gamma = state.gamma
-        widths = np.where(np.isfinite(gamma) & (gamma > 0), np.sqrt(gamma), lam_fine)
 
         finite = np.isfinite(logls)
         if finite.any():
@@ -656,11 +665,12 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         floor = problem.peak_logl + np.log(KEEP_RATIO)
         stuck = ((grad_inf < STICK_GRAD * np.maximum(1.0, np.abs(logls)))
                  & finite & (logls >= floor))
+        hess, steps = state.hess_diag(stuck)
         held = [pk for pk in held if pk.logl >= floor] + [
             CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),
-                       width=float(widths[i]), grad=state.grad[i].copy(),
-                       oscillation=osc)
-            for i in np.flatnonzero(stuck)
+                       hess_diag=hess[k], steps=steps[k],
+                       grad=state.grad[i].copy(), oscillation=osc)
+            for k, i in enumerate(np.flatnonzero(stuck))
         ]
         if held:
             kept = dedup_linf([pk.position for pk in held], [pk.logl for pk in held], radius)

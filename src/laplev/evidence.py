@@ -3,7 +3,7 @@
 Each validated peak contributes ``log Z_k = l(peak) + (d/2) log 2pi
 - 1/2 log det(-H_k)``, the integral of the second-order expansion of the
 log-likelihood around the peak. The expensive part is deciding whether the
-diagonal curvature already measured during refinement is the whole story.
+diagonal curvature the search already measured is the whole story.
 One rotation test decides it for every mode with d >= 2: second-difference
 probes along the diagonal direction (1,...,1)/sqrt(d) and a few random unit
 directions, each compared with the curvature the diagonal alone predicts.
@@ -12,9 +12,10 @@ cancels along the diagonal direction. A d = 1 mode needs no test.
 
 Only modes judged to have cross terms pay for the full d x d Hessian
 stencil: each cross term from the mode's value and six more, the axis
-points x +- eps_i e_i and x +- eps_j e_j, which all pairs share, and the
-pair's own two points x +- (eps_i e_i + eps_j e_j); d (d + 1) evaluations
-in one batch. That route factors -H by Cholesky: the factor is the positive
+points x +- eps_i e_i and x +- eps_j e_j, which the search's last gradient
+already evaluated at the mode's steps (their second differences are the
+diagonal), and the pair's own two points x +- (eps_i e_i + eps_j e_j);
+d (d - 1) evaluations in one batch. That route factors -H by Cholesky: the factor is the positive
 definiteness check, names the pivot where a non-concave mode breaks down,
 and gives log det(-H). Its condition number is the exact ratio of the
 extreme eigenvalues of -H. Total evidence is the log-sum-exp over modes
@@ -37,7 +38,6 @@ from .errors import (
 from .linalg import LOG_2PI, cholesky_lower, condition_pd, logsumexp
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .linalg import eig_symmetric  # noqa: F401
-from .refine import hess_steps
 
 # An off-diagonal probe fires when the measured curvature along a direction
 # deviates from its diagonal-only prediction by this relative margin.
@@ -210,50 +210,48 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
     return b, rotated, all_values[n_probe:]
 
 
-def full_hessian(problem, position, center_logl, hess_diag):
+def full_hessian(problem, position, center_logl, hess_diag, steps):
     """Full symmetric Hessian of the log-likelihood at a peak.
 
     Off-diagonal entries come from the seven-point mixed-derivative stencil
     H_ij = [f(+i,+j) + f(-i,-j) - f(+i) - f(-i) - f(+j) - f(-j) + 2 f(x)]
-    / (2 eps_i eps_j), second order like the 4-point cross stencil, with
-    the same per-coordinate steps as the diagonal stage. Every value enters
-    as its difference from ``center_logl``, which must be f(x) at
-    ``position``. The diagonal is reused from ``hess_diag`` (already
-    measured during refinement). The 2d axis rows x +- eps_i e_i and the
-    two rows x +- (eps_i e_i + eps_j e_j) of each pair, d (d + 1)
-    evaluations, are issued as a single batch, and each cross term is
-    written to both triangles.
+    / (2 eps_i eps_j), second order like the 4-point cross stencil. The
+    axis points are the ones the search's last gradient evaluated at the
+    per-coordinate ``steps``, and the diagonal ``hess_diag`` is their second
+    difference, so f(+i) + f(-i) - 2 f(x) is read back as H_ii eps_i^2 and
+    only the two rows x +- (eps_i e_i + eps_j e_j) of each pair, d (d - 1)
+    evaluations, are issued, as a single batch. Every pair value enters as
+    its difference from ``center_logl``, which must be f(x) at
+    ``position``, and each cross term is written to both triangles.
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
+    eps = np.asarray(steps, dtype=np.float64)
     d = position.size
     if d < 2:
         raise UnsupportedDimensionError("full Hessian stencil needs d >= 2")
-    widths = 1.0 / np.sqrt(-hess_diag)
-    eps = hess_steps(position, widths)
 
-    # A + row and its mirrored - row per stencil point: the d axis points
-    # x + eps_i e_i, then the pairs (i, j) in row-major pair order at
-    # x + eps_i e_i + eps_j e_j. Every point steps along its ``first``
-    # axis, and a pair point along j as well.
+    # A + row and its mirrored - row per pair (i, j), in row-major pair
+    # order, at x +- (eps_i e_i + eps_j e_j).
     ii, jj = np.triu_indices(d, 1)
-    first = np.concatenate([np.arange(d), ii])
-    point = np.arange(first.size)[:, None]
-    rows = np.tile(position, (first.size, 2, 1))
+    pair = np.arange(ii.size)[:, None]
+    rows = np.tile(position, (ii.size, 2, 1))
     sign = np.array([1.0, -1.0])
-    rows[point, [0, 1], first[:, None]] += sign * eps[first][:, None]
-    rows[point[d:], [0, 1], jj[:, None]] += sign * eps[jj][:, None]
+    rows[pair, [0, 1], ii[:, None]] += sign * eps[ii][:, None]
+    rows[pair, [0, 1], jj[:, None]] += sign * eps[jj][:, None]
     values = problem.logl(rows.reshape(-1, d))
     if not np.isfinite(values).all():
         raise HessianFailedError(
             "non-finite values in the off-diagonal Hessian stencil"
         )
 
-    # f(+) - f(x) + f(-) - f(x) for every stencil point
+    # f(+) - f(x) + f(-) - f(x) for every pair point, and for every axis
+    # point as its second difference times eps^2
     diffs = (values - center_logl).reshape(-1, 2)
     sums = diffs[:, 0] + diffs[:, 1]
+    axis = hess_diag * eps * eps
     hess = np.diag(hess_diag)
-    cross = (sums[d:] - sums[ii] - sums[jj]) / (2.0 * eps[ii] * eps[jj])
+    cross = (sums - axis[ii] - axis[jj]) / (2.0 * eps[ii] * eps[jj])
     hess[ii, jj] = hess[jj, ii] = cross
     return hess
 
@@ -328,7 +326,7 @@ def mode_evidence(problem, peak, *, rng):
     verdict = RotationVerdict(decision, probe_b)
 
     if decision == "rotated":
-        hess = full_hessian(problem, position, peak.logl, hess_diag)
+        hess = full_hessian(problem, position, peak.logl, hess_diag, peak.steps)
         neg_hess = -hess
         try:
             factor = cholesky_lower(neg_hess)

@@ -71,8 +71,9 @@ def axis_values(problem, theta, eps) -> np.ndarray:
 def fd_gradient(problem, theta, width):
     """Central-difference gradient of the log-likelihood, one fused batch.
 
-    Returns the (N, d) gradient at steps ``fd_steps(theta, width)``. A
-    coordinate whose difference is not finite is zeroed rather than
+    Returns ``(grad, vals)``: the (N, d) gradient at steps
+    ``fd_steps(theta, width)`` and the (N, 2d) ``axis_values`` it was read
+    from. A coordinate whose difference is not finite is zeroed rather than
     poisoning the whole direction.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
@@ -81,7 +82,7 @@ def fd_gradient(problem, theta, width):
     vals = axis_values(problem, th, eps)
     grad = (vals[:, :d] - vals[:, d:]) / (2.0 * eps)
     grad[~np.isfinite(grad)] = 0.0
-    return grad
+    return grad, vals
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -99,12 +100,15 @@ class BatchState:
     ``(pairs_total - 1 - a) % HISTORY``. ``gamma`` is each row's most recent
     curvature scale s.y/y.y (variance units), NaN until the row has
     accepted a pair. ``width`` is the length scale of every gradient's
-    finite-difference steps.
+    finite-difference steps, and ``axis_vals`` holds the (N, 2d)
+    ``axis_values`` each row's ``grad`` was read from (NaN on a row that
+    began non-finite).
     """
 
     theta: np.ndarray
     logl: np.ndarray
     grad: np.ndarray
+    axis_vals: np.ndarray
     frozen: np.ndarray
     gamma: np.ndarray
     s_ring: np.ndarray
@@ -123,6 +127,20 @@ class BatchState:
     def grad_inf(self) -> np.ndarray:
         return np.max(np.abs(self.grad), axis=1)
 
+    def hess_diag(self, rows):
+        """Diagonal Hessian of ``rows`` from the values of their gradient.
+
+        (f(x + eps) - 2 f(x) + f(x - eps)) / eps^2 per axis, with the points,
+        the steps ``fd_steps(theta, width)`` and the centre value of the
+        gradient each row holds; no likelihood call. ``rows`` indexes or
+        masks the batch; returns ``(hess_diag, steps)``, a row for each.
+        """
+        d = self.dim
+        vals = self.axis_vals[rows]
+        eps = fd_steps(self.theta[rows], self.width)
+        hess = (vals[:, :d] - 2.0 * self.logl[rows][:, None] + vals[:, d:]) / eps**2
+        return hess, eps
+
 
 def make_state(problem, theta0, width) -> BatchState:
     """Evaluate a starting batch and freeze rows that begin non-finite."""
@@ -132,13 +150,15 @@ def make_state(problem, theta0, width) -> BatchState:
     logl = problem.logl(th)
     frozen = ~np.isfinite(logl)
     grad = np.zeros((n, d))
+    vals = np.full((n, 2 * d), np.nan)
     live = ~frozen
     if live.any():
-        grad[live] = fd_gradient(problem, th[live], width)
+        grad[live], vals[live] = fd_gradient(problem, th[live], width)
     return BatchState(
         theta=th,
         logl=logl,
         grad=grad,
+        axis_vals=vals,
         frozen=frozen,
         gamma=np.full(n, np.nan),
         s_ring=np.zeros((n, HISTORY, d)),
@@ -307,7 +327,7 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
 
     rows = np.flatnonzero(moved)
     if rows.size:
-        g_new = fd_gradient(problem, new_theta[rows], state.width)
+        g_new, state.axis_vals[rows] = fd_gradient(problem, new_theta[rows], state.width)
         end = new_theta[rows]
         _push_pairs(state, rows, end - state.theta[rows], state.grad[rows] - g_new)
         state.theta[rows] = end

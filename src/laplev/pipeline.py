@@ -170,7 +170,7 @@ def run(problem, config: PipelineConfig):
                                     f"search exhausted; survey held {bank.summary()}")
 
     with meter.stage("refine"):
-        peaks, warnings = refine_peaks(active, coarse, scales.lam_fine)
+        peaks, warnings = refine_peaks(active, coarse)
     warnings = list(warnings)
 
     with meter.stage("evidence"):

@@ -10,9 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from laplev.discovery import CoarsePeak
+from laplev.discovery import CoarsePeak, estimate_scales, survey
 from laplev.evidence import mode_evidence
-from laplev.lbfgs import fd_gradient
+from laplev.lbfgs import fd_gradient, make_state
 from laplev.linalg import (cholesky_lower, dedup_linf, eig_symmetric,
                            logsumexp)
 from laplev.errors import NoModesFoundError
@@ -222,9 +222,16 @@ def _prop_laplace_exactness(n_cases=200):
         truth = 0.5 * d * LOG_2PI - 0.5 * float(
             np.sum(np.log(np.linalg.eigvalsh(prec))))
         start = center + rng.uniform(-1.0, 1.0, d) * 1e-7
-        cp = CoarsePeak(start, float(problem.logl(start[None, :])[0]),
-                        1e-5, -prec @ (start - center), 1)
-        peaks, _ = refine_peaks(problem, [cp], lam_fine=1e-5)
+        # The held peak as the search hands it over: the diagonal is the
+        # second difference its last gradient evaluated, at the ascent's
+        # steps for the length scale the survey reads on this quadratic.
+        lam_fine = estimate_scales(survey(problem, np.random.default_rng(0)),
+                                   problem.bounds).lam_fine
+        state = make_state(problem, start[None, :], lam_fine)
+        hess, steps = state.hess_diag([0])
+        cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0],
+                        state.grad[0], 1)
+        peaks, _ = refine_peaks(problem, [cp])
         me = mode_evidence(problem, peaks[0], rng=rng)
         worst = max(worst, ratio_err(me.log_z, truth))
     return worst < 1e-9, f"laplace worst {worst:.2e}"
@@ -241,7 +248,7 @@ def _prop_fd_gradient(n_points=100):
     worst = 0.0
     for _ in range(n_points):
         x = rng.uniform(-4.0, 4.0, 4)
-        g = fd_gradient(problem, x[None, :], 0.0)[0]
+        g = fd_gradient(problem, x[None, :], 0.0)[0][0]
         g_true = -x / sigma**2
         worst = max(worst, float(np.max(np.abs(g - g_true))
                                  / max(1.0, np.max(np.abs(g_true)))))

@@ -36,7 +36,7 @@ from laplev.discovery import (
     survey,
 )
 from laplev.errors import NoModesFoundError
-from laplev.lbfgs import fd_gradient
+from laplev.lbfgs import fd_gradient, fd_steps
 from laplev.pipeline import preset_config, run
 from laplev.linalg import dedup_linf, dedup_radius
 from laplev.precheck import active_subproblem, precheck
@@ -1277,7 +1277,7 @@ def test_smoothed_gradient_degenerates_to_fd():
     g_smooth = smoothed_gradient(
         p, th, sigma=np.zeros(3), k=1, rng=np.random.default_rng(0), width=0.01
     )
-    g_plain = fd_gradient(p, th, 0.01)
+    g_plain, _ = fd_gradient(p, th, 0.01)
     assert g_smooth.tobytes() == g_plain.tobytes()
 
 
@@ -1367,7 +1367,33 @@ def test_discover_single_gaussian_peak():
     assert len(peaks) == 1
     np.testing.assert_allclose(peaks[0].position, [1.0, -2.0], atol=1e-4)
     assert peaks[0].logl == pytest.approx(0.0, abs=1e-8)
-    assert 0.1 < peaks[0].width < 10.0
+    np.testing.assert_allclose(peaks[0].hess_diag, [-1.0, -1.0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 8),
+                                      ("rotated-cigar", 16)])
+def test_held_peak_hess_diag_is_an_independent_second_difference(name, dim):
+    # A held peak's diagonal is (f(x + eps) - 2 f(x) + f(x - eps)) / eps^2
+    # at eps = fd_steps(x, lam_fine), bit for bit: the ascent's last
+    # gradient already evaluated those points at that centre value.
+    p = get_target(name, dim).problem
+    rng = np.random.default_rng(1)
+    bank = survey(p, rng)
+    est = estimate_scales(bank, p.bounds)
+    seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
+    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
+    peaks = discover_modes(p, seeds[climb], est, rng, n_oscillations=1)
+    assert peaks
+    for pk in peaks:
+        eps = fd_steps(pk.position, est.lam_fine)[0]
+        assert pk.steps.tobytes() == eps.tobytes()
+        want = np.empty(dim)
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = eps[i]
+            plus, minus = p.logl(np.stack([pk.position + e, pk.position - e]))
+            want[i] = (plus - 2.0 * pk.logl + minus) / eps[i] ** 2
+        assert pk.hess_diag.tobytes() == want.tobytes()
 
 
 def test_discover_two_modes_asymmetric():
@@ -1517,8 +1543,9 @@ def test_discover_all_stuck_makes_no_later_round():
     assert len(three) == len(one) == 1
     for a, b in zip(one, three):
         assert a.position.tobytes() == b.position.tobytes()
-        assert (np.float64([a.logl, a.width, a.grad_inf]).tobytes()
-                == np.float64([b.logl, b.width, b.grad_inf]).tobytes())
+        assert (np.float64([a.logl, a.grad_inf]).tobytes()
+                == np.float64([b.logl, b.grad_inf]).tobytes())
+        assert a.hess_diag.tobytes() == b.hess_diag.tobytes()
         assert a.oscillation == b.oscillation == 1
 
 
@@ -1546,7 +1573,8 @@ def test_discover_climbs_only_the_samples_that_did_not_stick(monkeypatch):
 
 def test_discover_held_peak_keeps_its_first_round(monkeypatch):
     # The main peak sticks in round 1 and is held: its position, value,
-    # gradient and width are round 1's, and its oscillation stays 1.
+    # gradient and diagonal Hessian are round 1's, and its oscillation
+    # stays 1.
     p = Problem(_side_peak, box(3, -4, 4))
     rng = np.random.default_rng(3)
     seeds, est = _all_seeds(p, rng)
@@ -1560,13 +1588,13 @@ def test_discover_held_peak_keeps_its_first_round(monkeypatch):
     assert first.size == 1
     i = int(first[0])
     (peak,) = peaks
-    gamma = state.gamma[i]
-    assert np.isfinite(gamma) and gamma > 0
+    hess, steps = state.hess_diag([i])
     assert peak.oscillation == 1
     assert peak.position.tobytes() == state.theta[i].tobytes()
     assert peak.logl == state.logl[i]
     assert peak.grad_inf == state.grad_inf()[i]
-    assert peak.width == np.sqrt(gamma)
+    assert peak.hess_diag.tobytes() == hess[0].tobytes()
+    assert peak.steps.tobytes() == steps[0].tobytes()
 
 
 def test_discover_held_peak_retires_below_a_later_band():

@@ -22,7 +22,8 @@ from laplev.linalg import cholesky_lower, condition_pd
 from laplev.pipeline import preset_config, result_json, run
 from laplev.precheck import PrecheckReport
 from laplev.problem import BoundsBox, Problem
-from laplev.refine import RefinedPeak, hess_steps
+from laplev.lbfgs import fd_steps, make_state
+from laplev.refine import RefinedPeak
 from laplev.targets import get_target
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -33,13 +34,26 @@ def box(d, lo=-5.0, hi=5.0):
 
 
 def peak(position, logl, hess_diag):
+    """A refined peak whose steps are the ascent's at its finest width."""
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
     widths = 1.0 / np.sqrt(-hess_diag)
     return RefinedPeak(
         position=position, logl=float(logl), hess_diag=hess_diag,
-        widths=widths, grad_inf=0.0, origin=0, width_floored=False,
+        steps=fd_steps(position, widths.min())[0], widths=widths,
+        width_floored=False,
     )
+
+
+def second_difference(problem, position, center_logl, steps):
+    """(f(x + eps_i e_i) - 2 f(x) + f(x - eps_i e_i)) / eps_i^2, axis by axis."""
+    out = np.empty(position.size)
+    for i in range(position.size):
+        e = np.zeros(position.size)
+        e[i] = steps[i]
+        plus, minus = problem.logl(np.stack([position + e, position - e]))
+        out[i] = (plus - 2.0 * center_logl + minus) / steps[i] ** 2
+    return out
 
 
 # ---------------------------------------------------------------- probe
@@ -143,14 +157,15 @@ def test_probe_rejects_1d():
 
 def test_full_hessian_quadratic_exact():
     p = quad_problem([[-2.0, -1.0], [-1.0, -2.0]], 2)
-    h = full_hessian(p, np.zeros(2), 0.0, np.array([-2.0, -2.0]))
+    h = full_hessian(p, np.zeros(2), 0.0, np.array([-2.0, -2.0]), np.full(2, 1e-3))
     np.testing.assert_allclose(h, [[-2.0, -1.0], [-1.0, -2.0]], rtol=1e-7)
     np.testing.assert_array_equal(h, h.T)
 
 
 def test_full_hessian_separable_offdiag_zero():
     p = quad_problem(np.diag([-1.0, -3.0, -0.5]), 3)
-    h = full_hessian(p, np.zeros(3), 0.0, np.array([-1.0, -3.0, -0.5]))
+    h = full_hessian(p, np.zeros(3), 0.0, np.array([-1.0, -3.0, -0.5]),
+                     np.full(3, 1e-3))
     off = h - np.diag(np.diag(h))
     np.testing.assert_allclose(off, 0.0, atol=1e-9)
 
@@ -164,13 +179,14 @@ def test_full_hessian_rotated_cigar_recovered():
     h_true = -(q * lam) @ q.T
     h_true = 0.5 * (h_true + h_true.T)
     p = quad_problem(h_true, d)
-    h = full_hessian(p, np.zeros(d), 0.0, np.diag(h_true))
+    h = full_hessian(p, np.zeros(d), 0.0, np.diag(h_true), np.full(d, 1e-6))
     scale = np.abs(h_true).max()
     np.testing.assert_allclose(h, h_true, rtol=1e-4, atol=1e-4 * scale)
 
 
-def test_full_hessian_one_batch_cost_d_dplus1():
-    # 2d axis rows and two rows per pair: d (d + 1) in one call
+def test_full_hessian_one_batch_cost_d_dminus1():
+    # Two rows per pair, d (d - 1) in one call: the axis rows are the
+    # search's, already read into the diagonal.
     batches = []
     d = 5
 
@@ -179,18 +195,16 @@ def test_full_hessian_one_batch_cost_d_dplus1():
         return -0.5 * np.sum(x * x, axis=1)
 
     p = Problem(fn, box(d))
-    full_hessian(p, np.zeros(d), 0.0, np.full(d, -1.0))
-    assert batches == [d * (d + 1)]
+    full_hessian(p, np.zeros(d), 0.0, np.full(d, -1.0), np.full(d, 1e-3))
+    assert batches == [d * (d - 1)]
 
 
-def _full_hessian_reference(problem, position, center_logl, hess_diag):
-    """The seven-point cross stencil as loops over the axes and the pairs."""
+def _full_hessian_reference(problem, position, center_logl, hess_diag, eps):
+    """The seven-point cross stencil as a loop over the pairs."""
     d = position.size
-    eps = hess_steps(position, 1.0 / np.sqrt(-hess_diag))
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    points = [(i,) for i in range(d)] + pairs
-    rows = np.empty((2 * len(points), d))
-    for k, axes in enumerate(points):
+    rows = np.empty((2 * len(pairs), d))
+    for k, axes in enumerate(pairs):
         for r, sign in enumerate((1.0, -1.0)):
             row = position.copy()
             for a in axes:
@@ -198,13 +212,16 @@ def _full_hessian_reference(problem, position, center_logl, hess_diag):
             rows[2 * k + r] = row
     values = problem.logl(rows)
 
-    def both(k):  # f(+) - f(x) + f(-) - f(x) at stencil point k
+    def both(k):  # f(+) - f(x) + f(-) - f(x) at pair point k
         return (values[2 * k] - center_logl) + (values[2 * k + 1] - center_logl)
+
+    def axis(i):  # the same sum at x +- eps_i e_i, from the diagonal
+        return hess_diag[i] * eps[i] * eps[i]
 
     hess = np.diag(hess_diag)
     for k, (i, j) in enumerate(pairs):
         hess[i, j] = hess[j, i] = (
-            (both(d + k) - both(i) - both(j)) / (2.0 * eps[i] * eps[j]))
+            (both(k) - axis(i) - axis(j)) / (2.0 * eps[i] * eps[j]))
     return hess
 
 
@@ -228,9 +245,10 @@ def test_full_hessian_bitwise_equal_to_pair_loop(d):
 
     p = Problem(fn, box(d))
     hess_diag = np.diag(h) * rng.uniform(0.5, 2.0, d)
+    steps = rng.uniform(1e-4, 1e-2, d)
     center = float(value(position[None, :])[0])
-    got = full_hessian(p, position, center, hess_diag)
-    want = _full_hessian_reference(p, position, center, hess_diag)
+    got = full_hessian(p, position, center, hess_diag, steps)
+    want = _full_hessian_reference(p, position, center, hess_diag, steps)
     assert batches[0].tobytes() == batches[1].tobytes()
     assert got.tobytes() == want.tobytes()
 
@@ -243,31 +261,15 @@ def test_full_hessian_nonfinite_raises():
 
     p = Problem(fn, box(2))
     with pytest.raises(HessianFailedError):
-        full_hessian(p, np.zeros(2), 0.0, np.array([-1.0, -1.0]))
-
-
-def test_full_hessian_nonfinite_axis_value_raises():
-    # Only the axis row x - eps_0 e_0 is non-finite; every pair row is fine.
-    hit = []
-
-    def fn(x):
-        out = -0.5 * np.sum(x * x, axis=1)
-        axis_row = (x[:, 0] < 0) & (x[:, 1:] == 0).all(axis=1)
-        hit.append(int(axis_row.sum()))
-        out[axis_row] = -np.inf
-        return out
-
-    p = Problem(fn, box(3))
-    with pytest.raises(HessianFailedError):
-        full_hessian(p, np.zeros(3), 0.0, np.full(3, -1.0))
-    assert hit == [1]
+        full_hessian(p, np.zeros(2), 0.0, np.array([-1.0, -1.0]), np.full(2, 1e-3))
 
 
 def test_full_hessian_cross_terms_second_order():
     # Quadratic plus quartic couplings: the mixed partials at x are
     # known, and the stencil's error is a multiple of eps^2 (the quartic's
-    # fourth derivatives are constant), so halving the widths, and so
-    # every step, cuts it by 4. A one-sided stencil would only halve it.
+    # fourth derivatives are constant), so halving every step cuts it by 4.
+    # A one-sided stencil would only halve it. The diagonal is the second
+    # difference at the same steps, as the search hands it over.
     h = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, -0.4], [0.0, -0.4, -1.5]])
 
     def fn(x):
@@ -283,8 +285,10 @@ def test_full_hessian_cross_terms_second_order():
     center = float(p.logl(x[None, :])[0])
     off = ~np.eye(3, dtype=bool)
     errors = []
-    for width in (100.0, 50.0):  # steps 1e-2 and 5e-3
-        got = full_hessian(p, x, center, np.full(3, -1.0 / width ** 2))
+    for step in (1e-2, 5e-3):
+        steps = np.full(3, step)
+        diag = second_difference(p, x, center, steps)
+        got = full_hessian(p, x, center, diag, steps)
         errors.append(np.abs(got - want)[off])
     coarse, fine = errors
     # (0, 2) has no fourth-order coupling: exact up to rounding
@@ -297,7 +301,7 @@ def test_full_hessian_cross_terms_second_order():
 def test_full_hessian_rejects_1d():
     p = quad_problem([[-1.0]], 1)
     with pytest.raises(UnsupportedDimensionError):
-        full_hessian(p, np.zeros(1), 0.0, np.array([-1.0]))
+        full_hessian(p, np.zeros(1), 0.0, np.array([-1.0]), np.array([1e-3]))
 
 
 # ---------------------------------------------------------------- mode_evidence
@@ -351,7 +355,7 @@ def test_mode_evidence_path_consistency_on_axis_aligned():
     pk = peak([0.0, 0.0], 0.0, [-1.0, -0.25])
     diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0))
     assert diag_me.hessian_kind == "diagonal"
-    neg_hess = -full_hessian(p, pk.position, pk.logl, pk.hess_diag)
+    neg_hess = -full_hessian(p, pk.position, pk.logl, pk.hess_diag, pk.steps)
     factor = cholesky_lower(neg_hess)
     full_log_z = (pk.logl + LOG_2PI
                   - float(np.sum(np.log(np.diag(factor)))))
@@ -412,9 +416,11 @@ def test_mode_evidence_soundness_on_refined_trajectories():
             p = quad_problem(h, 2)
             kappa = -np.diag(np.asarray(h))
             start = rng.uniform(-1.0, 1.0, 2) * 1e-7 / kappa
-            cp = CoarsePeak(start, float(p.logl(start[None, :])[0]), 0.3,
-                            np.asarray(h) @ start, 1)
-            pk, _ = refine_peaks(p, [cp], lam_fine=0.01)
+            state = make_state(p, start[None, :], 0.01)
+            hess, steps = state.hess_diag([0])
+            cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0],
+                            state.grad[0], 1)
+            pk, _ = refine_peaks(p, [cp])
             me = mode_evidence(p, pk[0], rng=rng)
             assert me.verdict.decision == expected, f"{name} seed {seed}"
 
@@ -447,7 +453,7 @@ def test_mode_evidence_no_tail_warning_on_gaussian():
 
 @pytest.mark.parametrize("coupling,want", [
     (0.0, [8 + 2]),             # probe and tail rows in one batch
-    (0.5, [8 + 2, 3 * 4]),      # then the full stencil, d (d + 1) rows
+    (0.5, [8 + 2, 3 * 2]),      # then the full stencil, d (d - 1) rows
 ])
 def test_mode_evidence_one_call_per_probed_mode(coupling, want):
     batches = []
@@ -506,8 +512,8 @@ def test_mode_evidence_probe_cost_accounting():
 
 @pytest.mark.parametrize("name,d,kind,evals", [
     ("gaussian", 4, "diagonal", 10),          # probe and tail screen
-    ("correlated", 4, "full", 4 * 5 + 10),    # plus the d (d + 1) stencil
-    ("correlated", 8, "full", 8 * 9 + 10),
+    ("correlated", 4, "full", 4 * 3 + 10),    # plus the d (d - 1) stencil
+    ("correlated", 8, "full", 8 * 7 + 10),
 ])
 def test_mode_evals_in_canonical_json(name, d, kind, evals):
     texts = [result_json(run(get_target(name, d).problem,

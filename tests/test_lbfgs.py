@@ -103,7 +103,7 @@ def test_fd_gradient_quartic_oracle():
     p = Problem(lambda x: np.sum(x**4, axis=1), BoundsBox.cube(3, -5, 5))
     rng = np.random.default_rng(7)
     th = rng.uniform(-2, 2, size=(100, 3))
-    g = fd_gradient(p, th, 0.0)
+    g, _ = fd_gradient(p, th, 0.0)
     np.testing.assert_allclose(g, 4 * th**3, rtol=1e-6, atol=1e-7)
     assert p.eval_counter == 100 * 2 * 3
 
@@ -127,7 +127,8 @@ def test_fd_gradient_nonfinite_zeroed():
         return out
 
     p = Problem(fn, BoundsBox.cube(2, -3, 3))
-    g = fd_gradient(p, np.array([[1.0, 0.5], [0.0, 0.0]]), 0.5)
+    g, vals = fd_gradient(p, np.array([[1.0, 0.5], [0.0, 0.0]]), 0.5)
+    assert np.isnan(vals[0, 0]) and np.isfinite(vals[1]).all()
     assert g[0, 0] == 0.0
     assert g[0, 1] == pytest.approx(-1.0, rel=1e-6)
     assert np.isfinite(g).all()
@@ -522,7 +523,7 @@ def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
 
     rows = np.flatnonzero(moved)
     if rows.size:
-        g_new = fd_gradient(problem, new_theta[rows], state.width)
+        g_new, state.axis_vals[rows] = fd_gradient(problem, new_theta[rows], state.width)
         for k, i in enumerate(rows):
             s = new_theta[i] - state.theta[i]
             y = state.grad[i] - g_new[k]
@@ -580,7 +581,7 @@ def _state_bytes(state, moved=None):
     """State bytes; the frozen mask and ``moved`` too when ``moved`` is given."""
     out = (
         state.theta.tobytes(), state.logl.tobytes(), state.grad.tobytes(),
-        state.s_ring.tobytes(), state.y_ring.tobytes(),
+        state.axis_vals.tobytes(), state.s_ring.tobytes(), state.y_ring.tobytes(),
         state.pairs_total.tobytes(), state.gamma.tobytes(),
     )
     return out if moved is None else out + (state.frozen.tobytes(), moved.tobytes())

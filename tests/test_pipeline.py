@@ -80,7 +80,7 @@ STAGE_PARAMS = {
     discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
     _smoothed_ascent: ["problem", "theta", "lam_fine", "rng"],
     smoothed_gradient: ["problem", "theta", "sigma", "k", "rng", "width"],
-    refine_peaks: ["problem", "coarse_peaks", "lam_fine"],
+    refine_peaks: ["problem", "coarse_peaks"],
     run_batch: ["problem", "theta0", "iterations", "tol", "width"],
     make_state: ["problem", "theta0", "width"],
     fd_gradient: ["problem", "theta", "width"],
@@ -159,6 +159,14 @@ def test_call_accounting_counts_every_fn_call(name, dim, preset, reduce):
         return result_json(res)
 
     assert observe() == observe()
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("rotated-cigar", 16)])
+def test_refine_stage_costs_nothing(name, dim):
+    # The held peaks carry the diagonal Hessian the ascent measured, so
+    # refine makes no likelihood call; its stage is still reported.
+    res = run(get_target(name, dim).problem, preset_config("fast", seed=1))
+    assert res.eval_counts["refine"] == res.call_counts["refine"] == 0
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

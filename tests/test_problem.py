@@ -95,8 +95,8 @@ def test_reduction_of_an_active_view_evaluates_the_parent():
     assert isinstance(active, View) and active.dim == 2
     hessian = np.diag([-4.0, -1.0])
     peak = RefinedPeak(position=np.zeros(2), logl=0.0,
-                       hess_diag=np.diag(hessian), widths=np.array([0.5, 1.0]),
-                       grad_inf=0.0, origin=0, width_floored=False)
+                       hess_diag=np.diag(hessian), steps=np.full(2, 1e-3),
+                       widths=np.array([0.5, 1.0]), width_floored=False)
     report, reduced = reduce_mode(active, peak, hessian)
     assert report.d_eff == 2 and reduced.parent is active
     before = p.call_counter

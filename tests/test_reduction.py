@@ -34,9 +34,8 @@ def make_peak(position, logl, hess_diag):
         position=position,
         logl=float(logl),
         hess_diag=hess_diag,
+        steps=np.full(position.size, 1e-3),
         widths=1.0 / np.sqrt(-hess_diag),
-        grad_inf=0.0,
-        origin=0,
         width_floored=False,
     )
 

@@ -3,25 +3,25 @@ import pytest
 
 from laplev.discovery import CoarsePeak
 from laplev.errors import NoValidMaximaError
+from laplev.lbfgs import make_state
 from laplev.problem import BoundsBox, Problem
-from laplev.refine import diag_hessian, peak_widths, refine_peaks
+from laplev.refine import peak_widths, refine_peaks
 
 
 def box(d, lo=-5.0, hi=5.0):
     return BoundsBox.cube(d, lo, hi)
 
 
-def coarse(pos, logl=0.0, width=1.0, grad=None):
-    """A held peak as the search hands it over."""
-    pos = np.asarray(pos, dtype=np.float64)
-    grad = np.zeros_like(pos) if grad is None else np.asarray(grad, dtype=np.float64)
-    return CoarsePeak(pos, float(logl), float(width), grad, 1)
+def held(p, pos, lam_fine=0.1):
+    """A held peak at ``pos`` as the search hands it over.
 
-
-def held(p, pos, width=1.0, grad=None):
-    """A held peak at ``pos``, its value read off ``p``."""
-    pos = np.asarray(pos, dtype=np.float64)
-    return coarse(pos, logl=float(p.logl(pos[None, :])[0]), width=width, grad=grad)
+    Its value, gradient and diagonal Hessian are those of an ascent state
+    started there, whose gradient steps at ``fd_steps(pos, lam_fine)``.
+    """
+    state = make_state(p, np.asarray(pos, dtype=np.float64)[None, :], lam_fine)
+    hess, steps = state.hess_diag([0])
+    return CoarsePeak(state.theta[0], float(state.logl[0]), hess[0], steps[0],
+                      state.grad[0], 1)
 
 
 def gaussian(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
@@ -35,31 +35,37 @@ def gaussian(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
 
 
 def test_diag_hessian_exact_on_quadratic():
+    # The ascent state's diagonal is read off the values its gradient
+    # already evaluated: exact on a quadratic, at no likelihood call.
     h_true = np.array([-1.0, -4.0, -0.25])
 
     def fn(x):
         return 0.5 * np.sum(h_true * x * x, axis=1) + 3.0
 
     p = Problem(fn, box(3))
-    centers = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
-    v0 = p.logl(centers)
-    h, bad = diag_hessian(p, centers, v0, np.array([1.0, 1.0]))
-    assert not bad.any()
+    state = make_state(p, np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]]), 0.1)
+    mark = (p.call_counter, p.eval_counter)
+    h, steps = state.hess_diag([0, 1])
+    assert (p.call_counter, p.eval_counter) == mark
     np.testing.assert_allclose(h, np.vstack([h_true, h_true]), rtol=1e-6)
-    # cost: one fused batch of 2*N*d rows
-    assert p.eval_counter == 2 + 2 * 2 * 3
+    assert steps.shape == (2, 3)
 
 
 def test_diag_hessian_flags_nonfinite():
+    # A NaN axis value of the gradient's stencil makes that row's diagonal
+    # non-finite, and refine rejects the peak under its own reason.
     def fn(x):
         out = -np.sum(x * x, axis=1)
         out[x[:, 0] > 0.5] = np.nan
         return out
 
     p = Problem(fn, box(2))
-    h, bad = diag_hessian(p, np.array([[0.5, 0.0], [0.0, 0.0]]),
-                          np.array([-0.25, 0.0]), np.array([1.0, 1.0]))
-    assert bad[0] and not bad[1]
+    state = make_state(p, np.array([[0.5, 0.0], [0.0, 0.0]]), 0.1)
+    h, _ = state.hess_diag([0, 1])
+    assert not np.isfinite(h[0]).all() and np.isfinite(h[1]).all()
+    with pytest.raises(NoValidMaximaError) as exc:
+        refine_peaks(p, [held(p, [0.5, 0.0])])
+    assert exc.value.reasons == {"hessian_nonfinite": 1, "saddle": 0}
 
 
 def test_peak_widths_floor_and_flag():
@@ -77,40 +83,40 @@ def test_refine_one_floor_warning_counts_floored_peaks():
         return -0.5 * (1e24 * x[:, 0] ** 2 + x[:, 1] ** 2)
 
     p = Problem(fn, box(2))
-    peaks, warnings = refine_peaks(p, [held(p, [0.0, 0.0]), held(p, [0.0, 3.0])], 0.0)
+    peaks, warnings = refine_peaks(p, [held(p, [0.0, 0.0], 0.0), held(p, [0.0, 3.0], 0.0)])
     assert len(peaks) == 2 and all(pk.width_floored for pk in peaks)
     assert warnings == ["peak width hit the resolution floor on 2 of 2 peaks"]
 
 
 def test_refine_gaussian_to_machine_tightness():
-    # A held peak is taken as it stands: its position, value and gradient
-    # pass through bit for bit, and the diagonal Hessian measured there is
-    # exact on a quadratic.
+    # A held peak is taken as it stands: its position, value, diagonal
+    # Hessian and steps pass through bit for bit, and the diagonal the
+    # ascent measured there is exact on a quadratic.
     mu = np.array([0.5, -1.25])
     sig2 = np.array([1.0, 0.25])
     p = gaussian(2, mu, sig2)
     pos = mu + np.array([3e-8, -2e-9])
-    grad = -(pos - mu) / sig2
-    cp = held(p, pos, width=0.7, grad=grad)
-    peaks, warns = refine_peaks(p, [cp], 0.05)
+    cp = held(p, pos, 0.05)
+    np.testing.assert_allclose(cp.grad, -(pos - mu) / sig2, rtol=1e-6, atol=1e-12)
+    peaks, warns = refine_peaks(p, [cp])
     assert warns == []
     assert len(peaks) == 1
     pk = peaks[0]
     assert pk.position.tobytes() == pos.tobytes()
     assert pk.logl == cp.logl
-    assert pk.grad_inf == cp.grad_inf == np.max(np.abs(grad))
-    assert pk.origin == 0
+    assert pk.hess_diag.tobytes() == cp.hess_diag.tobytes()
+    assert pk.steps.tobytes() == cp.steps.tobytes()
     np.testing.assert_allclose(pk.hess_diag, -1.0 / sig2, rtol=1e-6)
     np.testing.assert_allclose(pk.widths, np.sqrt(sig2), rtol=1e-6)
 
 
 def test_refine_cigar_hessian_span():
-    # 1e6:1 conditioning: the stencil steps follow the held width, so both
-    # curvatures come out exact at the held position.
+    # 1e6:1 conditioning: the ascent's steps follow the survey's finest
+    # width, so both curvatures come out exact at the held position.
     sig2 = np.array([1.0, 1e-6])
     p = gaussian(2, 0.0, sig2)
     pos = np.array([4e-7, 3e-13])
-    peaks, _ = refine_peaks(p, [held(p, pos, width=1e-3)], 1e-3)
+    peaks, _ = refine_peaks(p, [held(p, pos, 1e-3)])
     pk = peaks[0]
     np.testing.assert_allclose(pk.hess_diag, [-1.0, -1e6], rtol=1e-4)
     assert pk.position.tobytes() == pos.tobytes()
@@ -124,24 +130,23 @@ def test_refine_rejects_saddle_keeps_maxima():
         return -((x[:, 0] ** 2 - 1.0) ** 2) - x[:, 1] ** 2
 
     p = Problem(fn, box(2, -3, 3))
-    cps = [held(p, [1.0, 0.0], 0.1), held(p, [0.0, 0.0], 0.1),
-           held(p, [-1.0, 0.0], 0.1)]
-    peaks, _ = refine_peaks(p, cps, 0.01)
+    cps = [held(p, [1.0, 0.0], 0.01), held(p, [0.0, 0.0], 0.01),
+           held(p, [-1.0, 0.0], 0.01)]
+    peaks, _ = refine_peaks(p, cps)
     assert sorted(pk.position[0] for pk in peaks) == [-1.0, 1.0]
-    assert sorted(pk.origin for pk in peaks) == [0, 2]
     for pk in peaks:
         np.testing.assert_allclose(pk.hess_diag, [-8.0, -2.0], rtol=1e-6)
     # the saddle alone is rejected, and the error names the filter
     with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(p, [cps[1]], 0.01)
+        refine_peaks(p, [cps[1]])
     assert exc.value.reasons == {"hessian_nonfinite": 0, "saddle": 1}
 
 
 def test_refine_all_fail_raises_with_reasons():
     # A plane is flat along every axis (a saddle for the filter), and past
     # x0 = 1 the likelihood is NaN, so a peak on that edge has a non-finite
-    # stencil. Both are rejected, each under its own reason, after the one
-    # curvature batch of 2d rows per peak.
+    # stencil. Both are rejected, each under its own reason, without a
+    # likelihood call.
     def fn(x):
         out = x[:, 0] + 0.5 * x[:, 1]
         out[x[:, 0] > 1.0] = np.nan
@@ -151,11 +156,11 @@ def test_refine_all_fail_raises_with_reasons():
     cps = [held(p, [0.0, 0.0]), held(p, [1.0, 0.0])]
     mark = (p.call_counter, p.eval_counter)
     with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(p, cps, 0.1)
+        refine_peaks(p, cps)
     assert exc.value.reasons == {"hessian_nonfinite": 1, "saddle": 1}
     assert exc.value.n_candidates == 2
     assert str(exc.value).startswith("all 2 candidates rejected")
-    assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (1, 2 * 2 * 2)
+    assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (0, 0)
 
 
 def test_refine_merges_duplicate_coarse_peaks():
@@ -163,15 +168,14 @@ def test_refine_merges_duplicate_coarse_peaks():
     # better one survives, unmoved.
     p = gaussian(2)
     cps = [held(p, [0.2, 0.0]), held(p, [-0.15, 0.1])]
-    peaks, _ = refine_peaks(p, cps, 0.05)
+    peaks, _ = refine_peaks(p, cps)
     assert len(peaks) == 1
-    assert peaks[0].origin == 1
     assert peaks[0].position.tobytes() == cps[1].position.tobytes()
 
 
-def test_refine_postsearch_cost_is_one_hessian_batch():
-    # The curvature stage issues ONE fused batch covering every held peak
-    # (2*d rows per peak), not one batch per peak, and nothing else.
+def test_refine_makes_no_likelihood_call():
+    # Every held peak already carries its diagonal Hessian, so the stage
+    # evaluates nothing: zero evaluations and zero calls.
     batches = []
 
     def fn(x):
@@ -179,19 +183,18 @@ def test_refine_postsearch_cost_is_one_hessian_batch():
         return -((x[:, 0] ** 2 - 1.0) ** 2) - x[:, 1] ** 2
 
     p = Problem(fn, box(2, -3, 3))
-    cps = [held(p, [0.9, 0.0], 0.1), held(p, [-0.9, 0.0], 0.1)]
+    cps = [held(p, [0.9, 0.0], 0.01), held(p, [-0.9, 0.0], 0.01)]
     batches.clear()
-    mark = p.eval_counter
-    peaks, _ = refine_peaks(p, cps, 0.01)
+    mark = (p.call_counter, p.eval_counter)
+    peaks, _ = refine_peaks(p, cps)
     assert len(peaks) == 2
-    # two held peaks x 2 probes x d=2 coordinates, in one batch
-    assert batches == [2 * 2 * 2]
-    assert p.eval_counter - mark == 2 * 2 * 2
-    assert all(pk.hess_diag.shape == (2,) for pk in peaks)
+    assert batches == []
+    assert (p.call_counter, p.eval_counter) == mark
+    assert all(pk.hess_diag.shape == pk.steps.shape == (2,) for pk in peaks)
 
 
 def test_refine_empty_input_raises():
     with pytest.raises(NoValidMaximaError) as exc:
-        refine_peaks(gaussian(2), [], 0.1)
+        refine_peaks(gaussian(2), [])
     assert exc.value.n_candidates == 0
     assert str(exc.value).startswith("all 0 candidates rejected")
