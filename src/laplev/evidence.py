@@ -15,9 +15,9 @@ stencil: each cross term from the mode's value and six more, the axis
 points x +- eps_i e_i and x +- eps_j e_j, which the search's last gradient
 already evaluated at the mode's steps (their second differences are the
 diagonal), and the pair's own two points x +- (eps_i e_i + eps_j e_j);
-d (d - 1) evaluations in one batch. That route factors -H by Cholesky: the factor is the positive
-definiteness check, names the pivot where a non-concave mode breaks down,
-and gives log det(-H). Its condition number is the exact ratio of the
+d (d - 1) evaluations in one batch. That route factors -H by Cholesky:
+the factor is the positive definiteness check, names the pivot where a
+non-concave mode breaks down, and gives log det(-H). Its condition number is the exact ratio of the
 extreme eigenvalues of -H. Total evidence is the log-sum-exp over modes
 plus the marginal contribution of any pathological (flat/soft) coordinates
 found by the precheck screen.
