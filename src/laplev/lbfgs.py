@@ -45,10 +45,16 @@ def fd_steps(theta, width) -> np.ndarray:
     ``FD_WIDTH_FACTOR`` times the length scale ``width`` (the survey's ray
     resolution, in the search), because the subtraction noise floor grows
     with |logl| and a too-small step drowns the signal. A zero ``width``
-    leaves the baseline step as it is.
+    leaves the baseline step as it is. Each step is rounded to one the
+    float grid holds on both sides, ``theta +- eps`` exactly, so a
+    difference quotient divides by the distance its points are apart: at
+    the baseline step an unrounded offset is off by up to sqrt(eps)
+    relative, which a second difference doubles.
     """
-    th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-    return np.maximum(_SQRT_EPS * (1.0 + np.abs(th)), FD_WIDTH_FACTOR * abs(width))
+    th = np.abs(np.atleast_2d(np.asarray(theta, dtype=np.float64)))
+    eps = np.maximum(_SQRT_EPS * (1.0 + th), FD_WIDTH_FACTOR * np.abs(width))
+    # Rounded on the side away from zero, the coarser grid of the two.
+    return (th + eps) - th
 
 
 def axis_values(problem, theta, eps) -> np.ndarray:

@@ -228,6 +228,29 @@ def _make_bimodal_asym(dim):
                           frozenset(("multimodal", "asymmetric")))
 
 
+TWO_SCALE_NARROW = 1e-3
+TWO_SCALE_PEAK = -1e4
+
+
+def _make_two_scale(dim):
+    # Two equal-height Gaussians, sigma 1 at -2 and sigma 1e-3 at +2 on
+    # every axis, peaking at -1e4 as the log-likelihood of a large data set
+    # does. Once the survey reads the narrow mode, its width sets the
+    # ascent's steps, far below the wide mode's, where each value's rounding,
+    # eps_mach * 1e4, is what the wide mode's second difference must resolve.
+    dim = _check_dim("two-scale", dim, 1)
+    centres = np.stack([np.full(dim, -2.0), np.full(dim, 2.0)])
+
+    def fn(x, c=centres, s=TWO_SCALE_NARROW, top=TWO_SCALE_PEAK):
+        wide = -0.5 * np.sum((x - c[0]) ** 2, axis=1)
+        narrow = -0.5 * np.sum(((x - c[1]) / s) ** 2, axis=1)
+        return top + np.logaddexp(wide, narrow)
+
+    truth = TWO_SCALE_PEAK + 0.5 * dim * LOG_2PI + np.log1p(TWO_SCALE_NARROW**dim)
+    return _target("two-scale", dim, fn, BoundsBox.cube(dim, -6.0, 6.0), truth,
+                   modes=list(centres), tags=("multimodal",))
+
+
 # --------------------------------------------------------------- heavy tailed
 
 
@@ -450,6 +473,7 @@ REGISTRY = {
     "funnel-3": _make_funnel,
     "ring": _make_ring,
     "bimodal-asym": _make_bimodal_asym,
+    "two-scale": _make_two_scale,
 }
 
 SUITES = {

@@ -89,14 +89,28 @@ def test_fd_steps_floor_and_width_hint():
 
 def test_fd_steps_scalar_width_matches_broadcast_widths():
     # One scalar length scale gives the bits a per-row copy of it gave, and
-    # a zero width gives the bits of the baseline step alone.
+    # a zero width gives the bits of the baseline step alone, each rounded
+    # to the step |theta| + eps actually takes.
     rng = np.random.default_rng(2)
     th = rng.uniform(-5.0, 5.0, (9, 4)) * 10.0 ** rng.uniform(-8, 4, (9, 4))
     base = np.sqrt(np.finfo(np.float64).eps) * (1.0 + np.abs(th))
-    assert fd_steps(th, 0.0).tobytes() == base.tobytes()
+    a = np.abs(th)
+    assert fd_steps(th, 0.0).tobytes() == ((a + base) - a).tobytes()
     for w in (1e-9, 0.01, 3.7, 1e6):
         wide = np.maximum(base, 1e-3 * np.abs(np.full(th.shape, w)))
-        assert fd_steps(th, w).tobytes() == wide.tobytes()
+        assert fd_steps(th, w).tobytes() == ((a + wide) - a).tobytes()
+        assert fd_steps(th, np.full(th.shape, w)).tobytes() == fd_steps(th, w).tobytes()
+
+
+def test_fd_steps_are_the_offsets_the_probes_take():
+    # Every probe theta +- eps lies exactly eps from theta, so a difference
+    # quotient divides by the distance its points are apart.
+    rng = np.random.default_rng(5)
+    th = rng.uniform(-5.0, 5.0, (50, 6)) * 10.0 ** rng.uniform(-3, 3, (50, 6))
+    for w in (0.0, 1e-5, 0.3):
+        eps = fd_steps(th, w)
+        assert np.array_equal((th + eps) - th, eps)
+        assert np.array_equal(th - (th - eps), eps)
 
 
 def test_fd_gradient_quartic_oracle():

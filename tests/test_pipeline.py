@@ -169,6 +169,21 @@ def test_refine_stage_costs_nothing(name, dim):
     assert res.eval_counts["refine"] == res.call_counts["refine"] == 0
 
 
+@pytest.mark.parametrize("preset", ("fast", "conservative"))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_two_scale_wide_mode_measured_at_its_own_width(dim, preset):
+    # The narrow mode sets the ascent's steps, a millionth of the wide
+    # mode's width, where the rounding of values near -1e4 swamps the wide
+    # mode's second difference (it read zero, a saddle, and the mode was
+    # lost). Refine measures that one peak again at its own width, in one
+    # call of 2d rows, and both modes count.
+    target = get_target("two-scale", dim)
+    res = run(target.problem, preset_config(preset, seed=1))
+    assert len(res.modes) == 2 and res.warnings == []
+    assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-4
+    assert (res.call_counts["refine"], res.eval_counts["refine"]) == (1, 2 * dim)
+
+
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_conservative_eggbox_finds_every_mode(seed):
     # The ripple the smoothed ascent exists for: without that step, or with

@@ -5,7 +5,8 @@ from laplev.discovery import CoarsePeak
 from laplev.errors import NoValidMaximaError
 from laplev.lbfgs import make_state
 from laplev.problem import BoundsBox, Problem
-from laplev.refine import peak_widths, refine_peaks
+from laplev.refine import (NOISE_REL, peak_widths, refine_peaks, remeasure_noisy,
+                           rounding_bound)
 
 
 def box(d, lo=-5.0, hi=5.0):
@@ -198,3 +199,60 @@ def test_refine_empty_input_raises():
         refine_peaks(gaussian(2), [])
     assert exc.value.n_candidates == 0
     assert str(exc.value).startswith("all 0 candidates rejected")
+
+
+def test_refine_remeasures_a_diagonal_within_rounding_noise():
+    # A unit-width peak at -1e4 held at the steps of the narrow peak's 1e-3
+    # length scale: each value's rounding, eps_mach * 1e4, swamps its
+    # second difference.
+    # Refine measures that peak again at its own width, in one call of 2d
+    # rows, and leaves the well-measured peak as it was.
+    def fn(x):
+        wide = -0.5 * np.sum((x + 2.0) ** 2, axis=1)
+        narrow = -0.5 * np.sum(((x - 2.0) / 1e-3) ** 2, axis=1)
+        return -1e4 + np.logaddexp(wide, narrow)
+
+    p = Problem(fn, box(2, -6.0, 6.0))
+    cps = [held(p, [-2.0, -2.0], 1e-3), held(p, [2.0, 2.0], 1e-3)]
+    bound = rounding_bound(np.array([cp.logl for cp in cps]),
+                           np.array([cp.steps for cp in cps]))
+    assert (bound[0] > NOISE_REL * np.abs(cps[0].hess_diag)).all()
+    assert (bound[1] < NOISE_REL * np.abs(cps[1].hess_diag)).all()
+    batches = []
+    p._fn = lambda x, f=p._fn: batches.append(x.shape[0]) or f(x)
+    peaks, warnings = refine_peaks(p, cps)
+    assert batches == [4] and warnings == []
+    wide, narrow = sorted(peaks, key=lambda pk: pk.position[0])
+    np.testing.assert_allclose(wide.hess_diag, [-1.0, -1.0], rtol=1e-4)
+    assert (wide.steps > 100.0 * cps[0].steps).all()
+    assert narrow.hess_diag.tobytes() == cps[1].hess_diag.tobytes()
+    assert narrow.steps.tobytes() == cps[1].steps.tobytes()
+
+
+def test_refine_warns_when_rounding_swamps_the_peaks_own_width():
+    # At -1e9 the rounding of each value, eps_mach * 1e9, is most of a
+    # unit-width curvature even at the peak's own step: no longer step is
+    # taken, no call is made, and the warning counts the peak.
+    def fn(x):
+        return -1e9 - 0.5 * np.sum(x * x, axis=1)
+
+    p = Problem(fn, box(2))
+    cp = held(p, [0.0, 0.0], 1.0)
+    mark = (p.call_counter, p.eval_counter)
+    peaks, warnings = refine_peaks(p, [cp])
+    assert (p.call_counter, p.eval_counter) == mark
+    assert warnings == ["diagonal Hessian within rounding noise on 1 of 1 peaks"]
+    assert peaks[0].hess_diag.tobytes() == cp.hess_diag.tobytes()
+
+
+def test_remeasure_leaves_nonfinite_and_exact_zero_rows_alone():
+    # A non-finite diagonal is the filter's to reject, and a zero diagonal
+    # at a zero value has a zero rounding bound: neither costs a call.
+    p = gaussian(2)
+    theta = np.zeros((2, 2))
+    hess = np.array([[np.nan, -1e-30], [0.0, -1.0]])
+    steps = np.full((2, 2), 1e-9)
+    mark = p.call_counter
+    h, st, noisy = remeasure_noisy(p, theta, np.array([-1e4, 0.0]), hess, steps)
+    assert p.call_counter == mark and not noisy.any()
+    assert np.array_equal(h, hess, equal_nan=True) and np.array_equal(st, steps)

@@ -177,6 +177,26 @@ def test_mixture4_component_reorder_is_invariant():
     np.testing.assert_allclose(t1.problem._fn(x), t2.problem._fn(x), rtol=0, atol=1e-13)
 
 
+def test_two_scale_truth_matches_quadrature():
+    # Both components integrate to (2 pi)^{d/2} sigma^d times e^peak; at
+    # d=1 a quadrature that gives the narrow one its own interval must agree.
+    from scipy.integrate import quad
+
+    t = get_target("two-scale", 1)
+    top = t.problem.logl(np.array([[-2.0]]))[0]
+    assert top == pytest.approx(-1e4, abs=1e-9)
+
+    def density(x):
+        return np.exp(t.problem.logl(np.array([[x]]))[0] + 1e4)
+
+    total = sum(quad(density, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                for lo, hi in ((-30.0, -2.0), (-2.0, 1.99), (1.99, 2.0), (2.0, 2.01),
+                               (2.01, 30.0)))
+    assert t.true_log_integral + 1e4 == pytest.approx(np.log(total), abs=1e-11)
+    assert [m.tolist() for m in get_target("two-scale", 3).known_modes] == [
+        [-2.0] * 3, [2.0] * 3]
+
+
 def test_mixture4_separations_by_dimension():
     for dim, lo, hi in ((2, 5.9, 6.1), (4, 3.7, 3.9), (8, 5.3, 5.5), (16, 7.5, 7.7)):
         means, _ = _mixture4_layout(dim)
@@ -233,6 +253,8 @@ TRUTH_HEX = {
     ("student-t-3", 4): "0x1.951c609c479a1p+1",
     ("twisted", 2): "0x1.1cbd9f630a3bcp+0",
     ("twisted", 4): "0x1.799e5df4ab138p+1",
+    ("two-scale", 2): "-0x1.38714c069595ep+13",
+    ("two-scale", 4): "-0x1.3862980e379b3p+13",
 }
 SKEW_NORMAL_MODE_HEX = "0x1.7b64d4d2fc052p-2"
 
@@ -345,7 +367,8 @@ def test_registry_is_complete():
     assert list_targets() == sorted(
         ["gaussian", "cigar", "correlated", "rotated-cigar", "mixture4", "student-t-3",
          "cauchy", "skew-normal-5", "exp-power-0.5", "exp-power-1", "banana-0.1",
-         "banana-0.5", "twisted", "eggbox", "funnel-3", "ring", "bimodal-asym"]
+         "banana-0.5", "twisted", "eggbox", "funnel-3", "ring", "bimodal-asym",
+         "two-scale"]
     )
     for suite, names in SUITES.items():
         for n in names:
