@@ -190,10 +190,10 @@ def _prop_laplace_exactness(n_cases=200):
     # extreme-condition regime is criterion 2's job, at pipeline level).
     # refine_peaks and mode_evidence run at their stage settings, tail
     # screen included, from held peaks within 1e-7 of the optimum.
-    # Peak values sit at 0 (the convention all bundled targets follow):
-    # the curvature stencil loses eps_mach*|logl*|/step^2 of relative
-    # precision to cancellation, so exactness-grade results presume a
-    # roughly normalized peak. Geometries stay clear of the rotation
+    # Peak values sit at 0, as most bundled targets' do: the curvature
+    # stencil loses eps_mach*|logl*|/step^2 of relative precision to
+    # rounding, so exactness-grade results presume a roughly normalized
+    # peak. Geometries stay clear of the rotation
     # detector's 5% dead band: either exactly axis-aligned, or rotations
     # with off-diagonal mass >= 15% of the diagonal (inside the band the
     # diagonal route is the documented approximation, not an exact one).
