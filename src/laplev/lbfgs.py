@@ -177,35 +177,40 @@ def make_state(problem, theta0, width) -> BatchState:
 def _directions(state: BatchState, active):
     """Search directions for f = -logl at rows ``active``, all at once.
 
-    Runs the two-loop recursion over the rows' ring buffers age by age
-    (newest pair first); a row with no pair of some age keeps its ``q`` and
-    ``r`` through that age, and a row with no pairs at all takes steepest
-    descent. A non-finite or ascending direction falls back to steepest
-    descent too. Returns ``(dirs, slopes, alpha, searchable)``: directions,
-    directional derivatives of f, first trial steps and the mask of rows
-    with a usable descent direction.
+    Gathers each row's pairs once, in age order (newest first), and runs
+    the two-loop recursion over them age by age; a row with no pair of some
+    age keeps its ``q`` and ``r`` through that age, and a row with no pairs
+    at all takes steepest descent. A non-finite or ascending direction
+    falls back to steepest descent too. Returns
+    ``(dirs, slopes, alpha, searchable)``: directions, directional
+    derivatives of f, first trial steps and the mask of rows with a usable
+    descent direction.
     """
     g_f = -state.grad[active]
+    n, dim = g_f.shape
     memory = state.s_ring.shape[1]
     total = state.pairs_total[active]
     depth = np.minimum(total, memory)
+    ages = int(depth.max())
+    slots = (total[:, None] - 1 - np.arange(ages)) % memory
+    s = state.s_ring[active[:, None], slots]
+    y = state.y_ring[active[:, None], slots]
+    # Ages every row has need no mask.
+    has = [None if age < depth.min() else (depth > age)[:, None] for age in range(ages)]
     with np.errstate(all="ignore"):
+        rho = (1.0 / _row_dot(s.reshape(-1, dim), y.reshape(-1, dim))).reshape(n, ages)
         q = g_f.copy()
-        pairs = []
-        for age in range(int(depth.max())):
-            has = (depth > age)[:, None]
-            slot = (total - 1 - age) % memory
-            s = state.s_ring[active, slot]
-            y = state.y_ring[active, slot]
-            rho = 1.0 / _row_dot(s, y)
-            coef = rho * _row_dot(s, q)
-            q = np.where(has, q - coef[:, None] * y, q)
-            pairs.append((has, s, y, rho, coef))
+        coef = np.empty((n, ages))
+        for age in range(ages):
+            coef[:, age] = rho[:, age] * _row_dot(s[:, age], q)
+            step = q - coef[:, age, None] * y[:, age]
+            q = step if has[age] is None else np.where(has[age], step, q)
         # gamma is s.y/y.y of each row's newest pair.
         r = state.gamma[active][:, None] * q
-        for has, s, y, rho, coef in reversed(pairs):
-            beta = rho * _row_dot(y, r)
-            r = np.where(has, r + s * (coef - beta)[:, None], r)
+        for age in reversed(range(ages)):
+            beta = rho[:, age] * _row_dot(y[:, age], r)
+            step = r + s[:, age] * (coef[:, age] - beta)[:, None]
+            r = step if has[age] is None else np.where(has[age], step, r)
         fresh = depth == 0
         d = np.where(fresh[:, None], -g_f, -r)
         m = _row_dot(g_f, d)
