@@ -615,9 +615,11 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
 
     The search runs at most ``n_oscillations`` rounds (the preset's
     count). Each runs the ascent (at most ``N_CONVERGE`` steps) on the
-    population. A sample sticks when it converged (gradient sup-norm below
-    ``STICK_GRAD * max(1, |logl|)``, so finite-difference noise at a large
-    peak value does not hold it back) onto a peak within a factor
+    population, and the ascent stops a sample at the one convergence rule
+    it shares with the search, ``BatchState.converged(STICK_GRAD)``: a
+    gradient sup-norm below ``STICK_GRAD * max(1, |logl|)``, so
+    finite-difference noise at a large peak value does not hold it back. A
+    sample sticks when it converged onto a peak within a factor
     ``KEEP_RATIO`` of the best value seen anywhere so far. The newly stuck
     samples are deduplicated within the box's ``dedup_radius`` together
     with the held peaks, held peaks first: a tie keeps the held peak and a
@@ -654,7 +656,6 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         state = run_batch(problem, positions, N_CONVERGE, STICK_GRAD, lam_fine)
         positions = state.theta
         logls = state.logl
-        grad_inf = state.grad_inf()
 
         finite = np.isfinite(logls)
         if finite.any():
@@ -663,8 +664,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
                 best_pos, best_logl = positions[i].copy(), float(logls[i])
 
         floor = problem.peak_logl + np.log(KEEP_RATIO)
-        stuck = ((grad_inf < STICK_GRAD * np.maximum(1.0, np.abs(logls)))
-                 & finite & (logls >= floor))
+        stuck = state.converged(STICK_GRAD) & finite & (logls >= floor)
         hess, steps = state.hess_diag(stuck)
         held = [pk for pk in held if pk.logl >= floor] + [
             CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),

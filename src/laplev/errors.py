@@ -76,15 +76,22 @@ class NoValidMaximaError(LaplevError):
     """Every refined candidate was filtered out.
 
     ``reasons`` maps each filter name to the number of candidates it removed;
-    ``n_candidates`` is the number of held peaks the filters saw.
+    ``n_candidates`` is the number of held peaks the filters saw;
+    ``warnings`` holds the lines the stage raised before the filters
+    rejected everything, such as a diagonal within rounding noise, and the
+    message names them.
     """
 
     exit_code = 5
 
-    def __init__(self, reasons, n_candidates):
+    def __init__(self, reasons, n_candidates, warnings=()):
         self.reasons = dict(reasons)
         self.n_candidates = int(n_candidates)
-        super().__init__(f"all {self.n_candidates} candidates rejected: {self.reasons}")
+        self.warnings = tuple(warnings)
+        msg = f"all {self.n_candidates} candidates rejected: {self.reasons}"
+        if self.warnings:
+            msg += "; " + "; ".join(self.warnings)
+        super().__init__(msg)
 
 
 class HessianFailedError(LaplevError):

@@ -11,10 +11,16 @@ the curvature pairs are gated and stored for all moved rows at once. Row
 dot products go through ``_row_dot`` so every row rounds exactly as a
 per-sample ``np.dot`` would.
 
-A sample that ends a step where it started is frozen: its position, value,
-gradient and history are unchanged, so every later step would replay the
-same failed search. For an evaluator whose row values do not depend on the
-batch, freezing it removes only evaluations that cannot change any row.
+Each line search first fits a parabola through its first trial and takes
+the fitted step at whatever length it asks for: on a quadratic peak that is
+the exact line search, with which L-BFGS ends in at most d steps.
+
+A sample is frozen once it has converged, its gradient sup-norm below
+``tol * max(1, |logl|)`` (the rule the mode search sticks a sample by), and
+once a step leaves it where it started: its position, value, gradient and
+history are then unchanged, so every later step would replay the same
+failed search. For an evaluator whose row values do not depend on the
+batch, that freeze removes only evaluations that cannot change any row.
 
 Internally the math runs in minimization convention on f = -logl; the
 public surface (gradients, monotonicity, convergence checks) speaks in
@@ -132,6 +138,14 @@ class BatchState:
 
     def grad_inf(self) -> np.ndarray:
         return np.max(np.abs(self.grad), axis=1)
+
+    def converged(self, tol) -> np.ndarray:
+        """Rows whose gradient sup-norm is below ``tol * max(1, |logl|)``.
+
+        Relative above a unit value, so finite-difference noise at a large
+        peak value does not hold a row back; a NaN row never converges.
+        """
+        return self.grad_inf() < tol * np.maximum(1.0, np.abs(self.logl))
 
     def hess_diag(self, rows):
         """Diagonal Hessian of ``rows`` from the values of their gradient.
@@ -251,14 +265,19 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
 
     Directions, line-search transitions and curvature-pair updates run as
     array operations across the batch; each sample still follows its own
-    history and its own line search. The backtracking line search shares
-    evaluator batches across samples round by round. A sample leaves the
-    search early once its candidate lands on its own position before any
-    candidate was accepted: every later trial step is no longer, so it
-    cannot leave either. Every sample that ends the step unmoved (no descent
-    direction, a dropped or exhausted search) is frozen, since a replay from
-    the same state would fail the same way. Returns the boolean mask of rows
-    that moved.
+    history and its own line search, and the searches share evaluator
+    batches round by round. The line search fits a parabola along the line
+    through its first trial and probes the parabola's maximizer at any
+    length, the exact step on a quadratic peak. It keeps the better of the
+    two candidates that pass the Armijo test, so a bad extrapolation costs
+    one probe, and a fitted step past the largest float lands on the wall.
+    When no candidate passes, it halves. A sample leaves the search early
+    once its candidate lands on its own position before any candidate was
+    accepted: every later trial step is no longer, so it cannot leave
+    either. Every sample that ends the step unmoved (no descent direction,
+    a dropped or exhausted search) is frozen, since a replay from the same
+    state would fail the same way. Returns the boolean mask of rows that
+    moved.
     """
     moved = np.zeros(state.n, dtype=bool)
     active = np.flatnonzero(~state.frozen)
@@ -283,7 +302,9 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
             break
         rows = active[searching]
         a = alpha[searching]
-        raw = state.theta[rows] + a[:, None] * dirs[searching]
+        # A fitted step can reach past the largest float; the wall takes it.
+        with np.errstate(over="ignore"):
+            raw = state.theta[rows] + a[:, None] * dirs[searching]
         cand = problem.bounds.clip(raw)
         vals = problem.logl(cand)
         displaced = np.any(cand != state.theta[rows], axis=1)
@@ -308,7 +329,6 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
                 & np.isfinite(vals)
                 & np.isfinite(a_fit)
                 & (0.0 < a_fit)
-                & (a_fit <= 10.0 * a)
                 & (np.abs(a_fit - a) > 0.05 * a)
             )
         better = ok & (~fitted | (vals > best_val[searching]))
@@ -351,14 +371,15 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
 def run_batch(problem, theta0, iterations, tol, width) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
-    A sample freezes once its gradient sup-norm drops below ``tol`` or a
-    step leaves it unmoved; the loop ends early when every sample is frozen.
-    Each sample keeps its ``HISTORY`` newest curvature pairs, and every
-    gradient steps at ``fd_steps(theta, width)``.
+    A sample freezes once it has ``converged(tol)``, its gradient sup-norm
+    below ``tol * max(1, |logl|)``, or once a step leaves it unmoved; the
+    loop ends early when every sample is frozen. Each sample keeps its
+    ``HISTORY`` newest curvature pairs, and every gradient steps at
+    ``fd_steps(theta, width)``.
     """
     state = make_state(problem, theta0, width)
     for _ in range(int(iterations)):
-        state.frozen |= state.grad_inf() < tol
+        state.frozen |= state.converged(tol)
         if state.frozen.all():
             break
         step_batch(state, problem)

@@ -117,7 +117,7 @@ def refine_peaks(problem, coarse_peaks):
     whose width hit the resolution floor and one counting those whose
     diagonal stayed within the rounding bound's reach, each only when the
     count is not zero. Raises the no-valid-maxima error, with a per-filter
-    casualty count, when every peak is rejected.
+    casualty count and the rounding warning, when every peak is rejected.
     """
     if not coarse_peaks:
         raise NoValidMaximaError({"no_input_peaks": 0}, 0)
@@ -135,7 +135,7 @@ def refine_peaks(problem, coarse_peaks):
     reasons = {"hessian_nonfinite": int(bad.sum()), "saddle": int(saddle.sum())}
     alive = np.flatnonzero(~(bad | saddle))
     if alive.size == 0:
-        raise NoValidMaximaError(reasons, len(coarse_peaks))
+        raise NoValidMaximaError(reasons, len(coarse_peaks), warnings)
 
     hess = hess[alive]
     widths, floored = peak_widths(hess, problem.bounds.widths)

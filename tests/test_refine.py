@@ -160,8 +160,28 @@ def test_refine_all_fail_raises_with_reasons():
         refine_peaks(p, cps)
     assert exc.value.reasons == {"hessian_nonfinite": 1, "saddle": 1}
     assert exc.value.n_candidates == 2
+    assert exc.value.warnings == ()
     assert str(exc.value).startswith("all 2 candidates rejected")
     assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (0, 0)
+
+
+def test_refine_all_rejected_keeps_the_rounding_warning():
+    # A plane at logl 1.4: every second difference is rounding alone, so the
+    # peak is measured again twice, still reads within the rounding bound
+    # and is rejected as a saddle. The error says why.
+    def fn(x):
+        return 1.4 + x[:, 0] + 0.5 * x[:, 1]
+
+    p = Problem(fn, box(2))
+    cp = held(p, [0.0, 0.0])
+    mark = (p.call_counter, p.eval_counter)
+    with pytest.raises(NoValidMaximaError) as exc:
+        refine_peaks(p, [cp])
+    assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (2, 8)
+    assert exc.value.reasons == {"hessian_nonfinite": 0, "saddle": 1}
+    line = "diagonal Hessian within rounding noise on 1 of 1 peaks"
+    assert exc.value.warnings == (line,)
+    assert str(exc.value).endswith(line)
 
 
 def test_refine_merges_duplicate_coarse_peaks():
