@@ -16,11 +16,11 @@ the fitted step at whatever length it asks for: on a quadratic peak that is
 the exact line search, with which L-BFGS ends in at most d steps.
 
 A sample is frozen once it has converged, its gradient sup-norm below
-``tol * max(1, |logl|)`` (the rule the mode search sticks a sample by), and
-once a step leaves it where it started: its position, value, gradient and
-history are then unchanged, so every later step would replay the same
-failed search. For an evaluator whose row values do not depend on the
-batch, that freeze removes only evaluations that cannot change any row.
+``tol * max(1, |logl|)``, the rule the mode search sticks a sample by. It
+is frozen too once a step leaves it where it started: its position, value,
+gradient and history are then unchanged, so every later step would replay
+the same failed search. For an evaluator whose row values do not depend on
+the batch, that freeze removes only evaluations that cannot change any row.
 
 Internally the math runs in minimization convention on f = -logl; the
 public surface (gradients, monotonicity, convergence checks) speaks in
@@ -210,7 +210,8 @@ def _directions(state: BatchState, active):
     s = state.s_ring[active[:, None], slots]
     y = state.y_ring[active[:, None], slots]
     # Ages every row has need no mask.
-    has = [None if age < depth.min() else (depth > age)[:, None] for age in range(ages)]
+    shared = int(depth.min())
+    has = [None if age < shared else (depth > age)[:, None] for age in range(ages)]
     with np.errstate(all="ignore"):
         rho = (1.0 / _row_dot(s.reshape(-1, dim), y.reshape(-1, dim))).reshape(n, ages)
         q = g_f.copy()
