@@ -34,7 +34,7 @@ print(f"ratio error     : {abs(np.expm1(result.log_z_total - truth)):.3e}")
 print(f"modes found     : {len(result.modes)}")
 m = result.modes[0]
 print(f"peak            : {np.round(m.peak.position, 6)}")
-print(f"geometry        : {m.verdict.decision} -> {m.hessian_kind} Hessian, "
+print(f"geometry        : {m.hessian_kind} Hessian, "
       f"condition {m.condition_number:.2f}")
 print(f"evaluations     : {sum(result.eval_counts.values())} "
       f"{result.eval_counts}")

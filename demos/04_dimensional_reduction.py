@@ -17,7 +17,7 @@ import numpy as np
 
 from laplev import BoundsBox, Problem, preset_config, reduce_mode, run
 from laplev.refine import refine_peaks
-from laplev.discovery import CoarsePeak
+from laplev.discovery import Peak
 from laplev.lbfgs import make_state
 
 # --- Part 1: pipeline view -------------------------------------------------
@@ -63,12 +63,12 @@ def trough(x):
 
 problem2 = Problem(trough, BoundsBox.cube(2, -4.0, 4.0))
 start = 0.3 * u  # somewhere on the line of maxima, where the gradient is 0
-# An ascent state there holds the value, gradient and diagonal Hessian
-# that the search would hand over for a held peak.
+# An ascent state there holds the value and diagonal Hessian that the
+# search would hand over for a held peak.
 state = make_state(problem2, start[None, :], 0.01)
 hess, steps = state.hess_diag([0])
-cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0], state.grad[0], 1)
-peaks, _ = refine_peaks(problem2, [cp])
+held = Peak(start, float(state.logl[0]), hess[0], steps[0])
+peaks, _ = refine_peaks(problem2, [held])
 
 rep, reduced = reduce_mode(problem2, peaks[0], -prec)
 chord = np.exp(rep.log_z_degen)

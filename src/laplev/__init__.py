@@ -5,8 +5,10 @@ Typical use::
     from laplev import Problem, BoundsBox, preset_config, run
 
     problem = Problem(log_likelihood_fn, BoundsBox.cube(8, -5.0, 5.0))
-    result = run(problem, preset_config("slow", seed=1))
+    result = run(problem, preset_config("fast", seed=1))
     print(result.log_z_total, len(result.modes))
+    for mode in result.modes:
+        print(mode.peak.position, mode.log_z, mode.hessian_kind)
 
 ``log_likelihood_fn`` takes an (N, d) array and returns N log-likelihood
 values; everything downstream is batched, deterministic for a fixed
@@ -19,7 +21,7 @@ from .errors import (CenterEvaluationError, DegenerateProblemError,
                      NoModesFoundError, NotPositiveDefiniteError,
                      NoValidMaximaError, SaddleDirectionError,
                      UnsupportedDimensionError)
-from .evidence import EvidenceResult, ModeEvidence, RotationVerdict, combine
+from .evidence import EvidenceResult, ModeEvidence, combine
 from .pipeline import (PRESETS, PipelineConfig, preset_config, result_json,
                        run)
 from .precheck import PrecheckReport, precheck
@@ -35,7 +37,7 @@ __all__ = [
     "InvalidParameterError", "LaplevError", "ModeEvidence",
     "NoModesFoundError", "NotPositiveDefiniteError", "NoValidMaximaError",
     "PRESETS", "PipelineConfig", "PrecheckReport", "Problem",
-    "ReductionReport", "RotationVerdict", "SaddleDirectionError", "SUITES",
+    "ReductionReport", "SaddleDirectionError", "SUITES",
     "UnsupportedDimensionError", "View", "combine", "get_target",
     "list_targets", "precheck", "preset_config", "reduce_mode",
     "result_json", "run", "__version__",

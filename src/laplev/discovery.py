@@ -544,24 +544,19 @@ def basin_leaders(basin) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoarsePeak:
-    """A held peak as the search hands it over.
+class Peak:
+    """A mode from the search to its evidence.
 
-    ``hess_diag`` is the diagonal second difference the ascent's last
-    gradient at ``position`` already evaluated, at the per-axis ``steps``
-    ``fd_steps(position, lam_fine)``; ``grad`` is that gradient.
+    ``hess_diag`` is the diagonal second difference at ``position`` at the
+    per-axis ``steps``. The search reads it off the values its last
+    gradient evaluated, at ``fd_steps(position, lam_fine)``; refine
+    replaces both where it measures the diagonal again.
     """
 
     position: np.ndarray
     logl: float
     hess_diag: np.ndarray
     steps: np.ndarray
-    grad: np.ndarray
-    oscillation: int
-
-    @property
-    def grad_inf(self) -> float:
-        return float(np.max(np.abs(self.grad)))
 
 
 def smoothed_gradient(problem, theta, sigma, k, rng, width):
@@ -605,7 +600,7 @@ def _smoothed_ascent(problem, theta, lam_fine, rng):
 
 
 def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
-                   n_oscillations: int) -> list[CoarsePeak]:
+                   n_oscillations: int) -> list[Peak]:
     """Stick/release search: peaks that stick are held, the rest go round again.
 
     ``seeds`` is the starting population. The pipeline passes the basin
@@ -623,13 +618,13 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
     ``KEEP_RATIO`` of the best value seen anywhere so far. The newly stuck
     samples are deduplicated within the box's ``dedup_radius`` together
     with the held peaks, held peaks first: a tie keeps the held peak and a
-    strictly better newcomer replaces it. The survivors are the held peaks; every other stuck
-    sample retires, and so does a held peak that falls below the keep band
-    once a better value turns up. A held peak keeps the position, value,
-    gradient and oscillation of the round it stuck in and is never
-    evaluated again. Its diagonal Hessian is read off the values its last
-    gradient evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``,
-    with no likelihood call (``BatchState.hess_diag``).
+    strictly better newcomer replaces it. The survivors are the held peaks;
+    every other stuck sample retires, and so does a held peak that falls
+    below the keep band once a better value turns up. A held peak keeps the
+    position and value of the round it stuck in and is never evaluated
+    again. Its diagonal Hessian is read off the values its last gradient
+    evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``, with no
+    likelihood call (``BatchState.hess_diag``).
     Except on the last round, only the samples that did not stick climb
     the smoothed gradient and form the next round's population; when none
     are left, the search ends. Nothing else runs between two ascents.
@@ -667,9 +662,7 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
         stuck = state.converged(STICK_GRAD) & finite & (logls >= floor)
         hess, steps = state.hess_diag(stuck)
         held = [pk for pk in held if pk.logl >= floor] + [
-            CoarsePeak(position=positions[i].copy(), logl=float(logls[i]),
-                       hess_diag=hess[k], steps=steps[k],
-                       grad=state.grad[i].copy(), oscillation=osc)
+            Peak(positions[i].copy(), float(logls[i]), hess[k], steps[k])
             for k, i in enumerate(np.flatnonzero(stuck))
         ]
         if held:

@@ -17,10 +17,10 @@ already evaluated at the mode's steps (their second differences are the
 diagonal), and the pair's own two points x +- (eps_i e_i + eps_j e_j);
 d (d - 1) evaluations in one batch. That route factors -H by Cholesky:
 the factor is the positive definiteness check, names the pivot where a
-non-concave mode breaks down, and gives log det(-H). Its condition number is the exact ratio of the
-extreme eigenvalues of -H. Total evidence is the log-sum-exp over modes
-plus the marginal contribution of any pathological (flat/soft) coordinates
-found by the precheck screen.
+non-concave mode breaks down, and gives log det(-H). Its condition number
+is the exact ratio of the extreme eigenvalues of -H. Total evidence is the
+log-sum-exp over modes plus the marginal contribution of any pathological
+(flat/soft) coordinates found by the precheck screen.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
-from .linalg import LOG_2PI, cholesky_lower, condition_pd, logsumexp
+from .linalg import LOG_2PI, condition_pd, log_det_pd, logsumexp
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .linalg import eig_symmetric  # noqa: F401
 
@@ -64,29 +64,14 @@ CONDITION_WARN = 3e6
 HEAVY_TAIL_WARNING = "heavy-tail geometry detected"
 
 
-@dataclass(frozen=True)
-class RotationVerdict:
-    """How a mode's off-diagonal structure was judged.
-
-    decision: 'axis_aligned' or 'rotated'. probe_b is the mean off-diagonal
-    curvature the diagonal-direction probe measured (NaN when that probe
-    read a non-finite value), or None for a d = 1 mode, which is not probed.
-    """
-
-    decision: str
-    probe_b: float | None
-
-
 @dataclass
 class ModeEvidence:
     """A single mode's contribution to the evidence."""
 
     peak: object
     log_z: float
-    hessian_kind: str  # 'diagonal' or 'full'
-    log_det_negh: float
+    hessian_kind: str  # 'diagonal' or 'full': the rotation test's route
     condition_number: float
-    verdict: RotationVerdict
     hessian: np.ndarray | None  # full matrix when hessian_kind == 'full'
     warnings: list = field(default_factory=list)
     evals_used: int = 0
@@ -159,19 +144,20 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
     """Judge off-diagonal curvature with second-difference probes.
 
     The main probe runs along v = (1,...,1)/sqrt(d), where the second
-    difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j); the
-    returned b is that mean off-diagonal term. ``PROBE_EXTRA`` additional
-    probes along random unit directions drawn from ``rng`` guard against
+    difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j), which
+    sees the mean off-diagonal term. ``PROBE_EXTRA`` additional probes
+    along random unit directions drawn from ``rng`` guard against
     off-diagonals that cancel in the mean. Each probe steps so that no
     coordinate moves more than PROBE_STEP_FRACTION of its width, and all
     probe rows are issued as one evaluation batch. The ``also`` rows (an
     (m, d) array, m may be 0) ride in the same batch, after the probe rows.
 
-    Returns (b, rotated, also_values): rotated is True when any probe's
-    measured curvature u'Hu deviates from its diagonal-only prediction
-    sum u_i^2 H_ii by at least PROBE_REL_THRESHOLD times that prediction,
-    or when any probe value is non-finite (conservative: an unmeasurable
-    mode is not assumed separable).
+    Returns (rotated, also_values), the second being the ``also`` rows'
+    values. rotated is True when any probe's measured curvature u'Hu
+    deviates from its diagonal-only prediction sum u_i^2 H_ii by at least
+    PROBE_REL_THRESHOLD times that prediction, or when any probe value is
+    non-finite (conservative: an unmeasurable mode is not assumed
+    separable).
     """
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
@@ -203,11 +189,8 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
     with np.errstate(invalid="ignore"):
         quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
         off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
-    # along (1,..,1)/sqrt(d) the prediction equals mean(H_ii), and the
-    # excess is (d-1) times the mean off-diagonal entry
-    b = float((quad[0] - pred[0]) / (d - 1)) if finite[0] else float("nan")
     rotated = bool((~finite | off).any())
-    return b, rotated, all_values[n_probe:]
+    return rotated, all_values[n_probe:]
 
 
 def full_hessian(problem, position, center_logl, hess_diag, steps):
@@ -312,30 +295,26 @@ def mode_evidence(problem, peak, *, rng):
     evals_before = problem.eval_counter
 
     tail = _tail_points(position, 1.0 / np.sqrt(-hess_diag), problem.bounds)
-    probe_b = None
     if d < 2:
         # one coordinate: the diagonal IS the full Hessian
-        decision = "axis_aligned"
+        rotated = False
         tail_values = problem.logl(tail)
     else:
         # The tail rows ride in the probe's batch: one likelihood call.
-        probe_b, probe_rotated, tail_values = probe_offdiag(
+        rotated, tail_values = probe_offdiag(
             problem, position, peak.logl, hess_diag, rng=rng, also=tail,
         )
-        decision = "rotated" if probe_rotated else "axis_aligned"
-    verdict = RotationVerdict(decision, probe_b)
 
-    if decision == "rotated":
+    if rotated:
         hess = full_hessian(problem, position, peak.logl, hess_diag, peak.steps)
         neg_hess = -hess
         try:
-            factor = cholesky_lower(neg_hess)
+            log_det = log_det_pd(neg_hess)
         except NotPositiveDefiniteError as err:
             raise NotPositiveDefiniteError(
                 err.pivot_index,
                 "mode has a non-concave direction in the full Hessian",
             ) from None
-        log_det = float(2.0 * np.sum(np.log(np.diag(factor))))
         condition = condition_pd(neg_hess)
         kind = "full"
 
@@ -366,9 +345,7 @@ def mode_evidence(problem, peak, *, rng):
         peak=peak,
         log_z=log_z,
         hessian_kind=kind,
-        log_det_negh=log_det,
         condition_number=condition,
-        verdict=verdict,
         hessian=hess,
         warnings=warnings,
         evals_used=int(problem.eval_counter - evals_before),

@@ -9,8 +9,8 @@ off-diagonal entry skips LAPACK: its eigenvalues are its diagonal, exact,
 and at d = 1024 that is far cheaper than ``eigh``.
 
 ``cholesky_lower`` stays hand-rolled. It is the evidence route's PD check,
-reports the pivot at which a non-concave mode breaks down, and gives the
-log det every log Z is built from.
+reports the pivot at which a non-concave mode breaks down, and gives, in
+``log_det_pd``, the log det every full-route log Z is built from.
 """
 
 from __future__ import annotations

@@ -53,10 +53,6 @@ class BoundsBox:
     def log_volume(self) -> float:
         return float(np.sum(np.log(self.widths)))
 
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-
     def clip(self, points) -> np.ndarray:
         return np.clip(points, self.lower, self.upper)
 
@@ -146,6 +142,10 @@ class View:
     @property
     def eval_counter(self) -> int:
         return self.parent.eval_counter
+
+    @property
+    def call_counter(self) -> int:
+        return self.parent.call_counter
 
     @property
     def peak_logl(self) -> float:

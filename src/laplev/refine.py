@@ -2,9 +2,9 @@
 
 Every coarse peak reaching this stage has already stuck in the search: its
 gradient sup-norm is below the search's stick threshold and its value is
-finite. It is taken as it stands, position, value, gradient and diagonal
-Hessian, the last read off the values the ascent's final gradient
-evaluated there, so for most peaks this stage makes no likelihood call.
+finite. It is taken as it stands, position, value and diagonal Hessian,
+the last read off the values the ascent's final gradient evaluated there,
+so for most peaks this stage makes no likelihood call.
 
 Those values sit at the steps of the survey's one length scale, the
 finest width it read, which can be far below a wider peak's own width.
@@ -20,7 +20,7 @@ probe starts from that diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,25 +93,14 @@ def peak_widths(hess_diag, bound_widths):
     return np.maximum(w, floor), (w < floor).any(axis=-1)
 
 
-@dataclass
-class RefinedPeak:
-    """A validated maximum; ``hess_diag`` was measured at ``steps``."""
-
-    position: np.ndarray
-    logl: float
-    hess_diag: np.ndarray
-    steps: np.ndarray
-    widths: np.ndarray
-    width_floored: bool
-
-
 def refine_peaks(problem, coarse_peaks):
-    """Validate held coarse peaks into maxima with a measured curvature.
+    """Validate held peaks into maxima with a measured curvature.
 
-    Each peak keeps its position, value and the diagonal Hessian the search
+    Each peak is taken as it stands, with the diagonal Hessian the search
     read off its last gradient's values. Only a peak whose diagonal the
     rounding of those values can swamp is measured again
-    (``remeasure_noisy``); otherwise no likelihood call is made.
+    (``remeasure_noisy``) and comes back with its new ``hess_diag`` and
+    ``steps``; otherwise no likelihood call is made.
 
     Returns (peaks, warnings); warnings holds a line counting the peaks
     whose width hit the resolution floor and one counting those whose
@@ -137,23 +126,18 @@ def refine_peaks(problem, coarse_peaks):
     if alive.size == 0:
         raise NoValidMaximaError(reasons, len(coarse_peaks), warnings)
 
-    hess = hess[alive]
-    widths, floored = peak_widths(hess, problem.bounds.widths)
+    widths, floored = peak_widths(hess[alive], problem.bounds.widths)
     n_floored = int(floored.sum())
     if n_floored:
         warnings.append(f"peak width hit the resolution floor on {n_floored} of"
                         f" {alive.size} peaks")
-    kept = dedup_linf(theta[alive], logl[alive], 1.0, widths=widths.min(axis=0))
-    peaks = [
-        RefinedPeak(
-            position=theta[r].copy(),
-            logl=float(logl[r]),
-            hess_diag=hess[i],
-            steps=steps[r],
-            widths=widths[i],
-            width_floored=bool(floored[i]),
-        )
-        for i, r in zip(kept, alive[kept])
-    ]
+    kept = alive[dedup_linf(theta[alive], logl[alive], 1.0, widths=widths.min(axis=0))]
+    peaks = []
+    for r in kept:
+        pk = coarse_peaks[r]
+        # A row measured again took a longer step on some axis.
+        if not np.array_equal(steps[r], pk.steps):
+            pk = replace(pk, hess_diag=hess[r], steps=steps[r])
+        peaks.append(pk)
     peaks.sort(key=lambda p: -p.logl)
     return peaks, warnings

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from laplev.discovery import CoarsePeak, estimate_scales, survey
+from laplev.discovery import Peak, estimate_scales, survey
 from laplev.evidence import mode_evidence
 from laplev.lbfgs import fd_gradient, make_state
 from laplev.linalg import (cholesky_lower, dedup_linf, eig_symmetric,
@@ -62,13 +62,13 @@ def test_criterion_1_gaussian_exactness():
 def test_criterion_2_anisotropic_rotated_family():
     # 1e6:1 cigar at d in {4, 16}; correlated at d in {2, 8, 16, 32, 64};
     # rotated-cigar at d in {2, 5, 6, 8, 16, 32}. Relative error < 1e-8 and
-    # the rotation detector must say axis_aligned on the cigar, rotated on
-    # the other two. 5 seeds.
-    cases = [("cigar", (4, 16), "axis_aligned"),
-             ("correlated", (2, 8, 16, 32, 64), "rotated"),
-             ("rotated-cigar", (2, 5, 6, 8, 16, 32), "rotated")]
+    # the rotation detector must route the cigar to the diagonal Hessian and
+    # the other two to the full one. 5 seeds.
+    cases = [("cigar", (4, 16), "diagonal"),
+             ("correlated", (2, 8, 16, 32, 64), "full"),
+             ("rotated-cigar", (2, 5, 6, 8, 16, 32), "full")]
     worst = (0.0, None)
-    bad_verdicts = []
+    bad_routes = []
     for name, dims, want in cases:
         for dim in dims:
             for seed in range(1, 6):
@@ -76,13 +76,13 @@ def test_criterion_2_anisotropic_rotated_family():
                 err = ratio_err(res.log_z_total, target.true_log_integral)
                 if err > worst[0]:
                     worst = (err, (name, dim, seed))
-                got = {m.verdict.decision for m in res.modes}
+                got = {m.hessian_kind for m in res.modes}
                 if got != {want}:
-                    bad_verdicts.append((name, dim, seed, got))
-    ok = worst[0] < 1e-8 and not bad_verdicts
+                    bad_routes.append((name, dim, seed, got))
+    ok = worst[0] < 1e-8 and not bad_routes
     _report(2, "anisotropic/rotated family", ok,
             f"worst rel error {worst[0]:.3e} at {worst[1]} (tolerance 1e-8), "
-            f"verdict mismatches: {bad_verdicts or 'none'} (65 runs)")
+            f"route mismatches: {bad_routes or 'none'} (65 runs)")
 
 
 def test_criterion_3_mixture_trend():
@@ -234,9 +234,8 @@ def _prop_laplace_exactness(n_cases=200):
         for k, scale in enumerate((lam_fine, 1e-5)):
             state = make_state(problem, start[None, :], scale)
             hess, steps = state.hess_diag([0])
-            cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0],
-                            state.grad[0], 1)
-            peaks, _ = refine_peaks(problem, [cp])
+            held = Peak(start, float(state.logl[0]), hess[0], steps[0])
+            peaks, _ = refine_peaks(problem, [held])
             me = mode_evidence(problem, peaks[0],
                                rng=rng if k == 0 else probe_rng)
             worst[k] = max(worst[k], ratio_err(me.log_z, truth))

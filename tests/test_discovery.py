@@ -313,7 +313,8 @@ def test_large_dimension_count_is_cheap_and_right():
 def test_ray_endpoint_structure():
     b = BoundsBox(np.array([-2.0, 0.0, 1.0]), np.array([3.0, 4.0, 9.0]))
     for kind, start, end in zip(*generate_rays(b, np.random.default_rng(7))):
-        assert b.contains(start[None, :])[0] and b.contains(end[None, :])[0]
+        for p in (start, end):
+            assert np.all((b.lower <= p) & (p <= b.upper))
         if kind == RAY_V2V:
             for p in (start, end):
                 assert np.all((p == b.lower) | (p == b.upper))
@@ -1457,7 +1458,6 @@ def test_discover_multi_oscillation_keeps_peaks():
     p = gaussian_problem(2)
     peaks = run_discovery(p, n_oscillations=3)
     assert len(peaks) == 1
-    assert peaks[0].oscillation >= 1
     np.testing.assert_allclose(peaks[0].position, [0.0, 0.0], atol=1e-4)
 
 
@@ -1543,10 +1543,9 @@ def test_discover_all_stuck_makes_no_later_round():
     assert len(three) == len(one) == 1
     for a, b in zip(one, three):
         assert a.position.tobytes() == b.position.tobytes()
-        assert (np.float64([a.logl, a.grad_inf]).tobytes()
-                == np.float64([b.logl, b.grad_inf]).tobytes())
+        assert np.float64(a.logl).tobytes() == np.float64(b.logl).tobytes()
         assert a.hess_diag.tobytes() == b.hess_diag.tobytes()
-        assert a.oscillation == b.oscillation == 1
+        assert a.steps.tobytes() == b.steps.tobytes()
 
 
 def test_discover_climbs_only_the_samples_that_did_not_stick(monkeypatch):
@@ -1573,8 +1572,7 @@ def test_discover_climbs_only_the_samples_that_did_not_stick(monkeypatch):
 
 def test_discover_held_peak_keeps_its_first_round(monkeypatch):
     # The main peak sticks in round 1 and is held: its position, value,
-    # gradient and diagonal Hessian are round 1's, and its oscillation
-    # stays 1.
+    # diagonal Hessian and steps are round 1's.
     p = Problem(_side_peak, box(3, -4, 4))
     rng = np.random.default_rng(3)
     seeds, est = _all_seeds(p, rng)
@@ -1589,10 +1587,8 @@ def test_discover_held_peak_keeps_its_first_round(monkeypatch):
     i = int(first[0])
     (peak,) = peaks
     hess, steps = state.hess_diag([i])
-    assert peak.oscillation == 1
     assert peak.position.tobytes() == state.theta[i].tobytes()
     assert peak.logl == state.logl[i]
-    assert peak.grad_inf == state.grad_inf()[i]
     assert peak.hess_diag.tobytes() == hess[0].tobytes()
     assert peak.steps.tobytes() == steps[0].tobytes()
 
@@ -1613,6 +1609,7 @@ def test_discover_held_peak_retires_below_a_later_band():
     p = Problem(fn, box(1, -10, 10))
     peaks = discover_modes(p, np.array([[-5.0], [2.0]]), ScaleEstimate(0.5, False),
                            np.random.default_rng(0), n_oscillations=3)
+    # The seed at 2 idles on the ramp in round 1, so a peak at 5 is
+    # round 2's.
     (peak,) = peaks
-    assert peak.oscillation == 2
     assert peak.position[0] == pytest.approx(5.0, abs=1e-6)

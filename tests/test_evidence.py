@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from laplev.discovery import Peak
 from laplev.errors import (
     HessianFailedError,
     NoModesFoundError,
@@ -23,7 +24,6 @@ from laplev.pipeline import preset_config, result_json, run
 from laplev.precheck import PrecheckReport
 from laplev.problem import BoundsBox, Problem
 from laplev.lbfgs import fd_steps, make_state
-from laplev.refine import RefinedPeak
 from laplev.targets import get_target
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -38,11 +38,8 @@ def peak(position, logl, hess_diag):
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
     widths = 1.0 / np.sqrt(-hess_diag)
-    return RefinedPeak(
-        position=position, logl=float(logl), hess_diag=hess_diag,
-        steps=fd_steps(position, widths.min())[0], widths=widths,
-        width_floored=False,
-    )
+    return Peak(position=position, logl=float(logl), hess_diag=hess_diag,
+                steps=fd_steps(position, widths.min())[0])
 
 
 def second_difference(problem, position, center_logl, steps):
@@ -69,36 +66,30 @@ def quad_problem(h, d, lo=-5.0, hi=5.0):
 
 
 def probe(p, position, hess_diag, seed=0):
-    """probe_offdiag with no rows riding along: (b, rotated)."""
-    b, rotated, also_values = probe_offdiag(
+    """probe_offdiag with no rows riding along: its rotated flag."""
+    rotated, also_values = probe_offdiag(
         p, position, 0.0, hess_diag, rng=np.random.default_rng(seed),
         also=np.zeros((0, position.size)),
     )
     assert also_values.shape == (0,)
-    return b, rotated
+    return rotated
 
 
 def test_probe_hand_case_negative_coupling():
     # l = -(x1^2 + x2^2 + x1 x2): H = [[-2,-1],[-1,-2]], so the probe along
     # (1,1)/sqrt(2) reads v'Hv = -3 against the diagonal prediction -2.
     p = quad_problem([[-2.0, -1.0], [-1.0, -2.0]], 2)
-    b, rotated = probe(p, np.zeros(2), np.array([-2.0, -2.0]))
-    assert b == pytest.approx(-1.0, rel=1e-6)
-    assert rotated
+    assert probe(p, np.zeros(2), np.array([-2.0, -2.0]))
 
 
 def test_probe_hand_case_positive_coupling():
     p = quad_problem([[-2.0, 1.0], [1.0, -2.0]], 2)
-    b, rotated = probe(p, np.zeros(2), np.array([-2.0, -2.0]))
-    assert b == pytest.approx(1.0, rel=1e-6)
-    assert rotated
+    assert probe(p, np.zeros(2), np.array([-2.0, -2.0]))
 
 
 def test_probe_diagonal_silent_even_with_extras():
     p = quad_problem(np.diag([-2.0, -4.0, -1.0]), 3)
-    b, rotated = probe(p, np.zeros(3), np.array([-2.0, -4.0, -1.0]), seed=3)
-    assert b == pytest.approx(0.0, abs=1e-8)
-    assert not rotated
+    assert not probe(p, np.zeros(3), np.array([-2.0, -4.0, -1.0]), seed=3)
 
 
 def test_probe_extras_catch_sign_cancelling_coupling():
@@ -113,9 +104,7 @@ def test_probe_extras_catch_sign_cancelling_coupling():
     v = np.full(4, 0.5)
     assert v @ h @ v == np.sum(v * v * hd)  # no excess along the diagonal
 
-    b, rotated = probe(p, np.zeros(4), hd, seed=1)
-    assert b == pytest.approx(0.0, abs=1e-8)
-    assert rotated
+    assert probe(p, np.zeros(4), hd, seed=1)
 
 
 def test_probe_nonfinite_is_conservatively_rotated():
@@ -125,9 +114,7 @@ def test_probe_nonfinite_is_conservatively_rotated():
         return out
 
     p = Problem(fn, box(2))
-    b, rotated = probe(p, np.zeros(2), np.array([-1.0, -1.0]))
-    assert np.isnan(b)
-    assert rotated
+    assert probe(p, np.zeros(2), np.array([-1.0, -1.0]))
 
 
 def test_probe_single_fused_batch_and_cost():
@@ -139,7 +126,7 @@ def test_probe_single_fused_batch_and_cost():
 
     p = Problem(fn, box(3))
     also = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    _, _, also_values = probe_offdiag(p, np.zeros(3), 0.0, np.full(3, -1.0),
+    _, also_values = probe_offdiag(p, np.zeros(3), 0.0, np.full(3, -1.0),
                                       rng=np.random.default_rng(0), also=also)
     assert batches == [2 + 2 * PROBE_EXTRA + 2]
     assert p.eval_counter == 10
@@ -314,8 +301,6 @@ def test_mode_evidence_standard_gaussian_diag_path():
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
                        rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
-    assert me.verdict.decision == "axis_aligned"
-    assert me.verdict.probe_b == pytest.approx(0.0, abs=1e-8)
     assert me.log_z == pytest.approx(LOG_2PI, rel=1e-14)
     assert me.condition_number == pytest.approx(1.0)
     assert me.evals_used == 8 + 2
@@ -328,8 +313,6 @@ def test_mode_evidence_correlated_full_path_value():
     me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
                        rng=np.random.default_rng(0))
     assert me.hessian_kind == "full"
-    assert me.verdict.decision == "rotated"
-    assert me.verdict.probe_b == pytest.approx(-1.0, rel=1e-6)
     assert me.log_z == pytest.approx(LOG_2PI - 0.5 * np.log(3.0), rel=1e-9)
     assert me.condition_number == pytest.approx(3.0, rel=1e-9)
     assert me.hessian is not None
@@ -380,8 +363,7 @@ def test_mode_evidence_weak_equicorrelation_takes_full_route():
         return -0.5 * np.einsum("ni,ij,nj->n", z, neg_h, z)
 
     res = run(Problem(fn, box(d, -10.0, 10.0)), preset_config("fast", seed=1))
-    assert [m.verdict.decision for m in res.modes] == ["rotated"]
-    assert res.modes[0].hessian_kind == "full"
+    assert [m.hessian_kind for m in res.modes] == ["full"]
     log_det_cov = (d - 1) * np.log(1.0 - rho) + np.log(1.0 + (d - 1) * rho)
     assert res.log_z_total == pytest.approx(
         0.5 * d * LOG_2PI + 0.5 * log_det_cov, abs=1e-9)
@@ -398,17 +380,16 @@ def test_mode_evidence_rejects_indefinite_full_hessian():
 
 def test_mode_evidence_soundness_on_refined_trajectories():
     # End-to-end soundness across seeds: axis-aligned anisotropic Gaussians
-    # (including 1e6:1 conditioning) classify as axis_aligned, correlated
-    # ones as rotated. Coarse peaks honor the discovery contract of a
+    # (including 1e6:1 conditioning) take the diagonal route, correlated
+    # ones the full one. Held peaks honor the discovery contract of a
     # converged walker: per-coordinate gradient below 1e-6.
     from laplev.refine import refine_peaks
-    from laplev.discovery import CoarsePeak
 
     cases = [
-        ("aniso", np.diag([-1.0, -100.0]), "axis_aligned"),
-        ("cigar", np.diag([-1.0, -1e6]), "axis_aligned"),
+        ("aniso", np.diag([-1.0, -100.0]), "diagonal"),
+        ("cigar", np.diag([-1.0, -1e6]), "diagonal"),
         ("corr", np.array([[-4.0 / 3.0, 2.0 / 3.0],
-                           [2.0 / 3.0, -4.0 / 3.0]]), "rotated"),
+                           [2.0 / 3.0, -4.0 / 3.0]]), "full"),
     ]
     for seed in range(1, 11):
         for name, h, expected in cases:
@@ -418,11 +399,10 @@ def test_mode_evidence_soundness_on_refined_trajectories():
             start = rng.uniform(-1.0, 1.0, 2) * 1e-7 / kappa
             state = make_state(p, start[None, :], 0.01)
             hess, steps = state.hess_diag([0])
-            cp = CoarsePeak(start, float(state.logl[0]), hess[0], steps[0],
-                            state.grad[0], 1)
-            pk, _ = refine_peaks(p, [cp])
+            held = Peak(start, float(state.logl[0]), hess[0], steps[0])
+            pk, _ = refine_peaks(p, [held])
             me = mode_evidence(p, pk[0], rng=rng)
-            assert me.verdict.decision == expected, f"{name} seed {seed}"
+            assert me.hessian_kind == expected, f"{name} seed {seed}"
 
 
 def test_mode_evidence_heavy_tail_warning_fires_on_student_t():
@@ -538,9 +518,8 @@ def stub_precheck(marginal=0.0):
 def stub_mode(log_z, warnings=()):
     return ModeEvidence(
         peak=peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-        log_z=float(log_z), hessian_kind="diagonal", log_det_negh=0.0,
-        condition_number=1.0,
-        verdict=None, hessian=None, warnings=list(warnings), evals_used=0,
+        log_z=float(log_z), hessian_kind="diagonal", condition_number=1.0,
+        hessian=None, warnings=list(warnings), evals_used=0,
     )
 
 

@@ -20,7 +20,7 @@ from laplev.pipeline import (
     result_json,
     run,
 )
-from laplev.problem import BoundsBox, Problem
+from laplev.problem import BoundsBox, Problem, View
 from laplev.reduction import reduce_mode
 from laplev.refine import refine_peaks
 from laplev.targets import get_target, make_gaussian
@@ -159,6 +159,20 @@ def test_call_accounting_counts_every_fn_call(name, dim, preset, reduce):
         return result_json(res)
 
     assert observe() == observe()
+
+
+def test_run_on_a_view_meters_the_parents_counters():
+    # reduce_mode hands out Views; a run on one counts its evaluations and
+    # calls on the parent. gaussian/4 sliced to axes 0-1, the other two
+    # pinned at the box centre 1, is a unit Gaussian times exp(-1).
+    parent = get_target("gaussian", 4).problem
+    lower, upper = parent.bounds.lower, parent.bounds.upper
+    view = View(parent, parent.bounds.center, np.array([0, 1]),
+                BoundsBox(lower[:2], upper[:2]))
+    res = run(view, preset_config("fast", seed=1))
+    assert sum(res.eval_counts.values()) == parent.eval_counter == 1058
+    assert sum(res.call_counts.values()) == parent.call_counter == 11
+    assert res.log_z_total == pytest.approx(np.log(2.0 * np.pi) - 1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("rotated-cigar", 16)])

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import laplev
+from laplev.discovery import Peak
 from laplev.precheck import active_subproblem, precheck
 from laplev.problem import BoundsBox, Problem, View
 from laplev.reduction import reduce_mode
-from laplev.refine import RefinedPeak
 
 
 def quadratic(x):
@@ -94,9 +94,8 @@ def test_reduction_of_an_active_view_evaluates_the_parent():
     active = active_subproblem(p, precheck(p))
     assert isinstance(active, View) and active.dim == 2
     hessian = np.diag([-4.0, -1.0])
-    peak = RefinedPeak(position=np.zeros(2), logl=0.0,
-                       hess_diag=np.diag(hessian), steps=np.full(2, 1e-3),
-                       widths=np.array([0.5, 1.0]), width_floored=False)
+    peak = Peak(position=np.zeros(2), logl=0.0,
+                hess_diag=np.diag(hessian), steps=np.full(2, 1e-3))
     report, reduced = reduce_mode(active, peak, hessian)
     assert report.d_eff == 2 and reduced.parent is active
     before = p.call_counter

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from laplev.discovery import Peak
 from laplev.errors import InvalidParameterError, SaddleDirectionError
 from laplev.problem import BoundsBox, Problem
 from laplev.reduction import (
@@ -20,7 +21,6 @@ from laplev.reduction import (
     box_chords,
     reduce_mode,
 )
-from laplev.refine import RefinedPeak
 
 
 def box(d, lo=-5.0, hi=5.0):
@@ -30,13 +30,11 @@ def box(d, lo=-5.0, hi=5.0):
 def make_peak(position, logl, hess_diag):
     position = np.asarray(position, dtype=np.float64)
     hess_diag = np.asarray(hess_diag, dtype=np.float64)
-    return RefinedPeak(
+    return Peak(
         position=position,
         logl=float(logl),
         hess_diag=hess_diag,
         steps=np.full(position.size, 1e-3),
-        widths=1.0 / np.sqrt(-hess_diag),
-        width_floored=False,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laplev.discovery import CoarsePeak
+from laplev.discovery import Peak
 from laplev.errors import NoValidMaximaError
 from laplev.lbfgs import make_state
 from laplev.problem import BoundsBox, Problem
@@ -16,13 +16,12 @@ def box(d, lo=-5.0, hi=5.0):
 def held(p, pos, lam_fine=0.1):
     """A held peak at ``pos`` as the search hands it over.
 
-    Its value, gradient and diagonal Hessian are those of an ascent state
-    started there, whose gradient steps at ``fd_steps(pos, lam_fine)``.
+    Its value and diagonal Hessian are those of an ascent state started
+    there, whose gradient steps at ``fd_steps(pos, lam_fine)``.
     """
     state = make_state(p, np.asarray(pos, dtype=np.float64)[None, :], lam_fine)
     hess, steps = state.hess_diag([0])
-    return CoarsePeak(state.theta[0], float(state.logl[0]), hess[0], steps[0],
-                      state.grad[0], 1)
+    return Peak(state.theta[0], float(state.logl[0]), hess[0], steps[0])
 
 
 def gaussian(d, mu=0.0, sig2=1.0, lo=-5.0, hi=5.0):
@@ -85,30 +84,29 @@ def test_refine_one_floor_warning_counts_floored_peaks():
 
     p = Problem(fn, box(2))
     peaks, warnings = refine_peaks(p, [held(p, [0.0, 0.0], 0.0), held(p, [0.0, 3.0], 0.0)])
-    assert len(peaks) == 2 and all(pk.width_floored for pk in peaks)
+    assert len(peaks) == 2
     assert warnings == ["peak width hit the resolution floor on 2 of 2 peaks"]
 
 
 def test_refine_gaussian_to_machine_tightness():
-    # A held peak is taken as it stands: its position, value, diagonal
-    # Hessian and steps pass through bit for bit, and the diagonal the
-    # ascent measured there is exact on a quadratic.
+    # A held peak is taken as it stands: the very record comes back, so its
+    # position, value, diagonal Hessian and steps pass through bit for bit,
+    # and the diagonal the ascent measured there is exact on a quadratic.
     mu = np.array([0.5, -1.25])
     sig2 = np.array([1.0, 0.25])
     p = gaussian(2, mu, sig2)
     pos = mu + np.array([3e-8, -2e-9])
     cp = held(p, pos, 0.05)
-    np.testing.assert_allclose(cp.grad, -(pos - mu) / sig2, rtol=1e-6, atol=1e-12)
     peaks, warns = refine_peaks(p, [cp])
     assert warns == []
     assert len(peaks) == 1
     pk = peaks[0]
+    assert pk is cp
     assert pk.position.tobytes() == pos.tobytes()
     assert pk.logl == cp.logl
     assert pk.hess_diag.tobytes() == cp.hess_diag.tobytes()
     assert pk.steps.tobytes() == cp.steps.tobytes()
     np.testing.assert_allclose(pk.hess_diag, -1.0 / sig2, rtol=1e-6)
-    np.testing.assert_allclose(pk.widths, np.sqrt(sig2), rtol=1e-6)
 
 
 def test_refine_cigar_hessian_span():
@@ -245,6 +243,9 @@ def test_refine_remeasures_a_diagonal_within_rounding_noise():
     wide, narrow = sorted(peaks, key=lambda pk: pk.position[0])
     np.testing.assert_allclose(wide.hess_diag, [-1.0, -1.0], rtol=1e-4)
     assert (wide.steps > 100.0 * cps[0].steps).all()
+    assert wide.position.tobytes() == cps[0].position.tobytes()
+    assert wide.logl == cps[0].logl
+    assert narrow is cps[1]
     assert narrow.hess_diag.tobytes() == cps[1].hess_diag.tobytes()
     assert narrow.steps.tobytes() == cps[1].steps.tobytes()
 
