@@ -2,9 +2,9 @@
 
 Two stories:
   * a 4-mode Gaussian mixture - all modes carry equal weight;
-  * a 90/10 asymmetric pair - the oscillating search must not lose the
-    minor mode even though every sample near it ranks below the major
-    mode's flanks.
+  * a 90/10 asymmetric pair - the search must not lose the minor mode
+    even though every sample near it ranks below the major mode's
+    flanks.
 """
 
 import numpy as np

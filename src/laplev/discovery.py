@@ -1,4 +1,4 @@
-"""Mode discovery: ray survey, length-scale estimation, oscillating search.
+"""Mode discovery: ray survey, length-scale estimation, one batched ascent.
 
 The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and how sharply the
@@ -20,12 +20,11 @@ three points, which read a segment whose values lie on a concave parabola,
 and a second completes every other segment's grid. A Gaussian target
 groups in one call. A valley narrower than a quarter of a segment can hide
 between its probe points; that segment reads as concave.
-Then it runs a stick/release cycle: batches of seeds ascend until they
-stick to a peak, which is then held and never evaluated again (its
-diagonal Hessian is read off the values its last gradient evaluated);
-duplicates of a held peak retire, and only the samples that did not stick
-climb a few noise-smoothed gradient steps that hop over fine-scale ripple
-before the next ascent. Everything is driven by one seeded generator and
+Then the basin leaders ascend once, in one batch of at most the preset's
+step budget: a sample that converges onto a peak within the keep band
+sticks, duplicates of a better stuck sample retire, and the survivors are
+the peaks (each one's diagonal Hessian is read off the values its last
+gradient evaluated). Everything is driven by one seeded generator and
 batched evaluator calls, so a (seed, config) pair fixes the run bit for
 bit.
 """
@@ -37,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoModesFoundError
-from .lbfgs import _row_dot, fd_gradient, run_batch
+from .lbfgs import _row_dot, run_batch
+# Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
+from .lbfgs import fd_gradient  # noqa: F401
 from .linalg import dedup_linf, dedup_radius
 from .problem import BoundsBox
 
@@ -53,10 +54,7 @@ ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profile
 PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
-N_CONVERGE = 15  # ascent steps per oscillation
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
-N_CLOUD = 5  # smoothed-ascent steps between two ascents
-K_SMOOTH = 8  # smoothed-gradient cloud size at d <= 2
 K_PER_BASIN = 3  # best seeds of each basin that run the ascent
 N_TEST_MIN = 3  # fewest interior points on a seed's concavity segment
 N_TEST_MAX = 64  # most interior points on a seed's concavity segment
@@ -559,125 +557,51 @@ class Peak:
     steps: np.ndarray
 
 
-def smoothed_gradient(problem, theta, sigma, k, rng, width):
-    """Average finite-difference gradient over a Gaussian position cloud.
-
-    Every cloud point's gradient steps at ``fd_steps(point, width)``. With
-    sigma = 0 and k = 1 the cloud collapses onto the sample itself and this
-    is exactly ``fd_gradient``.
-    """
-    th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-    n, d = th.shape
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (d,))
-    z = rng.standard_normal((n, int(k), d))
-    pts = th[:, None, :] + sig[None, None, :] * z
-    g, _ = fd_gradient(problem, pts.reshape(n * int(k), d), width)
-    return g.reshape(n, int(k), d).mean(axis=1)
-
-
-def _smoothed_ascent(problem, theta, lam_fine, rng):
-    """Climb the noise-averaged gradient to hop over fine-scale ripple.
-
-    Takes ``N_CLOUD`` steps of length ``lam_fine`` along the normalised
-    smoothed gradient, whose finite differences step at no less than
-    ``lam_fine`` times ``FD_WIDTH_FACTOR``. Each step averages
-    central-difference gradients (2d evaluations each) over a Gaussian
-    cloud of ``k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // d))`` points per
-    sample, so a step costs at most ``max(4 * K_SMOOTH, 2d)`` evaluations
-    per sample at any d. At d <= 2 the cloud holds all ``K_SMOOTH`` points.
-    ``theta`` holds at least one sample: the search climbs only when some
-    sample did not stick.
-    """
-    th = np.array(theta, dtype=np.float64)
-    k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // th.shape[1]))
-    sigma = th.std(axis=0)
-    for _ in range(N_CLOUD):
-        g = smoothed_gradient(problem, th, sigma, k, rng, lam_fine)
-        nrm = np.linalg.norm(g, axis=1, keepdims=True)
-        step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
-        th = problem.bounds.clip(th + lam_fine * step)
-    return th
-
-
-def discover_modes(problem, seeds, scales: ScaleEstimate, rng, *,
-                   n_oscillations: int) -> list[Peak]:
-    """Stick/release search: peaks that stick are held, the rest go round again.
+def discover_modes(problem, seeds, scales: ScaleEstimate, *, n_steps: int) -> list[Peak]:
+    """One batched ascent from ``seeds``; the samples that stick are the peaks.
 
     ``seeds`` is the starting population. The pipeline passes the basin
     leaders: the best ``K_PER_BASIN`` seeds of each basin ``group_seeds``
     finds, so a log-concave target climbs from ``K_PER_BASIN`` seeds, not
     from every seed ``select_seeds`` keeps.
 
-    The search runs at most ``n_oscillations`` rounds (the preset's
-    count). Each runs the ascent (at most ``N_CONVERGE`` steps) on the
-    population, and the ascent stops a sample at the one convergence rule
-    it shares with the search, ``BatchState.converged(STICK_GRAD)``: a
-    gradient sup-norm below ``STICK_GRAD * max(1, |logl|)``, so
-    finite-difference noise at a large peak value does not hold it back. A
-    sample sticks when it converged onto a peak within a factor
-    ``KEEP_RATIO`` of the best value seen anywhere so far. The newly stuck
-    samples are deduplicated within the box's ``dedup_radius`` together
-    with the held peaks, held peaks first: a tie keeps the held peak and a
-    strictly better newcomer replaces it. The survivors are the held peaks;
-    every other stuck sample retires, and so does a held peak that falls
-    below the keep band once a better value turns up. A held peak keeps the
-    position and value of the round it stuck in and is never evaluated
-    again. Its diagonal Hessian is read off the values its last gradient
-    evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``, with no
-    likelihood call (``BatchState.hess_diag``).
-    Except on the last round, only the samples that did not stick climb
-    the smoothed gradient and form the next round's population; when none
-    are left, the search ends. Nothing else runs between two ascents.
+    The population ascends in one ``run_batch`` of at most ``n_steps``
+    steps (the preset's budget), whose finite-difference gradients step at
+    the survey's one length scale ``scales.lam_fine``. The ascent stops a
+    sample at the one convergence rule it shares with the search,
+    ``BatchState.converged(STICK_GRAD)``: a gradient sup-norm below
+    ``STICK_GRAD * max(1, |logl|)``, so finite-difference noise at a large
+    peak value does not hold it back. A sample sticks when it converged
+    onto a peak within a factor ``KEEP_RATIO`` of the best value seen
+    anywhere so far. The stuck samples are deduplicated within the box's
+    ``dedup_radius``, best first, and the survivors are the peaks, best
+    first. A peak keeps the position and value the ascent ended on; its
+    diagonal Hessian is read off the values its last gradient evaluated,
+    x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``, with no likelihood
+    call (``BatchState.hess_diag``).
 
-    The survey's one length scale ``scales.lam_fine`` is the ``width`` of
-    every finite-difference gradient, in the ascent and in the climb, and
-    the climb's step. The climb (``_smoothed_ascent``) takes ``N_CLOUD``
-    steps of at most ``max(4 * K_SMOOTH, 2d)`` evaluations per sample each.
-
-    Raises the no-modes error, carrying the best sample seen, if nothing
-    ever sticks.
+    Raises the no-modes error, carrying the best sample seen, if no sample
+    sticks.
     """
-    bounds = problem.bounds
-    lam_fine = scales.lam_fine
-    radius = dedup_radius(bounds)
-    positions = bounds.clip(np.atleast_2d(np.asarray(seeds, dtype=np.float64)))
+    positions = problem.bounds.clip(np.atleast_2d(np.asarray(seeds, dtype=np.float64)))
     if positions.shape[0] == 0:
         raise NoModesFoundError(None, -np.inf, "no seeds to start from")
 
-    held = []
-    best_pos, best_logl = None, -np.inf
-
-    for osc in range(1, int(n_oscillations) + 1):
-        state = run_batch(problem, positions, N_CONVERGE, STICK_GRAD, lam_fine)
-        positions = state.theta
-        logls = state.logl
-
-        finite = np.isfinite(logls)
+    state = run_batch(problem, positions, n_steps, STICK_GRAD, scales.lam_fine)
+    logls = state.logl
+    finite = np.isfinite(logls)
+    floor = problem.peak_logl + np.log(KEEP_RATIO)
+    stuck = np.flatnonzero(state.converged(STICK_GRAD) & finite & (logls >= floor))
+    if stuck.size == 0:
+        best_pos, best_logl = None, -np.inf
         if finite.any():
             i = int(np.argmax(np.where(finite, logls, -np.inf)))
-            if logls[i] > best_logl:
-                best_pos, best_logl = positions[i].copy(), float(logls[i])
-
-        floor = problem.peak_logl + np.log(KEEP_RATIO)
-        stuck = state.converged(STICK_GRAD) & finite & (logls >= floor)
-        hess, steps = state.hess_diag(stuck)
-        held = [pk for pk in held if pk.logl >= floor] + [
-            Peak(positions[i].copy(), float(logls[i]), hess[k], steps[k])
-            for k, i in enumerate(np.flatnonzero(stuck))
-        ]
-        if held:
-            kept = dedup_linf([pk.position for pk in held], [pk.logl for pk in held], radius)
-            held = [held[i] for i in kept]
-
-        positions = positions[~stuck]
-        if osc == int(n_oscillations) or positions.shape[0] == 0:
-            break
-        positions = _smoothed_ascent(problem, positions, lam_fine, rng)
-
-    if not held:
-        raise NoModesFoundError(
-            best_pos, best_logl,
-            f"no sample stuck after {n_oscillations} oscillation(s)",
-        )
-    held.sort(key=lambda p: -p.logl)
-    return held
+            best_pos, best_logl = state.theta[i].copy(), float(logls[i])
+        raise NoModesFoundError(best_pos, best_logl,
+                                f"no sample stuck after {n_steps} ascent steps")
+    kept = stuck[dedup_linf(state.theta[stuck], logls[stuck], dedup_radius(problem.bounds))]
+    hess, steps = state.hess_diag(kept)
+    peaks = [Peak(state.theta[i].copy(), float(logls[i]), h, eps)
+             for i, h, eps in zip(kept, hess, steps)]
+    peaks.sort(key=lambda p: -p.logl)
+    return peaks

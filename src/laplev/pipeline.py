@@ -1,12 +1,12 @@
 """End-to-end evidence pipeline.
 
 Stages run in a fixed order — coordinate screen, ray survey, seed grouping
-into basins, oscillating mode search, curvature check of the held peaks,
-per-mode Gaussian integral, optional dimensional reduction — each consuming
-the previous stage's output on the active-coordinate subproblem. A config is
-a preset name, a seed and the reduce flag: the preset sets the number of
-oscillations, and every tolerance and budget is a constant of the stage
-that uses it. Results are bitwise deterministic for a fixed (problem,
+into basins, one batched ascent of the basin leaders, curvature check of
+the peaks, per-mode Gaussian integral, optional dimensional reduction —
+each consuming the previous stage's output on the active-coordinate
+subproblem. A config is a preset name, a seed and the reduce flag: the
+preset sets the ascent's step budget, and every tolerance and other budget
+is a constant of the stage that uses it. Results are bitwise deterministic for a fixed (problem,
 config) pair: every random draw comes from streams spawned off the config
 seed, and each likelihood batch reaches the evaluator as one call.
 """
@@ -41,12 +41,12 @@ from .precheck import active_subproblem, precheck
 from .reduction import reduce_mode
 from .refine import refine_peaks
 
-# Each preset's search depth, n_oscillations. ``slow`` is an alias of
+# Each preset's ascent step budget, ascent_steps. ``slow`` is an alias of
 # ``fast``: the two run identically.
 PRESET_SETTINGS = {
-    "fast": 1,
-    "slow": 1,
-    "conservative": 3,
+    "fast": 15,
+    "slow": 15,
+    "conservative": 45,
 }
 PRESETS = tuple(PRESET_SETTINGS)
 
@@ -55,8 +55,8 @@ PRESETS = tuple(PRESET_SETTINGS)
 class PipelineConfig:
     """A run's configuration: a preset name, a seed and the reduce flag.
 
-    The preset fixes the oscillation count; every tolerance
-    and budget is the owning stage's module constant. An unknown preset
+    The preset fixes the ascent's step budget; every tolerance and other
+    budget is the owning stage's module constant. An unknown preset
     name is rejected.
     """
 
@@ -71,14 +71,14 @@ class PipelineConfig:
             )
 
     @property
-    def n_oscillations(self) -> int:
+    def ascent_steps(self) -> int:
         return PRESET_SETTINGS[self.name]
 
     def echo(self) -> dict:
         """JSON-stable copy of everything that influences the result."""
         return {
             "name": self.name,
-            "n_oscillations": self.n_oscillations,
+            "ascent_steps": self.ascent_steps,
             "reduce": bool(self.reduce),
         }
 
@@ -86,8 +86,8 @@ class PipelineConfig:
 def preset_config(name, *, seed=0, reduce=False) -> PipelineConfig:
     """The three named configurations: fast, slow, conservative.
 
-    fast runs a single oscillation, slow is an alias of fast, and
-    conservative runs three oscillations.
+    fast ascends at most 15 steps, slow is an alias of fast, and
+    conservative ascends at most 45 steps.
     """
     return PipelineConfig(name, seed=seed, reduce=reduce)
 
@@ -140,11 +140,9 @@ def run(problem, config: PipelineConfig):
     naming the failing stage.
     """
     streams = np.random.SeedSequence(config.seed).spawn(4)
-    # The third stream is unused; spawning it keeps the evidence stream, and
-    # so the rotation probes' directions, at index 3.
-    rng_survey, rng_discover, _, rng_evidence = (
-        np.random.default_rng(s) for s in streams
-    )
+    # Streams 1 and 2 are unused; spawning them keeps the evidence stream,
+    # and so the rotation probes' directions, at index 3.
+    rng_survey, rng_evidence = (np.random.default_rng(streams[i]) for i in (0, 3))
     meter = _Meter(problem)
 
     with meter.stage("precheck"):
@@ -163,8 +161,8 @@ def run(problem, config: PipelineConfig):
         try:
             basin, read = group_seeds(active, seeds, seed_logl, scales.lam_fine)
             climb = basin_leaders(basin)
-            coarse = discover_modes(active, seeds[climb], scales, rng_discover,
-                                    n_oscillations=config.n_oscillations)
+            coarse = discover_modes(active, seeds[climb], scales,
+                                    n_steps=config.ascent_steps)
         except NoModesFoundError as err:
             raise NoModesFoundError(err.best_position, err.best_logl,
                                     f"search exhausted; survey held {bank.summary()}")

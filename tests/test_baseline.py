@@ -8,9 +8,9 @@ exactly: counts, modes, routes and scales compare equal, log Z to 1e-12
 absolute. A cell whose run raises records the error.
 
 The grid runs ``fast`` and ``slow`` on every target. A smaller slice runs
-``conservative``, the only preset whose later oscillations take the
-smoothed ascent between rounds: eggbox, mixture4 and bimodal-asym at d=2,
-and mixture4 and bimodal-asym at d=8.
+``conservative``, the only preset with a longer ascent step budget (45
+steps, against 15): eggbox, mixture4 and bimodal-asym at d=2, and mixture4
+and bimodal-asym at d=8.
 
 After an intended behaviour change, regenerate the file and say why in the
 change description::

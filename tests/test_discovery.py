@@ -6,10 +6,8 @@ import pytest
 import laplev.discovery
 from laplev.discovery import (
     K_PER_BASIN,
-    K_SMOOTH,
     KEEP_RATIO,
     KIND_NAMES,
-    N_CLOUD,
     N_COARSE,
     PARABOLA_TOL,
     PROBE_STEP,
@@ -24,7 +22,6 @@ from laplev.discovery import (
     _sample_rays,
     _concave,
     _nearest_better,
-    _smoothed_ascent,
     basin_leaders,
     discover_modes,
     estimate_scales,
@@ -32,11 +29,10 @@ from laplev.discovery import (
     group_seeds,
     rays_per_kind,
     select_seeds,
-    smoothed_gradient,
     survey,
 )
 from laplev.errors import NoModesFoundError
-from laplev.lbfgs import fd_gradient, fd_steps
+from laplev.lbfgs import fd_steps
 from laplev.pipeline import preset_config, run
 from laplev.linalg import dedup_linf, dedup_radius
 from laplev.precheck import active_subproblem, precheck
@@ -1261,105 +1257,28 @@ def test_mixture4_keeps_a_basin_per_mode(preset):
 
 @pytest.mark.parametrize("preset", ["fast", "slow"])
 @pytest.mark.parametrize("seed", [1, 2, 6, 8])
-def test_eggbox_one_oscillation_keeps_every_mode(preset, seed):
-    # With one oscillation every eggbox basin's leaders must stick at its
-    # peak in the first round, and the five Gaussian patches must give Z
-    # to 1%. test_recall_over_forty_seeds checks the mode count alone, on
-    # seeds 1-40.
+def test_eggbox_one_ascent_keeps_every_mode(preset, seed):
+    # In its one ascent every eggbox basin's leaders must stick at its
+    # peak, and the five Gaussian patches must give Z to 1%.
+    # test_recall_over_forty_seeds checks the mode count alone, on seeds
+    # 1-40.
     target = get_target("eggbox", 2)
     res = run(target.problem, preset_config(preset, seed=seed))
     assert len(res.modes) == 5
     assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-2
 
 
-def test_smoothed_gradient_degenerates_to_fd():
-    p = gaussian_problem(3)
-    th = np.array([[0.5, -1.0, 2.0], [0.0, 0.3, -0.4]])
-    g_smooth = smoothed_gradient(
-        p, th, sigma=np.zeros(3), k=1, rng=np.random.default_rng(0), width=0.01
-    )
-    g_plain, _ = fd_gradient(p, th, 0.01)
-    assert g_smooth.tobytes() == g_plain.tobytes()
-
-
-def _smoothed_ascent_reference(problem, theta, lam_fine, n_cloud, k_smooth, rng):
-    """The smoothed ascent with a cloud of ``k_smooth`` points at every d."""
-    th = np.array(theta, dtype=np.float64)
-    if th.shape[0] == 0:
-        return th
-    sigma = th.std(axis=0)
-    for _ in range(int(n_cloud)):
-        g = smoothed_gradient(problem, th, sigma, k_smooth, rng, lam_fine)
-        nrm = np.linalg.norm(g, axis=1, keepdims=True)
-        step = np.where(nrm > 0, g / np.where(nrm > 0, nrm, 1.0), 0.0)
-        th = problem.bounds.clip(th + lam_fine * step)
-    return th
-
-
-def _walled_ripple(x):
-    # Some cloud probes land past the wall at x0 = 4 and read -inf.
-    return np.where(x[:, 0] > 4.0, -np.inf, _ripple(x))
-
-
-def _ascent_start(n, d, seed):
-    start = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, d))
-    start[0, 0] = 3.99  # next to the wall
-    start[1] = 5.0      # on the box corner
-    return start
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("k_smooth", [1, 3, 8])
-@pytest.mark.parametrize("d", [1, 2])
-def test_smoothed_ascent_low_dim_bitwise_equal_to_fixed_cloud(d, k_smooth,
-                                                              monkeypatch):
-    # At d <= 2 the cloud keeps all K_SMOOTH points: same positions and the
-    # same draws from the generator as the fixed-cloud ascent.
-    monkeypatch.setattr(laplev.discovery, "K_SMOOTH", k_smooth)
-    monkeypatch.setattr(laplev.discovery, "N_CLOUD", 5)
-    p = Problem(_walled_ripple, box(d))
-    start = _ascent_start(12, d, 21)
-    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    got = _smoothed_ascent(p, start, 0.05, rng)
-    want = _smoothed_ascent_reference(p, start, 0.05, 5, k_smooth, rng_ref)
-    assert got.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert not np.array_equal(got, start)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("d,k_smooth,k", [
-    (3, 8, 5), (8, 8, 2), (16, 8, 1), (20, 8, 1),
-    (3, 3, 2), (8, 3, 1), (16, 3, 1), (3, 1, 1),
-])
-def test_smoothed_ascent_caps_evaluations_per_step(d, k_smooth, k, monkeypatch):
-    # Above d = 2 the cloud shrinks to k = min(K_SMOOTH, max(1, 2 K_SMOOTH // d))
-    # points, so a step costs at most max(4 K_SMOOTH, 2d) evaluations per
-    # sample; otherwise the ascent is the fixed-cloud one with k points.
-    n, n_cloud = 6, 5
-    monkeypatch.setattr(laplev.discovery, "K_SMOOTH", k_smooth)
-    monkeypatch.setattr(laplev.discovery, "N_CLOUD", n_cloud)
-    p = CountingProblem(_walled_ripple, box(d))
-    start = _ascent_start(n, d, 22)
-    got = _smoothed_ascent(p, start, 0.05, np.random.default_rng(4))
-    assert p.rows == [n * k * 2 * d] * n_cloud
-    assert k * 2 * d <= max(4 * k_smooth, 2 * d)
-    want = _smoothed_ascent_reference(p, start, 0.05, n_cloud, k,
-                                      np.random.default_rng(4))
-    assert got.tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------- search
 
 
-def run_discovery(p, rng_seed=0, n_oscillations=1):
+def run_discovery(p, rng_seed=0, n_steps=15):
     # Survey, seeds, basin leaders and search, as the pipeline runs them.
     rng = np.random.default_rng(rng_seed)
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
     climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
-    return discover_modes(p, seeds[climb], est, rng, n_oscillations=n_oscillations)
+    return discover_modes(p, seeds[climb], est, n_steps=n_steps)
 
 
 def test_discover_single_gaussian_peak():
@@ -1383,7 +1302,7 @@ def test_held_peak_hess_diag_is_an_independent_second_difference(name, dim):
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
     climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
-    peaks = discover_modes(p, seeds[climb], est, rng, n_oscillations=1)
+    peaks = discover_modes(p, seeds[climb], est, n_steps=15)
     assert peaks
     for pk in peaks:
         eps = fd_steps(pk.position, est.lam_fine)[0]
@@ -1410,7 +1329,7 @@ def test_discover_two_modes_asymmetric():
         return hi + np.log(np.exp(m - hi[:, None]).sum(axis=1))
 
     p = Problem(fn, box(2))
-    peaks = run_discovery(p, n_oscillations=3)
+    peaks = run_discovery(p, n_steps=45)
     assert len(peaks) == 2
     xs = sorted(pk.position[0] for pk in peaks)
     assert xs[0] == pytest.approx(-2.5, abs=1e-3)
@@ -1429,7 +1348,7 @@ def test_discover_drops_peak_below_keep_band():
     # Secondary basin 3 nats below the main one (under the log 0.1 floor):
     # it may attract samples but must never appear in the output.
     p = Problem(_side_peak, box(2, -4, 4))
-    peaks = run_discovery(p, n_oscillations=3)
+    peaks = run_discovery(p, n_steps=45)
     assert len(peaks) == 1
     np.testing.assert_allclose(peaks[0].position, [2.0, 2.0], atol=1e-3)
 
@@ -1455,8 +1374,9 @@ def test_discover_deterministic_bitwise():
 
 
 def test_discover_multi_oscillation_keeps_peaks():
+    # conservative's 45-step budget finds the one peak, as 15 steps do.
     p = gaussian_problem(2)
-    peaks = run_discovery(p, n_oscillations=3)
+    peaks = run_discovery(p, n_steps=45)
     assert len(peaks) == 1
     np.testing.assert_allclose(peaks[0].position, [0.0, 0.0], atol=1e-4)
 
@@ -1469,147 +1389,64 @@ def _all_seeds(p, rng):
     return seeds, est
 
 
-def _traced_rounds(monkeypatch, p):
-    """Record every ascent's start rows, final state and keep-band floor, and
-    every climb's rows in and out."""
-    rounds, climbs = [], []
-    ascent, climb = laplev.discovery.run_batch, laplev.discovery._smoothed_ascent
-
-    def traced_ascent(problem, theta0, *args, **kwargs):
-        start = np.array(theta0)
-        state = ascent(problem, theta0, *args, **kwargs)
-        rounds.append((start, state, p.peak_logl + np.log(KEEP_RATIO)))
-        return state
-
-    def traced_climb(problem, theta, *args):
-        start = np.array(theta)
-        out = climb(problem, theta, *args)
-        climbs.append((start, out))
-        return out
-
-    monkeypatch.setattr(laplev.discovery, "run_batch", traced_ascent)
-    monkeypatch.setattr(laplev.discovery, "_smoothed_ascent", traced_climb)
-    return rounds, climbs
-
-
-def _stuck(state, floor):
-    logl = state.logl
-    scale = np.maximum(1.0, np.abs(logl))
-    return ((state.grad_inf() < STICK_GRAD * scale) & np.isfinite(logl)
-            & (logl >= floor))
-
-
-def test_discover_between_rounds_runs_only_the_smoothed_ascent(monkeypatch):
-    # Between two ascents the samples that did not stick take N_CLOUD
-    # smoothed-ascent steps, one batched call each, and nothing else is
-    # evaluated.
-    d = 3
-    p = CountingProblem(_side_peak, box(d, -4, 4))
-    rng = np.random.default_rng(3)
-    seeds, est = _all_seeds(p, rng)
-    marks = []
+@pytest.mark.parametrize("n_steps", [15, 45])
+def test_discover_runs_one_ascent_of_n_steps(n_steps, monkeypatch):
+    # The search is one run_batch of n_steps steps over the seeds, and
+    # nothing else is evaluated. The peaks are that ascent's samples that
+    # converged within the keep band, deduplicated best first, as they
+    # stand.
+    p = CountingProblem(_side_peak, box(3, -4, 4))
+    seeds, est = _all_seeds(p, np.random.default_rng(3))
+    ascents = []
     ascent = laplev.discovery.run_batch
 
-    def traced(*args, **kwargs):
-        marks.append(p.calls)
-        state = ascent(*args, **kwargs)
-        marks.append(p.calls)
+    def traced(problem, theta0, iterations, tol, width):
+        mark = p.eval_counter
+        state = ascent(problem, theta0, iterations, tol, width)
+        ascents.append((np.array(theta0), iterations, tol, width, state,
+                        p.eval_counter - mark))
         return state
 
     monkeypatch.setattr(laplev.discovery, "run_batch", traced)
-    discover_modes(p, seeds, est, rng, n_oscillations=2)
-    assert len(marks) == 4  # two ascent rounds
-    between = p.rows[marks[1]:marks[2]]
-    k = min(K_SMOOTH, max(1, 2 * K_SMOOTH // d))
-    assert len(between) == N_CLOUD
-    assert len(set(between)) == 1 and between[0] > 0
-    assert between[0] % (k * 2 * d) == 0  # whole clouds of 2d-row gradients
-
-
-def test_discover_all_stuck_makes_no_later_round():
-    # On a unit Gaussian every sample sticks in round 1 and is held or
-    # retires, so rounds 2 and 3 make no call and change no peak.
-    def once(n_oscillations):
-        p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
-        rng = np.random.default_rng(3)
-        seeds, est = _all_seeds(p, rng)
-        mark = (p.eval_counter, p.calls)
-        peaks = discover_modes(p, seeds, est, rng, n_oscillations=n_oscillations)
-        return peaks, (p.eval_counter - mark[0], p.calls - mark[1])
-
-    one, cost_one = once(1)
-    three, cost_three = once(3)
-    assert cost_three == cost_one
-    assert len(three) == len(one) == 1
-    for a, b in zip(one, three):
-        assert a.position.tobytes() == b.position.tobytes()
-        assert np.float64(a.logl).tobytes() == np.float64(b.logl).tobytes()
-        assert a.hess_diag.tobytes() == b.hess_diag.tobytes()
-        assert a.steps.tobytes() == b.steps.tobytes()
-
-
-def test_discover_climbs_only_the_samples_that_did_not_stick(monkeypatch):
-    # The smoothed ascent receives exactly the rows of each round's
-    # population that did not stick, in order; a stuck sample, held or a
-    # duplicate of a held peak, never climbs again.
-    p = Problem(_side_peak, box(3, -4, 4))
-    rng = np.random.default_rng(3)
-    seeds, est = _all_seeds(p, rng)
-    rounds, climbs = _traced_rounds(monkeypatch, p)
-    peaks = discover_modes(p, seeds, est, rng, n_oscillations=3)
-    assert len(peaks) == 1
-    assert len(climbs) == len(rounds) - 1 >= 1
-    for (_, state, floor), (climbed, _) in zip(rounds, climbs):
-        stuck = _stuck(state, floor)
-        assert climbed.tobytes() == state.theta[~stuck].tobytes()
-    # Round 1 stuck more samples than it kept: its duplicates retired.
-    _, state, floor = rounds[0]
-    assert int(_stuck(state, floor).sum()) > len(peaks)
-    # Each later round ascends exactly what the climb returned.
-    for (start, _, _), (_, out) in zip(rounds[1:], climbs):
-        assert start.tobytes() == out.tobytes()
-
-
-def test_discover_held_peak_keeps_its_first_round(monkeypatch):
-    # The main peak sticks in round 1 and is held: its position, value,
-    # diagonal Hessian and steps are round 1's.
-    p = Problem(_side_peak, box(3, -4, 4))
-    rng = np.random.default_rng(3)
-    seeds, est = _all_seeds(p, rng)
-    rounds, _ = _traced_rounds(monkeypatch, p)
-    peaks = discover_modes(p, seeds, est, rng, n_oscillations=3)
-    assert len(rounds) >= 2
-    _, state, floor = rounds[0]
-    sidx = np.flatnonzero(_stuck(state, floor))
-    first = sidx[dedup_linf(state.theta[sidx], state.logl[sidx],
-                            dedup_radius(p.bounds))]
-    assert first.size == 1
-    i = int(first[0])
+    mark = p.eval_counter
+    peaks = discover_modes(p, seeds, est, n_steps=n_steps)
+    ((start, iterations, tol, width, state, evals),) = ascents
+    assert iterations == n_steps
+    assert (tol, width) == (STICK_GRAD, est.lam_fine)
+    assert start.tobytes() == seeds.tobytes()
+    assert evals == p.eval_counter - mark
+    logl = state.logl
+    stuck = np.flatnonzero(state.converged(STICK_GRAD) & np.isfinite(logl)
+                           & (logl >= p.peak_logl + np.log(KEEP_RATIO)))
+    kept = stuck[dedup_linf(state.theta[stuck], logl[stuck], dedup_radius(p.bounds))]
+    # More samples stuck than were kept: the duplicates retired.
+    assert stuck.size > kept.size == len(peaks) == 1
+    hess, steps = state.hess_diag(kept)
     (peak,) = peaks
-    hess, steps = state.hess_diag([i])
-    assert peak.position.tobytes() == state.theta[i].tobytes()
-    assert peak.logl == state.logl[i]
+    assert peak.position.tobytes() == state.theta[kept[0]].tobytes()
+    assert peak.logl == logl[kept[0]]
     assert peak.hess_diag.tobytes() == hess[0].tobytes()
     assert peak.steps.tobytes() == steps[0].tobytes()
 
 
-def test_discover_held_peak_retires_below_a_later_band():
-    # A low peak at -5 sticks in round 1 while the other sample idles on a
-    # gentle ramp. The smoothed ascent carries that sample onto a peak
-    # 10 nats higher, which sticks in round 2 and lifts the keep band past
-    # the held peak: the held peak retires, as it would had it been
-    # evaluated again.
-    def fn(x):
-        x0 = x[:, 0]
-        low = -0.5 * (x0 + 5.0) ** 2
-        high = 10.0 - 50.0 * (x0 - 5.0) ** 2
-        ramp = -20.0 + 1e-3 * x0
-        return np.maximum(np.maximum(low, high), ramp)
+def test_discover_all_stuck_makes_no_later_round():
+    # On a unit Gaussian every sample sticks within 15 steps, and the
+    # ascent ends once every row has stopped, so a 45-step budget makes
+    # no further call and changes no peak.
+    def once(n_steps):
+        p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
+        rng = np.random.default_rng(3)
+        seeds, est = _all_seeds(p, rng)
+        mark = (p.eval_counter, p.calls)
+        peaks = discover_modes(p, seeds, est, n_steps=n_steps)
+        return peaks, (p.eval_counter - mark[0], p.calls - mark[1])
 
-    p = Problem(fn, box(1, -10, 10))
-    peaks = discover_modes(p, np.array([[-5.0], [2.0]]), ScaleEstimate(0.5, False),
-                           np.random.default_rng(0), n_oscillations=3)
-    # The seed at 2 idles on the ramp in round 1, so a peak at 5 is
-    # round 2's.
-    (peak,) = peaks
-    assert peak.position[0] == pytest.approx(5.0, abs=1e-6)
+    short, cost_short = once(15)
+    long, cost_long = once(45)
+    assert cost_long == cost_short
+    assert len(long) == len(short) == 1
+    for a, b in zip(short, long):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert np.float64(a.logl).tobytes() == np.float64(b.logl).tobytes()
+        assert a.hess_diag.tobytes() == b.hess_diag.tobytes()
+        assert a.steps.tobytes() == b.steps.tobytes()

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplev.discovery import (K_PER_BASIN, N_COARSE, PROBE_STEP, _smoothed_ascent,
-                              discover_modes, group_seeds, smoothed_gradient)
+from laplev.discovery import K_PER_BASIN, N_COARSE, PROBE_STEP, discover_modes, group_seeds
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.evidence import mode_evidence, probe_offdiag
@@ -46,7 +45,7 @@ def test_presets_match_documented_settings():
     fast = preset_config("fast")
     slow = preset_config("slow")
     cons = preset_config("conservative")
-    assert (fast.n_oscillations, slow.n_oscillations, cons.n_oscillations) == (1, 1, 3)
+    assert (fast.ascent_steps, slow.ascent_steps, cons.ascent_steps) == (15, 15, 45)
     assert fast.name == "fast" and cons.name == "conservative"
     with pytest.raises(InvalidParameterError):
         preset_config("turbo")
@@ -61,7 +60,7 @@ def test_config_rejects_unknown_preset():
 def test_config_echo_has_the_three_keys():
     echo = preset_config("conservative", seed=7, reduce=True).echo()
     assert json.loads(json.dumps(echo)) == {
-        "name": "conservative", "n_oscillations": 3, "reduce": True,
+        "name": "conservative", "ascent_steps": 45, "reduce": True,
     }
 
 
@@ -77,9 +76,7 @@ def test_config_is_its_preset(preset):
 # constant, never an argument, and no argument has a default.
 STAGE_PARAMS = {
     group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
-    discover_modes: ["problem", "seeds", "scales", "rng", "n_oscillations"],
-    _smoothed_ascent: ["problem", "theta", "lam_fine", "rng"],
-    smoothed_gradient: ["problem", "theta", "sigma", "k", "rng", "width"],
+    discover_modes: ["problem", "seeds", "scales", "n_steps"],
     refine_peaks: ["problem", "coarse_peaks"],
     run_batch: ["problem", "theta0", "iterations", "tol", "width"],
     make_state: ["problem", "theta0", "width"],
@@ -200,9 +197,8 @@ def test_two_scale_wide_mode_measured_at_its_own_width(dim, preset):
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_conservative_eggbox_finds_every_mode(seed):
-    # The ripple the smoothed ascent exists for: without that step, or with
-    # a too-noisy gradient in it, some seeds lose one of the five peaks and
-    # the error jumps to about 0.2.
+    # Fine ripple over five peaks: a basin none of whose leaders sticks
+    # loses its peak, and the error jumps to about 0.2.
     target = get_target("eggbox", 2)
     res = run(target.problem, preset_config("conservative", seed=seed))
     assert len(res.modes) == 5
@@ -215,8 +211,8 @@ def test_conservative_eggbox_finds_every_mode(seed):
     ("mixture4", 16, 4), ("bimodal-asym", 3, 2), ("bimodal-asym", 8, 2),
 ])
 def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
-    # Above d=2 the search between rounds is the smoothed ascent alone; it
-    # must still find every mode of the mixtures.
+    # conservative's longer ascent must still find every mode of the
+    # mixtures above d=2.
     target = get_target(name, dim)
     res = run(target.problem, preset_config("conservative", seed=seed))
     assert len(res.modes) == n_modes
@@ -230,7 +226,7 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
 ])
 def test_recall_over_forty_seeds(name, dim, preset, n_modes):
     # Recall guard for the survey's seeds: every mode is found on each of
-    # seeds 1-40. With one oscillation, an eggbox basin's lone leader ends
+    # seeds 1-40. In its one ascent, an eggbox basin's lone leader ends
     # at the peak with finite-difference noise of about 8e-6 in its
     # gradient at logl 243; the stick rule's max(1, |logl|) scale must
     # still stick it. A fresh problem per run, since a problem keeps the
@@ -250,6 +246,24 @@ def test_rotated_cigar_d16_slow_is_exact_on_the_full_route():
     assert len(res.modes) == 1
     assert res.modes[0].hessian_kind == "full"
     assert abs(np.expm1(res.log_z_total - target.true_log_integral)) <= 1e-8
+
+
+def test_off_centre_rotated_cigar_d12_needs_the_longer_ascent():
+    # rotated-cigar/12 moved off the box centre, to m_i = 1.3 (0.3 + 0.7
+    # i / 11), keeps its covariance and so its R^d evidence. Its
+    # 1e6-conditioned mode takes more than fast's 15 ascent steps to
+    # converge; conservative's 45 reach it and integrate it exactly.
+    base = get_target("rotated-cigar", 12)
+    mean = 1.3 * (0.3 + 0.7 * np.arange(12) / 11)
+
+    def off_centre():
+        return Problem(lambda x: base.problem.logl(x - mean), base.problem.bounds)
+
+    with pytest.raises(NoModesFoundError):
+        run(off_centre(), preset_config("fast", seed=1))
+    res = run(off_centre(), preset_config("conservative", seed=1))
+    assert len(res.modes) == 1
+    assert abs(np.expm1(res.log_z_total - base.true_log_integral)) <= 1e-8
 
 
 def test_conservative_mixture4_d3_overlaps_like_d4():

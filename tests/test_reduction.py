@@ -12,6 +12,7 @@ import pytest
 
 from laplev.discovery import Peak
 from laplev.errors import InvalidParameterError, SaddleDirectionError
+from laplev.pipeline import preset_config, run
 from laplev.problem import BoundsBox, Problem
 from laplev.reduction import (
     EPS_INFORM_REL,
@@ -21,6 +22,7 @@ from laplev.reduction import (
     box_chords,
     reduce_mode,
 )
+from laplev.targets import get_target
 
 
 def box(d, lo=-5.0, hi=5.0):
@@ -92,7 +94,7 @@ def test_all_informative_has_no_corrections():
 
 
 def test_single_unit_nuisance_contributes_half_log_2pi():
-    # lambda_max = 1e8 puts the cutoffs at 1e2 and 1e-4: 1 is a nuisance.
+    # lambda_max = 1e8 puts the cutoffs at 10 and 1e-4: 1 is a nuisance.
     hessian = np.diag([-1e8, -1.0])
     p = quad_problem(-hessian, 2)
     peak = make_peak(np.zeros(2), 0.0, np.diag(hessian))
@@ -104,7 +106,7 @@ def test_single_unit_nuisance_contributes_half_log_2pi():
 
 
 def test_classification_uses_relative_defaults():
-    # lambda_max = 1e8 lifts the cutoffs to 1e2 and 1e-4.
+    # lambda_max = 1e8 lifts the cutoffs to 10 and 1e-4.
     hessian = np.diag([-1e8, -1.0, -1e-6])
     p = quad_problem(-hessian, 3)
     peak = make_peak(np.zeros(3), 0.0, np.diag(hessian))
@@ -112,7 +114,18 @@ def test_classification_uses_relative_defaults():
     assert report.informative == (2,)
     assert report.nuisance == (1,)
     assert report.degenerate == (0,)
-    assert EPS_INFORM_REL * 1e8 == pytest.approx(1e2)
+    assert EPS_INFORM_REL * 1e8 == pytest.approx(1e1)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+def test_rotated_cigar_keeps_every_direction_informative(dim):
+    # rotated-cigar's weakest curvature is 1e-6 of its strongest, a decade
+    # above the informative cut, so the last bits of the measured Hessian
+    # cannot move that direction out: d_eff is the active dimension.
+    res = run(get_target("rotated-cigar", dim).problem,
+              preset_config("fast", seed=1, reduce=True))
+    (report,) = res.reduction
+    assert report.d_eff == len(res.precheck.active) == dim
 
 
 # ---------------------------------------------------------------------------
