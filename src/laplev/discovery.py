@@ -14,12 +14,14 @@ seeds are read off every ray at once, in array operations. The length
 scale is the smallest profile width the rays show at their best samples.
 The seeds are then grouped into basins by a hill-valley test: a seed joins
 the basin of its nearest better seed when the log-likelihood is concave on
-the segment between them, and only the best few seeds of each basin go on.
-The test costs at most two batched calls: one probes every segment at
-three points, which read a segment whose values lie on a concave parabola,
-and a second completes every other segment's grid. A Gaussian target
-groups in one call. A valley narrower than a quarter of a segment can hide
-between its probe points; that segment reads as concave.
+the segment between them. The test costs at most two batched calls: one
+probes every segment at three points, which read a segment whose values
+lie on a concave parabola, and a second completes every other segment's
+grid. A Gaussian target groups in one call. A basin whose every segment
+read as a concave parabola sends its best seed on alone; any other basin
+sends its best few. A valley narrower than a quarter of a segment can hide
+between its probe points; that segment reads as concave, so such a valley
+can cost a mode.
 Then the basin leaders ascend once, in one batch of at most the preset's
 step budget: a sample that converges onto a peak within the keep band
 sticks, duplicates of a better stuck sample retire, and the survivors are
@@ -55,7 +57,7 @@ PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profil
 PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
-K_PER_BASIN = 3  # best seeds of each basin that run the ascent
+K_PER_BASIN = 3  # best seeds that ascend from a basin not read as a parabola
 N_TEST_MIN = 3  # fewest interior points on a seed's concavity segment
 N_TEST_MAX = 64  # most interior points on a seed's concavity segment
 DIST_BLOCK = 8  # seeds whose nearest-better distances are taken together
@@ -448,7 +450,8 @@ def _concave(problem, seeds, seed_logl, near, n_test):
       the grid when 4 divides m + 1, and are not evaluated again; any
       other completed segment pays m points after the probe's 3.
 
-    Returns the verdicts and the mask of segments the probe decided.
+    Returns the verdicts, the mask of segments the probe decided and the
+    mask of segments whose five points are a concave parabola.
     """
     n_pair = n_test.size
     ends = seeds[near]
@@ -459,11 +462,12 @@ def _concave(problem, seeds, seed_logl, near, n_test):
         .reshape(3 * n_pair, -1)).reshape(n_pair, 3)
     five[:, 4] = seed_logl[near]
     down = np.all(_second(five) <= 0.0, axis=1)
-    read = (n_test == N_TEST_MIN) | (down & _parabolic(five))
+    parabola = down & _parabolic(five)
+    read = (n_test == N_TEST_MIN) | parabola
     concave = read & down
     rest = np.flatnonzero(~read)
     if rest.size == 0:
-        return concave, read
+        return concave, read, parabola
     m = n_test[rest]
     # Row r is segment rest[r]'s profile (v_i, interior values, v_j),
     # zero-padded. Where 4 divides m + 1 the probe points are grid points
@@ -484,10 +488,10 @@ def _concave(problem, seeds, seed_logl, near, n_test):
     prof[row, k] = problem.logl(_points_along(seeds[seg + 1], ends[seg], k / (m[row] + 1)))
     inside = np.arange(prof.shape[1] - 2) < m[:, None]
     concave[rest] = np.all(~inside | (_second(prof) <= 0.0), axis=1)
-    return concave, read
+    return concave, read, parabola
 
 
-def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> tuple[np.ndarray, np.ndarray]:
+def group_seeds(problem, seeds, seed_logl, lam_fine: float):
     """Basin label of every seed, by a line-concavity (hill-valley) test.
 
     ``seeds`` come ranked best first with their survey values ``seed_logl``,
@@ -510,35 +514,47 @@ def group_seeds(problem, seeds, seed_logl, lam_fine: float) -> tuple[np.ndarray,
     still lie on a parabola to ``PARABOLA_TOL``: that segment reads as
     concave. No call is made for fewer than two seeds.
 
-    Returns the labels and the mask of segments the probe decided, one
-    per seed after the first.
+    A basin is parabolic when every segment that joined a seed to it was
+    read at the probe as a concave parabola; a segment decided by the
+    ``N_TEST_MIN`` shortcut or completed on its grid is not. A basin of
+    one seed is parabolic, having no segment.
+
+    Returns the labels, the mask of segments the probe decided (one per
+    seed after the first) and the parabolic flag of every basin.
     """
     n = seeds.shape[0]
     basin = np.zeros(n, dtype=np.int64)
     if n < 2:
-        return basin, np.zeros(0, dtype=bool)
+        return basin, np.zeros(0, dtype=bool), np.ones(n, dtype=bool)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, N_TEST_MIN, N_TEST_MAX)
-    concave, read = _concave(problem, seeds, seed_logl, near, n_test.astype(np.int64))
-    n_basins = 1
+    concave, read, parabola = _concave(problem, seeds, seed_logl, near,
+                                       n_test.astype(np.int64))
+    parabolic = [True]
     for i in range(1, n):
         if concave[i - 1]:
             basin[i] = basin[near[i - 1]]
+            parabolic[basin[i]] &= bool(parabola[i - 1])
         else:
-            basin[i] = n_basins
-            n_basins += 1
-    return basin, read
+            basin[i] = len(parabolic)
+            parabolic.append(True)
+    return basin, read, np.array(parabolic)
 
 
-def basin_leaders(basin) -> np.ndarray:
-    """Indices of the first ``K_PER_BASIN`` seeds of every basin, in seed order."""
+def basin_leaders(basin, parabolic) -> np.ndarray:
+    """Indices of the seeds that ascend, in seed order.
+
+    A ``parabolic`` basin (see ``group_seeds``) is one Gaussian-like peak,
+    so its best seed alone climbs; every other basin sends its first
+    ``K_PER_BASIN`` seeds.
+    """
     # A seed's rank in its basin: its place in the stable basin-sorted
     # order minus the place of its basin's first seed.
     order = np.argsort(basin, kind="stable")
     ranked = basin[order]
     rank = np.empty(basin.size, dtype=np.int64)
     rank[order] = np.arange(basin.size) - np.searchsorted(ranked, ranked)
-    return np.flatnonzero(rank < K_PER_BASIN)
+    return np.flatnonzero(rank < np.where(parabolic[basin], 1, K_PER_BASIN))
 
 
 @dataclass(frozen=True)
@@ -561,8 +577,9 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, *, n_steps: int) -> li
     """One batched ascent from ``seeds``; the samples that stick are the peaks.
 
     ``seeds`` is the starting population. The pipeline passes the basin
-    leaders: the best ``K_PER_BASIN`` seeds of each basin ``group_seeds``
-    finds, so a log-concave target climbs from ``K_PER_BASIN`` seeds, not
+    leaders of ``basin_leaders``: the best seed of each basin
+    ``group_seeds`` read as a parabola, and the best ``K_PER_BASIN`` seeds
+    of every other basin. So a Gaussian target climbs from one seed, not
     from every seed ``select_seeds`` keeps.
 
     The population ascends in one ``run_batch`` of at most ``n_steps``

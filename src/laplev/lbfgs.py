@@ -272,6 +272,8 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     length, the exact step on a quadratic peak. It keeps the better of the
     two candidates that pass the Armijo test, so a bad extrapolation costs
     one probe, and a fitted step past the largest float lands on the wall.
+    A candidate the box clipped is held to the Armijo bound of the step it
+    took, the gradient times ``cand - theta``.
     When no candidate passes, it halves. A sample leaves the search early
     once its candidate lands on its own position before any candidate was
     accepted: every later trial step is no longer, so it cannot leave
@@ -310,10 +312,16 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
         vals = problem.logl(cand)
         displaced = np.any(cand != state.theta[rows], axis=1)
         unclipped = np.all(cand == raw, axis=1)
+        # The Armijo bound of a clipped candidate is the slope along the
+        # step it actually took, cand - theta, not along the trial step.
+        armijo = ARMIJO_C1 * a * slopes[searching]
+        wall = np.flatnonzero(~unclipped)
+        step = cand[wall] - state.theta[rows[wall]]
+        armijo[wall] = -ARMIJO_C1 * _row_dot(state.grad[rows[wall]], step)
         ok = (
             displaced
             & np.isfinite(vals)
-            & (vals >= state.logl[rows] - ARMIJO_C1 * a * slopes[searching])
+            & (vals >= state.logl[rows] - armijo)
             & (vals > state.logl[rows])
         )
 

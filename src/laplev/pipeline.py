@@ -159,8 +159,9 @@ def run(problem, config: PipelineConfig):
 
     with meter.stage("discover"):
         try:
-            basin, read = group_seeds(active, seeds, seed_logl, scales.lam_fine)
-            climb = basin_leaders(basin)
+            basin, read, parabolic = group_seeds(active, seeds, seed_logl,
+                                                 scales.lam_fine)
+            climb = basin_leaders(basin, parabolic)
             coarse = discover_modes(active, seeds[climb], scales,
                                     n_steps=config.ascent_steps)
         except NoModesFoundError as err:
@@ -215,7 +216,8 @@ def run(problem, config: PipelineConfig):
                      "scale": scales.lam_fine, "scale_fallback": scales.fallback,
                      "seeds": int(seeds.shape[0]), "segments_read": int(read.sum()),
                      "segments_completed": int(read.size - read.sum()),
-                     "ascents": int(climb.size)}
+                     "ascents": int(climb.size),
+                     "one_seed_basins": int(np.sum(np.bincount(basin[climb]) == 1))}
     result.reduction = reduction
     result.timings_ms = meter.timings
     return result

@@ -35,11 +35,11 @@ def test_run_success_prints_summary(capsys):
     assert re.search(r"\n  \[0\] logl=.* hessian=diagonal .* evals=10 at ", out)
     survey = [line for line in out.splitlines() if line.startswith("survey ")]
     # gaussian is log-concave: the grouping's probe reads all 30 segments
-    # as concave, so its 31 seeds form one basin, and only that basin's best
-    # three ascend.
+    # as concave parabolas, so its 31 seeds form one basin, and only that
+    # basin's best seed ascends.
     assert survey == ["survey       48 rays (v2v=12, v2e=12, w2w=12, sunburst=12), "
                       "0 dead, scale 1, 31 seeds, 30 segments read, 0 completed, "
-                      "3 ascents"]
+                      "1 ascents, 1 one-seed basins"]
 
 
 def test_unknown_problem_exits_2(capsys):

@@ -1053,9 +1053,11 @@ def _group_seeds_reference(problem, seeds, seed_logl, lam_fine):
     other segment is judged on its whole grid; it costs m points more,
     m - 3 when the probe points are grid points (4 divides m + 1). Returns
     the nearest-better indices and distances, the verdicts, the probe's
-    decisions, the labels and the completion's point count.
+    decisions, the probe's concave parabolas, the labels, each basin's
+    parabolic flag (every segment that joined it a concave parabola) and
+    the completion's point count.
     """
-    near, dist, concave, read, basin, completed = [], [], [], [], [0], 0
+    near, dist, concave, read, parabola, basin, completed = [], [], [], [], [], [0], 0
     for i in range(1, seeds.shape[0]):
         sq = [np.sum((seeds[i] - seeds[j]) ** 2) for j in range(i)]
         j = int(np.argmin(sq))
@@ -1065,7 +1067,8 @@ def _group_seeds_reference(problem, seeds, seed_logl, lam_fine):
         five = np.concatenate([[seed_logl[i]], u, [seed_logl[j]]])
         with np.errstate(invalid="ignore"):
             down = bool(np.all(five[:-2] - 2.0 * five[1:-1] + five[2:] <= 0.0))
-        decided = m == 3 or (down and _parabolic_reference(five))
+        parabola.append(down and _parabolic_reference(five))
+        decided = m == 3 or parabola[-1]
         ok = down
         if not decided:
             t = np.arange(1, m + 1) / (m + 1)
@@ -1080,8 +1083,11 @@ def _group_seeds_reference(problem, seeds, seed_logl, lam_fine):
         concave.append(ok)
         read.append(decided)
         basin.append(basin[j] if ok else max(basin) + 1)
+    flat = [all(parabola[i - 1] for i in range(1, len(basin))
+                if concave[i - 1] and basin[i] == b) for b in range(max(basin) + 1)]
     return (np.array(near, dtype=np.int64), np.array(dist), np.array(concave),
-            np.array(read), np.array(basin, dtype=np.int64), completed)
+            np.array(read), np.array(parabola), np.array(basin, dtype=np.int64),
+            np.array(flat), completed)
 
 
 def _two_bumps(x):
@@ -1112,18 +1118,20 @@ def test_group_seeds_matches_per_pair_reference(fn, d):
     seeds, seed_logl = _ranked_seeds(p, n, d)
     for lam_fine in (0.5, 3.0):
         near, dist = _nearest_better(seeds)
-        (want_near, want_dist, want_concave, want_read, want_basin,
-         completed) = _group_seeds_reference(p, seeds, seed_logl, lam_fine)
+        (want_near, want_dist, want_concave, want_read, want_parabola, want_basin,
+         want_flat, completed) = _group_seeds_reference(p, seeds, seed_logl, lam_fine)
         assert near.tobytes() == want_near.tobytes()
         assert dist.tobytes() == want_dist.tobytes()
         n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, 3, 64).astype(np.int64)
-        concave, read = _concave(p, seeds, seed_logl, near, n_test)
+        concave, read, parabola = _concave(p, seeds, seed_logl, near, n_test)
         assert concave.tobytes() == want_concave.tobytes()
         assert read.tobytes() == want_read.tobytes()
+        assert parabola.tobytes() == want_parabola.tobytes()
         calls = p.calls
-        basin, read = group_seeds(p, seeds, seed_logl, lam_fine)
+        basin, read, parabolic = group_seeds(p, seeds, seed_logl, lam_fine)
         assert basin.tobytes() == want_basin.tobytes()
         assert read.tobytes() == want_read.tobytes()
+        assert parabolic.tobytes() == want_flat.tobytes()
         # One call probes every segment; a second, made only when some
         # segment is left undecided, completes them all.
         assert p.rows[calls:] == [3 * (n - 1)] + ([completed] if completed else [])
@@ -1136,7 +1144,7 @@ def test_group_seeds_sees_both_verdicts():
     seeds, seed_logl = _ranked_seeds(p, 40, 5)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / 0.5) - 1.0, 3, 64).astype(np.int64)
-    concave, _ = _concave(p, seeds, seed_logl, near, n_test)
+    concave, _, _ = _concave(p, seeds, seed_logl, near, n_test)
     assert concave.any() and not concave.all()
     assert group_seeds(p, seeds, seed_logl, 0.5)[0].max() >= 1
 
@@ -1145,10 +1153,11 @@ def test_group_seeds_sees_both_verdicts():
 def test_group_seeds_spends_nothing_below_two_seeds(n):
     p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
     seeds = np.zeros((n, 3))
-    basin, read = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
+    basin, read, parabolic = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
     assert basin.tolist() == [0] * n and read.size == 0
+    assert parabolic.tolist() == [True] * n
     assert p.calls == n  # only the value call above
-    assert basin_leaders(basin).tolist() == list(range(n))
+    assert basin_leaders(basin, parabolic).tolist() == list(range(n))
 
 
 def _dip(centre):
@@ -1165,7 +1174,7 @@ def _dip_segment(centre, lam_fine):
     p = CountingProblem(_dip(centre), box(1))
     seeds = np.array([[0.0], [1.0]])
     seed_logl = p.logl(seeds)
-    basin, read = group_seeds(p, seeds, seed_logl, lam_fine)
+    basin, read, _ = group_seeds(p, seeds, seed_logl, lam_fine)
     return p, seeds, seed_logl, basin, read
 
 
@@ -1182,6 +1191,22 @@ def test_valley_between_the_probe_points_is_read_as_concave():
     prof = np.concatenate([seed_logl[1:], p.logl(_points_along(seeds[1], seeds[0], t)),
                            seed_logl[:1]])
     assert np.any(prof[:-2] - 2.0 * prof[1:-1] + prof[2:] > 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_valley_between_the_probe_points_through_run(dim):
+    # The blind spot through the pipeline. Past the dip at x0 = 0.375 sits
+    # a shoulder, a local maximum at x0 = 0.432 (logl -0.095), which no
+    # seed climbs to: run finds the origin alone, as it did when every
+    # basin sent K_PER_BASIN seeds up.
+    fn = _dip(0.375)
+    x = np.zeros((3, dim))
+    x[:, 0] = [0.4315, 0.4319, 0.4323]
+    left, top, right = fn(x)
+    assert top > max(left, right) and top > np.log(0.1)
+    res = run(Problem(fn, box(dim)), preset_config("fast", seed=1))
+    assert len(res.modes) == 1
+    np.testing.assert_allclose(res.modes[0].peak.position, np.zeros(dim), atol=1e-6)
 
 
 @pytest.mark.parametrize("lam_fine,completed", [(0.02, 64), (2.0 / 64, 60)],
@@ -1202,17 +1227,47 @@ def test_gaussian_segments_are_read_in_one_call(name):
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, 8)
     root = getattr(active, "parent", active)
     calls, evals = root.call_counter, root.eval_counter
-    basin, read = group_seeds(active, seeds, seed_logl, lam_fine)
+    basin, read, parabolic = group_seeds(active, seeds, seed_logl, lam_fine)
     assert read.all() and basin.tolist() == [0] * len(seeds)
+    assert parabolic.tolist() == [True]
     assert root.call_counter == calls + 1
     assert root.eval_counter == evals + 3 * (len(seeds) - 1)
 
 
 def test_basin_leaders_keeps_the_best_of_each_basin():
     basin = np.array([0, 0, 1, 0, 0, 2, 1, 1, 1, 0, 2])
+    parabolic = np.array([False, True, False])
     want = [i for i in range(basin.size)
-            if np.sum(basin[:i] == basin[i]) < K_PER_BASIN]
-    assert basin_leaders(basin).tolist() == want
+            if np.sum(basin[:i] == basin[i]) < (1 if parabolic[basin[i]] else K_PER_BASIN)]
+    assert basin_leaders(basin, parabolic).tolist() == want == [0, 1, 2, 3, 5, 10]
+
+
+def _kinked(x):
+    # -x^2 / 2, and concave but not a parabola past x0 = 1.
+    return -0.5 * np.sum(x * x, axis=1) - np.maximum(x[:, 0] - 1.0, 0.0) ** 4
+
+
+@pytest.mark.parametrize("lam_fine,read", [(0.02, False), (10.0, True)],
+                         ids=["completed", "shortcut"])
+def test_one_leader_only_for_a_basin_of_probe_read_parabolas(lam_fine, read):
+    # Seeds 0, -0.5, 0.6 and -0.8 join one basin through segments whose
+    # five probe points lie on a concave parabola, so its best seed alone
+    # ascends, at any segment grid. A fifth seed at 1.5 joins through the
+    # segment from 0.6, which crosses the kink: concave, but not a
+    # parabola. Completed on its grid (lam_fine 0.02), or decided by the
+    # three-point shortcut (lam_fine 10), it leaves the basin K_PER_BASIN
+    # leaders.
+    p = Problem(_kinked, box(1))
+    seeds = np.array([[0.0], [-0.5], [0.6], [-0.8], [1.5]])
+    seed_logl = p.logl(seeds)
+    assert (np.diff(seed_logl) < 0).all()
+    basin, _, parabolic = group_seeds(p, seeds[:4], seed_logl[:4], lam_fine)
+    assert basin.tolist() == [0] * 4 and parabolic.tolist() == [True]
+    assert basin_leaders(basin, parabolic).tolist() == [0]
+    basin, decided, parabolic = group_seeds(p, seeds, seed_logl, lam_fine)
+    assert basin.tolist() == [0] * 5 and parabolic.tolist() == [False]
+    assert decided.tolist() == [True] * 3 + [read]
+    assert basin_leaders(basin, parabolic).tolist() == list(range(K_PER_BASIN))
 
 
 def _pipeline_seeds(name, dim, seed=1):
@@ -1227,10 +1282,12 @@ def _pipeline_seeds(name, dim, seed=1):
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 32), ("correlated", 16)])
 def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
-    # Every segment of a log-concave target is concave, so every seed joins
-    # the best one's basin and only its K_PER_BASIN best seeds ascend.
+    # Every segment of a Gaussian target is a concave parabola, so every
+    # seed joins the best one's basin, which is parabolic: only the best
+    # seed ascends.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
-    assert group_seeds(active, seeds, seed_logl, lam_fine)[0].tolist() == [0] * len(seeds)
+    basin, _, parabolic = group_seeds(active, seeds, seed_logl, lam_fine)
+    assert basin.tolist() == [0] * len(seeds) and parabolic.tolist() == [True]
     rows = []
     ascent = laplev.discovery.run_batch
 
@@ -1240,8 +1297,9 @@ def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
 
     monkeypatch.setattr(laplev.discovery, "run_batch", traced)
     res = run(get_target(name, dim).problem, preset_config("fast", seed=1))
-    assert rows == [K_PER_BASIN]
-    assert res.survey["seeds"] == len(seeds) > res.survey["ascents"] == K_PER_BASIN
+    assert rows == [1]
+    assert res.survey["seeds"] == len(seeds) > res.survey["ascents"] == 1
+    assert res.survey["one_seed_basins"] == 1
 
 
 @pytest.mark.parametrize("preset", ["fast", "slow"])
@@ -1277,7 +1335,8 @@ def run_discovery(p, rng_seed=0, n_steps=15):
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
-    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
+    basin, _, parabolic = group_seeds(p, seeds, seed_logl, est.lam_fine)
+    climb = basin_leaders(basin, parabolic)
     return discover_modes(p, seeds[climb], est, n_steps=n_steps)
 
 
@@ -1301,7 +1360,8 @@ def test_held_peak_hess_diag_is_an_independent_second_difference(name, dim):
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
-    climb = basin_leaders(group_seeds(p, seeds, seed_logl, est.lam_fine)[0])
+    basin, _, parabolic = group_seeds(p, seeds, seed_logl, est.lam_fine)
+    climb = basin_leaders(basin, parabolic)
     peaks = discover_modes(p, seeds[climb], est, n_steps=15)
     assert peaks
     for pk in peaks:

@@ -20,8 +20,18 @@ change, regenerate the file and say why in the change description::
 
 It prints every cell that moved against the committed file before it
 overwrites it.
+
+A sweep over more seeds writes its own file and leaves ``grid.json`` as it
+is; each entry is one (cell, seed), keyed ``name/dim/preset/seed``::
+
+    PYTHONPATH=src python tests/test_grid.py --seeds 1-10 --out sweep.json
+
+When the output file exists, the sweep prints every entry that moved
+against it before it overwrites it. So running the sweep in two trees into
+the same file shows what moved between them.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -57,11 +67,11 @@ def cell_key(name, dim, preset):
     return f"{name}/{dim}/{preset}"
 
 
-def observe(name, dim, preset):
-    """One cell's outcome class and mode count."""
+def observe(name, dim, preset, seed=SEED):
+    """One cell's outcome class and mode count at ``seed``."""
     target = get_target(name, dim)
     try:
-        res = run(target.problem, preset_config(preset, seed=SEED))
+        res = run(target.problem, preset_config(preset, seed=seed))
     except LaplevError as err:
         return {"class": "error", "error": type(err).__name__,
                 "stage": getattr(err, "stage", None)}
@@ -89,14 +99,37 @@ def test_cell_matches_grid(grid, name, dim, preset):
     assert observe(name, dim, preset) == grid[cell_key(name, dim, preset)]
 
 
-if __name__ == "__main__":
-    committed = json.loads(GRID_FILE.read_text()) if GRID_FILE.exists() else {}
-    cells = {cell_key(n, d, p): observe(n, d, p) for n, d, p in CELLS}
-    for cell in sorted(set(committed) | set(cells)):
-        if committed.get(cell) != cells.get(cell):
-            print(f"{cell}: {committed.get(cell)} -> {cells.get(cell)}")
+def parse_seeds(text):
+    """``"3"`` or an inclusive range ``"1-10"`` as a tuple of seeds."""
+    lo, _, hi = text.partition("-")
+    return tuple(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=parse_seeds, default=(SEED,),
+                        help="a seed or an inclusive range, e.g. 1-10 (default 1)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write a per-seed sweep here instead of grid.json")
+    args = parser.parse_args(argv)
+    if args.out is None and args.seeds != (SEED,):
+        parser.error(f"grid.json holds seed {SEED} only; give --out for other seeds")
+    out = args.out or GRID_FILE
+    previous = json.loads(out.read_text()) if out.exists() else {}
+    if args.out is None:
+        cells = {cell_key(n, d, p): observe(n, d, p) for n, d, p in CELLS}
+    else:
+        cells = {f"{cell_key(n, d, p)}/{s}": observe(n, d, p, seed=s)
+                 for s in args.seeds for n, d, p in CELLS}
+    for cell in sorted(set(previous) | set(cells)):
+        if previous.get(cell) != cells.get(cell):
+            print(f"{cell}: {previous.get(cell)} -> {cells.get(cell)}")
     counts = {}
     for obs in cells.values():
         counts[obs["class"]] = counts.get(obs["class"], 0) + 1
-    GRID_FILE.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GRID_FILE}: {len(cells)} cells, {counts}")
+    out.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}: {len(cells)} entries, {counts}")
+
+
+if __name__ == "__main__":
+    main()

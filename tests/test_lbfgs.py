@@ -388,6 +388,21 @@ def test_fitted_step_past_the_largest_float_lands_on_the_wall():
     assert np.all((p.bounds.lower <= fitted) & (fitted <= p.bounds.upper))
 
 
+def test_improving_clipped_probe_is_accepted():
+    # A fresh row 2^-40 below the wall of a rising plane: its trial step of
+    # length 1 is clipped onto the wall, which gains 2^-40. Judged by the
+    # Armijo bound of the unclipped step (1e-4), that gain would fail, and
+    # 20 halvings could not bring the bound below it; judged along the step
+    # it took, the wall probe passes in the first round.
+    p = Problem(lambda x: x[:, 0].copy(), BoundsBox.cube(1, -1.0, 1.0))
+    state = make_state(p, [[1.0 - 2.0**-40]], 0.0)
+    calls = p.call_counter
+    assert step_batch(state, p)[0]
+    assert state.theta.tolist() == [[1.0]] and state.logl.tolist() == [1.0]
+    # One candidate round and the new gradient.
+    assert p.call_counter - calls == 2
+
+
 def test_row_dot_is_bitwise_np_dot():
     rng = np.random.default_rng(17)
     for d in (1, 2, 3, 7, 8, 16, 17, 32, 128, 257):
@@ -529,10 +544,14 @@ def _step_batch_reference(state: BatchState, problem) -> np.ndarray:
         vals = problem.logl(cand)
         displaced = np.any(cand != state.theta[rows], axis=1)
         unclipped = np.all(cand == raw, axis=1)
+        armijo = ARMIJO_C1 * a * slopes[searching]
+        for k in np.flatnonzero(~unclipped):
+            step = cand[k] - state.theta[rows[k]]
+            armijo[k] = -ARMIJO_C1 * float(np.dot(state.grad[rows[k]], step))
         ok = (
             displaced
             & np.isfinite(vals)
-            & (vals >= state.logl[rows] - ARMIJO_C1 * a * slopes[searching])
+            & (vals >= state.logl[rows] - armijo)
             & (vals > state.logl[rows])
         )
 

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laplev.discovery import K_PER_BASIN, N_COARSE, PROBE_STEP, discover_modes, group_seeds
+from laplev.discovery import (
+    N_COARSE,
+    PROBE_STEP,
+    basin_leaders,
+    discover_modes,
+    group_seeds,
+)
 from laplev.errors import (DegenerateProblemError, InvalidParameterError,
                            LaplevError, NoModesFoundError)
 from laplev.evidence import mode_evidence, probe_offdiag
@@ -76,6 +82,7 @@ def test_config_is_its_preset(preset):
 # constant, never an argument, and no argument has a default.
 STAGE_PARAMS = {
     group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
+    basin_leaders: ["basin", "parabolic"],
     discover_modes: ["problem", "seeds", "scales", "n_steps"],
     refine_peaks: ["problem", "coarse_peaks"],
     run_batch: ["problem", "theta0", "iterations", "tol", "width"],
@@ -167,8 +174,8 @@ def test_run_on_a_view_meters_the_parents_counters():
     view = View(parent, parent.bounds.center, np.array([0, 1]),
                 BoundsBox(lower[:2], upper[:2]))
     res = run(view, preset_config("fast", seed=1))
-    assert sum(res.eval_counts.values()) == parent.eval_counter == 1058
-    assert sum(res.call_counts.values()) == parent.call_counter == 11
+    assert sum(res.eval_counts.values()) == parent.eval_counter == 1032
+    assert sum(res.call_counts.values()) == parent.call_counter == 8
     assert res.log_z_total == pytest.approx(np.log(2.0 * np.pi) - 1.0, abs=1e-9)
 
 
@@ -286,15 +293,16 @@ def test_timings_present_but_excluded_from_canonical_json():
 
 
 SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback",
-               "seeds", "segments_read", "segments_completed", "ascents"}
+               "seeds", "segments_read", "segments_completed", "ascents",
+               "one_seed_basins"}
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
 def test_result_reports_its_survey(name, dim):
     # The survey block: ray counts per kind, dead rays, the length scale,
     # which is the scale the behaviour baseline records for the cell, how
-    # many seeds were picked, how their segments were tested and how many
-    # of the seeds ascended.
+    # many seeds were picked, how their segments were tested, how many of
+    # the seeds ascended and how many basins climbed from one seed.
     config = preset_config("fast", seed=1)
     texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
     assert texts[0] == texts[1]
@@ -307,8 +315,10 @@ def test_result_reports_its_survey(name, dim):
     scales = baseline[f"{name}/{dim}/fast"]["scales"]
     assert block["scale"] == float.fromhex(scales["lam"])
     assert block["scale_fallback"] is scales["fallback"]
-    assert 0 < block["ascents"] <= block["seeds"]
-    assert (block["ascents"] == K_PER_BASIN) is (name != "mixture4")
+    assert 0 < block["one_seed_basins"] <= block["ascents"] <= block["seeds"]
+    # A Gaussian's seeds form one basin of concave parabolas, which climbs
+    # from its best seed alone.
+    assert (block["ascents"] == block["one_seed_basins"] == 1) is (name != "mixture4")
     # Every seed after the best has one segment, which the grouping's probe
     # either decides or completes; a Gaussian's are all decided.
     assert block["segments_read"] + block["segments_completed"] == block["seeds"] - 1
