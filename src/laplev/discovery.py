@@ -491,7 +491,8 @@ def _concave(problem, seeds, seed_logl, near, n_test):
     return concave, read, parabola
 
 
-def group_seeds(problem, seeds, seed_logl, lam_fine: float):
+def group_seeds(problem, seeds, seed_logl,
+                lam_fine: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Basin label of every seed, by a line-concavity (hill-valley) test.
 
     ``seeds`` come ranked best first with their survey values ``seed_logl``,
