@@ -80,10 +80,15 @@ def _points_along(start, end, t) -> np.ndarray:
 
 
 def _vertex_picks(rng, n, d):
-    """The v2v vertex picks in draw order: n pairs in one call, then one at a time."""
-    yield from rng.integers(0, 2, size=(2 * n, d))
+    """The v2v vertex picks in draw order: n pairs in one call, then one at a time.
+
+    Each pick is its 0/1 row packed to bits, as bytes: those compare far
+    faster than the rows do.
+    """
+    for row in np.packbits(rng.integers(0, 2, size=(2 * n, d)), axis=1):
+        yield row.tobytes()
     while True:
-        yield rng.integers(0, 2, size=d)
+        yield np.packbits(rng.integers(0, 2, size=d)).tobytes()
 
 
 def generate_rays(bounds: BoundsBox, rng):
@@ -117,11 +122,15 @@ def generate_rays(bounds: BoundsBox, rng):
     v_start = np.empty((n_vert, d), dtype=np.int64)
     v_end = np.empty((n_vert, d), dtype=np.int64)
     picks = _vertex_picks(rng, n, d)
-    for i in range(n):
-        v_start[i] = next(picks)
-        v_end[i] = next(picks)
-        while np.array_equal(v_start[i], v_end[i]):
-            v_end[i] = next(picks)
+    drawn = []
+    for _ in range(n):
+        first, second = next(picks), next(picks)
+        while second == first:
+            second = next(picks)
+        drawn += (first, second)
+    bits = np.frombuffer(b"".join(drawn), dtype=np.uint8).reshape(2 * n, -1)
+    pairs = np.unpackbits(bits, axis=1, count=d).reshape(n, 2, d)
+    v_start[:n], v_end[:n] = pairs[:, 0], pairs[:, 1]
     # Per v2e ray: its start vertex, the vertex of its edge, the edge axis.
     pick = rng.integers(0, np.r_[np.full(2 * d, 2), d], size=(n_v2e, 2 * d + 1))
     v_start[n:], v_end[n:], edge_axis = pick[:, :d], pick[:, d:-1], pick[:, -1]
@@ -524,22 +533,23 @@ def group_seeds(problem, seeds, seed_logl,
     seed after the first) and the parabolic flag of every basin.
     """
     n = seeds.shape[0]
-    basin = np.zeros(n, dtype=np.int64)
     if n < 2:
-        return basin, np.zeros(0, dtype=bool), np.ones(n, dtype=bool)
+        return np.zeros(n, dtype=np.int64), np.zeros(0, dtype=bool), np.ones(n, dtype=bool)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, N_TEST_MIN, N_TEST_MAX)
     concave, read, parabola = _concave(problem, seeds, seed_logl, near,
                                        n_test.astype(np.int64))
-    parabolic = [True]
-    for i in range(1, n):
-        if concave[i - 1]:
-            basin[i] = basin[near[i - 1]]
-            parabolic[basin[i]] &= bool(parabola[i - 1])
+    # The walk reads Python lists: indexing numpy arrays once per seed
+    # costs more than the labelling itself.
+    labels, parabolic = [0], [True]
+    for c, j, p in zip(concave.tolist(), near.tolist(), parabola.tolist()):
+        if c:
+            labels.append(labels[j])
+            parabolic[labels[j]] &= p
         else:
-            basin[i] = len(parabolic)
+            labels.append(len(parabolic))
             parabolic.append(True)
-    return basin, read, np.array(parabolic)
+    return np.array(labels, dtype=np.int64), read, np.array(parabolic)
 
 
 def basin_leaders(basin, parabolic) -> np.ndarray:

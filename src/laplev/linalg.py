@@ -22,6 +22,8 @@ from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericInpu
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Duplicate-peak radius as a fraction of the mean box width (``dedup_radius``).
 DEDUP_WIDTH_FRACTION = 1e-3
+# Leading coordinates ``dedup_linf`` screens candidate pairs on.
+DEDUP_SCREEN = 3
 
 
 def eig_symmetric(a):
@@ -49,24 +51,37 @@ def eig_symmetric(a):
 def cholesky_lower(a):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Raises NotPositiveDefiniteError carrying the pivot index at which the
-    factorization broke down.
+    LAPACK's ``potrf`` through ``np.linalg.cholesky``, which reads the lower
+    triangle. Raises NotPositiveDefiniteError carrying the pivot index at
+    which the factorization broke down.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError("cholesky_lower needs a square matrix")
     if not np.isfinite(a).all():
         raise NumericInputError("cholesky_lower: non-finite entries")
-    d = a.shape[0]
-    l = np.zeros_like(a)
-    for j in range(d):
-        s = a[j, j] - np.dot(l[j, :j], l[j, :j])
-        if s <= 0.0 or not np.isfinite(s):
-            raise NotPositiveDefiniteError(j)
-        l[j, j] = np.sqrt(s)
-        if j + 1 < d:
-            l[j + 1 :, j] = (a[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
-    return l
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_failing_pivot(a)) from None
+
+
+def _failing_pivot(a) -> int:
+    """Pivot at which the factorization of ``a``, known to fail, breaks down.
+
+    numpy does not pass on LAPACK's ``info``, so this bisects for the
+    smallest leading block that does not factor: a block factors only if
+    every block inside it does.
+    """
+    lo, hi = 0, a.shape[0] - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(a[:mid + 1, :mid + 1])
+            lo = mid + 1
+        except np.linalg.LinAlgError:
+            hi = mid
+    return lo
 
 
 def log_det_pd(a) -> float:
@@ -118,6 +133,11 @@ def dedup_linf(points, scores, radius, widths=None):
     The loop runs once per survivor, not per candidate: each survivor
     measures its distance to every later candidate in one array operation,
     and the next survivor is the first later candidate nothing dropped.
+    A pair within the radius is within it on every coordinate, so one
+    n x n test on the first ``DEDUP_SCREEN`` coordinates finds the
+    survivors that can drop no later candidate, and those skip the
+    measure. A point with a non-finite coordinate always measures: a NaN
+    distance (NaN, or inf - inf) keeps a later candidate.
 
     The greedy order makes the output order-independent for distinct scores
     and idempotent: rerunning on the survivors keeps all of them.
@@ -129,26 +149,33 @@ def dedup_linf(points, scores, radius, widths=None):
     if radius < 0:
         raise InvalidParameterError("dedup_linf: radius must be non-negative")
     n = pts.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
     if widths is not None:
         w = np.asarray(widths, dtype=np.float64)
         if np.any(w <= 0) or not np.isfinite(w).all():
             raise InvalidParameterError("dedup_linf: widths must be positive finite")
         pts = pts / w
+    if n < 2:
+        return np.arange(n, dtype=np.intp)
     order = np.lexsort((np.arange(n), -sc))
     pts = pts[order]
+    # measure[i]: some later candidate is within the radius of i on the
+    # screened coordinates, or i has a non-finite coordinate.
+    close = ~np.tri(n, dtype=bool)
+    for col in pts[:, :DEDUP_SCREEN].T:
+        close &= np.abs(col[:, None] - col) <= radius
+    measure = close.any(axis=1) | ~np.isfinite(pts).all(axis=1)
     # Per candidate in visiting order, its distance to the nearest survivor
     # so far. np.minimum propagates NaN, so one NaN distance keeps it NaN,
     # and a NaN is never within the radius.
-    nearest = np.full(n, np.inf)
+    # The NaN past the end stops the walk.
+    nearest = np.full(n + 1, np.inf)
+    nearest[n] = np.nan
     keep = np.zeros(n, dtype=bool)
     i = 0
-    while True:
+    while i < n:
         keep[i] = True
-        rest = nearest[i + 1:]
-        np.minimum(rest, np.abs(pts[i + 1:] - pts[i]).max(axis=1), out=rest)
-        far = np.flatnonzero(~(rest <= radius))
-        if far.size == 0:
-            return np.sort(order[keep])
-        i += 1 + int(far[0])
+        if measure[i]:
+            rest = nearest[i + 1:n]
+            np.minimum(rest, np.abs(pts[i + 1:] - pts[i]).max(axis=1), out=rest)
+        i += 1 + int((~(nearest[i + 1:] <= radius)).argmax())
+    return np.sort(order[keep])

@@ -49,6 +49,17 @@ def test_import_and_pipeline_load_no_scipy():
     assert scipy_modules_after(PIPELINE) == []
 
 
+def test_full_route_loads_no_scipy():
+    # rotated-cigar/8 takes the full-Hessian route, whose log det comes
+    # from numpy's LAPACK Cholesky rather than scipy's.
+    loaded = scipy_modules_after(
+        "import laplev\n"
+        "res = laplev.run(laplev.get_target('rotated-cigar', 8).problem,\n"
+        "                 laplev.preset_config('fast', seed=1))\n"
+        "assert [m.hessian_kind for m in res.modes] == ['full']\n")
+    assert loaded == []
+
+
 def test_scipy_target_loads_scipy():
     # The same probe sees scipy once a target that needs it is built.
     loaded = scipy_modules_after("import laplev\nlaplev.get_target('student-t-3', 2)")

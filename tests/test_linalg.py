@@ -124,6 +124,52 @@ def test_cholesky_pivot_index_on_failure():
     assert exc.value.pivot_index == 0
 
 
+def _cholesky_pivot_reference(a):
+    """The pivot at which the hand-rolled column-by-column Cholesky broke
+    down, or None when it factors ``a``."""
+    d = a.shape[0]
+    l = np.zeros_like(a)
+    for j in range(d):
+        s = a[j, j] - np.dot(l[j, :j], l[j, :j])
+        if s <= 0.0 or not np.isfinite(s):
+            return j
+        l[j, j] = np.sqrt(s)
+        l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / l[j, j]
+    return None
+
+
+@pytest.mark.parametrize("margin", [1.0, 1e-6])
+@pytest.mark.parametrize("k", range(8))
+def test_cholesky_pivot_matches_column_loop(k, margin):
+    # Lower a[k, k] past its Schur complement: the leading k x k block
+    # stays positive definite and the factorization breaks down at k.
+    a = random_pd(np.random.default_rng(41 + k), 8)
+    schur = a[k, k] - a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k]) if k else a[0, 0]
+    a[k, k] -= schur + margin
+    assert _cholesky_pivot_reference(a) == k
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_lower(a)
+    assert exc.value.pivot_index == k
+
+
+def test_cholesky_pivot_at_d1():
+    for v in (0.0, -2.0):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky_lower([[v]])
+        assert exc.value.pivot_index == 0 == _cholesky_pivot_reference(np.array([[v]]))
+    assert cholesky_lower([[4.0]]).tolist() == [[2.0]]
+
+
+def test_cholesky_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[2, 1] = a[1, 2] = bad
+        with pytest.raises(NumericInputError):
+            cholesky_lower(a)
+        with pytest.raises(NumericInputError):
+            log_det_pd(a)
+
+
 # ------------------------------------------------------------------ condition
 
 
@@ -342,6 +388,82 @@ def test_dedup_nan_coordinates_bitwise_equal_to_candidate_loop(radius, whiten):
         for reference in (_dedup_linf_reference, _dedup_linf_loop_reference):
             want = reference(pts, sc, radius, widths=widths)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _assert_dedup_bitwise(pts, sc, radius, widths=None):
+    got = dedup_linf(pts, sc, radius, widths=widths)
+    for reference in (_dedup_linf_reference, _dedup_linf_loop_reference):
+        want = reference(pts, sc, radius, widths=widths)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dedup_non_finite_past_the_screened_coordinates(bad):
+    # The best point is far from the rest on every finite coordinate and
+    # carries its non-finite value in coordinate 4 only. A NaN there puts
+    # it at a NaN distance from every later candidate, so the close pair
+    # behind it is kept; an inf puts it at an inf distance, so they merge.
+    pts = np.array([[0.0, 0.0, 0.0, 0.0, bad],
+                    [5.0, 5.0, 5.0, 5.0, 5.0],
+                    [5.1, 5.0, 5.0, 5.0, 5.0]])
+    kept = _assert_dedup_bitwise(pts, [3.0, 2.0, 1.0], 0.5)
+    assert kept.tolist() == ([0, 1, 2] if np.isnan(bad) else [0, 1])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dedup_same_signed_inf_pair(sign):
+    # Two rows with the same inf in coordinate 3 are at an inf - inf = NaN
+    # distance: the second is kept, even beside a finite twin of the first.
+    inf = sign * np.inf
+    pts = np.array([[0.0, 0.0, 0.0, inf, 0.0],
+                    [0.0, 0.0, 0.0, inf, 0.0],
+                    [0.0, 0.0, 0.0, 1.0, 0.0],
+                    [0.1, 0.0, 0.0, 1.0, 0.0],
+                    [9.0, 9.0, 9.0, inf, 9.0]])
+    with np.errstate(invalid="ignore"):
+        kept = _assert_dedup_bitwise(pts, [5.0, 4.0, 3.0, 2.0, 1.0], 0.5)
+    assert kept.tolist() == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.3, 2.0])
+def test_dedup_cluster_plus_spread_points(radius):
+    # The select_seeds shape on a Gaussian: a tight cluster of the best
+    # samples around the mode, and spread samples of lower value.
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3, 8, 32):
+        pts = np.concatenate([rng.normal(0.0, 0.1, size=(40, d)),
+                              rng.uniform(-5.0, 5.0, size=(80, d))])
+        sc = -np.sum(pts ** 2, axis=1)
+        sc[rng.choice(120, size=10, replace=False)] = 0.0
+        _assert_dedup_bitwise(pts, sc, radius)
+        _assert_dedup_bitwise(pts, sc, radius, widths=rng.uniform(0.5, 2.0, size=d))
+
+
+def test_dedup_close_on_screened_coordinates_far_on_a_later_one():
+    # Every pair matches on coordinates 0-2; coordinate 3 or 6 decides.
+    rng = np.random.default_rng(47)
+    pts = np.zeros((60, 7))
+    pts[:, :3] = rng.uniform(-0.1, 0.1, size=(1, 3))
+    pts[:, 3] = rng.integers(0, 4, size=60)
+    pts[::2, 6] = rng.uniform(-3.0, 3.0, size=30)
+    sc = rng.integers(0, 5, size=60).astype(np.float64)
+    for radius in (0.0, 0.5, 1.0, 10.0):
+        kept = _assert_dedup_bitwise(pts, sc, radius)
+        assert kept.size > 1 or radius == 10.0
+    kept = _assert_dedup_bitwise(pts[:2], [2.0, 1.0], 0.5)
+    assert kept.tolist() == [0, 1] and abs(pts[0, 6] - pts[1, 6]) > 0.5
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dedup_fewer_coordinates_than_the_screen(d):
+    rng = np.random.default_rng(53 + d)
+    for n in (1, 2, 5, 90):
+        pts = rng.uniform(-1.0, 1.0, size=(n, d))
+        pts[n // 2:] = np.round(pts[n // 2:], 1)
+        sc = rng.integers(0, 3, size=n).astype(np.float64)
+        for radius in (0.0, 0.05, 0.5):
+            _assert_dedup_bitwise(pts, sc, radius)
 
 
 def test_dedup_nan_survivor_keeps_every_later_candidate():
