@@ -65,7 +65,7 @@ problem2 = Problem(trough, BoundsBox.cube(2, -4.0, 4.0))
 start = 0.3 * u  # somewhere on the line of maxima, where the gradient is 0
 # An ascent state there holds the value and diagonal Hessian that the
 # search would hand over for a held peak.
-state = make_state(problem2, start[None, :], 0.01)
+state = make_state(problem2, start[None, :], problem2.logl(start), (), 0.01)
 hess, steps = state.hess_diag([0])
 held = Peak(start, float(state.logl[0]), hess[0], steps[0])
 peaks, _ = refine_peaks(problem2, [held])

@@ -17,18 +17,21 @@ the basin of its nearest better seed when the log-likelihood is concave on
 the segment between them. The test costs at most two batched calls: one
 probes every segment at three points, which read a segment whose values
 lie on a concave parabola, and a second completes every other segment's
-grid. A Gaussian target groups in one call. A basin whose every segment
-read as a concave parabola sends its best seed on alone; any other basin
-sends its best few. A valley narrower than a quarter of a segment can hide
-between its probe points; that segment reads as concave, so such a valley
-can cost a mode.
+grid. The gradient stencil of the best seed, which always ascends, rides
+in the probe call, so a Gaussian target groups and starts its ascent in
+one call. A basin whose every segment read as a concave parabola sends its
+best seed on alone; any other basin sends its best few. A valley narrower
+than a quarter of a segment can hide between its probe points; that
+segment reads as concave, so such a valley can cost a mode.
 Then the basin leaders ascend once, in one batch of at most the preset's
-step budget: a sample that converges onto a peak within the keep band
-sticks, duplicates of a better stuck sample retire, and the survivors are
-the peaks (each one's diagonal Hessian is read off the values its last
-gradient evaluated). Everything is driven by one seeded generator and
-batched evaluator calls, so a (seed, config) pair fixes the run bit for
-bit.
+step budget. The ascent starts from the leaders' survey values and the
+best seed's stencil, so it spends one call on the other leaders' stencils
+and none on a lone leader. A sample that converges onto a peak within the
+keep band sticks, duplicates of a better stuck sample retire, and the
+survivors are the peaks (each one's diagonal Hessian is read off the
+values its last gradient evaluated). Everything is driven by one seeded
+generator and batched evaluator calls, so a (seed, config) pair fixes the
+run bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoModesFoundError
-from .lbfgs import _row_dot, run_batch
+from .lbfgs import _row_dot, axis_points, fd_steps, run_batch
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .lbfgs import fd_gradient  # noqa: F401
 from .linalg import dedup_linf, dedup_radius
@@ -140,9 +143,12 @@ def generate_rays(bounds: BoundsBox, rng):
 
     wall = np.arange(n_vert, n_vert + n)
     wall_axis = np.empty(n, dtype=np.int64)
+    # rng.uniform(lower, upper) draws lower + (upper - lower) * rng.random(d),
+    # the same bits and generator state, but takes far longer per call.
+    widths = upper - lower
     for i in wall:
         wall_axis[i - n_vert] = rng.integers(d)
-        start[i] = rng.uniform(lower, upper)
+        start[i] = lower + widths * rng.random(d)
     end[wall] = start[wall]
     start[wall, wall_axis] = lower[wall_axis]
     end[wall, wall_axis] = upper[wall_axis]
@@ -418,16 +424,20 @@ def _nearest_better(seeds):
     Euclidean distance (the first of them on a tie). Squared distances are
     elementwise sums over each pair's coordinate differences, the rounding
     of ``np.sum((a - b) ** 2)`` per pair, with no BLAS product. Seeds are
-    taken ``DIST_BLOCK`` at a time against the seeds before them, so the
-    working set is at most ``DIST_BLOCK`` x n x d.
+    taken ``DIST_BLOCK`` at a time against the seeds before them, in one
+    buffer of ``DIST_BLOCK`` x n x d that every block reuses, as a
+    contiguous array of its own shape: numpy sums a strided view slower.
     """
-    n = seeds.shape[0]
+    n, d = seeds.shape
     near = np.empty(n - 1, dtype=np.int64)
     sq = np.empty(n - 1)
+    buf = np.empty(min(DIST_BLOCK, n - 1) * (n - 1) * d)
     for lo in range(1, n, DIST_BLOCK):
         hi = min(lo + DIST_BLOCK, n)
-        diff = seeds[None, :hi - 1] - seeds[lo:hi, None]
-        block = np.sum(diff * diff, axis=2)
+        diff = buf[:(hi - lo) * (hi - 1) * d].reshape(hi - lo, hi - 1, d)
+        np.subtract(seeds[None, :hi - 1], seeds[lo:hi, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        block = np.sum(diff, axis=2)
         rows = np.arange(lo, hi)
         block[np.arange(hi - 1) >= rows[:, None]] = np.inf
         near[lo - 1:hi - 1] = np.argmin(block, axis=1)
@@ -441,7 +451,7 @@ def _second(prof) -> np.ndarray:
         return prof[:, :-2] - 2.0 * prof[:, 1:-1] + prof[:, 2:]
 
 
-def _concave(problem, seeds, seed_logl, near, n_test):
+def _concave(problem, seeds, seed_logl, near, n_test, also):
     """Whether each seed's log-likelihood profile to its nearest better is concave.
 
     Seed i (1..n-1) is joined to ``seeds[near[i - 1]]`` by ``n_test[i - 1]``
@@ -454,29 +464,33 @@ def _concave(problem, seeds, seed_logl, near, n_test):
       grid is those three points (m = ``N_TEST_MIN``) is judged on them;
       any other segment is read as concave when its five points are
       ``_parabolic`` and none of their second differences is positive.
+      The ``also`` rows (an (m, d) array) ride in this call, after the
+      segments' points.
     - Completion: every segment the probe did not decide is evaluated on
       its grid, and judged on its whole profile. The probe points are on
       the grid when 4 divides m + 1, and are not evaluated again; any
       other completed segment pays m points after the probe's 3.
 
-    Returns the verdicts, the mask of segments the probe decided and the
-    mask of segments whose five points are a concave parabola.
+    Returns the verdicts, the mask of segments the probe decided, the mask
+    of segments whose five points are a concave parabola and the values of
+    the ``also`` rows.
     """
     n_pair = n_test.size
     ends = seeds[near]
+    probe = _points_along(seeds[1:, None], ends[:, None], np.array([0.25, 0.5, 0.75]))
+    values = problem.logl(np.concatenate([probe.reshape(3 * n_pair, -1), also]))
     five = np.empty((n_pair, 5))
     five[:, 0] = seed_logl[1:]
-    five[:, 1:4] = problem.logl(
-        _points_along(seeds[1:, None], ends[:, None], np.array([0.25, 0.5, 0.75]))
-        .reshape(3 * n_pair, -1)).reshape(n_pair, 3)
+    five[:, 1:4] = values[:3 * n_pair].reshape(n_pair, 3)
     five[:, 4] = seed_logl[near]
+    also_values = values[3 * n_pair:]
     down = np.all(_second(five) <= 0.0, axis=1)
     parabola = down & _parabolic(five)
     read = (n_test == N_TEST_MIN) | parabola
     concave = read & down
     rest = np.flatnonzero(~read)
     if rest.size == 0:
-        return concave, read, parabola
+        return concave, read, parabola, also_values
     m = n_test[rest]
     # Row r is segment rest[r]'s profile (v_i, interior values, v_j),
     # zero-padded. Where 4 divides m + 1 the probe points are grid points
@@ -497,11 +511,10 @@ def _concave(problem, seeds, seed_logl, near, n_test):
     prof[row, k] = problem.logl(_points_along(seeds[seg + 1], ends[seg], k / (m[row] + 1)))
     inside = np.arange(prof.shape[1] - 2) < m[:, None]
     concave[rest] = np.all(~inside | (_second(prof) <= 0.0), axis=1)
-    return concave, read, parabola
+    return concave, read, parabola, also_values
 
 
-def group_seeds(problem, seeds, seed_logl,
-                lam_fine: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_seeds(problem, seeds, seed_logl, lam_fine: float):
     """Basin label of every seed, by a line-concavity (hill-valley) test.
 
     ``seeds`` come ranked best first with their survey values ``seed_logl``,
@@ -522,7 +535,13 @@ def group_seeds(problem, seeds, seed_logl,
     every other segment's grid (see ``_concave``). The probe is blind to
     a valley narrower than a quarter of the segment whose five points
     still lie on a parabola to ``PARABOLA_TOL``: that segment reads as
-    concave. No call is made for fewer than two seeds.
+    concave.
+
+    The best seed leads basin 0, so it always ascends. The 2d
+    ``axis_points`` of its gradient, at ``fd_steps(seeds[0], lam_fine)``,
+    ride in the probe call, and the ascent starts from their values. With
+    fewer than two seeds those rows are the call's only rows; with none
+    no call is made.
 
     A basin is parabolic when every segment that joined a seed to it was
     read at the probe as a concave parabola; a segment decided by the
@@ -530,15 +549,19 @@ def group_seeds(problem, seeds, seed_logl,
     one seed is parabolic, having no segment.
 
     Returns the labels, the mask of segments the probe decided (one per
-    seed after the first) and the parabolic flag of every basin.
+    seed after the first), the parabolic flag of every basin and the best
+    seed's ``axis_values``, one (1, 2d) row (no row without a seed).
     """
-    n = seeds.shape[0]
+    n, d = seeds.shape
+    lead = axis_points(seeds[:1], fd_steps(seeds[:1], lam_fine))
     if n < 2:
-        return np.zeros(n, dtype=np.int64), np.zeros(0, dtype=bool), np.ones(n, dtype=bool)
+        lead_vals = problem.logl(lead) if n else np.zeros(0)
+        return (np.zeros(n, dtype=np.int64), np.zeros(0, dtype=bool),
+                np.ones(n, dtype=bool), lead_vals.reshape(n, 2 * d))
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, N_TEST_MIN, N_TEST_MAX)
-    concave, read, parabola = _concave(problem, seeds, seed_logl, near,
-                                       n_test.astype(np.int64))
+    concave, read, parabola, lead_vals = _concave(problem, seeds, seed_logl, near,
+                                                  n_test.astype(np.int64), lead)
     # The walk reads Python lists: indexing numpy arrays once per seed
     # costs more than the labelling itself.
     labels, parabolic = [0], [True]
@@ -549,7 +572,8 @@ def group_seeds(problem, seeds, seed_logl,
         else:
             labels.append(len(parabolic))
             parabolic.append(True)
-    return np.array(labels, dtype=np.int64), read, np.array(parabolic)
+    return (np.array(labels, dtype=np.int64), read, np.array(parabolic),
+            lead_vals.reshape(1, 2 * d))
 
 
 def basin_leaders(basin, parabolic) -> np.ndarray:
@@ -584,7 +608,8 @@ class Peak:
     steps: np.ndarray
 
 
-def discover_modes(problem, seeds, scales: ScaleEstimate, *, n_steps: int) -> list[Peak]:
+def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, *,
+                   n_steps: int) -> list[Peak]:
     """One batched ascent from ``seeds``; the samples that stick are the peaks.
 
     ``seeds`` is the starting population. The pipeline passes the basin
@@ -592,6 +617,14 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, *, n_steps: int) -> li
     ``group_seeds`` read as a parabola, and the best ``K_PER_BASIN`` seeds
     of every other basin. So a Gaussian target climbs from one seed, not
     from every seed ``select_seeds`` keeps.
+
+    The ascent starts from what was measured already: ``seed_logl`` holds
+    the seeds' survey values, and ``lead_vals`` the ``axis_values`` of the
+    first seed (the best seed, which leads basin 0) that ``group_seeds``
+    measured in its probe call, one (1, 2d) row. ``make_state`` measures
+    the other seeds' gradient probes in one call, and evaluates again only
+    a seed that ``bounds.clip`` moves, value and stencil; a lone leader
+    inside the box starts with no call.
 
     The population ascends in one ``run_batch`` of at most ``n_steps``
     steps (the preset's budget), whose finite-difference gradients step at
@@ -611,11 +644,12 @@ def discover_modes(problem, seeds, scales: ScaleEstimate, *, n_steps: int) -> li
     Raises the no-modes error, carrying the best sample seen, if no sample
     sticks.
     """
-    positions = problem.bounds.clip(np.atleast_2d(np.asarray(seeds, dtype=np.float64)))
+    positions = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     if positions.shape[0] == 0:
         raise NoModesFoundError(None, -np.inf, "no seeds to start from")
 
-    state = run_batch(problem, positions, n_steps, STICK_GRAD, scales.lam_fine)
+    state = run_batch(problem, positions, seed_logl, lead_vals, n_steps, STICK_GRAD,
+                      scales.lam_fine)
     logls = state.logl
     finite = np.isfinite(logls)
     floor = problem.peak_logl + np.log(KEEP_RATIO)

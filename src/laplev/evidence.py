@@ -8,19 +8,21 @@ One rotation test decides it for every mode with d >= 2: second-difference
 probes along the diagonal direction (1,...,1)/sqrt(d) and a few random unit
 directions, each compared with the curvature the diagonal alone predicts.
 The random directions catch off-diagonal structure of mixed sign, which
-cancels along the diagonal direction. A d = 1 mode needs no test.
+cancels along the diagonal direction. A d = 1 mode needs no test. Every
+mode's probe rows and its two tail-screen rows go out in one call shared
+by all modes.
 
 Only modes judged to have cross terms pay for the full d x d Hessian
 stencil: each cross term from the mode's value and six more, the axis
 points x +- eps_i e_i and x +- eps_j e_j, which the search's last gradient
 already evaluated at the mode's steps (their second differences are the
 diagonal), and the pair's own two points x +- (eps_i e_i + eps_j e_j);
-d (d - 1) evaluations in one batch. That route factors -H by Cholesky:
-the factor is the positive definiteness check, names the pivot where a
-non-concave mode breaks down, and gives log det(-H). Its condition number
-is the exact ratio of the extreme eigenvalues of -H. Total evidence is the
-log-sum-exp over modes plus the marginal contribution of any pathological
-(flat/soft) coordinates found by the precheck screen.
+d (d - 1) evaluations in one batch per full-route mode. That route factors
+-H by Cholesky: the factor is the positive definiteness check, names the
+pivot where a non-concave mode breaks down, and gives log det(-H). Its
+condition number is the exact ratio of the extreme eigenvalues of -H. Total
+evidence is the log-sum-exp over modes plus the marginal contribution of
+any pathological (flat/soft) coordinates found by the precheck screen.
 """
 
 from __future__ import annotations
@@ -140,32 +142,23 @@ class EvidenceResult:
         return out
 
 
-def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
-    """Judge off-diagonal curvature with second-difference probes.
+@dataclass(frozen=True)
+class Probe:
+    """One mode's share of the shared probe call.
 
-    The main probe runs along v = (1,...,1)/sqrt(d), where the second
-    difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j), which
-    sees the mean off-diagonal term. ``PROBE_EXTRA`` additional probes
-    along random unit directions drawn from ``rng`` guard against
-    off-diagonals that cancel in the mean. Each probe steps so that no
-    coordinate moves more than PROBE_STEP_FRACTION of its width, and all
-    probe rows are issued as one evaluation batch. The ``also`` rows (an
-    (m, d) array, m may be 0) ride in the same batch, after the probe rows.
-
-    Returns (rotated, also_values), the second being the ``also`` rows'
-    values. rotated is True when any probe's measured curvature u'Hu
-    deviates from its diagonal-only prediction sum u_i^2 H_ii by at least
-    PROBE_REL_THRESHOLD times that prediction, or when any probe value is
-    non-finite (conservative: an unmeasurable mode is not assumed
-    separable).
+    ``rotated`` is the rotation test's verdict, ``tail`` the mode's two
+    ``_tail_points`` rows and ``tail_values`` their values; ``evals``
+    counts the rows the mode sent, probe and tail.
     """
-    position = np.asarray(position, dtype=np.float64)
-    hess_diag = np.asarray(hess_diag, dtype=np.float64)
-    d = position.size
-    if d < 2:
-        raise UnsupportedDimensionError("off-diagonal probe needs d >= 2")
-    widths = 1.0 / np.sqrt(-hess_diag)
 
+    rotated: bool
+    tail: np.ndarray
+    tail_values: np.ndarray
+    evals: int
+
+
+def _probe_directions(d, rng) -> np.ndarray:
+    """The diagonal direction and ``PROBE_EXTRA`` random unit directions."""
     directions = [np.full(d, 1.0 / np.sqrt(d))]
     for _ in range(PROBE_EXTRA):
         u = rng.standard_normal(d)
@@ -174,23 +167,64 @@ def probe_offdiag(problem, position, center_logl, hess_diag, *, rng, also):
             u = rng.standard_normal(d)
             norm = float(np.linalg.norm(u))
         directions.append(u / norm)
-    directions = np.vstack(directions)
+    return np.vstack(directions)
 
-    eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
-    steps = eps[:, None] * directions
-    rows = np.stack([position + steps, position - steps], axis=1).reshape(-1, d)
-    rows = np.concatenate([rows, also])
-    n_probe = 2 * directions.shape[0]
-    all_values = problem.logl(rows)
-    values = all_values[:n_probe].reshape(-1, 2)
 
+def _rotated(values, directions, eps, center_logl, hess_diag) -> bool:
+    """Whether any probe's curvature leaves its diagonal-only prediction.
+
+    ``values`` holds the (k, 2) values at ``position +- eps u`` for each
+    direction u. True when some u'Hu deviates from sum u_i^2 H_ii by at
+    least ``PROBE_REL_THRESHOLD`` times that prediction, or when some
+    probe value is non-finite (conservative: an unmeasurable mode is not
+    assumed separable). No probe (k = 0) is not rotated.
+    """
     finite = np.isfinite(values).all(axis=1)
     pred = np.sum(directions * directions * hess_diag, axis=1)
     with np.errstate(invalid="ignore"):
         quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
         off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
-    rotated = bool((~finite | off).any())
-    return rotated, all_values[n_probe:]
+    return bool((~finite | off).any())
+
+
+def probe_offdiag(problem, peaks, *, rng):
+    """Probe every peak for off-diagonal curvature, in one batched call.
+
+    Each peak with d >= 2 is probed along v = (1,...,1)/sqrt(d), where the
+    second difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j),
+    which sees the mean off-diagonal term, and along ``PROBE_EXTRA`` random
+    unit directions drawn from ``rng``, which guard against off-diagonals
+    that cancel in the mean. The directions are drawn peak by peak, in the
+    order given. Each probe steps so that no coordinate moves more than
+    ``PROBE_STEP_FRACTION`` of its diagonal width. A d = 1 peak needs no
+    probe. Every peak's two ``_tail_points`` rows ride along, after its
+    probe rows: 2 + 2 * ``PROBE_EXTRA`` + 2 rows per peak at d >= 2, and 2
+    at d = 1.
+
+    Returns one ``Probe`` per peak.
+    """
+    rows, parts = [], []
+    for pk in peaks:
+        position = np.asarray(pk.position, dtype=np.float64)
+        hess_diag = np.asarray(pk.hess_diag, dtype=np.float64)
+        widths = 1.0 / np.sqrt(-hess_diag)
+        d = position.size
+        directions = _probe_directions(d, rng) if d >= 2 else np.zeros((0, d))
+        eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
+        steps = eps[:, None] * directions
+        tail = _tail_points(position, widths, problem.bounds)
+        rows += [np.stack([position + steps, position - steps], axis=1).reshape(-1, d),
+                 tail]
+        parts.append((pk.logl, hess_diag, directions, eps, tail))
+    values = problem.logl(np.concatenate(rows))
+    probes, at = [], 0
+    for center_logl, hess_diag, directions, eps, tail in parts:
+        k = 2 * eps.size
+        rotated = _rotated(values[at:at + k].reshape(-1, 2), directions, eps,
+                           center_logl, hess_diag)
+        probes.append(Probe(rotated, tail, values[at + k:at + k + 2], k + 2))
+        at += k + 2
+    return probes
 
 
 def full_hessian(problem, position, center_logl, hess_diag, steps):
@@ -279,34 +313,28 @@ def _gaussianity_warnings(position, logl_center, neg_hess_apply, points, values)
     return warnings
 
 
-def mode_evidence(problem, peak, *, rng):
-    """Evidence contribution of one refined peak.
+def mode_evidence(problem, peak, probe):
+    """Evidence contribution of one refined peak, given its ``probe``.
 
-    Decides between the already-measured diagonal curvature and a full
-    Hessian with ``probe_offdiag`` (every mode with d >= 2 is probed), then
-    applies the Gaussian-integral formula and screens the tails. Raises
-    NotPositiveDefiniteError when the Cholesky factorization of the full -H
-    breaks down (the candidate is a ridge or saddle that slipped through the
-    diagonal filter, and its Gaussian integral does not exist).
+    ``probe`` is the peak's entry of ``probe_offdiag``. Its verdict
+    decides the route: the already-measured diagonal curvature, or a full
+    Hessian, which this function measures in one call of d (d - 1) rows.
+    Then it applies the Gaussian-integral formula and screens the tails on
+    the probe's tail rows. The mode's ``evals_used`` counts its rows: its
+    probe and tail rows, plus the full Hessian's. Raises
+    NotPositiveDefiniteError when the Cholesky factorization of the full
+    -H breaks down (the candidate is a ridge or saddle that slipped
+    through the diagonal filter, and its Gaussian integral does not
+    exist).
     """
     position = np.asarray(peak.position, dtype=np.float64)
     hess_diag = np.asarray(peak.hess_diag, dtype=np.float64)
     d = position.size
-    evals_before = problem.eval_counter
+    evals = probe.evals
 
-    tail = _tail_points(position, 1.0 / np.sqrt(-hess_diag), problem.bounds)
-    if d < 2:
-        # one coordinate: the diagonal IS the full Hessian
-        rotated = False
-        tail_values = problem.logl(tail)
-    else:
-        # The tail rows ride in the probe's batch: one likelihood call.
-        rotated, tail_values = probe_offdiag(
-            problem, position, peak.logl, hess_diag, rng=rng, also=tail,
-        )
-
-    if rotated:
+    if probe.rotated:
         hess = full_hessian(problem, position, peak.logl, hess_diag, peak.steps)
+        evals += d * (d - 1)
         neg_hess = -hess
         try:
             log_det = log_det_pd(neg_hess)
@@ -333,7 +361,7 @@ def mode_evidence(problem, peak, *, rng):
     log_z = float(peak.logl) + 0.5 * d * LOG_2PI - 0.5 * log_det
 
     warnings = _gaussianity_warnings(
-        position, float(peak.logl), neg_hess_apply, tail, tail_values,
+        position, float(peak.logl), neg_hess_apply, probe.tail, probe.tail_values,
     )
     if condition > CONDITION_WARN:
         warnings.append(
@@ -348,7 +376,7 @@ def mode_evidence(problem, peak, *, rng):
         condition_number=condition,
         hessian=hess,
         warnings=warnings,
-        evals_used=int(problem.eval_counter - evals_before),
+        evals_used=evals,
     )
 
 

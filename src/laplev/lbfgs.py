@@ -2,14 +2,19 @@
 
 Every sample in a batch carries its own limited-memory curvature history,
 but all function evaluations across the batch are fused into shared calls:
-one batch for the 2*N*d gradient probes, one batch per backtracking round
-for the line-search candidates. The evaluator never sees a single-row call
-unless only one sample is still searching. The optimizer's own math runs as
-array operations across the batch too: the two-loop recursion steps over
-the ring buffers by pair age, the line-search phases advance by masks, and
-the curvature pairs are gated and stored for all moved rows at once. Row
-dot products go through ``_row_dot`` so every row rounds exactly as a
-per-sample ``np.dot`` would.
+one batch per backtracking round for the line-search candidates, then one
+for the 2*N*d gradient probes of the rows that moved. The evaluator never
+sees a single-row call unless only one sample is still searching. The
+optimizer's own math runs as array operations across the batch too: the
+two-loop recursion steps over the ring buffers by pair age, the line-search
+phases advance by masks, and the curvature pairs are gated and stored for
+all moved rows at once. Row dot products go through ``_row_dot`` so every
+row rounds exactly as a per-sample ``np.dot`` would.
+
+A batch starts from values its caller already holds. The mode search passes
+the survey's value at every start and the gradient probes of its first
+start, which rode in the seed grouping's call; so the start costs one batch
+for the other starts' 2*(N-1)*d gradient probes, and none for a lone start.
 
 Each line search first fits a parabola through its first trial and takes
 the fitted step at whatever length it asks for: on a quadratic peak that is
@@ -63,12 +68,11 @@ def fd_steps(theta, width) -> np.ndarray:
     return (th + eps) - th
 
 
-def axis_values(problem, theta, eps) -> np.ndarray:
-    """Log-likelihood at ``theta +- eps_i e_i`` for every row and axis.
+def axis_points(theta, eps) -> np.ndarray:
+    """The rows ``theta +- eps_i e_i`` for every row of ``theta`` and axis.
 
-    ``theta`` is (N, d) and ``eps`` broadcasts to it. All 2*N*d probes go
-    out as one batch; returns (N, 2d) values, the +eps probes in the first
-    d columns and the -eps probes in the last d.
+    ``theta`` is (N, d) and ``eps`` broadcasts to it. Returns (N * 2d, d)
+    rows, row by row of ``theta``: its d +eps rows, then its d -eps rows.
     """
     n, d = theta.shape
     probes = np.empty((n, 2, d, d))
@@ -77,24 +81,42 @@ def axis_values(problem, theta, eps) -> np.ndarray:
     diag = probes.reshape(n, 2, d * d)[:, :, ::d + 1]
     diag[:, 0] += eps
     diag[:, 1] -= eps
-    return problem.logl(probes.reshape(n * 2 * d, d)).reshape(n, 2 * d)
+    return probes.reshape(n * 2 * d, d)
+
+
+def axis_values(problem, theta, eps) -> np.ndarray:
+    """Log-likelihood at the ``axis_points`` of ``theta``, in one batch.
+
+    Returns (N, 2d) values, the +eps probes in the first d columns and the
+    -eps probes in the last d.
+    """
+    n, d = theta.shape
+    return problem.logl(axis_points(theta, eps)).reshape(n, 2 * d)
+
+
+def central_gradient(vals, eps) -> np.ndarray:
+    """Central differences of (N, 2d) ``axis_values`` taken at steps ``eps``.
+
+    A coordinate whose difference is not finite is zeroed rather than
+    poisoning the whole direction.
+    """
+    d = vals.shape[1] // 2
+    grad = (vals[:, :d] - vals[:, d:]) / (2.0 * eps)
+    grad[~np.isfinite(grad)] = 0.0
+    return grad
 
 
 def fd_gradient(problem, theta, width):
     """Central-difference gradient of the log-likelihood, one fused batch.
 
-    Returns ``(grad, vals)``: the (N, d) gradient at steps
+    Returns ``(grad, vals)``: the (N, d) ``central_gradient`` at steps
     ``fd_steps(theta, width)`` and the (N, 2d) ``axis_values`` it was read
-    from. A coordinate whose difference is not finite is zeroed rather than
-    poisoning the whole direction.
+    from.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-    d = th.shape[1]
     eps = fd_steps(th, width)
     vals = axis_values(problem, th, eps)
-    grad = (vals[:, :d] - vals[:, d:]) / (2.0 * eps)
-    grad[~np.isfinite(grad)] = 0.0
-    return grad, vals
+    return central_gradient(vals, eps), vals
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -162,18 +184,37 @@ class BatchState:
         return hess, eps
 
 
-def make_state(problem, theta0, width) -> BatchState:
-    """Evaluate a starting batch and freeze rows that begin non-finite."""
-    th = np.array(np.atleast_2d(theta0), dtype=np.float64)
-    th = problem.bounds.clip(th)
+def make_state(problem, theta0, logl0, axis_vals0, width) -> BatchState:
+    """Start a batch from the values it was measured at; freeze non-finite rows.
+
+    ``logl0`` holds the value at every row of ``theta0``, and ``axis_vals0``
+    the ``axis_values`` of its first ``len(axis_vals0)`` rows, at steps
+    ``fd_steps(theta0, width)``; the ascent's caller measured them already.
+    A row that ``bounds.clip`` moves is measured again at its clipped
+    position, value and stencil. A row that begins non-finite is frozen;
+    every other row without a stencil gets one, all of them in one
+    ``fd_gradient`` batch. So a batch whose rows are all given and inside
+    the box makes no likelihood call. Every gradient is the
+    ``central_gradient`` of its row's values.
+    """
+    raw = np.atleast_2d(np.asarray(theta0, dtype=np.float64))
+    th = problem.bounds.clip(raw)
     n, d = th.shape
-    logl = problem.logl(th)
+    moved = np.any(th != raw, axis=1)
+    logl = np.array(logl0, dtype=np.float64).reshape(n)
+    if moved.any():
+        logl[moved] = problem.logl(th[moved])
     frozen = ~np.isfinite(logl)
     grad = np.zeros((n, d))
     vals = np.full((n, 2 * d), np.nan)
-    live = ~frozen
-    if live.any():
-        grad[live], vals[live] = fd_gradient(problem, th[live], width)
+    given = len(axis_vals0)
+    known = (np.arange(n) < given) & ~moved & ~frozen
+    if known.any():
+        vals[known] = np.asarray(axis_vals0, dtype=np.float64)[known[:given]]
+        grad[known] = central_gradient(vals[known], fd_steps(th[known], width))
+    fresh = ~known & ~frozen
+    if fresh.any():
+        grad[fresh], vals[fresh] = fd_gradient(problem, th[fresh], width)
     return BatchState(
         theta=th,
         logl=logl,
@@ -377,16 +418,17 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     return moved
 
 
-def run_batch(problem, theta0, iterations, tol, width) -> BatchState:
+def run_batch(problem, theta0, logl0, axis_vals0, iterations, tol, width) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
-    A sample freezes once it has ``converged(tol)``, its gradient sup-norm
-    below ``tol * max(1, |logl|)``, or once a step leaves it unmoved; the
-    loop ends early when every sample is frozen. Each sample keeps its
-    ``HISTORY`` newest curvature pairs, and every gradient steps at
-    ``fd_steps(theta, width)``.
+    The batch starts from ``make_state(problem, theta0, logl0, axis_vals0,
+    width)``. A sample freezes once it has ``converged(tol)``, its gradient
+    sup-norm below ``tol * max(1, |logl|)``, or once a step leaves it
+    unmoved; the loop ends early when every sample is frozen. Each sample
+    keeps its ``HISTORY`` newest curvature pairs, and every gradient steps
+    at ``fd_steps(theta, width)``.
     """
-    state = make_state(problem, theta0, width)
+    state = make_state(problem, theta0, logl0, axis_vals0, width)
     for _ in range(int(iterations)):
         state.frozen |= state.converged(tol)
         if state.frozen.all():

@@ -165,8 +165,10 @@ def dedup_linf(points, scores, radius, widths=None):
     # measure[i]: some later candidate is within the radius of i on the
     # screened coordinates, or i has a non-finite coordinate.
     close = ~np.tri(n, dtype=bool)
-    for col in pts[:, :DEDUP_SCREEN].T:
-        close &= np.abs(col[:, None] - col) <= radius
+    # inf - inf is NaN, never close: no warning for a case handled here.
+    with np.errstate(invalid="ignore"):
+        for col in pts[:, :DEDUP_SCREEN].T:
+            close &= np.abs(col[:, None] - col) <= radius
     measure = close.any(axis=1) | ~np.isfinite(pts).all(axis=1)
     # Per candidate in visiting order, its distance to the nearest survivor
     # so far. np.minimum propagates NaN, so one NaN distance keeps it NaN,
@@ -180,6 +182,7 @@ def dedup_linf(points, scores, radius, widths=None):
         keep[i] = True
         if measure[i]:
             rest = nearest[i + 1:n]
-            np.minimum(rest, np.abs(pts[i + 1:] - pts[i]).max(axis=1), out=rest)
+            with np.errstate(invalid="ignore"):
+                np.minimum(rest, np.abs(pts[i + 1:] - pts[i]).max(axis=1), out=rest)
         i += 1 + int((~(nearest[i + 1:] <= radius)).argmax())
     return np.sort(order[keep])

@@ -36,7 +36,7 @@ from .errors import (
     NoModesFoundError,
     NotPositiveDefiniteError,
 )
-from .evidence import combine, mode_evidence
+from .evidence import combine, mode_evidence, probe_offdiag
 from .precheck import active_subproblem, precheck
 from .reduction import reduce_mode
 from .refine import refine_peaks
@@ -159,11 +159,11 @@ def run(problem, config: PipelineConfig):
 
     with meter.stage("discover"):
         try:
-            basin, read, parabolic = group_seeds(active, seeds, seed_logl,
-                                                 scales.lam_fine)
+            basin, read, parabolic, lead_vals = group_seeds(active, seeds, seed_logl,
+                                                            scales.lam_fine)
             climb = basin_leaders(basin, parabolic)
-            coarse = discover_modes(active, seeds[climb], scales,
-                                    n_steps=config.ascent_steps)
+            coarse = discover_modes(active, seeds[climb], seed_logl[climb], lead_vals,
+                                    scales, n_steps=config.ascent_steps)
         except NoModesFoundError as err:
             raise NoModesFoundError(err.best_position, err.best_logl,
                                     f"search exhausted; survey held {bank.summary()}")
@@ -174,9 +174,9 @@ def run(problem, config: PipelineConfig):
 
     with meter.stage("evidence"):
         modes = []
-        for pk in peaks:
+        for pk, probe in zip(peaks, probe_offdiag(active, peaks, rng=rng_evidence)):
             try:
-                modes.append(mode_evidence(active, pk, rng=rng_evidence))
+                modes.append(mode_evidence(active, pk, probe))
             except (NotPositiveDefiniteError, HessianFailedError) as err:
                 warnings.append(
                     "dropped candidate at "

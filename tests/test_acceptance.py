@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from laplev.discovery import Peak, estimate_scales, survey
-from laplev.evidence import mode_evidence
+from laplev.evidence import mode_evidence, probe_offdiag
 from laplev.lbfgs import fd_gradient, make_state
 from laplev.linalg import (cholesky_lower, dedup_linf, eig_symmetric,
                            logsumexp)
@@ -232,12 +232,12 @@ def _prop_laplace_exactness(n_cases=200):
                                    problem.bounds).lam_fine
         probe_rng = copy.deepcopy(rng)
         for k, scale in enumerate((lam_fine, 1e-5)):
-            state = make_state(problem, start[None, :], scale)
+            state = make_state(problem, start[None, :], problem.logl(start), (), scale)
             hess, steps = state.hess_diag([0])
             held = Peak(start, float(state.logl[0]), hess[0], steps[0])
             peaks, _ = refine_peaks(problem, [held])
-            me = mode_evidence(problem, peaks[0],
-                               rng=rng if k == 0 else probe_rng)
+            probe, = probe_offdiag(problem, peaks, rng=rng if k == 0 else probe_rng)
+            me = mode_evidence(problem, peaks[0], probe)
             worst[k] = max(worst[k], ratio_err(me.log_z, truth))
     return max(worst) < 1e-9, (f"laplace worst {worst[0]:.2e} at the survey's"
                                f" scale, {worst[1]:.2e} at 1e-5")

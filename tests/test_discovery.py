@@ -32,7 +32,7 @@ from laplev.discovery import (
     survey,
 )
 from laplev.errors import NoModesFoundError
-from laplev.lbfgs import fd_steps
+from laplev.lbfgs import axis_values, fd_steps
 from laplev.pipeline import preset_config, run
 from laplev.linalg import dedup_linf, dedup_radius
 from laplev.precheck import active_subproblem, precheck
@@ -1123,19 +1123,23 @@ def test_group_seeds_matches_per_pair_reference(fn, d):
         assert near.tobytes() == want_near.tobytes()
         assert dist.tobytes() == want_dist.tobytes()
         n_test = np.clip(np.ceil(2.0 * dist / lam_fine) - 1.0, 3, 64).astype(np.int64)
-        concave, read, parabola = _concave(p, seeds, seed_logl, near, n_test)
+        concave, read, parabola, _ = _concave(p, seeds, seed_logl, near, n_test,
+                                              np.zeros((0, d)))
         assert concave.tobytes() == want_concave.tobytes()
         assert read.tobytes() == want_read.tobytes()
         assert parabola.tobytes() == want_parabola.tobytes()
         calls = p.calls
-        basin, read, parabolic = group_seeds(p, seeds, seed_logl, lam_fine)
+        basin, read, parabolic, lead_vals = group_seeds(p, seeds, seed_logl, lam_fine)
         assert basin.tobytes() == want_basin.tobytes()
         assert read.tobytes() == want_read.tobytes()
         assert parabolic.tobytes() == want_flat.tobytes()
-        # One call probes every segment; a second, made only when some
-        # segment is left undecided, completes them all.
-        assert p.rows[calls:] == [3 * (n - 1)] + ([completed] if completed else [])
+        # One call probes every segment, with the best seed's 2d gradient
+        # probes riding along; a second, made only when some segment is
+        # left undecided, completes them all.
+        assert p.rows[calls:] == [3 * (n - 1) + 2 * d] + ([completed] if completed else [])
         assert (completed > 0) is (not read.all())
+        want_lead = axis_values(p, seeds[:1], fd_steps(seeds[:1], lam_fine))
+        assert lead_vals.tobytes() == want_lead.tobytes()
 
 
 def test_group_seeds_sees_both_verdicts():
@@ -1144,19 +1148,23 @@ def test_group_seeds_sees_both_verdicts():
     seeds, seed_logl = _ranked_seeds(p, 40, 5)
     near, dist = _nearest_better(seeds)
     n_test = np.clip(np.ceil(2.0 * dist / 0.5) - 1.0, 3, 64).astype(np.int64)
-    concave, _, _ = _concave(p, seeds, seed_logl, near, n_test)
+    concave, _, _, _ = _concave(p, seeds, seed_logl, near, n_test, np.zeros((0, 2)))
     assert concave.any() and not concave.all()
     assert group_seeds(p, seeds, seed_logl, 0.5)[0].max() >= 1
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_group_seeds_spends_nothing_below_two_seeds(n):
+    # No segment to probe: a lone seed's gradient probes are the call's
+    # only rows, and no seed makes no call.
     p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
     seeds = np.zeros((n, 3))
-    basin, read, parabolic = group_seeds(p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
+    basin, read, parabolic, lead_vals = group_seeds(
+        p, seeds, p.logl(seeds) if n else np.zeros(0), 0.5)
     assert basin.tolist() == [0] * n and read.size == 0
     assert parabolic.tolist() == [True] * n
-    assert p.calls == n  # only the value call above
+    assert p.rows == [1, 6] * n  # the value call above, then the stencil
+    assert lead_vals.shape == (n, 6)
     assert basin_leaders(basin, parabolic).tolist() == list(range(n))
 
 
@@ -1174,7 +1182,7 @@ def _dip_segment(centre, lam_fine):
     p = CountingProblem(_dip(centre), box(1))
     seeds = np.array([[0.0], [1.0]])
     seed_logl = p.logl(seeds)
-    basin, read, _ = group_seeds(p, seeds, seed_logl, lam_fine)
+    basin, read, _, _ = group_seeds(p, seeds, seed_logl, lam_fine)
     return p, seeds, seed_logl, basin, read
 
 
@@ -1186,7 +1194,7 @@ def test_valley_between_the_probe_points_is_read_as_concave():
     # 64-point grid shows the valley.
     p, seeds, seed_logl, basin, read = _dip_segment(0.375, 0.02)
     assert read.tolist() == [True] and basin.tolist() == [0, 0]
-    assert p.rows[1:] == [3]
+    assert p.rows[1:] == [3 + 2]  # the probe, and the best seed's stencil
     t = np.arange(1, 65) / 65
     prof = np.concatenate([seed_logl[1:], p.logl(_points_along(seeds[1], seeds[0], t)),
                            seed_logl[:1]])
@@ -1217,21 +1225,22 @@ def test_valley_at_the_probe_is_completed_and_splits(lam_fine, completed):
     # points are grid points, so completion evaluates only the other 60.
     p, _, _, basin, read = _dip_segment(0.5, lam_fine)
     assert read.tolist() == [False] and basin.tolist() == [0, 1]
-    assert p.rows[1:] == [3, completed]
+    assert p.rows[1:] == [3 + 2, completed]
 
 
 @pytest.mark.parametrize("name", ["gaussian", "cigar"])
 def test_gaussian_segments_are_read_in_one_call(name):
     # Along every segment of a Gaussian target the log-likelihood is a
-    # concave parabola: the probe decides every segment, in one call.
+    # concave parabola: the probe decides every segment, in one call that
+    # also holds the best seed's gradient probes.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, 8)
     root = getattr(active, "parent", active)
     calls, evals = root.call_counter, root.eval_counter
-    basin, read, parabolic = group_seeds(active, seeds, seed_logl, lam_fine)
+    basin, read, parabolic, _ = group_seeds(active, seeds, seed_logl, lam_fine)
     assert read.all() and basin.tolist() == [0] * len(seeds)
     assert parabolic.tolist() == [True]
     assert root.call_counter == calls + 1
-    assert root.eval_counter == evals + 3 * (len(seeds) - 1)
+    assert root.eval_counter == evals + 3 * (len(seeds) - 1) + 2 * active.dim
 
 
 def test_basin_leaders_keeps_the_best_of_each_basin():
@@ -1261,10 +1270,10 @@ def test_one_leader_only_for_a_basin_of_probe_read_parabolas(lam_fine, read):
     seeds = np.array([[0.0], [-0.5], [0.6], [-0.8], [1.5]])
     seed_logl = p.logl(seeds)
     assert (np.diff(seed_logl) < 0).all()
-    basin, _, parabolic = group_seeds(p, seeds[:4], seed_logl[:4], lam_fine)
+    basin, _, parabolic, _ = group_seeds(p, seeds[:4], seed_logl[:4], lam_fine)
     assert basin.tolist() == [0] * 4 and parabolic.tolist() == [True]
     assert basin_leaders(basin, parabolic).tolist() == [0]
-    basin, decided, parabolic = group_seeds(p, seeds, seed_logl, lam_fine)
+    basin, decided, parabolic, _ = group_seeds(p, seeds, seed_logl, lam_fine)
     assert basin.tolist() == [0] * 5 and parabolic.tolist() == [False]
     assert decided.tolist() == [True] * 3 + [read]
     assert basin_leaders(basin, parabolic).tolist() == list(range(K_PER_BASIN))
@@ -1286,7 +1295,7 @@ def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
     # seed joins the best one's basin, which is parabolic: only the best
     # seed ascends.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
-    basin, _, parabolic = group_seeds(active, seeds, seed_logl, lam_fine)
+    basin, _, parabolic, _ = group_seeds(active, seeds, seed_logl, lam_fine)
     assert basin.tolist() == [0] * len(seeds) and parabolic.tolist() == [True]
     rows = []
     ascent = laplev.discovery.run_batch
@@ -1335,9 +1344,10 @@ def run_discovery(p, rng_seed=0, n_steps=15):
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
-    basin, _, parabolic = group_seeds(p, seeds, seed_logl, est.lam_fine)
+    basin, _, parabolic, lead_vals = group_seeds(p, seeds, seed_logl, est.lam_fine)
     climb = basin_leaders(basin, parabolic)
-    return discover_modes(p, seeds[climb], est, n_steps=n_steps)
+    return discover_modes(p, seeds[climb], seed_logl[climb], lead_vals, est,
+                          n_steps=n_steps)
 
 
 def test_discover_single_gaussian_peak():
@@ -1360,9 +1370,9 @@ def test_held_peak_hess_diag_is_an_independent_second_difference(name, dim):
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
     seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
-    basin, _, parabolic = group_seeds(p, seeds, seed_logl, est.lam_fine)
+    basin, _, parabolic, lead_vals = group_seeds(p, seeds, seed_logl, est.lam_fine)
     climb = basin_leaders(basin, parabolic)
-    peaks = discover_modes(p, seeds[climb], est, n_steps=15)
+    peaks = discover_modes(p, seeds[climb], seed_logl[climb], lead_vals, est, n_steps=15)
     assert peaks
     for pk in peaks:
         eps = fd_steps(pk.position, est.lam_fine)[0]
@@ -1445,8 +1455,8 @@ def _all_seeds(p, rng):
     # Every seed select_seeds keeps, so several samples climb each peak.
     bank = survey(p, rng)
     est = estimate_scales(bank, p.bounds)
-    seeds, _ = select_seeds(bank, est.lam_fine, p.dim)
-    return seeds, est
+    seeds, seed_logl = select_seeds(bank, est.lam_fine, p.dim)
+    return seeds, seed_logl, est
 
 
 @pytest.mark.parametrize("n_steps", [15, 45])
@@ -1456,20 +1466,20 @@ def test_discover_runs_one_ascent_of_n_steps(n_steps, monkeypatch):
     # converged within the keep band, deduplicated best first, as they
     # stand.
     p = CountingProblem(_side_peak, box(3, -4, 4))
-    seeds, est = _all_seeds(p, np.random.default_rng(3))
+    seeds, seed_logl, est = _all_seeds(p, np.random.default_rng(3))
     ascents = []
     ascent = laplev.discovery.run_batch
 
-    def traced(problem, theta0, iterations, tol, width):
+    def traced(problem, theta0, logl0, axis_vals0, iterations, tol, width):
         mark = p.eval_counter
-        state = ascent(problem, theta0, iterations, tol, width)
+        state = ascent(problem, theta0, logl0, axis_vals0, iterations, tol, width)
         ascents.append((np.array(theta0), iterations, tol, width, state,
                         p.eval_counter - mark))
         return state
 
     monkeypatch.setattr(laplev.discovery, "run_batch", traced)
     mark = p.eval_counter
-    peaks = discover_modes(p, seeds, est, n_steps=n_steps)
+    peaks = discover_modes(p, seeds, seed_logl, (), est, n_steps=n_steps)
     ((start, iterations, tol, width, state, evals),) = ascents
     assert iterations == n_steps
     assert (tol, width) == (STICK_GRAD, est.lam_fine)
@@ -1496,9 +1506,9 @@ def test_discover_all_stuck_makes_no_later_round():
     def once(n_steps):
         p = CountingProblem(lambda x: -0.5 * np.sum(x * x, axis=1), box(3))
         rng = np.random.default_rng(3)
-        seeds, est = _all_seeds(p, rng)
+        seeds, seed_logl, est = _all_seeds(p, rng)
         mark = (p.eval_counter, p.calls)
-        peaks = discover_modes(p, seeds, est, n_steps=n_steps)
+        peaks = discover_modes(p, seeds, seed_logl, (), est, n_steps=n_steps)
         return peaks, (p.eval_counter - mark[0], p.calls - mark[1])
 
     short, cost_short = once(15)
@@ -1510,3 +1520,31 @@ def test_discover_all_stuck_makes_no_later_round():
         assert np.float64(a.logl).tobytes() == np.float64(b.logl).tobytes()
         assert a.hess_diag.tobytes() == b.hess_diag.tobytes()
         assert a.steps.tobytes() == b.steps.tobytes()
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("mixture4", 4), ("cigar", 8)])
+def test_ascent_starts_from_the_grouping_values(name, dim):
+    # The leaders start from their survey values and the best seed's
+    # stencil from the grouping's call. The peaks equal, bit for bit, those
+    # of an ascent from values measured again and no stencil, and the
+    # ascent spends one stencil, 2d rows, less.
+    active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
+    est = ScaleEstimate(lam_fine, False)
+    basin, _, parabolic, lead_vals = group_seeds(active, seeds, seed_logl, lam_fine)
+    climb = basin_leaders(basin, parabolic)
+    root = getattr(active, "parent", active)
+
+    def ascend(logl0, axis_vals0):
+        mark = (root.call_counter, root.eval_counter)
+        peaks = discover_modes(active, seeds[climb], logl0, axis_vals0, est, n_steps=15)
+        return peaks, (root.call_counter - mark[0], root.eval_counter - mark[1])
+
+    given, (calls, evals) = ascend(seed_logl[climb], lead_vals)
+    fresh, (fresh_calls, fresh_evals) = ascend(active.logl(seeds[climb]), ())
+    assert calls == fresh_calls - (climb.size == 1)
+    assert evals == fresh_evals - 2 * active.dim
+    assert len(given) == len(fresh) > 0
+    for a, b in zip(given, fresh):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert np.float64(a.logl).tobytes() == np.float64(b.logl).tobytes()
+        assert a.hess_diag.tobytes() == b.hess_diag.tobytes()

@@ -66,13 +66,16 @@ def quad_problem(h, d, lo=-5.0, hi=5.0):
 
 
 def probe(p, position, hess_diag, seed=0):
-    """probe_offdiag with no rows riding along: its rotated flag."""
-    rotated, also_values = probe_offdiag(
-        p, position, 0.0, hess_diag, rng=np.random.default_rng(seed),
-        also=np.zeros((0, position.size)),
-    )
-    assert also_values.shape == (0,)
-    return rotated
+    """The rotated flag of a peak of value 0 at ``position``, probed alone."""
+    pr, = probe_offdiag(p, [peak(position, 0.0, hess_diag)],
+                        rng=np.random.default_rng(seed))
+    return pr.rotated
+
+
+def evidence(p, pk, rng):
+    """``mode_evidence`` of one peak, probed alone."""
+    pr, = probe_offdiag(p, [pk], rng=rng)
+    return mode_evidence(p, pk, pr)
 
 
 def test_probe_hand_case_negative_coupling():
@@ -118,6 +121,7 @@ def test_probe_nonfinite_is_conservatively_rotated():
 
 
 def test_probe_single_fused_batch_and_cost():
+    # Two peaks' probe and tail rows go out in one call, peak by peak.
     batches = []
 
     def fn(x):
@@ -125,18 +129,51 @@ def test_probe_single_fused_batch_and_cost():
         return -0.5 * np.sum(x * x, axis=1)
 
     p = Problem(fn, box(3))
-    also = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    _, also_values = probe_offdiag(p, np.zeros(3), 0.0, np.full(3, -1.0),
-                                      rng=np.random.default_rng(0), also=also)
-    assert batches == [2 + 2 * PROBE_EXTRA + 2]
-    assert p.eval_counter == 10
-    np.testing.assert_array_equal(also_values, [-0.125, -2.0])
+    peaks = [peak(np.zeros(3), 0.0, np.full(3, -1.0)),
+             peak([1.0, 0.0, 0.0], -0.5, np.full(3, -4.0))]
+    probes = probe_offdiag(p, peaks, rng=np.random.default_rng(0))
+    assert batches == [2 * (2 + 2 * PROBE_EXTRA + 2)]
+    assert p.eval_counter == 20 and [pr.evals for pr in probes] == [10, 10]
+    for pk, pr, width in zip(peaks, probes, (1.0, 0.5)):
+        # +-3 whitened radii along the diagonal direction
+        delta = 3.0 / np.sqrt(3.0) * width
+        np.testing.assert_array_equal(pr.tail, [pk.position + delta, pk.position - delta])
+        np.testing.assert_array_equal(pr.tail_values, fn(pr.tail))
 
 
-def test_probe_rejects_1d():
+def test_probe_draws_directions_peak_by_peak():
+    # Probing peaks together reads what probing them one after another on
+    # the same generator reads, bit for bit, and leaves the generator in
+    # the same state. The second peak's coupling shows only along the
+    # random directions, so its verdict rests on their draws.
+    batches = []
+    h = np.diag([-2.0, -2.0, -2.0, -2.0])
+    h[0, 1] = h[1, 0] = -1.0
+    h[2, 3] = h[3, 2] = 1.0
+
+    def fn(x):
+        batches.append(x.copy())
+        return 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
+
+    p = Problem(fn, box(4))
+    peaks = [peak(np.full(4, 0.5), -2.0, np.diag(h)), peak(np.zeros(4), 0.0, np.diag(h))]
+    rng_together, rng_apart = np.random.default_rng(1), np.random.default_rng(1)
+    together = probe_offdiag(p, peaks, rng=rng_together)
+    apart = [probe_offdiag(p, [pk], rng=rng_apart)[0] for pk in peaks]
+    assert np.concatenate(batches[1:]).tobytes() == batches[0].tobytes()
+    assert rng_together.bit_generator.state == rng_apart.bit_generator.state
+    for a, b in zip(together, apart):
+        assert (a.rotated, a.evals) == (b.rotated, b.evals)
+        assert a.tail_values.tobytes() == b.tail_values.tobytes()
+    assert together[1].rotated
+
+
+def test_probe_1d_sends_tail_rows_only():
+    # One coordinate has no off-diagonal: the peak sends its two tail rows.
     p = quad_problem([[-1.0]], 1)
-    with pytest.raises(UnsupportedDimensionError):
-        probe(p, np.zeros(1), np.array([-1.0]))
+    pr, = probe_offdiag(p, [peak([0.0], 0.0, [-1.0])], rng=np.random.default_rng(0))
+    assert pr.evals == 2 and pr.tail_values.size == 2
+    assert p.call_counter == 1 and not pr.rotated
 
 
 # ---------------------------------------------------------------- full H
@@ -298,8 +335,8 @@ def test_mode_evidence_standard_gaussian_diag_path():
     # the probe (1 + 3 directions, 8 evaluations) finds no coupling, and
     # the diagonal route costs nothing beyond the 2 tail-screen rows
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                  rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.log_z == pytest.approx(LOG_2PI, rel=1e-14)
     assert me.condition_number == pytest.approx(1.0)
@@ -310,8 +347,8 @@ def test_mode_evidence_standard_gaussian_diag_path():
 def test_mode_evidence_correlated_full_path_value():
     # integral of exp(-(x^2 + y^2 + xy)) is 2 pi / sqrt(3)
     p = quad_problem([[-2.0, -1.0], [-1.0, -2.0]], 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
+                  rng=np.random.default_rng(0))
     assert me.hessian_kind == "full"
     assert me.log_z == pytest.approx(LOG_2PI - 0.5 * np.log(3.0), rel=1e-9)
     assert me.condition_number == pytest.approx(3.0, rel=1e-9)
@@ -323,8 +360,8 @@ def test_mode_evidence_1d_scaling():
         return -x[:, 0] ** 2 / 8.0
 
     p = Problem(fn, box(1))
-    me = mode_evidence(p, peak([0.0], 0.0, [-0.25]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0], 0.0, [-0.25]),
+                  rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.log_z == pytest.approx(0.5 * LOG_2PI + 0.5 * np.log(4.0),
                                      rel=1e-12)
@@ -336,7 +373,7 @@ def test_mode_evidence_path_consistency_on_axis_aligned():
     # the diagonal route that the probe picks for it.
     p = quad_problem(np.diag([-1.0, -0.25]), 2)
     pk = peak([0.0, 0.0], 0.0, [-1.0, -0.25])
-    diag_me = mode_evidence(p, pk, rng=np.random.default_rng(0))
+    diag_me = evidence(p, pk, rng=np.random.default_rng(0))
     assert diag_me.hessian_kind == "diagonal"
     neg_hess = -full_hessian(p, pk.position, pk.logl, pk.hess_diag, pk.steps)
     factor = cholesky_lower(neg_hess)
@@ -374,8 +411,8 @@ def test_mode_evidence_rejects_indefinite_full_hessian():
     # -H indefinite: eigenvalues of -H are 5 and -1.
     p = quad_problem([[-2.0, -3.0], [-3.0, -2.0]], 2)
     with pytest.raises(NotPositiveDefiniteError):
-        mode_evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
-                      rng=np.random.default_rng(0))
+        evidence(p, peak([0.0, 0.0], 0.0, [-2.0, -2.0]),
+                 rng=np.random.default_rng(0))
 
 
 def test_mode_evidence_soundness_on_refined_trajectories():
@@ -397,11 +434,11 @@ def test_mode_evidence_soundness_on_refined_trajectories():
             p = quad_problem(h, 2)
             kappa = -np.diag(np.asarray(h))
             start = rng.uniform(-1.0, 1.0, 2) * 1e-7 / kappa
-            state = make_state(p, start[None, :], 0.01)
+            state = make_state(p, start[None, :], p.logl(start), (), 0.01)
             hess, steps = state.hess_diag([0])
             held = Peak(start, float(state.logl[0]), hess[0], steps[0])
             pk, _ = refine_peaks(p, [held])
-            me = mode_evidence(p, pk[0], rng=rng)
+            me = evidence(p, pk[0], rng=rng)
             assert me.hessian_kind == expected, f"{name} seed {seed}"
 
 
@@ -415,8 +452,8 @@ def test_mode_evidence_heavy_tail_warning_fires_on_student_t():
 
     p = Problem(fn, box(2))
     hd = np.full(2, -(nu + d) / nu)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, hd),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, hd),
+                  rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert HEAVY_TAIL_WARNING in me.warnings
     assert me.evals_used == 8 + 2  # probe and tail screen, one batch
@@ -424,8 +461,8 @@ def test_mode_evidence_heavy_tail_warning_fires_on_student_t():
 
 def test_mode_evidence_no_tail_warning_on_gaussian():
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                  rng=np.random.default_rng(0))
     assert me.hessian_kind == "diagonal"
     assert me.warnings == []
     assert me.evals_used == 8 + 2  # probe and tail screen, one batch
@@ -443,10 +480,35 @@ def test_mode_evidence_one_call_per_probed_mode(coupling, want):
         batches.append(x.shape[0])
         return 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
 
-    me = mode_evidence(Problem(fn, box(3)), peak(np.zeros(3), 0.0, np.diag(h)),
-                       rng=np.random.default_rng(0))
+    me = evidence(Problem(fn, box(3)), peak(np.zeros(3), 0.0, np.diag(h)),
+                  rng=np.random.default_rng(0))
     assert batches == want
     assert me.hessian_kind == ("full" if coupling else "diagonal")
+
+
+def test_modes_share_the_probe_call_and_count_their_own_rows():
+    # An axis-aligned mode at the origin and a coupled one at x0 = 5: both
+    # are probed in one call, then the coupled one measures its full
+    # Hessian. Each mode counts its own rows, 10 and 10 + d (d - 1).
+    batches = []
+    coupled = np.array([[-1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    centre = np.array([5.0, 0.0, 0.0])
+
+    def fn(x):
+        batches.append(x.shape[0])
+        z = x - centre
+        return np.where(x[:, 0] < 2.5, -0.5 * np.sum(x * x, axis=1),
+                        0.5 * np.einsum("ni,ij,nj->n", z, coupled, z))
+
+    p = Problem(fn, box(3, -10.0, 10.0))
+    peaks = [peak(np.zeros(3), 0.0, np.full(3, -1.0)),
+             peak(centre, 0.0, np.diag(coupled))]
+    probes = probe_offdiag(p, peaks, rng=np.random.default_rng(0))
+    modes = [mode_evidence(p, pk, pr) for pk, pr in zip(peaks, probes)]
+    assert batches == [2 * 10, 3 * 2]
+    assert [m.hessian_kind for m in modes] == ["diagonal", "full"]
+    assert [m.evals_used for m in modes] == [10, 10 + 3 * 2]
+    assert sum(m.evals_used for m in modes) == p.eval_counter
 
 
 def test_mode_evidence_1d_tail_screen_is_its_own_call():
@@ -456,8 +518,8 @@ def test_mode_evidence_1d_tail_screen_is_its_own_call():
         batches.append(x.shape[0])
         return -0.5 * np.sum(x * x, axis=1)
 
-    mode_evidence(Problem(fn, box(1)), peak([0.0], 0.0, [-1.0]),
-                  rng=np.random.default_rng(0))
+    evidence(Problem(fn, box(1)), peak([0.0], 0.0, [-1.0]),
+             rng=np.random.default_rng(0))
     assert batches == [2]
 
 
@@ -468,23 +530,23 @@ def test_mode_evidence_asymmetry_warning():
         return np.where(x.sum(axis=1) >= 0, q, q / 4.0)
 
     p = Problem(fn, box(2))
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                  rng=np.random.default_rng(0))
     assert any("asymmetric" in w for w in me.warnings)
 
 
 def test_mode_evidence_condition_warning():
     p = quad_problem(np.diag([-1.0, -1e7]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1e7]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1e7]),
+                  rng=np.random.default_rng(0))
     assert any("unreliable" in w for w in me.warnings)
     assert me.condition_number == pytest.approx(1e7)
 
 
 def test_mode_evidence_probe_cost_accounting():
     p = quad_problem(np.diag([-1.0, -1.0]), 2)
-    me = mode_evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
-                       rng=np.random.default_rng(0))
+    me = evidence(p, peak([0.0, 0.0], 0.0, [-1.0, -1.0]),
+                  rng=np.random.default_rng(0))
     # probe and tail screen: 2 + 2*PROBE_EXTRA + 2 evaluations, no full Hessian
     assert me.evals_used == 2 + 2 * PROBE_EXTRA + 2
     assert me.hessian_kind == "diagonal"

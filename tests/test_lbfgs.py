@@ -15,6 +15,7 @@ from laplev.lbfgs import (
     _push_pairs,
     _row_dot,
     axis_values,
+    central_gradient,
     fd_gradient,
     fd_steps,
     make_state,
@@ -22,6 +23,19 @@ from laplev.lbfgs import (
     step_batch,
 )
 from laplev.problem import BoundsBox, Problem
+
+
+def fresh_state(problem, theta0, width):
+    """``make_state`` with nothing measured yet: one call for the values,
+    then one for every live row's gradient probes."""
+    theta0 = np.atleast_2d(np.asarray(theta0, dtype=np.float64))
+    return make_state(problem, theta0, problem.logl(theta0), (), width)
+
+
+def fresh_run(problem, theta0, iterations, tol, width):
+    """``run_batch`` from a ``fresh_state`` start."""
+    theta0 = np.atleast_2d(np.asarray(theta0, dtype=np.float64))
+    return run_batch(problem, theta0, problem.logl(theta0), (), iterations, tol, width)
 
 
 def quad_problem(mu, a, lo=-10.0, hi=10.0):
@@ -151,7 +165,7 @@ def test_fd_gradient_nonfinite_zeroed():
 def _direction(grad, s_hist=(), y_hist=()):
     """Batched direction for one sample whose pairs are pushed in order."""
     g = np.asarray(grad, dtype=np.float64)
-    state = make_state(quad_problem(np.zeros(g.size), np.eye(g.size)),
+    state = fresh_state(quad_problem(np.zeros(g.size), np.eye(g.size)),
                        np.zeros((1, g.size)), 0.0)
     state.grad[0] = g
     for s, y in zip(s_hist, y_hist):
@@ -175,9 +189,50 @@ def test_two_loop_recovers_newton_step_on_quadratic():
     np.testing.assert_allclose(d, [-2.0], rtol=1e-14)
 
 
+def _tilted(d):
+    """A correlated quadratic off the origin, whose rows do not depend on the batch."""
+    a = np.eye(d) + 0.25
+    return quad_problem(np.linspace(-1.0, 1.0, d), a)
+
+
+def test_make_state_starts_from_the_values_it_is_given():
+    # The first row's value and stencil are given, so the start measures
+    # only the other rows' gradient probes, in one call; the state is the
+    # one measured from nothing, bit for bit.
+    theta0 = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5], [-2.0, 1.0, 0.25]])
+    ref = fresh_state(_tilted(3), theta0, 0.05)
+    p = _tilted(3)
+    state = make_state(p, theta0, ref.logl, ref.axis_vals[:1], 0.05)
+    assert (p.call_counter, p.eval_counter) == (1, 2 * 2 * 3)
+    assert _state_bytes(state) == _state_bytes(ref)
+    np.testing.assert_array_equal(
+        state.grad[:1], central_gradient(ref.axis_vals[:1], fd_steps(theta0[:1], 0.05)))
+    # Every row given: no call at all.
+    p = _tilted(3)
+    state = make_state(p, theta0, ref.logl, ref.axis_vals, 0.05)
+    assert p.call_counter == 0 and _state_bytes(state) == _state_bytes(ref)
+
+
+def test_make_state_measures_a_clipped_row_again():
+    # A start one ulp past the wall, as rounding can leave a ray's end, is
+    # clipped onto it. The value and stencil it was given belong to the
+    # unclipped point, so both are measured again at the clipped one: its
+    # value in a call of its own, its stencil with the other row's.
+    theta0 = np.array([[np.nextafter(10.0, np.inf), 0.5], [1.0, -1.0]])
+    clipped = np.array([[10.0, 0.5], [1.0, -1.0]])
+    p = _tilted(2)
+    given = p.logl(theta0)
+    stencil = axis_values(p, theta0[:1], fd_steps(theta0[:1], 0.1))
+    mark = (p.call_counter, p.eval_counter)
+    state = make_state(p, theta0, given, stencil, 0.1)
+    assert (p.call_counter - mark[0], p.eval_counter - mark[1]) == (2, 1 + 2 * 2 * 2)
+    assert _state_bytes(state) == _state_bytes(fresh_state(_tilted(2), clipped, 0.1))
+    assert state.logl[0] != given[0]
+
+
 def test_gamma_is_inverse_curvature():
     p = quad_problem([0.0], [[0.25]])
-    state = make_state(p, [[1.0]], 0.0)
+    state = fresh_state(p, [[1.0]], 0.0)
     step_batch(state, p)
     assert state.gamma[0] == pytest.approx(4.0, rel=1e-6)
 
@@ -187,7 +242,7 @@ def test_batch_converges_on_shifted_anisotropic_quadratic():
     a = np.diag([1.0, 4.0, 0.5, 9.0])
     p = quad_problem(mu, a)
     rng = np.random.default_rng(3)
-    state = run_batch(p, rng.uniform(-5, 5, size=(6, 4)), iterations=60, tol=1e-9,
+    state = fresh_run(p, rng.uniform(-5, 5, size=(6, 4)), iterations=60, tol=1e-9,
                       width=0.0)
     err = np.max(np.abs(state.theta - mu))
     assert err < 1e-6
@@ -200,7 +255,7 @@ def test_batch_converges_on_correlated_quadratic():
     a = q @ np.diag([0.5, 1.0, 2.0, 4.0, 8.0]) @ q.T
     mu = np.array([0.5, -1.0, 2.0, 0.0, -0.5])
     p = quad_problem(mu, a)
-    state = run_batch(p, rng.uniform(-4, 4, size=(4, 5)), iterations=80, tol=1e-9,
+    state = fresh_run(p, rng.uniform(-4, 4, size=(4, 5)), iterations=80, tol=1e-9,
                       width=0.0)
     assert np.max(np.abs(state.theta - mu)) < 1e-6
 
@@ -211,7 +266,7 @@ def test_monotone_logl_every_iteration():
 
     p = Problem(fn, BoundsBox.cube(3, -4, 4))
     rng = np.random.default_rng(5)
-    state = make_state(p, rng.uniform(-3, 3, size=(5, 3)), 0.0)
+    state = fresh_state(p, rng.uniform(-3, 3, size=(5, 3)), 0.0)
     for _ in range(25):
         prev = state.logl.copy()
         step_batch(state, p)
@@ -228,13 +283,13 @@ def test_frozen_rows_cost_nothing_after_intake():
     dead = np.array([[3.0, 0.0]])
 
     p_solo = Problem(fn, BoundsBox.cube(2, -5, 5))
-    s_solo = make_state(p_solo, good, 0.0)
+    s_solo = fresh_state(p_solo, good, 0.0)
     for _ in range(5):
         step_batch(s_solo, p_solo)
     solo_total = p_solo.eval_counter
 
     p_pair = Problem(fn, BoundsBox.cube(2, -5, 5))
-    s_pair = make_state(p_pair, np.vstack([good, dead]), 0.0)
+    s_pair = fresh_state(p_pair, np.vstack([good, dead]), 0.0)
     assert s_pair.frozen[1] and not s_pair.frozen[0]
     for _ in range(5):
         step_batch(s_pair, p_pair)
@@ -246,7 +301,7 @@ def test_frozen_rows_cost_nothing_after_intake():
 
 def test_iterates_stay_inside_bounds():
     p = quad_problem([9.5, -9.5], np.eye(2) * 50.0, lo=-2.0, hi=2.0)
-    state = run_batch(p, [[0.0, 0.0], [1.5, -1.5]], iterations=30, tol=1e-9,
+    state = fresh_run(p, [[0.0, 0.0], [1.5, -1.5]], iterations=30, tol=1e-9,
                       width=0.0)
     assert np.all((p.bounds.lower <= state.theta) & (state.theta <= p.bounds.upper))
     np.testing.assert_allclose(state.theta, [[2.0, -2.0], [2.0, -2.0]], atol=1e-9)
@@ -257,7 +312,7 @@ def _push(state, i, s, y):
 
 
 def test_ring_history_caps_at_depth():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
+    state = fresh_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
     for k in range(1, HISTORY + 9):
         s = np.array([float(k), 0.0])
         _push(state, 0, s, s)  # s.y > 0, so every pair is accepted
@@ -270,7 +325,7 @@ def test_ring_history_caps_at_depth():
 
 
 def test_curvature_gate_rejects_nonpositive_pairs():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
+    state = fresh_state(quad_problem([0.0, 0.0], np.eye(2)), [[1.0, 1.0]], 0.0)
     before = int(state.pairs_total[0])
     _push(state, 0, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     _push(state, 0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -280,7 +335,7 @@ def test_curvature_gate_rejects_nonpositive_pairs():
 
 
 def test_curvature_gate_is_per_row_in_one_batch():
-    state = make_state(quad_problem([0.0, 0.0], np.eye(2)), np.zeros((4, 2)), 0.0)
+    state = fresh_state(quad_problem([0.0, 0.0], np.eye(2)), np.zeros((4, 2)), 0.0)
     s = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [np.nan, 0.0]])
     y = np.array([[-1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1.0, 0.0]])
     _push_pairs(state, np.array([3, 2, 1, 0]), s, y)
@@ -298,7 +353,7 @@ def test_line_search_batches_candidates_per_round():
         return -np.sum(x * x, axis=1)
 
     p = Problem(fn, BoundsBox.cube(2, -5, 5))
-    state = make_state(p, np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), 0.0)
+    state = fresh_state(p, np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), 0.0)
     sizes.clear()
     step_batch(state, p)
     # One shared candidate batch per backtracking round (possibly several
@@ -314,7 +369,7 @@ def test_deterministic_repeat():
 
     def run():
         p = Problem(fn, BoundsBox.cube(3, -4, 4))
-        st = run_batch(
+        st = fresh_run(
             p, np.linspace(-3, 3, 12).reshape(4, 3), iterations=40, tol=1e-8,
             width=0.0,
         )
@@ -331,7 +386,7 @@ def test_armijo_constant_wired_in():
 
 def test_run_batch_tol_freeze_skips_work():
     p = quad_problem([0.0, 0.0], np.eye(2))
-    state = run_batch(p, [[1e-12, 0.0]], iterations=50, tol=1e-6, width=0.0)
+    state = fresh_run(p, [[1e-12, 0.0]], iterations=50, tol=1e-6, width=0.0)
     # Started essentially at the optimum: frozen immediately after intake.
     assert state.frozen[0]
     assert p.eval_counter == 1 + 4
@@ -342,7 +397,7 @@ def test_run_batch_freezes_at_the_stick_rule():
     # whose gradient sup-norm is 5e-5 has converged and takes no step.
     p = Problem(lambda x: -100.0 - 0.5 * np.sum(x * x, axis=1),
                 BoundsBox.cube(2, -10.0, 10.0))
-    state = run_batch(p, [[5e-5, 0.0]], iterations=50, tol=1e-6, width=0.0)
+    state = fresh_run(p, [[5e-5, 0.0]], iterations=50, tol=1e-6, width=0.0)
     assert state.grad_inf()[0] == pytest.approx(5e-5, rel=0.05)
     assert state.frozen[0]
     assert state.theta[0].tolist() == [5e-5, 0.0]
@@ -355,7 +410,7 @@ def test_fitted_step_is_taken_at_any_length():
     # so the line fit's exact step is 15.8 trial steps long.
     mu = np.array([15.0, 5.0])
     p = quad_problem(mu, np.eye(2), lo=-50.0, hi=50.0)
-    state = make_state(p, [[0.0, 0.0]], 0.0)
+    state = fresh_state(p, [[0.0, 0.0]], 0.0)
     assert np.linalg.norm(mu) > 10.0
     assert step_batch(state, p)[0]
     np.testing.assert_allclose(state.theta[0], mu, rtol=0.0, atol=1e-12)
@@ -374,7 +429,7 @@ def test_fitted_step_past_the_largest_float_lands_on_the_wall():
         return x[:, 0] - 0.2 * (x[:, 0] * 1e-155) ** 2
 
     p = Problem(fn, BoundsBox.cube(1, -hi, hi))
-    state = make_state(p, [[0.0]], 0.0)
+    state = fresh_state(p, [[0.0]], 0.0)
     # One stored pair with curvature scale s.y/y.y = 1e299 aims the first
     # trial 1e299 along the line.
     _push_pairs(state, np.array([0]), np.array([[1e150]]), np.array([[1e-149]]))
@@ -395,7 +450,7 @@ def test_improving_clipped_probe_is_accepted():
     # 20 halvings could not bring the bound below it; judged along the step
     # it took, the wall probe passes in the first round.
     p = Problem(lambda x: x[:, 0].copy(), BoundsBox.cube(1, -1.0, 1.0))
-    state = make_state(p, [[1.0 - 2.0**-40]], 0.0)
+    state = fresh_state(p, [[1.0 - 2.0**-40]], 0.0)
     calls = p.call_counter
     assert step_batch(state, p)[0]
     assert state.theta.tolist() == [[1.0]] and state.logl.tolist() == [1.0]
@@ -429,7 +484,7 @@ def test_corner_row_pointing_out_of_the_box_costs_one_round():
     problems = [quad_problem([9.5, -9.5], np.eye(2), lo=-2.0, hi=2.0)
                 for _ in range(2)]
     p_new, p_ref = problems
-    s_new, s_ref = (make_state(p, [[2.0, -2.0]], 0.0) for p in problems)
+    s_new, s_ref = (fresh_state(p, [[2.0, -2.0]], 0.0) for p in problems)
     before = (p_new.call_counter, p_new.eval_counter)
     moved = step_batch(s_new, p_new)
     assert not moved[0] and s_new.frozen[0]
@@ -693,7 +748,7 @@ def test_step_batch_matches_per_sample_reference(memory, d, hinted, monkeypatch)
     states, problems = [], []
     for _ in range(2):
         p = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
-        st = make_state(p, theta0, width)
+        st = fresh_state(p, theta0, width)
         _seed_history(st, np.random.default_rng(memory))
         states.append(st)
         problems.append(p)
@@ -741,10 +796,10 @@ def test_frozen_searches_end_where_replays_end(d):
     p_new = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s_new = run_batch(p_new, theta0, iterations=40, tol=1e-6, width=0.0)
+        s_new = fresh_run(p_new, theta0, iterations=40, tol=1e-6, width=0.0)
         # run_batch's loop as it was: stop when every row is frozen or a
         # step moves nothing.
-        s_ref = make_state(p_ref, theta0, 0.0)
+        s_ref = fresh_state(p_ref, theta0, 0.0)
         for _ in range(40):
             s_ref.frozen |= s_ref.grad_inf() < 1e-6 * np.maximum(1.0, np.abs(s_ref.logl))
             if s_ref.frozen.all() or not _step_batch_reference(s_ref, p_ref).any():

@@ -83,15 +83,15 @@ def test_config_is_its_preset(preset):
 STAGE_PARAMS = {
     group_seeds: ["problem", "seeds", "seed_logl", "lam_fine"],
     basin_leaders: ["basin", "parabolic"],
-    discover_modes: ["problem", "seeds", "scales", "n_steps"],
+    discover_modes: ["problem", "seeds", "seed_logl", "lead_vals", "scales", "n_steps"],
     refine_peaks: ["problem", "coarse_peaks"],
-    run_batch: ["problem", "theta0", "iterations", "tol", "width"],
-    make_state: ["problem", "theta0", "width"],
+    run_batch: ["problem", "theta0", "logl0", "axis_vals0", "iterations", "tol",
+                "width"],
+    make_state: ["problem", "theta0", "logl0", "axis_vals0", "width"],
     fd_gradient: ["problem", "theta", "width"],
     fd_steps: ["theta", "width"],
-    mode_evidence: ["problem", "peak", "rng"],
-    probe_offdiag: ["problem", "position", "center_logl", "hess_diag", "rng",
-                    "also"],
+    mode_evidence: ["problem", "peak", "probe"],
+    probe_offdiag: ["problem", "peaks", "rng"],
     reduce_mode: ["problem", "peak", "hessian"],
 }
 
@@ -174,9 +174,31 @@ def test_run_on_a_view_meters_the_parents_counters():
     view = View(parent, parent.bounds.center, np.array([0, 1]),
                 BoundsBox(lower[:2], upper[:2]))
     res = run(view, preset_config("fast", seed=1))
-    assert sum(res.eval_counts.values()) == parent.eval_counter == 1032
-    assert sum(res.call_counts.values()) == parent.call_counter == 8
+    assert sum(res.eval_counts.values()) == parent.eval_counter == 1031
+    assert sum(res.call_counts.values()) == parent.call_counter == 6
     assert res.log_z_total == pytest.approx(np.log(2.0 * np.pi) - 1.0, abs=1e-9)
+
+
+def test_gaussian_run_groups_and_ascends_in_one_call():
+    # correlated/8's one leader starts on its mode: its value is the
+    # survey's and its gradient probes ride in the grouping's call, so the
+    # discover stage makes that one call. precheck 1, survey 1, discover 1
+    # and evidence 2 (the shared probe call, then the full Hessian).
+    res = run(get_target("correlated", 8).problem, preset_config("fast", seed=1))
+    assert res.survey["ascents"] == 1
+    assert res.call_counts == {"precheck": 1, "survey": 1, "discover": 1,
+                               "refine": 0, "evidence": 2}
+
+
+def test_every_mode_is_probed_in_one_call():
+    # mixture4/8's modes are all probed in one shared call, and each mode
+    # still counts its own rows: 10 for the probe and tail screen.
+    res = run(get_target("mixture4", 8).problem, preset_config("conservative", seed=1))
+    assert len(res.modes) >= 2
+    assert [m.hessian_kind for m in res.modes] == ["diagonal"] * len(res.modes)
+    assert res.call_counts["evidence"] == 1
+    assert [m.evals_used for m in res.modes] == [10] * len(res.modes)
+    assert res.eval_counts["evidence"] == 10 * len(res.modes)
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("rotated-cigar", 16)])

@@ -19,7 +19,8 @@ def held(p, pos, lam_fine=0.1):
     Its value and diagonal Hessian are those of an ascent state started
     there, whose gradient steps at ``fd_steps(pos, lam_fine)``.
     """
-    state = make_state(p, np.asarray(pos, dtype=np.float64)[None, :], lam_fine)
+    theta0 = np.asarray(pos, dtype=np.float64)[None, :]
+    state = make_state(p, theta0, p.logl(theta0), (), lam_fine)
     hess, steps = state.hess_diag([0])
     return Peak(state.theta[0], float(state.logl[0]), hess[0], steps[0])
 
@@ -43,7 +44,8 @@ def test_diag_hessian_exact_on_quadratic():
         return 0.5 * np.sum(h_true * x * x, axis=1) + 3.0
 
     p = Problem(fn, box(3))
-    state = make_state(p, np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]]), 0.1)
+    theta0 = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+    state = make_state(p, theta0, p.logl(theta0), (), 0.1)
     mark = (p.call_counter, p.eval_counter)
     h, steps = state.hess_diag([0, 1])
     assert (p.call_counter, p.eval_counter) == mark
@@ -60,7 +62,8 @@ def test_diag_hessian_flags_nonfinite():
         return out
 
     p = Problem(fn, box(2))
-    state = make_state(p, np.array([[0.5, 0.0], [0.0, 0.0]]), 0.1)
+    theta0 = np.array([[0.5, 0.0], [0.0, 0.0]])
+    state = make_state(p, theta0, p.logl(theta0), (), 0.1)
     h, _ = state.hess_diag([0, 1])
     assert not np.isfinite(h[0]).all() and np.isfinite(h[1]).all()
     with pytest.raises(NoValidMaximaError) as exc:
