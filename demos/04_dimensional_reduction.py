@@ -21,12 +21,12 @@ from laplev.discovery import Peak
 from laplev.lbfgs import make_state
 
 # --- Part 1: pipeline view -------------------------------------------------
-# Axis 2 is exactly flat: the precheck marginalizes it before any search
-# (an axis-aligned *weak* direction would meet the same fate, caught by
-# the soft-axis screen). A weak direction can only reach mode level by
-# hiding in a rotation: here curvature 25 and 1e-7 live at 0.4 rad to
-# the axes, so both axis probes look healthy and the eigenbasis has to
-# make the nuisance call.
+# Axis 2 is exactly flat: the precheck marginalizes it before any search.
+# Only an axis the likelihood moves by at most FLAT_NATS across the box is
+# set aside, so a weak direction stays in the search and reaches mode
+# level. Here curvature 25 and 1e-7 live at 0.4 rad to the axes, so both
+# axis probes look healthy and the eigenbasis has to make the nuisance
+# call.
 theta0 = 0.4
 c, s = np.cos(theta0), np.sin(theta0)
 rot_xy = np.array([[c, -s], [s, c]])

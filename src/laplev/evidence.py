@@ -21,8 +21,8 @@ d (d - 1) evaluations in one batch per full-route mode. That route factors
 -H by Cholesky: the factor is the positive definiteness check, names the
 pivot where a non-concave mode breaks down, and gives log det(-H). Its
 condition number is the exact ratio of the extreme eigenvalues of -H. Total
-evidence is the log-sum-exp over modes plus the marginal contribution of
-any pathological (flat/soft) coordinates found by the precheck screen.
+evidence is the log-sum-exp over modes plus the log prior widths of the
+flat coordinates the precheck screen set aside.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ class EvidenceResult:
     measure it: each mode's Gaussian is integrated over all of R^d, not cut
     at the box walls, so a mode whose mass reaches past a wall reads high
     (a unit Gaussian peaked on the corner of [-5, 5]^2 reads log 2 pi,
-    four times its box integral, with no warning). Flat and soft axes add
-    their precheck marginals. log_z_vs_prior subtracts the log-volume of
-    the FULL original box so it is the evidence under the uniform prior.
+    four times its box integral, with no warning). Flat axes add their
+    precheck marginal, the log of their prior widths. log_z_vs_prior
+    subtracts the log-volume of the FULL original box so it is the
+    evidence under the uniform prior.
     """
 
     log_z_total: float

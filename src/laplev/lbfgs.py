@@ -106,6 +106,16 @@ def central_gradient(vals, eps) -> np.ndarray:
     return grad
 
 
+def second_difference(vals, logl, eps) -> np.ndarray:
+    """Diagonal second differences of (N, 2d) ``axis_values`` at steps ``eps``.
+
+    (f(x + eps) - 2 f(x) + f(x - eps)) / eps^2 per axis, with ``logl`` the
+    (N,) centre values f(x).
+    """
+    d = vals.shape[1] // 2
+    return (vals[:, :d] - 2.0 * logl[:, None] + vals[:, d:]) / eps**2
+
+
 def fd_gradient(problem, theta, width):
     """Central-difference gradient of the log-likelihood, one fused batch.
 
@@ -172,16 +182,13 @@ class BatchState:
     def hess_diag(self, rows):
         """Diagonal Hessian of ``rows`` from the values of their gradient.
 
-        (f(x + eps) - 2 f(x) + f(x - eps)) / eps^2 per axis, with the points,
-        the steps ``fd_steps(theta, width)`` and the centre value of the
-        gradient each row holds; no likelihood call. ``rows`` indexes or
-        masks the batch; returns ``(hess_diag, steps)``, a row for each.
+        The ``second_difference`` of the values, the steps
+        ``fd_steps(theta, width)`` and the centre value of the gradient each
+        row holds; no likelihood call. ``rows`` indexes or masks the batch;
+        returns ``(hess_diag, steps)``, a row for each.
         """
-        d = self.dim
-        vals = self.axis_vals[rows]
         eps = fd_steps(self.theta[rows], self.width)
-        hess = (vals[:, :d] - 2.0 * self.logl[rows][:, None] + vals[:, d:]) / eps**2
-        return hess, eps
+        return second_difference(self.axis_vals[rows], self.logl[rows], eps), eps
 
 
 def make_state(problem, theta0, logl0, axis_vals0, width) -> BatchState:

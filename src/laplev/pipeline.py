@@ -150,7 +150,7 @@ def run(problem, config: PipelineConfig):
         active = active_subproblem(problem, report)
         if active.dim == 0:
             raise NoModesFoundError(None, report.center_logl,
-                                    "every coordinate is flat or soft")
+                                    "every coordinate is flat")
 
     with meter.stage("survey"):
         bank = survey(active, rng_survey)

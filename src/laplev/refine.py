@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import NoValidMaximaError
-from .lbfgs import axis_values, fd_steps
+from .lbfgs import axis_values, fd_steps, second_difference
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .lbfgs import step_batch  # noqa: F401
 from .linalg import dedup_linf
@@ -62,7 +62,6 @@ def remeasure_noisy(problem, theta, logl, hess, steps):
     diagonal is still within the bound's reach.
     """
     hess, steps = hess.copy(), steps.copy()
-    d = theta.shape[1]
     for done in range(REMEASURE_ROUNDS + 1):
         bound = rounding_bound(logl, steps)
         noisy = bound > NOISE_REL * np.abs(hess)
@@ -77,8 +76,7 @@ def remeasure_noisy(problem, theta, logl, hess, steps):
             break
         vals = axis_values(problem, theta[redo], wide[redo])
         steps[redo] = wide[redo]
-        hess[redo] = ((vals[:, :d] - 2.0 * logl[redo][:, None] + vals[:, d:])
-                      / steps[redo] ** 2)
+        hess[redo] = second_difference(vals, logl[redo], steps[redo])
     return hess, steps, noisy.any(axis=1) & np.isfinite(hess).all(axis=1)
 
 

@@ -61,12 +61,12 @@ def test_criterion_1_gaussian_exactness():
 
 def test_criterion_2_anisotropic_rotated_family():
     # 1e6:1 cigar at d in {4, 16}; correlated at d in {2, 8, 16, 32, 64};
-    # rotated-cigar at d in {2, 5, 6, 8, 16, 32}. Relative error < 1e-8 and
+    # rotated-cigar at d in {2, 3, 5, 6, 8, 16, 32}. Relative error < 1e-8 and
     # the rotation detector must route the cigar to the diagonal Hessian and
     # the other two to the full one. 5 seeds.
     cases = [("cigar", (4, 16), "diagonal"),
              ("correlated", (2, 8, 16, 32, 64), "full"),
-             ("rotated-cigar", (2, 5, 6, 8, 16, 32), "full")]
+             ("rotated-cigar", (2, 3, 5, 6, 8, 16, 32), "full")]
     worst = (0.0, None)
     bad_routes = []
     for name, dims, want in cases:
@@ -82,7 +82,7 @@ def test_criterion_2_anisotropic_rotated_family():
     ok = worst[0] < 1e-8 and not bad_routes
     _report(2, "anisotropic/rotated family", ok,
             f"worst rel error {worst[0]:.3e} at {worst[1]} (tolerance 1e-8), "
-            f"route mismatches: {bad_routes or 'none'} (65 runs)")
+            f"route mismatches: {bad_routes or 'none'} (70 runs)")
 
 
 def test_criterion_3_mixture_trend():

@@ -572,8 +572,8 @@ def test_mode_evals_in_canonical_json(name, d, kind, evals):
 
 def stub_precheck(marginal=0.0):
     return PrecheckReport(
-        sensitivities=np.array([1.0]), flat=(), soft=(), active=(0,),
-        log_z_marginal=float(marginal), center_logl=0.0, eval_cost=3,
+        sensitivities=np.array([1.0]), flat=(), active=(0,),
+        log_z_marginal=float(marginal), center_logl=0.0,
     )
 
 

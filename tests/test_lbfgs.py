@@ -65,7 +65,8 @@ class _Recorder(Problem):
 
     def __init__(self, d):
         w = np.linspace(0.3, 1.7, d)
-        super().__init__(lambda x: -(x * x) @ w + np.sin(x).sum(axis=1),
+        # Row by row, so a row's value is the same bits in any batch.
+        super().__init__(lambda x: -np.sum(x * x * w, axis=1) + np.sin(x).sum(axis=1),
                          BoundsBox.cube(d, -10.0, 10.0))
         self.batches = []
 
