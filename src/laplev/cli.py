@@ -66,7 +66,8 @@ def _print_summary(target, res, wall_s, out):
           f"{sv['dead']} dead, scale {sv['scale']:.6g}{fallback}, "
           f"{sv['seeds']} seeds, {sv['segments_read']} segments read, "
           f"{sv['segments_completed']} completed, {sv['ascents']} ascents, "
-          f"{sv['one_seed_basins']} one-seed basins", file=out)
+          f"{sv['retired']} retired, {sv['one_seed_basins']} one-seed basins",
+          file=out)
     for label, counts in (("evaluations", res.eval_counts),
                           ("calls", res.call_counts)):
         print(f"{label:<12} {sum(counts.values())}  "

@@ -27,9 +27,12 @@ Then the basin leaders ascend once, in one batch of at most the preset's
 step budget. The ascent starts from the leaders' survey values and the
 best seed's stencil, so it spends one call on the other leaders' stencils
 and none on a lone leader. A sample that converges onto a peak within the
-keep band sticks, duplicates of a better stuck sample retire, and the
-survivors are the peaks (each one's diagonal Hessian is read off the
-values its last gradient evaluated). Everything is driven by one seeded
+keep band sticks. A sample still climbing retires once it sits on the
+Gaussian bowl of a converged sample at least as high, since it would climb
+to that peak and be deduplicated there; it costs no further evaluation.
+The stuck samples are deduplicated, best first, and the survivors are the
+peaks (each one's diagonal Hessian is read off the values its last
+gradient evaluated). Everything is driven by one seeded
 generator and batched evaluator calls, so a (seed, config) pair fixes the
 run bit for bit.
 """
@@ -608,8 +611,19 @@ class Peak:
     steps: np.ndarray
 
 
+class PeakList(list):
+    """The peaks of one ascent, best first, and how many samples ``retired``.
+
+    A list, so a caller that reads only the peaks reads them as before.
+    """
+
+    def __init__(self, peaks, retired):
+        super().__init__(peaks)
+        self.retired = retired
+
+
 def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, *,
-                   n_steps: int) -> list[Peak]:
+                   n_steps: int) -> PeakList:
     """One batched ascent from ``seeds``; the samples that stick are the peaks.
 
     ``seeds`` is the starting population. The pipeline passes the basin
@@ -632,14 +646,20 @@ def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, 
     sample at the one convergence rule it shares with the search,
     ``BatchState.converged(STICK_GRAD)``: a gradient sup-norm below
     ``STICK_GRAD * max(1, |logl|)``, so finite-difference noise at a large
-    peak value does not hold it back. A sample sticks when it converged
-    onto a peak within a factor ``KEEP_RATIO`` of the best value seen
-    anywhere so far. The stuck samples are deduplicated within the box's
-    ``dedup_radius``, best first, and the survivors are the peaks, best
-    first. A peak keeps the position and value the ascent ended on; its
-    diagonal Hessian is read off the values its last gradient evaluated,
-    x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``, with no likelihood
-    call (``BatchState.hess_diag``).
+    peak value does not hold it back. A sample that has not converged
+    retires once it sits on the Gaussian bowl of a converged sample at
+    least as high (``lbfgs._retire``): the diagonal quadratic read off that
+    sample's last stencil predicts its value and gradient. A retired sample
+    takes no further step and never sticks; it would have climbed to the
+    converged sample's peak and been deduplicated there. A sample sticks
+    when it converged onto a peak within a factor ``KEEP_RATIO`` of the
+    best value seen anywhere so far. The stuck samples are deduplicated
+    within the box's ``dedup_radius``, best first, and the survivors are
+    the peaks, best first, in a ``PeakList`` that also counts the
+    ``retired`` samples. A peak keeps the position and value the ascent
+    ended on; its diagonal Hessian is read off the values its last
+    gradient evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``,
+    with no likelihood call (``BatchState.hess_diag``).
 
     Raises the no-modes error, carrying the best sample seen, if no sample
     sticks.
@@ -666,4 +686,4 @@ def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, 
     peaks = [Peak(state.theta[i].copy(), float(logls[i]), h, eps)
              for i, h, eps in zip(kept, hess, steps)]
     peaks.sort(key=lambda p: -p.logl)
-    return peaks
+    return PeakList(peaks, int(state.retired.sum()))

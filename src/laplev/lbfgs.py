@@ -26,6 +26,12 @@ is frozen too once a step leaves it where it started: its position, value,
 gradient and history are then unchanged, so every later step would replay
 the same failed search. For an evaluator whose row values do not depend on
 the batch, that freeze removes only evaluations that cannot change any row.
+A sample retires (freezes without converging) once it sits on the Gaussian
+bowl of a converged sample at least as high: the bowl's diagonal quadratic,
+read off the second differences of the converged sample's last gradient
+stencil, predicts the retiring sample's value and gradient to within
+``RETIRE_TOL``. It would climb to that peak and add nothing there, so its
+remaining steps are saved; the test reads only values the batch holds.
 
 Internally the math runs in minimization convention on f = -logl; the
 public surface (gradients, monotonicity, convergence checks) speaks in
@@ -44,6 +50,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACK = 20
 CURVATURE_TOL = 1e-12
 FD_WIDTH_FACTOR = 1e-3
+RETIRE_TOL = 1e-3  # relative misfit of a held peak's bowl that retires a sample
 
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -146,7 +153,8 @@ class BatchState:
     accepted a pair. ``width`` is the length scale of every gradient's
     finite-difference steps, and ``axis_vals`` holds the (N, 2d)
     ``axis_values`` each row's ``grad`` was read from (NaN on a row that
-    began non-finite).
+    began non-finite). ``retired`` marks the rows ``run_batch`` froze on a
+    converged row's bowl.
     """
 
     theta: np.ndarray
@@ -159,6 +167,7 @@ class BatchState:
     y_ring: np.ndarray
     pairs_total: np.ndarray
     width: float
+    retired: np.ndarray
 
     @property
     def n(self) -> int:
@@ -172,12 +181,14 @@ class BatchState:
         return np.max(np.abs(self.grad), axis=1)
 
     def converged(self, tol) -> np.ndarray:
-        """Rows whose gradient sup-norm is below ``tol * max(1, |logl|)``.
+        """Finite rows whose gradient sup-norm is below ``tol * max(1, |logl|)``.
 
         Relative above a unit value, so finite-difference noise at a large
-        peak value does not hold a row back; a NaN row never converges.
+        peak value does not hold a row back; a non-finite row, whose bound
+        would be infinite or NaN, never converges.
         """
-        return self.grad_inf() < tol * np.maximum(1.0, np.abs(self.logl))
+        return (np.isfinite(self.logl)
+                & (self.grad_inf() < tol * np.maximum(1.0, np.abs(self.logl))))
 
     def hess_diag(self, rows):
         """Diagonal Hessian of ``rows`` from the values of their gradient.
@@ -233,6 +244,7 @@ def make_state(problem, theta0, logl0, axis_vals0, width) -> BatchState:
         y_ring=np.zeros((n, HISTORY, d)),
         pairs_total=np.zeros(n, dtype=np.int64),
         width=width,
+        retired=np.zeros(n, dtype=bool),
     )
 
 
@@ -425,19 +437,60 @@ def step_batch(state: BatchState, problem) -> np.ndarray:
     return moved
 
 
+def _retire(state: BatchState, held) -> None:
+    """Freeze every active row that sits on a ``held`` row's Gaussian bowl.
+
+    A held row p is a converged row whose ``hess_diag`` h_p is finite and
+    negative on every axis. An active row at x with value f <= f_p and
+    gradient g sits on p's bowl when the diagonal quadratic
+    m = f_p + 1/2 sum h_p (x - x_p)^2 explains it: |f - m| is at most
+    ``RETIRE_TOL`` times the drop f_p - m, and g is within ``RETIRE_TOL``
+    of the model gradient h_p (x - x_p) in sup-norm, relative to that
+    gradient's sup-norm. Such a row is frozen and marked ``retired``.
+    """
+    held = np.flatnonzero(held)
+    active = np.flatnonzero(~state.frozen)
+    if held.size == 0 or active.size == 0:
+        return
+    with np.errstate(all="ignore"):
+        h, _ = state.hess_diag(held)
+        bowl = np.all(np.isfinite(h) & (h < 0.0), axis=1)
+        held, h = held[bowl], h[bowl]
+        # (active, held, d) offsets from each held peak and its model gradient.
+        delta = state.theta[active, None, :] - state.theta[None, held, :]
+        slope = h * delta
+        drop = -0.5 * np.sum(slope * delta, axis=2)
+        peak = state.logl[held]
+        logl = state.logl[active, None]
+        misfit = np.max(np.abs(state.grad[active, None, :] - slope), axis=2)
+        on = ((logl <= peak)
+              & (np.abs(logl - (peak - drop)) <= RETIRE_TOL * drop)
+              & (misfit <= RETIRE_TOL * np.max(np.abs(slope), axis=2)))
+    rows = active[on.any(axis=1)]
+    state.frozen[rows] = True
+    state.retired[rows] = True
+
+
 def run_batch(problem, theta0, logl0, axis_vals0, iterations, tol, width) -> BatchState:
     """Drive a batch for a fixed iteration budget with a gradient stop.
 
     The batch starts from ``make_state(problem, theta0, logl0, axis_vals0,
-    width)``. A sample freezes once it has ``converged(tol)``, its gradient
-    sup-norm below ``tol * max(1, |logl|)``, or once a step leaves it
-    unmoved; the loop ends early when every sample is frozen. Each sample
-    keeps its ``HISTORY`` newest curvature pairs, and every gradient steps
-    at ``fd_steps(theta, width)``.
+    width)``. Before each step a sample freezes once it has
+    ``converged(tol)``, its gradient sup-norm below
+    ``tol * max(1, |logl|)``; then every other sample that sits on the
+    Gaussian bowl of a converged sample at least as high retires
+    (``_retire``): it freezes too, is marked ``retired`` and never counts
+    as converged. A step that leaves a sample unmoved freezes it as well.
+    The loop ends early when every sample is frozen. A lone sample never
+    retires, so a one-row batch runs as if the rule were not there. Each
+    sample keeps its ``HISTORY`` newest curvature pairs, and every gradient
+    steps at ``fd_steps(theta, width)``.
     """
     state = make_state(problem, theta0, logl0, axis_vals0, width)
     for _ in range(int(iterations)):
-        state.frozen |= state.converged(tol)
+        converged = state.converged(tol)
+        state.frozen |= converged
+        _retire(state, converged)
         if state.frozen.all():
             break
         step_batch(state, problem)

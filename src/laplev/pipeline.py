@@ -216,7 +216,7 @@ def run(problem, config: PipelineConfig):
                      "scale": scales.lam_fine, "scale_fallback": scales.fallback,
                      "seeds": int(seeds.shape[0]), "segments_read": int(read.sum()),
                      "segments_completed": int(read.size - read.sum()),
-                     "ascents": int(climb.size),
+                     "ascents": int(climb.size), "retired": coarse.retired,
                      "one_seed_basins": int(np.sum(np.bincount(basin[climb]) == 1))}
     result.reduction = reduction
     result.timings_ms = meter.timings

@@ -39,7 +39,7 @@ def test_run_success_prints_summary(capsys):
     # basin's best seed ascends.
     assert survey == ["survey       48 rays (v2v=12, v2e=12, w2w=12, sunburst=12), "
                       "0 dead, scale 1, 31 seeds, 30 segments read, 0 completed, "
-                      "1 ascents, 1 one-seed basins"]
+                      "1 ascents, 0 retired, 1 one-seed basins"]
 
 
 def test_unknown_problem_exits_2(capsys):

@@ -10,9 +10,11 @@ from laplev.lbfgs import (
     CURVATURE_TOL,
     HISTORY,
     MAX_BACKTRACK,
+    RETIRE_TOL,
     BatchState,
     _directions,
     _push_pairs,
+    _retire,
     _row_dot,
     axis_values,
     central_gradient,
@@ -808,3 +810,133 @@ def test_frozen_searches_end_where_replays_end(d):
     assert _state_bytes(s_new) == _state_bytes(s_ref)
     assert p_new.eval_counter < p_ref.eval_counter
     assert p_new.call_counter < p_ref.call_counter
+
+
+# ------------------------------------------------------------ retirement
+
+
+def _two_gaussians(d):
+    """Two axis-aligned Gaussian components, at x_0 = -3 (weight 1) and
+    x_0 = +3 (weight 1/2), each a diagonal bowl with curvatures 1 to 3."""
+    mu = np.zeros((2, d))
+    mu[:, 0] = (-3.0, 3.0)
+    w = np.linspace(1.0, 3.0, d)
+
+    def fn(x):
+        comp = -0.5 * np.sum(w * (x[:, None, :] - mu) ** 2, axis=2)
+        return np.logaddexp(comp[:, 0], comp[:, 1] + np.log(0.5))
+
+    return (lambda: Problem(fn, BoundsBox.cube(d, -6.0, 6.0))), mu
+
+
+def _old_run_batch(problem, theta0, iterations, tol, width):
+    """``run_batch`` as it ran before the retirement rule."""
+    state = fresh_state(problem, theta0, width)
+    for _ in range(iterations):
+        state.frozen |= state.converged(tol)
+        if state.frozen.all():
+            break
+        step_batch(state, problem)
+    return state
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_a_row_on_a_held_peaks_bowl_retires_and_costs_nothing(d):
+    # Row 0 starts on the higher component's peak, so it has converged
+    # before the first step. Row 1 starts on that peak's bowl and retires
+    # at once; row 2 starts on the other component's bowl, which the held
+    # peak's model does not explain, and climbs to its own peak.
+    make, mu = _two_gaussians(d)
+    theta0 = np.array([mu[0], mu[0] + 0.4, mu[1] + 0.7])
+    p_three = make()
+    s_three = fresh_run(p_three, theta0, iterations=30, tol=1e-6, width=0.0)
+    assert s_three.retired.tolist() == [False, True, False]
+    assert s_three.converged(1e-6).tolist() == [True, False, True]
+    np.testing.assert_array_equal(s_three.theta[1], theta0[1])
+    np.testing.assert_allclose(s_three.theta[2], mu[1], atol=1e-6)
+    # The retired row costs its intake evaluations and nothing after, and
+    # the other rows end as they do without it.
+    p_two = make()
+    s_two = fresh_run(p_two, theta0[[0, 2]], iterations=30, tol=1e-6, width=0.0)
+    assert p_three.eval_counter == p_two.eval_counter + 1 + 2 * d
+    assert p_three.call_counter == p_two.call_counter
+    for a, b in zip((s_three.theta, s_three.logl, s_three.grad, s_three.axis_vals),
+                    (s_two.theta, s_two.logl, s_two.grad, s_two.axis_vals)):
+        assert a[[0, 2]].tobytes() == b.tobytes()
+
+
+def _bowls(kind, d):
+    """A peak at the origin whose curvature there is diagonal and negative,
+    with a bowl that is not that diagonal quadratic away from the peak."""
+    if kind == "quartic":
+        return lambda x: -np.sum(x * x + x**4, axis=1)
+    if kind == "banana":
+        return lambda x: (-0.5 * np.sum(x * x, axis=1)
+                          - 2.0 * (x[:, 1] - x[:, 0] ** 2) ** 2)
+    # A rotated Gaussian: the diagonal of its Hessian misses the cross terms.
+    q, _ = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))
+    a = q @ np.diag(np.linspace(1.0, 4.0, d)) @ q.T
+    return lambda x: -0.5 * np.einsum("ni,ij,nj->n", x, a, x)
+
+
+@pytest.mark.parametrize("kind", ["quartic", "banana", "rotated"])
+def test_a_bowl_the_diagonal_quadratic_misfits_retires_no_row(kind):
+    # The same offsets from the held peak retire every row on the Gaussian
+    # bowl with the peak's own diagonal curvature, and no row on a bowl
+    # that the diagonal quadratic does not explain.
+    d = 3
+    fn = _bowls(kind, d)
+    rng = np.random.default_rng(7)
+    theta0 = np.vstack([np.zeros(d), rng.uniform(-1.5, 1.5, size=(8, d))])
+    state = fresh_state(Problem(fn, BoundsBox.cube(d, -3.0, 3.0)), theta0, 0.0)
+    held = state.converged(1e-6)
+    assert held.tolist() == [True] + [False] * 8
+    state.frozen |= held
+    _retire(state, held)
+    assert not state.retired.any() and state.frozen.tolist() == held.tolist()
+    h = state.hess_diag([0])[0][0]
+    assert np.all(h < 0.0)
+    bowl = fresh_state(Problem(lambda x: 0.5 * np.sum(h * x * x, axis=1),
+                               BoundsBox.cube(d, -3.0, 3.0)), theta0, 0.0)
+    bowl.frozen |= held
+    _retire(bowl, held)
+    assert bowl.retired.tolist() == [False] + [True] * 8
+
+
+@pytest.mark.parametrize("kind", ["quartic", "banana"])
+def test_rows_retire_only_where_the_bowl_is_quadratic(kind):
+    # Climbing rows retire once they reach the held peak's quadratic core:
+    # on -(x^2 + x^4) the model's relative misfit is about |x|^2, so a row
+    # retires within about sqrt(RETIRE_TOL) of the peak, never far out.
+    d = 3
+    fn = _bowls(kind, d)
+    rng = np.random.default_rng(0)
+    theta0 = np.vstack([np.zeros(d), rng.uniform(-1.5, 1.5, size=(8, d))])
+    p = Problem(fn, BoundsBox.cube(d, -3.0, 3.0))
+    state = fresh_run(p, theta0, iterations=40, tol=1e-6, width=0.0)
+    assert state.frozen.all() and not state.retired[0]
+    retired = np.abs(state.theta[state.retired]).max(axis=1)
+    assert retired.size and retired.max() <= 2.0 * np.sqrt(RETIRE_TOL)
+    assert (state.retired ^ state.converged(1e-6)).all()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rugged"])
+def test_a_one_row_batch_runs_as_before(kind):
+    # A lone row has no other row's bowl to retire on: its state, frozen
+    # mask and evaluations are those of the loop without the rule.
+    d = 8
+    if kind == "gaussian":
+        fn = _bowls("rotated", d)
+        theta0 = np.full((1, d), 1.2)
+    else:
+        fn, _ = _rugged(d)
+        theta0 = _rugged_start(np.random.default_rng(3), 4, d)[3:]
+    p_new = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
+    p_old = Problem(fn, BoundsBox.cube(d, -2.0, 2.0))
+    s_new = fresh_run(p_new, theta0, iterations=40, tol=1e-6, width=0.0)
+    s_old = _old_run_batch(p_old, theta0, 40, 1e-6, 0.0)
+    assert _state_bytes(s_new) == _state_bytes(s_old)
+    assert s_new.frozen.tobytes() == s_old.frozen.tobytes()
+    assert not s_new.retired.any()
+    assert (p_new.eval_counter, p_new.call_counter) == (p_old.eval_counter,
+                                                        p_old.call_counter)

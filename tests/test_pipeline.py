@@ -254,11 +254,15 @@ def test_conservative_recalls_every_mode_above_d2(name, dim, n_modes, seed):
     ("mixture4", 16, "fast", 4), ("bimodal-asym", 2, "fast", 2),
     ("bimodal-asym", 8, "fast", 2), ("eggbox", 2, "conservative", 5),
     ("eggbox", 2, "fast", 5), ("eggbox", 2, "slow", 5),
+    ("mixture4", 8, "conservative", 4), ("mixture4", 16, "conservative", 4),
+    ("bimodal-asym", 8, "conservative", 2),
 ])
 def test_recall_over_forty_seeds(name, dim, preset, n_modes):
     # Recall guard for the survey's seeds: every mode is found on each of
-    # seeds 1-40. In its one ascent, an eggbox basin's lone leader ends
-    # at the peak with finite-difference noise of about 8e-6 in its
+    # seeds 1-40. The conservative mixture cells are where the most
+    # ascents retire on a held peak's bowl; a retired ascent must never be
+    # the only one that would have reached its mode. In its one ascent, an
+    # eggbox basin's lone leader ends at the peak with finite-difference noise of about 8e-6 in its
     # gradient at logl 243; the stick rule's max(1, |logl|) scale must
     # still stick it. A fresh problem per run, since a problem keeps the
     # best value it has returned.
@@ -369,7 +373,7 @@ def test_timings_present_but_excluded_from_canonical_json():
 
 SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback",
                "seeds", "segments_read", "segments_completed", "ascents",
-               "one_seed_basins"}
+               "retired", "one_seed_basins"}
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
@@ -391,6 +395,7 @@ def test_result_reports_its_survey(name, dim):
     assert block["scale"] == float.fromhex(scales["lam"])
     assert block["scale_fallback"] is scales["fallback"]
     assert 0 < block["one_seed_basins"] <= block["ascents"] <= block["seeds"]
+    assert 0 <= block["retired"] < block["ascents"]
     # A Gaussian's seeds form one basin of concave parabolas, which climbs
     # from its best seed alone.
     assert (block["ascents"] == block["one_seed_basins"] == 1) is (name != "mixture4")
@@ -408,6 +413,24 @@ def test_result_reports_its_survey(name, dim):
     else:
         assert res["call_counts"]["survey"] == 1
         assert res["eval_counts"]["survey"] == 4 * n * len(range(0, N_COARSE, PROBE_STEP))
+
+
+
+@pytest.mark.parametrize("name,dim,preset", [("gaussian", 8, "fast"),
+                                             ("mixture4", 8, "conservative")])
+def test_survey_counts_the_retired_ascents(name, dim, preset):
+    # A lone leader has no held peak to retire on. On mixture4/8 most
+    # leaders climb into a basin whose peak another leader already holds,
+    # and retire on its bowl; every mode still keeps an ascent of its own.
+    config = preset_config(preset, seed=1)
+    texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
+    assert texts[0] == texts[1]
+    res = json.loads(texts[0])
+    block = res["survey"]
+    if name == "gaussian":
+        assert block["ascents"] == 1 and block["retired"] == 0
+    else:
+        assert 0 < block["retired"] <= block["ascents"] - len(res["modes"])
 
 
 # ---------------------------------------------------------------------------
