@@ -63,7 +63,7 @@ def _print_summary(target, res, wall_s, out):
     fallback = " (fallback)" if sv["scale_fallback"] else ""
     print(f"survey       {sum(counts.values())} rays "
           f"({', '.join(f'{k}={v}' for k, v in counts.items())}), "
-          f"{sv['dead']} dead, scale {sv['scale']:.6g}{fallback}, "
+          f"{sv['dead']} dead, {sv['rays_read']} read, scale {sv['scale']:.6g}{fallback}, "
           f"{sv['seeds']} seeds, {sv['segments_read']} segments read, "
           f"{sv['segments_completed']} completed, {sv['ascents']} ascents, "
           f"{sv['retired']} retired, {sv['one_seed_basins']} one-seed basins",

@@ -12,14 +12,19 @@ call. The samples sit in one ``RayBank`` of arrays,
 one row per ray and one row of samples per live ray, so the scale and the
 seeds are read off every ray at once, in array operations. The length
 scale is the smallest profile width the rays show at their best samples.
-The seeds are then grouped into basins by a hill-valley test: a seed joins
+When every ray was read at the probe and its probe values bend down at
+every point, each ray is one concave parabola: the target is taken for
+one Gaussian-like peak, and the bank's best sample is the one seed, with
+no grouping. A mode that no ray crosses then goes unsought. Otherwise
+the seeds are grouped into basins by a hill-valley test: a seed joins
 the basin of its nearest better seed when the log-likelihood is concave on
 the segment between them. The test costs at most two batched calls: one
 probes every segment at three points, which read a segment whose values
 lie on a concave parabola, and a second completes every other segment's
 grid. The gradient stencil of the best seed, which always ascends, rides
-in the probe call, so a Gaussian target groups and starts its ascent in
-one call. A basin whose every segment read as a concave parabola sends its
+in the probe call; a lone seed's stencil is that call's only rows, so a
+Gaussian target starts its ascent in one call of 2d points. A basin
+whose every segment read as a concave parabola sends its
 best seed on alone; any other basin sends its best few. A valley narrower
 than a quarter of a segment can hide between its probe points; that
 segment reads as concave, so such a valley can cost a mode.
@@ -61,6 +66,7 @@ N_COARSE = 64  # coarse samples per survey ray, and as many refill samples
 ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profile
 PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
+N_PROBE = len(range(0, N_COARSE, PROBE_STEP))  # probe points per ray, both ends included
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
 K_PER_BASIN = 3  # best seeds that ascend from a basin not read as a parabola
@@ -239,7 +245,8 @@ def _refill_t(t0, v0, rng):
 class RayBank:
     """All ray samples from one survey, as arrays.
 
-    ``kind``, ``start``, ``end`` and ``dead`` hold one row per ray. ``t``
+    ``kind``, ``start``, ``end``, ``dead`` and ``read`` hold one row per
+    ray; ``read`` marks the rays read at the probe. ``t``
     and ``logl`` hold one row per live ray, in ray order, sorted by t: the
     samples the ray took, ``2 * N_COARSE`` places at most. A ray read at
     the probe holds its probe samples, a ray left unrefilled its coarse
@@ -253,6 +260,7 @@ class RayBank:
     start: np.ndarray
     end: np.ndarray
     dead: np.ndarray
+    read: np.ndarray
     t: np.ndarray
     logl: np.ndarray
 
@@ -313,7 +321,8 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
     t_all[:, probe] = t0[probe]
     v_all[:, probe] = _eval_rays(problem, start, end, t_all[:, probe])
     # A ray read at the probe is live; the rest are judged on the whole grid.
-    live = _parabolic(v_all[:, probe])
+    read = _parabolic(v_all[:, probe])
+    live = read.copy()
     rest = np.flatnonzero(~live)
     if rest.size:
         cols = np.ix_(rest, other)
@@ -327,7 +336,7 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
     t_all, v_all = t_all[live], v_all[live]
     order = np.argsort(t_all, axis=1, kind="stable")
     t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
-    return RayBank(kind, start, end, ~live, t_all, v_all)
+    return RayBank(kind, start, end, ~live, read, t_all, v_all)
 
 
 @dataclass(frozen=True)
@@ -418,6 +427,32 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     kept = dedup_linf(pos, val[idx], lam_fine)
     order = np.argsort(-val[idx[kept]], kind="stable")
     return pos[kept[order]], val[idx[kept[order]]]
+
+
+def lone_seed(bank: RayBank):
+    """The bank's best sample as the only seed, when every ray is one concave parabola.
+
+    A Gaussian's log-likelihood is a parabola along every line. When every
+    ray was read at the probe (none completed, none dead) and each one's
+    probe values have strictly negative second differences, the survey
+    reads the target as one such peak: ``group_seeds`` would find one
+    parabolic basin, and only its best seed would climb. That seed is the
+    bank's first maximum in sample order, ``select_seeds``' first seed, at
+    the same bits. A linear ray, whose second differences are all 0,
+    passes ``_parabolic`` but not this test.
+
+    Returns ``(seeds, values)`` as ``select_seeds`` does, one row each, or
+    None when the seeds must be picked and grouped. The test is blind to a
+    mode no ray crosses, which a segment between two seeds could cross.
+    """
+    if not bank.read.all():
+        return None
+    v = bank.logl[:, :N_PROBE]
+    if not (_second(v) < 0.0).all():
+        return None
+    ray, j = divmod(int(np.argmax(v)), N_PROBE)
+    pos = _points_along(bank.start[ray:ray + 1], bank.end[ray:ray + 1], bank.t[ray, j:j + 1])
+    return pos, v[ray, j:j + 1].copy()
 
 
 def _nearest_better(seeds):
@@ -629,8 +664,9 @@ def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, 
     ``seeds`` is the starting population. The pipeline passes the basin
     leaders of ``basin_leaders``: the best seed of each basin
     ``group_seeds`` read as a parabola, and the best ``K_PER_BASIN`` seeds
-    of every other basin. So a Gaussian target climbs from one seed, not
-    from every seed ``select_seeds`` keeps.
+    of every other basin; or the one seed of ``lone_seed``. So a Gaussian
+    target climbs from one seed, not from every seed ``select_seeds``
+    keeps.
 
     The ascent starts from what was measured already: ``seed_logl`` holds
     the seeds' survey values, and ``lead_vals`` the ``axis_values`` of the

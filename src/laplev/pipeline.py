@@ -1,14 +1,16 @@
 """End-to-end evidence pipeline.
 
 Stages run in a fixed order — coordinate screen, ray survey, seed grouping
-into basins, one batched ascent of the basin leaders, curvature check of
-the peaks, per-mode Gaussian integral, optional dimensional reduction —
-each consuming the previous stage's output on the active-coordinate
-subproblem. A config is a preset name, a seed and the reduce flag: the
-preset sets the ascent's step budget, and every tolerance and other budget
-is a constant of the stage that uses it. Results are bitwise deterministic for a fixed (problem,
-config) pair: every random draw comes from streams spawned off the config
-seed, and each likelihood batch reaches the evaluator as one call.
+into basins (skipped when every ray reads as one concave parabola, whose
+best sample then climbs alone), one batched ascent of the basin leaders,
+curvature check of the peaks, per-mode Gaussian integral, optional
+dimensional reduction — each consuming the previous stage's output on the
+active-coordinate subproblem. A config is a preset name, a seed and the
+reduce flag: the preset sets the ascent's step budget, and every tolerance
+and other budget is a constant of the stage that uses it. Results are
+bitwise deterministic for a fixed (problem, config) pair: every random
+draw comes from streams spawned off the config seed, and each likelihood
+batch reaches the evaluator as one call.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .discovery import (
     discover_modes,
     estimate_scales,
     group_seeds,
+    lone_seed,
     select_seeds,
     survey,
 )
@@ -155,7 +158,10 @@ def run(problem, config: PipelineConfig):
     with meter.stage("survey"):
         bank = survey(active, rng_survey)
         scales = estimate_scales(bank, active.bounds)
-        seeds, seed_logl = select_seeds(bank, scales.lam_fine, active.dim)
+        # A survey that reads one concave parabola on every ray skips the
+        # picking and the grouping's segments: its best sample climbs alone.
+        seeds, seed_logl = (lone_seed(bank)
+                            or select_seeds(bank, scales.lam_fine, active.dim))
 
     with meter.stage("discover"):
         try:
@@ -213,6 +219,7 @@ def run(problem, config: PipelineConfig):
     result.config_echo = config.echo()
     result.seed = int(config.seed)
     result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),
+                     "rays_read": int(bank.read.sum()),
                      "scale": scales.lam_fine, "scale_fallback": scales.fallback,
                      "seeds": int(seeds.shape[0]), "segments_read": int(read.sum()),
                      "segments_completed": int(read.size - read.sum()),

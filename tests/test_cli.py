@@ -34,12 +34,12 @@ def test_run_success_prints_summary(capsys):
     # the one mode takes the diagonal route: probe and tail screen
     assert re.search(r"\n  \[0\] logl=.* hessian=diagonal .* evals=10 at ", out)
     survey = [line for line in out.splitlines() if line.startswith("survey ")]
-    # gaussian is log-concave: the grouping's probe reads all 30 segments
-    # as concave parabolas, so its 31 seeds form one basin, and only that
-    # basin's best seed ascends.
+    # gaussian is a concave parabola along every ray: the probe reads all
+    # 48 rays, so the grouping is skipped and the best sample is the one
+    # seed, which ascends alone.
     assert survey == ["survey       48 rays (v2v=12, v2e=12, w2w=12, sunburst=12), "
-                      "0 dead, scale 1, 31 seeds, 30 segments read, 0 completed, "
-                      "1 ascents, 0 retired, 1 one-seed basins"]
+                      "0 dead, 48 read, scale 1, 1 seeds, 0 segments read, "
+                      "0 completed, 1 ascents, 0 retired, 1 one-seed basins"]
 
 
 def test_unknown_problem_exits_2(capsys):

@@ -27,6 +27,7 @@ from laplev.discovery import (
     estimate_scales,
     generate_rays,
     group_seeds,
+    lone_seed,
     rays_per_kind,
     select_seeds,
     survey,
@@ -271,12 +272,14 @@ def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
         start=np.array([r.ray.start for r in rays]).reshape(len(rays), dim),
         end=np.array([r.ray.end for r in rays]).reshape(len(rays), dim),
         dead=np.array([r.dead for r in rays], dtype=bool),
+        # A ray read at the probe holds its probe points only.
+        read=np.array([not r.dead and np.isfinite(r.t).sum() == N_PROBE for r in rays]),
         t=stack("t"), logl=stack("logl"),
     )
 
 
 def _bank_bytes(bank):
-    return (bank.kind.tolist(), bank.dead.tolist(), bank.t.shape,
+    return (bank.kind.tolist(), bank.dead.tolist(), bank.read.tolist(), bank.t.shape,
             *(x.tobytes() for x in (bank.start, bank.end, bank.t, bank.logl)))
 
 
@@ -397,8 +400,8 @@ def _refilled(bank):
 
 
 def _read(bank):
-    """Which live rows of the bank were read at the probe: they hold only its points."""
-    return np.isinf(bank.t[:, N_PROBE])
+    """Which live rows of the bank were read at the probe."""
+    return bank.read[~bank.dead]
 
 
 def one_ray(problem, kind, start, end, rng):
@@ -804,7 +807,8 @@ def _live_ray(bank, j):
     """A bank holding only the j-th live ray of ``bank``."""
     k = np.flatnonzero(~bank.dead)[j]
     return RayBank(bank.kind[k:k + 1], bank.start[k:k + 1], bank.end[k:k + 1],
-                   bank.dead[k:k + 1], bank.t[j:j + 1], bank.logl[j:j + 1])
+                   bank.dead[k:k + 1], bank.read[k:k + 1], bank.t[j:j + 1],
+                   bank.logl[j:j + 1])
 
 
 def _width(bank, bounds):
@@ -1279,13 +1283,19 @@ def test_one_leader_only_for_a_basin_of_probe_read_parabolas(lam_fine, read):
     assert basin_leaders(basin, parabolic).tolist() == list(range(K_PER_BASIN))
 
 
-def _pipeline_seeds(name, dim, seed=1):
-    """The active subproblem, ranked seeds, values and scale that ``run`` groups."""
+def _pipeline_bank(name, dim, seed=1):
+    """The active subproblem, survey bank and scale estimate of ``run``."""
     problem = get_target(name, dim).problem
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
     active = active_subproblem(problem, precheck(problem))
     bank = survey(active, rng)
-    est = estimate_scales(bank, active.bounds)
+    return active, bank, estimate_scales(bank, active.bounds)
+
+
+def _pipeline_seeds(name, dim, seed=1):
+    """The active subproblem, ranked seeds, values and scale ``select_seeds``
+    gives on ``run``'s survey."""
+    active, bank, est = _pipeline_bank(name, dim, seed)
     return (active, *select_seeds(bank, est.lam_fine, active.dim), est.lam_fine)
 
 
@@ -1293,10 +1303,14 @@ def _pipeline_seeds(name, dim, seed=1):
 def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
     # Every segment of a Gaussian target is a concave parabola, so every
     # seed joins the best one's basin, which is parabolic: only the best
-    # seed ascends.
+    # seed ascends. Every ray is one concave parabola too, so the pipeline
+    # skips the grouping and takes that seed, at the same bits, alone.
     active, seeds, seed_logl, lam_fine = _pipeline_seeds(name, dim)
     basin, _, parabolic, _ = group_seeds(active, seeds, seed_logl, lam_fine)
     assert basin.tolist() == [0] * len(seeds) and parabolic.tolist() == [True]
+    lone, lone_logl = lone_seed(_pipeline_bank(name, dim)[1])
+    assert lone.tobytes() == seeds[:1].tobytes()
+    assert lone_logl.tobytes() == seed_logl[:1].tobytes()
     rows = []
     ascent = laplev.discovery.run_batch
 
@@ -1307,8 +1321,75 @@ def test_log_concave_seeds_collapse_to_one_basin(name, dim, monkeypatch):
     monkeypatch.setattr(laplev.discovery, "run_batch", traced)
     res = run(get_target(name, dim).problem, preset_config("fast", seed=1))
     assert rows == [1]
-    assert res.survey["seeds"] == len(seeds) > res.survey["ascents"] == 1
+    assert res.survey["seeds"] == res.survey["ascents"] == 1 < len(seeds)
     assert res.survey["one_seed_basins"] == 1
+
+
+# Rays of a two-dimensional synthetic bank: along x0, along x1, a diagonal.
+PROBE_RAYS = (Ray(RAY_W2W, np.array([-5.0, 0.5]), np.array([5.0, 0.5])),
+              Ray(RAY_W2W, np.array([0.25, -5.0]), np.array([0.25, 5.0])),
+              Ray(RAY_V2V, np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
+K_PROBE = np.arange(N_PROBE, dtype=np.float64)
+# Integer-valued probe profiles, so every second difference is exact.
+CONCAVE = -(K_PROBE - 10.0) ** 2
+CONVEX = (K_PROBE - 10.0) ** 2
+LINEAR = 3.0 * K_PROBE
+
+
+def _probe_bank(*profiles):
+    """A bank whose rays were all read at the probe, with these probe values."""
+    return _as_bank([_padded(ray, T_PROBE, v) for ray, v in zip(PROBE_RAYS, profiles)])
+
+
+def test_lone_seed_is_select_seeds_first_on_concave_parabolas():
+    # Rays 0 and 2 tie at the highest value: the first in sample order,
+    # ray 0's, is the seed, at the bits select_seeds gives its first seed.
+    bank = _probe_bank(CONCAVE, CONCAVE - 1.0, CONCAVE)
+    assert bank.read.all()
+    seeds, seed_logl = lone_seed(bank)
+    first, first_logl = select_seeds(bank, lam_fine=0.1, dim=2)
+    assert seeds.shape == (1, 2) and seed_logl.tolist() == [0.0]
+    assert seeds.tobytes() == first[:1].tobytes()
+    assert seed_logl.tobytes() == first_logl[:1].tobytes()
+    ray = PROBE_RAYS[0]
+    assert seeds[0].tobytes() == _points_along(ray.start, ray.end, T_PROBE[10]).tobytes()
+
+
+@pytest.mark.parametrize("why", ["convex", "linear"])
+def test_lone_seed_needs_every_probe_second_difference_negative(why):
+    # Both rays are read at the probe: a convex parabola, and a line, whose
+    # second differences are all 0 and which _parabolic accepts, keep the
+    # grouping.
+    profile = CONVEX if why == "convex" else LINEAR
+    assert laplev.discovery._parabolic(profile[None])[0]
+    bank = _probe_bank(CONCAVE, profile)
+    assert bank.read.all() and lone_seed(bank) is None
+
+
+@pytest.mark.parametrize("why", ["completed", "dead"])
+def test_lone_seed_needs_every_ray_read_at_the_probe(why):
+    # A ray the probe did not read, whether completed on its grid as a
+    # concave parabola or dead, keeps the grouping.
+    ray = PROBE_RAYS[1]
+    if why == "completed":
+        other = _padded(ray, T0, -(T0 - 0.5) ** 2)
+    else:
+        other = RaySamples(ray, T0.copy(), np.full(N_COARSE, -np.inf), True)
+    bank = _as_bank([_padded(PROBE_RAYS[0], T_PROBE, CONCAVE), other])
+    assert bank.read.tolist() == [True, False]
+    assert bank.dead.tolist() == [False, why == "dead"]
+    assert lone_seed(bank) is None
+
+
+def test_half_ripple_quadratic_still_groups():
+    # The ripple on x0 > 0 keeps the rays that cross it from reading as a
+    # parabola, so the survey's seeds are picked and grouped.
+    p = Problem(_half_ripple, box(2))
+    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0])
+    assert lone_seed(survey(p, rng)) is None
+    res = run(Problem(_half_ripple, box(2)), preset_config("fast", seed=1))
+    assert res.survey["rays_read"] < 44 and res.survey["seeds"] > 1
+    assert res.survey["segments_read"] + res.survey["segments_completed"] > 0
 
 
 @pytest.mark.parametrize("preset", ["fast", "slow"])

@@ -176,20 +176,33 @@ def test_run_on_a_view_meters_the_parents_counters():
     view = View(parent, parent.bounds.center, np.array([0, 1]),
                 BoundsBox(lower[:2], upper[:2]))
     res = run(view, preset_config("fast", seed=1))
-    assert sum(res.eval_counts.values()) == parent.eval_counter == 1031
+    assert sum(res.eval_counts.values()) == parent.eval_counter == 992
     assert sum(res.call_counts.values()) == parent.call_counter == 6
     assert res.log_z_total == pytest.approx(np.log(2.0 * np.pi) - 1.0, abs=1e-9)
 
 
 def test_gaussian_run_groups_and_ascends_in_one_call():
-    # correlated/8's one leader starts on its mode: its value is the
-    # survey's and its gradient probes ride in the grouping's call, so the
-    # discover stage makes that one call. precheck 1, survey 1, discover 1
-    # and evidence 2 (the shared probe call, then the full Hessian).
+    # correlated/8 reads as one concave parabola on every ray, so the
+    # grouping is skipped: the survey's best sample is the one seed, which
+    # starts on the mode with its survey value, and the discover stage
+    # makes the one call of its gradient probes. precheck 1, survey 1,
+    # discover 1 and evidence 2 (the shared probe call, then the full
+    # Hessian).
     res = run(get_target("correlated", 8).problem, preset_config("fast", seed=1))
     assert res.survey["ascents"] == 1
     assert res.call_counts == {"precheck": 1, "survey": 1, "discover": 1,
                                "refine": 0, "evidence": 2}
+
+
+def test_concave_parabola_survey_climbs_from_its_best_sample():
+    # Every correlated/8 ray is read at the probe as a concave parabola:
+    # no seed is picked or grouped, and discover costs only the one seed's
+    # 2d gradient probes, in one call.
+    res = run(get_target("correlated", 8).problem, preset_config("slow", seed=1))
+    n_rays = sum(res.survey[k] for k in ("v2v", "v2e", "w2w", "sunburst"))
+    assert res.survey["seeds"] == 1 and res.survey["rays_read"] == n_rays
+    assert res.survey["segments_read"] == res.survey["segments_completed"] == 0
+    assert (res.eval_counts["discover"], res.call_counts["discover"]) == (16, 1)
 
 
 def test_every_mode_is_probed_in_one_call():
@@ -371,17 +384,18 @@ def test_timings_present_but_excluded_from_canonical_json():
     assert "timings_ms" in json.loads(result_json(res, with_timings=True))
 
 
-SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "scale", "scale_fallback",
+SURVEY_KEYS = {"v2v", "v2e", "w2w", "sunburst", "dead", "rays_read", "scale", "scale_fallback",
                "seeds", "segments_read", "segments_completed", "ascents",
                "retired", "one_seed_basins"}
 
 
 @pytest.mark.parametrize("name,dim", [("gaussian", 8), ("cigar", 32), ("mixture4", 16)])
 def test_result_reports_its_survey(name, dim):
-    # The survey block: ray counts per kind, dead rays, the length scale,
-    # which is the scale the behaviour baseline records for the cell, how
-    # many seeds were picked, how their segments were tested, how many of
-    # the seeds ascended and how many basins climbed from one seed.
+    # The survey block: ray counts per kind, dead rays, the rays read at
+    # the probe, the length scale, which is the scale the behaviour
+    # baseline records for the cell, how many seeds were picked, how their
+    # segments were tested, how many of the seeds ascended and how many
+    # basins climbed from one seed.
     config = preset_config("fast", seed=1)
     texts = [result_json(run(get_target(name, dim).problem, config)) for _ in range(2)]
     assert texts[0] == texts[1]
@@ -400,19 +414,23 @@ def test_result_reports_its_survey(name, dim):
     # from its best seed alone.
     assert (block["ascents"] == block["one_seed_basins"] == 1) is (name != "mixture4")
     # Every seed after the best has one segment, which the grouping's probe
-    # either decides or completes; a Gaussian's are all decided.
+    # either decides or completes; cigar's are all decided.
     assert block["segments_read"] + block["segments_completed"] == block["seeds"] - 1
     assert (block["segments_completed"] == 0) is (name != "mixture4")
     # A Gaussian's survey is one call of every ray's probe points. mixture4
     # rays that are not read at the probe are completed, then refilled; so
     # are cigar's wall-to-wall rays along its wide axis, whose probe values
     # round by more than the parabola gate allows on their small curvature.
+    # A survey that reads every ray as one concave parabola skips the
+    # grouping: its best sample is the one seed, with no segment.
     res = json.loads(texts[0])
     if name in ("mixture4", "cigar"):
         assert res["call_counts"]["survey"] == 3
+        assert block["rays_read"] < 4 * n and block["seeds"] > 1
     else:
         assert res["call_counts"]["survey"] == 1
         assert res["eval_counts"]["survey"] == 4 * n * len(range(0, N_COARSE, PROBE_STEP))
+        assert block["rays_read"] == 4 * n and block["seeds"] == 1
 
 
 
