@@ -91,16 +91,36 @@ def _points_along(start, end, t) -> np.ndarray:
     return out
 
 
-def _vertex_picks(rng, n, d):
-    """The v2v vertex picks in draw order: n pairs in one call, then one at a time.
+def _vertex_picks(rng, n, d) -> np.ndarray:
+    """The n v2v vertex pairs, (n, 2, d) 0/1 rows, as the per-ray draws take them.
 
-    Each pick is its 0/1 row packed to bits, as bytes: those compare far
-    faster than the rows do.
+    The first 2n picks are drawn as one (2n, d) block. When no pair of the
+    block repeats its start, the block is the pairs. Otherwise the pairs
+    are walked in draw order: an end equal to its start is redrawn from the
+    picks that follow, past the block one pick per call. The walk compares
+    each pick as its 0/1 row packed to bits, as bytes, which is far faster
+    than comparing the rows.
     """
-    for row in np.packbits(rng.integers(0, 2, size=(2 * n, d)), axis=1):
-        yield row.tobytes()
-    while True:
-        yield np.packbits(rng.integers(0, 2, size=d)).tobytes()
+    block = rng.integers(0, 2, size=(2 * n, d))
+    pairs = block.reshape(n, 2, d)
+    if not (pairs[:, 0] == pairs[:, 1]).all(axis=1).any():
+        return pairs
+
+    def picks():
+        for row in np.packbits(block, axis=1):
+            yield row.tobytes()
+        while True:
+            yield np.packbits(rng.integers(0, 2, size=d)).tobytes()
+
+    stream = picks()
+    drawn = []
+    for _ in range(n):
+        first, second = next(stream), next(stream)
+        while second == first:
+            second = next(stream)
+        drawn += (first, second)
+    bits = np.frombuffer(b"".join(drawn), dtype=np.uint8).reshape(2 * n, -1)
+    return np.unpackbits(bits, axis=1, count=d).reshape(n, 2, d)
 
 
 def generate_rays(bounds: BoundsBox, rng):
@@ -114,11 +134,13 @@ def generate_rays(bounds: BoundsBox, rng):
     The draws follow ray order, as one generator call per vertex, edge
     pick, wall point and direction would take them, but each block of rays
     draws in one call: numpy's Generator returns the same numbers, and
-    leaves the same state, for one (n, k) draw as for n draws of k. Only
-    the wall rays draw one at a time, because each interleaves an integer
-    draw with a float draw. The geometry that needs no draw (vertices,
-    edge midpoints, wall ends and the sunburst exits) is computed for all
-    rays at once afterwards.
+    leaves the same state, for one (n, k) draw as for n draws of k. The
+    v2v rays draw their 2n vertices as one block; only when some ray's end
+    equals its start does ``_vertex_picks`` walk the redraws, one pick per
+    call past the block. The wall rays draw one at a time, because each
+    interleaves an integer draw with a float draw. The geometry that needs
+    no draw (vertices, edge midpoints, wall points and ends and the
+    sunburst exits) is computed for all rays at once afterwards.
     """
     d = bounds.dim
     lower, upper, c = bounds.lower, bounds.upper, bounds.center
@@ -133,15 +155,7 @@ def generate_rays(bounds: BoundsBox, rng):
     # A v2v end equal to its start is redrawn from the vectors that follow.
     v_start = np.empty((n_vert, d), dtype=np.int64)
     v_end = np.empty((n_vert, d), dtype=np.int64)
-    picks = _vertex_picks(rng, n, d)
-    drawn = []
-    for _ in range(n):
-        first, second = next(picks), next(picks)
-        while second == first:
-            second = next(picks)
-        drawn += (first, second)
-    bits = np.frombuffer(b"".join(drawn), dtype=np.uint8).reshape(2 * n, -1)
-    pairs = np.unpackbits(bits, axis=1, count=d).reshape(n, 2, d)
+    pairs = _vertex_picks(rng, n, d)
     v_start[:n], v_end[:n] = pairs[:, 0], pairs[:, 1]
     # Per v2e ray: its start vertex, the vertex of its edge, the edge axis.
     pick = rng.integers(0, np.r_[np.full(2 * d, 2), d], size=(n_v2e, 2 * d + 1))
@@ -152,12 +166,13 @@ def generate_rays(bounds: BoundsBox, rng):
 
     wall = np.arange(n_vert, n_vert + n)
     wall_axis = np.empty(n, dtype=np.int64)
+    wall_u = np.empty((n, d))
+    for j in range(n):
+        wall_axis[j] = rng.integers(d)
+        wall_u[j] = rng.random(d)
     # rng.uniform(lower, upper) draws lower + (upper - lower) * rng.random(d),
     # the same bits and generator state, but takes far longer per call.
-    widths = upper - lower
-    for i in wall:
-        wall_axis[i - n_vert] = rng.integers(d)
-        start[i] = lower + widths * rng.random(d)
+    start[wall] = lower + (upper - lower) * wall_u
     end[wall] = start[wall]
     start[wall, wall_axis] = lower[wall_axis]
     end[wall, wall_axis] = upper[wall_axis]
@@ -194,12 +209,16 @@ def _parabolic(v) -> np.ndarray:
     the largest one.
     """
     whole = np.isfinite(v).all(axis=1)
-    out = np.zeros(v.shape[0], dtype=bool)
+    every = whole.all()
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = np.diff(v[whole], n=2, axis=1)
+        d2 = np.diff(v if every else v[whole], n=2, axis=1)
         spread = np.abs(d2 - d2.mean(axis=1, keepdims=True)).max(axis=1)
         # A spread that overflowed to NaN is not a parabola either.
-        out[whole] = spread <= PARABOLA_TOL * np.abs(d2).max(axis=1)
+        par = spread <= PARABOLA_TOL * np.abs(d2).max(axis=1)
+    if every:
+        return par
+    out = np.zeros(v.shape[0], dtype=bool)
+    out[whole] = par
     return out
 
 
@@ -246,14 +265,16 @@ class RayBank:
     """All ray samples from one survey, as arrays.
 
     ``kind``, ``start``, ``end``, ``dead`` and ``read`` hold one row per
-    ray; ``read`` marks the rays read at the probe. ``t``
-    and ``logl`` hold one row per live ray, in ray order, sorted by t: the
-    samples the ray took, ``2 * N_COARSE`` places at most. A ray read at
-    the probe holds its probe samples, a ray left unrefilled its coarse
-    grid, and a refilled ray its coarse grid and refill. The places a ray
-    did not take are padding, t = +inf and a NaN value, which sort last
-    and which the scale reading and the seed picks skip as non-finite. A
-    dead ray's coarse values are all non-finite, so no row is kept for it.
+    ray; ``read`` marks the rays read at the probe. ``t`` and ``logl`` hold
+    one row per live ray, in ray order, sorted by t: the samples the ray
+    took. A ray read at the probe holds its probe samples, a ray left
+    unrefilled its coarse grid, and a refilled ray its coarse grid and
+    refill. When every ray was read at the probe the rows are
+    ``N_PROBE`` wide, the probe alone; otherwise they are
+    ``2 * N_COARSE`` wide, and the places a ray did not take are padding,
+    t = +inf and a NaN value, which sort last and which the scale reading
+    and the seed picks skip as non-finite. A dead ray's coarse values are
+    all non-finite, so no row is kept for it.
     """
 
     kind: np.ndarray
@@ -297,10 +318,12 @@ def survey(problem, rng) -> RayBank:
     Each pass is one likelihood call, skipped when it has no ray. Probe and
     completion together evaluate an unread ray on the whole coarse grid, so
     its samples and its refill draws do not depend on the probe. Every
-    bank array, and the generator state afterwards, equals bit for bit
-    what surveying the rays one at a time with the same generator gives:
-    the refill draws are the only generator use after the rays, and they
-    are taken in ray order.
+    ray's samples in t order, padded to the bank's width, and the
+    generator state afterwards equal bit for bit what surveying the rays
+    one at a time with the same generator gives: the refill draws are the
+    only generator use after the rays, and they are taken in ray order.
+    Only a refilled row is sorted; a probe or coarse row is in t order as
+    it is taken.
 
     The gates are blind to structure the grid aliases away: a ripple whose
     period divides the grid step on every ray reads as a parabola, and at
@@ -314,29 +337,35 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
     t0 = np.linspace(0.0, 1.0, N_COARSE)
     probe = slice(0, N_COARSE, PROBE_STEP)
     other = np.arange(N_COARSE) % PROBE_STEP != 0
-    # Row k holds ray k's coarse grid in t0 order, then its refill; a
-    # sample not taken is padding, t = +inf and a NaN value.
+    t_probe = np.tile(t0[probe], (kind.size, 1))
+    v_probe = _eval_rays(problem, start, end, t_probe)
+    read = _parabolic(v_probe)
+    rest = np.flatnonzero(~read)
+    if rest.size == 0:
+        return RayBank(kind, start, end, ~read, read, t_probe, v_probe)
+    # Row k holds ray k's samples in t order; a sample not taken is
+    # padding, t = +inf and a NaN value. A read row holds its probe and an
+    # unread row its coarse grid, both in t order as taken; only a
+    # refilled row, its coarse grid and then its refill, is sorted.
     t_all = np.full((kind.size, 2 * N_COARSE), np.inf)
     v_all = np.full((kind.size, 2 * N_COARSE), np.nan)
-    t_all[:, probe] = t0[probe]
-    v_all[:, probe] = _eval_rays(problem, start, end, t_all[:, probe])
-    # A ray read at the probe is live; the rest are judged on the whole grid.
-    read = _parabolic(v_all[:, probe])
+    t_all[read, :N_PROBE], v_all[read, :N_PROBE] = t0[probe], v_probe[read]
+    v0 = np.empty((rest.size, N_COARSE))
+    v0[:, probe] = v_probe[rest]
+    v0[:, other] = _eval_rays(problem, start[rest], end[rest],
+                              np.tile(t0[other], (rest.size, 1)))
+    t_all[rest, :N_COARSE], v_all[rest, :N_COARSE] = t0, v0
     live = read.copy()
-    rest = np.flatnonzero(~live)
-    if rest.size:
-        cols = np.ix_(rest, other)
-        t_all[cols] = t0[other]
-        v_all[cols] = _eval_rays(problem, start[rest], end[rest], t_all[cols])
-        live[rest], refill, t1 = _refill_t(t0, v_all[rest, :N_COARSE], rng)
-        refilled = rest[refill]
-        if refilled.size:
-            t_all[refilled, N_COARSE:] = t1
-            v_all[refilled, N_COARSE:] = _eval_rays(problem, start[refilled], end[refilled], t1)
-    t_all, v_all = t_all[live], v_all[live]
-    order = np.argsort(t_all, axis=1, kind="stable")
-    t_all, v_all = (np.take_along_axis(x, order, axis=1) for x in (t_all, v_all))
-    return RayBank(kind, start, end, ~live, read, t_all, v_all)
+    live[rest], refill, t1 = _refill_t(t0, v0, rng)
+    refilled = rest[refill]
+    if refilled.size:
+        t_ref = np.concatenate([t_all[refilled, :N_COARSE], t1], axis=1)
+        v_ref = np.concatenate([v0[refill], _eval_rays(problem, start[refilled],
+                                                       end[refilled], t1)], axis=1)
+        order = np.argsort(t_ref, axis=1, kind="stable")
+        t_all[refilled] = np.take_along_axis(t_ref, order, axis=1)
+        v_all[refilled] = np.take_along_axis(v_ref, order, axis=1)
+    return RayBank(kind, start, end, ~live, read, t_all[live], v_all[live])
 
 
 @dataclass(frozen=True)

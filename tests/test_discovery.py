@@ -259,12 +259,21 @@ def _select_seeds_reference(rays, lam_fine: float, dim: int):
 
 
 def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
-    """The array bank holding the per-ray samples ``rays``."""
+    """The array bank holding the per-ray samples ``rays``.
+
+    When every ray was read at the probe, the rows are cut to their
+    ``N_PROBE`` probe samples, the survey bank's width then.
+    """
     dim = rays[0].ray.start.size if rays else dim
     live = [r for r in rays if not r.dead]
+    # A ray read at the probe holds its probe points only.
+    read = np.array([not r.dead and np.isfinite(r.t).sum() == N_PROBE for r in rays],
+                    dtype=bool)
+    if rays and read.all():
+        width = N_PROBE
 
     def stack(field, dtype=np.float64):
-        return (np.stack([getattr(r, field) for r in live]) if live
+        return (np.stack([getattr(r, field)[:width] for r in live]) if live
                 else np.zeros((0, width), dtype=dtype))
 
     return RayBank(
@@ -272,9 +281,7 @@ def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
         start=np.array([r.ray.start for r in rays]).reshape(len(rays), dim),
         end=np.array([r.ray.end for r in rays]).reshape(len(rays), dim),
         dead=np.array([r.dead for r in rays], dtype=bool),
-        # A ray read at the probe holds its probe points only.
-        read=np.array([not r.dead and np.isfinite(r.t).sum() == N_PROBE for r in rays]),
-        t=stack("t"), logl=stack("logl"),
+        read=read, t=stack("t"), logl=stack("logl"),
     )
 
 
@@ -385,6 +392,52 @@ def test_generate_rays_skips_zero_directions_like_per_ray_draws(d):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+class _RepeatedPicks:
+    """A generator whose 0/1 vertex picks at the given places of its stream
+    repeat the pick before them, so a v2v ray's end can equal its start."""
+
+    def __init__(self, seed, repeat):
+        self._rng = np.random.default_rng(seed)
+        self._repeat = set(repeat)
+        self._drawn = 0
+        self._last = None
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, low, high=None, size=None):
+        x = self._rng.integers(low, high, size=size)
+        if size is None or not (isinstance(high, int) and low == 0 and high == 2):
+            return x
+        rows = x.reshape(-1, x.shape[-1])
+        for j in range(rows.shape[0]):
+            if self._drawn + j in self._repeat:
+                rows[j] = rows[j - 1] if j else self._last
+        self._last = rows[-1].copy()
+        self._drawn += rows.shape[0]
+        return x
+
+
+@pytest.mark.parametrize("d", [8, 32])
+@pytest.mark.parametrize("repeat", ["one", "first and last"])
+def test_generate_rays_redraws_a_repeated_block_pick_like_per_ray_draws(d, repeat):
+    # At d >= 8 a v2v pair of the first block all but never collides, so
+    # the stub makes one collide: pair 2's end repeats its start, or the
+    # first and the last pair's do and so does the last pair's first redraw.
+    n = rays_per_kind(d)
+    places = {"one": (5,), "first and last": (1, 2 * n - 1, 2 * n)}[repeat]
+    b = BoundsBox(np.linspace(-3.0, 0.0, d), np.linspace(0.5, 7.0, d))
+    rng, rng_ref = _RepeatedPicks(4, places), _RepeatedPicks(4, places)
+    kind, start, end = generate_rays(b, rng)
+    rays = _generate_rays_reference(b, rng_ref)
+    assert kind.tolist() == [r.kind for r in rays]
+    assert start.tobytes() == np.array([r.start for r in rays]).tobytes()
+    assert end.tobytes() == np.array([r.end for r in rays]).tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    v2v = kind == RAY_V2V
+    assert not (start[v2v] == end[v2v]).all(axis=1).any()
+
+
 # ---------------------------------------------------------------- two-pass
 
 
@@ -395,8 +448,8 @@ def _refill(bank):
 
 
 def _refilled(bank):
-    """Which live rows of the bank were refilled: an unrefilled row ends in padding."""
-    return np.isfinite(bank.t[:, -1])
+    """Which live rows of the bank were refilled: only those hold over N_COARSE samples."""
+    return np.isfinite(bank.t).sum(axis=1) > N_COARSE
 
 
 def _read(bank):
@@ -624,6 +677,7 @@ def test_survey_all_rays_dead_makes_probe_and_completion_calls():
     rng = np.random.default_rng(0)
     bank = survey(p, rng)
     assert bank.dead.all()
+    assert bank.t.shape == bank.logl.shape == (0, 2 * N_COARSE)
     assert p.rows == [N_PROBE * len(bank.kind), (N_COARSE - N_PROBE) * len(bank.kind)]
     rng_loop = np.random.default_rng(0)
     q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
@@ -632,6 +686,32 @@ def test_survey_all_rays_dead_makes_probe_and_completion_calls():
     assert _bank_bytes(_as_bank(rays)) == _bank_bytes(bank)
     # dead rays draw nothing, so both generators are in the same state
     assert rng.random() == rng_loop.random()
+
+
+def test_survey_read_at_the_probe_holds_the_probe_alone():
+    # Every ray of a Gaussian is read at the probe: the bank is the probe
+    # values as they came back, N_PROBE per ray, with no padding.
+    p = get_target("gaussian", 8).problem
+    bank = survey(p, np.random.default_rng(1))
+    assert bank.read.all()
+    assert bank.t.shape == bank.logl.shape == (len(bank.kind), N_PROBE)
+    assert (bank.t == T_PROBE).all() and np.isfinite(bank.logl).all()
+
+
+def test_mixed_survey_keeps_padded_rows_in_t_order():
+    # Some _half_ripple rays are read at the probe and the others are
+    # refilled: the bank stays 2 N_COARSE wide. A read row holds the probe,
+    # then padding; a refilled row its 2 N_COARSE samples sorted by t.
+    p = Problem(_half_ripple, box(2))
+    bank = survey(p, np.random.default_rng(11))
+    read, refilled = _read(bank), _refilled(bank)
+    assert read.any() and refilled.any() and (read ^ refilled).all()
+    assert bank.t.shape == bank.logl.shape == (int((~bank.dead).sum()), 2 * N_COARSE)
+    assert (bank.t[read, :N_PROBE] == T_PROBE).all()
+    assert np.isfinite(bank.logl[read, :N_PROBE]).all()
+    assert np.isinf(bank.t[read, N_PROBE:]).all() and np.isnan(bank.logl[read, N_PROBE:]).all()
+    assert (np.diff(bank.t[refilled], axis=1) >= 0.0).all()
+    assert all(np.isin(T0, row).all() for row in bank.t[refilled])
 
 
 @pytest.mark.parametrize("ray_shape, t_shape", [
