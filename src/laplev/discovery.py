@@ -123,6 +123,25 @@ def _vertex_picks(rng, n, d) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=d).reshape(n, 2, d)
 
 
+def random_directions(rng, n, d) -> np.ndarray:
+    """n random unit directions, (n, d), as n draws of ``rng.standard_normal(d)`` take them.
+
+    The rows come from one (n, d) block. A row too short to normalise is
+    dropped, the rows after it move up and one more is drawn at the end, so
+    the directions are the stream's usable rows in order and the generator
+    is left where a loop that redraws each such row leaves it. Each norm is
+    the ``sqrt`` of the row's ``_row_dot``, the bits ``np.linalg.norm``
+    gives the row.
+    """
+    z = rng.standard_normal((n, d))
+    nrm = np.sqrt(_row_dot(z, z))
+    while not (nrm > 1e-12).all():
+        more = rng.standard_normal((int(np.sum(nrm <= 1e-12)), d))
+        z = np.concatenate([z[nrm > 1e-12], more])
+        nrm = np.concatenate([nrm[nrm > 1e-12], np.sqrt(_row_dot(more, more))])
+    return z / nrm[:, None]
+
+
 def generate_rays(bounds: BoundsBox, rng):
     """Fixed-order ray family over the box; count scales as ceil(10+log2 d).
 
@@ -177,15 +196,7 @@ def generate_rays(bounds: BoundsBox, rng):
     start[wall, wall_axis] = lower[wall_axis]
     end[wall, wall_axis] = upper[wall_axis]
 
-    # A direction too short to normalise is dropped and the ones after it
-    # move up, so the kept directions are the stream's usable ones in order.
-    z = rng.standard_normal((n_sun, d))
-    nrm = np.sqrt(_row_dot(z, z))
-    while not (nrm > 1e-12).all():
-        more = rng.standard_normal((int(np.sum(nrm <= 1e-12)), d))
-        z = np.concatenate([z[nrm > 1e-12], more])
-        nrm = np.concatenate([nrm[nrm > 1e-12], np.sqrt(_row_dot(more, more))])
-    u = z / nrm[:, None]
+    u = random_directions(rng, n_sun, d)
     with np.errstate(divide="ignore"):
         t_hi = np.where(u > 0, (upper - c) / u, np.inf)
         t_lo = np.where(u < 0, (lower - c) / u, np.inf)
@@ -423,8 +434,9 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     dominant mode. Every live ray therefore also contributes its single
     best sample, so any basin a ray grazes gets seeded no matter how it
     compares across basins. The union is thinned at the finest scale.
-    Samples are ranked from the flattened live arrays, ray by ray in t
-    order.
+    The top q come from the flattened live arrays, ray by ray in t order,
+    through one ``np.partition``: every sample above the q-th value, and
+    of the samples equal to it the first ones in sample order.
 
     Returns ``(seeds, values)``: the seed positions ranked best first (ties
     in sample order) and their survey values, which ``group_seeds`` reads
@@ -440,9 +452,15 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
     ray, t, val = ray[finite], t[finite], val[finite]
     if val.size == 0:
         return np.zeros((0, dim)), np.zeros(0)
-    pick = np.zeros(val.size, dtype=bool)
-    # A stable sort ranks equal values in sample order.
-    pick[np.argsort(-val, kind="stable")[:q]] = True
+    # The top q, ties in sample order: every sample above the q-th value,
+    # then the first samples equal to it, the mask a stable sort gives.
+    if val.size > q:
+        kth = np.partition(val, val.size - q)[val.size - q]
+        pick = val > kth
+        tie = np.flatnonzero(val == kth)
+        pick[tie[:q - np.count_nonzero(pick)]] = True
+    else:
+        pick = np.ones(val.size, dtype=bool)
     # Champion per ray: its first maximum. A row's argmax is a flat index
     # into the bank, which the running count of finite samples maps into
     # the finite samples; a row with no finite value has no champion.

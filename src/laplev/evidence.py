@@ -37,6 +37,7 @@ from .errors import (
     NotPositiveDefiniteError,
     UnsupportedDimensionError,
 )
+from .discovery import random_directions
 from .linalg import LOG_2PI, condition_pd, log_det_pd, logsumexp
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .linalg import eig_symmetric  # noqa: F401
@@ -158,36 +159,6 @@ class Probe:
     evals: int
 
 
-def _probe_directions(d, rng) -> np.ndarray:
-    """The diagonal direction and ``PROBE_EXTRA`` random unit directions."""
-    directions = [np.full(d, 1.0 / np.sqrt(d))]
-    for _ in range(PROBE_EXTRA):
-        u = rng.standard_normal(d)
-        norm = float(np.linalg.norm(u))
-        while norm <= 1e-12:
-            u = rng.standard_normal(d)
-            norm = float(np.linalg.norm(u))
-        directions.append(u / norm)
-    return np.vstack(directions)
-
-
-def _rotated(values, directions, eps, center_logl, hess_diag) -> bool:
-    """Whether any probe's curvature leaves its diagonal-only prediction.
-
-    ``values`` holds the (k, 2) values at ``position +- eps u`` for each
-    direction u. True when some u'Hu deviates from sum u_i^2 H_ii by at
-    least ``PROBE_REL_THRESHOLD`` times that prediction, or when some
-    probe value is non-finite (conservative: an unmeasurable mode is not
-    assumed separable). No probe (k = 0) is not rotated.
-    """
-    finite = np.isfinite(values).all(axis=1)
-    pred = np.sum(directions * directions * hess_diag, axis=1)
-    with np.errstate(invalid="ignore"):
-        quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
-        off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
-    return bool((~finite | off).any())
-
-
 def probe_offdiag(problem, peaks, *, rng):
     """Probe every peak for off-diagonal curvature, in one batched call.
 
@@ -195,37 +166,49 @@ def probe_offdiag(problem, peaks, *, rng):
     second difference gives v'Hv = mean(H_ii) + (d-1) * mean(H_ij, i != j),
     which sees the mean off-diagonal term, and along ``PROBE_EXTRA`` random
     unit directions drawn from ``rng``, which guard against off-diagonals
-    that cancel in the mean. The directions are drawn peak by peak, in the
-    order given. Each probe steps so that no coordinate moves more than
+    that cancel in the mean. Every peak's directions come from one
+    ``random_directions`` block, peak by peak in the order given, which is
+    the stream a per-peak draw of one direction at a time takes. Each
+    probe steps so that no coordinate moves more than
     ``PROBE_STEP_FRACTION`` of its diagonal width. A d = 1 peak needs no
-    probe. Every peak's two ``_tail_points`` rows ride along, after its
+    probe and is not rotated. Every peak's two ``_tail_points`` rows ride along, after its
     probe rows: 2 + 2 * ``PROBE_EXTRA`` + 2 rows per peak at d >= 2, and 2
-    at d = 1.
+    at d = 1. The rows, steps and verdicts of all peaks are built in one
+    array pass, as (peak, direction, coordinate) arrays.
 
-    Returns one ``Probe`` per peak.
+    A peak is rotated when some probe's u'Hu deviates from its diagonal-only
+    prediction sum u_i^2 H_ii by at least ``PROBE_REL_THRESHOLD`` times
+    that prediction, or when some probe value is non-finite (conservative:
+    an unmeasurable mode is not assumed separable). Returns one ``Probe``
+    per peak.
     """
-    rows, parts = [], []
-    for pk in peaks:
-        position = np.asarray(pk.position, dtype=np.float64)
-        hess_diag = np.asarray(pk.hess_diag, dtype=np.float64)
-        widths = 1.0 / np.sqrt(-hess_diag)
-        d = position.size
-        directions = _probe_directions(d, rng) if d >= 2 else np.zeros((0, d))
-        eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
-        steps = eps[:, None] * directions
-        tail = _tail_points(position, widths, problem.bounds)
-        rows += [np.stack([position + steps, position - steps], axis=1).reshape(-1, d),
-                 tail]
-        parts.append((pk.logl, hess_diag, directions, eps, tail))
-    values = problem.logl(np.concatenate(rows))
-    probes, at = [], 0
-    for center_logl, hess_diag, directions, eps, tail in parts:
-        k = 2 * eps.size
-        rotated = _rotated(values[at:at + k].reshape(-1, 2), directions, eps,
-                           center_logl, hess_diag)
-        probes.append(Probe(rotated, tail, values[at + k:at + k + 2], k + 2))
-        at += k + 2
-    return probes
+    position = np.array([pk.position for pk in peaks], dtype=np.float64)
+    hess_diag = np.array([pk.hess_diag for pk in peaks], dtype=np.float64)
+    center_logl = np.array([pk.logl for pk in peaks], dtype=np.float64)
+    n, d = position.shape
+    widths = 1.0 / np.sqrt(-hess_diag)
+    k = 1 + PROBE_EXTRA if d >= 2 else 0
+    directions = np.empty((n, k, d))
+    if k:
+        directions[:, 0] = 1.0 / np.sqrt(d)
+        directions[:, 1:] = random_directions(rng, n * PROBE_EXTRA, d).reshape(n, -1, d)
+    eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths[:, None], axis=2)
+    steps = eps[:, :, None] * directions
+    tail = _tail_points(position, widths, problem.bounds)
+    rows = np.concatenate([
+        np.stack([position[:, None] + steps, position[:, None] - steps], axis=2)
+        .reshape(n, 2 * k, d),
+        tail,
+    ], axis=1)
+    values = problem.logl(rows.reshape(-1, d)).reshape(n, 2 * k + 2)
+    pv = values[:, :2 * k].reshape(n, k, 2)
+    pred = np.sum(directions * directions * hess_diag[:, None], axis=2)
+    with np.errstate(invalid="ignore"):
+        quad = (pv[..., 0] + pv[..., 1] - 2.0 * center_logl[:, None]) / (eps * eps)
+        off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
+    rotated = (~np.isfinite(pv).all(axis=2) | off).any(axis=1)
+    return [Probe(bool(r), t, v, 2 * k + 2)
+            for r, t, v in zip(rotated, tail, values[:, 2 * k:])]
 
 
 def full_hessian(problem, position, center_logl, hess_diag, steps):
@@ -278,10 +261,12 @@ def _tail_points(position, widths, bounds):
     """The tail screen's 2 rows: +-3 whitened radii along the diagonal.
 
     Clipped into the bounds. They depend on the mode's position and
-    diagonal widths only, not on its Hessian route.
+    diagonal widths only, not on its Hessian route. ``position`` and
+    ``widths`` are (n, d), one row per mode, and so are the (n, 2, d)
+    rows returned.
     """
-    delta = (TAIL_SIGMA / np.sqrt(position.size)) * widths
-    return bounds.clip(np.stack([position + delta, position - delta]))
+    delta = (TAIL_SIGMA / np.sqrt(position.shape[-1])) * widths
+    return bounds.clip(np.stack([position + delta, position - delta], axis=-2))
 
 
 def _gaussianity_warnings(position, logl_center, neg_hess_apply, points, values):

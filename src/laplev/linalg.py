@@ -35,20 +35,22 @@ def eig_symmetric(a):
 
     Returns (eigenvalues ascending, eigenvectors as columns) with
     A = V diag(w) V^T. A matrix with no off-diagonal entry returns its
-    stably sorted diagonal and the matching identity columns; any other
-    goes to ``np.linalg.eigh``.
+    stably sorted diagonal and the matching identity columns. That test
+    comes before the d x d symmetry test, which a diagonal matrix passes
+    by construction; any other matrix must pass it and goes to
+    ``np.linalg.eigh``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError("eig_symmetric needs a square matrix")
     if not np.isfinite(a).all():
         raise NumericInputError("eig_symmetric: non-finite entries")
+    diag = np.diag(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        order = np.argsort(diag, kind="stable")
+        return diag[order], np.eye(a.shape[0])[:, order]
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
         raise NumericInputError("eig_symmetric: matrix is not symmetric")
-    if np.count_nonzero(a) == np.count_nonzero(np.diag(a)):
-        vals = np.diag(a).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order], np.eye(a.shape[0])[:, order]
     return np.linalg.eigh(a)
 
 

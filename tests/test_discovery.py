@@ -1119,6 +1119,55 @@ def test_select_seeds_champions_match_per_ray_walk(case):
             assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
+def _tied_rays(values, n_rays=6):
+    """Live 2-d rays holding ``values`` in sample order, one row of them per ray.
+
+    The rays are parallel chords at different heights, so no two samples
+    share a position.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(n_rays, -1)
+    t = np.linspace(0.0, 1.0, values.shape[1])
+    return [RaySamples(Ray(RAY_W2W, np.array([-1.0, 0.1 * k]), np.array([1.0, 0.1 * k])),
+                       t, v, False) for k, v in enumerate(values)]
+
+
+def test_select_seeds_ties_across_the_quota_in_sample_order():
+    # The q-th best value is shared by samples on both sides of the quota:
+    # the ones above it all rank, and of the tied ones the first in sample
+    # order fill it, as a stable sort ranks them.
+    q = max(32, 4 * rays_per_kind(2))
+    rng = np.random.default_rng(3)
+    values = np.full(240, -5.0)
+    spots = rng.permutation(values.size)
+    values[spots[:q - 12]] = 2.0 + rng.integers(0, 3, q - 12)
+    values[spots[q - 12:q + 30]] = 1.0
+    values[spots[q + 30:q + 50]] = [np.nan, -np.inf] * 10
+    rays = _tied_rays(values)
+    bank = _as_bank(rays)
+    val = bank.logl[np.isfinite(bank.logl)]
+    kth = np.sort(val)[::-1][q - 1]
+    assert kth == 1.0 and (val > kth).sum() < q < (val >= kth).sum()
+    for lam in (1e-9, 0.3):
+        got = select_seeds(bank, lam, 2)
+        want = _select_seeds_reference(rays, lam, 2)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("spare", [0, 7])
+def test_select_seeds_keeps_every_sample_when_there_are_at_most_q(spare):
+    # At most q finite samples: every one of them ranks, ties and all.
+    q = max(32, 4 * rays_per_kind(2))
+    rng = np.random.default_rng(spare)
+    values = rng.permutation(np.repeat([0.0, 1.0, 2.0], 20))
+    values[rng.permutation(values.size)[:values.size - (q - spare)]] = np.nan
+    rays = _tied_rays(values)
+    bank = _as_bank(rays)
+    got = select_seeds(bank, 1e-9, 2)
+    want = _select_seeds_reference(rays, 1e-9, 2)
+    assert got[0].shape[0] == q - spare
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 def test_select_seeds_all_dead_gives_no_seeds():
     p = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
     seeds, seed_logl = select_seeds(survey(p, np.random.default_rng(0)), 0.1, 3)

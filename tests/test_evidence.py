@@ -13,7 +13,11 @@ from laplev.errors import (
 from laplev.evidence import (
     HEAVY_TAIL_WARNING,
     PROBE_EXTRA,
+    PROBE_REL_THRESHOLD,
+    PROBE_STEP_FRACTION,
+    TAIL_SIGMA,
     ModeEvidence,
+    Probe,
     combine,
     full_hessian,
     mode_evidence,
@@ -166,6 +170,145 @@ def test_probe_draws_directions_peak_by_peak():
         assert (a.rotated, a.evals) == (b.rotated, b.evals)
         assert a.tail_values.tobytes() == b.tail_values.tobytes()
     assert together[1].rotated
+
+
+# The probe as it was written peak by peak, kept verbatim: one generator
+# call per direction, a redraw for a direction too short to normalise, and
+# each peak's rows, tail rows and verdict built on their own. The array
+# pass must reproduce all of it bit for bit.
+
+
+def _probe_directions_reference(d, rng):
+    directions = [np.full(d, 1.0 / np.sqrt(d))]
+    for _ in range(PROBE_EXTRA):
+        u = rng.standard_normal(d)
+        norm = float(np.linalg.norm(u))
+        while norm <= 1e-12:
+            u = rng.standard_normal(d)
+            norm = float(np.linalg.norm(u))
+        directions.append(u / norm)
+    return np.vstack(directions)
+
+
+def _rotated_reference(values, directions, eps, center_logl, hess_diag):
+    finite = np.isfinite(values).all(axis=1)
+    pred = np.sum(directions * directions * hess_diag, axis=1)
+    with np.errstate(invalid="ignore"):
+        quad = (values[:, 0] + values[:, 1] - 2.0 * center_logl) / (eps * eps)
+        off = np.abs(quad - pred) >= PROBE_REL_THRESHOLD * np.abs(pred)
+    return bool((~finite | off).any())
+
+
+def _probe_offdiag_reference(problem, peaks, *, rng):
+    rows, parts = [], []
+    for pk in peaks:
+        position = np.asarray(pk.position, dtype=np.float64)
+        hess_diag = np.asarray(pk.hess_diag, dtype=np.float64)
+        widths = 1.0 / np.sqrt(-hess_diag)
+        d = position.size
+        directions = _probe_directions_reference(d, rng) if d >= 2 else np.zeros((0, d))
+        eps = PROBE_STEP_FRACTION / np.max(np.abs(directions) / widths, axis=1)
+        steps = eps[:, None] * directions
+        delta = (TAIL_SIGMA / np.sqrt(d)) * widths
+        tail = problem.bounds.clip(np.stack([position + delta, position - delta]))
+        rows += [np.stack([position + steps, position - steps], axis=1).reshape(-1, d),
+                 tail]
+        parts.append((pk.logl, hess_diag, directions, eps, tail))
+    values = problem.logl(np.concatenate(rows))
+    probes, at = [], 0
+    for center_logl, hess_diag, directions, eps, tail in parts:
+        k = 2 * eps.size
+        rotated = _rotated_reference(values[at:at + k].reshape(-1, 2), directions,
+                                     eps, center_logl, hess_diag)
+        probes.append(Probe(rotated, tail, values[at + k:at + k + 2], k + 2))
+        at += k + 2
+    return probes
+
+
+class _ZeroDirections:
+    """A generator whose normal vectors at the given places of its stream are zero."""
+
+    def __init__(self, seed, zero):
+        self._rng = np.random.default_rng(seed)
+        self._zero = set(zero)
+        self._drawn = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        rows = z.reshape(-1, z.shape[-1])
+        for j in range(rows.shape[0]):
+            if self._drawn + j in self._zero:
+                rows[j] = 0.0
+        self._drawn += rows.shape[0]
+        return z
+
+
+class _RecordingProblem(Problem):
+    """A problem that keeps a copy of every batch it evaluates."""
+
+    def __init__(self, fn, bounds):
+        super().__init__(fn, bounds)
+        self.batches = []
+
+    def logl(self, points):
+        self.batches.append(np.array(points, dtype=np.float64))
+        return super().logl(points)
+
+
+def _probe_peaks(rng, n_peaks, d):
+    """Peaks on a separable quadratic with a NaN corner, their verdicts mixed.
+
+    Peak i reads the diagonal of H scaled by 1 + (i % 2) / 2, so its
+    prediction misses for odd i only. The last peak sits by the upper
+    wall, so its tail rows are clipped, and the second by the NaN corner,
+    so some of its probe values are not finite.
+    """
+    h = np.diag(-rng.uniform(0.5, 4.0, d))
+
+    def fn(x):
+        out = 0.5 * np.einsum("ni,ij,nj->n", x, h, x)
+        out[(x > 4.0).all(axis=1)] = np.nan
+        return out
+
+    peaks = []
+    for i in range(n_peaks):
+        position = rng.uniform(-4.0, 4.0, d)
+        if i == n_peaks - 1:
+            position[0] = 4.9
+        if i == 1:
+            position = np.full(d, 4.0)
+        hd = np.diag(h) * (1.0 + (i % 2) / 2)
+        peaks.append(Peak(position=position, logl=float(fn(position[None])[0]),
+                          hess_diag=hd, steps=fd_steps(position, 0.1)[0]))
+    return fn, peaks
+
+
+@pytest.mark.parametrize("zero", [(), (0,), (0, 1, "first redraw")])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("n_peaks", [1, 2, 5])
+def test_probe_bitwise_equal_to_per_peak_loop(n_peaks, d, zero):
+    # Every row sent and its order, every verdict, tail row and tail value,
+    # each peak's evals and the generator state afterwards match the per-peak
+    # loop, also when the first directions drawn are zero and are redrawn.
+    zero = [n_peaks * PROBE_EXTRA if z == "first redraw" else z for z in zero]
+    fn, peaks = _probe_peaks(np.random.default_rng(100 * n_peaks + d), n_peaks, d)
+    p, q = _RecordingProblem(fn, box(d)), _RecordingProblem(fn, box(d))
+    rng, rng_ref = _ZeroDirections(d, zero), _ZeroDirections(d, zero)
+    got = probe_offdiag(p, peaks, rng=rng)
+    want = _probe_offdiag_reference(q, peaks, rng=rng_ref)
+    assert len(p.batches) == len(q.batches) == 1
+    assert p.batches[0].tobytes() == q.batches[0].tobytes()
+    assert rng._rng.bit_generator.state == rng_ref._rng.bit_generator.state
+    assert (p.eval_counter, p.call_counter) == (q.eval_counter, q.call_counter)
+    assert [(a.rotated, a.evals) for a in got] == [(b.rotated, b.evals) for b in want]
+    for a, b in zip(got, want):
+        assert a.tail.tobytes() == b.tail.tobytes()
+        assert a.tail_values.tobytes() == b.tail_values.tobytes()
+    if d >= 2 and n_peaks >= 2:
+        assert {a.rotated for a in got} == {True, False}
 
 
 def test_probe_1d_sends_tail_rows_only():

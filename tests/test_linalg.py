@@ -85,6 +85,32 @@ def test_eig_deterministic_bitwise():
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
+@pytest.mark.parametrize("diag", [[3.0, 1.0, 2.0], [2.0, 0.0, -1.0, 2.0],
+                                  [0.0, 0.0], [5.0], [-1e-300, 4.0, 1e300, -0.0]])
+def test_eig_diagonal_route_bitwise_as_when_symmetry_was_tested_first(diag):
+    # The stably sorted diagonal and its identity columns, with the bits the
+    # route gave when the symmetry test ran before it; a zero on the
+    # diagonal is no off-diagonal entry.
+    a = np.diag(diag)
+    w, v = eig_symmetric(a)
+    assert np.allclose(a, a.T, rtol=0.0, atol=0.0)
+    order = np.argsort(np.diag(a).copy(), kind="stable")
+    assert w.tobytes() == np.diag(a).copy()[order].tobytes()
+    assert v.tobytes() == np.eye(a.shape[0])[:, order].tobytes()
+
+
+def test_eig_rejects_nonsymmetric_with_offdiagonal_entries():
+    # The diagonal test comes first; a matrix it lets through still faces
+    # the symmetry test.
+    rng = np.random.default_rng(2)
+    a = random_pd(rng, 6)
+    a[4, 1] += 1e-3
+    with pytest.raises(NumericInputError, match="not symmetric"):
+        eig_symmetric(a)
+    with pytest.raises(NumericInputError, match="not symmetric"):
+        eig_symmetric(np.diag([1.0, 2.0, 3.0]) + np.eye(3, k=1))
+
+
 def test_eig_rejects_bad_input():
     with pytest.raises(NumericInputError):
         eig_symmetric([[1.0, np.nan], [np.nan, 1.0]])
