@@ -32,14 +32,14 @@ Then the basin leaders ascend once, in one batch of at most the preset's
 step budget. The ascent starts from the leaders' survey values and the
 best seed's stencil, so it spends one call on the other leaders' stencils
 and none on a lone leader. A sample that converges onto a peak within the
-keep band sticks. A sample still climbing retires once it sits on the
-Gaussian bowl of a converged sample at least as high, since it would climb
-to that peak and be deduplicated there; it costs no further evaluation.
-The stuck samples are deduplicated, best first, and the survivors are the
-peaks (each one's diagonal Hessian is read off the values its last
-gradient evaluated). Everything is driven by one seeded
-generator and batched evaluator calls, so a (seed, config) pair fixes the
-run bit for bit.
+keep band, a factor of the best value the ascent holds, sticks. A sample
+still climbing retires once it sits on the Gaussian bowl of a converged
+sample at least as high, since it would climb to that peak and be
+deduplicated there; it costs no further evaluation. The stuck samples are
+deduplicated, best first, and the survivors are the peaks (each one's
+diagonal Hessian is read off the values its last gradient evaluated).
+Everything is driven by one seeded generator and batched evaluator calls,
+so a (seed, config) pair fixes the run bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import NoModesFoundError
 from .lbfgs import _row_dot, axis_points, fd_steps, run_batch
 # Unused here: the benchmark tracer (perfbench/spans.py) wraps this name.
 from .lbfgs import fd_gradient  # noqa: F401
-from .linalg import dedup_linf, dedup_radius
+from .linalg import dedup_linf
 from .problem import BoundsBox
 
 RAY_V2V = 0  # vertex to vertex
@@ -67,7 +67,8 @@ ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profile
 PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
 N_PROBE = len(range(0, N_COARSE, PROBE_STEP))  # probe points per ray, both ends included
-KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value seen
+KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value the ascent holds
+DEDUP_WIDTH_FRACTION = 1e-3  # duplicate-peak radius, as a fraction of the mean box width
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
 K_PER_BASIN = 3  # best seeds that ascend from a basin not read as a parabola
 N_TEST_MIN = 3  # fewest interior points on a seed's concavity segment
@@ -736,16 +737,16 @@ def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, 
     takes no further step and never sticks; it would have climbed to the
     converged sample's peak and been deduplicated there. A sample sticks
     when it converged onto a peak within a factor ``KEEP_RATIO`` of the
-    best value seen anywhere so far. The stuck samples are deduplicated
-    within the box's ``dedup_radius``, best first, and the survivors are
-    the peaks, best first, in a ``PeakList`` that also counts the
-    ``retired`` samples. A peak keeps the position and value the ascent
+    best value the ascent holds. The stuck samples are deduplicated within
+    ``DEDUP_WIDTH_FRACTION`` of the mean box width, best first, and the
+    survivors are the peaks, best first, in a ``PeakList`` that also counts
+    the ``retired`` samples. A peak keeps the position and value the ascent
     ended on; its diagonal Hessian is read off the values its last
     gradient evaluated, x +- eps_i e_i at eps = ``fd_steps(x, lam_fine)``,
     with no likelihood call (``BatchState.hess_diag``).
 
-    Raises the no-modes error, carrying the best sample seen, if no sample
-    sticks.
+    Raises the no-modes error, carrying the ascent's best sample, if no
+    sample sticks.
     """
     positions = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     if positions.shape[0] == 0:
@@ -754,17 +755,16 @@ def discover_modes(problem, seeds, seed_logl, lead_vals, scales: ScaleEstimate, 
     state = run_batch(problem, positions, seed_logl, lead_vals, n_steps, STICK_GRAD,
                       scales.lam_fine)
     logls = state.logl
-    finite = np.isfinite(logls)
-    floor = problem.peak_logl + np.log(KEEP_RATIO)
-    stuck = np.flatnonzero(state.converged(STICK_GRAD) & finite & (logls >= floor))
+    held = np.where(np.isfinite(logls), logls, -np.inf)
+    best = int(np.argmax(held))
+    floor = held[best] + np.log(KEEP_RATIO)
+    stuck = np.flatnonzero(state.converged(STICK_GRAD) & (logls >= floor))
     if stuck.size == 0:
-        best_pos, best_logl = None, -np.inf
-        if finite.any():
-            i = int(np.argmax(np.where(finite, logls, -np.inf)))
-            best_pos, best_logl = state.theta[i].copy(), float(logls[i])
-        raise NoModesFoundError(best_pos, best_logl,
+        best_pos = state.theta[best].copy() if held[best] > -np.inf else None
+        raise NoModesFoundError(best_pos, float(held[best]),
                                 f"no sample stuck after {n_steps} ascent steps")
-    kept = stuck[dedup_linf(state.theta[stuck], logls[stuck], dedup_radius(problem.bounds))]
+    radius = DEDUP_WIDTH_FRACTION * float(np.mean(problem.bounds.widths))
+    kept = stuck[dedup_linf(state.theta[stuck], logls[stuck], radius)]
     hess, steps = state.hess_diag(kept)
     peaks = [Peak(state.theta[i].copy(), float(logls[i]), h, eps)
              for i, h, eps in zip(kept, hess, steps)]

@@ -24,8 +24,6 @@ import numpy as np
 from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericInputError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# Duplicate-peak radius as a fraction of the mean box width (``dedup_radius``).
-DEDUP_WIDTH_FRACTION = 1e-3
 # Leading coordinates ``dedup_linf`` screens candidate pairs on.
 DEDUP_SCREEN = 3
 
@@ -120,11 +118,6 @@ def logsumexp(values) -> float:
     if m == -np.inf:
         return -np.inf
     return m + float(np.log(np.sum(np.exp(v - m))))
-
-
-def dedup_radius(bounds) -> float:
-    """Radius within which two peaks in ``bounds`` are one peak."""
-    return DEDUP_WIDTH_FRACTION * float(np.mean(bounds.widths))
 
 
 def dedup_linf(points, scores, radius, widths=None):

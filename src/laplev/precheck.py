@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CenterEvaluationError, DegenerateProblemError
+from .lbfgs import axis_points
 from .problem import BoundsBox, Problem, View
 
 # Six decades below the smallest sensitivity of any registry target.
@@ -55,11 +56,7 @@ def precheck(problem: Problem) -> PrecheckReport:
     d = problem.dim
     center = problem.bounds.center
     half = 0.5 * problem.bounds.widths
-    pts = np.tile(center, (2 * d + 1, 1))
-    idx = np.arange(d)
-    pts[1 + idx, idx] += half
-    pts[1 + d + idx, idx] -= half
-    vals = problem.logl(pts)
+    vals = problem.logl(np.vstack([center, axis_points(center[None], half)]))
     l0 = vals[0]
     if not np.isfinite(l0):
         raise CenterEvaluationError(f"log-likelihood at the box center is {l0}")

@@ -67,9 +67,6 @@ class Problem:
     ``fn`` maps an (N, d) float64 array to an (N,) float64 array and must be
     pure: no state, no dependence on call order. The evaluation counter
     increments by exactly N per batch and the call counter by one.
-    ``peak_logl`` tracks the running maximum over every value the problem
-    has ever returned, which the mode search uses as its global reference
-    height.
     """
 
     def __init__(self, fn, bounds: BoundsBox, name: str = ""):
@@ -79,7 +76,6 @@ class Problem:
         self._count = 0
         self._calls = 0
         self._lock = threading.Lock()
-        self._peak = -np.inf
 
     @property
     def dim(self) -> int:
@@ -92,10 +88,6 @@ class Problem:
     @property
     def call_counter(self) -> int:
         return self._calls
-
-    @property
-    def peak_logl(self) -> float:
-        return self._peak
 
     def logl(self, points) -> np.ndarray:
         pts = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
@@ -111,11 +103,6 @@ class Problem:
         with self._lock:
             self._count += n
             self._calls += 1
-            finite = vals[np.isfinite(vals)]
-            if finite.size:
-                m = float(finite.max())
-                if m > self._peak:
-                    self._peak = m
         return vals
 
 
@@ -146,10 +133,6 @@ class View:
     @property
     def call_counter(self) -> int:
         return self.parent.call_counter
-
-    @property
-    def peak_logl(self) -> float:
-        return self.parent.peak_logl
 
     def embed(self, phi) -> np.ndarray:
         """Map view coordinates (N, k) to the parent's coordinates (N, d)."""

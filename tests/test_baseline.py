@@ -69,9 +69,8 @@ def observe_scales(problem, config):
 def observe(name, dim, preset):
     """One run's behaviour summary; a raised pipeline error is recorded too."""
     config = preset_config(preset, seed=SEED)
-    scales = observe_scales(get_target(name, dim, allow_large=True).problem, config)
-    # A fresh problem: the survey above moved the running peak_logl.
     target = get_target(name, dim, allow_large=True)
+    scales = observe_scales(target.problem, config)
     try:
         res = run(target.problem, config)
     except LaplevError as err:

@@ -5,6 +5,7 @@ import pytest
 
 import laplev.discovery
 from laplev.discovery import (
+    DEDUP_WIDTH_FRACTION,
     K_PER_BASIN,
     KEEP_RATIO,
     KIND_NAMES,
@@ -35,7 +36,7 @@ from laplev.discovery import (
 from laplev.errors import NoModesFoundError
 from laplev.lbfgs import axis_values, fd_steps
 from laplev.pipeline import preset_config, run
-from laplev.linalg import dedup_linf, dedup_radius
+from laplev.linalg import dedup_linf
 from laplev.precheck import active_subproblem, precheck
 from laplev.problem import BoundsBox, Problem
 from laplev.targets import get_target
@@ -1696,9 +1697,11 @@ def test_discover_runs_one_ascent_of_n_steps(n_steps, monkeypatch):
     assert start.tobytes() == seeds.tobytes()
     assert evals == p.eval_counter - mark
     logl = state.logl
-    stuck = np.flatnonzero(state.converged(STICK_GRAD) & np.isfinite(logl)
-                           & (logl >= p.peak_logl + np.log(KEEP_RATIO)))
-    kept = stuck[dedup_linf(state.theta[stuck], logl[stuck], dedup_radius(p.bounds))]
+    held = np.where(np.isfinite(logl), logl, -np.inf)
+    stuck = np.flatnonzero(state.converged(STICK_GRAD)
+                           & (logl >= held.max() + np.log(KEEP_RATIO)))
+    radius = DEDUP_WIDTH_FRACTION * float(np.mean(p.bounds.widths))
+    kept = stuck[dedup_linf(state.theta[stuck], logl[stuck], radius)]
     # More samples stuck than were kept: the duplicates retired.
     assert stuck.size > kept.size == len(peaks) == 1
     hess, steps = state.hess_diag(kept)

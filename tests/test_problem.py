@@ -81,7 +81,6 @@ def test_every_view_batch_counts_on_the_parent():
         view.logl(np.zeros((n, view.dim)))
         assert (p.eval_counter - evals, p.call_counter - calls) == (n, 1)
         assert view.eval_counter == p.eval_counter
-        assert view.peak_logl == p.peak_logl
 
 
 def test_reduction_of_an_active_view_evaluates_the_parent():

@@ -348,16 +348,7 @@ def test_wrong_sized_batch_is_a_typed_error(fn):
     p = Problem(fn, BoundsBox.cube(2, -1.0, 1.0))
     with pytest.raises(InvalidParameterError, match="wrong-sized batch"):
         p.logl(np.zeros((3, 2)))
-    assert p.eval_counter == 0 and p.peak_logl == -np.inf
-
-
-def test_peak_logl_tracks_running_max():
-    t = get_target("gaussian", 2)
-    assert t.problem.peak_logl == -np.inf
-    t.problem.logl(np.array([[3.0, 3.0]]))
-    first = t.problem.peak_logl
-    t.problem.logl(np.array([[0.0, 0.0]]))
-    assert t.problem.peak_logl == 0.0 > first
+    assert p.eval_counter == 0
 
 
 # ------------------------------------------------------------------ registry
