@@ -61,10 +61,12 @@ def _print_summary(target, res, wall_s, out):
     sv = res.survey
     counts = {k: sv[k] for k in KIND_NAMES.values()}
     fallback = " (fallback)" if sv["scale_fallback"] else ""
-    print(f"survey       {sum(counts.values())} rays "
+    lone = ("" if sv["lone_seed_ray"] is None
+            else f" (lone seed from ray {sv['lone_seed_ray']})")
+    print(f"survey       {sum(counts.values())} of {sv['rays_total']} rays "
           f"({', '.join(f'{k}={v}' for k, v in counts.items())}), "
           f"{sv['dead']} dead, {sv['rays_read']} read, scale {sv['scale']:.6g}{fallback}, "
-          f"{sv['seeds']} seeds, {sv['segments_read']} segments read, "
+          f"{sv['seeds']} seeds{lone}, {sv['segments_read']} segments read, "
           f"{sv['segments_completed']} completed, {sv['ascents']} ascents, "
           f"{sv['retired']} retired, {sv['one_seed_basins']} one-seed basins",
           file=out)

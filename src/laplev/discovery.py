@@ -2,21 +2,23 @@
 
 The search never trusts a single optimizer run. It first scans the box with
 a family of line probes to learn where mass lives and how sharply the
-log-likelihood bends there. That survey costs at most three batched
-likelihood calls: one for every ray's probe points, a second for the rest
-of the coarse grid of each ray the probe cannot read as a parabola, and a
-third for the refill of each such ray whose whole coarse profile is not a
-parabola either; reading the length scale and the seeds off it costs none.
-A Gaussian target is a parabola along every line, so its survey is one
-call. The samples sit in one ``RayBank`` of arrays,
-one row per ray and one row of samples per live ray, so the scale and the
-seeds are read off every ray at once, in array operations. The length
-scale is the smallest profile width the rays show at their best samples.
-When every ray was read at the probe and its probe values bend down at
-every point, each ray is one concave parabola: the target is taken for
-one Gaussian-like peak, and the bank's best sample is the one seed, with
-no grouping. A mode that no ray crosses then goes unsought. Otherwise
-the seeds are grouped into basins by a hill-valley test: a seed joins
+log-likelihood bends there. That survey costs at most four batched
+likelihood calls: one for the probe points of a first wave, a quarter of
+each kind's rays; one for the other rays' probe points; a third for the
+rest of the coarse grid of each ray the probe cannot read as a parabola;
+and a fourth for the refill of each such ray whose whole coarse profile
+is not a parabola either; reading the length scale and the seeds off it
+costs none. The samples sit in one ``RayBank`` of arrays, one row per ray
+and one row of samples per live ray, so the scale and the seeds are read
+off every ray at once, in array operations. The length scale is the
+smallest profile width the rays show at their best samples. When every
+ray of the first wave is read at the probe and its probe values bend down
+at every point, each is one concave parabola: the survey ends there, the
+target is taken for one Gaussian-like peak, and the wave's best sample is
+the one seed, with no grouping. A Gaussian target is a parabola along
+every line, so its survey is one call of 22 points per first-wave ray. A
+mode that no ray of the first wave crosses then goes unsought. Otherwise
+the other rays are surveyed and the seeds are grouped into basins by a hill-valley test: a seed joins
 the basin of its nearest better seed when the log-likelihood is concave on
 the segment between them. The test costs at most two batched calls: one
 probes every segment at three points, which read a segment whose values
@@ -67,6 +69,7 @@ ACTIVE_DROP = 20.0  # nats below a ray's maximum that still count as mass
 PARABOLA_TOL = 1e-8  # second-difference spread, relative, of a parabolic profile
 PROBE_STEP = 3  # coarse-grid steps between two probe points, which can read a ray alone
 N_PROBE = len(range(0, N_COARSE, PROBE_STEP))  # probe points per ray, both ends included
+FIRST_WAVE_SHARE = 0.25  # share of each kind's rays probed first, which can end the survey
 KEEP_RATIO = 0.1  # a peak sticks within this factor of the best value the ascent holds
 DEDUP_WIDTH_FRACTION = 1e-3  # duplicate-peak radius, as a fraction of the mean box width
 STICK_GRAD = 1e-6  # gradient sup-norm, per unit of max(1, |logl|), of a stuck sample
@@ -276,17 +279,21 @@ def _refill_t(t0, v0, rng):
 class RayBank:
     """All ray samples from one survey, as arrays.
 
-    ``kind``, ``start``, ``end``, ``dead`` and ``read`` hold one row per
-    ray; ``read`` marks the rays read at the probe. ``t`` and ``logl`` hold
-    one row per live ray, in ray order, sorted by t: the samples the ray
-    took. A ray read at the probe holds its probe samples, a ray left
-    unrefilled its coarse grid, and a refilled ray its coarse grid and
-    refill. When every ray was read at the probe the rows are
-    ``N_PROBE`` wide, the probe alone; otherwise they are
-    ``2 * N_COARSE`` wide, and the places a ray did not take are padding,
-    t = +inf and a NaN value, which sort last and which the scale reading
-    and the seed picks skip as non-finite. A dead ray's coarse values are
-    all non-finite, so no row is kept for it.
+    ``kind``, ``start``, ``end``, ``index``, ``dead`` and ``read`` hold
+    one row per ray the bank holds; ``index`` is the ray's place in the
+    ``total`` rays generated, and ``read`` marks the rays read at the
+    probe. ``t`` and ``logl`` hold one row per live ray, in ray order,
+    sorted by t: the samples the ray took. A ray read at the probe holds
+    its probe samples, a ray left unrefilled its coarse grid, and a
+    refilled ray its coarse grid and refill. When every ray was read at the
+    probe the rows are ``N_PROBE`` wide, the probe alone; otherwise they
+    are ``2 * N_COARSE`` wide, and the places a ray did not take are
+    padding, t = +inf and a NaN value, which sort last and which the scale
+    reading and the seed picks skip as non-finite. A dead ray's coarse
+    values are all non-finite, so no row is kept for it.
+
+    ``concave`` marks a bank of the survey's first wave alone, every ray
+    of which the probe read as one concave parabola (see ``survey``).
     """
 
     kind: np.ndarray
@@ -296,28 +303,44 @@ class RayBank:
     read: np.ndarray
     t: np.ndarray
     logl: np.ndarray
+    index: np.ndarray
+    total: int
+    concave: bool
 
     def kind_counts(self) -> dict:
         """Ray count per kind name, in kind order."""
         counts = np.bincount(self.kind, minlength=len(KIND_NAMES))
         return {name: int(counts[k]) for k, name in KIND_NAMES.items()}
 
+    def first_max(self):
+        """``(row, sample)`` of the first maximum in sample order of a bank
+        whose values are all finite, as a first-wave bank's are."""
+        return divmod(int(np.argmax(self.logl)), self.logl.shape[1])
+
     def summary(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.kind_counts().items())
-        return f"{self.kind.size} rays ({parts}), {int(self.dead.sum())} dead"
+        return (f"{self.kind.size} of {self.total} rays ({parts}), "
+                f"{int(self.dead.sum())} dead")
 
 
 def survey(problem, rng) -> RayBank:
-    """Survey of the ``generate_rays`` family in at most three batched calls.
+    """Survey of the ``generate_rays`` family in at most four batched calls.
 
     Each ray's samples come from an inclusive uniform coarse grid of
     ``N_COARSE`` points in t. Values that are all finite with second
     differences agreeing to ``PARABOLA_TOL`` of the largest lie on a
     parabola, which they read exactly.
 
-    - Probe: every ray is evaluated at every ``PROBE_STEP``-th grid point,
-      both ends included (22 of 64). A ray whose probe values are a parabola
-      is read: it keeps its probe samples only.
+    - First wave: the first ``ceil(FIRST_WAVE_SHARE * n)`` of the n rays of
+      each kind are evaluated at every ``PROBE_STEP``-th grid point, both
+      ends included (22 of 64). When every one of them is a parabola whose
+      second differences are all negative, the target reads as one concave
+      parabola along every line, as a Gaussian does: the bank is those rays
+      alone, with their probe samples, and the survey ends after this call.
+      A linear ray, whose second differences are all 0, does not pass.
+    - Probe: otherwise every other ray is evaluated at the same points. A
+      ray whose probe values are a parabola is read: it keeps its probe
+      samples only.
     - Completion: every other ray, including one with no finite probe
       value, is evaluated at its other grid points. A ray whose whole grid
       is non-finite is marked dead; one whose whole grid is a parabola
@@ -327,34 +350,63 @@ def survey(problem, rng) -> RayBank:
       pass of ``N_COARSE`` t values is drawn from the normalized
       piecewise-constant profile over those cells by inverse transform.
 
-    Each pass is one likelihood call, skipped when it has no ray. Probe and
-    completion together evaluate an unread ray on the whole coarse grid, so
-    its samples and its refill draws do not depend on the probe. Every
-    ray's samples in t order, padded to the bank's width, and the
-    generator state afterwards equal bit for bit what surveying the rays
-    one at a time with the same generator gives: the refill draws are the
-    only generator use after the rays, and they are taken in ray order.
-    Only a refilled row is sorted; a probe or coarse row is in t order as
-    it is taken.
+    Each pass is one likelihood call, skipped when it has no ray. A row's
+    value does not depend on its batch, so the first wave and the probe
+    together give every ray the values one probe call of the whole family
+    gives, and a survey that does not end at its first wave holds the bank
+    it would hold without it. Probe and completion together evaluate an
+    unread ray on the whole coarse grid, so its samples and its refill
+    draws do not depend on the probe. Every ray's samples in t order,
+    padded to the bank's width, and the generator state afterwards equal
+    bit for bit what surveying the rays one at a time with the same
+    generator gives: the refill draws are the only generator use after the
+    rays, and they are taken in ray order. Only a refilled row is sorted; a
+    probe or coarse row is in t order as it is taken.
 
     The gates are blind to structure the grid aliases away: a ripple whose
     period divides the grid step on every ray reads as a parabola, and at
     the probe so does one whose period divides ``PROBE_STEP`` grid steps.
+    A survey that ends at its first wave is also blind to a mode only the
+    other rays cross.
     """
     return _sample_rays(problem, *generate_rays(problem.bounds, rng), rng)
 
 
+def _first_wave(kind) -> np.ndarray:
+    """Mask of the rays of the first wave: the first ``ceil(FIRST_WAVE_SHARE * n)``
+    of the n rays of each kind, in ray order."""
+    # A ray's rank in its kind: its place in the stable kind-sorted order
+    # minus the place of its kind's first ray.
+    order = np.argsort(kind, kind="stable")
+    ranked = kind[order]
+    rank = np.empty(kind.size, dtype=np.int64)
+    rank[order] = np.arange(kind.size) - np.searchsorted(ranked, ranked)
+    counts = np.bincount(kind, minlength=len(KIND_NAMES))
+    return rank < np.ceil(FIRST_WAVE_SHARE * counts)[kind]
+
+
 def _sample_rays(problem, kind, start, end, rng) -> RayBank:
-    """Probe, completion and refill passes; see ``survey``."""
+    """First wave, probe, completion and refill passes; see ``survey``."""
     t0 = np.linspace(0.0, 1.0, N_COARSE)
     probe = slice(0, N_COARSE, PROBE_STEP)
     other = np.arange(N_COARSE) % PROBE_STEP != 0
     t_probe = np.tile(t0[probe], (kind.size, 1))
-    v_probe = _eval_rays(problem, start, end, t_probe)
+    first = _first_wave(kind)
+    v_first = _eval_rays(problem, start[first], end[first], t_probe[first])
+    if _parabolic(v_first).all() and (_second(v_first) < 0.0).all():
+        n = v_first.shape[0]
+        return RayBank(kind[first], start[first], end[first], np.zeros(n, dtype=bool),
+                       np.ones(n, dtype=bool), t_probe[first], v_first,
+                       np.flatnonzero(first), kind.size, True)
+    v_probe = np.empty((kind.size, N_PROBE))
+    v_probe[first] = v_first
+    if not first.all():
+        v_probe[~first] = _eval_rays(problem, start[~first], end[~first], t_probe[~first])
     read = _parabolic(v_probe)
     rest = np.flatnonzero(~read)
+    index = np.arange(kind.size)
     if rest.size == 0:
-        return RayBank(kind, start, end, ~read, read, t_probe, v_probe)
+        return RayBank(kind, start, end, ~read, read, t_probe, v_probe, index, kind.size, False)
     # Row k holds ray k's samples in t order; a sample not taken is
     # padding, t = +inf and a NaN value. A read row holds its probe and an
     # unread row its coarse grid, both in t order as taken; only a
@@ -377,7 +429,8 @@ def _sample_rays(problem, kind, start, end, rng) -> RayBank:
         order = np.argsort(t_ref, axis=1, kind="stable")
         t_all[refilled] = np.take_along_axis(t_ref, order, axis=1)
         v_all[refilled] = np.take_along_axis(v_ref, order, axis=1)
-    return RayBank(kind, start, end, ~live, read, t_all[live], v_all[live])
+    return RayBank(kind, start, end, ~live, read, t_all[live], v_all[live], index,
+                   kind.size, False)
 
 
 @dataclass(frozen=True)
@@ -480,27 +533,25 @@ def select_seeds(bank: RayBank, lam_fine: float, dim: int):
 def lone_seed(bank: RayBank):
     """The bank's best sample as the only seed, when every ray is one concave parabola.
 
-    A Gaussian's log-likelihood is a parabola along every line. When every
-    ray was read at the probe (none completed, none dead) and each one's
-    probe values have strictly negative second differences, the survey
-    reads the target as one such peak: ``group_seeds`` would find one
-    parabolic basin, and only its best seed would climb. That seed is the
-    bank's first maximum in sample order, ``select_seeds``' first seed, at
-    the same bits. A linear ray, whose second differences are all 0,
-    passes ``_parabolic`` but not this test.
+    A Gaussian's log-likelihood is a parabola along every line. When the
+    survey ended at its first wave (``bank.concave``), every ray it holds
+    was read at the probe and bends down at every probe point, so the
+    target reads as one such peak: ``group_seeds`` would find one parabolic
+    basin, and only its best seed would climb. That seed is the bank's
+    first maximum in sample order, ``select_seeds``' first seed, at the
+    same bits. A bank of the whole family never reads so: its first wave
+    failed the test, and the full bank holds those rays' probe values.
 
     Returns ``(seeds, values)`` as ``select_seeds`` does, one row each, or
     None when the seeds must be picked and grouped. The test is blind to a
-    mode no ray crosses, which a segment between two seeds could cross.
+    mode no ray of the first wave crosses, which a segment between two
+    seeds could cross.
     """
-    if not bank.read.all():
+    if not bank.concave:
         return None
-    v = bank.logl[:, :N_PROBE]
-    if not (_second(v) < 0.0).all():
-        return None
-    ray, j = divmod(int(np.argmax(v)), N_PROBE)
+    ray, j = bank.first_max()
     pos = _points_along(bank.start[ray:ray + 1], bank.end[ray:ray + 1], bank.t[ray, j:j + 1])
-    return pos, v[ray, j:j + 1].copy()
+    return pos, bank.logl[ray, j:j + 1].copy()
 
 
 def _nearest_better(seeds):

@@ -1,8 +1,9 @@
 """End-to-end evidence pipeline.
 
 Stages run in a fixed order — coordinate screen, ray survey, seed grouping
-into basins (skipped when every ray reads as one concave parabola, whose
-best sample then climbs alone), one batched ascent of the basin leaders,
+into basins (skipped when every ray of the survey's first wave reads as
+one concave parabola, which ends the survey; the wave's best sample then
+climbs alone), one batched ascent of the basin leaders,
 curvature check of the peaks, per-mode Gaussian integral, optional
 dimensional reduction — each consuming the previous stage's output on the
 active-coordinate subproblem. A config is a preset name, a seed and the
@@ -158,8 +159,9 @@ def run(problem, config: PipelineConfig):
     with meter.stage("survey"):
         bank = survey(active, rng_survey)
         scales = estimate_scales(bank, active.bounds)
-        # A survey that reads one concave parabola on every ray skips the
-        # picking and the grouping's segments: its best sample climbs alone.
+        # A survey that ends at its first wave, one concave parabola on
+        # every ray, skips the picking and the grouping's segments: its
+        # best sample climbs alone.
         seeds, seed_logl = (lone_seed(bank)
                             or select_seeds(bank, scales.lam_fine, active.dim))
 
@@ -218,8 +220,10 @@ def run(problem, config: PipelineConfig):
                          warnings=warnings)
     result.config_echo = config.echo()
     result.seed = int(config.seed)
-    result.survey = {**bank.kind_counts(), "dead": int(bank.dead.sum()),
-                     "rays_read": int(bank.read.sum()),
+    lone_ray = int(bank.index[bank.first_max()[0]]) if bank.concave else None
+    result.survey = {**bank.kind_counts(), "rays_total": bank.total,
+                     "dead": int(bank.dead.sum()), "rays_read": int(bank.read.sum()),
+                     "lone_seed_ray": lone_ray,
                      "scale": scales.lam_fine, "scale_fallback": scales.fallback,
                      "seeds": int(seeds.shape[0]), "segments_read": int(read.sum()),
                      "segments_completed": int(read.size - read.sum()),

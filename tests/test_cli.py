@@ -34,12 +34,14 @@ def test_run_success_prints_summary(capsys):
     # the one mode takes the diagonal route: probe and tail screen
     assert re.search(r"\n  \[0\] logl=.* hessian=diagonal .* evals=10 at ", out)
     survey = [line for line in out.splitlines() if line.startswith("survey ")]
-    # gaussian is a concave parabola along every ray: the probe reads all
-    # 48 rays, so the grouping is skipped and the best sample is the one
-    # seed, which ascends alone.
-    assert survey == ["survey       48 rays (v2v=12, v2e=12, w2w=12, sunburst=12), "
-                      "0 dead, 48 read, scale 1, 1 seeds, 0 segments read, "
-                      "0 completed, 1 ascents, 0 retired, 1 one-seed basins"]
+    # gaussian is a concave parabola along every ray: the probe reads the
+    # 12 rays of the first wave, 3 of each kind's 12, and the survey ends
+    # there. The grouping is skipped and the best sample, on ray 26, is the
+    # one seed, which ascends alone.
+    assert survey == ["survey       12 of 48 rays (v2v=3, v2e=3, w2w=3, sunburst=3), "
+                      "0 dead, 12 read, scale 1, 1 seeds (lone seed from ray 26), "
+                      "0 segments read, 0 completed, 1 ascents, 0 retired, "
+                      "1 one-seed basins"]
 
 
 def test_unknown_problem_exits_2(capsys):

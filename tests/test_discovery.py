@@ -6,6 +6,7 @@ import pytest
 import laplev.discovery
 from laplev.discovery import (
     DEDUP_WIDTH_FRACTION,
+    FIRST_WAVE_SHARE,
     K_PER_BASIN,
     KEEP_RATIO,
     KIND_NAMES,
@@ -171,8 +172,10 @@ def _coarse(v_probe, v_other):
     return v0
 
 
-def _sample_rays_reference(problem, rays, rng) -> list:
-    vp = _eval_rays_reference(problem, rays, np.broadcast_to(T_PROBE, (len(rays), N_PROBE)))
+def _sample_rays_reference(problem, rays, rng, vp=None) -> list:
+    """The rays surveyed one at a time; ``vp``, when given, holds their probe values."""
+    if vp is None:
+        vp = _eval_rays_reference(problem, rays, np.broadcast_to(T_PROBE, (len(rays), N_PROBE)))
     unread = [i for i in range(len(rays)) if not _parabolic_reference(vp[i])]
     out = [_padded(ray, T_PROBE, v) for ray, v in zip(rays, vp)]
     if not unread:
@@ -198,17 +201,56 @@ def _sample_rays_reference(problem, rays, rng) -> list:
     return out
 
 
+def _first_wave_reference(rays) -> list:
+    """Places of the first ceil(FIRST_WAVE_SHARE n_k) rays of each kind k."""
+    quota = {k: np.ceil(FIRST_WAVE_SHARE * sum(r.kind == k for r in rays)) for k in KIND_NAMES}
+    taken = dict.fromkeys(KIND_NAMES, 0)
+    wave = []
+    for i, r in enumerate(rays):
+        if taken[r.kind] < quota[r.kind]:
+            wave.append(i)
+        taken[r.kind] += 1
+    return wave
+
+
+def _concave_reference(v) -> bool:
+    """Whether one ray's probe values are a parabola whose every second
+    difference ``a - 2b + c`` is negative."""
+    return _parabolic_reference(v) and bool(np.all(v[:-2] - 2.0 * v[1:-1] + v[2:] < 0.0))
+
+
+def _survey_waves_reference(problem, rng):
+    """The survey, ray by ray: the samples of the rays the bank holds, their
+    places in the generated family and the family's size.
+
+    The first wave's rays are probed; when every one is a concave parabola
+    they are the bank. Otherwise the other rays are probed, and every ray
+    is surveyed on its probe values as it was before the waves.
+    """
+    rays = _generate_rays_reference(problem.bounds, rng)
+    wave = _first_wave_reference(rays)
+
+    def probe(i):
+        return _eval_rays_reference(problem, [rays[i]], T_PROBE[None])[0]
+
+    vp = {i: probe(i) for i in wave}
+    if all(_concave_reference(v) for v in vp.values()):
+        return [_padded(rays[i], T_PROBE, vp[i]) for i in wave], wave, len(rays)
+    vp = np.array([vp[i] if i in vp else probe(i) for i in range(len(rays))])
+    return _sample_rays_reference(problem, rays, rng, vp), list(range(len(rays))), len(rays)
+
+
 def _survey_reference(problem, rng) -> list:
-    return _sample_rays_reference(problem, _generate_rays_reference(problem.bounds, rng), rng)
+    return _survey_waves_reference(problem, rng)[0]
 
 
-def _summary_reference(rays) -> str:
+def _summary_reference(rays, total=None) -> str:
     counts = {name: 0 for name in KIND_NAMES.values()}
     for r in rays:
         counts[KIND_NAMES[r.ray.kind]] += 1
     dead = sum(r.dead for r in rays)
     parts = ", ".join(f"{k}={v}" for k, v in counts.items())
-    return f"{len(rays)} rays ({parts}), {dead} dead"
+    return f"{len(rays)} of {len(rays) if total is None else total} rays ({parts}), {dead} dead"
 
 
 def _champion_width_reference(r: RaySamples) -> float:
@@ -259,17 +301,23 @@ def _select_seeds_reference(rays, lam_fine: float, dim: int):
     return pos[kept[order]], val[idx[kept[order]]]
 
 
-def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
+def _as_bank(rays, dim=None, width=2 * N_COARSE, index=None, total=None) -> RayBank:
     """The array bank holding the per-ray samples ``rays``.
 
     When every ray was read at the probe, the rows are cut to their
-    ``N_PROBE`` probe samples, the survey bank's width then.
+    ``N_PROBE`` probe samples, the survey bank's width then. ``index`` and
+    ``total`` are the rays' places in the generated family and its size;
+    by default the rays are the whole family. The bank is ``concave`` when
+    every ray is read and its probe values are a concave parabola, as the
+    bank of a survey that ends at its first wave is.
     """
     dim = rays[0].ray.start.size if rays else dim
     live = [r for r in rays if not r.dead]
     # A ray read at the probe holds its probe points only.
     read = np.array([not r.dead and np.isfinite(r.t).sum() == N_PROBE for r in rays],
                     dtype=bool)
+    concave = bool(rays) and read.all() and all(_concave_reference(r.logl[:N_PROBE])
+                                                for r in rays)
     if rays and read.all():
         width = N_PROBE
 
@@ -283,11 +331,14 @@ def _as_bank(rays, dim=None, width=2 * N_COARSE) -> RayBank:
         end=np.array([r.ray.end for r in rays]).reshape(len(rays), dim),
         dead=np.array([r.dead for r in rays], dtype=bool),
         read=read, t=stack("t"), logl=stack("logl"),
+        index=np.arange(len(rays)) if index is None else np.asarray(index, dtype=np.int64),
+        total=len(rays) if total is None else total, concave=concave,
     )
 
 
 def _bank_bytes(bank):
     return (bank.kind.tolist(), bank.dead.tolist(), bank.read.tolist(), bank.t.shape,
+            bank.index.tolist(), bank.total, bank.concave,
             *(x.tobytes() for x in (bank.start, bank.end, bank.t, bank.logl)))
 
 
@@ -642,14 +693,17 @@ def _corner_only(x):
     (_half_ripple, 3),
 ])
 def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
-    # Named when the survey made two calls; it makes three now: probe,
-    # completion, refill. A quartic is off a parabola on every ray: every
-    # ray is completed and refilled. On the others some rays are dead, or
-    # read at the probe, and draw nothing.
+    # Named when the survey made two calls; it makes four now: the first
+    # wave's probe, which none of these targets passes, the other rays'
+    # probe, completion, refill. A quartic is off a parabola on every ray:
+    # every ray is completed and refilled. On the others some rays are
+    # dead, or read at the probe, and draw nothing.
     p = CountingProblem(fn, box(d))
     bank = survey(p, np.random.default_rng(8))
-    assert p.calls == 3
+    assert p.calls == 4
     n_rays = len(bank.kind)
+    n_wave = len(_first_wave_reference(_generate_rays_reference(box(d),
+                                                                np.random.default_rng(8))))
     n_dead = int(bank.dead.sum())
     n_unread = n_rays - int(_read(bank).sum())
     n_refilled = int(_refilled(bank).sum())
@@ -659,7 +713,8 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
         assert 0 < n_refilled <= n_unread < n_rays
     else:
         assert n_refilled == n_unread == n_rays
-    assert p.rows == [N_PROBE * n_rays, (N_COARSE - N_PROBE) * n_unread, N_COARSE * n_refilled]
+    assert p.rows == [N_PROBE * n_wave, N_PROBE * (n_rays - n_wave),
+                      (N_COARSE - N_PROBE) * n_unread, N_COARSE * n_refilled]
     expected_counter = p.eval_counter
 
     for single in (_one_ray_reference, _two_pass_reference):
@@ -672,14 +727,17 @@ def test_survey_two_calls_bitwise_equal_to_per_ray_loop(fn, d):
 
 
 def test_survey_all_rays_dead_makes_probe_and_completion_calls():
-    # No probe value is finite, so every ray is completed; all 64 values are
-    # dead, so no ray is refilled.
+    # No probe value is finite, so the first wave does not end the survey,
+    # the other rays are probed and every ray is completed; all 64 values
+    # are dead, so no ray is refilled.
     p = CountingProblem(lambda x: np.full(x.shape[0], -np.inf), box(3))
     rng = np.random.default_rng(0)
     bank = survey(p, rng)
     assert bank.dead.all()
     assert bank.t.shape == bank.logl.shape == (0, 2 * N_COARSE)
-    assert p.rows == [N_PROBE * len(bank.kind), (N_COARSE - N_PROBE) * len(bank.kind)]
+    n_wave = 3 * 4  # 3 of the 12 rays of each kind
+    assert p.rows == [N_PROBE * n_wave, N_PROBE * (len(bank.kind) - n_wave),
+                      (N_COARSE - N_PROBE) * len(bank.kind)]
     rng_loop = np.random.default_rng(0)
     q = Problem(lambda x: np.full(x.shape[0], -np.inf), box(3))
     rays = [_one_ray_reference(q, ray, rng_loop)
@@ -743,17 +801,68 @@ def test_gaussian_survey_is_one_call_of_coarse_rows(name, dim):
     assert np.isinf(bank.t[:, N_PROBE:]).all() and np.isnan(bank.logl[:, N_PROBE:]).all()
 
 
+def _pipeline_rng(seed=1):
+    """The survey's generator in ``run``: the first stream spawned off the seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+
+
+@pytest.mark.parametrize("name,dim", [("gaussian", 8), ("gaussian", 1024), ("correlated", 16),
+                                      ("rotated-cigar", 16), ("cigar", 32)])
+def test_first_wave_exit_is_a_quarter_of_each_kinds_probe_rows(name, dim):
+    # Every ray of the first wave is a concave parabola: the bank is the
+    # first quarter of each kind's rows of one probe call over the whole
+    # family, bit for bit, the survey is that one call, and the generator
+    # sits where generate_rays left it.
+    p = get_target(name, dim, allow_large=True).problem
+    q = get_target(name, dim, allow_large=True).problem
+    rng, rng_rays = _pipeline_rng(), _pipeline_rng()
+    bank = survey(p, rng)
+    kind, start, end = generate_rays(q.bounds, rng_rays)
+    assert rng.bit_generator.state == rng_rays.bit_generator.state
+    wave = _first_wave_reference([Ray(k, a, b) for k, a, b in zip(kind, start, end)])
+    rows = _eval_rays_reference(q, [Ray(k, a, b) for k, a, b in zip(kind, start, end)],
+                                np.broadcast_to(T_PROBE, (kind.size, N_PROBE)))
+    assert p.call_counter == 1 and p.eval_counter == len(wave) * N_PROBE
+    assert bank.concave and bank.total == kind.size and bank.index.tolist() == wave
+    assert len(wave) < kind.size
+    assert bank.kind.tolist() == kind[wave].tolist()
+    assert bank.start.tobytes() == start[wave].tobytes()
+    assert bank.end.tobytes() == end[wave].tobytes()
+    assert not bank.dead.any() and bank.read.all()
+    assert (bank.t == T_PROBE).all() and bank.logl.tobytes() == rows[wave].tobytes()
+
+
+def test_near_gaussian_fallback_is_the_per_ray_survey_in_one_more_call():
+    # cigar/8 at seed 1: 13 of its 16 first-wave rays are read, but three
+    # wall-to-wall rays along the wide axis round off the parabola gate. So
+    # the other rays are probed in a second call, and the bank, the refill
+    # draws and the generator state are the per-ray survey's, bit for bit:
+    # the probe, completion and refill calls of a one-wave survey, and one
+    # more.
+    p, q = get_target("cigar", 8).problem, get_target("cigar", 8).problem
+    rng, rng_ref = _pipeline_rng(), _pipeline_rng()
+    bank = survey(p, rng)
+    rays = _survey_reference(q, rng_ref)
+    assert not bank.concave and bank.total == len(bank.kind) == len(rays)
+    assert _bank_bytes(bank) == _bank_bytes(_as_bank(rays))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert _refilled(bank).any() and p.eval_counter == q.eval_counter
+    assert p.call_counter == 4
+
+
 def test_eggbox_survey_refills_every_ray():
     # No eggbox ray is read at the probe: each is completed, then refilled.
+    # The first wave's probe and the other rays' probe are two calls.
     p = get_target("eggbox", 2).problem
     bank = survey(p, np.random.default_rng(np.random.SeedSequence(1).spawn(4)[0]))
     assert _refilled(bank).all() and len(bank.t) == len(bank.kind)
-    assert p.call_counter == 3 and p.eval_counter == len(bank.kind) * 2 * N_COARSE
+    assert p.call_counter == 4 and p.eval_counter == len(bank.kind) * 2 * N_COARSE
 
 
 def test_ripple_ray_is_refilled_and_parabolic_ray_is_not():
     # Along x0 the ripple shows between the grid points; along x1, at a
-    # fixed x0, _ripple is a parabola.
+    # fixed x0, _ripple is a parabola. The first ray is the first wave, one
+    # of the two rays of its kind; the second is probed after it.
     p = CountingProblem(_ripple, box(2, -10, 10))
     start = np.array([[-10.0, 0.3], [0.3, -10.0]])
     end = np.array([[10.0, 0.3], [0.3, 10.0]])
@@ -761,7 +870,7 @@ def test_ripple_ray_is_refilled_and_parabolic_ray_is_not():
                         np.random.default_rng(2))
     assert _refilled(bank).tolist() == [True, False]
     assert _read(bank).tolist() == [False, True]
-    assert p.rows == [2 * N_PROBE, N_COARSE - N_PROBE, N_COARSE]
+    assert p.rows == [N_PROBE, N_PROBE, N_COARSE - N_PROBE, N_COARSE]
     np.testing.assert_array_equal(bank.t[1, :N_PROBE], T_PROBE)
     assert np.isinf(bank.t[1, N_PROBE:]).all() and np.isnan(bank.logl[1, N_PROBE:]).all()
 
@@ -812,11 +921,13 @@ def test_ripple_dividing_the_probe_step_is_read_at_the_probe(period_steps):
 
 
 def test_raybank_summary():
+    # A Gaussian's survey ends at its first wave: 3 of the 11 rays of each
+    # kind.
     p = gaussian_problem(2)
     bank = survey(p, np.random.default_rng(4))
-    assert "44 rays" in bank.summary()
-    rays = _survey_reference(gaussian_problem(2), np.random.default_rng(4))
-    assert bank.summary() == _summary_reference(rays)
+    assert "12 of 44 rays" in bank.summary()
+    rays, _, total = _survey_waves_reference(gaussian_problem(2), np.random.default_rng(4))
+    assert bank.summary() == _summary_reference(rays, total)
     half = _survey_reference(Problem(_corner_only, box(3)), np.random.default_rng(4))
     assert "0 dead" not in _summary_reference(half)
     assert _as_bank(half).summary() == _summary_reference(half)
@@ -855,16 +966,18 @@ FRONT_END_PROBLEMS = {
 def test_front_end_bitwise_equal_to_per_ray_oracles(name, seed, d):
     # Survey, scale and seeds from the array bank against the per-ray
     # front end: every bank array, the generator state after the survey,
-    # the scale estimate and the seeds agree bit for bit.
+    # the scale estimate and the seeds agree bit for bit. The quadratic
+    # ends its survey at the first wave; the others survey every ray.
     fn, lo, hi = FRONT_END_PROBLEMS[name]
     p, q = Problem(fn, box(d, lo, hi)), Problem(fn, box(d, lo, hi))
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     bank = survey(p, rng)
-    rays = _survey_reference(q, rng_ref)
-    assert _bank_bytes(bank) == _bank_bytes(_as_bank(rays))
+    rays, index, total = _survey_waves_reference(q, rng_ref)
+    assert bank.concave is (name == "quadratic")
+    assert _bank_bytes(bank) == _bank_bytes(_as_bank(rays, index=index, total=total))
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert p.eval_counter == q.eval_counter
-    assert bank.summary() == _summary_reference(rays)
+    assert bank.summary() == _summary_reference(rays, total)
 
     est = estimate_scales(bank, p.bounds)
     want = _estimate_scales_reference(rays, q.bounds)
@@ -889,7 +1002,7 @@ def _live_ray(bank, j):
     k = np.flatnonzero(~bank.dead)[j]
     return RayBank(bank.kind[k:k + 1], bank.start[k:k + 1], bank.end[k:k + 1],
                    bank.dead[k:k + 1], bank.read[k:k + 1], bank.t[j:j + 1],
-                   bank.logl[j:j + 1])
+                   bank.logl[j:j + 1], bank.index[k:k + 1], bank.total, bank.concave)
 
 
 def _width(bank, bounds):
@@ -1494,6 +1607,21 @@ def test_lone_seed_needs_every_probe_second_difference_negative(why):
     assert laplev.discovery._parabolic(profile[None])[0]
     bank = _probe_bank(CONCAVE, profile)
     assert bank.read.all() and lone_seed(bank) is None
+
+
+@pytest.mark.parametrize("why", ["convex", "flat"])
+def test_survey_goes_on_past_a_first_wave_read_but_not_concave(why):
+    # Every ray of a convex bowl or of a flat likelihood is read at the
+    # probe as a parabola, but its second differences are positive or 0:
+    # the survey probes the other rays in a second call and holds every
+    # ray, and lone_seed leaves the seeds to be picked and grouped.
+    fn = {"convex": lambda x: 0.5 * np.sum(x * x, axis=1),
+          "flat": lambda x: np.zeros(x.shape[0])}[why]
+    p = CountingProblem(fn, box(2))
+    bank = survey(p, np.random.default_rng(3))
+    assert bank.read.all() and len(bank.kind) == bank.total == 44
+    assert p.rows == [12 * N_PROBE, 32 * N_PROBE]
+    assert not bank.concave and lone_seed(bank) is None
 
 
 @pytest.mark.parametrize("why", ["completed", "dead"])
